@@ -23,7 +23,7 @@ from scipy.special import erf
 from .geometry import BoxDomain
 from .kernel import gamma_grad_y_vec, u_tilde, weighted_normal_limit_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import GradedTimeMesh, WeightedRule1D, _legendre_rule, weighted_rule
+from .quadrature import GradedTimeMesh, gauss_legendre, tensor_rule, weighted_rule
 
 CONTRACTION_WINDOWS = 4.0
 
@@ -72,33 +72,18 @@ class BoundaryMesh:
             for idx in np.ndindex(*(self.d_space,) * len(free)):
                 c = np.empty(n)
                 c[axis] = coord
-                rules = []
+                rule_nodes, rule_wts = [], []
                 for j, i in enumerate(free):
                     e0, e1 = cell_edges[j][idx[j]], cell_edges[j][idx[j] + 1]
                     c[i] = 0.5 * (e0 + e1)
                     if i == n - 1:
-                        rules.append(
-                            weighted_rule(e0, e1, self.params.a, self.quad_nodes)
-                        )
+                        x, w = weighted_rule(e0, e1, self.params.a, self.quad_nodes)
                     else:
-                        x, w = _legendre_rule(self.quad_nodes)
-                        rules.append(
-                            WeightedRule1D(
-                                e0 + (e1 - e0) * (x + 1.0) / 2.0,
-                                w * (e1 - e0) / 2.0,
-                                0.0,
-                                (e0, e1),
-                            )
-                        )
-                grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-                wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-                q = grids[0].size
-                pts = np.empty((q, n))
-                pts[:, axis] = coord
-                weight = np.ones(q)
-                for g, wg, i in zip(grids, wgrids, free):
-                    pts[:, i] = g.ravel()
-                    weight *= wg.ravel()
+                        x, w = gauss_legendre(e0, e1, self.quad_nodes)
+                    rule_nodes.append(x)
+                    rule_wts.append(w)
+                pts, weight = tensor_rule(rule_nodes, rule_wts)
+                pts = np.insert(pts, axis, coord, axis=1)
                 if axis == n - 1 and not on_plane:
                     weight *= abs(coord) ** self.params.a
                 centers.append(c)
@@ -207,25 +192,16 @@ class BoundaryMesh:
                     lo_p, hi_p = min(p0, p1), max(p0, p1)
                     if hi_p <= lo_p:
                         continue
-                    r = weighted_rule(lo_p, hi_p, aexp, 6) if aexp != 0.0 else None
-                    if r is None:
-                        x, w = _legendre_rule(6)
-                        ns.append(lo_p + (hi_p - lo_p) * (x + 1.0) / 2.0)
-                        ws.append(w * (hi_p - lo_p) / 2.0)
+                    if aexp != 0.0:
+                        x, w = weighted_rule(lo_p, hi_p, aexp, 6)
                     else:
-                        ns.append(r.nodes)
-                        ws.append(r.weights)
+                        x, w = gauss_legendre(lo_p, hi_p, 6)
+                    ns.append(x)
+                    ws.append(w)
             rules_nodes.append(np.concatenate(ns))
             rules_wts.append(np.concatenate(ws))
-        grids = np.meshgrid(*rules_nodes, indexing="ij")
-        wgrids = np.meshgrid(*rules_wts, indexing="ij")
-        s = grids[0].size
-        pts = np.empty((s, n))
-        pts[:, axis] = coord
-        weight = np.ones(s)
-        for g, wg, (i, _, _) in zip(grids, wgrids, self.cell_edges[idx]):
-            pts[:, i] = g.ravel()
-            weight *= wg.ravel()
+        pts, weight = tensor_rule(rules_nodes, rules_wts)
+        pts = np.insert(pts, axis, coord, axis=1)
         if axis == n - 1 and not self.use_limit[idx]:
             weight *= abs(coord) ** self.params.a
         return pts, weight
@@ -250,17 +226,9 @@ class BoundaryMesh:
         """Quadrature in the time offset; graded when the interval touches 0."""
         if d_lo <= 1e-14 * self.ht:
             mesh = GradedTimeMesh(-d_hi, 0.0, levels=24, ratio=0.5)
-            x, w = _legendre_rule(m)
-            ns, ws = [], []
-            for p0, p1 in mesh.panels():
-                ns.append(-(p0 + (p1 - p0) * (x + 1.0) / 2.0))
-                ws.append(w * (p1 - p0) / 2.0)
-            return np.concatenate(ns), np.concatenate(ws)
-        x, w = _legendre_rule(m)
-        return (
-            d_lo + (d_hi - d_lo) * (x + 1.0) / 2.0,
-            w * (d_hi - d_lo) / 2.0,
-        )
+            ns, ws = zip(*(gauss_legendre(p0, p1, m) for p0, p1 in mesh.panels()))
+            return -np.concatenate(ns), np.concatenate(ws)
+        return gauss_legendre(d_lo, d_hi, m)
 
     def block(self, lag: int) -> np.ndarray:
         """Kernel block for time lag: (obs cells) x (src cells).
@@ -454,16 +422,11 @@ def initial_lift(
     dt = xi.t - box.t0
     if dt <= 0.0:
         return 0.0
-    rules = []
-    for i in range(box.n):
-        aexp = params.a if i == box.n - 1 else 0.0
-        rules.append(weighted_rule(box.lo[i], box.hi[i], aexp, m))
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(len(pts))
-    for wg in wgrids:
-        wts = wts * wg.ravel()
+    rules = [
+        weighted_rule(box.lo[i], box.hi[i], params.a if i == box.n - 1 else 0.0, m)
+        for i in range(box.n)
+    ]
+    pts, wts = tensor_rule([r.nodes for r in rules], [r.weights for r in rules])
     # Gamma = product of 1-D kernels; the |y|^a weight is in the rule,
     # so multiply the unweighted kernel factors per axis
     vals = np.ones(len(pts))

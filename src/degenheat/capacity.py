@@ -22,7 +22,7 @@ from scipy.special import roots_legendre
 
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import integrate_weighted_interval
+from .quadrature import integrate_weighted_interval, tensor_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
@@ -42,12 +42,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def atoms(self) -> list[tuple[SpaceTimePoint, float]]:
-        return [
-            (SpaceTimePoint.from_spatial(sp, t), float(m))
-            for sp, t, m in zip(self.spatial, self.times, self.masses)
-        ]
-
     @classmethod
     def empty(cls, n: int) -> DiscreteMeasure:
         return cls(np.zeros((0, n)), np.zeros(0), np.zeros(0))
@@ -63,14 +57,8 @@ class CapacityResult:
 
 def potential_of_measure(params: KernelParams, mu: DiscreteMeasure, xi) -> float:
     """Sum of mass times Gamma(xi; atom); atoms at or after t contribute 0."""
-    if len(mu.masses) == 0:
-        return 0.0
-    if isinstance(xi, SpaceTimePoint):
-        obs_sp, obs_t = xi.spatial, xi.t
-    else:
-        obs_sp, obs_t = np.asarray(xi[0], dtype=float), float(xi[1])
-    gam = gamma_fs_vec(params, obs_sp, obs_t, mu.spatial, mu.times)
-    return float(np.dot(np.asarray(gam), mu.masses))
+    obs_sp, obs_t = (xi.spatial, xi.t) if isinstance(xi, SpaceTimePoint) else xi
+    return float(potential_of_measure_vec(params, mu, obs_sp, [obs_t])[0])
 
 
 def potential_of_measure_vec(
@@ -97,8 +85,7 @@ def _cell_offsets(n: int, h_space: float, h_time: float) -> tuple[np.ndarray, np
     axes = [sp_nodes] * n
     if h_time > 0.0:
         axes.append(0.5 * h_time * x)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = tensor_rule(axes)
     wts = np.ones(len(pts)) / len(pts)
     if h_time > 0.0:
         return pts[:, :n], pts[:, n], wts
@@ -214,8 +201,7 @@ def flat_lattice(lo, hi, tau: float, density: int) -> tuple[np.ndarray, np.ndarr
     for a_lo, a_hi in zip(lo, hi):
         h = (a_hi - a_lo) / density
         axes.append(np.linspace(a_lo + h / 2.0, a_hi - h / 2.0, density))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = tensor_rule(axes)
     h_space = float(np.max((hi - lo) / density))
     return pts, np.full(len(pts), tau), h_space
 
@@ -270,7 +256,3 @@ def weighted_ball_volume(params: KernelParams, rho: float, x0: float, tol: float
         cross_section, x0 - rho, x0 + rho, params.a, tol=tol
     )
 
-
-def cylinder_capacity_bound(params: KernelParams, rho: float, x0: float) -> float:
-    """Scaling quantity w_a(B(X0, rho)) of the cylinder capacity bound."""
-    return weighted_ball_volume(params, rho, x0)

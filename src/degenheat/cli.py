@@ -184,10 +184,15 @@ def cmd_check(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
     semis = config.raw.get("semigroup", [])
     if not mass_points and not semis:
         raise ConfigError("check command needs mass_points or semigroup entries")
+    n = config.params.n
+    if any(not isinstance(e, list) or len(e) != n + 1 for e in mass_points):
+        raise ConfigError(f"each mass_points entry needs {n + 1} coordinates")
+    if any(not isinstance(e, list) or len(e) != 4 for e in semis):
+        raise ConfigError("each semigroup entry needs 4 values: x, eta, t, s")
     rows = []
     failures = 0
     for entry in mass_points:
-        xp, x, t = entry[: config.params.n - 1], entry[config.params.n - 1], entry[-1]
+        xp, x, t = entry[: n - 1], entry[n - 1], entry[-1]
         val = mass_integral(config.params, (xp, x), float(t)) * perturb
         err = abs(val - 1.0)
         ok = err <= tol
@@ -223,7 +228,7 @@ def cmd_dirichlet(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
             return c
 
     elif data == "gamma":
-        pole = _point(config.raw["pole"], params.n, "pole")
+        pole = _point(config.raw.get("pole", ()), params.n, "pole")
         if pole.t >= box.t0:
             raise ConfigError("pole must sit strictly before the box")
 
@@ -247,11 +252,7 @@ def cmd_dirichlet(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
     for coords in config.raw.get("u0_probes", []):
         xi = _point(coords, params.n, "u0 probe")
         rows.append(list(xi.spatial) + [xi.t, u0_identity(params, box, xi), math.nan, math.nan])
-    info = sol.info
-    diags = {
-        "contraction_ratio": max(info["ratios"]) if info["ratios"] else 0.0,
-        "residual": info["residual"],
-    }
+    diags = {"residual": sol.info["residual"]}
     header = (
         [f"probe_{i}" for i in range(params.n)] + ["probe_t", "value", "reference", "abs_err"]
     )
@@ -264,6 +265,8 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("capacity command needs a set block with a kind")
     density = int(config.raw.get("density", 16))
+    if density < 1:
+        raise ConfigError("capacity density must be at least 1")
     tol = float(config.raw.get("tol", 1e-8))
 
     def run(dens: int) -> float:
@@ -341,6 +344,8 @@ def cmd_meanvalue(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
     cases = [("one", one, 1.0)]
     if "pole" in config.raw:
         pole = _point(config.raw["pole"], params.n, "pole")
+        if pole.t >= xi0.t:
+            raise ConfigError("pole must sit strictly before xi0 in time")
 
         def ug(pts, t):
             return gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)

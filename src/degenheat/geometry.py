@@ -20,6 +20,7 @@ import numpy as np
 
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
+from .quadrature import tensor_rule
 
 
 def heat_ball_threshold(params: KernelParams, x0: float, r: float) -> float:
@@ -82,9 +83,7 @@ class HeatBall:
         t0 = self.center.t
         n = self.params.n
         offs = np.linspace(-radius, radius, m)
-        axes = [offs] * n + [np.linspace(t0 - depth, t0 - depth * 1e-12, m)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = tensor_rule([offs] * n + [np.linspace(t0 - depth, t0 - depth * 1e-12, m)])
         on_face = np.zeros(len(pts), dtype=bool)
         for i in range(n):
             on_face |= np.abs(np.abs(pts[:, i]) - radius) < 1e-12
@@ -103,12 +102,6 @@ class HeatBallSample:
     cell_volume: float
     h_space: float = 0.0
     h_time: float = 0.0
-
-    def as_spacetime_points(self) -> list[tuple[SpaceTimePoint, float]]:
-        return [
-            (SpaceTimePoint.from_spatial(sp, t), self.cell_volume)
-            for sp, t in zip(self.spatial, self.times)
-        ]
 
     @property
     def total_volume(self) -> float:
@@ -133,8 +126,7 @@ def heat_ball_sample(ball: HeatBall, density: int) -> HeatBallSample:
         axes.append(np.linspace(-radius + h / 2.0, radius - h / 2.0, density))
     ht = depth / density
     axes.append(np.linspace(t0 - depth + ht / 2.0, t0 - ht / 2.0, density))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = tensor_rule(axes)
     spatial = pts[:, :n] + c_sp
     times = pts[:, -1]
     mask = ball.contains_vec(spatial, times)
@@ -143,10 +135,6 @@ def heat_ball_sample(ball: HeatBall, density: int) -> HeatBallSample:
     hs = 2.0 * radius / density
     cell_volume = hs ** n * ht
     return HeatBallSample(spatial[mask], times[mask], cell_volume, hs, ht)
-
-
-def heat_ball_contains(ball: HeatBall, zeta: SpaceTimePoint) -> bool:
-    return ball.contains(zeta)
 
 
 @dataclass(frozen=True)
@@ -192,10 +180,6 @@ class Shell:
 
     def outer_ball(self) -> HeatBall:
         return HeatBall(self.center, self.outer_radius, self.params)
-
-
-def shell_contains(shell: Shell, zeta: SpaceTimePoint) -> bool:
-    return shell.contains(zeta)
 
 
 @dataclass(frozen=True)

@@ -30,26 +30,30 @@ class SingularAxisError(ValueError):
     there."""
 
 
-def _gamma_core(params: KernelParams, dist2, x, y, dt) -> np.ndarray:
-    """Vectorized Gamma from squared distance, weighted coordinates, lag."""
-    dist2, x, y, dt = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (dist2, x, y, dt))
+def _head(log_c: float, k: float, dist2, dt, *coords):
+    """Causal mask and log-prefactor shared by every kernel entry point.
+
+    Broadcasts the arrays together and returns the mask dt > 0, and on
+    its live entries the lag d and head = log c - (k/2) log d - dist2/(4d),
+    followed by the broadcast coords.  Callers pass dist2 and dt as
+    temporaries, so neither outlives this call.
+    """
+    dist2, dt, *coords = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (dist2, dt, *coords))
     )
-    out = np.zeros(dist2.shape)
     live = dt > 0.0
-    if not np.any(live):
-        return out
     d = dt[live]
-    s = x[live] * y[live] / d
-    prof = f_profile_vec(params, s)
-    expo = (
-        math.log(params.c_na)
-        - 0.5 * (params.n + params.a) * np.log(d)
-        - dist2[live] / (4.0 * d)
-        + np.log(prof)
-    )
-    with np.errstate(over="ignore"):
-        out[live] = np.exp(expo)
+    head = log_c - 0.5 * k * np.log(d) - dist2[live] / (4.0 * d)
+    return (live, d, head, *coords)
+
+
+def _profile_kernel(params: KernelParams, live, d, head, x, y) -> np.ndarray:
+    """exp(head) F(x y / d) on the live entries of _head, zero elsewhere."""
+    out = np.zeros(live.shape)
+    if np.any(live):
+        s = x[live] * y[live] / d
+        with np.errstate(over="ignore"):
+            out[live] = np.exp(head + np.log(f_profile_vec(params, s)))
     return out
 
 
@@ -57,10 +61,16 @@ def gamma_fs_vec(params: KernelParams, obs_sp, obs_t, src_sp, src_t) -> np.ndarr
     """Gamma over broadcastable arrays of spatial points (last axis = coords)."""
     obs_sp = np.asarray(obs_sp, dtype=float)
     src_sp = np.asarray(src_sp, dtype=float)
-    diff = obs_sp - src_sp
-    dist2 = np.sum(diff * diff, axis=-1)
-    return _gamma_core(
-        params, dist2, obs_sp[..., -1], src_sp[..., -1], np.asarray(obs_t) - np.asarray(src_t)
+    return _profile_kernel(
+        params,
+        *_head(
+            math.log(params.c_na),
+            params.n + params.a,
+            np.sum((obs_sp - src_sp) ** 2, axis=-1),
+            np.asarray(obs_t) - np.asarray(src_t),
+            obs_sp[..., -1],
+            src_sp[..., -1],
+        ),
     )
 
 
@@ -83,28 +93,23 @@ def gamma_grad_y_vec(
     obs_sp = np.asarray(obs_sp, dtype=float)
     src_sp = np.asarray(src_sp, dtype=float)
     diff = obs_sp - src_sp
-    dist2 = np.sum(diff * diff, axis=-1)
-    dt = np.asarray(obs_t, dtype=float) - np.asarray(src_t, dtype=float)
-    x = obs_sp[..., -1]
-    y = src_sp[..., -1]
-    dist2, x, y, dt = np.broadcast_arrays(dist2, x, y, dt)
-    base_shape = dist2.shape
-    out = np.zeros(base_shape + (params.n,))
-    live = dt > 0.0
+    live, d, head, x, y = _head(
+        math.log(params.c_na),
+        params.n + params.a,
+        np.sum(diff * diff, axis=-1),
+        np.asarray(obs_t, dtype=float) - np.asarray(src_t, dtype=float),
+        obs_sp[..., -1],
+        src_sp[..., -1],
+    )
+    out = np.zeros(live.shape + (params.n,))
     if not np.any(live):
         return out
-    d = dt[live]
     s = x[live] * y[live] / d
     prof = f_profile_vec(params, s)
     prof_prime = f_profile_prime_vec(params, s)
-    expo = (
-        math.log(params.c_na)
-        - 0.5 * (params.n + params.a) * np.log(d)
-        - dist2[live] / (4.0 * d)
-    )
     with np.errstate(over="ignore"):
-        base = np.exp(expo)
-    diff_b = np.broadcast_to(diff, base_shape + (params.n,))[live]
+        base = np.exp(head)
+    diff_b = np.broadcast_to(diff, out.shape)[live]
     vec = prof[:, None] * diff_b / (2.0 * d[:, None])
     # the chain term vanishes identically when x = 0 (s is frozen at 0),
     # even where F' has no finite limit
@@ -147,45 +152,31 @@ def weighted_normal_limit(
     """
     if not xi.t > tau:
         raise ValueError("limit defined for t > tau only")
-    x = xi.x
-    if x == 0.0:
-        return 0.0
-    d = xi.t - tau
-    y_prime = np.asarray(y_prime, dtype=float)
-    xp = np.asarray(xi.x_prime, dtype=float)
-    dist2 = float(np.sum((xp - y_prime) ** 2)) + x * x
-    a = params.a
-    const = params.c_na * (1.0 - a) * 4.0 ** (a - 1.0) / math.gamma((3.0 - a) / 2.0)
-    expo = (
-        -0.5 * (params.n + a) * math.log(d)
-        - dist2 / (4.0 * d)
-        + math.log(abs(x) / d) * (-a)
-    )
-    return const * (x / d) * math.exp(expo)
+    diff = np.asarray(xi.x_prime, dtype=float) - np.asarray(y_prime, dtype=float)
+    return float(weighted_normal_limit_vec(params, xi.x, xi.t - tau, np.sum(diff * diff)))
 
 
 def weighted_normal_limit_vec(
     params: KernelParams, x, dt, dist2_rest
 ) -> np.ndarray:
     """Vectorized weighted normal limit; dist2_rest = |x'-y'|^2 per point."""
-    x, dt, dist2_rest = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, dt, dist2_rest))
+    x = np.asarray(x, dtype=float)
+    # x = 0 entries are zero: masked like acausal ones
+    live, d, head, x = _head(
+        0.0,
+        params.n + params.a,
+        np.asarray(dist2_rest, dtype=float) + x * x,
+        np.where(x != 0.0, dt, 0.0),
+        x,
     )
-    out = np.zeros(x.shape)
-    live = (dt > 0.0) & (x != 0.0)
+    out = np.zeros(live.shape)
     if not np.any(live):
         return out
     a = params.a
-    d = dt[live]
-    xl = x[live]
     const = params.c_na * (1.0 - a) * 4.0 ** (a - 1.0) / math.gamma((3.0 - a) / 2.0)
-    expo = (
-        -0.5 * (params.n + a) * np.log(d)
-        - (dist2_rest[live] + xl * xl) / (4.0 * d)
-        - a * np.log(np.abs(xl) / d)
-    )
+    xl = x[live]
     with np.errstate(over="ignore"):
-        out[live] = const * (xl / d) * np.exp(expo)
+        out[live] = const * (xl / d) * np.exp(head - a * np.log(np.abs(xl) / d))
     return out
 
 
@@ -195,26 +186,11 @@ def u_tilde(params: KernelParams, x, y, dt) -> np.ndarray:
     Gamma is the product of u_tilde with classical 1-D heat kernels on
     the free axes.
     """
-    x, y, dt = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, y, dt))
-    )
-    out = np.zeros(x.shape)
-    live = dt > 0.0
-    if not np.any(live):
-        return out
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     a = params.a
-    d = dt[live]
-    s = x[live] * y[live] / d
-    prof = f_profile_vec(params, s)
-    expo = (
-        -(1.0 + a) * math.log(2.0)
-        - 0.5 * (1.0 + a) * np.log(d)
-        - (x[live] - y[live]) ** 2 / (4.0 * d)
-        + np.log(prof)
+    return _profile_kernel(
+        params, *_head(-(1.0 + a) * math.log(2.0), 1.0 + a, (x - y) ** 2, dt, x, y)
     )
-    with np.errstate(over="ignore"):
-        out[live] = np.exp(expo)
-    return out
 
 
 def mass_integral(params: KernelParams, x_point, t: float, tol: float = 1e-8) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from .kernel import gamma_fs_vec, gamma_grad_y_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import _legendre_rule, weighted_rule
+from .quadrature import _legendre_rule, gauss_legendre, weighted_rule
 
 TOP_BUFFER = 1e-4
 
@@ -40,16 +40,6 @@ def phi_weight_prime(params: KernelParams, x0: float, r: float) -> float:
         * (1.0 + x0 * x0 / r) ** (a / 2.0 - 1.0)
         * ((n + a) / (2.0 * r) + n * x0 * x0 / (2.0 * r * r))
     )
-
-
-@dataclass(frozen=True)
-class MeanValueWeight:
-    phi_r: float
-    phi_r_prime: float
-
-    @classmethod
-    def at(cls, params: KernelParams, x0: float, r: float) -> "MeanValueWeight":
-        return cls(phi_weight(params, x0, r), phi_weight_prime(params, x0, r))
 
 
 def mean_value_kernel(params: KernelParams, xi0: SpaceTimePoint, spatial, t) -> np.ndarray:
@@ -207,9 +197,7 @@ def _slab_integral(
     xp0 = np.asarray(xi0.x_prime, dtype=float)
     total = 0.0
     for p0, p1 in _delta_panels(d_lo, d_hi, levels):
-        dn = p0 + (p1 - p0) * (gx + 1.0) / 2.0
-        dw = gw * (p1 - p0) / 2.0
-        for delta, wd in zip(dn, dw):
+        for delta, wd in zip(*gauss_legendre(p0, p1, m)):
             tau = xi0.t - delta
             acc = 0.0
             for lo, hi in _y_intervals(params, xi0, log_theta, delta, y_lo, y_hi):

@@ -5,13 +5,14 @@ panels touching zero use Gauss-Jacobi rules that absorb the weight
 exactly; panels away from zero use Gauss-Legendre with the weight folded
 into the node weights.  Time integrals with an integrable endpoint
 singularity at tau = t use a geometrically graded mesh clustered at the
-endpoint, with a geometric-tail extrapolation of the last panels.
+endpoint.  Multi-dimensional rules are tensor products of 1-D rules
+(tensor_rule), because the kernel factorizes over axes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sps
@@ -31,18 +32,38 @@ def _jacobi_rule(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@dataclass(frozen=True)
-class WeightedRule1D:
-    """Nodes and weights integrating f against |y|^a over (lo, hi).
+def gauss_legendre(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on (lo, hi)."""
+    x, w = _legendre_rule(m)
+    return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
+
+
+def tensor_rule(nodes, weights=None):
+    """Tensor product of 1-D rules, the first axis varying slowest.
+
+    Returns the (N, k) points for k node arrays; given the k weight
+    arrays too, returns (points, weights) with the product weights.
+    """
+    grids = np.meshgrid(*nodes, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=-1)
+    if weights is None:
+        return points
+    prod = np.ones(len(points))
+    for wg in np.meshgrid(*weights, indexing="ij"):
+        prod = prod * wg.ravel()
+    return points, prod
+
+
+class WeightedRule1D(NamedTuple):
+    """Nodes and weights integrating f against |y|^a over an interval.
 
     The weight is folded into the rule: sum(weights * f(nodes)) approximates
     the weighted integral, exactly for polynomials up to the rule degree.
+    Unpacks as (nodes, weights), like gauss_legendre.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    a: float
-    interval: tuple[float, float]
 
     def apply(self, f) -> float:
         return float(np.sum(self.weights * _eval_vec(f, self.nodes)))
@@ -60,25 +81,16 @@ def weighted_rule(lo: float, hi: float, a: float, m: int = 16) -> WeightedRule1D
         return WeightedRule1D(
             np.concatenate([left.nodes, right.nodes]),
             np.concatenate([left.weights, right.weights]),
-            a,
-            (lo, hi),
         )
     if hi <= 0.0:
         mirrored = weighted_rule(-hi, -lo, a, m)
-        return WeightedRule1D(
-            -mirrored.nodes[::-1], mirrored.weights[::-1], a, (lo, hi)
-        )
+        return WeightedRule1D(-mirrored.nodes[::-1], mirrored.weights[::-1])
     # now 0 <= lo < hi
     if lo == 0.0 and a != 0.0:
         x, w = _jacobi_rule(m, a)
-        h = hi
-        nodes = h * (x + 1.0) / 2.0
-        weights = w * (h / 2.0) ** (1.0 + a)
-        return WeightedRule1D(nodes, weights, a, (lo, hi))
-    x, w = _legendre_rule(m)
-    nodes = lo + (hi - lo) * (x + 1.0) / 2.0
-    weights = w * (hi - lo) / 2.0 * np.abs(nodes) ** a
-    return WeightedRule1D(nodes, weights, a, (lo, hi))
+        return WeightedRule1D(hi * (x + 1.0) / 2.0, w * (hi / 2.0) ** (1.0 + a))
+    nodes, weights = gauss_legendre(lo, hi, m)
+    return WeightedRule1D(nodes, weights * np.abs(nodes) ** a)
 
 
 def _eval_vec(f, nodes: np.ndarray) -> np.ndarray:
@@ -132,52 +144,6 @@ def integrate_weighted_interval(
     return total
 
 
-def integrate_face(
-    f,
-    lo,
-    hi,
-    axis: int,
-    coord: float,
-    a: float,
-    tol: float = DEFAULT_TOL,
-    m: int = 16,
-) -> float:
-    """Integrate f over a box face with the |y|^a surface weight.
-
-    The box is [lo_i, hi_i] in R^n with the weighted y-axis last; the
-    face is {x_axis = coord}.  On faces with axis = n-1 the weight is the
-    constant |coord|^a; otherwise it varies along the in-face y-axis.
-    f maps an (m, n) array of points to m values.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = lo.size
-    free = [i for i in range(n) if i != axis]
-    rules = []
-    for i in free:
-        if i == n - 1:
-            rules.append(weighted_rule(lo[i], hi[i], a, m))
-        else:
-            x, w = _legendre_rule(m)
-            nodes = lo[i] + (hi[i] - lo[i]) * (x + 1.0) / 2.0
-            rules.append(
-                WeightedRule1D(nodes, w * (hi[i] - lo[i]) / 2.0, 0.0, (lo[i], hi[i]))
-            )
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    npts = grids[0].size if grids else 1
-    pts = np.empty((npts, n))
-    pts[:, axis] = coord
-    weight = np.ones(npts)
-    for g, wg, i in zip(grids, wgrids, free):
-        pts[:, i] = g.ravel()
-        weight *= wg.ravel()
-    if axis == n - 1:
-        weight *= abs(coord) ** a
-    vals = np.asarray(f(pts), dtype=float)
-    return float(np.sum(weight * vals))
-
-
 @dataclass(frozen=True)
 class GradedTimeMesh:
     """Geometric panels on [t_start, t_end) clustered toward t_end."""
@@ -203,40 +169,3 @@ class GradedTimeMesh:
     def panels(self) -> list[tuple[float, float]]:
         b = self.breakpoints()
         return [(float(b[j]), float(b[j + 1])) for j in range(self.levels)]
-
-
-def integrate_time_improper(
-    g, mesh: GradedTimeMesh, m: int = 16, tail_extrapolate: bool = True
-) -> float:
-    """Composite rule for int g(tau) dtau with a singularity at t_end.
-
-    Panel contributions near the endpoint decay geometrically for
-    algebraic singularities; the missed sliver beyond the last panel is
-    completed by summing that geometric tail.  Growing contributions
-    toward the endpoint raise a divergence diagnostic.
-    """
-    x, w = _legendre_rule(m)
-    contribs = []
-    for p0, p1 in mesh.panels():
-        nodes = p0 + (p1 - p0) * (x + 1.0) / 2.0
-        vals = _eval_vec(g, nodes)
-        contribs.append(float(np.sum(w * vals)) * (p1 - p0) / 2.0)
-    total = math.fsum(contribs)
-    c_prev, c_last = contribs[-2], contribs[-1]
-    if abs(c_last) > 1e-13 * abs(total):
-        if abs(c_last) >= abs(c_prev) > 0.0:
-            raise RuntimeError(
-                "non-decreasing panel contributions toward the endpoint; "
-                "the time integral looks divergent"
-            )
-        if tail_extrapolate and c_prev != 0.0 and c_last * c_prev > 0.0:
-            # estimate the geometric decay over a window of panels; single
-            # panel ratios are noisy because t - tau cancels near the end
-            k = min(6, len(contribs) - 1)
-            c_far = contribs[-1 - k]
-            q = c_last / c_prev
-            if c_far != 0.0 and c_last / c_far > 0.0:
-                q = (c_last / c_far) ** (1.0 / k)
-            if 0.0 < q < 1.0:
-                total += c_last * q / (1.0 - q)
-    return total

@@ -32,7 +32,6 @@ _PROFILE_EPS = 1e-150
 
 _SERIES_TERMS = 90
 _ASYMPTOTIC_TERMS = 26
-_MAX_UNSCALED_ARG = 700.0
 
 
 def _series_i_scaled(nu: float, w: np.ndarray) -> np.ndarray:
@@ -94,21 +93,6 @@ def bessel_i_scaled(nu: float, w) -> float | np.ndarray:
         out[small] = _series_i_scaled(nu, arr[small])
     if np.any(~small):
         out[~small] = _asymptotic_i_scaled(nu, arr[~small])
-    if np.ndim(w) == 0:
-        return float(out)
-    return out
-
-
-def bessel_i(nu: float, w) -> float | np.ndarray:
-    """Modified Bessel function of the first kind I_nu(w), w >= 0."""
-    arr = np.asarray(w, dtype=float)
-    if np.any(arr > _MAX_UNSCALED_ARG):
-        raise OverflowError(
-            f"I_nu overflows double precision for w > {_MAX_UNSCALED_ARG}; "
-            "use bessel_i_scaled"
-        )
-    scaled = bessel_i_scaled(nu, arr)
-    out = np.asarray(scaled) * np.exp(arr)
     if np.ndim(w) == 0:
         return float(out)
     return out

@@ -118,6 +118,35 @@ def test_config_errors(tmp_path):
     assert main(["kernel", "--config", cfgp, "--out", str(out), "--tol", "-1"]) == 2
 
 
+BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
+
+
+@pytest.mark.parametrize(
+    "cmd,cfg",
+    [
+        ("check", {"params": PARAMS, "mass_points": [[0.5, 0.7]]}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "data": "gamma", "probes": [[0.5, 0.7, 0.5]]}),
+        (
+            "capacity",
+            {
+                "params": PARAMS,
+                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+                "density": 0,
+            },
+        ),
+        (
+            "meanvalue",
+            {"params": PARAMS, "xi0": [0.5, 0.7, 0.0], "radii": [0.02], "pole": [0.3, 0.4, 0.0]},
+        ),
+    ],
+    ids=["check-short-mass-point", "dirichlet-gamma-no-pole", "capacity-density-0", "meanvalue-late-pole"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
+    assert run(tmp_path, cmd, cfg)[0] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
 def test_capacity_with_oracle(tmp_path):
     cfg = {
         "params": PARAMS,
@@ -134,7 +163,7 @@ def test_capacity_with_oracle(tmp_path):
 def test_dirichlet_constant(tmp_path):
     cfg = {
         "params": PARAMS,
-        "box": {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1},
+        "box": BOX,
         "data": "constant",
         "constant": 2.0,
         "probes": [[0.5, 0.7, 0.5]],
@@ -148,7 +177,7 @@ def test_dirichlet_constant(tmp_path):
     assert float(lines[1].split(",")[5]) <= 1e-12  # abs error against constant
     assert float(lines[2].split(",")[3]) == pytest.approx(-1.0, abs=5e-3)
     env = json.loads((out / "dirichlet.json").read_text())
-    assert env["diagnostics"]["contraction_ratio"] <= 0.8
+    assert env["diagnostics"]["residual"] <= 1e-10
 
 
 def test_wiener_report(tmp_path):

@@ -78,9 +78,6 @@ def test_sample_points_inside_and_in_past():
     assert np.all(sample.times < center.t)
     assert np.all(ball.contains_vec(sample.spatial, sample.times))
     assert sample.cell_volume > 0.0
-    pts = sample.as_spacetime_points()
-    assert len(pts) == len(sample.times)
-    assert isinstance(pts[0][0], SpaceTimePoint)
 
 
 def test_classical_volume_n2():

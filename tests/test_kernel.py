@@ -109,6 +109,32 @@ class TestGammaFs:
             )
             assert vec[k] == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("n,a", [(2, -0.5), (2, 0.3), (3, -0.8), (3, 0.6)])
+    def test_factorizes_into_free_gaussians_and_u_tilde(self, n, a):
+        params = KernelParams(n, a)
+        rng = np.random.default_rng(7)
+        m = 240
+        obs = rng.uniform(-1.0, 1.0, (m, n))
+        src = rng.uniform(-1.0, 1.0, (m, n))
+        dt = rng.uniform(0.1, 1.0, m)
+        src[:30, -1] = 0.0  # source on the degenerate plane
+        obs[30:90, -1] = -np.sign(src[30:90, -1]) * np.abs(obs[30:90, -1])  # x y < 0
+        dt[90:110] = 0.0
+        dt[110:130] *= -1.0
+        live = dt > 0.0
+        assert np.any(live & (src[:, -1] == 0.0))
+        assert np.any(live & (obs[:, -1] * src[:, -1] < 0.0))
+        got = gamma_fs_vec(params, obs, dt, src, 0.0)
+        d = np.where(live, dt, 1.0)[:, None]
+        free = np.prod(
+            np.exp(-((obs[:, :-1] - src[:, :-1]) ** 2) / (4.0 * d))
+            / np.sqrt(4.0 * math.pi * d),
+            axis=1,
+        )
+        want = np.where(live, free * u_tilde(params, obs[:, -1], src[:, -1], dt), 0.0)
+        assert np.all(got[~live] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
 
 class TestGradient:
     def test_finite_difference_agreement(self):

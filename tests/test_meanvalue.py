@@ -10,7 +10,6 @@ from degenheat.capacity import DiscreteMeasure, potential_of_measure_vec
 from degenheat.kernel import gamma_fs, gamma_fs_vec
 from degenheat.meanvalue import (
     HarnackReport,
-    MeanValueWeight,
     harnack_quotient,
     mean_derivative_sign,
     mean_value_kernel,
@@ -54,9 +53,6 @@ def test_phi_prime_matches_numerical_derivative():
 
 
 def test_weight_object():
-    w = MeanValueWeight.at(PARAMS, 0.7, 0.05)
-    assert w.phi_r == phi_weight(PARAMS, 0.7, 0.05)
-    assert w.phi_r_prime > 0
     with pytest.raises(ValueError):
         phi_weight(PARAMS, 0.7, 0.0)
 

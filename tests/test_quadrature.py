@@ -6,9 +6,9 @@ import pytest
 
 from degenheat.quadrature import (
     GradedTimeMesh,
-    integrate_face,
-    integrate_time_improper,
+    gauss_legendre,
     integrate_weighted_interval,
+    tensor_rule,
     weighted_rule,
 )
 
@@ -45,6 +45,15 @@ class TestWeightedRule:
             weighted_rule(0.0, 1.0, -1.0)
 
 
+def test_gauss_legendre_exact_to_degree_2m_minus_1():
+    lo, hi, m = -0.3, 1.7, 5
+    nodes, weights = gauss_legendre(lo, hi, m)
+    assert np.all((lo < nodes) & (nodes < hi))
+    for k in range(2 * m):
+        ref = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        assert float(np.sum(weights * nodes**k)) == pytest.approx(ref, rel=1e-13, abs=1e-14)
+
+
 class TestIntegrateWeightedInterval:
     def test_constant(self):
         got = integrate_weighted_interval(lambda y: np.ones_like(y), -1, 1, 0.5)
@@ -75,29 +84,6 @@ class TestIntegrateWeightedInterval:
             lambda y, k=k: np.abs(y) ** k, 0.0, 1.0, a
         )
         assert got == pytest.approx(1.0 / (1.0 + a + k), rel=1e-10)
-
-
-class TestIntegrateFace:
-    def test_constant_weighted_normal_face(self):
-        # face {y = c} of [0,1] x [-1,1], n=2: weight constant |c|^a
-        a = 0.5
-        c = 0.7
-        got = integrate_face(lambda p: np.ones(len(p)), [0, -1], [1, 1], 1, c, a)
-        assert got == pytest.approx(c ** a, rel=1e-12)
-
-    def test_constant_inplane_weight(self):
-        # face {x1 = 0} with y in (-1, 1), n=2: weight varies along y
-        a = 0.5
-        got = integrate_face(lambda p: np.ones(len(p)), [-1, -1], [1, 1], 0, 0.0, a)
-        assert got == pytest.approx(2.0 / (1.0 + a), rel=1e-12)
-
-    def test_polynomial_on_3d_face(self):
-        a = -0.3
-        got = integrate_face(
-            lambda p: p[:, 1] ** 2, [0, 0, -1], [1, 2, 1], 0, 1.0, a
-        )
-        ref = (8.0 / 3.0) * (2.0 / (1.0 + a))
-        assert got == pytest.approx(ref, rel=1e-12)
 
     def test_sphere_surface_measure_identity(self):
         # int_{|X-Y|=r} |y|^a dsigma at X=(x',0) equals
@@ -158,39 +144,33 @@ class TestGradedTimeMesh:
             GradedTimeMesh(0.0, 1.0, ratio=1.5)
 
 
-class TestIntegrateTimeImproper:
-    def test_inverse_sqrt(self):
-        mesh = GradedTimeMesh(0.0, 1.0)
-        got = integrate_time_improper(lambda tau: (1.0 - tau) ** -0.5, mesh)
-        assert got == pytest.approx(2.0, rel=1e-10)
+def meshgrid_reference(nodes, weights):
+    """Tensor product by explicit meshgrid columns, weights multiplied per axis."""
+    grids = np.meshgrid(*nodes, indexing="ij")
+    wgrids = np.meshgrid(*weights, indexing="ij")
+    pts = np.empty((grids[0].size, len(nodes)))
+    wts = np.ones(grids[0].size)
+    for i, (g, wg) in enumerate(zip(grids, wgrids)):
+        pts[:, i] = g.ravel()
+        wts *= wg.ravel()
+    return pts, wts
 
-    def test_inverse_sqrt_scaled(self):
-        t = 0.3
-        mesh = GradedTimeMesh(0.0, t)
-        got = integrate_time_improper(lambda tau: (t - tau) ** -0.5, mesh)
-        assert got == pytest.approx(2.0 * math.sqrt(t), rel=1e-9)
 
-    def test_three_quarters_power(self):
-        mesh = GradedTimeMesh(0.0, 1.0)
-        got = integrate_time_improper(lambda tau: (1.0 - tau) ** -0.75, mesh)
-        assert got == pytest.approx(4.0, rel=1e-7)
+class TestTensorRule:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_meshgrid_reference(self, k):
+        rng = np.random.default_rng(k)
+        nodes = [rng.uniform(-1, 1, size) for size in (3, 5, 2, 4)[:k]]
+        weights = [rng.uniform(0.1, 1, len(x)) for x in nodes]
+        ref_pts, ref_wts = meshgrid_reference(nodes, weights)
+        assert np.array_equal(tensor_rule(nodes), ref_pts)
+        pts, wts = tensor_rule(nodes, weights)
+        assert np.array_equal(pts, ref_pts)
+        assert np.array_equal(wts, ref_wts)
 
-    def test_levels_doubling_estimate(self):
-        coarse = integrate_time_improper(
-            lambda tau: (1.0 - tau) ** -0.6, GradedTimeMesh(0.0, 1.0, levels=20)
-        )
-        fine = integrate_time_improper(
-            lambda tau: (1.0 - tau) ** -0.6, GradedTimeMesh(0.0, 1.0, levels=40)
-        )
-        assert abs(fine - coarse) < 1e-6
-        assert fine == pytest.approx(2.5, rel=1e-7)
-
-    def test_divergence_diagnostic(self):
-        mesh = GradedTimeMesh(0.0, 1.0)
-        with pytest.raises(RuntimeError):
-            integrate_time_improper(lambda tau: (1.0 - tau) ** -1.2, mesh)
-
-    def test_smooth_integrand(self):
-        mesh = GradedTimeMesh(0.0, math.pi / 2.0, levels=20)
-        got = integrate_time_improper(np.cos, mesh)
-        assert got == pytest.approx(1.0, rel=1e-9)
+    def test_integrates_separable_weighted_product(self):
+        a = 0.4
+        rx, ry = weighted_rule(0.0, 1.0, 0.0, 8), weighted_rule(-1.0, 1.0, a, 8)
+        pts, wts = tensor_rule([rx.nodes, ry.nodes], [rx.weights, ry.weights])
+        got = float(np.sum(wts * pts[:, 0] * pts[:, 1] ** 2))
+        assert got == pytest.approx(0.5 * 2.0 / (3.0 + a), rel=1e-12)
