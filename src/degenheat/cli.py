@@ -217,6 +217,8 @@ def cmd_dirichlet(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
     box = _box(config.raw.get("box", {}), params.n)
     d_space = int(config.raw.get("d_space", 6))
     n_steps = int(config.raw.get("n_steps", 8))
+    if d_space < 1 or n_steps < 1:
+        raise ConfigError("dirichlet d_space and n_steps must be at least 1")
     data = config.raw.get("data", "constant")
     if data == "constant":
         c = float(config.raw.get("constant", 1.0))
@@ -336,7 +338,11 @@ def cmd_meanvalue(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
     radii = [float(r) for r in config.raw.get("radii", [])]
     if not radii:
         raise ConfigError("meanvalue command needs radii")
+    if not all(r > 0.0 for r in radii):
+        raise ConfigError("meanvalue radii must be positive")
     density = int(config.raw.get("density", 8))
+    if density < 1:
+        raise ConfigError("meanvalue density must be at least 1")
 
     def one(pts, t):
         return np.ones(len(np.atleast_2d(pts)))
@@ -371,9 +377,15 @@ def cmd_meanvalue(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
 
 def cmd_harnack(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
     params = config.params
+    if params.n != 2:
+        raise ConfigError("harnack command supports n = 2")
     r = float(config.raw.get("r", 0.02))
+    if not r > 0.0:
+        raise ConfigError("harnack r must be positive")
     pole = _point(config.raw.get("pole", ()), params.n, "pole")
     density = int(config.raw.get("density", 24))
+    if density < 1:
+        raise ConfigError("harnack density must be at least 1")
 
     def u(pts, t):
         return gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)

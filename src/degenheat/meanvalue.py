@@ -20,6 +20,11 @@ from .params import KernelParams, SpaceTimePoint
 from .quadrature import _legendre_rule, gauss_legendre, weighted_rule
 
 TOP_BUFFER = 1e-4
+# y-points per depth in the slice scan of _y_intervals
+SCAN_POINTS = 801
+# points per batched kernel call in _slab_integral; bounds its memory,
+# since the points of a whole slab grow like density^(n+2)
+BATCH_POINTS = 2**17
 
 
 def phi_weight(params: KernelParams, x0: float, r: float) -> float:
@@ -52,18 +57,19 @@ def mean_value_kernel(params: KernelParams, xi0: SpaceTimePoint, spatial, t) -> 
 
 
 def _section_radius2(
-    params: KernelParams, xi0: SpaceTimePoint, log_theta: float, delta: float, ys
+    params: KernelParams, xi0: SpaceTimePoint, log_theta: float, delta, ys
 ) -> np.ndarray:
     """Squared free-coordinate radius of the heat-ball slice at depth delta.
 
     At source time t0 - delta and weighted coordinate y, membership reads
     |X0' - Y'|^2 < R^2(delta, y); negative values mean an empty slice.
+    delta broadcasts against ys, so one call covers many depths.
     """
     ys = np.asarray(ys, dtype=float)
-    sp = np.zeros((len(ys), params.n))
-    sp[:, :-1] = np.asarray(xi0.x_prime, dtype=float)
-    sp[:, -1] = ys
-    gam = gamma_fs_vec(params, xi0.spatial, xi0.t, sp, xi0.t - delta)
+    sp = np.empty(ys.shape + (params.n,))
+    sp[..., :-1] = np.asarray(xi0.x_prime, dtype=float)
+    sp[..., -1] = ys
+    gam = gamma_fs_vec(params, xi0.spatial, xi0.t, sp, xi0.t - np.asarray(delta))
     with np.errstate(divide="ignore"):
         log_gam = np.where(gam > 0.0, np.log(np.maximum(gam, 1e-300)), -np.inf)
     return 4.0 * delta * (log_gam - log_theta)
@@ -95,45 +101,38 @@ def _y_intervals(
     params: KernelParams,
     xi0: SpaceTimePoint,
     log_theta: float,
-    delta: float,
+    deltas: np.ndarray,
     y_lo: float,
     y_hi: float,
-    scan: int = 801,
-) -> list[tuple[float, float]]:
-    ys = np.linspace(y_lo, y_hi, scan)
-    vals = _section_radius2(params, xi0, log_theta, delta, ys)
-    inside = vals > 0.0
-    if not np.any(inside):
-        return []
+) -> list[list[tuple[float, float]]]:
+    """The y-intervals of the nonempty slice at each depth in deltas.
 
-    brackets = []  # (inside endpoint, outside endpoint) pairs
-    runs = []
-    i = 0
-    while i < scan:
-        if inside[i]:
-            j = i
-            while j + 1 < scan and inside[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    for i, j in runs:
-        brackets.append((ys[i], ys[i - 1]) if i > 0 else (ys[0], ys[0]))
-        brackets.append((ys[j], ys[j + 1]) if j < scan - 1 else (ys[-1], ys[-1]))
-    a = np.array([b[0] for b in brackets])
-    b = np.array([b[1] for b in brackets])
+    One scan call locates the runs of occupied scan points at every
+    depth; each run end is then bisected between its last occupied scan
+    point and the empty neighbour, all ends of all depths together.
+    """
+    scan = SCAN_POINTS
+    ys = np.linspace(y_lo, y_hi, scan)
+    inside = _section_radius2(params, xi0, log_theta, deltas[:, None], ys) > 0.0
+    edge = np.diff(inside.astype(np.int8), axis=1, prepend=0, append=0)
+    # run k of depth row[k] covers the scan points first[k]..last[k]
+    row, first = np.nonzero(edge == 1)
+    last = np.nonzero(edge == -1)[1] - 1
+    # (inside endpoint, outside endpoint) brackets; a run touching the
+    # end of the scan keeps that end
+    a = ys[np.concatenate([first, last])]
+    b = ys[np.concatenate([np.maximum(first - 1, 0), np.minimum(last + 1, scan - 1)])]
+    depth = deltas[np.concatenate([row, row])]
     for _ in range(45):
         mid = 0.5 * (a + b)
-        good = _section_radius2(params, xi0, log_theta, delta, mid) > 0.0
+        good = _section_radius2(params, xi0, log_theta, depth, mid) > 0.0
         a = np.where(good, mid, a)
         b = np.where(good, b, mid)
     roots = 0.5 * (a + b)
-    out = []
-    for k in range(len(runs)):
-        lo, hi = roots[2 * k], roots[2 * k + 1]
-        if hi > lo:
-            out.append((float(lo), float(hi)))
+    lo, hi = roots[: len(row)], roots[len(row) :]
+    out: list[list[tuple[float, float]]] = [[] for _ in deltas]
+    for k in np.flatnonzero(hi > lo):
+        out[row[k]].append((float(lo[k]), float(hi[k])))
     return out
 
 
@@ -177,6 +176,27 @@ def _delta_panels(d_lo: float, d_hi: float, levels: int, ratio: float = 0.5):
     return [(bp[i], bp[i + 1]) for i in range(len(bp) - 1)]
 
 
+def _runs(labels: np.ndarray):
+    """(start, stop) of each run of equal consecutive nonnegative labels."""
+    edges = np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
+    return zip(edges[:-1], edges[1:])
+
+
+def _chunks(sizes, budget: int):
+    """(start, stop) of consecutive items whose sizes sum to at most budget.
+
+    An item larger than the budget forms a chunk of its own.
+    """
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > budget and i > start:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if len(sizes) > start:
+        yield start, len(sizes)
+
+
 def _slab_integral(
     params: KernelParams,
     u,
@@ -189,56 +209,122 @@ def _slab_integral(
     m: int,
     levels: int,
 ) -> float:
-    """Integral of u * E over the heat-ball slab with depth in [d_lo, d_hi]."""
+    """Integral of u * E over the heat-ball slab with depth in [d_lo, d_hi].
+
+    All depth nodes of the slab are evaluated together: one scan call
+    and one call per bisection step find the slice intervals of every
+    node (_y_intervals), one section-radius call covers the y-nodes of
+    every interval, and one Gamma and one grad Gamma call cover every
+    quadrature point (_add_slices).  u is called once per depth node, at
+    that node's time.  Past BATCH_POINTS points per call, the nodes are
+    split into consecutive groups.  Each (node, interval) slice is
+    reduced with the same array shapes, and the node sums accumulated in
+    the same order, as integrating node by node would, so the result is
+    the same to the bit.
+    """
     n = params.n
     if n not in (2, 3):
         raise NotImplementedError("section quadrature supports n = 2 and n = 3")
+    rules = [gauss_legendre(p0, p1, m) for p0, p1 in _delta_panels(d_lo, d_hi, levels)]
+    deltas = np.concatenate([d for d, _ in rules])
+    wds = np.concatenate([w for _, w in rules])
+    intervals = []
+    for g0, g1 in _chunks([SCAN_POINTS] * len(deltas), BATCH_POINTS):
+        intervals += _y_intervals(params, xi0, log_theta, deltas[g0:g1], y_lo, y_hi)
+    # one y-rule per (depth node, interval), in node order
+    slices = [
+        (node, *_y_rule(lo, hi, params.a, m))
+        for node, ivs in enumerate(intervals)
+        for lo, hi in ivs
+    ]
+    if not slices:
+        return 0.0
+    sid = np.repeat(np.arange(len(slices)), [len(yn) for _, yn, _ in slices])
+    node = np.array([k for k, _, _ in slices])[sid]
+    yn = np.concatenate([yn for _, yn, _ in slices])
+    yw = np.concatenate([yw for _, _, yw in slices])
+    rr = _section_radius2(params, xi0, log_theta, deltas[node], yn)
+    keep = rr > 0.0
+    sid, node, yn, yw, rad = sid[keep], node[keep], yn[keep], yw[keep], np.sqrt(rr[keep])
+    acc = np.zeros(len(deltas))
+    runs = list(_runs(node))
+    row_points = m if n == 2 else 2 * m * m
+    for c0, c1 in _chunks([(s1 - s0) * row_points for s0, s1 in runs], BATCH_POINTS):
+        at = slice(runs[c0][0], runs[c1 - 1][1])
+        _add_slices(params, u, xi0, deltas, m, sid[at], node[at], yn[at], yw[at], rad[at], acc)
+    total = 0.0
+    for wd, node_acc in zip(wds, acc):
+        total += wd * node_acc
+    return total
+
+
+def _add_slices(
+    params: KernelParams,
+    u,
+    xi0: SpaceTimePoint,
+    deltas: np.ndarray,
+    m: int,
+    sid: np.ndarray,
+    node: np.ndarray,
+    yn: np.ndarray,
+    yw: np.ndarray,
+    rad: np.ndarray,
+    acc: np.ndarray,
+) -> None:
+    """Add the integral over each (depth node, interval) slice to acc[node].
+
+    Each row is a y-node yn with weight yw and slice radius rad; rows
+    come grouped by slice sid, and slices by depth node.
+    """
+    n = params.n
     gx, gw = _legendre_rule(m)
     xp0 = np.asarray(xi0.x_prime, dtype=float)
-    total = 0.0
-    for p0, p1 in _delta_panels(d_lo, d_hi, levels):
-        for delta, wd in zip(*gauss_legendre(p0, p1, m)):
-            tau = xi0.t - delta
-            acc = 0.0
-            for lo, hi in _y_intervals(params, xi0, log_theta, delta, y_lo, y_hi):
-                yn, yw = _y_rule(lo, hi, params.a, m)
-                rr = _section_radius2(params, xi0, log_theta, delta, yn)
-                keep = rr > 0.0
-                if not np.any(keep):
-                    continue
-                yn, yw, rad = yn[keep], yw[keep], np.sqrt(rr[keep])
-                if n == 2:
-                    # slice is an interval in the single free coordinate
-                    off = np.outer(rad, gx)
-                    pts = np.empty((len(yn), m, 2))
-                    pts[..., 0] = xp0[0] + off
-                    pts[..., 1] = yn[:, None]
-                    sw = rad[:, None] * gw[None, :]
-                else:
-                    # slice is a disk; tensor radius-angle rule
-                    ang = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
-                    rho = rad[:, None, None] * (gx[None, :, None] + 1.0) / 2.0
-                    pts = np.empty((len(yn), m, 2 * m, 3))
-                    pts[..., 0] = xp0[0] + rho * np.cos(ang)
-                    pts[..., 1] = xp0[1] + rho * np.sin(ang)
-                    pts[..., 2] = yn[:, None, None]
-                    sw = (
-                        rho
-                        * (rad[:, None, None] / 2.0)
-                        * gw[None, :, None]
-                        * (2.0 * math.pi / (2 * m))
-                    )
-                flat = pts.reshape(-1, n)
-                gam = gamma_fs_vec(params, xi0.spatial, xi0.t, flat, tau)
-                grad = gamma_grad_y_vec(params, xi0.spatial, xi0.t, flat, tau)
-                wg2 = np.sum(grad * grad, axis=-1) * np.abs(flat[:, -1]) ** (
-                    2.0 * params.a
-                )
-                vals = (u(flat, tau) * wg2 / gam**2).reshape(pts.shape[:-1])
-                axes = tuple(range(1, vals.ndim))
-                acc += float(np.sum(yw * np.sum(vals * sw, axis=axes)))
-            total += wd * acc
-    return total
+    tau = xi0.t - deltas[node]
+    if n == 2:
+        # slice is an interval in the single free coordinate
+        off = np.outer(rad, gx)
+        pts = np.empty((len(yn), m, 2))
+        pts[..., 0] = xp0[0] + off
+        pts[..., 1] = yn[:, None]
+        sw = rad[:, None] * gw[None, :]
+        tau = tau[:, None]
+    else:
+        # slice is a disk; tensor radius-angle rule
+        ang = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
+        rho = rad[:, None, None] * (gx[None, :, None] + 1.0) / 2.0
+        pts = np.empty((len(yn), m, 2 * m, 3))
+        pts[..., 0] = xp0[0] + rho * np.cos(ang)
+        pts[..., 1] = xp0[1] + rho * np.sin(ang)
+        pts[..., 2] = yn[:, None, None]
+        sw = (
+            rho
+            * (rad[:, None, None] / 2.0)
+            * gw[None, :, None]
+            * (2.0 * math.pi / (2 * m))
+        )
+        tau = tau[:, None, None]
+    gam = gamma_fs_vec(params, xi0.spatial, xi0.t, pts, tau)
+    grad = gamma_grad_y_vec(params, xi0.spatial, xi0.t, pts, tau)
+    wg2 = np.sum(grad * grad, axis=-1) * np.abs(pts[..., -1]) ** (2.0 * params.a)
+    uv = np.empty(pts.shape[:-1])
+    for s0, s1 in _runs(node):
+        uv[s0:s1] = u(pts[s0:s1].reshape(-1, n), xi0.t - deltas[node[s0]]).reshape(
+            uv[s0:s1].shape
+        )
+    vals = uv * wg2 / gam**2
+    axes = tuple(range(1, vals.ndim))
+    for s0, s1 in _runs(sid):
+        inner = np.sum(vals[s0:s1] * sw[s0:s1], axis=axes)
+        acc[node[s0]] += float(np.sum(yw[s0:s1] * inner))
+
+
+def _u_by_time(u, spatial: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """u at each (spatial row, time) pair, one call of u per distinct time."""
+    out = np.empty(len(times))
+    for t in np.unique(times):
+        at = times == t
+        out[at] = u(spatial[at], t)
+    return out
 
 
 def solid_mean(
@@ -256,6 +342,12 @@ def solid_mean(
     r * 1e-4 carries mass of order delta log^2 delta, so it is
     integrated directly on geometrically graded panels down to a
     machine-negligible sliver rather than truncated.
+
+    The sections method integrates the bulk slab and each of the 32
+    pole slabs in one batched pass over all of the slab's depth nodes
+    (_slab_integral), so the kernel is called a few dozen times per slab
+    and u once per depth node.  The lattice method calls u once per
+    distinct sample time.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -265,12 +357,7 @@ def solid_mean(
         sample = heat_ball_sample(ball, density)
         keep = sample.times < xi0.t - r * TOP_BUFFER
         ev = mean_value_kernel(params, xi0, sample.spatial[keep], sample.times[keep])
-        uv = np.array(
-            [
-                float(u(sample.spatial[keep][i : i + 1], sample.times[keep][i])[0])
-                for i in range(int(np.sum(keep)))
-            ]
-        )
+        uv = _u_by_time(u, sample.spatial[keep], sample.times[keep])
         return float(np.sum(uv * ev) * sample.cell_volume) / phi
     if method != "sections":
         raise ValueError("unknown solid-mean method")
@@ -377,23 +464,25 @@ def harnack_quotient(
     t_bot = -1.5 * r
     rule = weighted_rule(-rho0, rho0, params.a, max(8, density))
     gx, gw = _legendre_rule(max(8, density))
+    half = np.sqrt(np.maximum(rho0 * rho0 - rule.nodes * rule.nodes, 0.0))
+    live = half > 0.0
+    ys, ws, half = rule.nodes[live], rule.weights[live], half[live]
+    pts = np.empty((len(ys), len(gx), 2))
+    pts[..., 0] = half[:, None] * gx
+    pts[..., 1] = ys[:, None]
+    # one call of u for the whole bottom slice
+    uv = u(pts.reshape(-1, 2), t_bot).reshape(len(ys), len(gx))
     num = 0.0
     den = 0.0
-    for yk, wk in zip(rule.nodes, rule.weights):
-        s = math.sqrt(max(rho0 * rho0 - yk * yk, 0.0))
-        if s == 0.0:
-            continue
-        pts = np.stack([s * gx, np.full_like(gx, yk)], axis=-1)
-        num += wk * float(np.sum(gw * s * u(pts, t_bot)))
-        den += wk * 2.0 * s
+    for wk, sk, uk in zip(ws, half, uv):
+        num += wk * float(np.sum(gw * sk * uk))
+        den += wk * 2.0 * sk
     if den <= 0.0:
         raise RuntimeError("empty bottom slice")
     avg = num / den
     origin = SpaceTimePoint(x_prime=(0.0,) * (params.n - 1), x=0.0, t=0.0)
     sample = heat_ball_sample(HeatBall(origin, 0.75 * r, params), density)
-    vals = np.array(
-        [float(u(sample.spatial[i : i + 1], sample.times[i])[0]) for i in range(len(sample.times))]
-    )
+    vals = _u_by_time(u, sample.spatial, sample.times)
     inf_val = float(np.min(vals))
     if inf_val <= 0.0 and avg > 0.0:
         raise RuntimeError("interior infimum vanished with positive average")

@@ -138,8 +138,27 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
             "meanvalue",
             {"params": PARAMS, "xi0": [0.5, 0.7, 0.0], "radii": [0.02], "pole": [0.3, 0.4, 0.0]},
         ),
+        ("meanvalue", {"params": PARAMS, "xi0": [0.5, 0.7, 0.0], "radii": [0.02], "density": 0}),
+        ("meanvalue", {"params": PARAMS, "xi0": [0.5, 0.7, 0.0], "radii": [0.0]}),
+        ("harnack", {"params": PARAMS, "pole": [0.0, 0.0, -0.1], "density": 0}),
+        ("harnack", {"params": PARAMS, "pole": [0.0, 0.0, -0.1], "r": 0.0}),
+        ("harnack", {"params": {"n": 3, "a": 0.3}, "pole": [0.0, 0.0, 0.0, -0.1]}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "d_space": 0}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "n_steps": 0}),
     ],
-    ids=["check-short-mass-point", "dirichlet-gamma-no-pole", "capacity-density-0", "meanvalue-late-pole"],
+    ids=[
+        "check-short-mass-point",
+        "dirichlet-gamma-no-pole",
+        "capacity-density-0",
+        "meanvalue-late-pole",
+        "meanvalue-density-0",
+        "meanvalue-radius-0",
+        "harnack-density-0",
+        "harnack-r-0",
+        "harnack-n-3",
+        "dirichlet-d-space-0",
+        "dirichlet-n-steps-0",
+    ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
     assert run(tmp_path, cmd, cfg)[0] == 2

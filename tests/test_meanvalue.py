@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+import degenheat.meanvalue as meanvalue
 from degenheat.capacity import DiscreteMeasure, potential_of_measure_vec
+from degenheat.geometry import HeatBall, heat_ball_sample
 from degenheat.kernel import gamma_fs, gamma_fs_vec
 from degenheat.meanvalue import (
     HarnackReport,
@@ -22,10 +24,18 @@ from degenheat.params import KernelParams, SpaceTimePoint
 P = SpaceTimePoint
 PARAMS = KernelParams(n=2, a=0.3)
 XI0 = P(x_prime=(0.5,), x=0.7, t=0.0)
+ZB = P(x_prime=(0.3,), x=0.4, t=-0.5)
 
 
 def one(pts, t):
     return np.ones(len(np.atleast_2d(pts)))
+
+
+def _pole_at_zb(params):
+    def u(pts, t):
+        return gamma_fs_vec(params, np.atleast_2d(pts), t, ZB.spatial, ZB.t)
+
+    return u
 
 
 # ---------------------------------------------------------------- weight
@@ -90,20 +100,99 @@ def test_normalization_on_axis_center():
 
 
 def test_exactness_family():
-    zb = P(x_prime=(0.3,), x=0.4, t=-0.5)
-
-    def ug(pts, t):
-        return gamma_fs_vec(PARAMS, np.atleast_2d(pts), t, zb.spatial, zb.t)
+    ug = _pole_at_zb(PARAMS)
 
     def ua(pts, t):
         return 1.0 + 2.0 * np.atleast_2d(pts)[:, 0]
 
     for r in (0.01, 0.05):
         got = solid_mean(PARAMS, ug, XI0, r, density=8)
-        want = gamma_fs(PARAMS, XI0, zb)
+        want = gamma_fs(PARAMS, XI0, ZB)
         assert abs(got - want) <= 1e-3 * abs(want)
         got = solid_mean(PARAMS, ua, XI0, r, density=8)
         assert abs(got - 2.0) <= 1e-3 * 2.0
+
+
+@pytest.mark.parametrize(
+    "a,y0",
+    [(0.3, 0.05), (0.3, 0.1), (-0.5, 0.1)],
+    ids=["a0.3-y0.05", "a0.3-y0.1", "a-0.5-y0.1"],
+)
+def test_normalization_near_plane(a, y0):
+    # the balls reach toward y = 0 from these centres; the errors are
+    # 1.1e-4, 1.8e-5 and 9.7e-5 (a = -0.5, y0 = 0.05 gives 6.1e-3)
+    params = KernelParams(n=2, a=a)
+    xi = P(x_prime=(0.5,), x=y0, t=0.0)
+    v = solid_mean(params, one, xi, 0.02, density=8)
+    assert abs(v - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "n,a,x_prime,x,case,want",
+    [
+        (2, -0.5, (0.5,), 0.07, "one", 1.00349044104376),
+        (2, -0.5, (0.5,), 0.07, "gamma", 0.0844213918939224),
+        (2, -0.5, (0.5,), 0.7, "one", 0.9999898833319185),
+        (2, -0.5, (0.5,), 0.7, "gamma", 0.08440104720586471),
+        (2, 0.3, (0.5,), 0.07, "one", 1.0000761382462917),
+        (2, 0.3, (0.5,), 0.07, "gamma", 0.1787531205320436),
+        (2, 0.3, (0.5,), 0.7, "one", 0.9999360911501924),
+        (2, 0.3, (0.5,), 0.7, "gamma", 0.18572736390024122),
+        (3, 0.3, (0.5, 0.4), 0.7, "one", 1.0004629228033417),
+    ],
+)
+def test_solid_mean_pinned(n, a, x_prime, x, case, want):
+    # values of the node-by-node section quadrature, which the batched
+    # one reproduces bit for bit
+    params = KernelParams(n=n, a=a)
+    u = one if case == "one" else _pole_at_zb(params)
+    xi = P(x_prime=x_prime, x=x, t=0.0)
+    assert solid_mean(params, u, xi, 0.02, density=6) == want
+
+
+def test_solid_mean_split_batches(monkeypatch):
+    # a smaller batch splits the scan and the quadrature points of a slab
+    # into several groups of depth nodes; the mean stays the same to the bit
+    monkeypatch.setattr(meanvalue, "BATCH_POINTS", 20000)
+    params = KernelParams(n=3, a=0.3)
+    xi = P(x_prime=(0.5, 0.4), x=0.7, t=0.0)
+    assert solid_mean(params, one, xi, 0.02, density=6) == 1.0004629228033417
+
+
+def test_solid_mean_kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("gamma_fs_vec", "gamma_grad_y_vec"):
+        monkeypatch.setattr(meanvalue, name, counted(getattr(meanvalue, name)))
+    solid_mean(PARAMS, one, XI0, 0.02, density=6)
+    # a batched slab makes a few dozen kernel calls, whatever its node count
+    assert 0 < len(calls) <= 2500
+
+
+def test_u_called_once_per_sample_time():
+    times = []
+
+    def u(pts, t):
+        times.append(t)
+        return one(pts, t)
+
+    r, density = 0.02, 24
+    harnack_quotient(PARAMS, r, u, density=density)
+    origin = P(x_prime=(0.0,), x=0.0, t=0.0)
+    sample = heat_ball_sample(HeatBall(origin, 0.75 * r, PARAMS), density)
+    # the interior sample times, plus the bottom-slice time
+    assert len(times) <= len(np.unique(sample.times)) + 1
+    times.clear()
+    solid_mean(PARAMS, u, XI0, r, density=density, method="lattice")
+    sample = heat_ball_sample(HeatBall(XI0, r, PARAMS), density)
+    assert len(times) <= len(np.unique(sample.times))
 
 
 def test_lattice_method_cross_check():
