@@ -65,6 +65,18 @@ def test_kernel_classical_closed_form(tmp_path):
     assert float(row[6]) == pytest.approx(want, rel=1e-12)
 
 
+def test_kernel_far_across_plane(tmp_path):
+    # x y < 0 with |x y|/d = 2.5e11: Gamma underflows to 0 and the
+    # gradient stays finite (scipy's kve is NaN at such arguments)
+    cfg = {"params": PARAMS, "points": [{"xi": [0.1, 0.5, 1e-12], "zeta": [0.1, -0.5, 0]}]}
+    code, out = run(tmp_path, "kernel", cfg)
+    assert code == 0
+    header, row = (out / "kernel.csv").read_text().splitlines()[:2]
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["gamma"] == 0.0
+    assert all(math.isfinite(values[f"grad_{i}"]) for i in range(2))
+
+
 def test_determinism_across_workers(tmp_path):
     code1, out1 = run(tmp_path, "kernel", KERNEL_CFG)
     csv1 = (out1 / "kernel.csv").read_bytes()

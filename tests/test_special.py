@@ -1,4 +1,4 @@
-"""Tests for modified Bessel evaluation and the kernel profile F."""
+"""Tests for the kernel profile F and its derivative F'."""
 import math
 
 import numpy as np
@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenheat import KernelParams
+from degenheat import special
 from degenheat.special import (
-    SERIES_CROSSOVER,
-    _asymptotic_i_scaled,
-    _series_i_scaled,
-    bessel_i_scaled,
     f_profile,
     f_profile_prime,
+    f_profile_prime_vec,
     f_profile_vec,
 )
 
@@ -25,68 +23,25 @@ def mpmath_iv(nu, w):
         return float(mpmath.besseli(nu, w))
 
 
-def unscaled_i(nu, w):
-    """Unscaled I_nu(w) rebuilt from the scaled evaluator."""
-    return bessel_i_scaled(nu, w) * math.exp(w)
+def mpmath_profile(a, s, prime=False):
+    """F(s), or F'(s) when prime, from 40-digit Bessel functions."""
+    import mpmath
 
-
-class TestBesselI:
-    def test_half_integer_closed_form(self):
-        # I_{1/2}(w) = sqrt(2/(pi w)) sinh(w)
-        expected = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-        assert unscaled_i(0.5, 1.0) == pytest.approx(expected, rel=1e-13)
-
-    def test_negative_half_integer_closed_form(self):
-        # I_{-1/2}(w) = sqrt(2/(pi w)) cosh(w)
-        expected = math.sqrt(2.0 / (math.pi * 2.0)) * math.cosh(2.0)
-        assert unscaled_i(-0.5, 2.0) == pytest.approx(expected, rel=1e-13)
-
-    def test_zero_argument_positive_order(self):
-        assert unscaled_i(0.3, 0.0) == 0.0
-
-    def test_zero_argument_zero_order(self):
-        assert unscaled_i(0.0, 0.0) == 1.0
-
-    def test_extended_precision_oracle(self):
-        for nu in (-0.9, -0.45, 0.35, 0.95, 1.45, -1.55):
-            for w in (0.01, 0.5, 3.0, 12.0, 29.0, 31.0, 80.0, 400.0, 690.0):
-                ref = mpmath_iv(nu, w)
-                got = unscaled_i(nu, w)
-                assert got == pytest.approx(ref, rel=1e-12), (nu, w)
-
-    def test_scaled_large_argument_finite(self):
-        val = bessel_i_scaled(-0.25, 5.0e4)
-        assert 0.0 < val < 1.0
-
-    def test_domain_error_low_order(self):
-        with pytest.raises(ValueError):
-            bessel_i_scaled(-2.0, 1.0)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i_scaled(0.5, -1.0)
-
-    def test_crossover_branch_agreement(self):
-        for nu in (-0.95, -0.45, 0.05, 0.55, 1.45, 1.95):
-            w = np.linspace(24.0, 36.0, 13)
-            a = _series_i_scaled(nu, w)
-            b = _asymptotic_i_scaled(nu, w)
-            assert np.max(np.abs(a / b - 1.0)) < 1e-10
-
-    @given(
-        nu=st.floats(-0.99, 1.9),
-        w=st.floats(1e-6, 600.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_positivity(self, nu, w):
-        assert unscaled_i(nu, w) > 0.0
-
-    @given(nu=st.floats(-0.999, -0.001), w=st.floats(1e-6, 400.0))
-    @settings(max_examples=200, deadline=None)
-    def test_order_difference_sign(self, nu, w):
-        # I_nu >= I_{-nu} for nu in (-1, 0)
-        lo = bessel_i_scaled(-nu, w)
-        assert bessel_i_scaled(nu, w) >= lo * (1.0 - 1e-12)
+    with mpmath.workdps(40):
+        nu = (mpmath.mpf(a) - 1) / 2
+        s = mpmath.mpf(s)
+        w = abs(s) / 2
+        if s > 0:
+            bracket = mpmath.besseli(nu, w) + mpmath.besseli(-nu, w)
+            if prime:
+                bracket -= mpmath.besseli(nu + 1, w) + mpmath.besseli(-nu - 1, w)
+        else:
+            bracket = mpmath.besselk(nu, w)
+            if prime:
+                bracket -= mpmath.besselk(nu + 1, w)
+            bracket *= -2 / mpmath.pi * mpmath.sin(nu * mpmath.pi)
+        value = mpmath.exp(-s / 2) * (abs(s) / 4) ** (-nu) * bracket
+        return float(-value / 2 if prime else value)
 
 
 class TestFProfile:
@@ -154,6 +109,55 @@ class TestFProfile:
             assert vi == pytest.approx(f_profile(params, float(si)), rel=1e-14)
 
 
+    def test_mpmath_oracle(self):
+        for a in (-0.95, -0.5, 0.1, 0.3, 0.95):
+            params = KernelParams(2, a)
+            for w in (0.01, 0.5, 3.0, 12.0, 29.0, 31.0, 80.0, 400.0, 690.0, 5.0e4):
+                for s in (2.0 * w, -2.0 * w):
+                    ref = mpmath_profile(a, s)
+                    assert f_profile(params, s) == pytest.approx(ref, rel=1e-12), (a, s)
+
+    def test_continuity_across_crossover(self, monkeypatch):
+        # on w in [24, 36] the power series (or kve) and the asymptotic
+        # series, each forced over the whole range, give the same F and F'
+        s = np.linspace(48.0, 72.0, 25)
+        s = np.concatenate([s, -s])
+        for a in (-0.95, -0.5, 0.05, 0.55, 0.95):
+            params = KernelParams(2, a)
+            got = {}
+            for crossover in (0.0, math.inf):
+                monkeypatch.setattr(special, "_CROSSOVER", crossover)
+                got[crossover] = (f_profile_vec(params, s), f_profile_prime_vec(params, s))
+            (f_asym, p_asym), (f_near, p_near) = got[0.0], got[math.inf]
+            assert np.max(np.abs(f_asym / f_near - 1.0)) < 1e-13, a
+            assert np.max(np.abs(p_asym / p_near - 1.0)) < 1e-11, a
+
+    @given(a=st.floats(-0.95, 0.95), s=st.floats(-1.0e6, 1.0e12))
+    @settings(max_examples=300, deadline=None)
+    def test_positivity_wide_range(self, a, s):
+        assert f_profile(KernelParams(2, a), s) > 0.0
+
+    def test_mixed_array_matches_elementwise(self):
+        # each call sums the terms its extreme argument needs, so a mixed
+        # call may differ from a lone entry in the last bit only
+        s = np.array([-1e9, -300.0, -59.0, -2.0, -1e-3, 0.0, 1e-200, 1e-3, 2.0, 59.0, 61.0, 300.0, 1e9])
+        for a in (-0.6, 0.4):
+            params = KernelParams(3, a)
+            for fn in (f_profile_vec, f_profile_prime_vec):
+                together = fn(params, s)
+                alone = np.array([fn(params, np.array([si]))[0] for si in s])
+                assert together == pytest.approx(alone, rel=1e-15), (a, fn.__name__)
+
+    def test_finite_far_negative_axis(self):
+        # scipy's kve returns NaN past w ~ 1e9; the asymptotic series does not
+        s = -np.logspace(-8.0, 300.0, 400)
+        for a in (-0.95, -0.3, 0.3, 0.95):
+            params = KernelParams(2, a)
+            f = f_profile_vec(params, s)
+            assert np.all(np.isfinite(f)) and np.all(f > 0.0), a
+            assert np.all(np.isfinite(f_profile_prime_vec(params, s))), a
+
+
 class TestFProfilePrime:
     def test_zero_when_a_zero(self):
         params = KernelParams(2, 0.0)
@@ -200,3 +204,13 @@ class TestFProfilePrime:
             ratios.append(s * f_profile_prime(params, s) / f_profile(params, s))
         assert ratios[1] == pytest.approx(ratios[2], rel=0.05)
         assert abs(ratios[2]) < 10.0
+
+    def test_mpmath_oracle_large_argument(self):
+        # the F' bracket is a difference of two nearly equal Bessel sums;
+        # the profile must not lose it to cancellation
+        for a in (-0.95, -0.5, 0.3, 0.95):
+            params = KernelParams(2, a)
+            for mag in (1e4, 1e8, 1e13):
+                for s in (mag, -mag):
+                    ref = mpmath_profile(a, s, prime=True)
+                    assert f_profile_prime(params, s) == pytest.approx(ref, rel=1e-11), (a, s)
