@@ -66,7 +66,8 @@ _LOG_TAIL = math.log(1e-17)
 class _Tables(NamedTuple):
     series: np.ndarray  # rows A, B, A1, C; column k holds the q^k coefficient
     asymptotic: np.ndarray  # rows a_k(nu) and a_k(nu) - a_k(nu+1)
-    log_series: np.ndarray  # log|coefficient|, -inf for a zero one
+    # log|coefficient| of the two tables, -inf where a coefficient is 0
+    log_series: np.ndarray
     log_asymptotic: np.ndarray
 
 
@@ -153,7 +154,9 @@ def _asymptotic(params: KernelParams, s: np.ndarray, prime: bool) -> np.ndarray:
     """F, or F' when prime, from the large-argument series in z = -2/s."""
     tables = _tables(params.nu)
     z = -2.0 / s
-    count = _term_count(tables.log_asymptotic[int(prime)], math.log(np.abs(z).max()))
+    z_max = np.abs(z).max()
+    # z = 0 at s = +-inf, where the leading term is the whole sum
+    count = _term_count(tables.log_asymptotic[int(prime)], math.log(z_max)) if z_max > 0.0 else 1
     total = _horner(tables.asymptotic[int(prime)], z, count)
     g = np.where(s > 0.0, 1.0, -math.sin(params.nu * math.pi))
     scale = -0.5 if prime else 1.0

@@ -148,6 +148,12 @@ class TestFProfile:
                 alone = np.array([fn(params, np.array([si]))[0] for si in s])
                 assert together == pytest.approx(alone, rel=1e-15), (a, fn.__name__)
 
+    def test_limit_at_infinity(self):
+        # s = x y / d overflows to +-inf for a subnormal lag d
+        s = np.array([math.inf, -math.inf])
+        assert np.array_equal(f_profile_vec(KernelParams(2, 0.4), s), [0.0, 0.0])
+        assert np.array_equal(f_profile_vec(KernelParams(2, -0.4), s), [math.inf, math.inf])
+
     def test_finite_far_negative_axis(self):
         # scipy's kve returns NaN past w ~ 1e9; the asymptotic series does not
         s = -np.logspace(-8.0, 300.0, 400)
