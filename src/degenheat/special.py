@@ -102,8 +102,10 @@ def _term_count(log_coef: np.ndarray, log_x: float) -> int:
     """Leading terms of the rows sum_k c_k x^k that a call must sum.
 
     Keeps every term up to the last one, in any row, that lies within
-    1e-17 of its row's largest term; past their peak the terms fall
-    faster than geometrically, so the dropped tail is below 2e-17.
+    1e-17 of its row's largest term.  Past that point each term is less
+    than half the one before (the power series at q <= 225, and the
+    asymptotic series at w >= 30 within its table), so the dropped tail
+    is below 2e-17 of the largest term.
     """
     terms = log_coef + log_x * np.arange(log_coef.shape[-1])
     keep = terms >= terms.max(axis=-1, keepdims=True) + _LOG_TAIL
