@@ -1,4 +1,4 @@
-"""Tests for the kernel profile F and its derivative F'."""
+"""Tests for the Bessel series tables, the kernel profile F and its derivative F'."""
 import math
 
 import numpy as np
@@ -42,6 +42,85 @@ def mpmath_profile(a, s, prime=False):
             bracket *= -2 / mpmath.pi * mpmath.sin(nu * mpmath.pi)
         value = mpmath.exp(-s / 2) * (abs(s) / 4) ** (-nu) * bracket
         return float(-value / 2 if prime else value)
+
+
+def series_i_scaled(mu, w):
+    """e^{-w} I_mu(w) from the power-series table F sums, for 0 < |mu| < 1.
+
+    The table of order nu = -|mu| holds 1/(k! Gamma(k+mu+1)) in row 0
+    (mu < 0, the A of F) or row 1 (mu > 0, the B of F).
+    """
+    tables = special._tables(-abs(mu))
+    row = slice(0, 1) if mu < 0 else slice(1, 2)
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    q = (w / 2.0) ** 2
+    q_max = float(np.max(q))
+    count = special._term_count(tables.log_series[row], math.log(q_max)) if q_max > 0.0 else 1
+    return np.exp(-w) * (w / 2.0) ** mu * special._horner(tables.series[row], q, count)[0]
+
+
+def asymptotic_i_scaled(mu, w):
+    """e^{-w} I_mu(w) from the large-argument table F sums, for 0 < |mu| < 1."""
+    tables = special._tables(-abs(mu))  # a_k depends on mu^2 only
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    count = special._term_count(tables.log_asymptotic[:1], -math.log(float(np.min(w))))
+    total = special._horner(tables.asymptotic[:1], -1.0 / w, count)[0]
+    return total / np.sqrt(2.0 * math.pi * w)
+
+
+def unscaled_i(mu, w):
+    """I_mu(w) from the branch F uses at w: the series up to the crossover."""
+    branch = series_i_scaled if w <= special._CROSSOVER else asymptotic_i_scaled
+    return float(branch(mu, w)[0]) * math.exp(w)
+
+
+# orders of the I_{+-nu} in F: nu = (a-1)/2 in (-1, 0), and -nu
+orders = st.one_of(st.floats(-0.99, -0.001), st.floats(0.001, 0.99))
+
+
+class TestBesselI:
+    def test_half_integer_closed_form(self):
+        # I_{1/2}(w) = sqrt(2/(pi w)) sinh(w)
+        expected = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
+        assert unscaled_i(0.5, 1.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_negative_half_integer_closed_form(self):
+        # I_{-1/2}(w) = sqrt(2/(pi w)) cosh(w)
+        expected = math.sqrt(2.0 / (math.pi * 2.0)) * math.cosh(2.0)
+        assert unscaled_i(-0.5, 2.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_zero_argument_positive_order(self):
+        assert unscaled_i(0.3, 0.0) == 0.0
+
+    def test_extended_precision_oracle(self):
+        for mu in (-0.9, -0.45, 0.35, 0.95):
+            for w in (0.01, 0.5, 3.0, 12.0, 29.0, 31.0, 80.0, 400.0, 690.0):
+                ref = mpmath_iv(mu, w)
+                got = unscaled_i(mu, w)
+                assert got == pytest.approx(ref, rel=1e-12), (mu, w)
+
+    def test_scaled_large_argument_finite(self):
+        val = float(asymptotic_i_scaled(-0.25, 5.0e4)[0])
+        assert 0.0 < val < 1.0
+
+    def test_crossover_branch_agreement(self):
+        for mu in (-0.95, -0.45, 0.05, 0.55, 0.95):
+            w = np.linspace(24.0, 36.0, 13)
+            a = series_i_scaled(mu, w)
+            b = asymptotic_i_scaled(mu, w)
+            assert np.max(np.abs(a / b - 1.0)) < 1e-10
+
+    @given(mu=orders, w=st.floats(1e-6, 600.0))
+    @settings(max_examples=200, deadline=None)
+    def test_positivity(self, mu, w):
+        assert unscaled_i(mu, w) > 0.0
+
+    @given(nu=st.floats(-0.999, -0.001), w=st.floats(1e-6, 400.0))
+    @settings(max_examples=200, deadline=None)
+    def test_order_difference_sign(self, nu, w):
+        # I_nu >= I_{-nu} for nu in (-1, 0)
+        lo = unscaled_i(-nu, w)
+        assert unscaled_i(nu, w) >= lo * (1.0 - 1e-12)
 
 
 class TestFProfile:
