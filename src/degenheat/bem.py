@@ -10,6 +10,12 @@ centers and step endpoints.  The kernel matrix depends on observation
 and source times only through the step lag, so it is assembled as
 Toeplitz-in-time blocks; the lag-0 block integrates the time variable
 on a graded mesh toward coincidence.
+
+On faces lying on the degenerate plane y = 0 the raw normal derivative
+of Gamma does not exist for a != 0; there the kernel is the limit of
+|y|^a D_y Gamma as y -> 0 (weighted_normal_limit_vec).  Every other
+face takes the normal component of grad Gamma, with |y|^a in the
+quadrature weights.  _dl_rows makes this switch for every caller.
 """
 from __future__ import annotations
 
@@ -21,15 +27,53 @@ import numpy as np
 from scipy.special import erf
 
 from .geometry import BoxDomain
-from .kernel import gamma_grad_y_vec, u_tilde, weighted_normal_limit_vec
+from .kernel import gamma_fs, gamma_fs_vec, gamma_grad_y_vec, u_tilde, weighted_normal_limit_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import GradedTimeMesh, gauss_legendre, tensor_rule, weighted_rule
+from .quadrature import gauss_legendre, graded_breakpoints, tensor_rule, weighted_rule
 
 CONTRACTION_WINDOWS = 4.0
+# Gauss points per panel and free axis in every cell rule
+CELL_NODES = 6
 
 
 class AmbiguityWarning(UserWarning):
     """Probe point within mesh resolution of a corner or face."""
+
+
+def _dl_rows(params: KernelParams, obs_sp, dts, src, weights, normal_axis, on_plane) -> np.ndarray:
+    """Weighted double-layer kernel dGamma/dnu(Y) |y|^a at source nodes.
+
+    obs_sp (p, n) observation points, dts (k,) time lags, src (s, n)
+    nodes with signed quadrature weights (s,); normal_axis and on_plane
+    give each node's face, per node or one value for all.  Returns the
+    (p, k, s) rows with the weights folded in.  grad Gamma is evaluated
+    only at nodes off the plane, the weighted normal limit only on it.
+    """
+    s = len(src)
+    on = np.broadcast_to(on_plane, s)
+    off = np.flatnonzero(~on)
+    obs = obs_sp[:, None, None, :]
+    dt = dts[None, :, None]
+    if len(off):
+        grad = gamma_grad_y_vec(params, obs, 0.0, src[None, None, off], -dt)
+        normal = grad[:, :, np.arange(len(off)), np.broadcast_to(normal_axis, s)[off]]
+        del grad
+    # allocated after the kernel call, whose temporaries then peak without it;
+    # filled in place to stay C-contiguous, so later sums keep their order
+    comp = np.empty((len(obs_sp), len(dts), s))
+    if len(off):
+        comp[:, :, off] = normal
+    if np.any(on):
+        diff = obs[..., :-1] - src[None, None, on, :-1]
+        shape = (len(obs_sp), len(dts), diff.shape[2])
+        comp[:, :, on] = weighted_normal_limit_vec(
+            params,
+            np.broadcast_to(obs[..., -1], shape),
+            np.broadcast_to(dt, shape),
+            np.sum(diff * diff, axis=-1),
+        )
+    comp *= weights
+    return comp
 
 
 @dataclass
@@ -38,16 +82,15 @@ class BoundaryMesh:
 
     d_space cells per axis per face, n_steps uniform time steps.  The
     top face t = t1 carries no data (it is not part of the parabolic
-    boundary).  Cells on faces normal to the weighted axis at y = 0 are
-    flagged: their kernel is the weighted normal limit, which already
-    carries the |y|^a factor.
+    boundary).  Cell c spans cell_lo[c] to cell_hi[c], equal on its
+    normal axis.  Cells on faces normal to the weighted axis at y = 0
+    are flagged (use_limit): their kernel is the weighted normal limit.
     """
 
     box: BoxDomain
     params: KernelParams
     d_space: int = 8
     n_steps: int = 12
-    quad_nodes: int = 6
     _blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -58,53 +101,30 @@ class BoundaryMesh:
         self._build_cells()
 
     def _build_cells(self) -> None:
-        n = self.box.n
-        lo = np.asarray(self.box.lo)
-        hi = np.asarray(self.box.hi)
-        centers, axes, signs, limits = [], [], [], []
-        nodes, wts, edges = [], [], []
+        n, d = self.box.n, self.d_space
+        # cell indices along the free axes of a face, the first varying slowest
+        idx = np.indices((d,) * (n - 1)).reshape(n - 1, -1)
+        corners, axes, signs, limits = [], [], [], []
         for axis, side, coord in self.box.faces():
-            free = [i for i in range(n) if i != axis]
-            cell_edges = [
-                np.linspace(lo[i], hi[i], self.d_space + 1) for i in free
-            ]
-            on_plane = axis == n - 1 and coord == 0.0
-            for idx in np.ndindex(*(self.d_space,) * len(free)):
-                c = np.empty(n)
-                c[axis] = coord
-                rule_nodes, rule_wts = [], []
-                for j, i in enumerate(free):
-                    e0, e1 = cell_edges[j][idx[j]], cell_edges[j][idx[j] + 1]
-                    c[i] = 0.5 * (e0 + e1)
-                    if i == n - 1:
-                        x, w = weighted_rule(e0, e1, self.params.a, self.quad_nodes)
-                    else:
-                        x, w = gauss_legendre(e0, e1, self.quad_nodes)
-                    rule_nodes.append(x)
-                    rule_wts.append(w)
-                pts, weight = tensor_rule(rule_nodes, rule_wts)
-                pts = np.insert(pts, axis, coord, axis=1)
-                if axis == n - 1 and not on_plane:
-                    weight *= abs(coord) ** self.params.a
-                centers.append(c)
-                axes.append(axis)
-                signs.append(-1.0 if side == 0 else 1.0)
-                limits.append(on_plane)
-                nodes.append(pts)
-                wts.append(weight)
-                edges.append(
-                    [
-                        (i, float(cell_edges[j][idx[j]]), float(cell_edges[j][idx[j] + 1]))
-                        for j, i in enumerate(free)
-                    ]
-                )
-        self.centers = np.array(centers)
-        self.normal_axis = np.array(axes, dtype=int)
+            face = np.full((2, idx.shape[1], n), float(coord))  # low and high cell corners
+            for j, i in enumerate([i for i in range(n) if i != axis]):
+                edges = np.linspace(self.box.lo[i], self.box.hi[i], d + 1)
+                face[:, :, i] = edges[idx[j]], edges[idx[j] + 1]
+            corners.append(face)
+            axes += [axis] * idx.shape[1]
+            signs += [-1.0 if side == 0 else 1.0] * idx.shape[1]
+            limits += [axis == n - 1 and coord == 0.0] * idx.shape[1]
+        self.cell_lo, self.cell_hi = np.concatenate(corners, axis=1)
+        self.centers = 0.5 * (self.cell_lo + self.cell_hi)
+        self.normal_axis = np.array(axes)
         self.normal_sign = np.array(signs)
-        self.use_limit = np.array(limits, dtype=bool)
-        self.src_nodes = np.array(nodes)
-        self.src_weights = np.array(wts)
-        self.cell_edges = edges
+        self.use_limit = np.array(limits)
+        rules = [
+            self._cell_rule(c, [[panel] for panel in zip(self.cell_lo[c], self.cell_hi[c])])
+            for c in range(len(axes))
+        ]
+        self.src_nodes = np.array([pts for pts, _ in rules])
+        self.src_weights = np.array([w for _, w in rules])
         self.ht = (self.box.t1 - self.box.t0) / self.n_steps
         # midpoint collocation: first-order densities see a second-order
         # consistent right-hand side
@@ -114,119 +134,72 @@ class BoundaryMesh:
     def n_cells(self) -> int:
         return len(self.centers)
 
-    def _rows_generic(
-        self,
-        obs_sp: np.ndarray,
-        dts: np.ndarray,
-        src: np.ndarray,
-        weights: np.ndarray,
-        axes_rep: np.ndarray,
-        signs_rep: np.ndarray,
-        limit_rep: np.ndarray,
-    ) -> np.ndarray:
-        """Weighted double-layer kernel at arbitrary source nodes.
+    def _cell_rule(self, idx: int, panels: list) -> tuple[np.ndarray, np.ndarray]:
+        """Tensor quadrature of cell idx from a list of (lo, hi) panels per axis.
 
-        obs_sp (p, n), src (s, n); returns (p, k, s) with quadrature
-        weights folded in (the |y|^a surface weight lives in the
-        weights, or in the limit kernel for y = 0 faces).
+        Each panel of a free axis gets a CELL_NODES-point rule, weighted by
+        |y|^a on the weighted axis; off the plane, a face normal to that
+        axis scales the weights by |coord|^a.  Weights carry the normal's sign.
         """
-        n = src.shape[-1]
-        obs = obs_sp[:, None, None, :]
-        dt = dts[None, :, None]
-        grad = gamma_grad_y_vec(self.params, obs, 0.0, src[None, None, :, :], -dt)
-        onehot = (np.arange(n)[None, :] == axes_rep[:, None]).astype(float)
-        comp = np.einsum("pksn,sn->pks", grad, onehot)
-        if np.any(limit_rep):
-            diff = obs[..., :-1] - src[None, None, :, :-1]
-            dist2_rest = np.sum(diff * diff, axis=-1)
-            lim = weighted_normal_limit_vec(
-                self.params,
-                np.broadcast_to(obs[..., -1], comp.shape),
-                np.broadcast_to(dt, comp.shape),
-                dist2_rest,
-            )
-            comp = np.where(limit_rep[None, None, :], lim, comp)
-        return comp * (signs_rep * weights)[None, None, :]
+        n, a, m = self.box.n, self.params.a, CELL_NODES
+        axis = self.normal_axis[idx]
+        nodes, wts = [], []
+        for i in range(n):
+            if i == axis:
+                continue
+            parts = [
+                weighted_rule(p0, p1, a, m) if i == n - 1 else gauss_legendre(p0, p1, m)
+                for p0, p1 in panels[i]
+            ]
+            nodes.append(np.concatenate([x for x, _ in parts]))
+            wts.append(np.concatenate([w for _, w in parts]))
+        pts, weight = tensor_rule(nodes, wts)
+        coord = float(self.cell_lo[idx, axis])
+        pts = np.insert(pts, axis, coord, axis=1)
+        if axis == n - 1 and not self.use_limit[idx]:
+            weight *= abs(coord) ** a
+        return pts, self.normal_sign[idx] * weight
+
+    def _refined_rule(self, idx: int, obs_sp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell rule on panels graded toward the foot of obs_sp.
+
+        Used for nearly singular evaluation close to the boundary; on each
+        free axis the panels halve toward the projection of the
+        observation point onto the cell.
+        """
+        lo, hi = self.cell_lo[idx], self.cell_hi[idx]
+        perp = abs(obs_sp[self.normal_axis[idx]] - lo[self.normal_axis[idx]])
+        panels = [[] for _ in range(self.box.n)]
+        for i in range(self.box.n):
+            f = min(max(obs_sp[i], lo[i]), hi[i])
+            scale = max(perp, 1e-4 * (hi[i] - lo[i]))
+            for edge in (lo[i], hi[i]):
+                span = abs(f - edge)
+                if span > 0.0:
+                    levels = max(1, min(40, int(math.ceil(math.log2(span / scale))) + 2))
+                    b = [*graded_breakpoints(edge, f, levels - 1), f]
+                    panels[i] += [(min(p, q), max(p, q)) for p, q in zip(b, b[1:]) if p != q]
+        return self._cell_rule(idx, panels)
+
+    def _near_cells(self, obs_sp: np.ndarray) -> np.ndarray:
+        """Cells whose face region lies within a cell diameter of obs."""
+        gap = np.maximum(np.maximum(self.cell_lo - obs_sp, obs_sp - self.cell_hi), 0.0)
+        diam2 = np.sum((self.cell_hi - self.cell_lo) ** 2, axis=1)
+        return np.flatnonzero(np.sum(gap * gap, axis=1) < diam2)
 
     def _kernel_rows(self, obs_sp: np.ndarray, dts: np.ndarray) -> np.ndarray:
         """Standard per-cell quadrature rows, shape (p, k, cells, q)."""
         m, q, n = self.src_nodes.shape
-        rows = self._rows_generic(
-            obs_sp,
-            dts,
-            self.src_nodes.reshape(m * q, n),
-            self.src_weights.reshape(-1),
-            np.repeat(self.normal_axis, q),
-            np.repeat(self.normal_sign, q),
-            np.repeat(self.use_limit, q),
-        )
+        src, wts = self.src_nodes.reshape(m * q, n), self.src_weights.reshape(-1)
+        axes, limit = np.repeat(self.normal_axis, q), np.repeat(self.use_limit, q)
+        rows = _dl_rows(self.params, obs_sp, dts, src, wts, axes, limit)
         return rows.reshape(obs_sp.shape[0], len(dts), m, q)
-
-    def _refined_cell_nodes(
-        self, idx: int, obs_sp: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Graded in-face quadrature of one cell toward the observation foot.
-
-        Used for nearly singular evaluation close to the boundary; the
-        panels shrink geometrically toward the projection of the
-        observation point onto the cell.
-        """
-        n = self.box.n
-        axis = self.normal_axis[idx]
-        coord = self.centers[idx][axis]
-        perp = abs(obs_sp[axis] - coord)
-        rules_nodes, rules_wts = [], []
-        for i, e0, e1 in self.cell_edges[idx]:
-            f = min(max(obs_sp[i], e0), e1)
-            scale = max(perp, 1e-4 * (e1 - e0))
-            aexp = self.params.a if (i == n - 1 and not self.use_limit[idx]) else 0.0
-            ns, ws = [], []
-            for lo, hi, sign in ((e0, f, 1.0), (f, e1, -1.0)):
-                span = hi - lo
-                if span <= 0.0:
-                    continue
-                levels = max(1, min(40, int(math.ceil(math.log2(span / scale))) + 2))
-                bps = [f - sign * span * 0.5 ** j for j in range(levels)]
-                bps.append(f)
-                for p0, p1 in zip(bps, bps[1:]):
-                    lo_p, hi_p = min(p0, p1), max(p0, p1)
-                    if hi_p <= lo_p:
-                        continue
-                    if aexp != 0.0:
-                        x, w = weighted_rule(lo_p, hi_p, aexp, 6)
-                    else:
-                        x, w = gauss_legendre(lo_p, hi_p, 6)
-                    ns.append(x)
-                    ws.append(w)
-            rules_nodes.append(np.concatenate(ns))
-            rules_wts.append(np.concatenate(ws))
-        pts, weight = tensor_rule(rules_nodes, rules_wts)
-        pts = np.insert(pts, axis, coord, axis=1)
-        if axis == n - 1 and not self.use_limit[idx]:
-            weight *= abs(coord) ** self.params.a
-        return pts, weight
-
-    def _near_cells(self, obs_sp: np.ndarray) -> list[int]:
-        """Cells whose face region lies within a cell diameter of obs."""
-        out = []
-        for idx in range(self.n_cells):
-            axis = self.normal_axis[idx]
-            coord = self.centers[idx][axis]
-            d2 = (obs_sp[axis] - coord) ** 2
-            diam2 = 0.0
-            for i, e0, e1 in self.cell_edges[idx]:
-                gap = max(e0 - obs_sp[i], obs_sp[i] - e1, 0.0)
-                d2 += gap * gap
-                diam2 += (e1 - e0) ** 2
-            if d2 < diam2:
-                out.append(idx)
-        return out
 
     def _delta_rule(self, d_lo: float, d_hi: float, m: int = 8) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature in the time offset; graded when the interval touches 0."""
         if d_lo <= 1e-14 * self.ht:
-            mesh = GradedTimeMesh(-d_hi, 0.0, levels=24, ratio=0.5)
-            ns, ws = zip(*(gauss_legendre(p0, p1, m) for p0, p1 in mesh.panels()))
+            b = graded_breakpoints(-d_hi, 0.0, 24)
+            ns, ws = zip(*(gauss_legendre(p0, p1, m) for p0, p1 in zip(b[:-1], b[1:])))
             return -np.concatenate(ns), np.concatenate(ws)
         return gauss_legendre(d_lo, d_hi, m)
 
@@ -270,23 +243,16 @@ def dl_kernel_entry(
 ) -> float:
     """Pointwise weighted double-layer kernel dGamma/dnu(Y) |y|^a.
 
-    On cells of a face lying on the degeneracy plane (normal along the
-    weighted axis, y = 0) the weighted-limit kernel is used; it already
-    contains the |y|^a factor.
+    One entry of _dl_rows: on a face lying on the degeneracy plane
+    (normal along the weighted axis, y = 0) the weighted-limit kernel,
+    which already contains the |y|^a factor.
     """
-    src_spatial = np.asarray(src_spatial, dtype=float)
-    dt = obs.t - src_t
-    if dt <= 0.0:
-        return 0.0
-    y = src_spatial[-1]
-    if normal_axis == params.n - 1 and y == 0.0:
-        diff = obs.spatial[:-1] - src_spatial[:-1]
-        lim = weighted_normal_limit_vec(
-            params, obs.x, dt, float(np.sum(diff * diff))
-        )
-        return float(normal_sign * lim)
-    grad = gamma_grad_y_vec(params, obs.spatial, obs.t, src_spatial, src_t)
-    return float(normal_sign * grad[..., normal_axis] * abs(y) ** params.a)
+    src = np.asarray(src_spatial, dtype=float)
+    on_plane = normal_axis == params.n - 1 and src[-1] == 0.0
+    weight = normal_sign * (1.0 if on_plane else abs(src[-1]) ** params.a)
+    dt = np.array([obs.t - src_t])
+    row = _dl_rows(params, obs.spatial[None, :], dt, src[None, :], weight, normal_axis, on_plane)
+    return float(row[0, 0, 0])
 
 
 def double_layer_eval(mesh: BoundaryMesh, phi: BoundaryDensity, xi: SpaceTimePoint) -> float:
@@ -297,7 +263,7 @@ def double_layer_eval(mesh: BoundaryMesh, phi: BoundaryDensity, xi: SpaceTimePoi
     """
     t = xi.t
     near = mesh._near_cells(xi.spatial)
-    near_quads = {idx: mesh._refined_cell_nodes(idx, xi.spatial) for idx in near}
+    near_quads = {idx: mesh._refined_rule(idx, xi.spatial) for idx in near}
     total = 0.0
     for k in range(mesh.n_steps):
         tau0 = mesh.box.t0 + k * mesh.ht
@@ -312,16 +278,8 @@ def double_layer_eval(mesh: BoundaryMesh, phi: BoundaryDensity, xi: SpaceTimePoi
         rows = mesh._kernel_rows(xi.spatial[None, :], d_nodes)
         cell_vals = np.einsum("kmq,k->m", rows[0], d_wts)
         for idx, (pts, wts) in near_quads.items():
-            s = len(wts)
-            r = mesh._rows_generic(
-                xi.spatial[None, :],
-                d_nodes,
-                pts,
-                wts,
-                np.full(s, mesh.normal_axis[idx]),
-                np.full(s, mesh.normal_sign[idx]),
-                np.full(s, mesh.use_limit[idx]),
-            )
+            axis, limit = mesh.normal_axis[idx], mesh.use_limit[idx]
+            r = _dl_rows(mesh.params, xi.spatial[None, :], d_nodes, pts, wts, axis, limit)
             cell_vals[idx] = float(np.einsum("ks,k->", r[0], d_wts))
         total += float(np.dot(cell_vals, phi.values[k]))
     return total
@@ -451,12 +409,9 @@ class DirichletSolution:
     f0: object
     offset: float
     info: dict
-    lift_nodes: int = 32
 
     def __call__(self, xi: SpaceTimePoint) -> float:
-        v = initial_lift(
-            self.mesh.params, self.mesh.box, self.f0, xi, m=self.lift_nodes
-        )
+        v = initial_lift(self.mesh.params, self.mesh.box, self.f0, xi)
         return self.offset + v + double_layer_eval(self.mesh, self.density, xi)
 
 
@@ -466,8 +421,6 @@ def solve_dirichlet(
     f,
     d_space: int = 8,
     n_steps: int = 12,
-    tol: float = 1e-10,
-    method: str = "march",
 ) -> DirichletSolution:
     """Dirichlet problem with data f on the parabolic boundary.
 
@@ -490,7 +443,7 @@ def solve_dirichlet(
             ]
         )
         g[i] = np.asarray(f(mesh.centers, t), dtype=float) - offset - lifted
-    density, info = solve_density(mesh, g, tol=tol, method=method)
+    density, info = solve_density(mesh, g)
     return DirichletSolution(mesh, density, f0, offset, info)
 
 
@@ -498,7 +451,6 @@ def u0_identity(
     params: KernelParams,
     box: BoxDomain,
     xi: SpaceTimePoint,
-    tol: float = 1e-6,
     eps: float | None = None,
     resolution: float = 0.0,
 ) -> float:
@@ -550,8 +502,6 @@ def green_function_box(
     box: BoxDomain,
     xi: SpaceTimePoint,
     zeta: SpaceTimePoint,
-    d_space: int = 8,
-    n_steps: int = 12,
 ) -> float:
     """Green function of the box: Gamma minus the lifted boundary data.
 
@@ -562,10 +512,9 @@ def green_function_box(
         return 0.0
     if not box.contains(zeta):
         raise ValueError("pole must lie inside the box")
-    from .kernel import gamma_fs, gamma_fs_vec
 
     def f(pts, t):
         return gamma_fs_vec(params, pts, t, zeta.spatial, zeta.t)
 
-    sol = solve_dirichlet(params, box, f, d_space=d_space, n_steps=n_steps)
+    sol = solve_dirichlet(params, box, f)
     return gamma_fs(params, xi, zeta) - sol(xi)

@@ -145,8 +145,6 @@ def capacity_lp(
     set_times,
     h_space: float,
     h_time: float,
-    constraint_spatial=None,
-    constraint_times=None,
     tol: float = 1e-8,
     refinement_level: int = 0,
 ) -> CapacityResult:
@@ -154,7 +152,7 @@ def capacity_lp(
 
     set_spatial (m, n) and set_times (m,) are the atom locations; each
     atom represents a cell of spatial side h_space and time extent
-    h_time (0 for flat sets).  The default constraint set is the atoms
+    h_time (0 for flat sets).  The constraint set is the atoms
     themselves plus a collar copy shifted one cell up in time.
     """
     atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
@@ -162,12 +160,8 @@ def capacity_lp(
     if len(atom_t) == 0:
         raise ValueError("set_points must be nonempty")
     collar_dt = h_time if h_time > 0.0 else h_space ** 2
-    if constraint_spatial is None:
-        cons_sp = np.vstack([atom_sp, atom_sp])
-        cons_t = np.concatenate([atom_t, atom_t + collar_dt])
-    else:
-        cons_sp = np.atleast_2d(np.asarray(constraint_spatial, dtype=float))
-        cons_t = np.asarray(constraint_times, dtype=float)
+    cons_sp = np.vstack([atom_sp, atom_sp])
+    cons_t = np.concatenate([atom_t, atom_t + collar_dt])
     A = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
     m = len(atom_t)
     active = np.any(A > 0.0, axis=1)

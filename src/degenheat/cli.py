@@ -1,9 +1,10 @@
 """Batch front-end: JSON config in, CSV/JSON envelopes out.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical
-non-convergence.  Identical configs produce identical CSV bytes
-regardless of worker count; workers only parallelize independent
-sub-tasks and results are reduced in fixed task order.
+failure (non-convergence or a non-finite kernel value).  Identical
+configs produce identical CSV bytes regardless of worker count; workers
+only parallelize independent sub-tasks and results are reduced in fixed
+task order.
 """
 from __future__ import annotations
 
@@ -165,6 +166,9 @@ def cmd_kernel(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]
         )
 
     rows = _map_ordered(row, pairs, workers)
+    bad = [i for i, r in enumerate(rows) if not all(math.isfinite(v) for v in r)]
+    if bad:
+        raise RuntimeError(f"non-finite kernel output at point {bad[0]}")
     header = (
         [f"xi_{i}" for i in range(n)]
         + ["xi_t"]

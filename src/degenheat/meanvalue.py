@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from .kernel import gamma_fs_vec, gamma_grad_y_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import _legendre_rule, gauss_legendre, weighted_rule
+from .quadrature import gauss_legendre, graded_breakpoints, legendre_rule, weighted_rule
 
 TOP_BUFFER = 1e-4
 # y-points per depth in the slice scan of _y_intervals
@@ -45,15 +45,6 @@ def phi_weight_prime(params: KernelParams, x0: float, r: float) -> float:
         * (1.0 + x0 * x0 / r) ** (a / 2.0 - 1.0)
         * ((n + a) / (2.0 * r) + n * x0 * x0 / (2.0 * r * r))
     )
-
-
-def mean_value_kernel(params: KernelParams, xi0: SpaceTimePoint, spatial, t) -> np.ndarray:
-    """E(xi0; (Y, t)) = |y|^a |grad_Y Gamma(xi0; Y, t)|^2 / Gamma^2."""
-    spatial = np.atleast_2d(np.asarray(spatial, dtype=float))
-    gam = gamma_fs_vec(params, xi0.spatial, xi0.t, spatial, t)
-    grad = gamma_grad_y_vec(params, xi0.spatial, xi0.t, spatial, t)
-    y = spatial[..., -1]
-    return np.abs(y) ** params.a * np.sum(grad * grad, axis=-1) / gam**2
 
 
 def _section_radius2(
@@ -155,7 +146,7 @@ def _y_rule(lo: float, hi: float, a: float, m: int) -> tuple[np.ndarray, np.ndar
         rule = weighted_rule(inner[0], inner[1], -a, m)
         n2, w2 = _y_rule(outer[0], outer[1], a, m)
         return np.concatenate([rule.nodes, n2]), np.concatenate([rule.weights, w2])
-    x, w = _legendre_rule(m)
+    x, w = legendre_rule(m)
     # clustered map with vanishing Jacobian at the edges; the slice
     # radius vanishes like a square root there
     s = 0.5 * (3.0 * x - x**3)
@@ -166,14 +157,13 @@ def _y_rule(lo: float, hi: float, a: float, m: int) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-def _delta_panels(d_lo: float, d_hi: float, levels: int, ratio: float = 0.5):
+def _delta_panels(d_lo: float, d_hi: float, levels: int):
     """Geometric panels on [d_lo, d_hi] clustered toward both endpoints."""
     mid = 0.5 * (d_lo + d_hi)
-    w = mid - d_lo
-    bp = [d_lo] + [d_lo + w * ratio**k for k in range(levels - 1, 0, -1)] + [mid]
-    w = d_hi - mid
-    bp += [d_hi - w * ratio**k for k in range(1, levels)] + [d_hi]
-    return [(bp[i], bp[i + 1]) for i in range(len(bp) - 1)]
+    left = graded_breakpoints(mid, d_lo, levels - 1)
+    right = graded_breakpoints(mid, d_hi, levels - 1)
+    bp = [d_lo, *left[:0:-1], mid, *right[1:], d_hi]
+    return list(zip(bp[:-1], bp[1:]))
 
 
 def _runs(labels: np.ndarray):
@@ -277,7 +267,7 @@ def _add_slices(
     come grouped by slice sid, and slices by depth node.
     """
     n = params.n
-    gx, gw = _legendre_rule(m)
+    gx, gw = legendre_rule(m)
     xp0 = np.asarray(xi0.x_prime, dtype=float)
     tau = xi0.t - deltas[node]
     if n == 2:
@@ -333,7 +323,6 @@ def solid_mean(
     xi0: SpaceTimePoint,
     r: float,
     density: int = 12,
-    method: str = "sections",
 ) -> float:
     """Mean of u over the heat ball of radius parameter r at xi0.
 
@@ -343,24 +332,15 @@ def solid_mean(
     integrated directly on geometrically graded panels down to a
     machine-negligible sliver rather than truncated.
 
-    The sections method integrates the bulk slab and each of the 32
-    pole slabs in one batched pass over all of the slab's depth nodes
-    (_slab_integral), so the kernel is called a few dozen times per slab
-    and u once per depth node.  The lattice method calls u once per
-    distinct sample time.
+    The bulk slab and each of the 32 pole slabs are integrated in one
+    batched pass over all of the slab's depth nodes (_slab_integral), so
+    the kernel is called a few dozen times per slab and u once per depth
+    node.
     """
     if density <= 0:
         raise ValueError("density must be positive")
     ball = HeatBall(xi0, r, params)
     phi = phi_weight(params, xi0.x, r)
-    if method == "lattice":
-        sample = heat_ball_sample(ball, density)
-        keep = sample.times < xi0.t - r * TOP_BUFFER
-        ev = mean_value_kernel(params, xi0, sample.spatial[keep], sample.times[keep])
-        uv = _u_by_time(u, sample.spatial[keep], sample.times[keep])
-        return float(np.sum(uv * ev) * sample.cell_volume) / phi
-    if method != "sections":
-        raise ValueError("unknown solid-mean method")
     depth_ub, radius = ball.bounding_box()
     log_theta = math.log(heat_ball_threshold(params, xi0.x, r))
     depth = _section_depth(params, xi0, log_theta, depth_ub)
@@ -463,7 +443,7 @@ def harnack_quotient(
     rho0 = math.sqrt(3.0 * (params.n + params.a) * r / 4.0)
     t_bot = -1.5 * r
     rule = weighted_rule(-rho0, rho0, params.a, max(8, density))
-    gx, gw = _legendre_rule(max(8, density))
+    gx, gw = legendre_rule(max(8, density))
     half = np.sqrt(np.maximum(rho0 * rho0 - rule.nodes * rule.nodes, 0.0))
     live = half > 0.0
     ys, ws, half = rule.nodes[live], rule.weights[live], half[live]

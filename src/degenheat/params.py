@@ -58,6 +58,3 @@ class SpaceTimePoint:
     def from_spatial(cls, spatial, t: float) -> "SpaceTimePoint":
         spatial = tuple(float(v) for v in spatial)
         return cls(spatial[:-1], spatial[-1], float(t))
-
-    def dim(self) -> int:
-        return len(self.x_prime) + 1

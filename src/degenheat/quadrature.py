@@ -4,13 +4,13 @@ The weight |y|^a (a > -1) is integrable but not smooth at y = 0, so
 panels touching zero use Gauss-Jacobi rules that absorb the weight
 exactly; panels away from zero use Gauss-Legendre with the weight folded
 into the node weights.  Time integrals with an integrable endpoint
-singularity at tau = t use a geometrically graded mesh clustered at the
-endpoint.  Multi-dimensional rules are tensor products of 1-D rules
-(tensor_rule), because the kernel factorizes over axes.
+singularity at tau = t use panels whose breakpoints halve toward the
+endpoint (graded_breakpoints).  Multi-dimensional rules are tensor
+products of 1-D rules (tensor_rule), because the kernel factorizes over
+axes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,7 +21,8 @@ DEFAULT_TOL = 1e-8
 
 
 @lru_cache(maxsize=256)
-def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on [-1, 1] (cached; do not mutate)."""
     return np.polynomial.legendre.leggauss(m)
 
 
@@ -34,7 +35,7 @@ def _jacobi_rule(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre nodes and weights on (lo, hi)."""
-    x, w = _legendre_rule(m)
+    x, w = legendre_rule(m)
     return lo + (hi - lo) * (x + 1.0) / 2.0, w * (hi - lo) / 2.0
 
 
@@ -144,28 +145,12 @@ def integrate_weighted_interval(
     return total
 
 
-@dataclass(frozen=True)
-class GradedTimeMesh:
-    """Geometric panels on [t_start, t_end) clustered toward t_end."""
+def graded_breakpoints(start: float, end: float, levels: int) -> np.ndarray:
+    """end - (end - start) 2^-j for j = 0..levels: gaps halving toward end.
 
-    t_start: float
-    t_end: float
-    levels: int = 40
-    ratio: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not self.t_start < self.t_end:
-            raise ValueError("empty time interval")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("grading ratio must lie in (0, 1)")
-        if self.levels < 2:
-            raise ValueError("need at least two levels")
-
-    def breakpoints(self) -> np.ndarray:
-        span = self.t_end - self.t_start
-        pts = self.t_end - span * self.ratio ** np.arange(self.levels + 1)
-        return pts
-
-    def panels(self) -> list[tuple[float, float]]:
-        b = self.breakpoints()
-        return [(float(b[j]), float(b[j + 1])) for j in range(self.levels)]
+    start may lie on either side of end.  The last breakpoint stops
+    |end - start| 2^-levels short of end.
+    """
+    if start == end:
+        raise ValueError("empty interval")
+    return end - (end - start) * 0.5 ** np.arange(levels + 1)

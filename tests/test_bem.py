@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from degenheat import bem
 from degenheat.bem import (
     AmbiguityWarning,
     BoundaryDensity,
@@ -82,6 +83,32 @@ def test_dl_kernel_plane_face_uses_limit():
     # x = 0 observation: the limit kernel vanishes
     obs0 = P(x_prime=(0.3,), x=0.0, t=0.7)
     assert dl_kernel_entry(PARAMS, obs0, [0.6, 0.0], 0.2, 1, -1.0) == 0.0
+
+
+def test_dl_kernel_entry_matches_rows():
+    # every node of an on-plane mesh, at several lags in one call, against
+    # one-node calls; the profile's term count depends on the other
+    # entries of a call, which moves last bits only
+    box = BoxDomain(lo=(0.0, 0.0), hi=(1.0, 1.0), t0=0.0, t1=1.0)
+    obs = np.array([0.3, 0.2])
+    dts = np.array([0.01, 0.2, 0.7])
+    for a in (-0.4, 0.3):
+        params = KernelParams(n=2, a=a)
+        mesh = BoundaryMesh(box, params, d_space=2, n_steps=2)
+        m, q, _ = mesh.src_nodes.shape
+        src = mesh.src_nodes.reshape(m * q, 2)
+        cells = np.repeat(np.arange(m), q)
+        axes, signs, on = mesh.normal_axis[cells], mesh.normal_sign[cells], mesh.use_limit[cells]
+        weights = np.array(
+            [sg * (1.0 if lim else abs(y) ** a) for sg, lim, y in zip(signs, on, src[:, -1])]
+        )
+        rows = bem._dl_rows(params, obs[None, :], dts, src, weights, axes, on)
+        assert np.any(on) and not np.all(on)
+        xi = P.from_spatial(obs, 0.0)
+        for k, dt in enumerate(dts):
+            for s in range(len(src)):
+                got = dl_kernel_entry(params, xi, src[s], -dt, axes[s], signs[s])
+                assert rows[0, k, s] == pytest.approx(got, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------- u0 identity
@@ -229,6 +256,29 @@ def test_gamma_data_interior_accuracy():
     for xi in probes:
         want = gamma_fs(PARAMS, xi, zeta)
         assert abs(sol(xi) - want) / want < 1e-2
+
+
+def test_gamma_data_on_plane_box():
+    # a box with its lower face on the degenerate plane y = 0, where the
+    # kernel is the weighted normal limit
+    box = BoxDomain(lo=(0.0, 0.0), hi=(1.0, 1.0), t0=0.0, t1=1.0)
+    zeta = P(x_prime=(0.4,), x=0.4, t=-0.3)
+    probes = [
+        P(x_prime=(0.5,), x=0.5, t=0.5),
+        P(x_prime=(0.25,), x=0.3, t=0.3),
+        P(x_prime=(0.7,), x=0.6, t=0.8),
+    ]
+    for a in (-0.4, 0.3):
+        params = KernelParams(n=2, a=a)
+
+        def f(pts, t):
+            return gamma_fs_vec(params, np.atleast_2d(pts), t, zeta.spatial, zeta.t)
+
+        sol = solve_dirichlet(params, box, f, d_space=6, n_steps=8)
+        assert np.any(sol.mesh.use_limit)
+        for xi in probes:
+            want = gamma_fs(params, xi, zeta)
+            assert abs(sol(xi) - want) / want < 1e-2
 
 
 def test_maximum_principle():

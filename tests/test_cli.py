@@ -4,6 +4,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,27 @@ def test_kernel_far_across_plane(tmp_path):
     values = dict(zip(header.split(","), map(float, row.split(","))))
     assert values["gamma"] == 0.0
     assert all(math.isfinite(values[f"grad_{i}"]) for i in range(2))
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.3])
+def test_kernel_subnormal_lag_exits_3(tmp_path, a):
+    # x y / d overflows at a subnormal lag: Gamma and its gradient are not
+    # finite, which is a numerical failure, not a result
+    point = {"xi": [0.1, 0.5, 1e-310], "zeta": [0.1, 0.5, 0]}
+    path = write_cfg(tmp_path, "kernel.json", {"params": {"n": 2, "a": a}, "points": [point]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = ["kernel", "--config", path, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenheat.cli", *cmd],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure" in proc.stderr
+    assert not (tmp_path / "out" / "kernel.csv").exists()
 
 
 def test_determinism_across_workers(tmp_path):

@@ -14,7 +14,6 @@ from degenheat.meanvalue import (
     HarnackReport,
     harnack_quotient,
     mean_derivative_sign,
-    mean_value_kernel,
     phi_weight,
     phi_weight_prime,
     solid_mean,
@@ -65,21 +64,6 @@ def test_phi_prime_matches_numerical_derivative():
 def test_weight_object():
     with pytest.raises(ValueError):
         phi_weight(PARAMS, 0.7, 0.0)
-
-
-def test_kernel_nonnegative_finite():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-1, 1, (40, 2))
-    vals = mean_value_kernel(PARAMS, XI0, pts, -0.3)
-    assert np.all(vals >= 0) and np.all(np.isfinite(vals))
-    # weighted-axis degeneracy: E grows like |y|^{-a} as y -> 0, so the
-    # |y|^a-compensated values stay bounded (integrable cusp for a < 1)
-    ys = np.array([1e-3, 1e-5, 1e-7])
-    near = np.stack([np.full_like(ys, 0.5), ys], axis=-1)
-    nv = mean_value_kernel(PARAMS, XI0, near, -0.1)
-    assert np.all(np.isfinite(nv))
-    comp = nv * ys**PARAMS.a
-    assert np.max(comp) < 2.0 * np.min(comp)
 
 
 # ---------------------------------------------------------------- solid mean
@@ -191,25 +175,11 @@ def test_u_called_once_per_sample_time():
     sample = heat_ball_sample(HeatBall(origin, 0.75 * r, PARAMS), density)
     # the interior sample times, plus the bottom-slice time
     assert len(times) <= len(np.unique(sample.times)) + 1
-    times.clear()
-    solid_mean(PARAMS, u, XI0, r, density=density, method="lattice")
-    sample = heat_ball_sample(HeatBall(XI0, r, PARAMS), density)
-    assert len(times) <= len(np.unique(sample.times))
-
-
-def test_lattice_method_cross_check():
-    v_sec = solid_mean(PARAMS, one, XI0, 0.02, density=8)
-    v_lat = solid_mean(PARAMS, one, XI0, 0.02, density=24, method="lattice")
-    # the lattice sampler truncates the pole slab and carries O(h)
-    # boundary error; it only brackets the section value coarsely
-    assert abs(v_lat - v_sec) < 0.2
 
 
 def test_solid_mean_validation():
     with pytest.raises(ValueError):
         solid_mean(PARAMS, one, XI0, 0.02, density=0)
-    with pytest.raises(ValueError):
-        solid_mean(PARAMS, one, XI0, 0.02, method="montecarlo")
 
 
 # ---------------------------------------------------------------- monotonicity

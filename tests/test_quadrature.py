@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from degenheat.quadrature import (
-    GradedTimeMesh,
     gauss_legendre,
+    graded_breakpoints,
     integrate_weighted_interval,
     tensor_rule,
     weighted_rule,
@@ -127,21 +127,21 @@ class TestIntegrateWeightedInterval:
         assert got == pytest.approx(ref, rel=1e-6)
 
 
-class TestGradedTimeMesh:
+class TestGradedBreakpoints:
     def test_breakpoints_increasing(self):
-        mesh = GradedTimeMesh(0.0, 1.0, levels=20, ratio=0.5)
-        b = mesh.breakpoints()
+        b = graded_breakpoints(0.0, 1.0, 20)
         assert np.all(np.diff(b) > 0.0)
+        # graded toward a left end, the breakpoints decrease
+        assert np.all(np.diff(graded_breakpoints(1.0, 0.0, 20)) < 0.0)
 
     def test_last_gap_bound(self):
-        mesh = GradedTimeMesh(0.0, 2.0, levels=30, ratio=0.5)
-        assert mesh.t_end - mesh.breakpoints()[-1] <= 0.5 ** 30 * 2.0 * (1 + 1e-12)
+        b = graded_breakpoints(0.0, 2.0, 30)
+        assert len(b) == 31
+        assert 2.0 - b[-1] <= 0.5 ** 30 * 2.0 * (1 + 1e-12)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            GradedTimeMesh(1.0, 0.0)
-        with pytest.raises(ValueError):
-            GradedTimeMesh(0.0, 1.0, ratio=1.5)
+            graded_breakpoints(1.0, 1.0, 4)
 
 
 def meshgrid_reference(nodes, weights):
