@@ -127,13 +127,18 @@ def _point(coords, n: int, label: str) -> SpaceTimePoint:
 
 def _box(cfg: dict, n: int) -> BoxDomain:
     try:
-        lo, hi = cfg["lo"], cfg["hi"]
+        lo, hi = [float(v) for v in cfg["lo"]], [float(v) for v in cfg["hi"]]
         t0, t1 = float(cfg["t0"]), float(cfg["t1"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"box block invalid: {exc}") from exc
     if len(lo) != n or len(hi) != n:
         raise ConfigError(f"box corners need {n} coordinates")
-    return BoxDomain(lo=tuple(map(float, lo)), hi=tuple(map(float, hi)), t0=t0, t1=t1)
+    if not all(math.isfinite(v) for v in (*lo, *hi, t0, t1)):
+        raise ConfigError("box coordinates must be finite")
+    try:
+        return BoxDomain(lo=tuple(lo), hi=tuple(hi), t0=t0, t1=t1)
+    except ValueError as exc:
+        raise ConfigError(f"box block invalid: {exc}") from exc
 
 
 # ---------------------------------------------------------------- commands
@@ -249,16 +254,28 @@ def cmd_dirichlet(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
     probes = [_point(p, params.n, "probe") for p in config.raw.get("probes", [])]
     if not probes:
         raise ConfigError("dirichlet command needs probe points")
+    # the solution is only defined inside the box; u0_probes sit on faces by design
+    outside = [xi for xi in probes if not box.contains(xi)]
+    if outside:
+        xi = outside[0]
+        raise ConfigError(
+            f"probe {[*xi.spatial, xi.t]} lies outside the open box or outside (t0, t1]"
+        )
     sol = solve_dirichlet(params, box, f, d_space=d_space, n_steps=n_steps)
     rows = []
-    for xi in probes:
-        got = sol(xi)
+    for xi, got in zip(probes, sol.evaluate(probes)):
         want = ref(xi)
         rows.append(list(xi.spatial) + [xi.t, got, want, abs(got - want)])
     for coords in config.raw.get("u0_probes", []):
         xi = _point(coords, params.n, "u0 probe")
         rows.append(list(xi.spatial) + [xi.t, u0_identity(params, box, xi), math.nan, math.nan])
-    diags = {"residual": sol.info["residual"]}
+    diags = {
+        "residual": sol.info["residual"],
+        "cells": sol.mesh.n_cells,
+        "steps": sol.mesh.n_steps,
+        "inner_iterations": sol.info["inner_iterations"],
+        "lag0": sol.mesh.lag0_split,
+    }
     header = (
         [f"probe_{i}" for i in range(params.n)] + ["probe_t", "value", "reference", "abs_err"]
     )

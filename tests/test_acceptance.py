@@ -325,8 +325,10 @@ def test_criterion_12_green_sign_and_reproduction():
         P(x_prime=(0.8,), x=1.0, t=0.38),
         P(x_prime=(0.6,), x=0.9, t=0.2),
     ]
+    fwd = sol_f.evaluate(probes)
     sign_ok = all(
-        -5e-3 <= green_fwd(xi) <= gamma_fs(PARAMS, xi, zeta) + 5e-3 for xi in probes
+        -5e-3 <= gamma_fs(PARAMS, xi, zeta) - u <= gamma_fs(PARAMS, xi, zeta) + 5e-3
+        for xi, u in zip(probes, fwd)
     )
     # reproduction through an intermediate slice: G(xi;zeta) equals the
     # weighted integral of G(xi;.,tau) G(.,tau;zeta) over the slice.
@@ -344,24 +346,17 @@ def test_criterion_12_green_sign_and_reproduction():
     xs = 0.5 * (gl_x + 1.0)
     wx = 0.5 * gl_w
     wr = weighted_rule(0.2, 1.2, PARAMS.a, 20)
+    # the slice points, one row of xs per weighted-axis node
+    pts = np.stack(np.meshgrid(wr.nodes, xs, indexing="ij")[::-1], axis=-1).reshape(-1, 2)
+    g1 = gamma_fs_vec(PARAMS, pts, -tau, pole_rev.spatial, pole_rev.t) - sol_r.evaluate(
+        [P.from_spatial(p, -tau) for p in pts]
+    )
+    g2 = gamma_fs_vec(PARAMS, pts, tau, zeta.spatial, zeta.t) - sol_f.evaluate(
+        [P.from_spatial(p, tau) for p in pts]
+    )
     total = 0.0
-    for yv, wyv in zip(wr.nodes, wr.weights):
-        pts = np.stack([xs, np.full_like(xs, yv)], axis=-1)
-        g1 = np.array(
-            [
-                gamma_fs(PARAMS, P(x_prime=(p[0],), x=p[1], t=-tau), pole_rev)
-                - sol_r(P(x_prime=(p[0],), x=p[1], t=-tau))
-                for p in pts
-            ]
-        )
-        g2 = np.array(
-            [
-                gamma_fs(PARAMS, P(x_prime=(p[0],), x=p[1], t=tau), zeta)
-                - sol_f(P(x_prime=(p[0],), x=p[1], t=tau))
-                for p in pts
-            ]
-        )
-        total += wyv * float(np.sum(wx * g1 * g2))
+    for wyv, r1, r2 in zip(wr.weights, g1.reshape(20, 20), g2.reshape(20, 20)):
+        total += wyv * float(np.sum(wx * r1 * r2))
     direct = green_fwd(xi)
     rel = abs(total - direct) / abs(direct)
     ok = sign_ok and rel <= 1e-2

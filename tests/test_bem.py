@@ -28,6 +28,8 @@ from degenheat.bem import (
 from degenheat.geometry import BoxDomain
 from degenheat.kernel import gamma_fs, gamma_fs_vec, weighted_normal_limit
 from degenheat.params import KernelParams, SpaceTimePoint
+from degenheat.quadrature import tensor_rule, weighted_rule
+from degenheat.special import f_profile_prime_vec, f_profile_vec
 
 P = SpaceTimePoint
 PARAMS = KernelParams(n=2, a=0.3)
@@ -109,6 +111,184 @@ def test_dl_kernel_entry_matches_rows():
             for s in range(len(src)):
                 got = dl_kernel_entry(params, xi, src[s], -dt, axes[s], signs[s])
                 assert rows[0, k, s] == pytest.approx(got, rel=1e-14, abs=0.0)
+
+
+# ---------------------------------------------------------------- lag-0 near/far split
+
+
+def _unit_box(n, y0):
+    return BoxDomain(lo=(0.0,) * (n - 1) + (y0,), hi=(1.0,) * (n - 1) + (y0 + 1.0,), t0=0.0, t1=1.0)
+
+
+@pytest.mark.parametrize(
+    "n,a,y0,d_space",
+    [
+        (2, -0.4, 0.2, 8),
+        (2, -0.4, 0.0, 8),
+        (2, 0.3, 0.2, 8),
+        (2, 0.3, 0.0, 8),
+        (3, -0.4, 0.0, 2),
+    ],
+)
+def test_lag0_block_matches_full_grading(n, a, y0, d_space):
+    # every pair on all 24 levels of the graded lag-0 rule, assembled here
+    params = KernelParams(n=n, a=a)
+    mesh = BoundaryMesh(_unit_box(n, y0), params, d_space=d_space, n_steps=12)
+    d_hi = 0.5 * mesh.ht
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    edges = d_hi * 0.5 ** np.arange(25)
+    d_nodes = np.concatenate([b + (e - b) * (gl_x + 1) / 2 for e, b in zip(edges, edges[1:])])
+    d_wts = np.concatenate([gl_w * (e - b) / 2 for e, b in zip(edges, edges[1:])])
+    m, q, _ = mesh.src_nodes.shape
+    full = np.zeros((m, m))
+    for p, obs in enumerate(mesh.centers):
+        rows = bem._dl_rows(
+            params,
+            obs[None, :],
+            d_nodes,
+            mesh.src_nodes.reshape(m * q, n),
+            mesh.src_weights.reshape(-1),
+            np.repeat(mesh.normal_axis, q),
+            np.repeat(mesh.use_limit, q),
+        )
+        full[p] = (d_wts @ rows[0]).reshape(m, q).sum(axis=1)
+    got = mesh.block(0)
+    split = mesh.lag0_split
+    assert split["far_pairs"] > 0 and split["far_time_nodes"] < split["near_time_nodes"] == 192
+    assert split["far_tail_bound"] <= bem.FAR_TAIL
+    # the dropped far levels are below 1e-18 of the largest entry; what is
+    # left is summation order, a few ulps of the largest entry
+    assert np.max(np.abs(got - full)) <= 1e-14 * np.max(np.abs(full))
+
+
+def test_far_tail_profile_envelopes():
+    # the far tail bound assumes |F(s)| <= 2 (1+|s|)^{|a|/2} and
+    # |s|^{max(a,0)} |F'(s)| <= (1+|s|)^{|a|/2} over the whole range
+    s = np.concatenate([-np.logspace(-12, 13, 600), np.logspace(-12, 13, 600)])
+    for a in np.linspace(-0.99, 0.99, 23):
+        params = KernelParams(n=2, a=float(a))
+        env = (1.0 + np.abs(s)) ** (abs(a) / 2.0)
+        assert np.all(np.abs(f_profile_vec(params, s)) <= 2.0 * env)
+        chain = np.abs(f_profile_prime_vec(params, s)) * np.abs(s) ** max(a, 0.0)
+        assert np.all(chain <= env)
+
+
+def test_lag0_grad_kernel_points(monkeypatch):
+    # the criterion-12 mesh, d_space 8 and 12 steps: with all 192 graded
+    # time nodes for every pair, the 96 nodes on faces normal to y would
+    # take grad Gamma at 32 x 192 x 96 = 589,824 points, and the 96 on
+    # faces normal to x Gamma at as many
+    points = {"gamma_grad_y_vec": 0, "gamma_fs_vec": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            out = real(*args)
+            shape = out.shape[:-1] if name == "gamma_grad_y_vec" else out.shape
+            points[name] += int(np.prod(shape))
+            return out
+
+        return counted
+
+    for name in points:
+        monkeypatch.setattr(bem, name, counting(name, getattr(bem, name)))
+    mesh = BoundaryMesh(BOX, PARAMS, d_space=8, n_steps=12)
+    mesh.block(0)
+    assert 0 < points["gamma_grad_y_vec"] <= 320_000
+    assert 0 < points["gamma_fs_vec"] <= 320_000
+
+
+# ---------------------------------------------------------------- batched lift and evaluation
+
+
+@pytest.mark.parametrize("n,y0", [(2, 0.2), (2, -0.5), (3, 0.0)])
+def test_lift_matches_tensor_quadrature(n, y0):
+    params = KernelParams(n=n, a=0.3)
+    box = _unit_box(n, y0)
+    m = 12
+
+    def f0(pts):
+        return 1.0 + pts[:, 0] * pts[:, -1]
+
+    rules = [
+        weighted_rule(box.lo[i], box.hi[i], params.a if i == n - 1 else 0.0, m) for i in range(n)
+    ]
+    grid_pts, grid_w = tensor_rule([r.nodes for r in rules], [r.weights for r in rules])
+    rng = np.random.default_rng(5)
+    spatial = rng.uniform(box.lo, box.hi, (7, n))
+    times = np.array([0.05, 0.3, 0.3, 0.9, 0.0, -0.2, 1.0])
+    want = np.array(
+        [
+            np.sum(grid_w * gamma_fs_vec(params, x, t, grid_pts, box.t0) * f0(grid_pts))
+            for x, t in zip(spatial, times)
+        ]
+    )
+    got = bem._lift(params, bem.LiftGrid.build(params, box, f0, m), spatial, times)
+    assert np.all(got[times <= box.t0] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    one = initial_lift(params, box, f0, P.from_spatial(spatial[0], 0.05), m=m)
+    assert got[0] == pytest.approx(one, rel=1e-14)
+
+
+def test_evaluate_matches_pointwise():
+    zeta = P(x_prime=(0.4,), x=0.6, t=-0.3)
+    sol = solve_dirichlet(PARAMS, BOX, _gamma_data(zeta), d_space=6, n_steps=8)
+    points = [
+        P(x_prime=(0.5,), x=0.7, t=0.5),  # interior, at a step end
+        P(x_prime=(0.25,), x=0.4, t=0.5),
+        P(x_prime=(0.02,), x=0.7, t=0.5),  # near the face x' = 0
+        P(x_prime=(0.5,), x=1.19, t=0.33),  # near the top y-face, inside a step
+        P(x_prime=(0.97,), x=0.21, t=0.8),  # near a corner
+        P(x_prime=(0.5,), x=0.7, t=0.0),  # t = t0
+        P(x_prime=(0.5,), x=0.7, t=-0.1),  # before t0
+    ]
+    got = sol.evaluate(points)
+    want = np.array([sol(xi) for xi in points])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    assert got[-1] == got[-2] == sol.offset
+
+
+# ---------------------------------------------------------------- boxes across y = 0
+
+
+def test_straddling_mesh_has_plane_edge():
+    box = BoxDomain(lo=(0.0, -0.5), hi=(1.0, 0.5), t0=0.0, t1=1.0)
+    mesh = BoundaryMesh(box, PARAMS, d_space=3, n_steps=2)
+    side = mesh.normal_axis == 0
+    assert not np.any((mesh.cell_lo[:, 1] < 0.0) & (mesh.cell_hi[:, 1] > 0.0))
+    assert np.sum(side) == 2 * 4 and np.any(mesh.cell_hi[side, 1] == 0.0)
+    assert mesh.src_nodes.shape[1] == bem.CELL_NODES
+    # an edge within round-off of 0 moves onto it: no sliver cell
+    box = BoxDomain(lo=(0.0, -0.35), hi=(1.0, 0.7), t0=0.0, t1=1.0)
+    assert np.linspace(-0.35, 0.7, 4)[1] != 0.0
+    mesh = BoundaryMesh(box, PARAMS, d_space=3, n_steps=2)
+    side = mesh.normal_axis == 0
+    assert np.sum(side) == 2 * 3 and np.any(mesh.cell_hi[side, 1] == 0.0)
+    # a box off the plane keeps the uniform edges bit for bit
+    mesh = BoundaryMesh(BOX, PARAMS, d_space=3, n_steps=2)
+    side = mesh.normal_axis == 0
+    edges = np.linspace(0.2, 1.2, 4)
+    assert np.array_equal(mesh.cell_lo[side, 1], np.tile(edges[:-1], 2))
+    assert np.array_equal(mesh.cell_hi[side, 1], np.tile(edges[1:], 2))
+
+
+@pytest.mark.parametrize(
+    "n,a,d_space,n_steps,bound",
+    # n = 3 at d_space 2 is coarse: shifted to y in [0.2, 1.2], the box is off by 9.2e-2
+    [(2, -0.4, 8, 12, 1e-2), (2, 0.3, 8, 12, 1e-2), (3, 0.3, 2, 4, 0.12)],
+)
+def test_gamma_data_straddling_box(n, a, d_space, n_steps, bound):
+    # y in [-0.4, 0.6]: without the extra edge a cell would straddle y = 0
+    params = KernelParams(n=n, a=a)
+    box = _unit_box(n, -0.4)
+    zeta = P(x_prime=(0.5,) * (n - 1), x=0.1, t=-0.3)
+
+    def f(pts, t):
+        return gamma_fs_vec(params, np.atleast_2d(pts), t, zeta.spatial, zeta.t)
+
+    sol = solve_dirichlet(params, box, f, d_space=d_space, n_steps=n_steps)
+    probes = [P(x_prime=(0.5,) * (n - 1), x=y, t=t) for y in (0.0, -0.2, 0.25) for t in (0.5, 0.75)]
+    want = np.array([gamma_fs(params, xi, zeta) for xi in probes])
+    assert np.max(np.abs(sol.evaluate(probes) - want) / want) < bound
 
 
 # ---------------------------------------------------------------- u0 identity

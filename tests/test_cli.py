@@ -182,6 +182,19 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
         ("harnack", {"params": {"n": 3, "a": 0.3}, "pole": [0.0, 0.0, 0.0, -0.1]}),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "d_space": 0}),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "n_steps": 0}),
+        (
+            "dirichlet",
+            {"params": PARAMS, "box": {**BOX, "hi": [0, 1.2]}, "probes": [[0.5, 0.7, 0.5]]},
+        ),
+        (
+            "dirichlet",
+            {"params": PARAMS, "box": {**BOX, "t0": 1, "t1": 0}, "probes": [[0.5, 0.7, 0.5]]},
+        ),
+        ("dirichlet", {"params": PARAMS, "box": {**BOX, "lo": 0}, "probes": [[0.5, 0.7, 0.5]]}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[2, 0.7, 0.5]]}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0, 0.7, 0.5]]}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0]]}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 1.5]]}),
     ],
     ids=[
         "check-short-mass-point",
@@ -195,6 +208,13 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
         "harnack-n-3",
         "dirichlet-d-space-0",
         "dirichlet-n-steps-0",
+        "dirichlet-empty-box",
+        "dirichlet-reversed-time",
+        "dirichlet-scalar-corner",
+        "dirichlet-probe-outside",
+        "dirichlet-probe-on-face",
+        "dirichlet-probe-at-t0",
+        "dirichlet-probe-after-t1",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
@@ -233,7 +253,33 @@ def test_dirichlet_constant(tmp_path):
     assert float(lines[1].split(",")[5]) <= 1e-12  # abs error against constant
     assert float(lines[2].split(",")[3]) == pytest.approx(-1.0, abs=5e-3)
     env = json.loads((out / "dirichlet.json").read_text())
-    assert env["diagnostics"]["residual"] <= 1e-10
+    diags = env["diagnostics"]
+    assert diags["residual"] <= 1e-10
+    assert diags["cells"] == 16 and diags["steps"] == 4
+    assert len(diags["inner_iterations"]) == 4
+    lag0 = diags["lag0"]
+    assert lag0["near_pairs"] + lag0["far_pairs"] == 16 * 16
+    assert lag0["near_time_nodes"] == 192 and 0 < lag0["far_time_nodes"] <= 192
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dirichlet_straddling_box(tmp_path, n):
+    # the box's y-range contains the degenerate plane y = 0
+    free = [0.5] * (n - 1)
+    cfg = {
+        "params": {"n": n, "a": 0.3},
+        "box": {"lo": [0] * (n - 1) + [-0.5], "hi": [1] * (n - 1) + [0.5], "t0": 0, "t1": 1},
+        "data": "gamma",
+        "pole": free + [0.1, -0.3],
+        "probes": [free + [0.0, 0.5], free + [-0.2, 0.75], free + [0.25, 0.75]],
+        "d_space": 3 if n == 2 else 1,
+        "n_steps": 4 if n == 2 else 2,
+    }
+    code, out = run(tmp_path, "dirichlet", cfg)
+    assert code == 0
+    rows = [line.split(",") for line in (out / "dirichlet.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_wiener_report(tmp_path):
