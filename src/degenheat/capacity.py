@@ -10,22 +10,33 @@ cell average is finite because Gamma is locally integrable, and the
 scheme converges under refinement (discrete capacity overestimates,
 so results are reported with a refinement pair and a Richardson
 estimate).
+
+A near entry is the equal-weight mean of Gamma over the AVG_NODES
+Gauss-Legendre nodes per axis of the cell (their positions only, not
+the Gauss weights), in time too when the cell has a time extent.
+Gamma factorizes into 1-D heat kernels on the free axes and u_tilde on
+the weighted axis, so at each time node the mean over the spatial
+nodes is the product of the per-axis means: a near entry takes 3
+profile values per time node instead of 3^n.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import roots_legendre
 
-from .kernel import gamma_fs_vec
+from .kernel import gamma_fs_vec, u_tilde
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import integrate_weighted_interval, tensor_rule
+from .quadrature import integrate_weighted_interval, legendre_rule, tensor_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
+# peak bytes of capacity_lp over the size of its dense matrix: about 8
+# when measured (build and LP) on the fine level of a flat 32 x 32 lattice
+MATRIX_COPIES = 8
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,10 @@ class CapacityResult:
     equilibrium: DiscreteMeasure
     max_constraint_violation: float
     refinement_level: int
+    # active constraint rows handed to the LP, near (cell-averaged) entries, IPM iterations
+    lp_rows: int
+    near_pairs: int
+    lp_iterations: int
 
 
 def potential_of_measure(params: KernelParams, mu: DiscreteMeasure, xi) -> float:
@@ -78,18 +93,29 @@ def potential_of_measure_vec(
     return gam @ mu.masses
 
 
-def _cell_offsets(n: int, h_space: float, h_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre offsets over one lattice cell."""
-    x, w = roots_legendre(AVG_NODES)
-    sp_nodes = 0.5 * h_space * x
-    axes = [sp_nodes] * n
-    if h_time > 0.0:
-        axes.append(0.5 * h_time * x)
-    pts = tensor_rule(axes)
-    wts = np.ones(len(pts)) / len(pts)
-    if h_time > 0.0:
-        return pts[:, :n], pts[:, n], wts
-    return pts, np.zeros(len(pts)), wts
+def _cell_means(
+    params: KernelParams, obs_sp, obs_t, atom_sp, atom_t, h_space: float, h_time: float, snap: float
+) -> np.ndarray:
+    """Equal-weight mean of Gamma(obs; .) over the Gauss nodes of each atom's cell.
+
+    Row p pairs obs point p with atom p.  At each time node the mean
+    over the spatial nodes is the product of the per-axis means (module
+    doc); time nodes with dt < snap contribute 0.
+    """
+    x, _ = legendre_rule(AVG_NODES)
+    off = 0.5 * h_space * x
+    off_t = 0.5 * h_time * x if h_time > 0.0 else np.zeros(1)
+    dt = obs_t[:, None] - (atom_t[:, None] + off_t[None, :])
+    live = dt >= snap
+    d = np.where(live, dt, 1.0)[:, :, None]
+    mean = np.ones(d.shape[:2])
+    for k in range(params.n - 1):
+        z = obs_sp[:, None, k] - (atom_sp[:, None, k] + off[None, :])
+        mean *= np.mean(np.exp(-z[:, None, :] ** 2 / (4.0 * d)), axis=-1)
+    mean /= np.sqrt(4.0 * math.pi * d[:, :, 0]) ** (params.n - 1)
+    src_y = atom_sp[:, None, None, -1] + off[None, None, :]
+    weighted = u_tilde(params, obs_sp[:, None, None, -1], src_y, np.where(live, dt, 0.0)[:, :, None])
+    return np.mean(mean * np.mean(weighted, axis=-1), axis=-1)
 
 
 def _constraint_matrix(
@@ -100,7 +126,8 @@ def _constraint_matrix(
     atom_t: np.ndarray,
     h_space: float,
     h_time: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
+    """Constraint matrix rows x atoms and its number of near pairs."""
     A = gamma_fs_vec(
         params,
         cons_sp[:, None, :],
@@ -115,28 +142,32 @@ def _constraint_matrix(
     snap = 1e-9 * dt_scale
     dt = cons_t[:, None] - atom_t[None, :]
     A[(dt > 0.0) & (dt < snap)] = 0.0
-    near = (np.abs(dt) <= NEAR_CELLS * dt_scale) & (
-        np.max(np.abs(cons_sp[:, None, :] - atom_sp[None, :, :]), axis=-1)
-        <= NEAR_CELLS * h_space
-    )
-    if np.any(near):
-        off_sp, off_t, wts = _cell_offsets(atom_sp.shape[1], h_space, h_time)
-        js, is_ = np.nonzero(near)
-        src_sp = atom_sp[is_][:, None, :] + off_sp[None, :, :]
-        src_t = atom_t[is_][:, None] + off_t[None, :]
-        gam = np.asarray(
-            gamma_fs_vec(
-                params,
-                cons_sp[js][:, None, :],
-                cons_t[js][:, None],
-                src_sp,
-                src_t,
-            )
+    near = np.abs(dt) <= NEAR_CELLS * dt_scale
+    # one axis at a time, so no (rows, atoms, n) temporary is built
+    for k in range(cons_sp.shape[1]):
+        near &= np.abs(cons_sp[:, None, k] - atom_sp[None, :, k]) <= NEAR_CELLS * h_space
+    js, is_ = np.nonzero(near)
+    del dt, near
+    if len(js):
+        A[js, is_] = _cell_means(
+            params, cons_sp[js], cons_t[js], atom_sp[is_], atom_t[is_], h_space, h_time, snap
         )
-        dtq = cons_t[js][:, None] - src_t
-        gam[(dtq > 0.0) & (dtq < snap)] = 0.0
-        A[js, is_] = gam @ wts
-    return A
+    return A, len(js)
+
+
+def check_matrix_fits(atoms: int) -> None:
+    """Raise ValueError if the dense constraint work for atoms atoms exceeds physical memory.
+
+    The matrix is 2 atoms rows (the set and its collar) by atoms columns
+    of float64, and capacity_lp's peak is about MATRIX_COPIES times that.
+    """
+    need = MATRIX_COPIES * 2 * atoms * atoms * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"capacity matrix for {atoms} atoms needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def capacity_lp(
@@ -162,15 +193,19 @@ def capacity_lp(
     collar_dt = h_time if h_time > 0.0 else h_space ** 2
     cons_sp = np.vstack([atom_sp, atom_sp])
     cons_t = np.concatenate([atom_t, atom_t + collar_dt])
-    A = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
     m = len(atom_t)
+    check_matrix_fits(m)
+    A, near_pairs = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
     active = np.any(A > 0.0, axis=1)
     if not np.any(active):
         raise RuntimeError("capacity LP unbounded: all constraint rows vanish")
+    # the LP sees only the active rows; the others are 0, so they add
+    # nothing to the potential and A need not outlive this copy
+    A = A[active]
     res = linprog(
         c=-np.ones(m),
-        A_ub=A[active],
-        b_ub=np.ones(int(np.sum(active))),
+        A_ub=A,
+        b_ub=np.ones(len(A)),
         bounds=(0.0, None),
         method="highs-ipm",
         options={"ipm_optimality_tolerance": tol},
@@ -178,12 +213,16 @@ def capacity_lp(
     if not res.success:
         raise RuntimeError(f"capacity LP failed: {res.message}")
     masses = np.maximum(res.x, 0.0)
+    # entries are >= 0, so an inactive row's -1 never exceeds an active row's value
     violation = float(np.max(A @ masses - 1.0))
     return CapacityResult(
         cap_estimate=float(np.sum(masses)),
         equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
         max_constraint_violation=violation,
         refinement_level=refinement_level,
+        lp_rows=len(A),
+        near_pairs=near_pairs,
+        lp_iterations=int(res.nit),
     )
 
 

@@ -23,7 +23,14 @@ import numpy as np
 
 from . import __version__
 from .bem import solve_dirichlet, u0_identity
-from .capacity import box_lattice, capacity_lp, flat_lattice, flat_set_capacity
+from .capacity import (
+    CapacityResult,
+    box_lattice,
+    capacity_lp,
+    check_matrix_fits,
+    flat_lattice,
+    flat_set_capacity,
+)
 from .geometry import BoxDomain
 from .kernel import (
     bounds_sandwich,
@@ -287,33 +294,51 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
     spec = config.raw.get("set")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("capacity command needs a set block with a kind")
+    kind = spec["kind"]
+    if kind not in ("flat", "box"):
+        raise ConfigError(f"unknown set kind {kind!r}")
+    lo, hi = spec.get("lo"), spec.get("hi")
+    if not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi) == params.n):
+        raise ConfigError(f"capacity set needs lo and hi with {params.n} coordinates")
     density = int(config.raw.get("density", 16))
     if density < 1:
         raise ConfigError("capacity density must be at least 1")
     tol = float(config.raw.get("tol", 1e-8))
+    # the fine level has the most atoms: density^n per slice, density slices for a box
+    try:
+        check_matrix_fits((2 * density) ** (params.n + (kind == "box")))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    def run(dens: int) -> float:
-        if spec["kind"] == "flat":
-            pts, times, h = flat_lattice(spec["lo"], spec["hi"], float(spec["tau"]), dens)
-            return capacity_lp(params, pts, times, h, h * h, tol=tol).cap_estimate
-        if spec["kind"] == "box":
-            sp, tm, hs, ht = box_lattice(
-                spec["lo"], spec["hi"], float(spec["t0"]), float(spec["t1"]), dens
-            )
-            return capacity_lp(params, sp, tm, hs, ht, tol=tol).cap_estimate
-        raise ConfigError(f"unknown set kind {spec['kind']!r}")
+    def run(dens: int) -> CapacityResult:
+        if kind == "flat":
+            pts, times, h = flat_lattice(lo, hi, float(spec["tau"]), dens)
+            return capacity_lp(params, pts, times, h, h * h, tol=tol, refinement_level=dens)
+        sp, tm, hs, ht = box_lattice(lo, hi, float(spec["t0"]), float(spec["t1"]), dens)
+        return capacity_lp(params, sp, tm, hs, ht, tol=tol, refinement_level=dens)
 
-    coarse, fine = _map_ordered(run, [density, 2 * density], workers)
+    levels = _map_ordered(run, [density, 2 * density], workers)
+    coarse, fine = (res.cap_estimate for res in levels)
     extrapolated = 2.0 * fine - coarse
-    oracle = (
-        flat_set_capacity(params, spec["lo"], spec["hi"])
-        if spec["kind"] == "flat"
-        else math.nan
-    )
+    oracle = flat_set_capacity(params, lo, hi) if kind == "flat" else math.nan
     rows = [[density, coarse, fine, extrapolated, oracle]]
+    diags = {
+        "density_pair": [density, 2 * density],
+        "levels": [
+            {
+                "density": res.refinement_level,
+                "atoms": len(res.equilibrium.masses),
+                "lp_rows": res.lp_rows,
+                "near_pairs": res.near_pairs,
+                "lp_iterations": res.lp_iterations,
+                "max_constraint_violation": res.max_constraint_violation,
+            }
+            for res in levels
+        ],
+    }
     return (
         {"cap_extrapolated": extrapolated},
-        {"density_pair": [density, 2 * density]},
+        diags,
         ["density", "cap_coarse", "cap_fine", "cap_extrapolated", "oracle"],
         rows,
     )

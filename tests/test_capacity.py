@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from degenheat import capacity
 from degenheat.capacity import (
+    AVG_NODES,
+    NEAR_CELLS,
     CapacityResult,
     DiscreteMeasure,
     box_lattice,
@@ -17,8 +20,9 @@ from degenheat.capacity import (
     potential_of_measure_vec,
     weighted_ball_volume,
 )
-from degenheat.kernel import gamma_fs
+from degenheat.kernel import gamma_fs, gamma_fs_vec
 from degenheat.params import KernelParams, SpaceTimePoint
+from degenheat.quadrature import legendre_rule, tensor_rule
 
 PARAMS = KernelParams(n=2, a=0.3)
 
@@ -157,3 +161,93 @@ def test_cylinder_capacity_ratio_stable():
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
         capacity_lp(PARAMS, np.zeros((0, 2)), np.zeros(0), 0.1, 0.1)
+
+
+def test_oversized_matrix_rejected_before_allocation():
+    # 2 x 300,000^2 float64 entries are 1.4 TB: refused before any is built
+    with pytest.raises(ValueError, match="physical memory"):
+        capacity_lp(PARAMS, np.zeros((300_000, 2)), np.zeros(300_000), 0.1, 0.1)
+
+
+# ------------------------------------------------------- constraint matrix
+
+
+def _constraint_set(n, kind):
+    lo = [-0.5] * (n - 1) + [0.2]
+    hi = [0.5] * (n - 1) + [1.2]
+    if kind == "straddle":
+        lo[-1], hi[-1] = -0.4, 0.6
+    if kind in ("flat-0", "flat-h2"):
+        sp, ts, hs = flat_lattice(lo, hi, 0.0, 6 if n == 2 else 4)
+        ht = 0.0 if kind == "flat-0" else hs * hs
+    else:
+        sp, ts, hs, ht = box_lattice(lo, hi, 0.0, 0.5, 5 if n == 2 else 3)
+    collar = ht if ht > 0.0 else hs * hs
+    cons_sp = np.vstack([sp, sp])
+    cons_t = np.concatenate([ts, ts + collar])
+    return cons_sp, cons_t, sp, ts, hs, ht
+
+
+def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
+    """The constraint matrix with every near entry averaged over all tensor nodes."""
+    ref = gamma_fs_vec(params, cons_sp[:, None, :], cons_t[:, None], atom_sp[None], atom_t[None])
+    dt_scale = ht if ht > 0.0 else hs * hs
+    snap = 1e-9 * dt_scale
+    dt = cons_t[:, None] - atom_t[None, :]
+    ref[(dt > 0.0) & (dt < snap)] = 0.0
+    near = (np.abs(dt) <= NEAR_CELLS * dt_scale) & (
+        np.max(np.abs(cons_sp[:, None, :] - atom_sp[None, :, :]), axis=-1) <= NEAR_CELLS * hs
+    )
+    x, _ = legendre_rule(AVG_NODES)
+    n = params.n
+    axes = [0.5 * hs * x] * n + ([0.5 * ht * x] if ht > 0.0 else [np.zeros(1)])
+    offsets = tensor_rule(axes)
+    js, is_ = np.nonzero(near)
+    src_t = atom_t[is_, None] + offsets[None, :, n]
+    gam = gamma_fs_vec(
+        params,
+        cons_sp[js, None, :],
+        cons_t[js, None],
+        atom_sp[is_, None, :] + offsets[None, :, :n],
+        src_t,
+    )
+    dtq = cons_t[js, None] - src_t
+    gam[(dtq > 0.0) & (dtq < snap)] = 0.0
+    ref[js, is_] = np.mean(gam, axis=1)
+    return ref, len(js)
+
+
+@pytest.mark.parametrize("kind", ["flat-0", "flat-h2", "box", "straddle"])
+@pytest.mark.parametrize("a", [-0.5, 0.3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_constraint_matrix_matches_tensor_rule(n, a, kind):
+    params = KernelParams(n=n, a=a)
+    args = _constraint_set(n, kind)
+    A, near_pairs = capacity._constraint_matrix(params, *args)
+    ref, ref_near = _tensor_reference(params, *args)
+    assert near_pairs == ref_near > 0
+    assert np.array_equal(A != 0.0, ref != 0.0)
+    live = ref != 0.0
+    assert np.max(np.abs(A[live] - ref[live]) / ref[live]) <= 1e-13
+
+
+def test_near_entry_profile_points(monkeypatch):
+    # a near entry takes 3 weighted-axis values per time node; the full
+    # tensor rule would take 3^(n+1) = 81 kernel points for n = 3
+    points = {"gamma_fs_vec": 0, "u_tilde": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            out = real(*args)
+            points[name] += int(np.size(out))
+            return out
+
+        return counted
+
+    for name in points:
+        monkeypatch.setattr(capacity, name, counting(name, getattr(capacity, name)))
+    params = KernelParams(n=3, a=0.3)
+    cons_sp, cons_t, sp, ts, hs, ht = _constraint_set(3, "box")
+    A, near_pairs = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, ht)
+    assert near_pairs > 0
+    assert sum(points.values()) <= A.size + 9 * near_pairs

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,18 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0, 0.7, 0.5]]}),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0]]}),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 1.5]]}),
+        (
+            "capacity",
+            {
+                "params": PARAMS,
+                "set": {"kind": "box", "lo": [0, 0], "hi": [1, 1], "t0": 0, "t1": 1},
+                "density": 64,
+            },
+        ),
+        (
+            "capacity",
+            {"params": PARAMS, "set": {"kind": "flat", "lo": [0], "hi": [1], "tau": 0.0}},
+        ),
     ],
     ids=[
         "check-short-mass-point",
@@ -215,12 +228,31 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
         "dirichlet-probe-on-face",
         "dirichlet-probe-at-t0",
         "dirichlet-probe-after-t1",
+        "capacity-box-density-64",
+        "capacity-short-corner",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
     assert run(tmp_path, cmd, cfg)[0] == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_oversized_capacity_exits_2_before_allocating(tmp_path, capsys):
+    cfg = {
+        "params": PARAMS,
+        "set": {"kind": "box", "lo": [0, 0], "hi": [1, 1], "t0": 0, "t1": 1},
+        "density": 64,
+    }
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "capacity", cfg)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert "GiB" in capsys.readouterr().err
 
 
 def test_capacity_with_oracle(tmp_path):
@@ -234,6 +266,15 @@ def test_capacity_with_oracle(tmp_path):
     row = (out / "capacity.csv").read_text().splitlines()[1].split(",")
     extrapolated, oracle = float(row[3]), float(row[4])
     assert abs(extrapolated - oracle) / oracle < 0.1
+    levels = json.loads((out / "capacity.json").read_text())["diagnostics"]["levels"]
+    assert [lev["density"] for lev in levels] == [8, 16]
+    for lev in levels:
+        # every row is active: a set row sees the earlier time nodes of nearby cells
+        assert lev["atoms"] == lev["density"] ** 2
+        assert lev["lp_rows"] == 2 * lev["atoms"]
+        assert lev["atoms"] < lev["near_pairs"] <= 50 * lev["atoms"]
+        assert lev["lp_iterations"] > 0
+        assert abs(lev["max_constraint_violation"]) <= 1e-6
 
 
 def test_dirichlet_constant(tmp_path):
