@@ -297,9 +297,12 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
     kind = spec["kind"]
     if kind not in ("flat", "box"):
         raise ConfigError(f"unknown set kind {kind!r}")
-    lo, hi = spec.get("lo"), spec.get("hi")
-    if not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi) == params.n):
-        raise ConfigError(f"capacity set needs lo and hi with {params.n} coordinates")
+    try:
+        tau = float(spec["tau"]) if kind == "flat" else 0.0
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"set block invalid: {exc}") from exc
+    # a flat set's corners are checked as those of a box over [tau, tau + 1]
+    box = _box(spec if kind == "box" else {**spec, "t0": tau, "t1": tau + 1.0}, params.n)
     density = int(config.raw.get("density", 16))
     if density < 1:
         raise ConfigError("capacity density must be at least 1")
@@ -312,15 +315,15 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
 
     def run(dens: int) -> CapacityResult:
         if kind == "flat":
-            pts, times, h = flat_lattice(lo, hi, float(spec["tau"]), dens)
+            pts, times, h = flat_lattice(box.lo, box.hi, tau, dens)
             return capacity_lp(params, pts, times, h, h * h, tol=tol, refinement_level=dens)
-        sp, tm, hs, ht = box_lattice(lo, hi, float(spec["t0"]), float(spec["t1"]), dens)
+        sp, tm, hs, ht = box_lattice(box.lo, box.hi, box.t0, box.t1, dens)
         return capacity_lp(params, sp, tm, hs, ht, tol=tol, refinement_level=dens)
 
     levels = _map_ordered(run, [density, 2 * density], workers)
     coarse, fine = (res.cap_estimate for res in levels)
     extrapolated = 2.0 * fine - coarse
-    oracle = flat_set_capacity(params, lo, hi) if kind == "flat" else math.nan
+    oracle = flat_set_capacity(params, box.lo, box.hi) if kind == "flat" else math.nan
     rows = [[density, coarse, fine, extrapolated, oracle]]
     diags = {
         "density_pair": [density, 2 * density],

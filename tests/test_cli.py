@@ -208,6 +208,12 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
             "capacity",
             {"params": PARAMS, "set": {"kind": "flat", "lo": [0], "hi": [1], "tau": 0.0}},
         ),
+        (
+            "capacity",
+            {"params": PARAMS, "set": {"kind": "flat", "lo": [1, 1], "hi": [0, 0], "tau": 0.0}},
+        ),
+        ("capacity", {"params": PARAMS, "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1]}}),
+        ("capacity", {"params": PARAMS, "set": {"kind": "box", **BOX, "t1": 0}}),
     ],
     ids=[
         "check-short-mass-point",
@@ -230,6 +236,9 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
         "dirichlet-probe-after-t1",
         "capacity-box-density-64",
         "capacity-short-corner",
+        "capacity-empty-set",
+        "capacity-flat-no-tau",
+        "capacity-box-no-time-span",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
