@@ -156,7 +156,7 @@ def _constraint_matrix(
 
 
 def check_matrix_fits(atoms: int) -> None:
-    """Raise ValueError if the dense constraint work for atoms atoms exceeds physical memory.
+    """Raise ValueError if capacity_lp's dense work for this many atoms exceeds physical memory.
 
     The matrix is 2 atoms rows (the set and its collar) by atoms columns
     of float64, and capacity_lp's peak is about MATRIX_COPIES times that.
