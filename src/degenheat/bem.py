@@ -53,14 +53,13 @@ probe time, and one for the refined rules of all near cells.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
 from .geometry import BoxDomain
-from .kernel import gamma_fs, gamma_fs_vec, gamma_grad_y_vec, u_tilde, weighted_normal_limit_vec
+from .kernel import gamma_fs_vec, gamma_grad_y_vec, u_tilde, weighted_normal_limit_vec
 from .params import KernelParams, SpaceTimePoint
 from .quadrature import gauss_legendre, graded_breakpoints, tensor_rule, weighted_rule
 
@@ -74,10 +73,6 @@ GRADED_LEVELS = 24
 FAR_TAIL = 1e-18
 # observation x source node x time points per kernel call
 CHUNK_POINTS = 1 << 16
-
-
-class AmbiguityWarning(UserWarning):
-    """Probe point within mesh resolution of a corner or face."""
 
 
 def _dl_rows(params: KernelParams, obs_sp, dts, src, weights, normal_axis, on_plane) -> np.ndarray:
@@ -433,7 +428,7 @@ class BoundaryDensity:
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("density values must be finite")
+            raise RuntimeError("density values must be finite")
 
 
 def dl_kernel_entry(
@@ -712,7 +707,6 @@ def u0_identity(
     box: BoxDomain,
     xi: SpaceTimePoint,
     eps: float | None = None,
-    resolution: float = 0.0,
 ) -> float:
     """Constant-density double-layer value via the volume identity.
 
@@ -732,11 +726,6 @@ def u0_identity(
             d = abs(xi.spatial[i] - c)
             if d > 0.0:
                 dists.append(d)
-            if resolution > 0.0 and 0.0 < d < resolution:
-                warnings.warn(
-                    f"probe within resolution {resolution} of a face",
-                    AmbiguityWarning,
-                )
     dmin = min(dists) if dists else scale
     if eps is None:
         eps = min((dmin / 13.0) ** 2, (1e-3 * scale) ** 2)
@@ -756,25 +745,3 @@ def u0_identity(
     prod *= float(np.sum(rule.weights * vals))
     return -prod
 
-
-def green_function_box(
-    params: KernelParams,
-    box: BoxDomain,
-    xi: SpaceTimePoint,
-    zeta: SpaceTimePoint,
-) -> float:
-    """Green function of the box: Gamma minus the lifted boundary data.
-
-    zeta must lie inside the box strictly after t0 so that its trace on
-    the parabolic boundary is continuous.
-    """
-    if xi.t <= zeta.t:
-        return 0.0
-    if not box.contains(zeta):
-        raise ValueError("pole must lie inside the box")
-
-    def f(pts, t):
-        return gamma_fs_vec(params, pts, t, zeta.spatial, zeta.t)
-
-    sol = solve_dirichlet(params, box, f)
-    return gamma_fs(params, xi, zeta) - sol(xi)

@@ -1,10 +1,12 @@
 """Batch front-end: JSON config in, CSV/JSON envelopes out.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical
-failure (non-convergence or a non-finite kernel value).  Identical
-configs produce identical CSV bytes regardless of worker count; workers
-only parallelize independent sub-tasks and results are reduced in fixed
-task order.
+failure (non-convergence or a non-finite value).  The library
+raises ValueError for a bad argument and RuntimeError for a numerical
+failure; main maps KeyError, TypeError and ValueError to exit 2 and
+RuntimeError to exit 3, each with a single stderr line.  Commands run
+serially: --workers is accepted and must be at least 1, but it changes
+nothing, so identical configs produce identical CSV bytes.
 """
 from __future__ import annotations
 
@@ -12,10 +14,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,10 +66,7 @@ class RunConfig:
         block = raw.get("params")
         if not isinstance(block, dict) or "n" not in block or "a" not in block:
             raise ConfigError("config needs params: {n, a}")
-        try:
-            params = KernelParams(n=int(block["n"]), a=float(block["a"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        params = KernelParams(n=int(block["n"]), a=float(block["a"]))
         if tol is not None:
             if not tol > 0.0:
                 raise ConfigError("tolerance override must be positive")
@@ -118,13 +115,6 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _point(coords, n: int, label: str) -> SpaceTimePoint:
     coords = [float(c) for c in coords]
     if len(coords) != n + 1:
@@ -133,25 +123,19 @@ def _point(coords, n: int, label: str) -> SpaceTimePoint:
 
 
 def _box(cfg: dict, n: int) -> BoxDomain:
-    try:
-        lo, hi = [float(v) for v in cfg["lo"]], [float(v) for v in cfg["hi"]]
-        t0, t1 = float(cfg["t0"]), float(cfg["t1"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"box block invalid: {exc}") from exc
+    lo, hi = [float(v) for v in cfg["lo"]], [float(v) for v in cfg["hi"]]
+    t0, t1 = float(cfg["t0"]), float(cfg["t1"])
     if len(lo) != n or len(hi) != n:
         raise ConfigError(f"box corners need {n} coordinates")
     if not all(math.isfinite(v) for v in (*lo, *hi, t0, t1)):
         raise ConfigError("box coordinates must be finite")
-    try:
-        return BoxDomain(lo=tuple(lo), hi=tuple(hi), t0=t0, t1=t1)
-    except ValueError as exc:
-        raise ConfigError(f"box block invalid: {exc}") from exc
+    return BoxDomain(lo=tuple(lo), hi=tuple(hi), t0=t0, t1=t1)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_kernel(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
+def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
     n = config.params.n
     points = config.raw.get("points")
     if not isinstance(points, list) or not points:
@@ -177,7 +161,7 @@ def cmd_kernel(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]
             + [lower, upper]
         )
 
-    rows = _map_ordered(row, pairs, workers)
+    rows = [row(pair) for pair in pairs]
     bad = [i for i, r in enumerate(rows) if not all(math.isfinite(v) for v in r)]
     if bad:
         raise RuntimeError(f"non-finite kernel output at point {bad[0]}")
@@ -193,7 +177,7 @@ def cmd_kernel(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]
     return {"rows": len(rows)}, {}, header, rows
 
 
-def cmd_check(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
+def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
     tol = float(config.raw.get("tol", 1e-6))
     perturb = float(config.raw.get("perturb", 1.0))
     mass_points = config.raw.get("mass_points", [])
@@ -228,7 +212,7 @@ def cmd_check(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
     )
 
 
-def cmd_dirichlet(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
+def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     box = _box(config.raw.get("box", {}), params.n)
     d_space = int(config.raw.get("d_space", 6))
@@ -289,7 +273,7 @@ def cmd_dirichlet(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
     return {"rows": len(rows)}, diags, header, rows
 
 
-def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
+def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     spec = config.raw.get("set")
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -297,10 +281,7 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
     kind = spec["kind"]
     if kind not in ("flat", "box"):
         raise ConfigError(f"unknown set kind {kind!r}")
-    try:
-        tau = float(spec["tau"]) if kind == "flat" else 0.0
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"set block invalid: {exc}") from exc
+    tau = float(spec["tau"]) if kind == "flat" else 0.0
     # a flat set's corners are checked as those of a box over [tau, tau + 1]
     box = _box(spec if kind == "box" else {**spec, "t0": tau, "t1": tau + 1.0}, params.n)
     density = int(config.raw.get("density", 16))
@@ -308,10 +289,7 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
         raise ConfigError("capacity density must be at least 1")
     tol = float(config.raw.get("tol", 1e-8))
     # the fine level has the most atoms: density^n per slice, density slices for a box
-    try:
-        check_matrix_fits((2 * density) ** (params.n + (kind == "box")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_matrix_fits((2 * density) ** (params.n + (kind == "box")))
 
     def run(dens: int) -> CapacityResult:
         if kind == "flat":
@@ -320,7 +298,7 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
         sp, tm, hs, ht = box_lattice(box.lo, box.hi, box.t0, box.t1, dens)
         return capacity_lp(params, sp, tm, hs, ht, tol=tol, refinement_level=dens)
 
-    levels = _map_ordered(run, [density, 2 * density], workers)
+    levels = [run(density), run(2 * density)]
     coarse, fine = (res.cap_estimate for res in levels)
     extrapolated = 2.0 * fine - coarse
     oracle = flat_set_capacity(params, box.lo, box.hi) if kind == "flat" else math.nan
@@ -347,28 +325,18 @@ def cmd_capacity(config: RunConfig, workers: int) -> tuple[dict, dict, list, lis
     )
 
 
-def cmd_wiener(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
+def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     xi0 = _point(config.raw.get("xi0", ()), params.n, "xi0")
     dom_block = config.raw.get("domain")
     if not isinstance(dom_block, dict):
         raise ConfigError("wiener command needs a domain descriptor")
-    try:
-        domain = DomainDescriptor(
-            tuple(dom_block["primitives"]), tuple(dom_block.get("ops", ()))
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"domain descriptor invalid: {exc}") from exc
+    domain = DomainDescriptor(tuple(dom_block["primitives"]), tuple(dom_block.get("ops", ())))
     lam = float(config.raw.get("lambda", 0.5))
     k_max = int(config.raw.get("k_max", 12))
     density = int(config.raw.get("density", 10))
     sweep = tuple(float(v) for v in config.raw.get("sweep", ()))
-    try:
-        report = wiener_series(
-            params, xi0, domain, lam=lam, k_max=k_max, density=density, sweep=sweep
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = wiener_series(params, xi0, domain, lam=lam, k_max=k_max, density=density, sweep=sweep)
     rows = [
         [lam, row["k"], row["cap"], row["weight"], row["term"], s]
         for row, s in zip(report.terms, report.partial_sums)
@@ -381,7 +349,7 @@ def cmd_wiener(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]
     )
 
 
-def cmd_meanvalue(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
+def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     xi0 = _point(config.raw.get("xi0", ()), params.n, "xi0")
     radii = [float(r) for r in config.raw.get("radii", [])]
@@ -407,14 +375,11 @@ def cmd_meanvalue(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
 
         cases.append(("gamma", ug, gamma_fs(params, xi0, pole)))
 
-    tasks = [(name, u, want, r) for name, u, want in cases for r in radii]
-
-    def run(task):
-        name, u, want, r = task
-        mean = solid_mean(params, u, xi0, r, density=density)
-        return [name, r, mean, want, abs(mean - want) / abs(want)]
-
-    rows = _map_ordered(run, tasks, workers)
+    rows = []
+    for name, u, want in cases:
+        for r in radii:
+            mean = solid_mean(params, u, xi0, r, density=density)
+            rows.append([name, r, mean, want, abs(mean - want) / abs(want)])
     worst = max(row[-1] for row in rows)
     return (
         {"max_rel_err": worst},
@@ -424,7 +389,7 @@ def cmd_meanvalue(config: RunConfig, workers: int) -> tuple[dict, dict, list, li
     )
 
 
-def cmd_harnack(config: RunConfig, workers: int) -> tuple[dict, dict, list, list]:
+def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     if params.n != 2:
         raise ConfigError("harnack command supports n = 2")
@@ -439,11 +404,7 @@ def cmd_harnack(config: RunConfig, workers: int) -> tuple[dict, dict, list, list
     def u(pts, t):
         return gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)
 
-    reports = _map_ordered(
-        lambda dens: harnack_quotient(params, r, u, density=dens),
-        [density, 2 * density],
-        workers,
-    )
+    reports = [harnack_quotient(params, r, u, density=dens) for dens in (density, 2 * density)]
     rows = [
         [dens, rep.bottom_average, rep.interior_inf, rep.quotient]
         for dens, rep in zip([density, 2 * density], reports)
@@ -475,11 +436,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=int(os.environ.get("DEGENHEAT_WORKERS", "1")),
-        )
+        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     try:
@@ -487,9 +444,12 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("workers must be at least 1")
         start = time.monotonic()
-        payload, diags, header, rows = _COMMANDS[args.command](config, args.workers)
+        payload, diags, header, rows = _COMMANDS[args.command](config)
         elapsed = time.monotonic() - start
-    except ConfigError as exc:
+    except KeyError as exc:
+        print(f"config error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
@@ -503,7 +463,7 @@ def main(argv=None) -> int:
         version=__version__,
         wall_time_s=elapsed,
         payload=payload,
-        diagnostics={**diags, "workers": args.workers},
+        diagnostics=diags,
     )
     (out / f"{args.command}.json").write_text(envelope.to_json() + "\n")
     _write_csv(out / f"{args.command}.csv", header, rows)

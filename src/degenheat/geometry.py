@@ -1,4 +1,4 @@
-"""Level-set regions of the kernel: heat balls, shells, cylinders, boxes.
+"""Level-set regions of the kernel: heat balls, shells, boxes.
 
 The heat ball of radius parameter r at xi0 = (X0, t0) is the superlevel
 set {zeta : Gamma(xi0; zeta) > theta(r)} with the threshold
@@ -103,10 +103,6 @@ class HeatBallSample:
     h_space: float = 0.0
     h_time: float = 0.0
 
-    @property
-    def total_volume(self) -> float:
-        return self.cell_volume * len(self.times)
-
 
 def heat_ball_sample(ball: HeatBall, density: int) -> HeatBallSample:
     """Lattice points of the bounding box that lie inside the ball.
@@ -183,34 +179,6 @@ class Shell:
 
 
 @dataclass(frozen=True)
-class Cylinder:
-    """Closed cylinder {-c1 r^2 <= t - t0 <= 0, |X - X0| <= c2 r}."""
-
-    center: SpaceTimePoint
-    r: float
-    c1: float = 1.0
-    c2: float = 1.0
-
-    def contains(self, zeta: SpaceTimePoint) -> bool:
-        dt = zeta.t - self.center.t
-        if dt > 0.0 or dt < -self.c1 * self.r ** 2:
-            return False
-        dist = float(np.linalg.norm(zeta.spatial - self.center.spatial))
-        return dist <= self.c2 * self.r
-
-
-def lens_region_contains(params: KernelParams, r: float, X, t: float) -> bool:
-    """Membership in Q(r) = {-3r/4 < t < 0, |X|^2 < 2(n+a) t log(-t/r)}."""
-    if not r > 0.0:
-        raise ValueError("r must be positive")
-    if not -3.0 * r / 4.0 < t < 0.0:
-        return False
-    X = np.asarray(X, dtype=float)
-    rhs = 2.0 * (params.n + params.a) * t * math.log(-t / r)
-    return float(np.sum(X * X)) < rhs
-
-
-@dataclass(frozen=True)
 class BoxDomain:
     """Axis-aligned spatial box with time span [t0, t0 + T].
 
@@ -246,20 +214,6 @@ class BoxDomain:
         if not self.t0 < zeta.t <= self.t1:
             return False
         return bool(self.contains_spatial(zeta.spatial)[0])
-
-    def classify_spatial(self, spatial, tol: float = 1e-10) -> str:
-        """'interior', 'face', 'corner' (edge of >= 2 faces) or 'exterior'."""
-        spatial = np.asarray(spatial, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        if np.any(spatial < lo - tol) or np.any(spatial > hi + tol):
-            return "exterior"
-        on = np.sum(
-            (np.abs(spatial - lo) <= tol) | (np.abs(spatial - hi) <= tol)
-        )
-        if on == 0:
-            return "interior"
-        return "face" if on == 1 else "corner"
 
     def faces(self) -> list[tuple[int, int, float]]:
         """(axis, side, coordinate) for all 2n lateral faces; side in {0,1}."""

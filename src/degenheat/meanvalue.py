@@ -35,18 +35,6 @@ def phi_weight(params: KernelParams, x0: float, r: float) -> float:
     return (4.0 * math.pi * r) ** ((n + a) / 2.0) * (1.0 + x0 * x0 / r) ** (a / 2.0)
 
 
-def phi_weight_prime(params: KernelParams, x0: float, r: float) -> float:
-    """d phi / d r; positive for all r > 0."""
-    if not r > 0.0:
-        raise ValueError("radius parameter must be positive")
-    n, a = params.n, params.a
-    return (
-        (4.0 * math.pi * r) ** ((n + a) / 2.0)
-        * (1.0 + x0 * x0 / r) ** (a / 2.0 - 1.0)
-        * ((n + a) / (2.0 * r) + n * x0 * x0 / (2.0 * r * r))
-    )
-
-
 def _section_radius2(
     params: KernelParams, xi0: SpaceTimePoint, log_theta: float, delta, ys
 ) -> np.ndarray:

@@ -6,7 +6,7 @@ with the weight acting on the last spatial coordinate y and a in (-1, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""Wiener-series regularity tester and the exterior-ball barrier.
+"""Wiener-series regularity tester.
 
 The series term at scale k is the discrete capacity of the complement
 of the domain inside the Gamma-level shell A(xi0, lambda^k), scaled by
@@ -33,14 +33,14 @@ def _primitive_mask(prim: dict, spatial: np.ndarray, times: np.ndarray) -> np.nd
     if kind == "box":
         lo = np.asarray(prim["lo"], dtype=float)
         hi = np.asarray(prim["hi"], dtype=float)
-        t0, t1 = prim["t"]
+        t0, t1 = map(float, prim["t"])
         mask = (times > t0) & (times < t1)
         mask &= np.all((spatial > lo) & (spatial < hi), axis=-1)
     elif kind == "half-space":
         normal = np.asarray(prim["normal"], dtype=float)
         mask = spatial @ normal[:-1] + times * normal[-1] < prim["offset"]
     elif kind == "time-slab":
-        t0, t1 = prim["t"]
+        t0, t1 = map(float, prim["t"])
         mask = (times > t0) & (times < t1)
     elif kind == "cusp":
         center = np.asarray(prim["center"], dtype=float)
@@ -239,6 +239,8 @@ def wiener_series(
     reported alongside (the true series diverges for one lambda exactly
     when it diverges for all).
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     _check_boundary_point(domain, xi0, params.n)
 
     def run(lam_val: float):
@@ -277,69 +279,3 @@ def wiener_series(
         lambda_sweep=sweep_verdicts,
     )
 
-
-def exterior_ball_barrier(
-    params: KernelParams, xi1: SpaceTimePoint, R1: float, j: float, xi: SpaceTimePoint
-) -> float:
-    """Barrier e^{-j R1^2} - e^{-j R^2} with R the space-time distance to xi1."""
-    if not R1 > 0.0 or not j > 0.0:
-        raise ValueError("ball radius and exponent must be positive")
-    diff = np.append(
-        np.asarray(xi.spatial) - np.asarray(xi1.spatial), xi.t - xi1.t
-    )
-    r2 = float(diff @ diff)
-    return math.exp(-j * R1 * R1) - math.exp(-j * r2)
-
-
-def barrier_certificate(
-    params: KernelParams,
-    xi1: SpaceTimePoint,
-    R1: float,
-    j: float,
-    spatial,
-    times,
-    h: float = 1e-5,
-    tol: float = 1e-5,
-) -> dict:
-    """Finite-difference supersolution check of the barrier.
-
-    Evaluates -D_t w + Delta_X w + (a/x) D_x w at the samples by central
-    differences, normalized by the 2 j e^{-j R^2} prefactor so the sign
-    test is scale-free; the certificate passes when the maximum is
-    below tol.  Samples on the degeneracy plane are rejected (the
-    weighted first derivative vanishes there; the operator value is a
-    one-sided limit).
-    """
-    spatial = np.atleast_2d(np.asarray(spatial, dtype=float))
-    times = np.asarray(times, dtype=float)
-    if np.any(spatial[:, -1] == 0.0):
-        raise ValueError("certificate samples must avoid the degeneracy plane")
-
-    def w(sp, t):
-        diff = np.concatenate(
-            [sp - np.asarray(xi1.spatial), (t - xi1.t)[:, None]], axis=-1
-        )
-        r2 = np.sum(diff * diff, axis=-1)
-        return np.exp(-j * R1 * R1) - np.exp(-j * r2)
-
-    base = w(spatial, times)
-    val = -(w(spatial, times + h) - w(spatial, times - h)) / (2.0 * h)
-    for axis in range(params.n):
-        up = spatial.copy()
-        dn = spatial.copy()
-        up[:, axis] += h
-        dn[:, axis] -= h
-        val += (w(up, times) - 2.0 * base + w(dn, times)) / (h * h)
-        if axis == params.n - 1:
-            val += (
-                params.a
-                / spatial[:, axis]
-                * (w(up, times) - w(dn, times))
-                / (2.0 * h)
-            )
-    diff = np.concatenate(
-        [spatial - np.asarray(xi1.spatial), (times - xi1.t)[:, None]], axis=-1
-    )
-    scale = 2.0 * j * np.exp(-j * np.sum(diff * diff, axis=-1))
-    worst = float(np.max(val / scale))
-    return {"max_operator_value": worst, "passes": worst <= tol}

@@ -7,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenheat.cli import main
 
@@ -110,16 +113,7 @@ def test_determinism_across_workers(tmp_path):
     out2 = tmp_path / "out2"
     assert main(["kernel", "--config", cfgp, "--out", str(out2), "--workers", "4"]) == 0
     assert (out2 / "kernel.csv").read_bytes() == csv1
-    env = json.loads((out2 / "kernel.json").read_text())
-    assert env["diagnostics"]["workers"] == 4
-
-
-def test_workers_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("DEGENHEAT_WORKERS", "3")
-    code, out = run(tmp_path, "kernel", KERNEL_CFG)
-    assert code == 0
-    env = json.loads((out / "kernel.json").read_text())
-    assert env["diagnostics"]["workers"] == 3
+    assert main(["kernel", "--config", cfgp, "--out", str(out2), "--workers", "0"]) == 2
 
 
 def test_check_pass_and_sensitivity(tmp_path):
@@ -157,6 +151,8 @@ def test_config_errors(tmp_path):
 
 
 BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
+XI0 = [0.5, 0.7, 0.0]
+BOX_DOMAIN = {"primitives": [{"type": "box", "lo": [0, 0.2], "hi": [1, 1.2], "t": [0, 1]}]}
 
 
 @pytest.mark.parametrize(
@@ -214,6 +210,26 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
         ),
         ("capacity", {"params": PARAMS, "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1]}}),
         ("capacity", {"params": PARAMS, "set": {"kind": "box", **BOX, "t1": 0}}),
+        ("kernel", {"params": PARAMS, "points": [{"xi": [0.5, 0.7, 0.5]}]}),
+        ("kernel", {"params": PARAMS, "points": [{"xi": [0.5, "x", 0.5], "zeta": [0, 0, 0]}]}),
+        ("kernel", {"params": PARAMS, "points": [[0.5, 0.7, 0.5]]}),
+        ("kernel", {**KERNEL_CFG, "params": {"n": 2, "a": None}}),
+        ("check", {"params": PARAMS, "mass_points": [[0.5, 0.7, 0.3]], "tol": "abc"}),
+        ("check", {"params": PARAMS, "semigroup": [["a", 1, 1, 1]]}),
+        ("check", {"params": PARAMS, "mass_points": [[0.5, 0.7, -0.3]]}),
+        ("check", {"params": PARAMS, "semigroup": [[0.4, 0.6, 0.0, 0.3]]}),
+        (
+            "wiener",
+            {
+                "params": PARAMS,
+                "xi0": XI0,
+                "domain": {"primitives": [{"type": "box", "lo": [0, 0.2], "t": [0, 1]}]},
+            },
+        ),
+        ("wiener", {"params": PARAMS, "xi0": XI0, "domain": BOX_DOMAIN, "k_max": 0}),
+        ("meanvalue", {"params": PARAMS, "xi0": XI0, "radii": "abc"}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "d_space": "x"}),
+        ("harnack", {"params": PARAMS, "pole": [0.0, 0.0, -0.1], "density": "x"}),
     ],
     ids=[
         "check-short-mass-point",
@@ -239,12 +255,112 @@ BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
         "capacity-empty-set",
         "capacity-flat-no-tau",
         "capacity-box-no-time-span",
+        "kernel-no-zeta",
+        "kernel-non-numeric-coordinate",
+        "kernel-point-as-list",
+        "params-a-null",
+        "check-tol-string",
+        "check-semigroup-string",
+        "check-mass-negative-t",
+        "check-semigroup-t-0",
+        "wiener-box-no-hi",
+        "wiener-k-max-0",
+        "meanvalue-radii-string",
+        "dirichlet-d-space-string",
+        "harnack-density-string",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
     assert run(tmp_path, cmd, cfg)[0] == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+# one small valid config per command; the fuzz test breaks one field of it
+SMALL_CONFIGS = {
+    "kernel": KERNEL_CFG,
+    "check": {
+        "params": PARAMS,
+        "mass_points": [[0.5, 0.7, 0.3]],
+        "semigroup": [[0.4, 0.6, 0.2, 0.3]],
+        "tol": 1e-6,
+        "perturb": 1.0,
+    },
+    "dirichlet": {
+        "params": PARAMS,
+        "box": BOX,
+        "data": "constant",
+        "constant": 1.0,
+        "probes": [[0.5, 0.7, 0.5]],
+        "u0_probes": [[0.5, 0.7, 0.5]],
+        "d_space": 2,
+        "n_steps": 2,
+    },
+    "capacity": {
+        "params": PARAMS,
+        "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+        "density": 2,
+        "tol": 1e-8,
+    },
+    "wiener": {
+        "params": PARAMS,
+        "xi0": XI0,
+        "domain": BOX_DOMAIN,
+        "lambda": 0.5,
+        "k_max": 2,
+        "density": 4,
+        "sweep": [0.5],
+    },
+    "meanvalue": {
+        "params": PARAMS,
+        "xi0": XI0,
+        "radii": [0.02],
+        "density": 2,
+        "pole": [0.3, 0.4, -0.5],
+    },
+    "harnack": {"params": PARAMS, "r": 0.02, "pole": [0.0, 0.0, -0.1], "density": 4},
+}
+MISSING = object()
+BAD_VALUES = [MISSING, None, "x", True, [], {}, -1, -0.5]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON value, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _broken(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
+def test_small_configs_run(tmp_path, cmd):
+    assert run(tmp_path, cmd, SMALL_CONFIGS[cmd])[0] == 0
+
+
+@pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
+@settings(max_examples=30, deadline=10_000, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzz_one_broken_field(cmd, data):
+    cfg = SMALL_CONFIGS[cmd]
+    path = data.draw(st.sampled_from(list(_paths(cfg))), label="path")
+    value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = write_cfg(Path(tmp), "cfg.json", _broken(cfg, path, value))
+        code = main([cmd, "--config", cfgp, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
 
 
 def test_oversized_capacity_exits_2_before_allocating(tmp_path, capsys):

@@ -15,7 +15,6 @@ from degenheat.meanvalue import (
     harnack_quotient,
     mean_derivative_sign,
     phi_weight,
-    phi_weight_prime,
     solid_mean,
 )
 from degenheat.params import KernelParams, SpaceTimePoint
@@ -46,19 +45,6 @@ def test_phi_positive_and_increasing():
         vals = [phi_weight(params, 0.7, r) for r in (0.01, 0.1, 1.0, 10.0)]
         assert all(v > 0 for v in vals)
         assert vals == sorted(vals)
-        assert all(
-            phi_weight_prime(params, x0, r) > 0
-            for x0 in (0.0, 0.7)
-            for r in (0.01, 1.0)
-        )
-
-
-def test_phi_prime_matches_numerical_derivative():
-    for a, x0, r in [(-0.5, 0.7, 0.05), (0.3, 0.0, 0.2), (0.3, 1.3, 1.0)]:
-        params = KernelParams(n=2, a=a)
-        h = r * 1e-6
-        fd = (phi_weight(params, x0, r + h) - phi_weight(params, x0, r - h)) / (2 * h)
-        assert phi_weight_prime(params, x0, r) == pytest.approx(fd, rel=1e-8)
 
 
 def test_weight_object():

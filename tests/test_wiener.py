@@ -1,8 +1,7 @@
-"""Wiener-series pipeline tests: descriptors, shell terms, verdicts, barrier."""
+"""Wiener-series pipeline tests: descriptors, shell terms, verdicts."""
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,9 +9,7 @@ import pytest
 from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.wiener import (
     DomainDescriptor,
-    barrier_certificate,
     classify_terms,
-    exterior_ball_barrier,
     shell_term,
     shell_weight,
     wiener_series,
@@ -222,44 +219,3 @@ def test_shell_weight_uses_point_height():
     assert w0 == pytest.approx(rk ** (-(2 + 0.3) / 2))
     assert w7 == pytest.approx(w0 * (1 + 0.49 / rk) ** (-0.15))
 
-
-# ---------------------------------------------------------------- barrier
-
-
-def test_barrier_values():
-    xi1 = P(x_prime=(0.0,), x=0.0, t=0.0)
-    on_sphere = P(x_prime=(3.0,), x=0.0, t=4.0)
-    assert exterior_ball_barrier(PARAMS, xi1, 5.0, 0.3, on_sphere) == pytest.approx(
-        0.0, abs=1e-15
-    )
-    outside = P(x_prime=(6.0,), x=0.0, t=4.0)
-    inside = P(x_prime=(1.0,), x=0.0, t=1.0)
-    assert exterior_ball_barrier(PARAMS, xi1, 5.0, 0.3, outside) > 0
-    assert exterior_ball_barrier(PARAMS, xi1, 5.0, 0.3, inside) < 0
-    with pytest.raises(ValueError):
-        exterior_ball_barrier(PARAMS, xi1, 0.0, 0.3, outside)
-
-
-def test_barrier_certificate_side_ball():
-    # off-axis exterior ball: large j certifies the supersolution sign
-    xi1 = P(x_prime=(0.0,), x=2.0, t=0.0)
-    rng = np.random.default_rng(11)
-    pts = np.array([4.0, 2.0]) + rng.uniform(-0.2, 0.2, (60, 2))
-    times = rng.uniform(-0.2, 0.2, 60)
-    rep = barrier_certificate(PARAMS, xi1, 2.0, 20.0, pts, times)
-    assert rep["passes"]
-
-
-def test_barrier_certificate_north_pole_radius_condition():
-    n_plus_a = PARAMS.n + abs(PARAMS.a)
-    x0 = P(x_prime=(0.0,), x=1.0, t=0.0)
-    rng = np.random.default_rng(3)
-    offs = rng.uniform(-0.05, 0.05, (80, 2))
-    tims = -np.abs(rng.uniform(0.0, 0.05, 80)) - 1e-4
-    pts = np.array(x0.spatial) + offs
-    for r1, want in ((n_plus_a + 1.0, True), (n_plus_a - 1.3, False)):
-        xi1 = P(x_prime=(0.0,), x=1.0, t=-r1)
-        rep = barrier_certificate(PARAMS, xi1, r1, 50.0, pts, x0.t + tims)
-        assert rep["passes"] is want
-    with pytest.raises(ValueError):
-        barrier_certificate(PARAMS, x0, 1.0, 1.0, np.array([[0.5, 0.0]]), np.array([0.0]))
