@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +66,8 @@ class RunConfig:
         block = raw.get("params")
         if not isinstance(block, dict) or "n" not in block or "a" not in block:
             raise ConfigError("config needs params: {n, a}")
-        params = KernelParams(n=int(block["n"]), a=float(block["a"]))
+        params = KernelParams(n=_count(block["n"], "params.n"), a=float(block["a"]))
         if tol is not None:
-            if not tol > 0.0:
-                raise ConfigError("tolerance override must be positive")
             raw = {**raw, "tol": tol}
         if "tol" in raw and not float(raw["tol"]) > 0.0:
             raise ConfigError("tolerance must be positive")
@@ -91,17 +89,7 @@ class ResultEnvelope:
     diagnostics: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config_digest": self.config_digest,
-                "version": self.version,
-                "wall_time_s": self.wall_time_s,
-                "payload": self.payload,
-                "diagnostics": self.diagnostics,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _fmt(x) -> str:
@@ -113,6 +101,14 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, (int, float)) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _count(value, label: str) -> int:
+    """A count field: a positive integral number, not a boolean or infinity."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ConfigError(f"{label} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _point(coords, n: int, label: str) -> SpaceTimePoint:
@@ -189,6 +185,8 @@ def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
         raise ConfigError(f"each mass_points entry needs {n + 1} coordinates")
     if any(not isinstance(e, list) or len(e) != 4 for e in semis):
         raise ConfigError("each semigroup entry needs 4 values: x, eta, t, s")
+    if not all(math.isfinite(float(v)) for e in (*mass_points, *semis) for v in e):
+        raise ConfigError("mass_points and semigroup values must be finite")
     rows = []
     failures = 0
     for entry in mass_points:
@@ -215,10 +213,8 @@ def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
 def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     box = _box(config.raw.get("box", {}), params.n)
-    d_space = int(config.raw.get("d_space", 6))
-    n_steps = int(config.raw.get("n_steps", 8))
-    if d_space < 1 or n_steps < 1:
-        raise ConfigError("dirichlet d_space and n_steps must be at least 1")
+    d_space = _count(config.raw.get("d_space", 6), "dirichlet d_space")
+    n_steps = _count(config.raw.get("n_steps", 8), "dirichlet n_steps")
     data = config.raw.get("data", "constant")
     if data == "constant":
         c = float(config.raw.get("constant", 1.0))
@@ -284,9 +280,7 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     tau = float(spec["tau"]) if kind == "flat" else 0.0
     # a flat set's corners are checked as those of a box over [tau, tau + 1]
     box = _box(spec if kind == "box" else {**spec, "t0": tau, "t1": tau + 1.0}, params.n)
-    density = int(config.raw.get("density", 16))
-    if density < 1:
-        raise ConfigError("capacity density must be at least 1")
+    density = _count(config.raw.get("density", 16), "capacity density")
     tol = float(config.raw.get("tol", 1e-8))
     # the fine level has the most atoms: density^n per slice, density slices for a box
     check_matrix_fits((2 * density) ** (params.n + (kind == "box")))
@@ -333,8 +327,8 @@ def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
         raise ConfigError("wiener command needs a domain descriptor")
     domain = DomainDescriptor(tuple(dom_block["primitives"]), tuple(dom_block.get("ops", ())))
     lam = float(config.raw.get("lambda", 0.5))
-    k_max = int(config.raw.get("k_max", 12))
-    density = int(config.raw.get("density", 10))
+    k_max = _count(config.raw.get("k_max", 12), "wiener k_max")
+    density = _count(config.raw.get("density", 10), "wiener density")
     sweep = tuple(float(v) for v in config.raw.get("sweep", ()))
     report = wiener_series(params, xi0, domain, lam=lam, k_max=k_max, density=density, sweep=sweep)
     rows = [
@@ -353,13 +347,9 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     xi0 = _point(config.raw.get("xi0", ()), params.n, "xi0")
     radii = [float(r) for r in config.raw.get("radii", [])]
-    if not radii:
-        raise ConfigError("meanvalue command needs radii")
-    if not all(r > 0.0 for r in radii):
-        raise ConfigError("meanvalue radii must be positive")
-    density = int(config.raw.get("density", 8))
-    if density < 1:
-        raise ConfigError("meanvalue density must be at least 1")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ConfigError("meanvalue command needs positive finite radii")
+    density = _count(config.raw.get("density", 8), "meanvalue density")
 
     def one(pts, t):
         return np.ones(len(np.atleast_2d(pts)))
@@ -397,9 +387,7 @@ def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     if not r > 0.0:
         raise ConfigError("harnack r must be positive")
     pole = _point(config.raw.get("pole", ()), params.n, "pole")
-    density = int(config.raw.get("density", 24))
-    if density < 1:
-        raise ConfigError("harnack density must be at least 1")
+    density = _count(config.raw.get("density", 24), "harnack density")
 
     def u(pts, t):
         return gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)

@@ -57,23 +57,25 @@ def _section_radius2(
 def _section_depth(
     params: KernelParams, xi0: SpaceTimePoint, log_theta: float, depth_ub: float
 ) -> float:
-    x0 = xi0.x
-    w = math.sqrt(2.0 * params.n * depth_ub) + abs(x0)
-    ys = x0 + np.linspace(-w, w, 513)
+    """Depth of the heat ball's bottom, to the last double.
 
-    def occupied(delta: float) -> bool:
-        return bool(np.any(_section_radius2(params, xi0, log_theta, delta, ys) > 0.0))
-
+    The bottom is bracketed by an occupied and an empty depth, starting
+    from [depth_ub * 1e-6, depth_ub].  Each kernel call tests as many
+    evenly spaced trial depths as BATCH_POINTS allows over the y-scan
+    and keeps the deepest occupied trial and the next one, until the
+    ends are adjacent doubles; the empty end is returned.
+    """
+    w = math.sqrt(2.0 * params.n * depth_ub) + abs(xi0.x)
+    ys = xi0.x + np.linspace(-w, w, 513)
     lo, hi = depth_ub * 1e-6, depth_ub
-    if occupied(hi):
-        raise RuntimeError("bounding depth does not enclose the heat ball")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if occupied(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    while np.nextafter(lo, hi) < hi:
+        trial = np.linspace(lo, hi, BATCH_POINTS // len(ys))
+        occupied = np.any(_section_radius2(params, xi0, log_theta, trial[:, None], ys) > 0.0, axis=1)
+        if occupied[-1]:
+            raise RuntimeError("bounding depth does not enclose the heat ball")
+        k = max(np.flatnonzero(occupied), default=0)
+        lo, hi = trial[k], trial[k + 1]
+    return float(hi)
 
 
 def _y_intervals(
@@ -90,8 +92,7 @@ def _y_intervals(
     depth; each run end is then bisected between its last occupied scan
     point and the empty neighbour, all ends of all depths together.
     """
-    scan = SCAN_POINTS
-    ys = np.linspace(y_lo, y_hi, scan)
+    ys = np.linspace(y_lo, y_hi, SCAN_POINTS)
     inside = _section_radius2(params, xi0, log_theta, deltas[:, None], ys) > 0.0
     edge = np.diff(inside.astype(np.int8), axis=1, prepend=0, append=0)
     # run k of depth row[k] covers the scan points first[k]..last[k]
@@ -100,7 +101,7 @@ def _y_intervals(
     # (inside endpoint, outside endpoint) brackets; a run touching the
     # end of the scan keeps that end
     a = ys[np.concatenate([first, last])]
-    b = ys[np.concatenate([np.maximum(first - 1, 0), np.minimum(last + 1, scan - 1)])]
+    b = ys[np.concatenate([np.maximum(first - 1, 0), np.minimum(last + 1, SCAN_POINTS - 1)])]
     depth = deltas[np.concatenate([row, row])]
     for _ in range(45):
         mid = 0.5 * (a + b)
@@ -180,19 +181,18 @@ def _slab_integral(
     u,
     xi0: SpaceTimePoint,
     log_theta: float,
-    d_lo: float,
-    d_hi: float,
+    panels: list[tuple[float, float]],
     y_lo: float,
     y_hi: float,
     m: int,
-    levels: int,
 ) -> float:
-    """Integral of u * E over the heat-ball slab with depth in [d_lo, d_hi].
+    """Integral of u * E over the heat ball between the depths of panels.
 
-    All depth nodes of the slab are evaluated together: one scan call
-    and one call per bisection step find the slice intervals of every
-    node (_y_intervals), one section-radius call covers the y-nodes of
-    every interval, and one Gamma and one grad Gamma call cover every
+    Each depth panel gets an m-point Gauss-Legendre rule, and all depth
+    nodes are evaluated together: one scan call and one call per
+    bisection step find the slice intervals of every node
+    (_y_intervals), one section-radius call covers the y-nodes of every
+    interval, and one Gamma and one grad Gamma call cover every
     quadrature point (_add_slices).  u is called once per depth node, at
     that node's time.  Past BATCH_POINTS points per call, the nodes are
     split into consecutive groups.  Each (node, interval) slice is
@@ -203,7 +203,7 @@ def _slab_integral(
     n = params.n
     if n not in (2, 3):
         raise NotImplementedError("section quadrature supports n = 2 and n = 3")
-    rules = [gauss_legendre(p0, p1, m) for p0, p1 in _delta_panels(d_lo, d_hi, levels)]
+    rules = [gauss_legendre(p0, p1, m) for p0, p1 in panels]
     deltas = np.concatenate([d for d, _ in rules])
     wds = np.concatenate([w for _, w in rules])
     intervals = []
@@ -320,34 +320,23 @@ def solid_mean(
     integrated directly on geometrically graded panels down to a
     machine-negligible sliver rather than truncated.
 
-    The bulk slab and each of the 32 pole slabs are integrated in one
-    batched pass over all of the slab's depth nodes (_slab_integral), so
-    the kernel is called a few dozen times per slab and u once per depth
-    node.
+    The bulk panels and the pole panels are integrated in one batched
+    pass over all their depth nodes (_slab_integral), so the kernel is
+    called a few dozen times per mean and u once per depth node.
     """
     if density <= 0:
         raise ValueError("density must be positive")
-    ball = HeatBall(xi0, r, params)
     phi = phi_weight(params, xi0.x, r)
-    depth_ub, radius = ball.bounding_box()
+    depth_ub, radius = HeatBall(xi0, r, params).bounding_box()
     log_theta = math.log(heat_ball_threshold(params, xi0.x, r))
     depth = _section_depth(params, xi0, log_theta, depth_ub)
     delta0 = r * TOP_BUFFER
+    panels = _delta_panels(delta0, depth, max(8, density))
+    # pole: 32 slabs halving toward the pole time, two panels each
+    for j in range(32):
+        panels += _delta_panels(delta0 * 0.5 ** (j + 1), delta0 * 0.5**j, 1)
     y_lo, y_hi = xi0.x - radius, xi0.x + radius
-    levels = max(8, density)
-    bulk = _slab_integral(
-        params, u, xi0, log_theta, delta0, depth, y_lo, y_hi, density, levels
-    )
-    # pole slab: geometric panels shrinking toward the pole time
-    tip = 0.0
-    d_hi = delta0
-    for _ in range(32):
-        d_lo = 0.5 * d_hi
-        tip += _slab_integral(
-            params, u, xi0, log_theta, d_lo, d_hi, y_lo, y_hi, density, 1
-        )
-        d_hi = d_lo
-    return (bulk + tip) / phi
+    return _slab_integral(params, u, xi0, log_theta, panels, y_lo, y_hi, density) / phi
 
 
 @dataclass(frozen=True)

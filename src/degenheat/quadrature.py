@@ -110,7 +110,8 @@ def integrate_weighted_interval(
     """Adaptive evaluation of int_lo^hi |y|^a f(y) dy with error <= tol.
 
     Panels are refined where a coarse/fine rule pair disagrees; panels
-    touching y = 0 always keep the Jacobi endpoint treatment.
+    touching y = 0 always keep the Jacobi endpoint treatment.  A panel
+    estimate that is not finite raises RuntimeError.
     """
     if not lo < hi:
         raise ValueError("empty interval")
@@ -125,6 +126,8 @@ def integrate_weighted_interval(
         coarse = weighted_rule(p0, p1, a, 12).apply(f)
         fine = weighted_rule(p0, p1, a, 24).apply(f)
         local_err = abs(fine - coarse)
+        if not np.isfinite(local_err):
+            raise RuntimeError(f"weighted quadrature is not finite on [{p0}, {p1}]")
         local_budget = budget * (p1 - p0) / (hi - lo)
         # panels shrunk to the roundoff scale of the running total cannot
         # improve the result; accept them instead of refining forever

@@ -28,36 +28,56 @@ _PRIMITIVE_TYPES = ("box", "half-space", "time-slab", "cusp")
 _OPS = ("union", "intersect", "subtract")
 
 
+def _numbers(block: dict, key: str, size: int = 0) -> np.ndarray:
+    """block[key] as a nonempty list of numbers, of length size if given."""
+    vals = np.asarray(block[key], dtype=float)
+    if vals.ndim != 1 or not len(vals) or len(vals) != (size or len(vals)):
+        raise ValueError(f"primitive field {key!r} must be a list of {size or 'some'} numbers")
+    return vals
+
+
+def _check_primitive(prim: dict) -> None:
+    """Raise ValueError unless prim has the fields its type reads."""
+    kind = prim["type"]
+    if kind not in _PRIMITIVE_TYPES:
+        raise ValueError(f"unknown primitive type {kind!r}")
+    if kind == "box" and len(_numbers(prim, "lo")) != len(_numbers(prim, "hi")):
+        raise ValueError("box primitive corners differ in length")
+    if kind in ("box", "time-slab"):
+        _numbers(prim, "t", 2)
+    if kind == "half-space":
+        _numbers(prim, "normal")
+        float(prim["offset"])
+    if kind == "cusp":
+        _numbers(prim, "center")
+        if prim["profile"]["kind"] not in ("power", "exp"):
+            raise ValueError(f"unknown cusp profile {prim['profile']['kind']!r}")
+        _numbers(prim["profile"], "params", 2)
+
+
 def _primitive_mask(prim: dict, spatial: np.ndarray, times: np.ndarray) -> np.ndarray:
     kind = prim["type"]
+    if kind in ("box", "time-slab"):
+        t0, t1 = map(float, prim["t"])
+        mask = (times > t0) & (times < t1)
     if kind == "box":
         lo = np.asarray(prim["lo"], dtype=float)
         hi = np.asarray(prim["hi"], dtype=float)
-        t0, t1 = map(float, prim["t"])
-        mask = (times > t0) & (times < t1)
         mask &= np.all((spatial > lo) & (spatial < hi), axis=-1)
     elif kind == "half-space":
         normal = np.asarray(prim["normal"], dtype=float)
-        mask = spatial @ normal[:-1] + times * normal[-1] < prim["offset"]
-    elif kind == "time-slab":
-        t0, t1 = map(float, prim["t"])
-        mask = (times > t0) & (times < t1)
+        mask = spatial @ normal[:-1] + times * normal[-1] < float(prim["offset"])
     elif kind == "cusp":
         center = np.asarray(prim["center"], dtype=float)
         dt = center[-1] - times
         dist = np.linalg.norm(spatial - center[:-1], axis=-1)
-        profile = prim["profile"]
-        c = profile["params"][0]
+        c, p = np.asarray(prim["profile"]["params"], dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            if profile["kind"] == "power":
-                rad = c * np.maximum(dt, 0.0) ** profile["params"][1]
-            elif profile["kind"] == "exp":
-                rad = c * np.exp(-profile["params"][1] / np.maximum(dt, 1e-300))
+            if prim["profile"]["kind"] == "power":
+                rad = c * np.maximum(dt, 0.0) ** p
             else:
-                raise ValueError(f"unknown cusp profile {profile['kind']!r}")
+                rad = c * np.exp(-p / np.maximum(dt, 1e-300))
         mask = (dt > 0.0) & (dist < rad)
-    else:
-        raise ValueError(f"unknown primitive type {kind!r}")
     if prim.get("complement", False):
         mask = ~mask
     return mask
@@ -69,7 +89,7 @@ class DomainDescriptor:
 
     ops[i] combines the running set with primitives[i + 1]; each
     primitive may carry a "complement" flag.  Membership uses strict
-    inequalities throughout.
+    inequalities throughout.  Construction checks every primitive's fields.
     """
 
     primitives: tuple
@@ -81,8 +101,7 @@ class DomainDescriptor:
         if len(self.ops) != len(self.primitives) - 1:
             raise ValueError("need exactly one op per extra primitive")
         for prim in self.primitives:
-            if prim["type"] not in _PRIMITIVE_TYPES:
-                raise ValueError(f"unknown primitive type {prim['type']!r}")
+            _check_primitive(prim)
         for op in self.ops:
             if op not in _OPS:
                 raise ValueError(f"unknown op {op!r}")

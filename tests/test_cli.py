@@ -153,6 +153,12 @@ def test_config_errors(tmp_path):
 BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
 XI0 = [0.5, 0.7, 0.0]
 BOX_DOMAIN = {"primitives": [{"type": "box", "lo": [0, 0.2], "hi": [1, 1.2], "t": [0, 1]}]}
+CUSP = {"type": "cusp", "center": XI0, "profile": {"kind": "power", "params": [0.5, 0.5]}}
+# the box with a cusp-shaped thorn below XI0, cut off at t = -1
+THORN_DOMAIN = {
+    "primitives": [*BOX_DOMAIN["primitives"], CUSP, {"type": "time-slab", "t": [-1, 1]}],
+    "ops": ["union", "intersect"],
+}
 
 
 @pytest.mark.parametrize(
@@ -230,6 +236,46 @@ BOX_DOMAIN = {"primitives": [{"type": "box", "lo": [0, 0.2], "hi": [1, 1.2], "t"
         ("meanvalue", {"params": PARAMS, "xi0": XI0, "radii": "abc"}),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "d_space": "x"}),
         ("harnack", {"params": PARAMS, "pole": [0.0, 0.0, -0.1], "density": "x"}),
+        (
+            "capacity",
+            {
+                "params": PARAMS,
+                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+                "density": math.inf,
+            },
+        ),
+        ("meanvalue", {"params": PARAMS, "xi0": XI0, "radii": [0.02], "density": 1.5}),
+        ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "n_steps": True}),
+        ("kernel", {**KERNEL_CFG, "params": {"n": -math.inf, "a": 0.3}}),
+        ("check", {"params": PARAMS, "semigroup": [[0.4, math.nan, 0.2, 0.3]]}),
+        (
+            "wiener",
+            {
+                "params": PARAMS,
+                "xi0": XI0,
+                "domain": {
+                    "primitives": [
+                        BOX_DOMAIN["primitives"][0],
+                        {**CUSP, "profile": {"kind": "power", "params": [0.5]}},
+                    ],
+                    "ops": ["union"],
+                },
+            },
+        ),
+        (
+            "wiener",
+            {
+                "params": PARAMS,
+                "xi0": XI0,
+                "domain": {
+                    "primitives": [
+                        BOX_DOMAIN["primitives"][0],
+                        {**CUSP, "profile": {"kind": "cone", "params": [0.5, 0.5]}},
+                    ],
+                    "ops": ["union"],
+                },
+            },
+        ),
     ],
     ids=[
         "check-short-mass-point",
@@ -268,6 +314,13 @@ BOX_DOMAIN = {"primitives": [{"type": "box", "lo": [0, 0.2], "hi": [1, 1.2], "t"
         "meanvalue-radii-string",
         "dirichlet-d-space-string",
         "harnack-density-string",
+        "capacity-density-infinity",
+        "meanvalue-density-fraction",
+        "dirichlet-n-steps-true",
+        "params-n-minus-infinity",
+        "check-semigroup-nan",
+        "wiener-cusp-one-param",
+        "wiener-cusp-unknown-kind",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
@@ -305,7 +358,7 @@ SMALL_CONFIGS = {
     "wiener": {
         "params": PARAMS,
         "xi0": XI0,
-        "domain": BOX_DOMAIN,
+        "domain": THORN_DOMAIN,
         "lambda": 0.5,
         "k_max": 2,
         "density": 4,
@@ -321,7 +374,7 @@ SMALL_CONFIGS = {
     "harnack": {"params": PARAMS, "r": 0.02, "pole": [0.0, 0.0, -0.1], "density": 4},
 }
 MISSING = object()
-BAD_VALUES = [MISSING, None, "x", True, [], {}, -1, -0.5]
+BAD_VALUES = [MISSING, None, "x", True, [], {}, -1, -0.5, math.inf, -math.inf, math.nan, 1.5]
 
 
 def _paths(node, prefix=()):

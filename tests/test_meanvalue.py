@@ -8,7 +8,7 @@ import pytest
 
 import degenheat.meanvalue as meanvalue
 from degenheat.capacity import DiscreteMeasure, potential_of_measure_vec
-from degenheat.geometry import HeatBall, heat_ball_sample
+from degenheat.geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from degenheat.kernel import gamma_fs, gamma_fs_vec
 from degenheat.meanvalue import (
     HarnackReport,
@@ -144,8 +144,15 @@ def test_solid_mean_kernel_calls(monkeypatch):
     for name in ("gamma_fs_vec", "gamma_grad_y_vec"):
         monkeypatch.setattr(meanvalue, name, counted(getattr(meanvalue, name)))
     solid_mean(PARAMS, one, XI0, 0.02, density=6)
-    # a batched slab makes a few dozen kernel calls, whatever its node count
-    assert 0 < len(calls) <= 2500
+    # one batched pass over all depth nodes makes a few dozen kernel
+    # calls, whatever the node count
+    assert 0 < len(calls) <= 200
+    calls.clear()
+    depth_ub, _ = HeatBall(XI0, 0.02, PARAMS).bounding_box()
+    log_theta = np.log(heat_ball_threshold(PARAMS, XI0.x, 0.02))
+    meanvalue._section_depth(PARAMS, XI0, log_theta, depth_ub)
+    # each call tests a few hundred trial depths of the bracket
+    assert 0 < len(calls) <= 12
 
 
 def test_u_called_once_per_sample_time():

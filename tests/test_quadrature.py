@@ -63,6 +63,12 @@ class TestIntegrateWeightedInterval:
         got = integrate_weighted_interval(lambda y: y * y, 0, 1, -0.5)
         assert got == pytest.approx(0.4, rel=1e-10)
 
+    def test_non_finite_integrand_raises(self):
+        # a NaN panel estimate never meets the tolerance; it must not be
+        # refined to the depth limit
+        with pytest.raises(RuntimeError):
+            integrate_weighted_interval(lambda y: np.full_like(y, np.nan), 0, 1, 0.3)
+
     def test_gaussian(self):
         got = integrate_weighted_interval(lambda y: np.exp(-y * y), -9, 9, 0.0)
         assert got == pytest.approx(math.sqrt(math.pi), rel=1e-10)
