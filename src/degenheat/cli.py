@@ -57,8 +57,10 @@ class RunConfig:
 
     @classmethod
     def load(cls, command: str, path: str, tol: float | None) -> "RunConfig":
+        # an integer literal beyond the range of a double reads as infinity, as 1e400 does
+        parse_int = lambda s: int(s) if math.isfinite(float(s)) else float(s)
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(), parse_int=parse_int)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(raw, dict):

@@ -58,20 +58,19 @@ def _check_primitive(prim: dict) -> None:
 def _primitive_mask(prim: dict, spatial: np.ndarray, times: np.ndarray) -> np.ndarray:
     kind = prim["type"]
     if kind in ("box", "time-slab"):
-        t0, t1 = map(float, prim["t"])
+        t0, t1 = _numbers(prim, "t", 2)
         mask = (times > t0) & (times < t1)
     if kind == "box":
-        lo = np.asarray(prim["lo"], dtype=float)
-        hi = np.asarray(prim["hi"], dtype=float)
+        lo, hi = _numbers(prim, "lo"), _numbers(prim, "hi")
         mask &= np.all((spatial > lo) & (spatial < hi), axis=-1)
     elif kind == "half-space":
-        normal = np.asarray(prim["normal"], dtype=float)
+        normal = _numbers(prim, "normal")
         mask = spatial @ normal[:-1] + times * normal[-1] < float(prim["offset"])
     elif kind == "cusp":
-        center = np.asarray(prim["center"], dtype=float)
+        center = _numbers(prim, "center")
         dt = center[-1] - times
         dist = np.linalg.norm(spatial - center[:-1], axis=-1)
-        c, p = np.asarray(prim["profile"]["params"], dtype=float)
+        c, p = _numbers(prim["profile"], "params", 2)
         with np.errstate(divide="ignore", over="ignore"):
             if prim["profile"]["kind"] == "power":
                 rad = c * np.maximum(dt, 0.0) ** p

@@ -246,6 +246,8 @@ THORN_DOMAIN = {
         ),
         ("meanvalue", {"params": PARAMS, "xi0": XI0, "radii": [0.02], "density": 1.5}),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "n_steps": True}),
+        ("kernel", {**KERNEL_CFG, "params": {"n": 2, "a": 10**400}}),
+        ("check", {"params": PARAMS, "mass_points": [[0.5, 10**400, 0.3]]}),
         ("kernel", {**KERNEL_CFG, "params": {"n": -math.inf, "a": 0.3}}),
         ("check", {"params": PARAMS, "semigroup": [[0.4, math.nan, 0.2, 0.3]]}),
         (
@@ -317,6 +319,8 @@ THORN_DOMAIN = {
         "capacity-density-infinity",
         "meanvalue-density-fraction",
         "dirichlet-n-steps-true",
+        "params-a-400-digits",
+        "check-mass-point-400-digits",
         "params-n-minus-infinity",
         "check-semigroup-nan",
         "wiener-cusp-one-param",
