@@ -18,15 +18,23 @@ Gamma factorizes into 1-D heat kernels on the free axes and u_tilde on
 the weighted axis, so at each time node the mean over the spatial
 nodes is the product of the per-axis means: a near entry takes 3
 profile values per time node instead of 3^n.
+
+The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
+dense A >= 0) is solved by `linprog`, a primal-dual interior-point
+method on the normal equations: Mehrotra's predictor-corrector (SIAM
+J. Optim. 2, 1992), as in Wright, *Primal-Dual Interior-Point Methods*
+(SIAM, 1997).
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernel import gamma_fs_vec, u_tilde
 from .params import KernelParams, SpaceTimePoint
@@ -64,7 +72,7 @@ class CapacityResult:
     equilibrium: DiscreteMeasure
     max_constraint_violation: float
     refinement_level: int
-    # active constraint rows handed to the LP, near (cell-averaged) entries, IPM iterations
+    # active constraint rows handed to the LP, near (cell-averaged) entries, linprog iterations
     lp_rows: int
     near_pairs: int
     lp_iterations: int
@@ -155,19 +163,105 @@ def _constraint_matrix(
     return A, len(js)
 
 
-def check_matrix_fits(atoms: int) -> None:
+def check_matrix_fits(atoms: float) -> None:
     """Raise ValueError if capacity_lp's dense work for this many atoms exceeds physical memory.
 
     The matrix is 2 atoms rows (the set and its collar) by atoms columns
     of float64, and capacity_lp's peak is about MATRIX_COPIES times that.
+    The estimate is a float, so an absurd count compares and prints as inf.
     """
-    need = MATRIX_COPIES * 2 * atoms * atoms * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = MATRIX_COPIES * 16.0 * atoms * atoms
+    have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     if need > have:
         raise ValueError(
-            f"capacity matrix for {atoms} atoms needs about {need / 2**30:.3g} GiB, "
+            f"capacity matrix for {atoms:.4g} atoms needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
+
+
+class LPResult(NamedTuple):
+    x: np.ndarray
+    nit: int
+
+
+def _step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps v + step * dv >= 0, for v > 0."""
+    return 1.0 / max(1.0, float(np.max(-dv / v)))
+
+
+def linprog(*, A_ub: np.ndarray, tol: float = 1e-8, max_iter: int = 100) -> LPResult:
+    """Maximise sum(x) subject to A_ub x <= 1 and x >= 0, for a dense A_ub >= 0.
+
+    The primal x with slack s (A x + s = 1) and the dual y with slack z
+    (A'y - z = 1) stay positive while the residuals of both equations go
+    to 0.  Each iteration forms the atoms x atoms normal matrix
+    A' diag(y/s) A + diag(z/x) as B'B with B = sqrt(y/s) A (one
+    symmetric rank-k update), factors it once by Cholesky and solves with
+    the factor twice, for Mehrotra's predictor and corrector; each step
+    goes 0.99 of the way to the boundary.  A is first scaled by its
+    largest entry.  The start x = s = 1, y = 2 / min(column sum) is dual
+    feasible (z >= 1); a start with z < 0 stalls.  Near convergence the
+    normal matrix reaches a condition number of 1e17, so its diagonal is
+    shifted by eps times its largest entry.  The method stops when the
+    duality gap relative to the dual objective and the largest primal
+    and dual residuals are all <= tol.  A column with no positive entry
+    (an unbounded LP), a failed factorization and no convergence in
+    max_iter iterations raise RuntimeError.
+    """
+    A = np.array(A_ub, dtype=float)
+    col = A.sum(axis=0)
+    if not np.all(col > 0.0):
+        raise RuntimeError("capacity LP unbounded: an atom has no positive constraint entry")
+    scale = float(np.max(A))
+    A /= scale
+    rows, m = A.shape
+    size = m + rows
+    # u = (x, s) and w = (z, y): u * w holds the complementarity products
+    u = np.ones(size)
+    w = np.empty(size)
+    x, s = u[:m], u[m:]
+    z, y = w[:m], w[m:]
+    y[:] = 2.0 * scale / float(np.min(col))
+    z[:] = A.T @ y - 1.0
+    for it in range(max_iter + 1):
+        rp = 1.0 - A @ x - s
+        d = y / s
+        aty, atdrp = (A.T @ np.array([y, d * rp]).T).T
+        rd = 1.0 - aty + z
+        gap = abs(y.sum() - x.sum())
+        if gap <= tol * y.sum() and np.max(np.abs(rp)) <= tol and np.max(np.abs(rd)) <= tol:
+            return LPResult(x / scale, it)
+        if it == max_iter:
+            break
+        mu = u @ w / size
+        B = np.sqrt(d)[:, None] * A
+        M = dsyrk(1.0, B.T)  # upper triangle of B'B
+        del B
+        M.flat[:: m + 1] += z / x + np.finfo(float).eps * M.diagonal().max()
+        L, info = dpotrf(M, lower=0, overwrite_a=1, clean=0)
+        if info != 0:
+            raise RuntimeError(f"capacity LP: Cholesky factorization failed at iteration {it}")
+        del M
+
+        def direction(rhs: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Newton step with complementarity target u * w + r, from the normal-equation rhs."""
+            du, dw = np.empty(size), np.empty(size)
+            dx, _ = dpotrs(L, rhs, lower=0)
+            du[:m] = dx
+            dw[m:] = d * (A @ dx - rp) + r[m:] / s
+            dw[:m] = (r[:m] - z * dx) / x
+            du[m:] = (r[m:] - s * dw[m:]) / y
+            return du, dw
+
+        # predictor: r = -u * w, for which the rhs reduces to 1 + A'(d rp)
+        du, dw = direction(1.0 + atdrp, -u * w)
+        step_p, step_d = _step(u, du), _step(w, dw)
+        sigma = ((u + step_p * du) @ (w + step_d * dw) / size / mu) ** 3
+        r = sigma * mu - u * w - du * dw
+        du, dw = direction(rd + r[:m] / x + atdrp - A.T @ (r[m:] / s), r)
+        u += 0.99 * _step(u, du) * du
+        w += 0.99 * _step(w, dw) * dw
+    raise RuntimeError(f"capacity LP did not converge in {max_iter} iterations")
 
 
 def capacity_lp(
@@ -196,23 +290,10 @@ def capacity_lp(
     m = len(atom_t)
     check_matrix_fits(m)
     A, near_pairs = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
-    active = np.any(A > 0.0, axis=1)
-    if not np.any(active):
-        raise RuntimeError("capacity LP unbounded: all constraint rows vanish")
     # the LP sees only the active rows; the others are 0, so they add
     # nothing to the potential and A need not outlive this copy
-    A = A[active]
-    res = linprog(
-        c=-np.ones(m),
-        A_ub=A,
-        b_ub=np.ones(len(A)),
-        bounds=(0.0, None),
-        method="highs-ipm",
-        options={"ipm_optimality_tolerance": tol},
-    )
-    if not res.success:
-        raise RuntimeError(f"capacity LP failed: {res.message}")
-    masses = np.maximum(res.x, 0.0)
+    A = A[np.any(A > 0.0, axis=1)]
+    masses, nit = linprog(A_ub=A, tol=tol)
     # entries are >= 0, so an inactive row's -1 never exceeds an active row's value
     violation = float(np.max(A @ masses - 1.0))
     return CapacityResult(
@@ -222,7 +303,7 @@ def capacity_lp(
         refinement_level=refinement_level,
         lp_rows=len(A),
         near_pairs=near_pairs,
-        lp_iterations=int(res.nit),
+        lp_iterations=nit,
     )
 
 

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical
 failure (non-convergence or a non-finite value).  The library
 raises ValueError for a bad argument and RuntimeError for a numerical
-failure; main maps KeyError, TypeError and ValueError to exit 2 and
-RuntimeError to exit 3, each with a single stderr line.  Commands run
+failure; main maps KeyError, TypeError and ValueError to exit 2, and
+RuntimeError and ArithmeticError (an overflow or a division by zero
+on finite but extreme input) to exit 3, each with a single stderr line.  Commands run
 serially: --workers is accepted and must be at least 1, but it changes
 nothing, so identical configs produce identical CSV bytes.
 """
@@ -16,6 +17,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -71,8 +73,8 @@ class RunConfig:
         params = KernelParams(n=_count(block["n"], "params.n"), a=float(block["a"]))
         if tol is not None:
             raw = {**raw, "tol": tol}
-        if "tol" in raw and not float(raw["tol"]) > 0.0:
-            raise ConfigError("tolerance must be positive")
+        if "tol" in raw:
+            _tol(raw["tol"])
         return cls(command=command, params=params, raw=raw)
 
     @property
@@ -111,6 +113,13 @@ def _count(value, label: str) -> int:
     if isinstance(value, bool) or not integral or value < 1:
         raise ConfigError(f"{label} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def _tol(value, upper: float = math.inf) -> float:
+    """A tolerance field: a number in (0, upper), so finite, and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < upper:
+        raise ConfigError(f"tol must be a number in (0, {upper:g}), got {value!r}")
+    return float(value)
 
 
 def _point(coords, n: int, label: str) -> SpaceTimePoint:
@@ -176,7 +185,7 @@ def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
 
 
 def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
-    tol = float(config.raw.get("tol", 1e-6))
+    tol = _tol(config.raw.get("tol", 1e-6))
     perturb = float(config.raw.get("perturb", 1.0))
     mass_points = config.raw.get("mass_points", [])
     semis = config.raw.get("semigroup", [])
@@ -283,9 +292,11 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     # a flat set's corners are checked as those of a box over [tau, tau + 1]
     box = _box(spec if kind == "box" else {**spec, "t0": tau, "t1": tau + 1.0}, params.n)
     density = _count(config.raw.get("density", 16), "capacity density")
-    tol = float(config.raw.get("tol", 1e-8))
-    # the fine level has the most atoms: density^n per slice, density slices for a box
-    check_matrix_fits((2 * density) ** (params.n + (kind == "box")))
+    # the LP stops at this relative duality gap, so it must be below 1
+    tol = _tol(config.raw.get("tol", 1e-8), upper=1.0)
+    # the fine level has the most atoms: density^n per slice, density slices for a box;
+    # a float product overflows to inf instead of raising, so a huge density exits 2
+    check_matrix_fits(math.prod([2.0 * density] * (params.n + (kind == "box"))))
 
     def run(dens: int) -> CapacityResult:
         if kind == "flat":
@@ -430,21 +441,25 @@ def main(argv=None) -> int:
         p.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.load(args.command, args.config, args.tol)
-        if args.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        start = time.monotonic()
-        payload, diags, header, rows = _COMMANDS[args.command](config)
-        elapsed = time.monotonic() - start
+        # warnings are held until the command succeeds, so a failure prints one line
+        with warnings.catch_warnings(record=True) as held:
+            config = RunConfig.load(args.command, args.config, args.tol)
+            if args.workers < 1:
+                raise ConfigError("workers must be at least 1")
+            start = time.monotonic()
+            payload, diags, header, rows = _COMMANDS[args.command](config)
+            elapsed = time.monotonic() - start
     except KeyError as exc:
         print(f"config error: missing key {exc}", file=sys.stderr)
         return 2
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     envelope = ResultEnvelope(

@@ -60,16 +60,21 @@ def _section_depth(
     """Depth of the heat ball's bottom, to the last double.
 
     The bottom is bracketed by an occupied and an empty depth, starting
-    from [depth_ub * 1e-6, depth_ub].  Each kernel call tests as many
-    evenly spaced trial depths as BATCH_POINTS allows over the y-scan
-    and keeps the deepest occupied trial and the next one, until the
-    ends are adjacent doubles; the empty end is returned.
+    from [depth_ub * 1e-6, depth_ub].  Each kernel call tests evenly
+    spaced trial depths over the y-scan and keeps the deepest occupied
+    trial and the next one, until the ends are adjacent doubles; the
+    empty end is returned.  The trial count is the square root of the
+    scan's point count, rounded up to a power of two: 32 for 513 points.
+    A call then evaluates about len(ys)^1.5 points (16k, not a full
+    batch) and still narrows the bracket 31-fold, so the ~55 bits down
+    to one ulp take 11-12 calls.
     """
     w = math.sqrt(2.0 * params.n * depth_ub) + abs(xi0.x)
     ys = xi0.x + np.linspace(-w, w, 513)
+    trials = 1 << math.isqrt(len(ys)).bit_length()
     lo, hi = depth_ub * 1e-6, depth_ub
     while np.nextafter(lo, hi) < hi:
-        trial = np.linspace(lo, hi, BATCH_POINTS // len(ys))
+        trial = np.linspace(lo, hi, trials)
         occupied = np.any(_section_radius2(params, xi0, log_theta, trial[:, None], ys) > 0.0, axis=1)
         if occupied[-1]:
             raise RuntimeError("bounding depth does not enclose the heat ball")

@@ -1,7 +1,12 @@
 """Capacity tests: potentials, LP equilibrium measures, oracles, axioms."""
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +21,12 @@ from degenheat.capacity import (
     capacity_lp,
     flat_lattice,
     flat_set_capacity,
+    linprog,
     potential_of_measure,
     potential_of_measure_vec,
     weighted_ball_volume,
 )
+from degenheat.cli import main
 from degenheat.kernel import gamma_fs, gamma_fs_vec
 from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.quadrature import legendre_rule, tensor_rule
@@ -251,3 +258,79 @@ def test_near_entry_profile_points(monkeypatch):
     A, near_pairs = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, ht)
     assert near_pairs > 0
     assert sum(points.values()) <= A.size + 9 * near_pairs
+
+
+# ------------------------------------------------------------- LP solver
+
+
+@pytest.mark.parametrize(
+    "A,cap",
+    [
+        (np.diag([1.0, 2.0, 4.0]), 1.75),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0),
+        # duplicate columns: any split of the mass 1/2 between them is optimal
+        (np.array([[2.0, 2.0, 0.0], [0.0, 0.0, 1.0]]), 1.5),
+        # duplicate rows: a degenerate vertex
+        (np.vstack([np.diag([1.0, 2.0, 4.0])] * 3), 1.75),
+    ],
+    ids=["diagonal", "triangular", "duplicate-columns", "duplicate-rows"],
+)
+def test_linprog_closed_forms(A, cap):
+    res = linprog(A_ub=A)
+    assert res.nit > 0
+    assert np.all(res.x > 0.0)
+    assert np.max(A @ res.x) <= 1.0 + 1e-7
+    assert np.sum(res.x) == pytest.approx(cap, rel=1e-7)
+    if A.shape == (3, 3):
+        assert res.x == pytest.approx([1.0, 0.5, 0.25], rel=1e-7)
+
+
+def test_linprog_zero_column_is_unbounded():
+    with pytest.raises(RuntimeError, match="unbounded"):
+        linprog(A_ub=np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
+# bench `capacity` configs (density 16 and 32) and their cap_coarse, cap_fine
+# as HiGHS-IPM computed them at ipm_optimality_tolerance 1e-8
+BENCH_CAPS = [
+    (
+        0.20519930049117807,
+        [0.3576474270731438, -0.7622185810352857],
+        (4.4701618896330588, 3.9079767351389343),
+    ),
+    (
+        -0.42266499199090934,
+        [0.17570053491271587, -0.7222618811822372],
+        (8.5099549089780098, 7.7206363505633302),
+    ),
+    (
+        0.39575955024860276,
+        [-1.105187656652902, -0.9232013155056327],
+        (3.9339461909571622, 3.4004175889156087),
+    ),
+]
+
+
+@pytest.mark.parametrize("a,lo,caps", BENCH_CAPS, ids=["a0.21", "a-0.42", "a0.40-straddle"])
+def test_bench_capacities_match_highs(tmp_path, a, lo, caps):
+    tol = 1e-8
+    cfg = {
+        "params": {"n": 2, "a": a},
+        "set": {"kind": "flat", "lo": lo, "hi": [lo[0] + 2.0, lo[1] + 2.0], "tau": 0.0},
+        "density": 16,
+    }
+    path = tmp_path / "capacity.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["capacity", "--config", str(path), "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "capacity.csv").read_text().splitlines()[1].split(",")
+    for got, want in zip(map(float, row[1:3]), caps):
+        assert abs(got - want) <= 10 * tol * want
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # importing scipy.optimize costs about a quarter of a CLI start
+    src = str(Path(capacity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, degenheat.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -278,6 +278,20 @@ THORN_DOMAIN = {
                 },
             },
         ),
+        ("check", {"params": PARAMS, "mass_points": [[0.5, 0.7, 0.3]], "tol": True}),
+        ("check", {"params": PARAMS, "mass_points": [[0.5, 0.7, 0.3]], "tol": math.inf}),
+        (
+            "capacity",
+            {"params": PARAMS, "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0}, "tol": 1},
+        ),
+        (
+            "capacity",
+            {
+                "params": PARAMS,
+                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+                "tol": math.nan,
+            },
+        ),
     ],
     ids=[
         "check-short-mass-point",
@@ -325,6 +339,10 @@ THORN_DOMAIN = {
         "check-semigroup-nan",
         "wiener-cusp-one-param",
         "wiener-cusp-unknown-kind",
+        "check-tol-true",
+        "check-tol-infinity",
+        "capacity-tol-1",
+        "capacity-tol-nan",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
@@ -400,6 +418,40 @@ def _broken(cfg, path, value):
     else:
         parent[path[-1]] = value
     return cfg
+
+
+# one field of a small config set to a finite extreme: an absurd capacity
+# density is a config error, an overflow inside the numerics exits 3
+EXTREMES = [
+    ("capacity", ("density",), 1e300, 2),
+    *[
+        ("check", path, v, 3)
+        for path in (("mass_points", 0, 1), ("semigroup", 0, 0), ("semigroup", 0, 1))
+        for v in (1e300, -1e300)
+    ],
+    ("dirichlet", ("box", "lo", 0), -1e300, 3),
+    ("dirichlet", ("box", "lo", 1), -1e300, 3),
+    ("dirichlet", ("box", "hi", 0), 1e300, 3),
+    *[("kernel", ("points", 0, side, 1), v, 3) for side in ("xi", "zeta") for v in (1e300, -1e300)],
+    ("meanvalue", ("xi0", 1), 1e300, 3),
+    ("meanvalue", ("xi0", 1), -1e300, 3),
+    ("meanvalue", ("xi0", 2), 1e300, 3),
+    ("meanvalue", ("radii", 0), 1e300, 3),
+]
+
+
+# these configs overflow by design: their RuntimeWarnings must not become
+# errors here, and main holds them back so the failure prints one line
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cmd,path,value,code",
+    EXTREMES,
+    ids=[f"{cmd}-{'-'.join(map(str, path))}={value:g}" for cmd, path, value, _ in EXTREMES],
+)
+def test_extreme_finite_value_exits_cleanly(tmp_path, capsys, cmd, path, value, code):
+    assert run(tmp_path, cmd, _broken(SMALL_CONFIGS[cmd], path, value))[0] == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith({2: "config error: ", 3: "numerical failure: "}[code])
 
 
 @pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
