@@ -45,6 +45,9 @@ AVG_NODES = 3
 # peak bytes of capacity_lp over the size of its dense matrix: about 8
 # when measured (build and LP) on the fine level of a flat 32 x 32 lattice
 MATRIX_COPIES = 8
+# linprog gives up after this many iterations; the LPs of the bench jobs
+# and of the test suite converge in 22 or fewer
+LP_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ def _step(v: np.ndarray, dv: np.ndarray) -> float:
     return 1.0 / max(1.0, float(np.max(-dv / v)))
 
 
-def linprog(*, A_ub: np.ndarray, tol: float = 1e-8, max_iter: int = 100) -> LPResult:
+def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
     """Maximise sum(x) subject to A_ub x <= 1 and x >= 0, for a dense A_ub >= 0.
 
     The primal x with slack s (A x + s = 1) and the dual y with slack z
@@ -206,7 +209,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8, max_iter: int = 100) -> LPRe
     duality gap relative to the dual objective and the largest primal
     and dual residuals are all <= tol.  A column with no positive entry
     (an unbounded LP), a failed factorization and no convergence in
-    max_iter iterations raise RuntimeError.
+    LP_MAX_ITERATIONS iterations raise RuntimeError.
     """
     A = np.array(A_ub, dtype=float)
     col = A.sum(axis=0)
@@ -223,7 +226,11 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8, max_iter: int = 100) -> LPRe
     z, y = w[:m], w[m:]
     y[:] = 2.0 * scale / float(np.min(col))
     z[:] = A.T @ y - 1.0
-    for it in range(max_iter + 1):
+    # B and the normal matrix M (upper triangle, then its Cholesky factor)
+    # are overwritten in place at every iteration
+    B = np.empty_like(A)
+    M = np.zeros((m, m), order="F")
+    for it in range(LP_MAX_ITERATIONS + 1):
         rp = 1.0 - A @ x - s
         d = y / s
         aty, atdrp = (A.T @ np.array([y, d * rp]).T).T
@@ -231,17 +238,15 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8, max_iter: int = 100) -> LPRe
         gap = abs(y.sum() - x.sum())
         if gap <= tol * y.sum() and np.max(np.abs(rp)) <= tol and np.max(np.abs(rd)) <= tol:
             return LPResult(x / scale, it)
-        if it == max_iter:
+        if it == LP_MAX_ITERATIONS:
             break
         mu = u @ w / size
-        B = np.sqrt(d)[:, None] * A
-        M = dsyrk(1.0, B.T)  # upper triangle of B'B
-        del B
+        np.multiply(np.sqrt(d)[:, None], A, out=B)
+        M = dsyrk(1.0, B.T, beta=0.0, c=M, overwrite_c=1)
         M.flat[:: m + 1] += z / x + np.finfo(float).eps * M.diagonal().max()
         L, info = dpotrf(M, lower=0, overwrite_a=1, clean=0)
         if info != 0:
             raise RuntimeError(f"capacity LP: Cholesky factorization failed at iteration {it}")
-        del M
 
         def direction(rhs: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Newton step with complementarity target u * w + r, from the normal-equation rhs."""
@@ -261,7 +266,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8, max_iter: int = 100) -> LPRe
         du, dw = direction(rd + r[:m] / x + atdrp - A.T @ (r[m:] / s), r)
         u += 0.99 * _step(u, du) * du
         w += 0.99 * _step(w, dw) * dw
-    raise RuntimeError(f"capacity LP did not converge in {max_iter} iterations")
+    raise RuntimeError(f"capacity LP did not converge in {LP_MAX_ITERATIONS} iterations")
 
 
 def capacity_lp(

@@ -1,11 +1,12 @@
 """Batch front-end: JSON config in, CSV/JSON envelopes out.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical
-failure (non-convergence or a non-finite value).  The library
-raises ValueError for a bad argument and RuntimeError for a numerical
-failure; main maps KeyError, TypeError and ValueError to exit 2, and
-RuntimeError and ArithmeticError (an overflow or a division by zero
-on finite but extreme input) to exit 3, each with a single stderr line.  Commands run
+failure (non-convergence, a non-finite value, or an overflow on finite
+but extreme input).  The library raises ValueError for a bad argument
+and RuntimeError for a numerical failure; main maps KeyError, TypeError
+and ValueError to exit 2, and RuntimeError and ArithmeticError
+(OverflowError, ZeroDivisionError) to exit 3, each with a single stderr
+line: the warnings of a failed run are not printed.  Commands run
 serially: --workers is accepted and must be at least 1, but it changes
 nothing, so identical configs produce identical CSV bytes.
 """
