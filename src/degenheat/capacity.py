@@ -42,8 +42,9 @@ from .quadrature import integrate_weighted_interval, legendre_rule, tensor_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
-# peak bytes of capacity_lp over the size of its dense matrix: about 8
-# when measured (build and LP) on the fine level of a flat 32 x 32 lattice
+# peak bytes of capacity_lp over the size of its dense matrix, bounded from
+# above: measured (build and LP) on the fine level of a flat 32 x 32
+# lattice, 4.3 with linprog (8.1-8.3 with HiGHS-IPM before it)
 MATRIX_COPIES = 8
 # linprog gives up after this many iterations; the LPs of the bench jobs
 # and of the test suite converge in 22 or fewer

@@ -1,7 +1,6 @@
 """Capacity tests: potentials, LP equilibrium measures, oracles, axioms."""
 from __future__ import annotations
 
-import json
 import math
 import os
 import subprocess
@@ -26,7 +25,6 @@ from degenheat.capacity import (
     potential_of_measure_vec,
     weighted_ball_volume,
 )
-from degenheat.cli import main
 from degenheat.kernel import gamma_fs, gamma_fs_vec
 from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.quadrature import legendre_rule, tensor_rule
@@ -290,8 +288,8 @@ def test_linprog_zero_column_is_unbounded():
         linprog(A_ub=np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
-# bench `capacity` configs (density 16 and 32) and their cap_coarse, cap_fine
-# as HiGHS-IPM computed them at ipm_optimality_tolerance 1e-8
+# three bench `capacity` configs (a, lo; hi = lo + 2) and their caps at
+# densities 16 and 32 as HiGHS-IPM computed them at tolerance 1e-8
 BENCH_CAPS = [
     (
         0.20519930049117807,
@@ -312,25 +310,24 @@ BENCH_CAPS = [
 
 
 @pytest.mark.parametrize("a,lo,caps", BENCH_CAPS, ids=["a0.21", "a-0.42", "a0.40-straddle"])
-def test_bench_capacities_match_highs(tmp_path, a, lo, caps):
+def test_bench_capacities_match_highs(a, lo, caps):
     tol = 1e-8
-    cfg = {
-        "params": {"n": 2, "a": a},
-        "set": {"kind": "flat", "lo": lo, "hi": [lo[0] + 2.0, lo[1] + 2.0], "tau": 0.0},
-        "density": 16,
-    }
-    path = tmp_path / "capacity.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["capacity", "--config", str(path), "--out", str(tmp_path)]) == 0
-    row = (tmp_path / "capacity.csv").read_text().splitlines()[1].split(",")
-    for got, want in zip(map(float, row[1:3]), caps):
+    for density, want in zip((16, 32), caps):
+        pts, ts, h = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, density)
+        got = capacity_lp(KernelParams(n=2, a=a), pts, ts, h, h * h, tol=tol).cap_estimate
         assert abs(got - want) <= 10 * tol * want
 
 
 def test_cli_import_leaves_out_scipy_optimize():
     # importing scipy.optimize costs about a quarter of a CLI start
     src = str(Path(capacity.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, degenheat.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
     assert out.stdout.strip() == "False"

@@ -282,7 +282,11 @@ THORN_DOMAIN = {
         ("check", {"params": PARAMS, "mass_points": [[0.5, 0.7, 0.3]], "tol": math.inf}),
         (
             "capacity",
-            {"params": PARAMS, "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0}, "tol": 1},
+            {
+                "params": PARAMS,
+                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+                "tol": 1,
+            },
         ),
         (
             "capacity",
@@ -451,7 +455,8 @@ EXTREMES = [
 def test_extreme_finite_value_exits_cleanly(tmp_path, capsys, cmd, path, value, code):
     assert run(tmp_path, cmd, _broken(SMALL_CONFIGS[cmd], path, value))[0] == code
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith({2: "config error: ", 3: "numerical failure: "}[code])
+    prefix = {2: "config error: ", 3: "numerical failure: "}[code]
+    assert len(err) == 1 and err[0].startswith(prefix)
 
 
 @pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
