@@ -204,9 +204,11 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
     the factor twice, for Mehrotra's predictor and corrector; each step
     goes 0.99 of the way to the boundary.  A is first scaled by its
     largest entry.  The start x = s = 1, y = 2 / min(column sum) is dual
-    feasible (z >= 1); a start with z < 0 stalls.  Near convergence the
-    normal matrix reaches a condition number of 1e17, so its diagonal is
-    shifted by eps times its largest entry.  The method stops when the
+    feasible (z >= 1).  The normal matrix becomes nearly singular as the
+    iterates converge; its diagonal is shifted by eps times its largest
+    entry to guard the factorization (the LPs of the bench and the test
+    suite also converge without the shift, while a shift of 1e-12
+    relative stops some of them converging).  The method stops when the
     duality gap relative to the dual objective and the largest primal
     and dual residuals are all <= tol.  A column with no positive entry
     (an unbounded LP), a failed factorization and no convergence in
