@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernel import gamma_fs_vec, u_tilde
@@ -214,7 +214,10 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
     (an unbounded LP), a failed factorization and no convergence in
     LP_MAX_ITERATIONS iterations raise RuntimeError.
     """
-    A = np.array(A_ub, dtype=float)
+    # every product below goes through scipy's BLAS: numpy loads its own
+    # OpenBLAS with its own thread pool, and interleaving calls into the two
+    # pools made the fine LP of a bench job about 3x slower on 2 cores
+    A = np.array(A_ub, dtype=float, order="F")
     col = A.sum(axis=0)
     if not np.all(col > 0.0):
         raise RuntimeError("capacity LP unbounded: an atom has no positive constraint entry")
@@ -228,16 +231,16 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
     x, s = u[:m], u[m:]
     z, y = w[:m], w[m:]
     y[:] = 2.0 * scale / float(np.min(col))
-    z[:] = A.T @ y - 1.0
+    z[:] = dgemv(1.0, A, y, trans=1) - 1.0
     # B and the normal matrix M (upper triangle, then its Cholesky factor)
     # are overwritten in place at every iteration
     B = np.empty_like(A)
     M = np.zeros((m, m), order="F")
     for it in range(LP_MAX_ITERATIONS + 1):
-        rp = 1.0 - A @ x - s
+        rp = 1.0 - dgemv(1.0, A, x) - s
         d = y / s
-        aty, atdrp = (A.T @ np.array([y, d * rp]).T).T
-        rd = 1.0 - aty + z
+        atdrp = dgemv(1.0, A, d * rp, trans=1)
+        rd = 1.0 - dgemv(1.0, A, y, trans=1) + z
         gap = abs(y.sum() - x.sum())
         if gap <= tol * y.sum() and np.max(np.abs(rp)) <= tol and np.max(np.abs(rd)) <= tol:
             return LPResult(x / scale, it)
@@ -245,7 +248,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
             break
         mu = u @ w / size
         np.multiply(np.sqrt(d)[:, None], A, out=B)
-        M = dsyrk(1.0, B.T, beta=0.0, c=M, overwrite_c=1)
+        M = dsyrk(1.0, B, beta=0.0, c=M, trans=1, overwrite_c=1)
         M.flat[:: m + 1] += z / x + np.finfo(float).eps * M.diagonal().max()
         L, info = dpotrf(M, lower=0, overwrite_a=1, clean=0)
         if info != 0:
@@ -256,7 +259,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
             du, dw = np.empty(size), np.empty(size)
             dx, _ = dpotrs(L, rhs, lower=0)
             du[:m] = dx
-            dw[m:] = d * (A @ dx - rp) + r[m:] / s
+            dw[m:] = d * (dgemv(1.0, A, dx) - rp) + r[m:] / s
             dw[:m] = (r[:m] - z * dx) / x
             du[m:] = (r[m:] - s * dw[m:]) / y
             return du, dw
@@ -266,7 +269,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
         step_p, step_d = _step(u, du), _step(w, dw)
         sigma = ((u + step_p * du) @ (w + step_d * dw) / size / mu) ** 3
         r = sigma * mu - u * w - du * dw
-        du, dw = direction(rd + r[:m] / x + atdrp - A.T @ (r[m:] / s), r)
+        du, dw = direction(rd + r[:m] / x + atdrp - dgemv(1.0, A, r[m:] / s, trans=1), r)
         u += 0.99 * _step(u, du) * du
         w += 0.99 * _step(w, dw) * dw
     raise RuntimeError(f"capacity LP did not converge in {LP_MAX_ITERATIONS} iterations")
