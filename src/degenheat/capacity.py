@@ -11,13 +11,24 @@ scheme converges under refinement (discrete capacity overestimates,
 so results are reported with a refinement pair and a Richardson
 estimate).
 
-A near entry is the equal-weight mean of Gamma over the AVG_NODES
-Gauss-Legendre nodes per axis of the cell (their positions only, not
-the Gauss weights), in time too when the cell has a time extent.
-Gamma factorizes into 1-D heat kernels on the free axes and u_tilde on
-the weighted axis, so at each time node the mean over the spatial
-nodes is the product of the per-axis means: a near entry takes 3
-profile values per time node instead of 3^n.
+Gamma factorizes into 1-D heat kernels (4 pi d)^{-1/2} e^{-D^2/4d} on
+the free axes and u_tilde on the weighted axis.  The factor of an axis
+depends on the observation's coordinate on that axis and time and the
+atom's coordinate and time only, so the matrix is built from one table
+per axis over the distinct (coordinate, time) classes of the rows and
+of the atoms.  On a lattice the classes are few (a flat 32 x 32 level
+has 64 row and 32 atom classes per axis for 2M entries); a set that is
+no lattice has about as many classes as points, and shares less.
+
+A far entry is the product of the axes' table values of its class
+pairs, and 0 where the lag is below `snap`.  A near entry is the
+equal-weight mean of Gamma over the AVG_NODES Gauss-Legendre nodes per
+axis of the atom's cell (their positions only, not the Gauss weights),
+in time too when the cell has a time extent.  At each time node the
+mean over the spatial nodes is the product of the per-axis means, and
+each axis' means are computed once per distinct class pair among the
+near pairs: 3 profile values per time node and class pair, instead of
+3^n per time node and entry.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -43,8 +54,10 @@ from .quadrature import integrate_weighted_interval, legendre_rule, tensor_rule
 NEAR_CELLS = 2.5
 AVG_NODES = 3
 # peak bytes of capacity_lp over the size of its dense matrix, bounded from
-# above: measured (build and LP) on the fine level of a flat 32 x 32
-# lattice, 4.3 with linprog (8.1-8.3 with HiGHS-IPM before it)
+# above: measured with tracemalloc (build and LP), 3.5 on a flat 32 x 32
+# level and on a 10 x 10 x 10 box level, both set by the LP (the build
+# alone peaks at 2.2 and 2.6; building one kernel value per entry peaked
+# at 5.1 and 8.7)
 MATRIX_COPIES = 8
 # linprog gives up after this many iterations; the LPs of the bench jobs
 # and of the test suite converge in 22 or fewer
@@ -60,14 +73,6 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         if np.any(self.masses < 0.0):
             raise ValueError("masses must be nonnegative")
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    @classmethod
-    def empty(cls, n: int) -> DiscreteMeasure:
-        return cls(np.zeros((0, n)), np.zeros(0), np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -105,29 +110,38 @@ def potential_of_measure_vec(
     return gam @ mu.masses
 
 
-def _cell_means(
-    params: KernelParams, obs_sp, obs_t, atom_sp, atom_t, h_space: float, h_time: float, snap: float
-) -> np.ndarray:
-    """Equal-weight mean of Gamma(obs; .) over the Gauss nodes of each atom's cell.
+def _axis_classes(coord: np.ndarray, t_index: np.ndarray, times: np.ndarray):
+    """Distinct (coordinate, time) pairs of points on one axis.
 
-    Row p pairs obs point p with atom p.  At each time node the mean
-    over the spatial nodes is the product of the per-axis means (module
-    doc); time nodes with dt < snap contribute 0.
+    times holds the distinct times and t_index each point's index into
+    them.  Returns each point's class and the classes' coordinates and
+    times.
     """
-    x, _ = legendre_rule(AVG_NODES)
-    off = 0.5 * h_space * x
-    off_t = 0.5 * h_time * x if h_time > 0.0 else np.zeros(1)
-    dt = obs_t[:, None] - (atom_t[:, None] + off_t[None, :])
+    values, index = np.unique(coord, return_inverse=True)
+    keys, cls = np.unique(index * len(times) + t_index, return_inverse=True)
+    return cls, values[keys // len(times)], times[keys % len(times)]
+
+
+def _node_means(
+    params: KernelParams, weighted: bool, x, t, y, s, off: np.ndarray, off_t: np.ndarray, snap: float
+) -> np.ndarray:
+    """Gamma's factor on one axis between (x, t) and the nodes (y + off, s + off_t).
+
+    x, t, y and s are broadcastable arrays; the result has their shape
+    plus a last axis over off_t that holds the mean over off at each
+    time node.  The weighted axis gives u_tilde, a free axis the 1-D
+    heat kernel; nodes whose lag is below snap give 0.
+    """
+    x, t, y, s = (v[..., None, None] for v in (x, t, y, s))
+    dt = t - (s + off_t[:, None])
     live = dt >= snap
-    d = np.where(live, dt, 1.0)[:, :, None]
-    mean = np.ones(d.shape[:2])
-    for k in range(params.n - 1):
-        z = obs_sp[:, None, k] - (atom_sp[:, None, k] + off[None, :])
-        mean *= np.mean(np.exp(-z[:, None, :] ** 2 / (4.0 * d)), axis=-1)
-    mean /= np.sqrt(4.0 * math.pi * d[:, :, 0]) ** (params.n - 1)
-    src_y = atom_sp[:, None, None, -1] + off[None, None, :]
-    weighted = u_tilde(params, obs_sp[:, None, None, -1], src_y, np.where(live, dt, 0.0)[:, :, None])
-    return np.mean(mean * np.mean(weighted, axis=-1), axis=-1)
+    if weighted:
+        vals = u_tilde(params, x, y + off, np.where(live, dt, 0.0))
+    else:
+        d = np.where(live, dt, 1.0)
+        norm = np.where(live, 1.0 / np.sqrt(4.0 * math.pi * d), 0.0)
+        vals = np.exp(-((x - (y + off)) ** 2) / (4.0 * d)) * norm
+    return np.mean(vals, axis=-1)
 
 
 def _constraint_matrix(
@@ -139,31 +153,45 @@ def _constraint_matrix(
     h_space: float,
     h_time: float,
 ) -> tuple[np.ndarray, int]:
-    """Constraint matrix rows x atoms and its number of near pairs."""
-    A = gamma_fs_vec(
-        params,
-        cons_sp[:, None, :],
-        cons_t[:, None],
-        atom_sp[None, :, :],
-        atom_t[None, :],
-    )
-    A = np.asarray(A, dtype=float)
+    """Constraint matrix rows x atoms and its number of near pairs, from per-axis tables.
+
+    A far entry gathers each axis' table over (row class, atom class); a
+    near entry gathers each axis' node means over the distinct class
+    pairs among the near pairs (module doc).
+    """
     dt_scale = h_time if h_time > 0.0 else h_space ** 2
     # collar times may collide with a lattice slice up to rounding; a
     # dt of a few ulps would otherwise produce a spurious huge entry
     snap = 1e-9 * dt_scale
-    dt = cons_t[:, None] - atom_t[None, :]
-    A[(dt > 0.0) & (dt < snap)] = 0.0
-    near = np.abs(dt) <= NEAR_CELLS * dt_scale
+    near = np.abs(cons_t[:, None] - atom_t[None, :]) <= NEAR_CELLS * dt_scale
     # one axis at a time, so no (rows, atoms, n) temporary is built
-    for k in range(cons_sp.shape[1]):
+    for k in range(params.n):
         near &= np.abs(cons_sp[:, None, k] - atom_sp[None, :, k]) <= NEAR_CELLS * h_space
     js, is_ = np.nonzero(near)
-    del dt, near
-    if len(js):
-        A[js, is_] = _cell_means(
-            params, cons_sp[js], cons_t[js], atom_sp[is_], atom_t[is_], h_space, h_time, snap
-        )
+    del near
+    x, _ = legendre_rule(AVG_NODES)
+    off = 0.5 * h_space * x
+    off_t = 0.5 * h_time * x if h_time > 0.0 else np.zeros(1)
+    row_times, row_ti = np.unique(cons_t, return_inverse=True)
+    atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
+    cells = np.ones((len(js), len(off_t)))
+    for k in range(params.n):
+        weighted = k == params.n - 1
+        rc, rx, rt = _axis_classes(cons_sp[:, k], row_ti, row_times)
+        ac, ax, at = _axis_classes(atom_sp[:, k], atom_ti, atom_times)
+        node = np.zeros(1)
+        table = _node_means(params, weighted, rx[:, None], rt[:, None], ax, at, node, node, snap)
+        # gather the columns of the small table, then copy whole rows
+        factor = table[:, ac, 0][rc]
+        if k == 0:
+            A = factor
+        else:
+            A *= factor
+        del factor
+        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
+        p, q = np.divmod(pairs, len(ax))
+        cells *= _node_means(params, weighted, rx[p], rt[p], ax[q], at[q], off, off_t, snap)[pair]
+    A[js, is_] = np.mean(cells, axis=-1)
     return A, len(js)
 
 

@@ -31,29 +31,31 @@ class SingularAxisError(ValueError):
 
 
 def _head(log_c: float, k: float, dist2, dt, *coords):
-    """Causal mask and log-prefactor shared by every kernel entry point.
+    """Causal selection and log-prefactor shared by every kernel entry point.
 
-    Broadcasts the arrays together and returns the mask dt > 0, and on
-    its live entries the lag d and head = log c - (k/2) log d - dist2/(4d),
-    followed by the broadcast coords.  Callers pass dist2 and dt as
-    temporaries, so neither outlives this call.
+    Broadcasts the arrays together and returns their shape, the index of
+    the live entries dt > 0 (the boolean mask, or a full view when every
+    entry is live, so nothing is gathered), and on the live entries the
+    lag d, head = log c - (k/2) log d - dist2/(4d) and the coords.
+    Callers pass dist2 and dt as temporaries, so neither outlives this
+    call.
     """
     dist2, dt, *coords = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (dist2, dt, *coords))
     )
     live = dt > 0.0
-    d = dt[live]
-    head = log_c - 0.5 * k * np.log(d) - dist2[live] / (4.0 * d)
-    return (live, d, head, *coords)
+    sel = ... if live.all() else live
+    d = dt[sel]
+    head = log_c - 0.5 * k * np.log(d) - dist2[sel] / (4.0 * d)
+    return (dt.shape, sel, d, head, *(c[sel] for c in coords))
 
 
-def _profile_kernel(params: KernelParams, live, d, head, x, y) -> np.ndarray:
+def _profile_kernel(params: KernelParams, shape, sel, d, head, x, y) -> np.ndarray:
     """exp(head) F(x y / d) on the live entries of _head, zero elsewhere."""
-    out = np.zeros(live.shape)
-    if np.any(live):
-        s = x[live] * y[live] / d
+    out = np.zeros(shape)
+    if d.size:
         with np.errstate(over="ignore"):
-            out[live] = np.exp(head + np.log(f_profile_vec(params, s)))
+            out[sel] = np.exp(head + np.log(f_profile_vec(params, x * y / d)))
     return out
 
 
@@ -93,7 +95,7 @@ def gamma_grad_y_vec(
     obs_sp = np.asarray(obs_sp, dtype=float)
     src_sp = np.asarray(src_sp, dtype=float)
     diff = obs_sp - src_sp
-    live, d, head, x, y = _head(
+    shape, sel, d, head, x, y = _head(
         math.log(params.c_na),
         params.n + params.a,
         np.sum(diff * diff, axis=-1),
@@ -101,23 +103,23 @@ def gamma_grad_y_vec(
         obs_sp[..., -1],
         src_sp[..., -1],
     )
-    out = np.zeros(live.shape + (params.n,))
-    if not np.any(live):
+    out = np.zeros(shape + (params.n,))
+    if not d.size:
         return out
-    s = x[live] * y[live] / d
+    s = x * y / d
     prof = f_profile_vec(params, s)
     prof_prime = f_profile_prime_vec(params, s)
     with np.errstate(over="ignore"):
         base = np.exp(head)
-    diff_b = np.broadcast_to(diff, out.shape)[live]
-    vec = prof[:, None] * diff_b / (2.0 * d[:, None])
-    # the chain term vanishes identically when x = 0 (s is frozen at 0),
-    # even where F' has no finite limit
-    xl = x[live]
-    with np.errstate(invalid="ignore"):
-        chain = np.where(xl == 0.0, 0.0, prof_prime * xl / d)
-    vec[:, -1] += chain
-    out[live] = base[:, None] * vec
+    twice_d = 2.0 * d
+    for k in range(params.n):
+        comp = prof * np.broadcast_to(diff[..., k], shape)[sel] / twice_d
+        if k == params.n - 1:
+            # the chain term vanishes identically when x = 0 (s is frozen
+            # at 0), even where F' has no finite limit
+            with np.errstate(invalid="ignore"):
+                comp += np.where(x == 0.0, 0.0, prof_prime * x / d)
+        out[..., k][sel] = base * comp
     return out
 
 
@@ -162,21 +164,20 @@ def weighted_normal_limit_vec(
     """Vectorized weighted normal limit; dist2_rest = |x'-y'|^2 per point."""
     x = np.asarray(x, dtype=float)
     # x = 0 entries are zero: masked like acausal ones
-    live, d, head, x = _head(
+    shape, sel, d, head, x = _head(
         0.0,
         params.n + params.a,
         np.asarray(dist2_rest, dtype=float) + x * x,
         np.where(x != 0.0, dt, 0.0),
         x,
     )
-    out = np.zeros(live.shape)
-    if not np.any(live):
+    out = np.zeros(shape)
+    if not d.size:
         return out
     a = params.a
     const = params.c_na * (1.0 - a) * 4.0 ** (a - 1.0) / math.gamma((3.0 - a) / 2.0)
-    xl = x[live]
     with np.errstate(over="ignore"):
-        out[live] = const * (xl / d) * np.exp(head - a * np.log(np.abs(xl) / d))
+        out[sel] = const * (x / d) * np.exp(head - a * np.log(np.abs(x) / d))
     return out
 
 

@@ -33,7 +33,7 @@ PARAMS = KernelParams(n=2, a=0.3)
 
 
 def test_potential_empty_measure():
-    mu = DiscreteMeasure.empty(2)
+    mu = DiscreteMeasure(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
     xi = SpaceTimePoint(x_prime=(0.0,), x=1.0, t=1.0)
     assert potential_of_measure(PARAMS, mu, xi) == 0.0
 
@@ -102,7 +102,7 @@ def test_box_lp_equilibrium_properties():
     assert res.cap_estimate > 0.0
     assert res.max_constraint_violation <= 1e-6
     assert np.all(res.equilibrium.masses >= 0.0)
-    assert res.equilibrium.total_mass == pytest.approx(res.cap_estimate)
+    assert np.sum(res.equilibrium.masses) == pytest.approx(res.cap_estimate)
     # equilibrium potential close to 1 on the bulk of the set
     bulk = (ts > 0.25) & (np.max(np.abs(sp), axis=1) < 0.3)
     pot = potential_of_measure_vec(PARAMS, res.equilibrium, sp[bulk], ts[bulk])
@@ -185,6 +185,17 @@ def _constraint_set(n, kind):
     if kind in ("flat-0", "flat-h2"):
         sp, ts, hs = flat_lattice(lo, hi, 0.0, 6 if n == 2 else 4)
         ht = 0.0 if kind == "flat-0" else hs * hs
+    elif kind == "scattered":
+        # as many points as the box lattice, no two sharing a coordinate or a
+        # time.  exp(-r) has condition number r, so a lag far below the cell's
+        # time scale would make any two evaluations differ by more than the
+        # bound; the times are a shuffled ladder with steps of at least ht / 8
+        rng = np.random.default_rng(7)
+        cells = 5 if n == 2 else 3
+        m = cells ** (n + 1)
+        hs, ht = 1.0 / cells, 0.5 / cells
+        sp = rng.uniform(lo, hi, size=(m, n))
+        ts = 0.25 * ht * (rng.permutation(m) + rng.uniform(0.0, 0.5, size=m))
     else:
         sp, ts, hs, ht = box_lattice(lo, hi, 0.0, 0.5, 5 if n == 2 else 3)
     collar = ht if ht > 0.0 else hs * hs
@@ -222,7 +233,7 @@ def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     return ref, len(js)
 
 
-@pytest.mark.parametrize("kind", ["flat-0", "flat-h2", "box", "straddle"])
+@pytest.mark.parametrize("kind", ["flat-0", "flat-h2", "box", "straddle", "scattered"])
 @pytest.mark.parametrize("a", [-0.5, 0.3])
 @pytest.mark.parametrize("n", [2, 3])
 def test_constraint_matrix_matches_tensor_rule(n, a, kind):
@@ -256,6 +267,14 @@ def test_near_entry_profile_points(monkeypatch):
     A, near_pairs = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, ht)
     assert near_pairs > 0
     assert sum(points.values()) <= A.size + 9 * near_pairs
+    # a flat 32 x 32 level: the weighted axis has 32 coordinates and 2 row
+    # times, so its tables take a few thousand points, not one per entry
+    points.update(gamma_fs_vec=0, u_tilde=0)
+    sp, ts, hs = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
+    cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + hs * hs])
+    A, _ = capacity._constraint_matrix(KernelParams(n=2, a=0.3), cons_sp, cons_t, sp, ts, hs, hs * hs)
+    assert A.shape == (2048, 1024)
+    assert sum(points.values()) <= 10_000
 
 
 # ------------------------------------------------------------- LP solver
