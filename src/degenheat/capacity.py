@@ -21,14 +21,14 @@ has 64 row and 32 atom classes per axis for 2M entries); a set that is
 no lattice has about as many classes as points, and shares less.
 
 A far entry is the product of the axes' table values of its class
-pairs, and 0 where the lag is below `snap`.  A near entry is the
-equal-weight mean of Gamma over the AVG_NODES Gauss-Legendre nodes per
-axis of the atom's cell (their positions only, not the Gauss weights),
-in time too when the cell has a time extent.  At each time node the
-mean over the spatial nodes is the product of the per-axis means, and
-each axis' means are computed once per distinct class pair among the
-near pairs: 3 profile values per time node and class pair, instead of
-3^n per time node and entry.
+pairs, and 0 where its lag is below 1e-9 of the cell's time scale
+(`snap`).  A near entry is the equal-weight mean of Gamma over the
+AVG_NODES Gauss-Legendre nodes per axis of the atom's cell (their
+positions only, not the Gauss weights), in time too when the cell has
+a time extent.  At each time node the mean over the spatial nodes is
+the product of the per-axis means, and each axis' means are computed
+once per distinct class pair among the near pairs: 3 profile values
+per time node and class pair, instead of 3^n per time node and entry.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -55,9 +55,8 @@ NEAR_CELLS = 2.5
 AVG_NODES = 3
 # peak bytes of capacity_lp over the size of its dense matrix, bounded from
 # above: measured with tracemalloc (build and LP), 3.5 on a flat 32 x 32
-# level and on a 10 x 10 x 10 box level, both set by the LP (the build
-# alone peaks at 2.2 and 2.6; building one kernel value per entry peaked
-# at 5.1 and 8.7)
+# level and on a 10 x 10 x 10 box level, both set by the LP; the build
+# alone peaks at 2.2 and 2.6
 MATRIX_COPIES = 8
 # linprog gives up after this many iterations; the LPs of the bench jobs
 # and of the test suite converge in 22 or fewer
@@ -123,7 +122,8 @@ def _axis_classes(coord: np.ndarray, t_index: np.ndarray, times: np.ndarray):
 
 
 def _node_means(
-    params: KernelParams, weighted: bool, x, t, y, s, off: np.ndarray, off_t: np.ndarray, snap: float
+    params: KernelParams, weighted: bool, x, t, y, s, off: np.ndarray, off_t: np.ndarray,
+    snap: float,
 ) -> np.ndarray:
     """Gamma's factor on one axis between (x, t) and the nodes (y + off, s + off_t).
 
@@ -174,13 +174,15 @@ def _constraint_matrix(
     off_t = 0.5 * h_time * x if h_time > 0.0 else np.zeros(1)
     row_times, row_ti = np.unique(cons_t, return_inverse=True)
     atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
+    centre = np.zeros(1)
     cells = np.ones((len(js), len(off_t)))
     for k in range(params.n):
         weighted = k == params.n - 1
         rc, rx, rt = _axis_classes(cons_sp[:, k], row_ti, row_times)
         ac, ax, at = _axis_classes(atom_sp[:, k], atom_ti, atom_times)
-        node = np.zeros(1)
-        table = _node_means(params, weighted, rx[:, None], rt[:, None], ax, at, node, node, snap)
+        table = _node_means(
+            params, weighted, rx[:, None], rt[:, None], ax, at, centre, centre, snap
+        )
         # gather the columns of the small table, then copy whole rows
         factor = table[:, ac, 0][rc]
         if k == 0:

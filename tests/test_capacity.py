@@ -272,7 +272,8 @@ def test_near_entry_profile_points(monkeypatch):
     points.update(gamma_fs_vec=0, u_tilde=0)
     sp, ts, hs = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
     cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + hs * hs])
-    A, _ = capacity._constraint_matrix(KernelParams(n=2, a=0.3), cons_sp, cons_t, sp, ts, hs, hs * hs)
+    params = KernelParams(n=2, a=0.3)
+    A, _ = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, hs * hs)
     assert A.shape == (2048, 1024)
     assert sum(points.values()) <= 10_000
 
