@@ -37,8 +37,8 @@ def _head(log_c: float, k: float, dist2, dt, *coords):
     the live entries dt > 0 (the boolean mask, or a full view when every
     entry is live, so nothing is gathered), and on the live entries the
     lag d, head = log c - (k/2) log d - dist2/(4d) and the coords.
-    Callers pass dist2 and dt as temporaries, so neither outlives this
-    call.
+    Callers pass dist2 and dt as temporaries, so neither outlives the
+    caller's use of the returned arrays.
     """
     dist2, dt, *coords = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (dist2, dt, *coords))
