@@ -46,8 +46,8 @@ lag-0 block and in the graded step of a point evaluation alike.
 Initial lift.  Gamma factorizes over axes, so the lift of f0 at many
 points is a contraction of the weighted f0 grid with 1-D kernel
 matrices: Gaussians on the free axes, u_tilde on the weighted axis
-(LiftGrid, _lift).  A DirichletSolution evaluates many points in one
-pass (evaluate): one standard-rule kernel call per step and distinct
+(LiftGrid, initial_lift).  The double layer at many points is one pass
+(double_layer_eval): one standard-rule kernel call per step and distinct
 probe time, and one for the refined rules of all near cells.
 """
 from __future__ import annotations
@@ -431,29 +431,7 @@ class BoundaryDensity:
             raise RuntimeError("density values must be finite")
 
 
-def dl_kernel_entry(
-    params: KernelParams,
-    obs: SpaceTimePoint,
-    src_spatial,
-    src_t: float,
-    normal_axis: int,
-    normal_sign: float,
-) -> float:
-    """Pointwise weighted double-layer kernel dGamma/dnu(Y) |y|^a.
-
-    One entry of _dl_rows: on a face lying on the degeneracy plane
-    (normal along the weighted axis, y = 0) the weighted-limit kernel,
-    which already contains the |y|^a factor.
-    """
-    src = np.asarray(src_spatial, dtype=float)
-    on_plane = normal_axis == params.n - 1 and src[-1] == 0.0
-    weight = normal_sign * (1.0 if on_plane else abs(src[-1]) ** params.a)
-    dt = np.array([obs.t - src_t])
-    row = _dl_rows(params, obs.spatial[None, :], dt, src[None, :], weight, normal_axis, on_plane)
-    return float(row[0, 0, 0])
-
-
-def _double_layer(
+def double_layer_eval(
     mesh: BoundaryMesh, values: np.ndarray, spatial: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """Double-layer potential of the density values at (spatial[i], times[i]).
@@ -490,11 +468,6 @@ def _double_layer(
             cell_vals[local[obs[pairs]], cells[pairs]] = refined[pairs]
             out[group] += cell_vals @ values[k]
     return out
-
-
-def double_layer_eval(mesh: BoundaryMesh, phi: BoundaryDensity, xi: SpaceTimePoint) -> float:
-    """Evaluate the double-layer potential of phi at an off-boundary point."""
-    return float(_double_layer(mesh, phi.values, xi.spatial[None, :], np.array([xi.t]))[0])
 
 
 def _weighted_sup(mesh: BoundaryMesh, values: np.ndarray) -> float:
@@ -609,7 +582,7 @@ class LiftGrid:
         return cls(box.t0, tuple(r.nodes for r in rules), values.reshape(shape))
 
 
-def _lift(
+def initial_lift(
     params: KernelParams, grid: LiftGrid, spatial: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """v(X,t) = int_Q Gamma(X,t;Y,t0) f0(Y) |y|^a dY at every (spatial[i], times[i]).
@@ -634,17 +607,6 @@ def _lift(
     return out
 
 
-def initial_lift(
-    params: KernelParams, box: BoxDomain, f0, xi: SpaceTimePoint, m: int = 32
-) -> float:
-    """v(X,t) = int_Q Gamma(X,t;Y,t0) f0(Y) |y|^a dY (kernel convolution).
-
-    f0 maps an (p, n) array of spatial points to p values.
-    """
-    grid = LiftGrid.build(params, box, f0, m)
-    return float(_lift(params, grid, xi.spatial[None, :], np.array([xi.t]))[0])
-
-
 @dataclass(frozen=True)
 class DirichletSolution:
     """Evaluator u = offset + initial lift + double layer of the density.
@@ -666,8 +628,9 @@ class DirichletSolution:
         points = list(points)
         spatial = np.array([xi.spatial for xi in points]).reshape(len(points), self.mesh.box.n)
         times = np.array([xi.t for xi in points], dtype=float)
-        v = _lift(self.mesh.params, self.lift, spatial, times)
-        return self.offset + v + _double_layer(self.mesh, self.density.values, spatial, times)
+        v = initial_lift(self.mesh.params, self.lift, spatial, times)
+        w = double_layer_eval(self.mesh, self.density.values, spatial, times)
+        return self.offset + v + w
 
     def __call__(self, xi: SpaceTimePoint) -> float:
         return float(self.evaluate([xi])[0])
@@ -695,7 +658,7 @@ def solve_dirichlet(
     lift = LiftGrid.build(params, box, f0)
     spatial = np.tile(mesh.centers, (mesh.n_steps, 1))
     times = np.repeat(mesh.step_times, mesh.n_cells)
-    lifted = _lift(params, lift, spatial, times).reshape(mesh.n_steps, mesh.n_cells)
+    lifted = initial_lift(params, lift, spatial, times).reshape(mesh.n_steps, mesh.n_cells)
     g = np.array([np.asarray(f(mesh.centers, t), dtype=float) for t in mesh.step_times])
     g = g - offset - lifted
     density, info = solve_density(mesh, g)

@@ -47,8 +47,8 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kernel import gamma_fs_vec, u_tilde
-from .params import KernelParams, SpaceTimePoint
+from .kernel import u_tilde
+from .params import KernelParams
 from .quadrature import integrate_weighted_interval, legendre_rule, tensor_rule
 
 NEAR_CELLS = 2.5
@@ -79,34 +79,10 @@ class CapacityResult:
     cap_estimate: float
     equilibrium: DiscreteMeasure
     max_constraint_violation: float
-    refinement_level: int
     # active constraint rows handed to the LP, near (cell-averaged) entries, linprog iterations
     lp_rows: int
     near_pairs: int
     lp_iterations: int
-
-
-def potential_of_measure(params: KernelParams, mu: DiscreteMeasure, xi) -> float:
-    """Sum of mass times Gamma(xi; atom); atoms at or after t contribute 0."""
-    obs_sp, obs_t = (xi.spatial, xi.t) if isinstance(xi, SpaceTimePoint) else xi
-    return float(potential_of_measure_vec(params, mu, obs_sp, [obs_t])[0])
-
-
-def potential_of_measure_vec(
-    params: KernelParams, mu: DiscreteMeasure, obs_spatial, obs_times
-) -> np.ndarray:
-    obs_spatial = np.atleast_2d(np.asarray(obs_spatial, dtype=float))
-    obs_times = np.asarray(obs_times, dtype=float)
-    if len(mu.masses) == 0:
-        return np.zeros(len(obs_times))
-    gam = gamma_fs_vec(
-        params,
-        obs_spatial[:, None, :],
-        obs_times[:, None],
-        mu.spatial[None, :, :],
-        mu.times[None, :],
-    )
-    return gam @ mu.masses
 
 
 def _axis_classes(coord: np.ndarray, t_index: np.ndarray, times: np.ndarray):
@@ -312,7 +288,6 @@ def capacity_lp(
     h_space: float,
     h_time: float,
     tol: float = 1e-8,
-    refinement_level: int = 0,
 ) -> CapacityResult:
     """Equilibrium-measure LP: max total mass s.t. potential <= 1.
 
@@ -341,7 +316,6 @@ def capacity_lp(
         cap_estimate=float(np.sum(masses)),
         equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
         max_constraint_violation=violation,
-        refinement_level=refinement_level,
         lp_rows=len(A),
         near_pairs=near_pairs,
         lp_iterations=nit,
@@ -398,14 +372,11 @@ def weighted_ball_volume(params: KernelParams, rho: float, x0: float, tol: float
     if not rho > 0.0:
         raise ValueError("rho must be positive")
     nm1 = params.n - 1
-    if nm1 == 0:
-        omega = 1.0
-    else:
-        omega = math.pi ** (nm1 / 2.0) / math.gamma(nm1 / 2.0 + 1.0)
+    omega = math.pi ** (nm1 / 2.0) / math.gamma(nm1 / 2.0 + 1.0)
 
-    def cross_section(y: float) -> float:
+    def cross_section(y: np.ndarray) -> np.ndarray:
         s = rho * rho - (y - x0) ** 2
-        return omega * max(s, 0.0) ** (nm1 / 2.0)
+        return omega * np.maximum(s, 0.0) ** (nm1 / 2.0)
 
     return integrate_weighted_interval(
         cross_section, x0 - rho, x0 + rho, params.a, tol=tol

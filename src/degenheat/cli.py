@@ -188,6 +188,8 @@ def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
 def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
     tol = _tol(config.raw.get("tol", 1e-6))
     perturb = float(config.raw.get("perturb", 1.0))
+    if not math.isfinite(perturb):
+        raise ConfigError(f"check perturb must be finite, got {perturb!r}")
     mass_points = config.raw.get("mass_points", [])
     semis = config.raw.get("semigroup", [])
     if not mass_points and not semis:
@@ -230,6 +232,8 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     data = config.raw.get("data", "constant")
     if data == "constant":
         c = float(config.raw.get("constant", 1.0))
+        if not math.isfinite(c):
+            raise ConfigError(f"dirichlet constant must be finite, got {c!r}")
 
         def f(pts, t):
             return np.full(len(np.atleast_2d(pts)), c)
@@ -302,27 +306,28 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     def run(dens: int) -> CapacityResult:
         if kind == "flat":
             pts, times, h = flat_lattice(box.lo, box.hi, tau, dens)
-            return capacity_lp(params, pts, times, h, h * h, tol=tol, refinement_level=dens)
+            return capacity_lp(params, pts, times, h, h * h, tol=tol)
         sp, tm, hs, ht = box_lattice(box.lo, box.hi, box.t0, box.t1, dens)
-        return capacity_lp(params, sp, tm, hs, ht, tol=tol, refinement_level=dens)
+        return capacity_lp(params, sp, tm, hs, ht, tol=tol)
 
-    levels = [run(density), run(2 * density)]
+    pair = [density, 2 * density]
+    levels = [run(dens) for dens in pair]
     coarse, fine = (res.cap_estimate for res in levels)
     extrapolated = 2.0 * fine - coarse
     oracle = flat_set_capacity(params, box.lo, box.hi) if kind == "flat" else math.nan
     rows = [[density, coarse, fine, extrapolated, oracle]]
     diags = {
-        "density_pair": [density, 2 * density],
+        "density_pair": pair,
         "levels": [
             {
-                "density": res.refinement_level,
+                "density": dens,
                 "atoms": len(res.equilibrium.masses),
                 "lp_rows": res.lp_rows,
                 "near_pairs": res.near_pairs,
                 "lp_iterations": res.lp_iterations,
                 "max_constraint_violation": res.max_constraint_violation,
             }
-            for res in levels
+            for dens, res in zip(pair, levels)
         ],
     }
     return (
@@ -398,8 +403,8 @@ def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     if params.n != 2:
         raise ConfigError("harnack command supports n = 2")
     r = float(config.raw.get("r", 0.02))
-    if not r > 0.0:
-        raise ConfigError("harnack r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ConfigError("harnack r must be positive and finite")
     pole = _point(config.raw.get("pole", ()), params.n, "pole")
     density = _count(config.raw.get("density", 24), "harnack density")
 

@@ -51,11 +51,6 @@ class HeatBall:
         )
         return gam > self.threshold
 
-    def contains(self, zeta: SpaceTimePoint) -> bool:
-        if zeta.t >= self.center.t:
-            return False
-        return bool(self.contains_vec(zeta.spatial, zeta.t))
-
     def bounding_box(self) -> tuple[float, float]:
         """(time depth below t0, spatial radius) certified to contain the ball.
 
@@ -169,11 +164,6 @@ class Shell:
         lo, hi = self.thresholds()
         return (gam >= lo) & (gam <= hi)
 
-    def contains(self, zeta: SpaceTimePoint) -> bool:
-        if zeta.t >= self.center.t:
-            return False
-        return bool(self.contains_vec(zeta.spatial, zeta.t))
-
     def outer_ball(self) -> HeatBall:
         return HeatBall(self.center, self.outer_radius, self.params)
 
@@ -204,16 +194,10 @@ class BoxDomain:
     def n(self) -> int:
         return len(self.lo)
 
-    def contains_spatial(self, spatial, tol: float = 0.0) -> np.ndarray:
-        spatial = np.atleast_2d(np.asarray(spatial, dtype=float))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((spatial > lo - tol) & (spatial < hi + tol), axis=1)
-
     def contains(self, zeta: SpaceTimePoint) -> bool:
-        if not self.t0 < zeta.t <= self.t1:
-            return False
-        return bool(self.contains_spatial(zeta.spatial)[0])
+        """zeta lies in the open box over (t0, t1]."""
+        inside = (zeta.spatial > self.lo) & (zeta.spatial < self.hi)
+        return self.t0 < zeta.t <= self.t1 and bool(np.all(inside))
 
     def faces(self) -> list[tuple[int, int, float]]:
         """(axis, side, coordinate) for all 2n lateral faces; side in {0,1}."""

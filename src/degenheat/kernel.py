@@ -24,12 +24,6 @@ from .special import f_profile_prime_vec, f_profile_vec
 TRUNCATION_STD = 9.0
 
 
-class SingularAxisError(ValueError):
-    """Raised when the raw y-derivative is requested on the weighted axis
-    at y = 0 with a != 0; the weighted_normal_limit is the defined object
-    there."""
-
-
 def _head(log_c: float, k: float, dist2, dt, *coords):
     """Causal selection and log-prefactor shared by every kernel entry point.
 
@@ -89,8 +83,8 @@ def gamma_grad_y_vec(
     """grad_Y Gamma, vectorized; output has the coordinate axis last.
 
     All axes carry Gamma (x_i - y_i)/(2 d); the weighted axis adds the
-    profile chain term F'(xy/d) x/d.  No singular-axis checks here; the
-    scalar wrapper enforces them.
+    profile chain term F'(xy/d) x/d.  At a source on y = 0 with a != 0
+    the double-layer kernel is weighted_normal_limit_vec instead.
     """
     obs_sp = np.asarray(obs_sp, dtype=float)
     src_sp = np.asarray(src_sp, dtype=float)
@@ -123,45 +117,14 @@ def gamma_grad_y_vec(
     return out
 
 
-def gamma_grad_y(
-    params: KernelParams, xi: SpaceTimePoint, zeta: SpaceTimePoint
-) -> np.ndarray:
-    """grad_Y Gamma(xi; zeta) as a length-n vector; requires t > tau.
-
-    At y = 0 the raw derivative on the weighted axis only exists when
-    a = 0 or the profile argument is frozen (x = 0); otherwise the
-    weighted_normal_limit is the canonical object and this raises.
-    """
-    if not xi.t > zeta.t:
-        raise ValueError("gradient defined for t > tau only")
-    if zeta.x == 0.0 and params.a != 0.0 and xi.x != 0.0:
-        raise SingularAxisError(
-            "raw y-derivative unavailable at y=0 for a != 0; "
-            "use weighted_normal_limit"
-        )
-    return np.asarray(
-        gamma_grad_y_vec(params, xi.spatial, xi.t, zeta.spatial, zeta.t)
-    )
-
-
-def weighted_normal_limit(
-    params: KernelParams, xi: SpaceTimePoint, y_prime, tau: float
-) -> float:
-    """lim_{y->0} |y|^a D_y Gamma(xi; (y', y), tau) for t > tau.
-
-    Equals c_na (1-a) 4^{a-1}/Gamma((3-a)/2) d^{-(n+a)/2} (x/d)
-    (|x|/d)^{-a} e^{-(|x'-y'|^2 + x^2)/(4d)}; zero when x = 0.
-    """
-    if not xi.t > tau:
-        raise ValueError("limit defined for t > tau only")
-    diff = np.asarray(xi.x_prime, dtype=float) - np.asarray(y_prime, dtype=float)
-    return float(weighted_normal_limit_vec(params, xi.x, xi.t - tau, np.sum(diff * diff)))
-
-
 def weighted_normal_limit_vec(
     params: KernelParams, x, dt, dist2_rest
 ) -> np.ndarray:
-    """Vectorized weighted normal limit; dist2_rest = |x'-y'|^2 per point."""
+    """lim_{y->0} |y|^a D_y Gamma at lags dt = t - tau, with dist2_rest = |x'-y'|^2.
+
+    Equals c_na (1-a) 4^{a-1}/Gamma((3-a)/2) d^{-(n+a)/2} (x/d)
+    (|x|/d)^{-a} e^{-(|x'-y'|^2 + x^2)/(4d)}; zero when x = 0 or d <= 0.
+    """
     x = np.asarray(x, dtype=float)
     # x = 0 entries are zero: masked like acausal ones
     shape, sel, d, head, x = _head(

@@ -8,9 +8,8 @@ exactly up to quadrature error.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,9 +351,6 @@ class MonotonicityReport:
     max_violation: float
     gap_constant: float | None
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def mean_derivative_sign(
     params: KernelParams,
@@ -403,9 +399,6 @@ class HarnackReport:
     bottom_average: float
     interior_inf: float
     quotient: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def harnack_quotient(

@@ -67,7 +67,7 @@ class WeightedRule1D(NamedTuple):
     weights: np.ndarray
 
     def apply(self, f) -> float:
-        return float(np.sum(self.weights * _eval_vec(f, self.nodes)))
+        return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
 
 
 def weighted_rule(lo: float, hi: float, a: float, m: int = 16) -> WeightedRule1D:
@@ -94,16 +94,6 @@ def weighted_rule(lo: float, hi: float, a: float, m: int = 16) -> WeightedRule1D
     return WeightedRule1D(nodes, weights * np.abs(nodes) ** a)
 
 
-def _eval_vec(f, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape == nodes.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(y)) for y in nodes])
-
-
 def integrate_weighted_interval(
     f, lo: float, hi: float, a: float, tol: float = DEFAULT_TOL
 ) -> float:
@@ -117,7 +107,6 @@ def integrate_weighted_interval(
         raise ValueError("empty interval")
     panels = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
     total = 0.0
-    err = 0.0
     budget = tol
     stack = [(p0, p1, 0) for (p0, p1) in panels]
     max_depth = 48
@@ -139,7 +128,6 @@ def integrate_weighted_interval(
                     f"[{p0}, {p1}]; achieved estimate {local_err:.3e}"
                 )
             total += fine
-            err += local_err
             continue
         mid = 0.5 * (p0 + p1)
         # left child last so smooth mass accumulates before singular fringes

@@ -190,11 +190,6 @@ def f_profile_vec(params: KernelParams, s) -> np.ndarray:
     return _profile(params, s, False)
 
 
-def f_profile(params: KernelParams, z_signed: float) -> float:
-    """Kernel profile F at a signed scalar argument; F(0) = 1/Gamma(nu+1)."""
-    return float(f_profile_vec(params, float(z_signed)))
-
-
 def f_profile_prime_vec(params: KernelParams, s) -> np.ndarray:
     """dF/ds for an array of signed arguments; s = 0 entries get the limit.
 
@@ -215,8 +210,3 @@ def _f_prime_at_zero(params: KernelParams) -> float:
     if params.a == 0.0:
         return 0.0
     return -0.5 / math.gamma(params.nu + 1.0)
-
-
-def f_profile_prime(params: KernelParams, z_signed: float) -> float:
-    """dF/ds at a signed scalar argument (limit value at s = 0)."""
-    return float(f_profile_prime_vec(params, float(z_signed)))

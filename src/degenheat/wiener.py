@@ -8,9 +8,8 @@ heuristic and the thresholds are surfaced in the report.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,14 +123,6 @@ class DomainDescriptor:
             self.contains_vec(zeta.spatial[None, :], np.array([zeta.t]))[0]
         )
 
-    def to_json(self) -> str:
-        return json.dumps({"primitives": list(self.primitives), "ops": list(self.ops)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DomainDescriptor":
-        data = json.loads(text)
-        return cls(tuple(data["primitives"]), tuple(data.get("ops", ())))
-
     @classmethod
     def box(cls, lo, hi, t0: float, t1: float) -> "DomainDescriptor":
         return cls(({"type": "box", "lo": list(lo), "hi": list(hi), "t": [t0, t1]},))
@@ -158,10 +149,6 @@ def shell_term(
     tol: float = 1e-8,
 ) -> tuple[float, float]:
     """(capacity of the domain complement in shell k, weighted term)."""
-    if k < 1:
-        raise ValueError("shell index must be at least 1")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
     shell = Shell(xi0, lam, k, params)
     # the certified bounding box is loose for deep shells; densify the
     # lattice until the ball is actually hit
@@ -198,9 +185,6 @@ class WienerReport:
     verdict: str
     thresholds: dict
     lambda_sweep: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def classify_terms(terms) -> str:

@@ -12,7 +12,7 @@ import pytest
 
 from degenheat.bem import (
     BoundaryMesh,
-    dl_kernel_entry,
+    _dl_rows,
     solve_density,
     solve_dirichlet,
     u0_identity,
@@ -23,8 +23,6 @@ from degenheat.capacity import (
     capacity_lp,
     flat_lattice,
     flat_set_capacity,
-    potential_of_measure,
-    potential_of_measure_vec,
 )
 from degenheat.geometry import BoxDomain, HeatBall
 from degenheat.kernel import (
@@ -98,10 +96,10 @@ def test_criterion_03_classical_degeneration():
     # double-layer kernel rows
     worst_dl = 0.0
     for i in range(0, m, 10):
-        xi = P(x_prime=(obs[i, 0],), x=obs[i, 1], t=float(dts[i]))
+        one = slice(i, i + 1)
         for axis, sign in ((0, 1.0), (1, -1.0)):
             want = sign * classical[i] * (obs[i, axis] - src[i, axis]) / (2 * dts[i])
-            got_dl = dl_kernel_entry(params0, xi, src[i], 0.0, axis, sign)
+            got_dl = _dl_rows(params0, obs[one], dts[one], src[one], sign, axis, False)[0, 0, 0]
             if want != 0.0:
                 worst_dl = max(worst_dl, abs(got_dl / want - 1.0))
     ok = worst <= 1e-10 and match and worst_dl <= 1e-10
@@ -195,9 +193,7 @@ def test_criterion_08_capacity_oracle():
         caps = []
         for d in (16, 32):
             pts, times, h = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, d)
-            caps.append(
-                capacity_lp(params, pts, times, h, 0.0, refinement_level=d).cap_estimate
-            )
+            caps.append(capacity_lp(params, pts, times, h, 0.0).cap_estimate)
         rich = 2.0 * caps[1] - caps[0]
         worst = max(worst, abs(rich - exact) / exact)
     report(8, "flat-set capacity vs weighted-volume oracle", worst <= 0.02, f"worst={worst:.2%}")
@@ -217,10 +213,10 @@ def test_criterion_09_capacity_axioms():
         in2 = np.all((pts >= lo2) & (pts <= hi2), axis=1)
         if not (np.any(in1) and np.any(in2)):
             continue
-        cap1 = capacity_lp(PARAMS, pts[in1], times[in1], h, 0.0, refinement_level=12).cap_estimate
-        cap2 = capacity_lp(PARAMS, pts[in2], times[in2], h, 0.0, refinement_level=12).cap_estimate
+        cap1 = capacity_lp(PARAMS, pts[in1], times[in1], h, 0.0).cap_estimate
+        cap2 = capacity_lp(PARAMS, pts[in2], times[in2], h, 0.0).cap_estimate
         both = in1 | in2
-        cap_u = capacity_lp(PARAMS, pts[both], times[both], h, 0.0, refinement_level=12).cap_estimate
+        cap_u = capacity_lp(PARAMS, pts[both], times[both], h, 0.0).cap_estimate
         if cap_u > cap1 + cap2 + tol * (1 + cap_u) or cap_u < cap1 * (1 - 1e-4):
             ok = False
             detail = f"subadd/mono broke: {cap_u:.4f} vs {cap1:.4f}+{cap2:.4f}"
@@ -269,10 +265,11 @@ def test_criterion_11_superparabolic_monotonicity():
     xi0 = P(x_prime=(0.5,), x=0.7, t=0.0)
     ok = True
     detail = ""
+
     def potential(mu):
         def u(pts, t):
-            pts = np.atleast_2d(pts)
-            return potential_of_measure_vec(PARAMS, mu, pts, np.full(len(pts), t))
+            obs = np.atleast_2d(pts)[:, None]
+            return gamma_fs_vec(PARAMS, obs, t, mu.spatial, mu.times) @ mu.masses
 
         return u
 
@@ -288,7 +285,7 @@ def test_criterion_11_superparabolic_monotonicity():
             masses=rng.uniform(0.2, 1.0, k),
         )
         rep = mean_derivative_sign(PARAMS, potential(mu), xi0, [0.01, 0.03, 0.09], density=8)
-        center = potential_of_measure(PARAMS, mu, xi0)
+        center = float(potential(mu)(xi0.spatial, xi0.t)[0])
         if not rep.nonincreasing or any(m > center * (1 + 1e-4) for m in rep.means):
             ok = False
             detail = f"trial {trial}: means={rep.means} center={center}"
@@ -303,7 +300,7 @@ def test_criterion_11_superparabolic_monotonicity():
         rep = mean_derivative_sign(
             PARAMS, potential(mu), xi0, [0.02, 0.06, 0.18], density=8, mass_in_ball=1.0
         )
-        center = potential_of_measure(PARAMS, mu, xi0)
+        center = float(potential(mu)(xi0.spatial, xi0.t)[0])
         strict = rep.means[0] > rep.means[1] > rep.means[2]
         if not (rep.nonincreasing and strict and all(m <= center for m in rep.means)):
             ok = False

@@ -15,7 +15,6 @@ from degenheat import bem
 from degenheat.bem import (
     BoundaryDensity,
     BoundaryMesh,
-    dl_kernel_entry,
     double_layer_eval,
     initial_lift,
     solve_density,
@@ -23,7 +22,7 @@ from degenheat.bem import (
     u0_identity,
 )
 from degenheat.geometry import BoxDomain
-from degenheat.kernel import gamma_fs, gamma_fs_vec, weighted_normal_limit
+from degenheat.kernel import gamma_fs, gamma_fs_vec, weighted_normal_limit_vec
 from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.quadrature import tensor_rule, weighted_rule
 from degenheat.special import f_profile_prime_vec, f_profile_vec
@@ -37,26 +36,26 @@ BOX = BoxDomain(lo=(0.0, 0.2), hi=(1.0, 1.2), t0=0.0, t1=1.0)
 
 
 def test_dl_kernel_causality():
-    obs = P(x_prime=(0.5,), x=0.7, t=0.1)
-    assert dl_kernel_entry(PARAMS, obs, [0.0, 0.5], 0.1, 0, -1.0) == 0.0
-    assert dl_kernel_entry(PARAMS, obs, [0.0, 0.5], 0.5, 0, -1.0) == 0.0
+    # lags 0 and -0.4: the source is not in the observation's past
+    obs, src = np.array([[0.5, 0.7]]), np.array([[0.0, 0.5]])
+    rows = bem._dl_rows(PARAMS, obs, np.array([0.0, -0.4]), src, -1.0, 0, False)
+    assert np.all(rows == 0.0)
 
 
 def test_dl_kernel_classical_closed_form():
     params = KernelParams(n=2, a=0.0)
-    obs = P(x_prime=(0.4,), x=0.8, t=0.6)
+    obs = np.array([[0.4, 0.8]])
     src = np.array([0.0, 0.5])
-    tau = 0.2
-    dt = obs.t - tau
+    dt = 0.4
     gam = math.exp(-(0.16 + 0.09) / (4 * dt)) / (4 * math.pi * dt)
     for axis, sign in ((0, -1.0), (1, 1.0)):
-        want = sign * gam * (obs.spatial[axis] - src[axis]) / (2 * dt)
-        got = dl_kernel_entry(params, obs, src, tau, axis, sign)
-        assert got == pytest.approx(want, rel=1e-12)
+        want = sign * gam * (obs[0, axis] - src[axis]) / (2 * dt)
+        got = bem._dl_rows(params, obs, np.array([dt]), src[None, :], sign, axis, False)
+        assert got[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_dl_kernel_fd_oracle():
-    # finite-difference d Gamma/d y_axis against the analytic entry
+    # finite-difference d Gamma/d y_axis against the analytic entry, unit weight
     obs = P(x_prime=(0.3,), x=0.9, t=0.7)
     src = np.array([0.6, 0.45])
     tau = 0.2
@@ -69,19 +68,18 @@ def test_dl_kernel_fd_oracle():
             float(gamma_fs_vec(PARAMS, obs.spatial, obs.t, up, tau))
             - float(gamma_fs_vec(PARAMS, obs.spatial, obs.t, dn, tau))
         ) / (2 * h)
-        want = fd * abs(src[1]) ** PARAMS.a
-        got = dl_kernel_entry(PARAMS, obs, src, tau, axis, 1.0)
-        assert got == pytest.approx(want, rel=1e-6)
+        dts = np.array([obs.t - tau])
+        got = bem._dl_rows(PARAMS, obs.spatial[None, :], dts, src[None, :], 1.0, axis, False)
+        assert got[0, 0, 0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_dl_kernel_plane_face_uses_limit():
-    obs = P(x_prime=(0.3,), x=0.9, t=0.7)
-    got = dl_kernel_entry(PARAMS, obs, [0.6, 0.0], 0.2, 1, -1.0)
-    want = -weighted_normal_limit(PARAMS, obs, [0.6], 0.2)
-    assert got == pytest.approx(want, rel=1e-12)
+    src, dts = np.array([[0.6, 0.0]]), np.array([0.5])
+    got = bem._dl_rows(PARAMS, np.array([[0.3, 0.9]]), dts, src, -1.0, 1, True)
+    want = -weighted_normal_limit_vec(PARAMS, 0.9, 0.5, (0.3 - 0.6) ** 2)
+    assert got[0, 0, 0] == pytest.approx(want, rel=1e-12)
     # x = 0 observation: the limit kernel vanishes
-    obs0 = P(x_prime=(0.3,), x=0.0, t=0.7)
-    assert dl_kernel_entry(PARAMS, obs0, [0.6, 0.0], 0.2, 1, -1.0) == 0.0
+    assert bem._dl_rows(PARAMS, np.array([[0.3, 0.0]]), dts, src, -1.0, 1, True)[0, 0, 0] == 0.0
 
 
 def test_dl_kernel_entry_matches_rows():
@@ -103,11 +101,12 @@ def test_dl_kernel_entry_matches_rows():
         )
         rows = bem._dl_rows(params, obs[None, :], dts, src, weights, axes, on)
         assert np.any(on) and not np.all(on)
-        xi = P.from_spatial(obs, 0.0)
-        for k, dt in enumerate(dts):
+        for k in range(len(dts)):
             for s in range(len(src)):
-                got = dl_kernel_entry(params, xi, src[s], -dt, axes[s], signs[s])
-                assert rows[0, k, s] == pytest.approx(got, rel=1e-14, abs=0.0)
+                one = bem._dl_rows(
+                    params, obs[None, :], dts[k : k + 1], src[s : s + 1], weights[s], axes[s], on[s]
+                )
+                assert rows[0, k, s] == pytest.approx(one[0, 0, 0], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------- lag-0 near/far split
@@ -219,11 +218,12 @@ def test_lift_matches_tensor_quadrature(n, y0):
             for x, t in zip(spatial, times)
         ]
     )
-    got = bem._lift(params, bem.LiftGrid.build(params, box, f0, m), spatial, times)
+    grid = bem.LiftGrid.build(params, box, f0, m)
+    got = initial_lift(params, grid, spatial, times)
     assert np.all(got[times <= box.t0] == 0.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    one = initial_lift(params, box, f0, P.from_spatial(spatial[0], 0.05), m=m)
-    assert got[0] == pytest.approx(one, rel=1e-14)
+    one = initial_lift(params, grid, spatial[:1], times[:1])
+    assert got[0] == pytest.approx(one[0], rel=1e-14)
 
 
 def test_evaluate_matches_pointwise():
@@ -370,7 +370,6 @@ def test_boundary_jump_recovers_density():
     vals = np.array(
         [[(t - BOX.t0) * (0.5 + 0.3 * c[-1]) for c in mesh.centers] for t in mesh.step_times]
     )
-    phi = BoundaryDensity(mesh, vals)
     # foot at a cell center on the face x' = 0, observation time at a
     # collocation time so the discrete jump limit is that cell's value
     cell = next(
@@ -386,8 +385,10 @@ def test_boundary_jump_recovers_density():
     expect = vals[k, cell]
     nu = np.array([-1.0, 0.0])
     eps = 0.0125
-    u_out = double_layer_eval(mesh, phi, P.from_spatial(foot + eps * nu, t_obs))
-    u_in = double_layer_eval(mesh, phi, P.from_spatial(foot - eps * nu, t_obs))
+    u_out, u_in = (
+        double_layer_eval(mesh, vals, (foot + side * eps * nu)[None, :], np.array([t_obs]))[0]
+        for side in (1.0, -1.0)
+    )
     assert (u_out - u_in) == pytest.approx(expect, rel=0.05)
 
 
@@ -395,11 +396,11 @@ def test_linearity_of_evaluation():
     mesh = BoundaryMesh(BOX, PARAMS, d_space=4, n_steps=4)
     rng = np.random.default_rng(7)
     vals = rng.normal(size=(4, mesh.n_cells))
-    xi = P(x_prime=(0.5,), x=0.7, t=0.9)
-    u1 = double_layer_eval(mesh, BoundaryDensity(mesh, vals), xi)
-    u2 = double_layer_eval(mesh, BoundaryDensity(mesh, 2.0 * vals), xi)
+    spatial, times = np.array([[0.5, 0.7]]), np.array([0.9])
+    u1 = double_layer_eval(mesh, vals, spatial, times)
+    u2 = double_layer_eval(mesh, 2.0 * vals, spatial, times)
     assert u2 == pytest.approx(2.0 * u1, rel=1e-12)
-    assert double_layer_eval(mesh, BoundaryDensity(mesh, 0.0 * vals), xi) == 0.0
+    assert np.all(double_layer_eval(mesh, 0.0 * vals, spatial, times) == 0.0)
 
 
 # ---------------------------------------------------------------- dirichlet
@@ -471,8 +472,9 @@ def test_initial_lift_reproduces_kernel_mass():
     def one(pts):
         return np.ones(len(pts))
 
-    v = initial_lift(PARAMS, box, one, P(x_prime=(0.1,), x=0.4, t=0.5), m=48)
-    assert v == pytest.approx(1.0, abs=1e-6)
+    grid = bem.LiftGrid.build(PARAMS, box, one, m=48)
+    v = initial_lift(PARAMS, grid, np.array([[0.1, 0.4]]), np.array([0.5]))
+    assert v[0] == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------- classical oracle

@@ -21,40 +21,13 @@ from degenheat.capacity import (
     flat_lattice,
     flat_set_capacity,
     linprog,
-    potential_of_measure,
-    potential_of_measure_vec,
     weighted_ball_volume,
 )
-from degenheat.kernel import gamma_fs, gamma_fs_vec
-from degenheat.params import KernelParams, SpaceTimePoint
+from degenheat.kernel import gamma_fs_vec
+from degenheat.params import KernelParams
 from degenheat.quadrature import legendre_rule, tensor_rule
 
 PARAMS = KernelParams(n=2, a=0.3)
-
-
-def test_potential_empty_measure():
-    mu = DiscreteMeasure(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-    xi = SpaceTimePoint(x_prime=(0.0,), x=1.0, t=1.0)
-    assert potential_of_measure(PARAMS, mu, xi) == 0.0
-
-
-def test_potential_single_atom_and_linearity():
-    zeta = SpaceTimePoint(x_prime=(0.1,), x=0.5, t=0.0)
-    xi = SpaceTimePoint(x_prime=(0.3,), x=0.7, t=0.4)
-    mu1 = DiscreteMeasure(zeta.spatial[None, :], np.array([zeta.t]), np.array([1.0]))
-    mu3 = DiscreteMeasure(zeta.spatial[None, :], np.array([zeta.t]), np.array([3.0]))
-    g = gamma_fs(PARAMS, xi, zeta)
-    assert potential_of_measure(PARAMS, mu1, xi) == pytest.approx(g, rel=1e-14)
-    assert potential_of_measure(PARAMS, mu3, xi) == pytest.approx(3.0 * g, rel=1e-14)
-
-
-def test_potential_causality():
-    # atoms at or after the observation time contribute nothing
-    mu = DiscreteMeasure(
-        np.array([[0.0, 0.5], [0.0, 0.5]]), np.array([1.0, 2.0]), np.array([1.0, 1.0])
-    )
-    xi = SpaceTimePoint(x_prime=(0.0,), x=0.5, t=1.0)
-    assert potential_of_measure(PARAMS, mu, xi) == 0.0
 
 
 def test_discrete_measure_rejects_negative_mass():
@@ -86,7 +59,7 @@ def test_flat_set_lp_refines_toward_oracle():
     caps = []
     for d in (8, 16):
         sp, ts, h = flat_lattice([-1, -1], [1, 1], 0.0, d)
-        res = capacity_lp(params, sp, ts, h, 0.0, refinement_level=d)
+        res = capacity_lp(params, sp, ts, h, 0.0)
         assert res.max_constraint_violation <= 1e-6
         caps.append(res.cap_estimate)
     # discrete capacity overestimates and decreases under refinement
@@ -105,7 +78,8 @@ def test_box_lp_equilibrium_properties():
     assert np.sum(res.equilibrium.masses) == pytest.approx(res.cap_estimate)
     # equilibrium potential close to 1 on the bulk of the set
     bulk = (ts > 0.25) & (np.max(np.abs(sp), axis=1) < 0.3)
-    pot = potential_of_measure_vec(PARAMS, res.equilibrium, sp[bulk], ts[bulk])
+    mu = res.equilibrium
+    pot = gamma_fs_vec(PARAMS, sp[bulk, None], ts[bulk, None], mu.spatial, mu.times) @ mu.masses
     assert np.min(pot) > 0.85
     assert np.max(pot) <= 1.0 + 1e-6
 
@@ -249,33 +223,31 @@ def test_constraint_matrix_matches_tensor_rule(n, a, kind):
 
 def test_near_entry_profile_points(monkeypatch):
     # a near entry takes 3 weighted-axis values per time node; the full
-    # tensor rule would take 3^(n+1) = 81 kernel points for n = 3
-    points = {"gamma_fs_vec": 0, "u_tilde": 0}
+    # tensor rule would take 3^(n+1) = 81 kernel points for n = 3.  The
+    # weighted axis is the only one that calls the kernel (u_tilde).
+    points = [0]
+    real = capacity.u_tilde
 
-    def counting(name, real):
-        def counted(*args):
-            out = real(*args)
-            points[name] += int(np.size(out))
-            return out
+    def counted(*args):
+        out = real(*args)
+        points[0] += int(np.size(out))
+        return out
 
-        return counted
-
-    for name in points:
-        monkeypatch.setattr(capacity, name, counting(name, getattr(capacity, name)))
+    monkeypatch.setattr(capacity, "u_tilde", counted)
     params = KernelParams(n=3, a=0.3)
     cons_sp, cons_t, sp, ts, hs, ht = _constraint_set(3, "box")
     A, near_pairs = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, ht)
     assert near_pairs > 0
-    assert sum(points.values()) <= A.size + 9 * near_pairs
+    assert points[0] <= A.size + 9 * near_pairs
     # a flat 32 x 32 level: the weighted axis has 32 coordinates and 2 row
     # times, so its tables take a few thousand points, not one per entry
-    points.update(gamma_fs_vec=0, u_tilde=0)
+    points[0] = 0
     sp, ts, hs = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
     cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + hs * hs])
     params = KernelParams(n=2, a=0.3)
     A, _ = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, hs * hs)
     assert A.shape == (2048, 1024)
-    assert sum(points.values()) <= 10_000
+    assert points[0] <= 10_000
 
 
 # ------------------------------------------------------------- LP solver

@@ -161,6 +161,51 @@ THORN_DOMAIN = {
 }
 
 
+# one small valid config per command; the fuzz test breaks one field of it
+SMALL_CONFIGS = {
+    "kernel": KERNEL_CFG,
+    "check": {
+        "params": PARAMS,
+        "mass_points": [[0.5, 0.7, 0.3]],
+        "semigroup": [[0.4, 0.6, 0.2, 0.3]],
+        "tol": 1e-6,
+        "perturb": 1.0,
+    },
+    "dirichlet": {
+        "params": PARAMS,
+        "box": BOX,
+        "data": "constant",
+        "constant": 1.0,
+        "probes": [[0.5, 0.7, 0.5]],
+        "u0_probes": [[0.5, 0.7, 0.5]],
+        "d_space": 2,
+        "n_steps": 2,
+    },
+    "capacity": {
+        "params": PARAMS,
+        "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+        "density": 2,
+        "tol": 1e-8,
+    },
+    "wiener": {
+        "params": PARAMS,
+        "xi0": XI0,
+        "domain": THORN_DOMAIN,
+        "lambda": 0.5,
+        "k_max": 2,
+        "density": 4,
+        "sweep": [0.5],
+    },
+    "meanvalue": {
+        "params": PARAMS,
+        "xi0": XI0,
+        "radii": [0.02],
+        "density": 2,
+        "pole": [0.3, 0.4, -0.5],
+    },
+    "harnack": {"params": PARAMS, "r": 0.02, "pole": [0.0, 0.0, -0.1], "density": 4},
+}
+
 @pytest.mark.parametrize(
     "cmd,cfg",
     [
@@ -296,6 +341,11 @@ THORN_DOMAIN = {
                 "tol": math.nan,
             },
         ),
+        ("dirichlet", {**SMALL_CONFIGS["dirichlet"], "constant": math.inf}),
+        ("dirichlet", {**SMALL_CONFIGS["dirichlet"], "constant": math.nan}),
+        ("check", {**SMALL_CONFIGS["check"], "perturb": math.nan}),
+        ("check", {**SMALL_CONFIGS["check"], "perturb": math.inf}),
+        ("harnack", {**SMALL_CONFIGS["harnack"], "r": math.inf}),
     ],
     ids=[
         "check-short-mass-point",
@@ -347,6 +397,11 @@ THORN_DOMAIN = {
         "check-tol-infinity",
         "capacity-tol-1",
         "capacity-tol-nan",
+        "dirichlet-constant-inf",
+        "dirichlet-constant-nan",
+        "check-perturb-nan",
+        "check-perturb-inf",
+        "harnack-r-infinity",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
@@ -355,50 +410,6 @@ def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
     assert len(err) == 1 and err[0].startswith("config error: ")
 
 
-# one small valid config per command; the fuzz test breaks one field of it
-SMALL_CONFIGS = {
-    "kernel": KERNEL_CFG,
-    "check": {
-        "params": PARAMS,
-        "mass_points": [[0.5, 0.7, 0.3]],
-        "semigroup": [[0.4, 0.6, 0.2, 0.3]],
-        "tol": 1e-6,
-        "perturb": 1.0,
-    },
-    "dirichlet": {
-        "params": PARAMS,
-        "box": BOX,
-        "data": "constant",
-        "constant": 1.0,
-        "probes": [[0.5, 0.7, 0.5]],
-        "u0_probes": [[0.5, 0.7, 0.5]],
-        "d_space": 2,
-        "n_steps": 2,
-    },
-    "capacity": {
-        "params": PARAMS,
-        "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
-        "density": 2,
-        "tol": 1e-8,
-    },
-    "wiener": {
-        "params": PARAMS,
-        "xi0": XI0,
-        "domain": THORN_DOMAIN,
-        "lambda": 0.5,
-        "k_max": 2,
-        "density": 4,
-        "sweep": [0.5],
-    },
-    "meanvalue": {
-        "params": PARAMS,
-        "xi0": XI0,
-        "radii": [0.02],
-        "density": 2,
-        "pole": [0.3, 0.4, -0.5],
-    },
-    "harnack": {"params": PARAMS, "r": 0.02, "pole": [0.0, 0.0, -0.1], "density": 4},
-}
 MISSING = object()
 BAD_VALUES = [MISSING, None, "x", True, [], {}, -1, -0.5, math.inf, -math.inf, math.nan, 1.5]
 

@@ -37,7 +37,7 @@ def test_classical_membership_agrees_with_closed_form():
         t = center.t - RNG.uniform(0.0, 0.8)
         zeta = SpaceTimePoint.from_spatial(sp, t)
         ref = classical_ball_member(2, center, 0.5, zeta)
-        assert ball.contains(zeta) == ref
+        assert ball.contains_vec(zeta.spatial, zeta.t) == ref
         hits += ref
     assert hits > 10
 
@@ -64,8 +64,9 @@ def test_future_points_excluded():
     params = KernelParams(n=2, a=0.3)
     center = SpaceTimePoint(x_prime=(0.0,), x=0.5, t=0.0)
     ball = HeatBall(center, r=0.4, params=params)
-    assert not ball.contains(SpaceTimePoint(x_prime=(0.0,), x=0.5, t=0.1))
-    assert not ball.contains(center)
+    # Gamma vanishes at t >= t0, so no such point clears the threshold
+    assert not ball.contains_vec([0.0, 0.5], 0.1)
+    assert not ball.contains_vec(center.spatial, center.t)
 
 
 def test_sample_points_inside_and_in_past():
@@ -128,9 +129,9 @@ def test_point_on_outer_level_surface_is_member():
     dt = r / 2.0
     rho = math.sqrt(2.0 * params.n * dt * math.log(r / dt))
     zeta = SpaceTimePoint(x_prime=(rho,), x=0.0, t=-dt)
-    assert shell.contains(zeta)
+    assert shell.contains_vec(zeta.spatial, zeta.t)
     inner = HeatBall(center, shell.inner_radius, params)
-    assert not inner.contains(zeta)
+    assert not inner.contains_vec(zeta.spatial, zeta.t)
 
 
 def test_consecutive_shells_tile_annulus():

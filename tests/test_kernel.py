@@ -6,15 +6,14 @@ import pytest
 
 from degenheat import KernelParams, SpaceTimePoint
 from degenheat.kernel import (
-    SingularAxisError,
     bounds_sandwich,
     gamma_fs,
     gamma_fs_vec,
-    gamma_grad_y,
+    gamma_grad_y_vec,
     mass_integral,
     semigroup_residual,
     u_tilde,
-    weighted_normal_limit,
+    weighted_normal_limit_vec,
 )
 
 
@@ -143,7 +142,7 @@ class TestGradient:
             params = KernelParams(2, a)
             xi = pt([0.3], 0.7, 1.2)
             z = pt([-0.2], 0.5, 0.3)
-            grad = gamma_grad_y(params, xi, z)
+            grad = gamma_grad_y_vec(params, xi.spatial, xi.t, z.spatial, z.t)
             for i in range(2):
                 h = 1e-5 * (1.0 + abs(z.spatial[i]))
                 sp = z.spatial.copy()
@@ -157,31 +156,26 @@ class TestGradient:
         params = KernelParams(2, 0.0)
         xi = pt([0.5], -0.3, 2.0)
         z = pt([0.0], 0.4, 0.5)
-        grad = gamma_grad_y(params, xi, z)
+        grad = gamma_grad_y_vec(params, xi.spatial, xi.t, z.spatial, z.t)
         d = xi.t - z.t
         ref = gamma_fs(params, xi, z) * (xi.spatial - z.spatial) / (2.0 * d)
         assert np.allclose(grad, ref, rtol=1e-13)
 
     def test_zero_vector_at_coincident_axis_points(self):
         params = KernelParams(2, 0.5)
-        grad = gamma_grad_y(params, pt([0.2], 0.0, 1.0), pt([0.2], 0.0, 0.0))
+        grad = gamma_grad_y_vec(params, [0.2, 0.0], 1.0, [0.2, 0.0], 0.0)
         assert np.allclose(grad, 0.0)
-
-    def test_singular_axis_flagged(self):
-        params = KernelParams(2, -0.5)
-        with pytest.raises(SingularAxisError):
-            gamma_grad_y(params, pt([0.0], 0.5, 1.0), pt([0.0], 0.0, 0.0))
 
 
 class TestWeightedNormalLimit:
     def test_zero_at_x_zero(self):
         params = KernelParams(2, 0.4)
-        assert weighted_normal_limit(params, pt([0.3], 0.0, 1.0), [0.0], 0.0) == 0.0
+        assert weighted_normal_limit_vec(params, 0.0, 1.0, 0.3**2) == 0.0
 
     def test_sign_matches_x(self):
         params = KernelParams(2, -0.3)
-        plus = weighted_normal_limit(params, pt([0.0], 0.8, 1.0), [0.1], 0.0)
-        minus = weighted_normal_limit(params, pt([0.0], -0.8, 1.0), [0.1], 0.0)
+        plus = weighted_normal_limit_vec(params, 0.8, 1.0, 0.1**2)
+        minus = weighted_normal_limit_vec(params, -0.8, 1.0, 0.1**2)
         assert plus > 0.0 > minus
 
     def test_classical_reduction(self):
@@ -190,7 +184,7 @@ class TestWeightedNormalLimit:
         xi = pt([0.1], 0.8, 1.0)
         tau = 0.2
         d = xi.t - tau
-        got = weighted_normal_limit(params, xi, [0.1], tau)
+        got = weighted_normal_limit_vec(params, xi.x, d, 0.0)
         ref = heat_kernel(2, xi.spatial, xi.t, [0.1, 0.0], tau) * xi.x / (2.0 * d)
         assert got == pytest.approx(ref, rel=1e-13)
 
@@ -201,11 +195,11 @@ class TestWeightedNormalLimit:
         params = KernelParams(2, a)
         xi = pt([0.1], 0.8, 1.0)
         tau = 0.2
-        ref = weighted_normal_limit(params, xi, [0.0], tau)
+        ref = weighted_normal_limit_vec(params, xi.x, xi.t - tau, 0.1**2)
         vals = []
         ys = [1e-4, 1e-5]
         for y in ys:
-            g = gamma_grad_y(params, xi, pt([0.0], y, tau))[-1]
+            g = gamma_grad_y_vec(params, xi.spatial, xi.t, [0.0, y], tau)[-1]
             vals.append(abs(y) ** a * g)
         # the leading correction scales like |y|^{1+a}
         rho = (ys[0] / ys[1]) ** (1.0 + a)

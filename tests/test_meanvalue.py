@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import degenheat.meanvalue as meanvalue
-from degenheat.capacity import DiscreteMeasure, potential_of_measure_vec
+from degenheat.capacity import DiscreteMeasure
 from degenheat.geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from degenheat.kernel import gamma_fs, gamma_fs_vec
 from degenheat.meanvalue import (
@@ -184,7 +185,8 @@ def test_potential_constant_when_atom_outside():
     )
 
     def u(pts, t):
-        return potential_of_measure_vec(PARAMS, mu, np.atleast_2d(pts), np.full(len(np.atleast_2d(pts)), t))
+        obs = np.atleast_2d(pts)[:, None]
+        return gamma_fs_vec(PARAMS, obs, t, mu.spatial, mu.times) @ mu.masses
 
     rep = mean_derivative_sign(PARAMS, u, XI0, [0.005, 0.01, 0.02], density=8)
     u_center = float(u(XI0.spatial[None, :], XI0.t)[0])
@@ -201,7 +203,8 @@ def test_potential_decreasing_when_atom_inside():
     )
 
     def u(pts, t):
-        return potential_of_measure_vec(PARAMS, mu, np.atleast_2d(pts), np.full(len(np.atleast_2d(pts)), t))
+        obs = np.atleast_2d(pts)[:, None]
+        return gamma_fs_vec(PARAMS, obs, t, mu.spatial, mu.times) @ mu.masses
 
     rep = mean_derivative_sign(
         PARAMS, u, XI0, [0.02, 0.06, 0.18], density=8, mass_in_ball=1.0
@@ -219,10 +222,11 @@ def test_monotonicity_report_serializes():
     )
 
     def u(pts, t):
-        return potential_of_measure_vec(PARAMS, mu, np.atleast_2d(pts), np.full(len(np.atleast_2d(pts)), t))
+        obs = np.atleast_2d(pts)[:, None]
+        return gamma_fs_vec(PARAMS, obs, t, mu.spatial, mu.times) @ mu.masses
 
     rep = mean_derivative_sign(PARAMS, u, XI0, [0.005, 0.02], density=6)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(asdict(rep)))
     assert data["radii"] == [0.005, 0.02]
     assert data["nonincreasing"] is True
     with pytest.raises(ValueError):
@@ -257,7 +261,7 @@ def test_harnack_scale_invariance():
     rep = harnack_quotient(PARAMS, 0.02, u, density=24)
     rep2 = harnack_quotient(PARAMS, 0.02, lambda p, t: 3.0 * u(p, t), density=24)
     assert rep2.quotient == pytest.approx(rep.quotient, rel=1e-13)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(asdict(rep)))
     assert isinstance(HarnackReport(**data), HarnackReport)
     with pytest.raises(ValueError):
         harnack_quotient(PARAMS, 0.0, u)

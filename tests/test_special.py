@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from degenheat import KernelParams
 from degenheat import special
-from degenheat.special import (
-    f_profile,
-    f_profile_prime,
-    f_profile_prime_vec,
-    f_profile_vec,
-)
+from degenheat.special import f_profile_prime_vec, f_profile_vec
 
 
 def mpmath_iv(nu, w):
@@ -127,14 +122,14 @@ class TestFProfile:
     def test_constant_at_a_zero(self):
         params = KernelParams(2, 0.0)
         for s in (-5.0, 0.0, 3.0):
-            assert f_profile(params, s) == pytest.approx(
+            assert f_profile_vec(params, s) == pytest.approx(
                 1.0 / math.sqrt(math.pi), rel=1e-13
             )
 
     def test_value_at_zero(self):
         for a in (-0.8, -0.3, 0.2, 0.7):
             params = KernelParams(2, a)
-            assert f_profile(params, 0.0) == pytest.approx(
+            assert f_profile_vec(params, 0.0) == pytest.approx(
                 1.0 / math.gamma((a + 1.0) / 2.0), rel=1e-13
             )
 
@@ -144,7 +139,7 @@ class TestFProfile:
         params = KernelParams(2, 0.5)
         nu = params.nu
         s = 4.0e4
-        scaled_bracket = f_profile(params, s) * (s / 4.0) ** nu
+        scaled_bracket = f_profile_vec(params, s) * (s / 4.0) ** nu
         asym = math.sqrt(2.0 / math.pi) * (s / 2.0) ** (-0.5)
         assert scaled_bracket == pytest.approx(asym, rel=1e-3)
 
@@ -157,14 +152,14 @@ class TestFProfile:
                 w = -s / 2.0
                 bracket = mpmath_iv(nu, w) - mpmath_iv(-nu, w)
                 ref = math.exp(-s / 2.0) * (-s / 4.0) ** (-nu) * bracket
-                assert f_profile(params, s) == pytest.approx(ref, rel=1e-11)
+                assert f_profile_vec(params, s) == pytest.approx(ref, rel=1e-11)
 
     def test_continuity_across_zero(self):
         for a in (-0.5, 0.0, 0.5):
             params = KernelParams(2, a)
-            f0 = f_profile(params, 0.0)
-            assert f_profile(params, 1e-9) == pytest.approx(f0, rel=1e-4)
-            assert f_profile(params, -1e-9) == pytest.approx(f0, rel=1e-4)
+            f0 = f_profile_vec(params, 0.0)
+            assert f_profile_vec(params, 1e-9) == pytest.approx(f0, rel=1e-4)
+            assert f_profile_vec(params, -1e-9) == pytest.approx(f0, rel=1e-4)
 
     @given(
         a=st.floats(-0.95, 0.95),
@@ -173,11 +168,11 @@ class TestFProfile:
     @settings(max_examples=300, deadline=None)
     def test_positivity(self, a, s):
         params = KernelParams(2, a)
-        assert f_profile(params, s) > 0.0
+        assert f_profile_vec(params, s) > 0.0
 
     def test_no_overflow_huge_negative_argument(self):
         params = KernelParams(2, 0.5)
-        val = f_profile(params, -1e6)
+        val = f_profile_vec(params, -1e6)
         assert math.isfinite(val) and val > 0.0
 
     def test_vectorized_matches_scalar(self):
@@ -185,7 +180,7 @@ class TestFProfile:
         s = np.array([-7.0, -0.1, 0.0, 0.3, 42.0])
         vec = f_profile_vec(params, s)
         for si, vi in zip(s, vec):
-            assert vi == pytest.approx(f_profile(params, float(si)), rel=1e-14)
+            assert vi == pytest.approx(f_profile_vec(params, float(si)), rel=1e-14)
 
 
     def test_mpmath_oracle(self):
@@ -194,7 +189,7 @@ class TestFProfile:
             for w in (0.01, 0.5, 3.0, 12.0, 29.0, 31.0, 80.0, 400.0, 690.0, 5.0e4):
                 for s in (2.0 * w, -2.0 * w):
                     ref = mpmath_profile(a, s)
-                    assert f_profile(params, s) == pytest.approx(ref, rel=1e-12), (a, s)
+                    assert f_profile_vec(params, s) == pytest.approx(ref, rel=1e-12), (a, s)
 
     def test_continuity_across_crossover(self, monkeypatch):
         # on w in [24, 36] the power series (or kve) and the asymptotic
@@ -214,7 +209,7 @@ class TestFProfile:
     @given(a=st.floats(-0.95, 0.95), s=st.floats(-1.0e6, 1.0e12))
     @settings(max_examples=300, deadline=None)
     def test_positivity_wide_range(self, a, s):
-        assert f_profile(KernelParams(2, a), s) > 0.0
+        assert f_profile_vec(KernelParams(2, a), s) > 0.0
 
     def test_mixed_array_matches_elementwise(self):
         # each call sums the terms its extreme argument needs, so a mixed
@@ -247,22 +242,22 @@ class TestFProfilePrime:
     def test_zero_when_a_zero(self):
         params = KernelParams(2, 0.0)
         for s in (-4.0, -0.3, 0.0, 0.2, 9.0):
-            assert f_profile_prime(params, s) == pytest.approx(0.0, abs=1e-15)
+            assert f_profile_prime_vec(params, s) == pytest.approx(0.0, abs=1e-15)
 
     def test_finite_difference_agreement(self):
         params = KernelParams(2, 0.4)
         h = 1e-5
         s = 1.7
-        fd = (f_profile(params, s + h) - f_profile(params, s - h)) / (2 * h)
-        assert f_profile_prime(params, s) == pytest.approx(fd, rel=1e-7)
+        fd = (f_profile_vec(params, s + h) - f_profile_vec(params, s - h)) / (2 * h)
+        assert f_profile_prime_vec(params, s) == pytest.approx(fd, rel=1e-7)
 
     def test_finite_difference_sweep(self):
         for a in (-0.7, -0.2, 0.3, 0.8):
             params = KernelParams(2, a)
             for s in (-6.0, -1.1, -0.4, 0.5, 2.5, 20.0):
                 h = 1e-6 * (1.0 + abs(s))
-                fd = (f_profile(params, s + h) - f_profile(params, s - h)) / (2 * h)
-                assert f_profile_prime(params, s) == pytest.approx(
+                fd = (f_profile_vec(params, s + h) - f_profile_vec(params, s - h)) / (2 * h)
+                assert f_profile_prime_vec(params, s) == pytest.approx(
                     fd, rel=1e-6
                 ), (a, s)
 
@@ -270,23 +265,23 @@ class TestFProfilePrime:
         a = -0.6
         params = KernelParams(2, a)
         expected = -0.5 / math.gamma((a + 1.0) / 2.0)
-        assert f_profile_prime(params, 0.0) == pytest.approx(expected, rel=1e-13)
+        assert f_profile_prime_vec(params, 0.0) == pytest.approx(expected, rel=1e-13)
         # one-sided numerical limits agree
-        assert f_profile_prime(params, 1e-9) == pytest.approx(expected, rel=1e-3)
-        assert f_profile_prime(params, -1e-9) == pytest.approx(expected, rel=1e-3)
+        assert f_profile_prime_vec(params, 1e-9) == pytest.approx(expected, rel=1e-3)
+        assert f_profile_prime_vec(params, -1e-9) == pytest.approx(expected, rel=1e-3)
 
     def test_unbounded_at_zero_positive_a(self):
         params = KernelParams(2, 0.5)
-        assert f_profile_prime(params, 0.0) == math.inf
-        assert f_profile_prime(params, 1e-12) > 1e4
-        assert f_profile_prime(params, -1e-12) > 1e4
+        assert f_profile_prime_vec(params, 0.0) == math.inf
+        assert f_profile_prime_vec(params, 1e-12) > 1e4
+        assert f_profile_prime_vec(params, -1e-12) > 1e4
 
     def test_log_derivative_asymptote(self):
         # F'(s)/F(s) ~ C_a / s as s -> infinity
         params = KernelParams(2, 0.6)
         ratios = []
         for s in (1e3, 1e4, 1e5):
-            ratios.append(s * f_profile_prime(params, s) / f_profile(params, s))
+            ratios.append(s * f_profile_prime_vec(params, s) / f_profile_vec(params, s))
         assert ratios[1] == pytest.approx(ratios[2], rel=0.05)
         assert abs(ratios[2]) < 10.0
 
@@ -298,4 +293,4 @@ class TestFProfilePrime:
             for mag in (1e4, 1e8, 1e13):
                 for s in (mag, -mag):
                     ref = mpmath_profile(a, s, prime=True)
-                    assert f_profile_prime(params, s) == pytest.approx(ref, rel=1e-11), (a, s)
+                    assert f_profile_prime_vec(params, s) == pytest.approx(ref, rel=1e-11), (a, s)

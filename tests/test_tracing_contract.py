@@ -2,12 +2,14 @@
 
 bench/tracing.py lists the traced entry points of each layer.  A
 refactor that renames or drops one of them would silently stop the
-bench from timing that layer, so every listed name must resolve.
+bench from timing that layer, so every listed name must resolve, and
+the commands must reach it through the name the tracer rebinds.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -34,3 +36,31 @@ def test_traced_methods_resolve():
     for mod, cls, method in tracing.METHODS:
         klass = getattr(importlib.import_module(f"degenheat.{mod}"), cls, None)
         assert callable(getattr(klass, method, None)), f"degenheat.{mod}.{cls}.{method}"
+
+
+def test_traced_names_are_on_the_cli_path(tmp_path):
+    # every traced name must record a span when the commands run, or its
+    # layer metrics read 0: the small config of each command, plus a
+    # dirichlet box with a face on y = 0 for the weighted normal limit
+    from test_cli import SMALL_CONFIGS
+
+    from degenheat.cli import main
+
+    plane_box = {"lo": [0, 0], "hi": [1, 1], "t0": 0, "t1": 1}
+    jobs = [*SMALL_CONFIGS.items()]
+    jobs.append(("dirichlet", {**SMALL_CONFIGS["dirichlet"], "box": plane_box}))
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for job, (cmd, cfg) in enumerate(jobs):
+            path = tmp_path / f"{job}.json"
+            path.write_text(json.dumps(cfg))
+            tracer.job, tracer.enabled = job, True
+            assert main([cmd, "--config", str(path), "--out", str(tmp_path / str(job))]) == 0
+            tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[span[0]] for span in tracer.spans}
+    traced = [".".join(entry) for entry in (*tracing.FUNCTIONS, *tracing.METHODS)]
+    assert [name for name in traced if name not in recorded] == []
