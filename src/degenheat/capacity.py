@@ -2,8 +2,14 @@
 
 cap(K) = sup { mu(R^{n+1}) : mu >= 0 supported in K, potential <= 1 }.
 Discretization: atoms on a lattice covering K, constraints that the
-potential stays <= 1 on the lattice points plus a collar layer just
-above the set in time (parabolic potentials peak there).  Entries of
+potential stays <= 1 on the lattice points plus a collar layer one cell
+above the set in time (parabolic potentials peak there).  Lattices come
+from quadrature (flat_lattice, box_lattice, and geometry's
+heat_ball_sample, which filters a box_lattice) as one Lattice type, and
+there is one cell model: every atom is the centre of a cell of side
+h_space and time extent h_time > 0.  A flat set's cells take the
+parabolic extent h_space^2, which the `capacity` command runs and
+criterion 08 checks against the weighted-volume oracle.  Entries of
 the constraint matrix whose observation point is close to the source
 atom are replaced by cell averages of Gamma over the source cell; the
 cell average is finite because Gamma is locally integrable, and the
@@ -23,12 +29,12 @@ no lattice has about as many classes as points, and shares less.
 A far entry is the product of the axes' table values of its class
 pairs, and 0 where its lag is below 1e-9 of the cell's time scale
 (`snap`).  A near entry is the equal-weight mean of Gamma over the
-AVG_NODES Gauss-Legendre nodes per axis of the atom's cell (their
-positions only, not the Gauss weights), in time too when the cell has
-a time extent.  At each time node the mean over the spatial nodes is
-the product of the per-axis means, and each axis' means are computed
-once per distinct class pair among the near pairs: 3 profile values
-per time node and class pair, instead of 3^n per time node and entry.
+AVG_NODES Gauss-Legendre nodes per axis of the atom's cell, time
+included (their positions only, not the Gauss weights).  At each time
+node the mean over the spatial nodes is the product of the per-axis
+means, and each axis' means are computed once per distinct class pair
+among the near pairs: 3 profile values per time node and class pair,
+instead of 3^n per time node and entry.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -49,7 +55,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernel import u_tilde
 from .params import KernelParams
-from .quadrature import integrate_weighted_interval, legendre_rule, tensor_rule
+from .quadrature import integrate_weighted_interval, legendre_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
@@ -135,11 +141,10 @@ def _constraint_matrix(
     near entry gathers each axis' node means over the distinct class
     pairs among the near pairs (module doc).
     """
-    dt_scale = h_time if h_time > 0.0 else h_space ** 2
     # collar times may collide with a lattice slice up to rounding; a
     # dt of a few ulps would otherwise produce a spurious huge entry
-    snap = 1e-9 * dt_scale
-    near = np.abs(cons_t[:, None] - atom_t[None, :]) <= NEAR_CELLS * dt_scale
+    snap = 1e-9 * h_time
+    near = np.abs(cons_t[:, None] - atom_t[None, :]) <= NEAR_CELLS * h_time
     # one axis at a time, so no (rows, atoms, n) temporary is built
     for k in range(params.n):
         near &= np.abs(cons_sp[:, None, k] - atom_sp[None, :, k]) <= NEAR_CELLS * h_space
@@ -147,7 +152,7 @@ def _constraint_matrix(
     del near
     x, _ = legendre_rule(AVG_NODES)
     off = 0.5 * h_space * x
-    off_t = 0.5 * h_time * x if h_time > 0.0 else np.zeros(1)
+    off_t = 0.5 * h_time * x
     row_times, row_ti = np.unique(cons_t, return_inverse=True)
     atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
     centre = np.zeros(1)
@@ -292,17 +297,20 @@ def capacity_lp(
     """Equilibrium-measure LP: max total mass s.t. potential <= 1.
 
     set_spatial (m, n) and set_times (m,) are the atom locations; each
-    atom represents a cell of spatial side h_space and time extent
-    h_time (0 for flat sets).  The constraint set is the atoms
-    themselves plus a collar copy shifted one cell up in time.
+    atom is the centre of a cell of spatial side h_space and time extent
+    h_time, both positive: capacity_lp(params, *lattice) takes a
+    quadrature.Lattice as it stands.  The constraint set is the atoms
+    themselves plus a collar copy shifted one cell up in time.  A side
+    that is not positive (0, negative or NaN) raises ValueError.
     """
     atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
     atom_t = np.asarray(set_times, dtype=float)
     if len(atom_t) == 0:
         raise ValueError("set_points must be nonempty")
-    collar_dt = h_time if h_time > 0.0 else h_space ** 2
+    if not (h_space > 0.0 and h_time > 0.0):
+        raise ValueError(f"cell sides must be positive, got {h_space!r} and {h_time!r}")
     cons_sp = np.vstack([atom_sp, atom_sp])
-    cons_t = np.concatenate([atom_t, atom_t + collar_dt])
+    cons_t = np.concatenate([atom_t, atom_t + h_time])
     m = len(atom_t)
     check_matrix_fits(m)
     A, near_pairs = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
@@ -320,31 +328,6 @@ def capacity_lp(
         near_pairs=near_pairs,
         lp_iterations=nit,
     )
-
-
-def flat_lattice(lo, hi, tau: float, density: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cell-centered lattice on a spatial box at fixed time tau."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    axes = []
-    for a_lo, a_hi in zip(lo, hi):
-        h = (a_hi - a_lo) / density
-        axes.append(np.linspace(a_lo + h / 2.0, a_hi - h / 2.0, density))
-    pts = tensor_rule(axes)
-    h_space = float(np.max((hi - lo) / density))
-    return pts, np.full(len(pts), tau), h_space
-
-
-def box_lattice(
-    lo, hi, t0: float, t1: float, density: int
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Cell-centered space-time lattice on a box times [t0, t1]."""
-    sp, _, h_space = flat_lattice(lo, hi, 0.0, density)
-    ht = (t1 - t0) / density
-    t_axis = np.linspace(t0 + ht / 2.0, t1 - ht / 2.0, density)
-    spatial = np.repeat(sp, density, axis=0)
-    times = np.tile(t_axis, len(sp))
-    return spatial, times, h_space, ht
 
 
 def flat_set_capacity(params: KernelParams, lo, hi, tau: float = 0.0) -> float:

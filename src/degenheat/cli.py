@@ -26,14 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bem import solve_dirichlet, u0_identity
-from .capacity import (
-    CapacityResult,
-    box_lattice,
-    capacity_lp,
-    check_matrix_fits,
-    flat_lattice,
-    flat_set_capacity,
-)
+from .capacity import CapacityResult, capacity_lp, check_matrix_fits, flat_set_capacity
 from .geometry import BoxDomain
 from .kernel import (
     bounds_sandwich,
@@ -45,6 +38,7 @@ from .kernel import (
 )
 from .meanvalue import harnack_quotient, solid_mean
 from .params import KernelParams, SpaceTimePoint
+from .quadrature import box_lattice, flat_lattice
 from .wiener import DomainDescriptor, wiener_series
 
 
@@ -127,7 +121,7 @@ def _point(coords, n: int, label: str) -> SpaceTimePoint:
     coords = [float(c) for c in coords]
     if len(coords) != n + 1:
         raise ConfigError(f"{label} needs {n + 1} coordinates")
-    return SpaceTimePoint(x_prime=tuple(coords[: n - 1]), x=coords[n - 1], t=coords[n])
+    return SpaceTimePoint.from_spatial(coords[:n], coords[n])
 
 
 def _box(cfg: dict, n: int) -> BoxDomain:
@@ -255,6 +249,7 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     else:
         raise ConfigError(f"unknown data kind {data!r}")
     probes = [_point(p, params.n, "probe") for p in config.raw.get("probes", [])]
+    u0_probes = [_point(p, params.n, "u0 probe") for p in config.raw.get("u0_probes", [])]
     if not probes:
         raise ConfigError("dirichlet command needs probe points")
     # the solution is only defined inside the box; u0_probes sit on faces by design
@@ -269,8 +264,7 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     for xi, got in zip(probes, sol.evaluate(probes)):
         want = ref(xi)
         rows.append(list(xi.spatial) + [xi.t, got, want, abs(got - want)])
-    for coords in config.raw.get("u0_probes", []):
-        xi = _point(coords, params.n, "u0 probe")
+    for xi in u0_probes:
         rows.append(list(xi.spatial) + [xi.t, u0_identity(params, box, xi), math.nan, math.nan])
     diags = {
         "residual": sol.info["residual"],
@@ -305,10 +299,10 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
 
     def run(dens: int) -> CapacityResult:
         if kind == "flat":
-            pts, times, h = flat_lattice(box.lo, box.hi, tau, dens)
-            return capacity_lp(params, pts, times, h, h * h, tol=tol)
-        sp, tm, hs, ht = box_lattice(box.lo, box.hi, box.t0, box.t1, dens)
-        return capacity_lp(params, sp, tm, hs, ht, tol=tol)
+            lattice = flat_lattice(box.lo, box.hi, tau, dens)
+        else:
+            lattice = box_lattice(box.lo, box.hi, box.t0, box.t1, dens)
+        return capacity_lp(params, *lattice, tol=tol)
 
     pair = [density, 2 * density]
     levels = [run(dens) for dens in pair]

@@ -20,15 +20,19 @@ import numpy as np
 
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import tensor_rule
+from .quadrature import Lattice, box_lattice, tensor_rule
 
 
 def heat_ball_threshold(params: KernelParams, x0: float, r: float) -> float:
+    """theta(r) at a centre of weighted coordinate x0; RuntimeError where it underflows to 0."""
     if not r > 0.0:
         raise ValueError("radius parameter must be positive")
-    return (4.0 * math.pi * r) ** (-(params.n + params.a) / 2.0) * (
+    theta = (4.0 * math.pi * r) ** (-(params.n + params.a) / 2.0) * (
         1.0 + x0 * x0 / r
     ) ** (-params.a / 2.0)
+    if theta == 0.0:
+        raise RuntimeError(f"heat-ball threshold underflows at r={r:g}, x0={x0:g}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -88,44 +92,21 @@ class HeatBall:
         return bool(np.any(self.contains_vec(spatial, pts[:, -1])))
 
 
-@dataclass(frozen=True)
-class HeatBallSample:
-    """Deterministic lattice sample of a heat ball with cell volumes."""
+def heat_ball_sample(ball: HeatBall, density: int) -> Lattice:
+    """The atoms of the ball's box lattice that lie inside the ball.
 
-    spatial: np.ndarray
-    times: np.ndarray
-    cell_volume: float
-    h_space: float = 0.0
-    h_time: float = 0.0
-
-
-def heat_ball_sample(ball: HeatBall, density: int) -> HeatBallSample:
-    """Lattice points of the bounding box that lie inside the ball.
-
-    density is the cell count per axis; each point carries the
-    space-time cell volume.
+    The box is the bounding box below the centre, with density cells
+    per axis; the returned Lattice keeps its cell sides.
     """
     if density <= 0:
         raise ValueError("density must be positive")
     depth, radius = ball.bounding_box()
-    n = ball.params.n
-    c_sp = ball.center.spatial
-    t0 = ball.center.t
-    axes = []
-    for _ in range(n):
-        h = 2.0 * radius / density
-        axes.append(np.linspace(-radius + h / 2.0, radius - h / 2.0, density))
-    ht = depth / density
-    axes.append(np.linspace(t0 - depth + ht / 2.0, t0 - ht / 2.0, density))
-    pts = tensor_rule(axes)
-    spatial = pts[:, :n] + c_sp
-    times = pts[:, -1]
-    mask = ball.contains_vec(spatial, times)
+    c_sp, t0 = ball.center.spatial, ball.center.t
+    box = box_lattice(c_sp - radius, c_sp + radius, t0 - depth, t0, density)
+    mask = ball.contains_vec(box.spatial, box.times)
     if not np.any(mask):
         raise RuntimeError("no heat-ball samples found; density too low")
-    hs = 2.0 * radius / density
-    cell_volume = hs ** n * ht
-    return HeatBallSample(spatial[mask], times[mask], cell_volume, hs, ht)
+    return box._replace(spatial=box.spatial[mask], times=box.times[mask])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 The solid mean of u at xi0 with radius parameter r averages u over the
 heat ball against the kernel E = |y|^a |grad_Y Gamma|^2 / Gamma^2,
-normalized by phi(r).  Constants, functions affine in the free
-coordinates, and time-shifted fundamental solutions are reproduced
-exactly up to quadrature error.
+normalized by phi(r) = 1 / theta(r), theta the heat-ball threshold.
+Constants, functions affine in the free coordinates, and time-shifted
+fundamental solutions are reproduced exactly up to quadrature error.
 """
 from __future__ import annotations
 
@@ -24,14 +24,6 @@ SCAN_POINTS = 801
 # points per batched kernel call in _slab_integral; bounds its memory,
 # since the points of a whole slab grow like density^(n+2)
 BATCH_POINTS = 2**17
-
-
-def phi_weight(params: KernelParams, x0: float, r: float) -> float:
-    """Normalizing weight (4 pi r)^{(n+a)/2} (1 + x0^2/r)^{a/2}."""
-    if not r > 0.0:
-        raise ValueError("radius parameter must be positive")
-    n, a = params.n, params.a
-    return (4.0 * math.pi * r) ** ((n + a) / 2.0) * (1.0 + x0 * x0 / r) ** (a / 2.0)
 
 
 def _section_radius2(
@@ -330,9 +322,9 @@ def solid_mean(
     """
     if density <= 0:
         raise ValueError("density must be positive")
-    phi = phi_weight(params, xi0.x, r)
+    theta = heat_ball_threshold(params, xi0.x, r)
     depth_ub, radius = HeatBall(xi0, r, params).bounding_box()
-    log_theta = math.log(heat_ball_threshold(params, xi0.x, r))
+    log_theta = math.log(theta)
     depth = _section_depth(params, xi0, log_theta, depth_ub)
     delta0 = r * TOP_BUFFER
     panels = _delta_panels(delta0, depth, max(8, density))
@@ -340,7 +332,7 @@ def solid_mean(
     for j in range(32):
         panels += _delta_panels(delta0 * 0.5 ** (j + 1), delta0 * 0.5**j, 1)
     y_lo, y_hi = xi0.x - radius, xi0.x + radius
-    return _slab_integral(params, u, xi0, log_theta, panels, y_lo, y_hi, density) / phi
+    return _slab_integral(params, u, xi0, log_theta, panels, y_lo, y_hi, density) * theta
 
 
 @dataclass(frozen=True)
@@ -379,8 +371,7 @@ def mean_derivative_sign(
     if mass_in_ball is not None and mass_in_ball > 0.0:
         r_lo, r_hi = radii[0], radii[-1]
         denom = (
-            1.0 / phi_weight(params, xi0.x, r_lo)
-            - 1.0 / phi_weight(params, xi0.x, r_hi)
+            heat_ball_threshold(params, xi0.x, r_lo) - heat_ball_threshold(params, xi0.x, r_hi)
         ) * mass_in_ball
         if denom > 0.0:
             gap_constant = float((means[0] - means[-1]) / denom)

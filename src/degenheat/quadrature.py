@@ -7,7 +7,8 @@ into the node weights.  Time integrals with an integrable endpoint
 singularity at tau = t use panels whose breakpoints halve toward the
 endpoint (graded_breakpoints).  Multi-dimensional rules are tensor
 products of 1-D rules (tensor_rule), because the kernel factorizes over
-axes.
+axes; the cell-centred space-time lattices on which sets become atoms
+(Lattice, flat_lattice, box_lattice) are tensor products too.
 """
 from __future__ import annotations
 
@@ -53,6 +54,45 @@ def tensor_rule(nodes, weights=None):
     for wg in np.meshgrid(*weights, indexing="ij"):
         prod = prod * wg.ravel()
     return points, prod
+
+
+class Lattice(NamedTuple):
+    """Atoms of a space-time set: the centres of cells of side h_space and time extent h_time.
+
+    spatial is (m, n) and times (m,).  Unpacks as the positional
+    arguments of capacity_lp after params.
+    """
+
+    spatial: np.ndarray
+    times: np.ndarray
+    h_space: float
+    h_time: float
+
+
+def _cell_centres(lo: float, hi: float, density: int) -> tuple[np.ndarray, float]:
+    """The centres of density equal cells on [lo, hi], and the cell side."""
+    h = (hi - lo) / density
+    return np.linspace(lo + h / 2.0, hi - h / 2.0, density), h
+
+
+def flat_lattice(lo, hi, tau: float, density: int) -> Lattice:
+    """Cell-centred lattice on a spatial box at time tau.
+
+    A flat set has no time extent; its cells take the parabolic time
+    extent h_space^2, with h_space the largest side.
+    """
+    axes, sides = zip(*(_cell_centres(a, b, density) for a, b in zip(lo, hi)))
+    pts = tensor_rule(axes)
+    h_space = float(max(sides))
+    return Lattice(pts, np.full(len(pts), float(tau)), h_space, h_space * h_space)
+
+
+def box_lattice(lo, hi, t0: float, t1: float, density: int) -> Lattice:
+    """Cell-centred lattice on a spatial box times [t0, t1], time varying fastest."""
+    axes, sides = zip(*(_cell_centres(a, b, density) for a, b in zip(lo, hi)))
+    t_axis, h_time = _cell_centres(t0, t1, density)
+    pts = tensor_rule([*axes, t_axis])
+    return Lattice(pts[:, :-1], pts[:, -1], float(max(sides)), float(h_time))
 
 
 class WeightedRule1D(NamedTuple):

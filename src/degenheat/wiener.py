@@ -2,7 +2,8 @@
 
 The series term at scale k is the discrete capacity of the complement
 of the domain inside the Gamma-level shell A(xi0, lambda^k), scaled by
-lambda^{-k(n+a)/2} (1 + x0^2/lambda^k)^{-a/2}.  Divergence of the
+lambda^{-k(n+a)/2} (1 + x0^2/lambda^k)^{-a/2}, which is (4 pi)^{(n+a)/2}
+times the heat-ball threshold theta(lambda^k).  Divergence of the
 series marks the boundary point as regular; any finite-k verdict is
 heuristic and the thresholds are surfaced in the report.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import capacity_lp
-from .geometry import Shell, heat_ball_sample
+from .geometry import Shell, heat_ball_sample, heat_ball_threshold
 from .params import KernelParams, SpaceTimePoint
 
 TERM_FLOOR = 1e-12
@@ -133,9 +134,9 @@ class DomainDescriptor:
 
 
 def shell_weight(params: KernelParams, x0: float, lam: float, k: int) -> float:
-    rk = lam**k
-    return rk ** (-(params.n + params.a) / 2.0) * (1.0 + x0 * x0 / rk) ** (
-        -params.a / 2.0
+    """(4 pi)^{(n+a)/2} theta(lambda^k): the scale of the shell-k term."""
+    return (4.0 * math.pi) ** ((params.n + params.a) / 2.0) * heat_ball_threshold(
+        params, x0, lam**k
     )
 
 
@@ -146,7 +147,6 @@ def shell_term(
     k: int,
     domain: DomainDescriptor,
     density: int = 10,
-    tol: float = 1e-8,
 ) -> tuple[float, float]:
     """(capacity of the domain complement in shell k, weighted term)."""
     shell = Shell(xi0, lam, k, params)
@@ -166,12 +166,7 @@ def shell_term(
     if not np.any(keep):
         return 0.0, 0.0
     res = capacity_lp(
-        params,
-        sample.spatial[keep],
-        sample.times[keep],
-        sample.h_space,
-        sample.h_time,
-        tol=tol,
+        params, sample.spatial[keep], sample.times[keep], sample.h_space, sample.h_time
     )
     weight = shell_weight(params, xi0.x, lam, k)
     return res.cap_estimate, res.cap_estimate * weight
@@ -232,7 +227,6 @@ def wiener_series(
     lam: float = 0.5,
     k_max: int = 12,
     density: int = 10,
-    tol: float = 1e-8,
     sweep: tuple = (),
 ) -> WienerReport:
     """Weighted shell capacities k = 1..k_max with a heuristic verdict.
@@ -250,7 +244,7 @@ def wiener_series(
         acc = 0.0
         sums = []
         for k in range(1, k_max + 1):
-            cap, term = shell_term(params, xi0, lam_val, k, domain, density, tol)
+            cap, term = shell_term(params, xi0, lam_val, k, domain, density)
             weight = shell_weight(params, xi0.x, lam_val, k)
             rows.append({"k": k, "cap": cap, "weight": weight, "term": term})
             acc += term

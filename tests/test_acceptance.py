@@ -17,13 +17,7 @@ from degenheat.bem import (
     solve_dirichlet,
     u0_identity,
 )
-from degenheat.capacity import (
-    DiscreteMeasure,
-    box_lattice,
-    capacity_lp,
-    flat_lattice,
-    flat_set_capacity,
-)
+from degenheat.capacity import DiscreteMeasure, capacity_lp, flat_set_capacity
 from degenheat.geometry import BoxDomain, HeatBall
 from degenheat.kernel import (
     gamma_fs,
@@ -34,7 +28,7 @@ from degenheat.kernel import (
 )
 from degenheat.meanvalue import harnack_quotient, mean_derivative_sign, solid_mean
 from degenheat.params import KernelParams, SpaceTimePoint
-from degenheat.quadrature import weighted_rule
+from degenheat.quadrature import box_lattice, flat_lattice, weighted_rule
 from degenheat.wiener import DomainDescriptor, wiener_series
 
 P = SpaceTimePoint
@@ -192,8 +186,8 @@ def test_criterion_08_capacity_oracle():
         exact = flat_set_capacity(params, [-1.0, -1.0], [1.0, 1.0])
         caps = []
         for d in (16, 32):
-            pts, times, h = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, d)
-            caps.append(capacity_lp(params, pts, times, h, 0.0).cap_estimate)
+            lattice = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, d)
+            caps.append(capacity_lp(params, *lattice).cap_estimate)
         rich = 2.0 * caps[1] - caps[0]
         worst = max(worst, abs(rich - exact) / exact)
     report(8, "flat-set capacity vs weighted-volume oracle", worst <= 0.02, f"worst={worst:.2%}")
@@ -205,7 +199,7 @@ def test_criterion_09_capacity_axioms():
     ok = True
     detail = ""
     # ten random pairs of flat sub-rectangles on a shared lattice
-    pts, times, h = flat_lattice([0.0, 0.0], [1.0, 1.0], 0.0, 12)
+    pts, times, h, ht = flat_lattice([0.0, 0.0], [1.0, 1.0], 0.0, 12)
     for _ in range(10):
         lo1, lo2 = rng.uniform(0.0, 0.5, 2), rng.uniform(0.0, 0.5, 2)
         hi1, hi2 = lo1 + rng.uniform(0.2, 0.5, 2), lo2 + rng.uniform(0.2, 0.5, 2)
@@ -213,10 +207,10 @@ def test_criterion_09_capacity_axioms():
         in2 = np.all((pts >= lo2) & (pts <= hi2), axis=1)
         if not (np.any(in1) and np.any(in2)):
             continue
-        cap1 = capacity_lp(PARAMS, pts[in1], times[in1], h, 0.0).cap_estimate
-        cap2 = capacity_lp(PARAMS, pts[in2], times[in2], h, 0.0).cap_estimate
+        cap1 = capacity_lp(PARAMS, pts[in1], times[in1], h, ht).cap_estimate
+        cap2 = capacity_lp(PARAMS, pts[in2], times[in2], h, ht).cap_estimate
         both = in1 | in2
-        cap_u = capacity_lp(PARAMS, pts[both], times[both], h, 0.0).cap_estimate
+        cap_u = capacity_lp(PARAMS, pts[both], times[both], h, ht).cap_estimate
         if cap_u > cap1 + cap2 + tol * (1 + cap_u) or cap_u < cap1 * (1 - 1e-4):
             ok = False
             detail = f"subadd/mono broke: {cap_u:.4f} vs {cap1:.4f}+{cap2:.4f}"

@@ -16,16 +16,14 @@ from degenheat.capacity import (
     NEAR_CELLS,
     CapacityResult,
     DiscreteMeasure,
-    box_lattice,
     capacity_lp,
-    flat_lattice,
     flat_set_capacity,
     linprog,
     weighted_ball_volume,
 )
 from degenheat.kernel import gamma_fs_vec
 from degenheat.params import KernelParams
-from degenheat.quadrature import legendre_rule, tensor_rule
+from degenheat.quadrature import box_lattice, flat_lattice, legendre_rule, tensor_rule
 
 PARAMS = KernelParams(n=2, a=0.3)
 
@@ -58,8 +56,7 @@ def test_flat_set_lp_refines_toward_oracle():
     exact = flat_set_capacity(params, [-1, -1], [1, 1])
     caps = []
     for d in (8, 16):
-        sp, ts, h = flat_lattice([-1, -1], [1, 1], 0.0, d)
-        res = capacity_lp(params, sp, ts, h, 0.0)
+        res = capacity_lp(params, *flat_lattice([-1, -1], [1, 1], 0.0, d))
         assert res.max_constraint_violation <= 1e-6
         caps.append(res.cap_estimate)
     # discrete capacity overestimates and decreases under refinement
@@ -142,6 +139,14 @@ def test_empty_set_rejected():
         capacity_lp(PARAMS, np.zeros((0, 2)), np.zeros(0), 0.1, 0.1)
 
 
+def test_cell_without_time_extent_rejected():
+    # every atom is a cell with a time extent; a flat set's lattice carries h^2
+    sp, ts, h, _ = flat_lattice([0.0, 0.0], [1.0, 1.0], 0.0, 10)
+    for h_time in (0.0, -h * h, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            capacity_lp(PARAMS, sp, ts, h, h_time)
+
+
 def test_oversized_matrix_rejected_before_allocation():
     # 2 x 300,000^2 float64 entries are 1.4 TB: refused before any is built
     with pytest.raises(ValueError, match="physical memory"):
@@ -156,9 +161,8 @@ def _constraint_set(n, kind):
     hi = [0.5] * (n - 1) + [1.2]
     if kind == "straddle":
         lo[-1], hi[-1] = -0.4, 0.6
-    if kind in ("flat-0", "flat-h2"):
-        sp, ts, hs = flat_lattice(lo, hi, 0.0, 6 if n == 2 else 4)
-        ht = 0.0 if kind == "flat-0" else hs * hs
+    if kind == "flat-h2":
+        sp, ts, hs, ht = flat_lattice(lo, hi, 0.0, 6 if n == 2 else 4)
     elif kind == "scattered":
         # as many points as the box lattice, no two sharing a coordinate or a
         # time.  exp(-r) has condition number r, so a lag far below the cell's
@@ -172,26 +176,23 @@ def _constraint_set(n, kind):
         ts = 0.25 * ht * (rng.permutation(m) + rng.uniform(0.0, 0.5, size=m))
     else:
         sp, ts, hs, ht = box_lattice(lo, hi, 0.0, 0.5, 5 if n == 2 else 3)
-    collar = ht if ht > 0.0 else hs * hs
     cons_sp = np.vstack([sp, sp])
-    cons_t = np.concatenate([ts, ts + collar])
+    cons_t = np.concatenate([ts, ts + ht])
     return cons_sp, cons_t, sp, ts, hs, ht
 
 
 def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     """The constraint matrix with every near entry averaged over all tensor nodes."""
     ref = gamma_fs_vec(params, cons_sp[:, None, :], cons_t[:, None], atom_sp[None], atom_t[None])
-    dt_scale = ht if ht > 0.0 else hs * hs
-    snap = 1e-9 * dt_scale
+    snap = 1e-9 * ht
     dt = cons_t[:, None] - atom_t[None, :]
     ref[(dt > 0.0) & (dt < snap)] = 0.0
-    near = (np.abs(dt) <= NEAR_CELLS * dt_scale) & (
+    near = (np.abs(dt) <= NEAR_CELLS * ht) & (
         np.max(np.abs(cons_sp[:, None, :] - atom_sp[None, :, :]), axis=-1) <= NEAR_CELLS * hs
     )
     x, _ = legendre_rule(AVG_NODES)
     n = params.n
-    axes = [0.5 * hs * x] * n + ([0.5 * ht * x] if ht > 0.0 else [np.zeros(1)])
-    offsets = tensor_rule(axes)
+    offsets = tensor_rule([0.5 * hs * x] * n + [0.5 * ht * x])
     js, is_ = np.nonzero(near)
     src_t = atom_t[is_, None] + offsets[None, :, n]
     gam = gamma_fs_vec(
@@ -207,7 +208,7 @@ def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     return ref, len(js)
 
 
-@pytest.mark.parametrize("kind", ["flat-0", "flat-h2", "box", "straddle", "scattered"])
+@pytest.mark.parametrize("kind", ["flat-h2", "box", "straddle", "scattered"])
 @pytest.mark.parametrize("a", [-0.5, 0.3])
 @pytest.mark.parametrize("n", [2, 3])
 def test_constraint_matrix_matches_tensor_rule(n, a, kind):
@@ -242,10 +243,10 @@ def test_near_entry_profile_points(monkeypatch):
     # a flat 32 x 32 level: the weighted axis has 32 coordinates and 2 row
     # times, so its tables take a few thousand points, not one per entry
     points[0] = 0
-    sp, ts, hs = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
-    cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + hs * hs])
+    sp, ts, hs, ht = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
+    cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + ht])
     params = KernelParams(n=2, a=0.3)
-    A, _ = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, hs * hs)
+    A, _ = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, ht)
     assert A.shape == (2048, 1024)
     assert points[0] <= 10_000
 
@@ -305,8 +306,8 @@ BENCH_CAPS = [
 def test_bench_capacities_match_highs(a, lo, caps):
     tol = 1e-8
     for density, want in zip((16, 32), caps):
-        pts, ts, h = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, density)
-        got = capacity_lp(KernelParams(n=2, a=a), pts, ts, h, h * h, tol=tol).cap_estimate
+        lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, density)
+        got = capacity_lp(KernelParams(n=2, a=a), *lattice, tol=tol).cap_estimate
         assert abs(got - want) <= 10 * tol * want
 
 

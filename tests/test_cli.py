@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenheat import cli
 from degenheat.cli import main
 
 PARAMS = {"n": 2, "a": 0.3}
@@ -551,6 +552,16 @@ def test_dirichlet_constant(tmp_path):
     lag0 = diags["lag0"]
     assert lag0["near_pairs"] + lag0["far_pairs"] == 16 * 16
     assert lag0["near_time_nodes"] == 192 and 0 < lag0["far_time_nodes"] <= 192
+
+
+def test_dirichlet_bad_u0_probe_exits_before_solving(tmp_path, monkeypatch):
+    # a malformed u0 probe is a config error found before any numerics
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_dirichlet ran on a config with a malformed u0 probe")
+
+    monkeypatch.setattr(cli, "solve_dirichlet", no_solve)
+    cfg = {**SMALL_CONFIGS["dirichlet"], "u0_probes": [[0.5]]}
+    assert run(tmp_path, "dirichlet", cfg)[0] == 2
 
 
 @pytest.mark.parametrize("n", [2, 3])

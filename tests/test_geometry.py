@@ -76,7 +76,7 @@ def test_sample_points_inside_and_in_past():
     sample = heat_ball_sample(ball, density=16)
     assert np.all(sample.times < center.t)
     assert np.all(ball.contains_vec(sample.spatial, sample.times))
-    assert sample.cell_volume > 0.0
+    assert sample.h_space > 0.0 and sample.h_time > 0.0
 
 
 def test_classical_volume_n2():
@@ -86,7 +86,7 @@ def test_classical_volume_n2():
     r = 0.7
     ball = HeatBall(center, r=r, params=params)
     sample = heat_ball_sample(ball, density=96)
-    vol = sample.cell_volume * len(sample.times)
+    vol = sample.h_space**params.n * sample.h_time * len(sample.times)
     assert abs(vol - math.pi * r * r) / (math.pi * r * r) < 0.02
 
 
@@ -95,7 +95,7 @@ def test_sample_volume_self_convergence():
     center = SpaceTimePoint(x_prime=(0.0,), x=0.5, t=0.0)
     ball = HeatBall(center, r=0.4, params=params)
     samples = [heat_ball_sample(ball, density=d) for d in (24, 48, 96)]
-    vols = [s.cell_volume * len(s.times) for s in samples]
+    vols = [s.h_space**params.n * s.h_time * len(s.times) for s in samples]
     err1 = abs(vols[1] - vols[2])
     err0 = abs(vols[0] - vols[2])
     assert err1 < err0

@@ -22,10 +22,6 @@ KEPT = {
     "wiener.DomainDescriptor.time_slab": (
         "builds a time-slab descriptor without spelling out the primitive dict format"
     ),
-    "params.SpaceTimePoint.from_spatial": (
-        "builds a point from a spatial array; removing it would copy its body "
-        "into four test modules"
-    ),
 }
 
 

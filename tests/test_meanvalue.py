@@ -15,7 +15,6 @@ from degenheat.meanvalue import (
     HarnackReport,
     harnack_quotient,
     mean_derivative_sign,
-    phi_weight,
     solid_mean,
 )
 from degenheat.params import KernelParams, SpaceTimePoint
@@ -41,16 +40,18 @@ def _pole_at_zb(params):
 
 
 def test_phi_positive_and_increasing():
+    # solid_mean normalizes by phi(r) = 1 / theta(r)
     for a in (-0.5, 0.0, 0.3):
         params = KernelParams(n=2, a=a)
-        vals = [phi_weight(params, 0.7, r) for r in (0.01, 0.1, 1.0, 10.0)]
+        vals = [1.0 / heat_ball_threshold(params, 0.7, r) for r in (0.01, 0.1, 1.0, 10.0)]
         assert all(v > 0 for v in vals)
         assert vals == sorted(vals)
 
 
 def test_weight_object():
-    with pytest.raises(ValueError):
-        phi_weight(PARAMS, 0.7, 0.0)
+    for r in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            heat_ball_threshold(PARAMS, 0.7, r)
 
 
 # ---------------------------------------------------------------- solid mean
