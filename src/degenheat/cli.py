@@ -1,14 +1,16 @@
 """Batch front-end: JSON config in, CSV/JSON envelopes out.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical
-failure (non-convergence, a non-finite value, or an overflow on finite
-but extreme input).  The library raises ValueError for a bad argument
-and RuntimeError for a numerical failure; main maps KeyError, TypeError
-and ValueError to exit 2, and RuntimeError and ArithmeticError
-(OverflowError, ZeroDivisionError) to exit 3, each with a single stderr
-line: the warnings of a failed run are not printed.  Commands run
-serially: --workers is accepted and must be at least 1, but it changes
-nothing, so identical configs produce identical CSV bytes.
+failure.  Each command first reads its fields through _count, _number,
+_numbers, _point and _box; _number is the one number policy: an int or
+float, not a bool or string, strictly inside its range, so finite.  main
+maps KeyError, TypeError and ValueError (a bad config or library
+argument) to exit 2, and RuntimeError, ArithmeticError and MemoryError
+(non-convergence, a non-finite value, an overflow on finite but extreme
+input, an allocation that cannot be met) to exit 3, each with a single
+stderr line: the warnings of a failed run are not printed.  Commands run
+serially: --workers must be at least 1 but changes nothing, so identical
+configs produce identical CSV bytes.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +50,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     params: KernelParams
     raw: dict
 
     @classmethod
-    def load(cls, command: str, path: str, tol: float | None) -> "RunConfig":
+    def load(cls, path: str, tol: float | None) -> "RunConfig":
         # an integer literal beyond the range of a double reads as infinity, as 1e400 does
         parse_int = lambda s: int(s) if math.isfinite(float(s)) else float(s)
         try:
@@ -65,30 +66,17 @@ class RunConfig:
         block = raw.get("params")
         if not isinstance(block, dict) or "n" not in block or "a" not in block:
             raise ConfigError("config needs params: {n, a}")
-        params = KernelParams(n=_count(block["n"], "params.n"), a=float(block["a"]))
+        params = KernelParams(n=_count(block["n"], "params.n"), a=_number(block["a"], "params.a"))
         if tol is not None:
             raw = {**raw, "tol": tol}
         if "tol" in raw:
-            _tol(raw["tol"])
-        return cls(command=command, params=params, raw=raw)
+            _number(raw["tol"], "tol", 0.0)
+        return cls(params=params, raw=raw)
 
     @property
     def digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class ResultEnvelope:
-    command: str
-    config_digest: str
-    version: str
-    wall_time_s: float
-    payload: dict
-    diagnostics: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _fmt(x) -> str:
@@ -110,28 +98,34 @@ def _count(value, label: str) -> int:
     return int(value)
 
 
-def _tol(value, upper: float = math.inf) -> float:
-    """A tolerance field: a number in (0, upper), so finite, and not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < upper:
-        raise ConfigError(f"tol must be a number in (0, {upper:g}), got {value!r}")
+def _number(value, label: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A number field: an int or float, not a boolean or string, strictly inside (lo, hi)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo < value < hi:
+        raise ConfigError(f"{label} must be a number in ({lo:g}, {hi:g}), got {value!r}")
     return float(value)
 
 
+def _numbers(values, size: int, label: str) -> list[float]:
+    """A list of exactly `size` number fields."""
+    if not isinstance(values, list) or len(values) != size:
+        raise ConfigError(f"{label} must be a list of {size} numbers")
+    return [_number(v, label) for v in values]
+
+
 def _point(coords, n: int, label: str) -> SpaceTimePoint:
-    coords = [float(c) for c in coords]
-    if len(coords) != n + 1:
-        raise ConfigError(f"{label} needs {n + 1} coordinates")
-    return SpaceTimePoint.from_spatial(coords[:n], coords[n])
+    *spatial, t = _numbers(coords, n + 1, label)
+    return SpaceTimePoint.from_spatial(spatial, t)
 
 
 def _box(cfg: dict, n: int) -> BoxDomain:
-    lo, hi = [float(v) for v in cfg["lo"]], [float(v) for v in cfg["hi"]]
-    t0, t1 = float(cfg["t0"]), float(cfg["t1"])
-    if len(lo) != n or len(hi) != n:
-        raise ConfigError(f"box corners need {n} coordinates")
-    if not all(math.isfinite(v) for v in (*lo, *hi, t0, t1)):
-        raise ConfigError("box coordinates must be finite")
+    lo, hi = _numbers(cfg["lo"], n, "box lo"), _numbers(cfg["hi"], n, "box hi")
+    t0, t1 = _number(cfg["t0"], "box t0"), _number(cfg["t1"], "box t1")
     return BoxDomain(lo=tuple(lo), hi=tuple(hi), t0=t0, t1=t1)
+
+
+def _pole_field(params: KernelParams, pole: SpaceTimePoint):
+    """u = Gamma(., pole) as a field u(points, t), the data of the Gamma-pole cases."""
+    return lambda pts, t: gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)
 
 
 # ---------------------------------------------------------------- commands
@@ -142,9 +136,7 @@ def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
     points = config.raw.get("points")
     if not isinstance(points, list) or not points:
         raise ConfigError("kernel command needs a nonempty points list")
-    pairs = [
-        (_point(p["xi"], n, "xi"), _point(p["zeta"], n, "zeta")) for p in points
-    ]
+    pairs = [(_point(p["xi"], n, "xi"), _point(p["zeta"], n, "zeta")) for p in points]
 
     def row(pair):
         xi, zeta = pair
@@ -180,32 +172,22 @@ def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
 
 
 def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
-    tol = _tol(config.raw.get("tol", 1e-6))
-    perturb = float(config.raw.get("perturb", 1.0))
-    if not math.isfinite(perturb):
-        raise ConfigError(f"check perturb must be finite, got {perturb!r}")
-    mass_points = config.raw.get("mass_points", [])
-    semis = config.raw.get("semigroup", [])
+    tol = _number(config.raw.get("tol", 1e-6), "tol", 0.0)
+    perturb = _number(config.raw.get("perturb", 1.0), "check perturb")
+    n = config.params.n
+    mass_points = [_point(e, n, "mass_points entry") for e in config.raw.get("mass_points", [])]
+    semis = [_numbers(e, 4, "semigroup [x, eta, t, s]") for e in config.raw.get("semigroup", [])]
     if not mass_points and not semis:
         raise ConfigError("check command needs mass_points or semigroup entries")
-    n = config.params.n
-    if any(not isinstance(e, list) or len(e) != n + 1 for e in mass_points):
-        raise ConfigError(f"each mass_points entry needs {n + 1} coordinates")
-    if any(not isinstance(e, list) or len(e) != 4 for e in semis):
-        raise ConfigError("each semigroup entry needs 4 values: x, eta, t, s")
-    if not all(math.isfinite(float(v)) for e in (*mass_points, *semis) for v in e):
-        raise ConfigError("mass_points and semigroup values must be finite")
     rows = []
     failures = 0
-    for entry in mass_points:
-        xp, x, t = entry[: n - 1], entry[n - 1], entry[-1]
-        val = mass_integral(config.params, (xp, x), float(t)) * perturb
+    for p in mass_points:
+        val = mass_integral(config.params, (p.x_prime, p.x), p.t) * perturb
         err = abs(val - 1.0)
         ok = err <= tol
         failures += not ok
         rows.append(["mass", err, int(ok)])
-    for entry in semis:
-        x, eta, t, s = map(float, entry)
+    for x, eta, t, s in semis:
         res = semigroup_residual(config.params, x, eta, t, s) * perturb
         ok = res <= tol
         failures += not ok
@@ -225,9 +207,7 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     n_steps = _count(config.raw.get("n_steps", 8), "dirichlet n_steps")
     data = config.raw.get("data", "constant")
     if data == "constant":
-        c = float(config.raw.get("constant", 1.0))
-        if not math.isfinite(c):
-            raise ConfigError(f"dirichlet constant must be finite, got {c!r}")
+        c = _number(config.raw.get("constant", 1.0), "dirichlet constant")
 
         def f(pts, t):
             return np.full(len(np.atleast_2d(pts)), c)
@@ -239,9 +219,7 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
         pole = _point(config.raw.get("pole", ()), params.n, "pole")
         if pole.t >= box.t0:
             raise ConfigError("pole must sit strictly before the box")
-
-        def f(pts, t):
-            return gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)
+        f = _pole_field(params, pole)
 
         def ref(xi):
             return gamma_fs(params, xi, pole)
@@ -253,12 +231,9 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     if not probes:
         raise ConfigError("dirichlet command needs probe points")
     # the solution is only defined inside the box; u0_probes sit on faces by design
-    outside = [xi for xi in probes if not box.contains(xi)]
-    if outside:
-        xi = outside[0]
-        raise ConfigError(
-            f"probe {[*xi.spatial, xi.t]} lies outside the open box or outside (t0, t1]"
-        )
+    for xi in probes:
+        if not box.contains(xi):
+            raise ConfigError(f"probe {[*xi.spatial, xi.t]} lies outside the open box or (t0, t1]")
     sol = solve_dirichlet(params, box, f, d_space=d_space, n_steps=n_steps)
     rows = []
     for xi, got in zip(probes, sol.evaluate(probes)):
@@ -287,12 +262,12 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     kind = spec["kind"]
     if kind not in ("flat", "box"):
         raise ConfigError(f"unknown set kind {kind!r}")
-    tau = float(spec["tau"]) if kind == "flat" else 0.0
+    tau = _number(spec["tau"], "set tau") if kind == "flat" else 0.0
     # a flat set's corners are checked as those of a box over [tau, tau + 1]
     box = _box(spec if kind == "box" else {**spec, "t0": tau, "t1": tau + 1.0}, params.n)
     density = _count(config.raw.get("density", 16), "capacity density")
     # the LP stops at this relative duality gap, so it must be below 1
-    tol = _tol(config.raw.get("tol", 1e-8), upper=1.0)
+    tol = _number(config.raw.get("tol", 1e-8), "tol", 0.0, 1.0)
     # the fine level has the most atoms: density^n per slice, density slices for a box;
     # a float product overflows to inf instead of raising, so a huge density exits 2
     check_matrix_fits(math.prod([2.0 * density] * (params.n + (kind == "box"))))
@@ -338,11 +313,15 @@ def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
     dom_block = config.raw.get("domain")
     if not isinstance(dom_block, dict):
         raise ConfigError("wiener command needs a domain descriptor")
+    try:  # the number policy reaches into the domain block: no Infinity or NaN
+        json.dumps(dom_block, allow_nan=False)
+    except ValueError:
+        raise ConfigError("domain numbers must be finite") from None
     domain = DomainDescriptor(tuple(dom_block["primitives"]), tuple(dom_block.get("ops", ())))
-    lam = float(config.raw.get("lambda", 0.5))
+    lam = _number(config.raw.get("lambda", 0.5), "wiener lambda", 0.0, 1.0)
     k_max = _count(config.raw.get("k_max", 12), "wiener k_max")
     density = _count(config.raw.get("density", 10), "wiener density")
-    sweep = tuple(float(v) for v in config.raw.get("sweep", ()))
+    sweep = tuple(_number(v, "wiener sweep", 0.0, 1.0) for v in config.raw.get("sweep", ()))
     report = wiener_series(params, xi0, domain, lam=lam, k_max=k_max, density=density, sweep=sweep)
     rows = [
         [lam, row["k"], row["cap"], row["weight"], row["term"], s]
@@ -359,9 +338,9 @@ def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
 def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     xi0 = _point(config.raw.get("xi0", ()), params.n, "xi0")
-    radii = [float(r) for r in config.raw.get("radii", [])]
-    if not radii or not all(0.0 < r < math.inf for r in radii):
-        raise ConfigError("meanvalue command needs positive finite radii")
+    radii = [_number(r, "meanvalue radius", 0.0) for r in config.raw.get("radii", [])]
+    if not radii:
+        raise ConfigError("meanvalue command needs radii")
     density = _count(config.raw.get("density", 8), "meanvalue density")
 
     def one(pts, t):
@@ -372,11 +351,7 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
         pole = _point(config.raw["pole"], params.n, "pole")
         if pole.t >= xi0.t:
             raise ConfigError("pole must sit strictly before xi0 in time")
-
-        def ug(pts, t):
-            return gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)
-
-        cases.append(("gamma", ug, gamma_fs(params, xi0, pole)))
+        cases.append(("gamma", _pole_field(params, pole), gamma_fs(params, xi0, pole)))
 
     rows = []
     for name, u, want in cases:
@@ -396,15 +371,13 @@ def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     if params.n != 2:
         raise ConfigError("harnack command supports n = 2")
-    r = float(config.raw.get("r", 0.02))
-    if not 0.0 < r < math.inf:
-        raise ConfigError("harnack r must be positive and finite")
+    r = _number(config.raw.get("r", 0.02), "harnack r", 0.0)
     pole = _point(config.raw.get("pole", ()), params.n, "pole")
+    # u vanishes on the bottom slice unless the pole is earlier
+    if not pole.t < -1.5 * r:
+        raise ConfigError("pole must sit strictly before the bottom slice t = -3r/2")
     density = _count(config.raw.get("density", 24), "harnack density")
-
-    def u(pts, t):
-        return gamma_fs_vec(params, np.atleast_2d(pts), t, pole.spatial, pole.t)
-
+    u = _pole_field(params, pole)
     reports = [harnack_quotient(params, r, u, density=dens) for dens in (density, 2 * density)]
     rows = [
         [dens, rep.bottom_average, rep.interior_inf, rep.quotient]
@@ -443,7 +416,7 @@ def main(argv=None) -> int:
     try:
         # warnings are held until the command succeeds, so a failure prints one line
         with warnings.catch_warnings(record=True) as held:
-            config = RunConfig.load(args.command, args.config, args.tol)
+            config = RunConfig.load(args.config, args.tol)
             if args.workers < 1:
                 raise ConfigError("workers must be at least 1")
             start = time.monotonic()
@@ -455,22 +428,22 @@ def main(argv=None) -> int:
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for w in held:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    envelope = ResultEnvelope(
-        command=args.command,
-        config_digest=config.digest,
-        version=__version__,
-        wall_time_s=elapsed,
-        payload=payload,
-        diagnostics=diags,
-    )
-    (out / f"{args.command}.json").write_text(envelope.to_json() + "\n")
+    envelope = {
+        "command": args.command,
+        "config_digest": config.digest,
+        "version": __version__,
+        "wall_time_s": elapsed,
+        "payload": payload,
+        "diagnostics": diags,
+    }
+    (out / f"{args.command}.json").write_text(json.dumps(envelope, indent=2) + "\n")
     _write_csv(out / f"{args.command}.csv", header, rows)
     if args.command == "check" and payload.get("failures", 0) > 0:
         return 1

@@ -1,7 +1,9 @@
 """CLI tests: exit codes, envelopes, deterministic CSV output."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -347,6 +349,25 @@ SMALL_CONFIGS = {
         ("check", {**SMALL_CONFIGS["check"], "perturb": math.nan}),
         ("check", {**SMALL_CONFIGS["check"], "perturb": math.inf}),
         ("harnack", {**SMALL_CONFIGS["harnack"], "r": math.inf}),
+        ("harnack", {**SMALL_CONFIGS["harnack"], "pole": [0.0, 0.0, -0.025]}),
+        ("wiener", {**SMALL_CONFIGS["wiener"], "lambda": "0.5"}),
+        ("meanvalue", {**SMALL_CONFIGS["meanvalue"], "radii": [True]}),
+        ("dirichlet", {**SMALL_CONFIGS["dirichlet"], "constant": "2"}),
+        ("kernel", {**KERNEL_CFG, "params": {"n": 2, "a": "0.3"}}),
+        (
+            "wiener",
+            {
+                "params": PARAMS,
+                "xi0": XI0,
+                "domain": {
+                    "primitives": [
+                        BOX_DOMAIN["primitives"][0],
+                        {**CUSP, "profile": {"kind": "power", "params": [math.inf, 0.5]}},
+                    ],
+                    "ops": ["union"],
+                },
+            },
+        ),
     ],
     ids=[
         "check-short-mass-point",
@@ -403,6 +424,12 @@ SMALL_CONFIGS = {
         "check-perturb-nan",
         "check-perturb-inf",
         "harnack-r-infinity",
+        "harnack-late-pole",
+        "wiener-lambda-string",
+        "meanvalue-radius-true",
+        "dirichlet-constant-string",
+        "params-a-string",
+        "wiener-cusp-infinite-radius",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
@@ -471,9 +498,21 @@ def test_extreme_finite_value_exits_cleanly(tmp_path, capsys, cmd, path, value, 
     assert len(err) == 1 and err[0].startswith(prefix)
 
 
+def test_unmet_allocation_exits_3(tmp_path, capsys):
+    # the first shell lattice asks numpy for exbibytes, beyond any 47-bit address space
+    cfg = {**SMALL_CONFIGS["wiener"], "density": 10**6}
+    assert run(tmp_path, "wiener", cfg)[0] == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
 @pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
 def test_small_configs_run(tmp_path, cmd):
     assert run(tmp_path, cmd, SMALL_CONFIGS[cmd])[0] == 0
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 @pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
@@ -483,10 +522,20 @@ def test_fuzz_one_broken_field(cmd, data):
     cfg = SMALL_CONFIGS[cmd]
     path = data.draw(st.sampled_from(list(_paths(cfg))), label="path")
     value = data.draw(st.sampled_from(BAD_VALUES), label="value")
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfgp = write_cfg(Path(tmp), "cfg.json", _broken(cfg, path, value))
-        code = main([cmd, "--config", cfgp, "--out", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2, 3)
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            code = main([cmd, "--config", cfgp, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            lines = err.getvalue().splitlines()
+            prefix = {2: "config error: ", 3: "numerical failure: "}[code]
+            assert len(lines) == 1 and lines[0].startswith(prefix), lines
+            assert not out.exists()
+        elif code == 0:
+            json.loads((out / f"{cmd}.json").read_text(), parse_constant=_no_constant)
 
 
 def test_oversized_capacity_exits_2_before_allocating(tmp_path, capsys):
