@@ -18,37 +18,19 @@ of Gamma does not exist for a != 0; there the kernel is the limit of
 face takes the normal component of grad Gamma, with |y|^a in the
 quadrature weights: Gamma (x_i - y_i)/(2d) on a face normal to a free
 axis, and on one normal to the weighted axis also the profile's chain
-term, the only place F' is needed.  _dl_rows makes these switches for
-every caller.
+term, the only place F' is needed.
 
-Lag-0 near/far split.  A cell pair is near when the observation point
-lies within the source cell's diameter of the cell (_near_mask); near
-pairs take all GRADED_LEVELS levels of the graded time rule.  A far
-pair has |X - Y| >= r at every source node, r the smallest cell
-diameter.  For observation points in the closed box and d <= 1, its
-integrand (kernel times |w|, summed over the cell's nodes) is at most
+Factorization.  Gamma is a product of 1-D heat kernels on the free axes
+and u_tilde on the weighted axis, and the normal derivative (or the
+limit) acts on one factor only.  Every cell rule is a tensor product of
+1-D rules, so a cell integral at one time node is a product of 1-D sums
+(_axis_sums), one per axis, for blocks and point evaluation alike.
 
-    K(d) = 2 c_na (1 + Y^2)^{|a|/2} (1 + R)^2 S d^{-q} e^{-r^2/(4d)},
-    q = (n + a)/2 + 1 + |a|,
-
-with Y the largest |y| of the box, R = max(Y, box diagonal) and S the
-largest cell sum of |w| max(1, |y|^{-max(a, 0)}) over its nodes (|w|
-alone on y = 0).  K takes d^{-(n+a)/2-1} from grad Gamma, the profile
-envelopes |F(s)| <= 2 (1 + |s|)^{|a|/2} and |s|^{max(a,0)} |F'(s)| <=
-(1 + |s|)^{|a|/2} with |s| <= Y^2/d, and, on y = 0, the weighted normal
-limit's (|x|/d)^{1-a} d^{-(n+a)/2}.  K increases for d < r^2/(4q), so
-graded nodes at d <= d_c add at most d_c K(d_c).  The far cutoff d_c
-is the first graded level end of the lag-0 rule at which d_c K(d_c) is
-below FAR_TAIL times the largest near entry, itself a lower bound on
-the block's largest entry.  Far pairs drop the levels below d_c, in the
-lag-0 block and in the graded step of a point evaluation alike.
-
-Initial lift.  Gamma factorizes over axes, so the lift of f0 at many
-points is a contraction of the weighted f0 grid with 1-D kernel
-matrices: Gaussians on the free axes, u_tilde on the weighted axis
-(LiftGrid, initial_lift).  The double layer at many points is one pass
-(double_layer_eval): one standard-rule kernel call per step and distinct
-probe time, and one for the refined rules of all near cells.
+Initial lift.  The lift of f0 at many points is a contraction of the
+weighted f0 grid with 1-D kernel matrices: Gaussians on the free axes,
+u_tilde on the weighted axis (LiftGrid, initial_lift).  The double
+layer at many points is one pass per distinct probe time
+(double_layer_eval), with refined rules for the near cells.
 """
 from __future__ import annotations
 
@@ -56,10 +38,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.special import erf
 
 from .geometry import BoxDomain
-from .kernel import gamma_fs_vec, gamma_grad_y_vec, u_tilde, weighted_normal_limit_vec
+from .kernel import heat_kernel_1d, u_tilde, u_tilde_dy, weighted_normal_limit_vec
 from .params import KernelParams, SpaceTimePoint
 from .quadrature import gauss_legendre, graded_breakpoints, tensor_rule, weighted_rule
 
@@ -69,111 +52,49 @@ CELL_NODES = 6
 # Gauss points per time panel, and panels of the graded rule toward d = 0
 TIME_NODES = 8
 GRADED_LEVELS = 24
-# bound on a far pair's dropped lag-0 part, relative to the block's largest entry
-FAR_TAIL = 1e-18
-# observation x source node x time points per kernel call
-CHUNK_POINTS = 1 << 16
 
 
-def _dl_rows(params: KernelParams, obs_sp, dts, src, weights, normal_axis, on_plane) -> np.ndarray:
-    """Weighted double-layer kernel dGamma/dnu(Y) |y|^a at source nodes.
+def _axis_sums(params: KernelParams, axis, normal, x, nodes, weights, counts, d) -> np.ndarray:
+    """Sum of w factor(x, node, d) over each 1-D rule of one axis, at every d.
 
-    obs_sp (p, n) observation points seen by every node, or (p, s, n)
-    with one per node; dts (k,) time lags, src (s, n) nodes with signed
-    quadrature weights (s,); normal_axis and on_plane give each node's
-    face, per node or one value for all.  Returns the (p, k, s) rows with
-    the weights folded in.  Off the plane, grad Gamma is evaluated only at
-    nodes of faces normal to the weighted axis and Gamma at the others;
-    the weighted normal limit only on the plane.
+    x holds one observation coordinate per rule; nodes and weights are
+    the rules' back to back, counts[r] nodes for rule r.  Along a face
+    the factor is the heat kernel on a free axis and u_tilde on the
+    weighted one.  On the face's normal axis (normal) it is the normal
+    derivative: the heat kernel times (x - y)/(2d), u_tilde_dy, or the
+    weighted normal limit at a node on y = 0.  Returns (rules, len(d)).
     """
-    s = len(src)
-    on = np.broadcast_to(on_plane, s)
-    axis = np.broadcast_to(normal_axis, s)
-    # off the plane, a normal along a free axis needs only Gamma (x_i - y_i)/(2d);
-    # along the weighted axis the profile's chain term F' x/d joins it
-    free = np.flatnonzero(~on & (axis != params.n - 1))
-    weighted = np.flatnonzero(~on & (axis == params.n - 1))
-    per_node = obs_sp.ndim == 3
-    obs = obs_sp[:, None, :, :] if per_node else obs_sp[:, None, None, :]
-    dt = dts[None, :, None]
-    if len(weighted):
-        seen = obs[:, :, weighted] if per_node else obs
-        grad_y = gamma_grad_y_vec(params, seen, 0.0, src[None, None, weighted], -dt)[..., -1]
-    if len(free):
-        seen = obs[:, :, free] if per_node else obs
-        diff = seen - src[None, None, free]
-        along = np.take_along_axis(diff, axis[free][None, None, :, None], axis=-1)[..., 0]
-        half = np.divide(0.5, dt, out=np.zeros_like(dt), where=dt > 0.0)
-        grad_free = gamma_fs_vec(params, seen, 0.0, src[None, None, free], -dt) * (along * half)
-    # allocated after the kernel calls, whose temporaries then peak without it;
-    # filled in place to stay C-contiguous, so later sums keep their order
-    comp = np.empty((len(obs_sp), len(dts), s))
-    if len(weighted):
-        comp[:, :, weighted] = grad_y
-    if len(free):
-        comp[:, :, free] = grad_free
-    if np.any(on):
-        seen = obs[:, :, on] if per_node else obs
-        diff = seen[..., :-1] - src[None, None, on, :-1]
-        shape = (len(obs_sp), len(dts), diff.shape[2])
-        comp[:, :, on] = weighted_normal_limit_vec(
-            params,
-            np.broadcast_to(seen[..., -1], shape),
-            np.broadcast_to(dt, shape),
-            np.sum(diff * diff, axis=-1),
-        )
-    comp *= weights
-    return comp
-
-
-def _chunks(total: int, per_item: int) -> list[slice]:
-    """Slices of range(total) with at most CHUNK_POINTS // per_item items each."""
-    step = max(1, CHUNK_POINTS // max(per_item, 1))
-    return [slice(i, i + step) for i in range(0, total, step)]
-
-
-@dataclass(frozen=True)
-class _PairNodes:
-    """Quadrature nodes of (observation point, cell) pairs, flattened.
-
-    Node j lies in cell pair owner[j] and is seen from obs[j].
-    """
-
-    obs: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    axes: np.ndarray
-    on_plane: np.ndarray
-    owner: np.ndarray
-    n_pairs: int
-
-    def values(self, params: KernelParams, d_nodes, d_wts, keep=slice(None)) -> np.ndarray:
-        """Time-integrated kernel sums per pair, over the nodes keep selects."""
-        obs, nodes, weights = self.obs[keep], self.nodes[keep], self.weights[keep]
-        axes, on, owner = self.axes[keep], self.on_plane[keep], self.owner[keep]
-        out = np.zeros(self.n_pairs)
-        for sl in _chunks(len(nodes), len(d_nodes)):
-            rows = _dl_rows(
-                params, obs[None, sl], d_nodes, nodes[sl], weights[sl], axes[sl], on[sl]
-            )
-            out += np.bincount(owner[sl], weights=d_wts @ rows[0], minlength=self.n_pairs)
-        return out
+    xs, y = np.repeat(x, counts)[:, None], nodes[:, None]
+    if axis < params.n - 1:
+        vals = heat_kernel_1d(xs, y, d)
+        if normal:
+            vals *= (xs - y) * np.divide(0.5, d, out=np.zeros_like(d), where=d > 0.0)
+    elif not normal:
+        vals = u_tilde(params, xs, y, d)
+    else:
+        plane = nodes == 0.0
+        vals = np.empty((len(nodes), len(d)))
+        vals[~plane] = u_tilde_dy(params, xs[~plane], y[~plane], d)
+        if plane.any():
+            vals[plane] = weighted_normal_limit_vec(params, xs[plane], d)
+    vals *= weights[:, None]
+    return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=0)
 
 
 @dataclass
 class BoundaryMesh:
-    """Lateral-boundary cells of a box with per-cell quadrature.
+    """Lateral-boundary cells of a box with per-axis quadrature.
 
     d_space cells per axis per face (one more on the weighted axis when
     the box straddles y = 0 and no edge falls on it), n_steps uniform
     time steps.  The top face
     t = t1 carries no data (it is not part of the parabolic boundary).
     Cell c spans cell_lo[c] to cell_hi[c], equal on its normal axis.
-    Cells on faces normal to the weighted axis at y = 0 are flagged
-    (use_limit): their kernel is the weighted normal limit.  Once the
-    lag-0 near pairs are built, lag0_split holds the near/far pair and
-    time-node counts, the far cutoff and its tail bound relative to the
-    largest near entry.
+    axis_rules[i] lists the 1-D rules of axis i: a CELL_NODES rule per
+    panel of _edges(i), then the lo and hi face rules (the face
+    coordinate, weight -1 and +1, times |coord|^a on a weighted face off
+    y = 0).  Cell c integrates with axis_rules[i][cell_rule[c, i]] on
+    each axis i.
     """
 
     box: BoxDomain
@@ -181,8 +102,6 @@ class BoundaryMesh:
     d_space: int = 8
     n_steps: int = 12
     _blocks: dict = field(default_factory=dict, repr=False)
-    _near0: tuple | None = field(default=None, repr=False)
-    lag0_split: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.box.n != self.params.n:
@@ -204,31 +123,34 @@ class BoundaryMesh:
         return edges
 
     def _build_cells(self) -> None:
-        n = self.box.n
-        corners, axes, signs, limits = [], [], [], []
+        n, a = self.box.n, self.params.a
+        edges = [self._edges(i) for i in range(n)]
+        self.axis_rules = [
+            [self._axis_rule(i, [p]) for p in zip(e, e[1:])] for i, e in enumerate(edges)
+        ]
+        for i, rules in enumerate(self.axis_rules):
+            for sign, coord in ((-1.0, self.box.lo[i]), (1.0, self.box.hi[i])):
+                weight = sign * abs(coord) ** a if i == n - 1 and coord != 0.0 else sign
+                rules.append((np.array([float(coord)]), np.array([weight])))
+        corners, axes, signs, rules = [], [], [], []
         for axis, side, coord in self.box.faces():
             free = [i for i in range(n) if i != axis]
-            edges = [self._edges(i) for i in free]
             # cell indices along the free axes of a face, the first varying slowest
-            idx = np.indices([len(e) - 1 for e in edges]).reshape(n - 1, -1)
+            idx = np.indices([len(edges[i]) - 1 for i in free]).reshape(n - 1, -1)
             face = np.full((2, idx.shape[1], n), float(coord))  # low and high cell corners
+            rule = np.full((idx.shape[1], n), len(edges[axis]) - 1 + side)
             for j, i in enumerate(free):
-                face[:, :, i] = edges[j][idx[j]], edges[j][idx[j] + 1]
+                face[:, :, i] = edges[i][idx[j]], edges[i][idx[j] + 1]
+                rule[:, i] = idx[j]
             corners.append(face)
+            rules.append(rule)
             axes += [axis] * idx.shape[1]
             signs += [-1.0 if side == 0 else 1.0] * idx.shape[1]
-            limits += [axis == n - 1 and coord == 0.0] * idx.shape[1]
         self.cell_lo, self.cell_hi = np.concatenate(corners, axis=1)
         self.centers = 0.5 * (self.cell_lo + self.cell_hi)
         self.normal_axis = np.array(axes)
         self.normal_sign = np.array(signs)
-        self.use_limit = np.array(limits)
-        rules = [
-            self._cell_rule(c, [[panel] for panel in zip(self.cell_lo[c], self.cell_hi[c])])
-            for c in range(len(axes))
-        ]
-        self.src_nodes = np.array([pts for pts, _ in rules])
-        self.src_weights = np.array([w for _, w in rules])
+        self.cell_rule = np.concatenate(rules)
         self.ht = (self.box.t1 - self.box.t0) / self.n_steps
         # midpoint collocation: first-order densities see a second-order
         # consistent right-hand side
@@ -238,52 +160,42 @@ class BoundaryMesh:
     def n_cells(self) -> int:
         return len(self.centers)
 
-    def _cell_rule(self, idx: int, panels: list) -> tuple[np.ndarray, np.ndarray]:
-        """Tensor quadrature of cell idx from a list of (lo, hi) panels per axis.
+    def _axis_rule(self, axis: int, panels: list) -> tuple[np.ndarray, np.ndarray]:
+        """1-D rule of an axis: CELL_NODES points per (lo, hi) panel, |y|^a on the weighted axis."""
+        parts = [
+            weighted_rule(p0, p1, self.params.a, CELL_NODES)
+            if axis == self.box.n - 1
+            else gauss_legendre(p0, p1, CELL_NODES)
+            for p0, p1 in panels
+        ]
+        return np.concatenate([x for x, _ in parts]), np.concatenate([w for _, w in parts])
 
-        Each panel of a free axis gets a CELL_NODES-point rule, weighted by
-        |y|^a on the weighted axis; off the plane, a face normal to that
-        axis scales the weights by |coord|^a.  Weights carry the normal's sign.
-        """
-        n, a, m = self.box.n, self.params.a, CELL_NODES
-        axis = self.normal_axis[idx]
-        nodes, wts = [], []
-        for i in range(n):
-            if i == axis:
-                continue
-            parts = [
-                weighted_rule(p0, p1, a, m) if i == n - 1 else gauss_legendre(p0, p1, m)
-                for p0, p1 in panels[i]
-            ]
-            nodes.append(np.concatenate([x for x, _ in parts]))
-            wts.append(np.concatenate([w for _, w in parts]))
-        pts, weight = tensor_rule(nodes, wts)
-        coord = float(self.cell_lo[idx, axis])
-        pts = np.insert(pts, axis, coord, axis=1)
-        if axis == n - 1 and not self.use_limit[idx]:
-            weight *= abs(coord) ** a
-        return pts, self.normal_sign[idx] * weight
-
-    def _refined_rule(self, idx: int, obs_sp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell rule on panels graded toward the foot of obs_sp.
+    def _refined_rule(self, idx: int, obs_sp: np.ndarray) -> list:
+        """Per-axis rules of cell idx on panels graded toward the foot of obs_sp.
 
         Used for nearly singular evaluation close to the boundary; on each
         free axis the panels halve toward the projection of the
-        observation point onto the cell.
+        observation point onto the cell.  The normal axis keeps its face rule.
         """
         lo, hi = self.cell_lo[idx], self.cell_hi[idx]
-        perp = abs(obs_sp[self.normal_axis[idx]] - lo[self.normal_axis[idx]])
-        panels = [[] for _ in range(self.box.n)]
+        normal = self.normal_axis[idx]
+        perp = abs(obs_sp[normal] - lo[normal])
+        rules = []
         for i in range(self.box.n):
+            if i == normal:
+                rules.append(self.axis_rules[i][self.cell_rule[idx, i]])
+                continue
             f = min(max(obs_sp[i], lo[i]), hi[i])
             scale = max(perp, 1e-4 * (hi[i] - lo[i]))
+            panels = []
             for edge in (lo[i], hi[i]):
                 span = abs(f - edge)
                 if span > 0.0:
                     levels = max(1, min(40, int(math.ceil(math.log2(span / scale))) + 2))
                     b = [*graded_breakpoints(edge, f, levels - 1), f]
-                    panels[i] += [(min(p, q), max(p, q)) for p, q in zip(b, b[1:]) if p != q]
-        return self._cell_rule(idx, panels)
+                    panels += [(min(p, q), max(p, q)) for p, q in zip(b, b[1:]) if p != q]
+            rules.append(self._axis_rule(i, panels))
+        return rules
 
     def _near_mask(self, obs_sp: np.ndarray) -> np.ndarray:
         """(p, cells) mask: the cell lies within its own diameter of obs_sp[i]."""
@@ -293,128 +205,67 @@ class BoundaryMesh:
         diam2 = np.sum((self.cell_hi - self.cell_lo) ** 2, axis=1)
         return np.sum(gap * gap, axis=2) < diam2
 
-    def _pairs(self, obs_sp: np.ndarray, cells: np.ndarray, rules: list) -> _PairNodes:
-        """Flatten one (nodes, weights) rule per (obs_sp[i], cells[i]) pair."""
-        n = self.box.n
-        sizes = [len(w) for _, w in rules]
-        owner = np.repeat(np.arange(len(rules)), sizes)
-        return _PairNodes(
-            obs=np.repeat(obs_sp, sizes, axis=0).reshape(-1, n),
-            nodes=np.concatenate([np.empty((0, n))] + [pts for pts, _ in rules]),
-            weights=np.concatenate([np.empty(0)] + [w for _, w in rules]),
-            axes=self.normal_axis[cells][owner],
-            on_plane=self.use_limit[cells][owner],
-            owner=owner,
-            n_pairs=len(rules),
-        )
+    def _integrals(self, points, rules, point, rule, cell, d_nodes, d_wts) -> np.ndarray:
+        """Time-integrated double-layer integrals, one per entry.
 
-    def _cell_values(self, obs_sp: np.ndarray, d_nodes, d_wts) -> np.ndarray:
-        """Standard-rule cell integrals over the time rule, shape (p, cells)."""
-        m, q, n = self.src_nodes.shape
-        src, wts = self.src_nodes.reshape(m * q, n), self.src_weights.reshape(-1)
-        axes, limit = np.repeat(self.normal_axis, q), np.repeat(self.use_limit, q)
-        out = np.empty((len(obs_sp), m))
-        for sl in _chunks(len(obs_sp), len(d_nodes) * m * q):
-            rows = _dl_rows(self.params, obs_sp[sl], d_nodes, src, wts, axes, limit)
-            out[sl] = np.einsum("pkmq,k->pm", rows.reshape(-1, len(d_nodes), m, q), d_wts)
+        Entry e sees points[point[e]] and integrates over rules[i][rule[e, i]]
+        on each axis i, on the face of cell[e], then over the time rule:
+        d_wts is (k,) or (k, s), and the result (entries,) or (entries, s).
+        Each axis' table holds _axis_sums once per distinct (coordinate,
+        rule, normal or not); the product over axes is formed one face at
+        a time.
+        """
+        normal_axis = self.normal_axis[cell]
+        tables, rows = [], np.empty(rule.shape, dtype=int)
+        for i, axis_rules in enumerate(rules):
+            coords, at = np.unique(points[:, i], return_inverse=True)
+            key = (at[point] * len(axis_rules) + rule[:, i]) * 2 + (normal_axis == i)
+            keys, rows[:, i] = np.unique(key, return_inverse=True)
+            table = np.empty((len(keys), len(d_nodes)))
+            for normal in (False, True):
+                sel = np.flatnonzero(keys % 2 == normal)
+                if len(sel):
+                    c, r = np.divmod(keys[sel] // 2, len(axis_rules))
+                    nodes, weights = (np.concatenate(p) for p in zip(*(axis_rules[k] for k in r)))
+                    counts = [len(axis_rules[k][0]) for k in r]
+                    table[sel] = _axis_sums(
+                        self.params, i, normal, coords[c], nodes, weights, counts, d_nodes
+                    )
+            tables.append(table)
+        face = 2 * normal_axis + (self.normal_sign[cell] > 0.0)
+        out = np.empty((len(cell),) + d_wts.shape[1:])
+        for f in np.unique(face):
+            e = np.flatnonzero(face == f)
+            prod = tables[0][rows[e, 0]]
+            for i in range(1, len(rules)):
+                prod *= tables[i][rows[e, i]]
+            out[e] = prod @ d_wts
         return out
 
     def _delta_rule(self, d_lo: float, d_hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature in the time offset; graded when the interval touches 0.
-
-        The graded rule lists its levels in order: nodes
-        [TIME_NODES j, TIME_NODES (j+1)) lie in d_hi [2^-(j+1), 2^-j].
-        """
+        """Quadrature in the time offset; graded when the interval touches 0."""
         if d_lo <= 1e-14 * self.ht:
             b = graded_breakpoints(-d_hi, 0.0, GRADED_LEVELS)
             ns, ws = zip(*(gauss_legendre(p0, p1, TIME_NODES) for p0, p1 in zip(b[:-1], b[1:])))
             return -np.concatenate(ns), np.concatenate(ws)
         return gauss_legendre(d_lo, d_hi, TIME_NODES)
 
-    def _far_cutoff(self, d_hi: float, scale: float) -> tuple[float, float]:
-        """Far cutoff d_c on the graded rule of d_hi, and its tail bound over scale.
-
-        d_c = d_hi 2^-j for the first level j that passes the far tail
-        test of the module doc: d_c K(d_c) <= FAR_TAIL scale, with
-        d_c <= min(1, r^2/(4q)).  (0, 0) when no level does.
-        """
-        n, a = self.box.n, self.params.a
-        q = 0.5 * (n + a) + 1.0 + abs(a)
-        r2 = float(np.min(np.sum((self.cell_hi - self.cell_lo) ** 2, axis=1)))
-        lo, hi = np.array(self.box.lo), np.array(self.box.hi)
-        y_max = max(abs(lo[-1]), abs(hi[-1]))
-        reach = max(float(np.linalg.norm(hi - lo)), y_max)
-        y = np.where(self.use_limit[:, None], 1.0, np.abs(self.src_nodes[..., -1]))
-        node = np.where(self.use_limit[:, None], 1.0, np.maximum(1.0, y ** -max(a, 0.0)))
-        mass = float(np.max(np.sum(np.abs(self.src_weights) * node, axis=1)))
-        log_k = (
-            math.log(2.0 * self.params.c_na * mass)
-            + 0.5 * abs(a) * math.log1p(y_max * y_max)
-            + 2.0 * math.log1p(reach)
-        )
-        if scale > 0.0 and mass > 0.0:
-            for j in range(1, GRADED_LEVELS):
-                d_c = d_hi * 0.5 ** j
-                log_tail = log_k + (1.0 - q) * math.log(d_c) - r2 / (4.0 * d_c)
-                if d_c <= min(1.0, r2 / (4.0 * q)) and log_tail <= math.log(FAR_TAIL * scale):
-                    return d_c, math.exp(log_tail) / scale
-        return 0.0, 0.0
-
-    def _lag0_near(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Near pairs (obs cells, src cells) and their lag-0 entries on every level.
-
-        Collocation at step midpoints: lag 0 sees only the half step
-        before the collocation time.  Also fills lag0_split.
-        """
-        if self._near0 is None:
-            d_nodes, d_wts = self._delta_rule(0.0, 0.5 * self.ht)
-            obs, cells = np.nonzero(self._near_mask(self.centers))
-            rules = [(self.src_nodes[c], self.src_weights[c]) for c in cells]
-            near = self._pairs(self.centers[obs], cells, rules).values(self.params, d_nodes, d_wts)
-            d_c, tail = self._far_cutoff(0.5 * self.ht, float(np.max(np.abs(near))))
-            self._near0 = (obs, cells, near)
-            self.lag0_split = {
-                "near_pairs": len(cells),
-                "far_pairs": self.n_cells**2 - len(cells),
-                "near_time_nodes": len(d_nodes),
-                "far_cutoff": d_c,
-                "far_tail_bound": tail,
-            }
-            self.lag0_split["far_time_nodes"] = self._far_nodes(0.5 * self.ht)
-        return self._near0
-
-    def _far_nodes(self, d_hi: float) -> int:
-        """Leading nodes of the graded rule of d_hi that a far cell keeps.
-
-        Those of the levels that reach above the far cutoff; every level
-        ends at or below it from there on.
-        """
-        self._lag0_near()
-        d_c = self.lag0_split["far_cutoff"]
-        levels = 0
-        while levels < GRADED_LEVELS and d_hi * 0.5**levels > d_c:
-            levels += 1
-        return TIME_NODES * levels
-
     def block(self, lag: int) -> np.ndarray:
         """Kernel block for time lag: (obs cells) x (src cells).
 
         Entry = int over the lag's time-offset window and the source
-        cell of the weighted double-layer kernel.  At lag 0, near pairs
-        take every graded level and far pairs the levels above the far
-        cutoff.
+        cell of the weighted double-layer kernel.  Collocation at step
+        midpoints: lag 0 sees only the half step before the collocation
+        time, on the graded rule.
         """
         if lag in self._blocks:
             return self._blocks[lag]
-        if lag == 0:
-            obs, cells, near = self._lag0_near()
-            d_nodes, d_wts = self._delta_rule(0.0, 0.5 * self.ht)
-            k = self._far_nodes(0.5 * self.ht)
-            blockmat = self._cell_values(self.centers, d_nodes[:k], d_wts[:k])
-            blockmat[obs, cells] = near
-        else:
-            d_nodes, d_wts = self._delta_rule((lag - 0.5) * self.ht, (lag + 0.5) * self.ht)
-            blockmat = self._cell_values(self.centers, d_nodes, d_wts)
+        d_nodes, d_wts = self._delta_rule(max(lag - 0.5, 0.0) * self.ht, (lag + 0.5) * self.ht)
+        m = self.n_cells
+        point, cell = np.divmod(np.arange(m * m), m)
+        blockmat = self._integrals(
+            self.centers, self.axis_rules, point, self.cell_rule[cell], cell, d_nodes, d_wts
+        ).reshape(m, m)
         self._blocks[lag] = blockmat
         return blockmat
 
@@ -438,35 +289,34 @@ def double_layer_eval(
 
     Cells within a cell diameter of an observation point are nearly
     singular and get a locally graded in-face quadrature.  Points sharing
-    a time share each step's time rule and one standard-rule kernel call;
-    the refined rules of their near cells share one more.
+    a time share one time rule (every step's nodes, one weight column
+    per step) and one pass over their standard and refined cell rules.
     """
     out = np.zeros(len(times))
-    box = mesh.box
-    inside = np.all((spatial >= box.lo) & (spatial <= box.hi), axis=1)
+    m = mesh.n_cells
     obs, cells = np.nonzero(mesh._near_mask(spatial))
-    rules = [mesh._refined_rule(c, spatial[i]) for i, c in zip(obs, cells)]
-    near = mesh._pairs(spatial[obs], cells, rules)
+    refined = [mesh._refined_rule(c, spatial[i]) for i, c in zip(obs, cells)]
+    rules = [axis_rules + [r[i] for r in refined] for i, axis_rules in enumerate(mesh.axis_rules)]
+    # near pair j integrates with the j-th refined rule appended to each axis
+    near_rule = np.arange(len(cells))[:, None] + [len(r) for r in mesh.axis_rules]
     for t in np.unique(times):
-        group = np.flatnonzero(times == t)
-        local = np.full(len(times), -1)
-        local[group] = np.arange(len(group))
-        pairs = np.flatnonzero(local[obs] >= 0)
-        keep = np.flatnonzero(local[obs][near.owner] >= 0)
-        for k in range(mesh.n_steps):
-            tau0 = box.t0 + k * mesh.ht
-            if tau0 >= t:
-                break
-            d_lo, d_hi = t - min(tau0 + mesh.ht, t), t - tau0
-            d_nodes, d_wts = mesh._delta_rule(d_lo, d_hi)
-            # far cells drop the graded levels below the lag-0 far cutoff,
-            # whose bound holds for observation points in the closed box
-            graded = len(d_nodes) > TIME_NODES
-            live = mesh._far_nodes(d_hi) if graded and inside[group].all() else len(d_nodes)
-            cell_vals = mesh._cell_values(spatial[group], d_nodes[:live], d_wts[:live])
-            refined = near.values(mesh.params, d_nodes, d_wts, keep)
-            cell_vals[local[obs[pairs]], cells[pairs]] = refined[pairs]
-            out[group] += cell_vals @ values[k]
+        taus = [tau for tau in mesh.box.t0 + mesh.ht * np.arange(mesh.n_steps) if tau < t]
+        if not taus:
+            continue
+        parts = [mesh._delta_rule(t - min(tau + mesh.ht, t), t - tau) for tau in taus]
+        d_nodes = np.concatenate([d for d, _ in parts])
+        d_wts = block_diag(*(w[:, None] for _, w in parts))
+        at_t = np.flatnonzero(times == t)
+        # passes of at most n_cells points, as many as a block has rows, bound the tables
+        for group in np.array_split(at_t, -(-len(at_t) // m)):
+            p, pairs = len(group), np.flatnonzero(np.isin(obs, group))
+            cell = np.concatenate([np.tile(np.arange(m), p), cells[pairs]])
+            point = np.concatenate([np.repeat(np.arange(p), m), group.searchsorted(obs[pairs])])
+            rule = np.concatenate([mesh.cell_rule[cell[: p * m]], near_rule[pairs]])
+            vals = mesh._integrals(spatial[group], rules, point, rule, cell, d_nodes, d_wts)
+            grid = vals[: p * m].reshape(p, m, len(taus))
+            grid[point[p * m :], cell[p * m :]] = vals[p * m :]
+            out[group] = np.einsum("pcs,sc->p", grid, values[: len(taus)])
     return out
 
 
@@ -600,8 +450,7 @@ def initial_lift(
     free_shape = grid.values.shape[:-1]
     acc = (kern @ grid.values.reshape(-1, kern.shape[1]).T).reshape(len(live), *free_shape)
     for i in reversed(range(len(grid.nodes) - 1)):
-        d = x[:, i : i + 1] - grid.nodes[i][None, :]
-        gauss = np.exp(-d * d / (4.0 * dt[:, None])) / np.sqrt(4.0 * math.pi * dt[:, None])
+        gauss = heat_kernel_1d(x[:, i : i + 1], grid.nodes[i][None, :], dt[:, None])
         acc = np.einsum("p...i,pi->p...", acc, gauss)
     out[live] = acc
     return out

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kernel import u_tilde
+from .kernel import heat_kernel_1d, u_tilde
 from .params import KernelParams
 from .quadrature import integrate_weighted_interval, legendre_rule
 
@@ -116,14 +116,9 @@ def _node_means(
     """
     x, t, y, s = (v[..., None, None] for v in (x, t, y, s))
     dt = t - (s + off_t[:, None])
-    live = dt >= snap
-    if weighted:
-        vals = u_tilde(params, x, y + off, np.where(live, dt, 0.0))
-    else:
-        d = np.where(live, dt, 1.0)
-        norm = np.where(live, 1.0 / np.sqrt(4.0 * math.pi * d), 0.0)
-        vals = np.exp(-((x - (y + off)) ** 2) / (4.0 * d)) * norm
-    return np.mean(vals, axis=-1)
+    dt = np.where(dt >= snap, dt, 0.0)
+    factor = u_tilde(params, x, y + off, dt) if weighted else heat_kernel_1d(x, y + off, dt)
+    return np.mean(factor, axis=-1)
 
 
 def _constraint_matrix(
@@ -178,20 +173,23 @@ def _constraint_matrix(
     return A, len(js)
 
 
+def check_fits(need: float, what: str) -> None:
+    """Raise ValueError if need bytes (a float, so an absurd size is inf) exceed physical memory."""
+    have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    if need > have:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def check_matrix_fits(atoms: float) -> None:
     """Raise ValueError if capacity_lp's dense work for this many atoms exceeds physical memory.
 
     The matrix is 2 atoms rows (the set and its collar) by atoms columns
     of float64, and capacity_lp's peak is about MATRIX_COPIES times that.
-    The estimate is a float, so an absurd count compares and prints as inf.
     """
-    need = MATRIX_COPIES * 16.0 * atoms * atoms
-    have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    if need > have:
-        raise ValueError(
-            f"capacity matrix for {atoms:.4g} atoms needs about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    check_fits(MATRIX_COPIES * 16.0 * atoms * atoms, f"capacity matrix for {atoms:.4g} atoms")
 
 
 class LPResult(NamedTuple):

@@ -28,7 +28,13 @@ import numpy as np
 
 from . import __version__
 from .bem import solve_dirichlet, u0_identity
-from .capacity import CapacityResult, capacity_lp, check_matrix_fits, flat_set_capacity
+from .capacity import (
+    CapacityResult,
+    capacity_lp,
+    check_fits,
+    check_matrix_fits,
+    flat_set_capacity,
+)
 from .geometry import BoxDomain
 from .kernel import (
     bounds_sandwich,
@@ -246,7 +252,6 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
         "cells": sol.mesh.n_cells,
         "steps": sol.mesh.n_steps,
         "inner_iterations": sol.info["inner_iterations"],
-        "lag0": sol.mesh.lag0_split,
     }
     header = (
         [f"probe_{i}" for i in range(params.n)] + ["probe_t", "value", "reference", "abs_err"]
@@ -377,6 +382,8 @@ def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     if not pole.t < -1.5 * r:
         raise ConfigError("pole must sit strictly before the bottom slice t = -3r/2")
     density = _count(config.raw.get("density", 24), "harnack density")
+    # the fine heat-ball lattice: (2 density)^(n+1) points of n+1 floats
+    check_fits(8.0 * 3 * math.prod([2.0 * density] * 3), "heat-ball lattice")
     u = _pole_field(params, pole)
     reports = [harnack_quotient(params, r, u, density=dens) for dens in (density, 2 * density)]
     rows = [

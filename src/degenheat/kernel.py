@@ -7,8 +7,10 @@ With nu = (a-1)/2 and c_na = 2^{-1-a}(4 pi)^{-(n-1)/2}, the kernel is
 for d = t - tau > 0 and zero otherwise; x, y are the weighted-axis
 coordinates of X, Y and F is the Bessel profile from special.  The
 kernel factorizes over axes: the free axes carry classical 1-D heat
-kernels and the weighted axis carries the 1-D kernel u_tilde, which is
-what the normalization and semigroup identities integrate.
+kernels (heat_kernel_1d) and the weighted axis carries the 1-D kernel
+u_tilde, which is what the normalization and semigroup identities
+integrate.  The double layer differentiates one factor: u_tilde_dy, or
+on y = 0 its weighted limit weighted_normal_limit_vec.
 """
 from __future__ import annotations
 
@@ -84,7 +86,7 @@ def gamma_grad_y_vec(
 
     All axes carry Gamma (x_i - y_i)/(2 d); the weighted axis adds the
     profile chain term F'(xy/d) x/d.  At a source on y = 0 with a != 0
-    the double-layer kernel is weighted_normal_limit_vec instead.
+    the double layer takes the weighted normal limit instead.
     """
     obs_sp = np.asarray(obs_sp, dtype=float)
     src_sp = np.asarray(src_sp, dtype=float)
@@ -117,31 +119,16 @@ def gamma_grad_y_vec(
     return out
 
 
-def weighted_normal_limit_vec(
-    params: KernelParams, x, dt, dist2_rest
-) -> np.ndarray:
-    """lim_{y->0} |y|^a D_y Gamma at lags dt = t - tau, with dist2_rest = |x'-y'|^2.
+def heat_kernel_1d(x, y, dt) -> np.ndarray:
+    """Classical 1-D heat kernel (4 pi d)^{-1/2} e^{-(x-y)^2/(4d)}; zero where dt <= 0.
 
-    Equals c_na (1-a) 4^{a-1}/Gamma((3-a)/2) d^{-(n+a)/2} (x/d)
-    (|x|/d)^{-a} e^{-(|x'-y'|^2 + x^2)/(4d)}; zero when x = 0 or d <= 0.
+    Gamma is the product of u_tilde with one such factor per free axis.
     """
-    x = np.asarray(x, dtype=float)
-    # x = 0 entries are zero: masked like acausal ones
-    shape, sel, d, head, x = _head(
-        0.0,
-        params.n + params.a,
-        np.asarray(dist2_rest, dtype=float) + x * x,
-        np.where(x != 0.0, dt, 0.0),
-        x,
-    )
-    out = np.zeros(shape)
-    if not d.size:
-        return out
-    a = params.a
-    const = params.c_na * (1.0 - a) * 4.0 ** (a - 1.0) / math.gamma((3.0 - a) / 2.0)
-    with np.errstate(over="ignore"):
-        out[sel] = const * (x / d) * np.exp(head - a * np.log(np.abs(x) / d))
-    return out
+    dt = np.asarray(dt, dtype=float)
+    live = dt > 0.0
+    d = np.where(live, dt, 1.0)
+    norm = np.where(live, 1.0 / np.sqrt(4.0 * math.pi * d), 0.0)
+    return np.exp(-((x - y) ** 2) / (4.0 * d)) * norm
 
 
 def u_tilde(params: KernelParams, x, y, dt) -> np.ndarray:
@@ -155,6 +142,43 @@ def u_tilde(params: KernelParams, x, y, dt) -> np.ndarray:
     return _profile_kernel(
         params, *_head(-(1.0 + a) * math.log(2.0), 1.0 + a, (x - y) ** 2, dt, x, y)
     )
+
+
+def u_tilde_dy(params: KernelParams, x, y, dt) -> np.ndarray:
+    """D_y u_tilde: u_tilde (x - y)/(2d) plus the profile's chain term F'(xy/d) x/d.
+
+    The chain term is zero at x = 0.  At y = 0 with a != 0 the derivative
+    has no finite limit; weighted_normal_limit_vec takes its place there.
+    """
+    x, y, k = np.asarray(x, dtype=float), np.asarray(y, dtype=float), 1.0 + params.a
+    shape, sel, d, head, x, y = _head(-k * math.log(2.0), k, (x - y) ** 2, dt, x, y)
+    out = np.zeros(shape)
+    if d.size:
+        s = x * y / d
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain = np.where(x == 0.0, 0.0, f_profile_prime_vec(params, s) * x / d)
+            out[sel] = np.exp(head) * (f_profile_vec(params, s) * (x - y) / (2.0 * d) + chain)
+    return out
+
+
+def weighted_normal_limit_vec(params: KernelParams, x, dt) -> np.ndarray:
+    """lim_{y->0} |y|^a D_y u_tilde at lags dt = t - tau.
+
+    Equals 2^{-1-a} (1-a) 4^{a-1}/Gamma((3-a)/2) d^{-(1+a)/2} (x/d)
+    (|x|/d)^{-a} e^{-x^2/(4d)}; zero when x = 0 or d <= 0.  Times the
+    free axes' heat kernels it is the limit of |y|^a D_y Gamma.
+    """
+    x = np.asarray(x, dtype=float)
+    # x = 0 entries are zero: masked like acausal ones
+    shape, sel, d, head, x = _head(0.0, 1.0 + params.a, x * x, np.where(x != 0.0, dt, 0.0), x)
+    out = np.zeros(shape)
+    if not d.size:
+        return out
+    a = params.a
+    const = 2.0 ** (-1.0 - a) * (1.0 - a) * 4.0 ** (a - 1.0) / math.gamma((3.0 - a) / 2.0)
+    with np.errstate(over="ignore"):
+        out[sel] = const * (x / d) * np.exp(head - a * np.log(np.abs(x) / d))
+    return out
 
 
 def mass_integral(params: KernelParams, x_point, t: float, tol: float = 1e-8) -> float:

@@ -28,12 +28,19 @@ _PRIMITIVE_TYPES = ("box", "half-space", "time-slab", "cusp")
 _OPS = ("union", "intersect", "subtract")
 
 
+def _number(value, key: str) -> float:
+    """value as a float if it is a finite int or float, not a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"primitive field {key!r} must hold finite numbers, got {value!r}")
+    return float(value)
+
+
 def _numbers(block: dict, key: str, size: int = 0) -> np.ndarray:
-    """block[key] as a nonempty list of numbers, of length size if given."""
-    vals = np.asarray(block[key], dtype=float)
-    if vals.ndim != 1 or not len(vals) or len(vals) != (size or len(vals)):
+    """block[key] as a nonempty list of finite numbers, of length size if given."""
+    vals = block[key]
+    if not isinstance(vals, (list, tuple)) or not vals or len(vals) != (size or len(vals)):
         raise ValueError(f"primitive field {key!r} must be a list of {size or 'some'} numbers")
-    return vals
+    return np.array([_number(v, key) for v in vals])
 
 
 def _check_primitive(prim: dict) -> None:
@@ -47,7 +54,7 @@ def _check_primitive(prim: dict) -> None:
         _numbers(prim, "t", 2)
     if kind == "half-space":
         _numbers(prim, "normal")
-        float(prim["offset"])
+        _number(prim["offset"], "offset")
     if kind == "cusp":
         _numbers(prim, "center")
         if prim["profile"]["kind"] not in ("power", "exp"):
@@ -65,7 +72,7 @@ def _primitive_mask(prim: dict, spatial: np.ndarray, times: np.ndarray) -> np.nd
         mask &= np.all((spatial > lo) & (spatial < hi), axis=-1)
     elif kind == "half-space":
         normal = _numbers(prim, "normal")
-        mask = spatial @ normal[:-1] + times * normal[-1] < float(prim["offset"])
+        mask = spatial @ normal[:-1] + times * normal[-1] < _number(prim["offset"], "offset")
     elif kind == "cusp":
         center = _numbers(prim, "center")
         dt = center[-1] - times

@@ -12,7 +12,7 @@ import pytest
 
 from degenheat.bem import (
     BoundaryMesh,
-    _dl_rows,
+    _axis_sums,
     solve_density,
     solve_dirichlet,
     u0_identity,
@@ -87,13 +87,16 @@ def test_criterion_03_classical_degeneration():
     rho2 = np.sum(pts * pts, axis=1)
     closed = (-times < 0.5) & (rho2 < -4.0 * times * np.log(0.5 / -times))
     match = np.array_equal(ball.contains_vec(pts, times), closed)
-    # double-layer kernel rows
+    # double-layer kernel: the normal factor times the factor along the face
     worst_dl = 0.0
     for i in range(0, m, 10):
-        one = slice(i, i + 1)
+        dt = dts[i : i + 1]
         for axis, sign in ((0, 1.0), (1, -1.0)):
             want = sign * classical[i] * (obs[i, axis] - src[i, axis]) / (2 * dts[i])
-            got_dl = _dl_rows(params0, obs[one], dts[one], src[one], sign, axis, False)[0, 0, 0]
+            got_dl = sign
+            for k in range(2):
+                one = [np.array([v]) for v in (obs[i, k], src[i, k], 1.0)]
+                got_dl *= _axis_sums(params0, k, k == axis, *one, [1], dt)[0, 0]
             if want != 0.0:
                 worst_dl = max(worst_dl, abs(got_dl / want - 1.0))
     ok = worst <= 1e-10 and match and worst_dl <= 1e-10

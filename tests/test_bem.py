@@ -22,40 +22,55 @@ from degenheat.bem import (
     u0_identity,
 )
 from degenheat.geometry import BoxDomain
-from degenheat.kernel import gamma_fs, gamma_fs_vec, weighted_normal_limit_vec
+from degenheat.kernel import gamma_fs, gamma_fs_vec, gamma_grad_y_vec, weighted_normal_limit_vec
 from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.quadrature import tensor_rule, weighted_rule
-from degenheat.special import f_profile_prime_vec, f_profile_vec
 
 P = SpaceTimePoint
 PARAMS = KernelParams(n=2, a=0.3)
 BOX = BoxDomain(lo=(0.0, 0.2), hi=(1.0, 1.2), t0=0.0, t1=1.0)
 
 
-# ---------------------------------------------------------------- kernel
+# ---------------------------------------------------------------- per-axis kernel factors
+
+
+def _on_plane(mesh):
+    """Cells of a face on y = 0 normal to the weighted axis: the weighted normal limit's."""
+    return (mesh.normal_axis == mesh.box.n - 1) & (mesh.cell_lo[:, -1] == 0.0)
+
+
+def _dl_kernel(params, obs, src, dts, normal_axis, weight=1.0):
+    """Double-layer kernel at one source node: the product of its per-axis factors."""
+    dts = np.asarray(dts, dtype=float)
+    out = np.full(len(dts), weight)
+    for i in range(params.n):
+        one = [np.array([v]) for v in (obs[i], src[i], 1.0)]
+        out = out * bem._axis_sums(params, i, i == normal_axis, *one, [1], dts)[0]
+    return out
 
 
 def test_dl_kernel_causality():
     # lags 0 and -0.4: the source is not in the observation's past
-    obs, src = np.array([[0.5, 0.7]]), np.array([[0.0, 0.5]])
-    rows = bem._dl_rows(PARAMS, obs, np.array([0.0, -0.4]), src, -1.0, 0, False)
-    assert np.all(rows == 0.0)
+    obs, dts = np.array([0.5, 0.7]), [0.0, -0.4]
+    for src in (np.array([0.0, 0.5]), np.array([0.0, 0.0])):
+        for axis in (0, 1):
+            assert np.all(_dl_kernel(PARAMS, obs, src, dts, axis, -1.0) == 0.0)
 
 
 def test_dl_kernel_classical_closed_form():
     params = KernelParams(n=2, a=0.0)
-    obs = np.array([[0.4, 0.8]])
+    obs = np.array([0.4, 0.8])
     src = np.array([0.0, 0.5])
     dt = 0.4
     gam = math.exp(-(0.16 + 0.09) / (4 * dt)) / (4 * math.pi * dt)
     for axis, sign in ((0, -1.0), (1, 1.0)):
-        want = sign * gam * (obs[0, axis] - src[axis]) / (2 * dt)
-        got = bem._dl_rows(params, obs, np.array([dt]), src[None, :], sign, axis, False)
-        assert got[0, 0, 0] == pytest.approx(want, rel=1e-12)
+        want = sign * gam * (obs[axis] - src[axis]) / (2 * dt)
+        got = _dl_kernel(params, obs, src, [dt], axis, sign)
+        assert got[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_dl_kernel_fd_oracle():
-    # finite-difference d Gamma/d y_axis against the analytic entry, unit weight
+    # finite-difference d Gamma/d y_axis against the product of the factors, unit weight
     obs = P(x_prime=(0.3,), x=0.9, t=0.7)
     src = np.array([0.6, 0.45])
     tau = 0.2
@@ -68,129 +83,121 @@ def test_dl_kernel_fd_oracle():
             float(gamma_fs_vec(PARAMS, obs.spatial, obs.t, up, tau))
             - float(gamma_fs_vec(PARAMS, obs.spatial, obs.t, dn, tau))
         ) / (2 * h)
-        dts = np.array([obs.t - tau])
-        got = bem._dl_rows(PARAMS, obs.spatial[None, :], dts, src[None, :], 1.0, axis, False)
-        assert got[0, 0, 0] == pytest.approx(fd, rel=1e-6)
+        got = _dl_kernel(PARAMS, obs.spatial, src, [obs.t - tau], axis)
+        assert got[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_dl_kernel_plane_face_uses_limit():
-    src, dts = np.array([[0.6, 0.0]]), np.array([0.5])
-    got = bem._dl_rows(PARAMS, np.array([[0.3, 0.9]]), dts, src, -1.0, 1, True)
-    want = -weighted_normal_limit_vec(PARAMS, 0.9, 0.5, (0.3 - 0.6) ** 2)
-    assert got[0, 0, 0] == pytest.approx(want, rel=1e-12)
+    # the limit of |y|^a D_y Gamma on y = 0, written out in n dimensions
+    a, x, d, rest2 = PARAMS.a, 0.9, 0.5, (0.3 - 0.6) ** 2
+    const = PARAMS.c_na * (1.0 - a) * 4.0 ** (a - 1.0) / math.gamma((3.0 - a) / 2.0)
+    limit = const * d ** (-(2 + a) / 2) * (x / d) * (abs(x) / d) ** (-a)
+    want = -limit * math.exp(-(rest2 + x * x) / (4 * d))
+    got = _dl_kernel(PARAMS, np.array([0.3, x]), np.array([0.6, 0.0]), [d], 1, -1.0)
+    assert got[0] == pytest.approx(want, rel=1e-12)
     # x = 0 observation: the limit kernel vanishes
-    assert bem._dl_rows(PARAMS, np.array([[0.3, 0.0]]), dts, src, -1.0, 1, True)[0, 0, 0] == 0.0
+    assert _dl_kernel(PARAMS, np.array([0.3, 0.0]), np.array([0.6, 0.0]), [d], 1, -1.0)[0] == 0.0
 
 
 def test_dl_kernel_entry_matches_rows():
-    # every node of an on-plane mesh, at several lags in one call, against
-    # one-node calls; the profile's term count depends on the other
+    # every rule of an on-plane mesh, at several lags in one call, against
+    # one-rule calls; the profile's term count depends on the other
     # entries of a call, which moves last bits only
     box = BoxDomain(lo=(0.0, 0.0), hi=(1.0, 1.0), t0=0.0, t1=1.0)
-    obs = np.array([0.3, 0.2])
     dts = np.array([0.01, 0.2, 0.7])
     for a in (-0.4, 0.3):
         params = KernelParams(n=2, a=a)
         mesh = BoundaryMesh(box, params, d_space=2, n_steps=2)
-        m, q, _ = mesh.src_nodes.shape
-        src = mesh.src_nodes.reshape(m * q, 2)
-        cells = np.repeat(np.arange(m), q)
-        axes, signs, on = mesh.normal_axis[cells], mesh.normal_sign[cells], mesh.use_limit[cells]
-        weights = np.array(
-            [sg * (1.0 if lim else abs(y) ** a) for sg, lim, y in zip(signs, on, src[:, -1])]
-        )
-        rows = bem._dl_rows(params, obs[None, :], dts, src, weights, axes, on)
-        assert np.any(on) and not np.all(on)
-        for k in range(len(dts)):
-            for s in range(len(src)):
-                one = bem._dl_rows(
-                    params, obs[None, :], dts[k : k + 1], src[s : s + 1], weights[s], axes[s], on[s]
-                )
-                assert rows[0, k, s] == pytest.approx(one[0, 0, 0], rel=1e-14, abs=0.0)
+        assert np.any(_on_plane(mesh)) and not np.all(_on_plane(mesh))
+        for axis, rules in enumerate(mesh.axis_rules):
+            # the panel rules lie along a face, the two face rules on its normal
+            for normal, part in ((False, rules[:-2]), (True, rules[-2:])):
+                x = np.full(len(part), 0.3 if axis == 0 else 0.2)
+                nodes, weights = (np.concatenate(v) for v in zip(*part))
+                counts = [len(r[0]) for r in part]
+                sums = bem._axis_sums(params, axis, normal, x, nodes, weights, counts, dts)
+                for r, (nd, wt) in enumerate(part):
+                    for k in range(len(dts)):
+                        lag = dts[k : k + 1]
+                        one = bem._axis_sums(params, axis, normal, x[:1], nd, wt, [len(nd)], lag)
+                        assert sums[r, k] == pytest.approx(one[0, 0], rel=1e-14, abs=0.0)
 
 
-# ---------------------------------------------------------------- lag-0 near/far split
+# ---------------------------------------------------------------- blocks against a node-level sum
 
 
 def _unit_box(n, y0):
     return BoxDomain(lo=(0.0,) * (n - 1) + (y0,), hi=(1.0,) * (n - 1) + (y0 + 1.0,), t0=0.0, t1=1.0)
 
 
-@pytest.mark.parametrize(
-    "n,a,y0,d_space",
-    [
-        (2, -0.4, 0.2, 8),
-        (2, -0.4, 0.0, 8),
-        (2, 0.3, 0.2, 8),
-        (2, 0.3, 0.0, 8),
-        (3, -0.4, 0.0, 2),
-    ],
-)
-def test_lag0_block_matches_full_grading(n, a, y0, d_space):
-    # every pair on all 24 levels of the graded lag-0 rule, assembled here
-    params = KernelParams(n=n, a=a)
-    mesh = BoundaryMesh(_unit_box(n, y0), params, d_space=d_space, n_steps=12)
-    d_hi = 0.5 * mesh.ht
+def _node_block(mesh, lag):
+    """The lag's block summed over every tensor node of every cell, with n-D kernels."""
+    params, n = mesh.params, mesh.box.n
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    edges = d_hi * 0.5 ** np.arange(25)
+    if lag == 0:  # 24 levels halving toward d = 0
+        edges = 0.5 * mesh.ht * 0.5 ** np.arange(25)
+    else:
+        edges = np.array([(lag + 0.5) * mesh.ht, (lag - 0.5) * mesh.ht])
     d_nodes = np.concatenate([b + (e - b) * (gl_x + 1) / 2 for e, b in zip(edges, edges[1:])])
     d_wts = np.concatenate([gl_w * (e - b) / 2 for e, b in zip(edges, edges[1:])])
-    m, q, _ = mesh.src_nodes.shape
-    full = np.zeros((m, m))
-    for p, obs in enumerate(mesh.centers):
-        rows = bem._dl_rows(
-            params,
-            obs[None, :],
-            d_nodes,
-            mesh.src_nodes.reshape(m * q, n),
-            mesh.src_weights.reshape(-1),
-            np.repeat(mesh.normal_axis, q),
-            np.repeat(mesh.use_limit, q),
-        )
-        full[p] = (d_wts @ rows[0]).reshape(m, q).sum(axis=1)
-    got = mesh.block(0)
-    split = mesh.lag0_split
-    assert split["far_pairs"] > 0 and split["far_time_nodes"] < split["near_time_nodes"] == 192
-    assert split["far_tail_bound"] <= bem.FAR_TAIL
-    # the dropped far levels are below 1e-18 of the largest entry; what is
-    # left is summation order, a few ulps of the largest entry
-    assert np.max(np.abs(got - full)) <= 1e-14 * np.max(np.abs(full))
+    obs, dt = mesh.centers[:, None, None, :], d_nodes[None, :, None]
+    full = np.zeros((mesh.n_cells, mesh.n_cells))
+    for c, axis in enumerate(mesh.normal_axis):
+        rules = [mesh.axis_rules[i][mesh.cell_rule[c, i]] for i in range(n)]
+        nodes, weights = tensor_rule([r[0] for r in rules], [r[1] for r in rules])
+        src = nodes[None, None]
+        if _on_plane(mesh)[c]:
+            diff = obs[..., :-1] - src[..., :-1]
+            gauss = np.exp(-np.sum(diff * diff, axis=-1) / (4 * dt)) / (4 * math.pi * dt) ** (
+                (n - 1) / 2
+            )
+            kern = weighted_normal_limit_vec(params, obs[..., -1], dt) * gauss
+        elif axis == n - 1:
+            kern = gamma_grad_y_vec(params, obs, dt, src, 0.0)[..., -1]
+        else:
+            kern = gamma_fs_vec(params, obs, dt, src, 0.0) * (obs[..., axis] - src[..., axis])
+            kern /= 2 * dt
+        full[:, c] = np.sum(kern * weights, axis=-1) @ d_wts
+    return full
 
 
-def test_far_tail_profile_envelopes():
-    # the far tail bound assumes |F(s)| <= 2 (1+|s|)^{|a|/2} and
-    # |s|^{max(a,0)} |F'(s)| <= (1+|s|)^{|a|/2} over the whole range
-    s = np.concatenate([-np.logspace(-12, 13, 600), np.logspace(-12, 13, 600)])
-    for a in np.linspace(-0.99, 0.99, 23):
-        params = KernelParams(n=2, a=float(a))
-        env = (1.0 + np.abs(s)) ** (abs(a) / 2.0)
-        assert np.all(np.abs(f_profile_vec(params, s)) <= 2.0 * env)
-        chain = np.abs(f_profile_prime_vec(params, s)) * np.abs(s) ** max(a, 0.0)
-        assert np.all(chain <= env)
+@pytest.mark.parametrize(
+    "n,a,y0,d_space",
+    [(n, a, y0, d) for n, d in ((2, 8), (3, 2)) for a in (-0.4, 0.3) for y0 in (0.2, 0.0, -0.4)],
+)
+def test_block_matches_node_reference(n, a, y0, d_space):
+    # boxes off, on and across y = 0; lag 0 takes all 24 graded levels for
+    # every pair.  What is left is summation order, a few ulps of the
+    # largest entry
+    mesh = BoundaryMesh(_unit_box(n, y0), KernelParams(n=n, a=a), d_space=d_space, n_steps=12)
+    for lag in (0, 1, 5):
+        want = _node_block(mesh, lag)
+        assert np.max(np.abs(mesh.block(lag) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_lag0_grad_kernel_points(monkeypatch):
-    # the criterion-12 mesh, d_space 8 and 12 steps: with all 192 graded
-    # time nodes for every pair, the 96 nodes on faces normal to y would
-    # take grad Gamma at 32 x 192 x 96 = 589,824 points, and the 96 on
-    # faces normal to x Gamma at as many
-    points = {"gamma_grad_y_vec": 0, "gamma_fs_vec": 0}
+def test_lag0_factor_points(monkeypatch):
+    # the criterion-12 mesh, d_space 8 and 12 steps: every pair takes all
+    # 192 graded time nodes, and each axis' table holds one 1-D sum per
+    # distinct (coordinate, rule), 10 cell-centre coordinates per axis:
+    # heat kernels 10 x 50 nodes, u_tilde 10 x 48, u_tilde_dy 10 x 2,
+    # at 192 nodes each, 192,000 points
+    names = ("heat_kernel_1d", "u_tilde", "u_tilde_dy", "weighted_normal_limit_vec")
+    points = dict.fromkeys(names, 0)
 
     def counting(name, real):
         def counted(*args):
             out = real(*args)
-            shape = out.shape[:-1] if name == "gamma_grad_y_vec" else out.shape
-            points[name] += int(np.prod(shape))
+            points[name] += out.size
             return out
 
         return counted
 
-    for name in points:
+    for name in names:
         monkeypatch.setattr(bem, name, counting(name, getattr(bem, name)))
     mesh = BoundaryMesh(BOX, PARAMS, d_space=8, n_steps=12)
     mesh.block(0)
-    assert 0 < points["gamma_grad_y_vec"] <= 320_000
-    assert 0 < points["gamma_fs_vec"] <= 320_000
+    assert min(points[name] for name in names[:3]) > 0
+    assert sum(points.values()) <= 200_000
 
 
 # ---------------------------------------------------------------- batched lift and evaluation
@@ -244,6 +251,18 @@ def test_evaluate_matches_pointwise():
     assert got[-1] == got[-2] == sol.offset
 
 
+def test_eval_passes_match_single_points():
+    # more points at one time than the mesh has cells: they are evaluated in passes
+    mesh = BoundaryMesh(BOX, PARAMS, d_space=2, n_steps=4)
+    rng = np.random.default_rng(7)
+    spatial = rng.uniform(BOX.lo, BOX.hi, (3 * mesh.n_cells + 1, 2))
+    times = np.full(len(spatial), 0.6)
+    values = rng.standard_normal((4, mesh.n_cells))
+    got = double_layer_eval(mesh, values, spatial, times)
+    want = np.array([double_layer_eval(mesh, values, x[None], times[:1])[0] for x in spatial])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------- boxes across y = 0
 
 
@@ -253,7 +272,8 @@ def test_straddling_mesh_has_plane_edge():
     side = mesh.normal_axis == 0
     assert not np.any((mesh.cell_lo[:, 1] < 0.0) & (mesh.cell_hi[:, 1] > 0.0))
     assert np.sum(side) == 2 * 4 and np.any(mesh.cell_hi[side, 1] == 0.0)
-    assert mesh.src_nodes.shape[1] == bem.CELL_NODES
+    # one CELL_NODES rule per panel of the weighted axis, then the two face rules
+    assert [len(x) for x, _ in mesh.axis_rules[1]] == [bem.CELL_NODES] * 4 + [1, 1]
     # an edge within round-off of 0 moves onto it: no sliver cell
     box = BoxDomain(lo=(0.0, -0.35), hi=(1.0, 0.7), t0=0.0, t1=1.0)
     assert np.linspace(-0.35, 0.7, 4)[1] != 0.0
@@ -445,7 +465,7 @@ def test_gamma_data_on_plane_box():
             return gamma_fs_vec(params, np.atleast_2d(pts), t, zeta.spatial, zeta.t)
 
         sol = solve_dirichlet(params, box, f, d_space=6, n_steps=8)
-        assert np.any(sol.mesh.use_limit)
+        assert np.any(_on_plane(sol.mesh))
         for xi in probes:
             want = gamma_fs(params, xi, zeta)
             assert abs(sol(xi) - want) / want < 1e-2

@@ -170,32 +170,34 @@ class TestGradient:
 class TestWeightedNormalLimit:
     def test_zero_at_x_zero(self):
         params = KernelParams(2, 0.4)
-        assert weighted_normal_limit_vec(params, 0.0, 1.0, 0.3**2) == 0.0
+        assert weighted_normal_limit_vec(params, 0.0, 1.0) == 0.0
 
     def test_sign_matches_x(self):
         params = KernelParams(2, -0.3)
-        plus = weighted_normal_limit_vec(params, 0.8, 1.0, 0.1**2)
-        minus = weighted_normal_limit_vec(params, -0.8, 1.0, 0.1**2)
+        plus = weighted_normal_limit_vec(params, 0.8, 1.0)
+        minus = weighted_normal_limit_vec(params, -0.8, 1.0)
         assert plus > 0.0 > minus
 
     def test_classical_reduction(self):
-        # at a=0 the limit is just D_y of the heat kernel at y=0
+        # at a=0 the limit times the free Gaussian is D_y of the heat kernel at y=0
         params = KernelParams(2, 0.0)
         xi = pt([0.1], 0.8, 1.0)
         tau = 0.2
         d = xi.t - tau
-        got = weighted_normal_limit_vec(params, xi.x, d, 0.0)
+        got = weighted_normal_limit_vec(params, xi.x, d) / math.sqrt(4.0 * math.pi * d)
         ref = heat_kernel(2, xi.spatial, xi.t, [0.1, 0.0], tau) * xi.x / (2.0 * d)
         assert got == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("a", [-0.5, 0.3])
     def test_one_sided_extrapolation(self, a):
-        # |y|^a D_y Gamma converges to the limit at rate |y|^{1+a};
-        # two-point extrapolation in that exponent hits 1e-5 relative
+        # |y|^a D_y Gamma converges to the limit times the free Gaussian at
+        # rate |y|^{1+a}; two-point extrapolation in that exponent hits 1e-5
         params = KernelParams(2, a)
         xi = pt([0.1], 0.8, 1.0)
         tau = 0.2
-        ref = weighted_normal_limit_vec(params, xi.x, xi.t - tau, 0.1**2)
+        d = xi.t - tau
+        gauss = heat_kernel(1, [0.1], xi.t, [0.0], tau)
+        ref = weighted_normal_limit_vec(params, xi.x, d) * gauss
         vals = []
         ys = [1e-4, 1e-5]
         for y in ys:

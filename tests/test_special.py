@@ -294,3 +294,15 @@ class TestFProfilePrime:
                 for s in (mag, -mag):
                     ref = mpmath_profile(a, s, prime=True)
                     assert f_profile_prime_vec(params, s) == pytest.approx(ref, rel=1e-11), (a, s)
+
+
+def test_far_tail_profile_envelopes():
+    # growth envelopes of the profile over the whole range:
+    # |F(s)| <= 2 (1+|s|)^{|a|/2} and |s|^{max(a,0)} |F'(s)| <= (1+|s|)^{|a|/2}
+    s = np.concatenate([-np.logspace(-12, 13, 600), np.logspace(-12, 13, 600)])
+    for a in np.linspace(-0.99, 0.99, 23):
+        params = KernelParams(n=2, a=float(a))
+        env = (1.0 + np.abs(s)) ** (abs(a) / 2.0)
+        assert np.all(np.abs(f_profile_vec(params, s)) <= 2.0 * env)
+        chain = np.abs(f_profile_prime_vec(params, s)) * np.abs(s) ** max(a, 0.0)
+        assert np.all(chain <= env)
