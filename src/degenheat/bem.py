@@ -10,7 +10,9 @@ centers and step endpoints.  The kernel matrix depends on observation
 and source times only through the step lag, so it is assembled as
 Toeplitz-in-time blocks; the lag-0 block integrates the time variable
 on a graded mesh toward coincidence.  A box whose y-range contains 0
-gets y = 0 as an extra cell edge, so no cell straddles the plane.
+gets y = 0 as an extra cell edge, so no cell straddles the plane.  The
+system is block lower triangular in time, so the density is solved step
+by step with one LU factorization of I - 2 B0 (solve_density).
 
 On faces lying on the degenerate plane y = 0 the raw normal derivative
 of Gamma does not exist for a != 0; there the kernel is the limit of
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lu_factor, lu_solve
 from scipy.special import erf
 
 from .geometry import BoxDomain
@@ -46,7 +48,6 @@ from .kernel import heat_kernel_1d, u_tilde, u_tilde_dy, weighted_normal_limit_v
 from .params import KernelParams, SpaceTimePoint
 from .quadrature import gauss_legendre, graded_breakpoints, tensor_rule, weighted_rule
 
-CONTRACTION_WINDOWS = 4.0
 # Gauss points per panel and free axis in every cell rule
 CELL_NODES = 6
 # Gauss points per time panel, and panels of the graded rule toward d = 0
@@ -320,91 +321,32 @@ def double_layer_eval(
     return out
 
 
-def _weighted_sup(mesh: BoundaryMesh, values: np.ndarray) -> float:
-    """Sup norm discounted in time, exp(-4 (t - t0)/window)."""
-    window = (mesh.box.t1 - mesh.box.t0) / CONTRACTION_WINDOWS
-    disc = np.exp(-4.0 * (mesh.step_times - mesh.box.t0) / window)
-    return float(np.max(disc[:, None] * np.abs(values)))
-
-
-def _apply_volterra(mesh: BoundaryMesh, values: np.ndarray) -> np.ndarray:
-    """W[phi] at all collocation points using the Toeplitz lag blocks."""
-    out = np.zeros_like(values)
-    for i in range(mesh.n_steps):
-        acc = np.zeros(mesh.n_cells)
-        for k in range(i + 1):
-            acc += mesh.block(i - k) @ values[k]
-        out[i] = acc
-    return out
-
-
-def solve_density(
-    mesh: BoundaryMesh,
-    g: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 400,
-    method: str = "march",
-) -> tuple[BoundaryDensity, dict]:
+def solve_density(mesh: BoundaryMesh, g: np.ndarray) -> tuple[BoundaryDensity, dict]:
     """Solve phi = 2 W[phi] - 2 g at the collocation points.
 
     g has shape (n_steps, n_cells) and must vanish at the initial time
-    by construction of the boundary split.  method 'march' does block
-    forward substitution in time with inner Picard per block (same
-    fixed point as the global iteration, far fewer kernel sweeps) and
-    reports the inner iterations per step; 'picard' iterates globally
-    and reports the contraction ratio in the time-discounted sup norm.
+    by construction of the boundary split.  W is block lower triangular
+    and Toeplitz in the step lag, so step i solves (I - 2 B0) phi_i =
+    2 sum_{k<i} B_{i-k} phi_k - 2 g_i with one LU factorization of
+    I - 2 B0 for all steps.  Reports the max residual of the discrete
+    equation.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (mesh.n_steps, mesh.n_cells):
         raise ValueError("boundary data shape must be (n_steps, n_cells)")
-    info: dict = {"method": method, "ratios": []}
-    if method == "march":
-        phi = np.zeros_like(g)
-        info["inner_iterations"] = []
-        B0 = mesh.block(0)
-        for i in range(mesh.n_steps):
-            acc = np.zeros(mesh.n_cells)
-            for k in range(i):
-                acc += mesh.block(i - k) @ phi[k]
-            c = 2.0 * acc - 2.0 * g[i]
-            cur = c.copy()
-            for it in range(200):
-                new = 2.0 * (B0 @ cur) + c
-                step = np.max(np.abs(new - cur))
-                cur = new
-                if step < tol:
-                    break
-            else:
-                raise RuntimeError("inner Picard stalled; mesh too coarse in time")
-            info["inner_iterations"].append(it + 1)
-            phi[i] = cur
-    elif method == "picard":
-        phi = -2.0 * g
-        prev_step = None
-        bad = 0
-        for it in range(max_iter):
-            new = 2.0 * _apply_volterra(mesh, phi) - 2.0 * g
-            step = _weighted_sup(mesh, new - phi)
-            if prev_step is not None and prev_step > 0.0:
-                ratio = step / prev_step
-                info["ratios"].append(ratio)
-                bad = bad + 1 if ratio >= 1.0 else 0
-                if bad >= 5:
-                    raise RuntimeError(
-                        "Picard iteration not contracting; mesh too coarse"
-                    )
-            prev_step = step
-            phi = new
-            if step < tol:
-                break
-        else:
-            raise RuntimeError("Picard iteration did not converge")
-        info["iterations"] = it + 1
-    else:
-        raise ValueError("method must be 'march' or 'picard'")
-    residual = 2.0 * _apply_volterra(mesh, phi) - 2.0 * g - phi
-    info["residual"] = float(np.max(np.abs(residual)))
-    return BoundaryDensity(mesh, phi), info
+    B0 = mesh.block(0)
+    # unchecked: a non-finite solve reaches BoundaryDensity, which raises RuntimeError
+    lu = lu_factor(np.eye(mesh.n_cells) - 2.0 * B0, check_finite=False)
+    phi = np.zeros_like(g)
+    residual = 0.0
+    for i in range(mesh.n_steps):
+        acc = np.zeros(mesh.n_cells)
+        for k in range(i):
+            acc += mesh.block(i - k) @ phi[k]
+        rhs = 2.0 * acc - 2.0 * g[i]
+        phi[i] = lu_solve(lu, rhs, check_finite=False)
+        residual = max(residual, np.max(np.abs(rhs + 2.0 * (B0 @ phi[i]) - phi[i])))
+    return BoundaryDensity(mesh, phi), {"residual": float(residual)}
 
 
 @dataclass(frozen=True)

@@ -328,7 +328,7 @@ def capacity_lp(
     )
 
 
-def flat_set_capacity(params: KernelParams, lo, hi, tau: float = 0.0) -> float:
+def flat_set_capacity(params: KernelParams, lo, hi) -> float:
     """Exact weighted volume of an axis-aligned spatial box (last axis weighted)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -344,7 +344,7 @@ def flat_set_capacity(params: KernelParams, lo, hi, tau: float = 0.0) -> float:
     return vol * (prim(hi[-1]) - prim(lo[-1]))
 
 
-def weighted_ball_volume(params: KernelParams, rho: float, x0: float, tol: float = 1e-10) -> float:
+def weighted_ball_volume(params: KernelParams, rho: float, x0: float) -> float:
     """w_a(B(X0, rho)) = integral of |y|^a over the spatial ball.
 
     Only the weighted coordinate of the center matters.  Reduces to a
@@ -359,7 +359,5 @@ def weighted_ball_volume(params: KernelParams, rho: float, x0: float, tol: float
         s = rho * rho - (y - x0) ** 2
         return omega * np.maximum(s, 0.0) ** (nm1 / 2.0)
 
-    return integrate_weighted_interval(
-        cross_section, x0 - rho, x0 + rho, params.a, tol=tol
-    )
+    return integrate_weighted_interval(cross_section, x0 - rho, x0 + rho, params.a, tol=1e-10)
 

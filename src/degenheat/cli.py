@@ -251,7 +251,6 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
         "residual": sol.info["residual"],
         "cells": sol.mesh.n_cells,
         "steps": sol.mesh.n_steps,
-        "inner_iterations": sol.info["inner_iterations"],
     }
     header = (
         [f"probe_{i}" for i in range(params.n)] + ["probe_t", "value", "reference", "abs_err"]

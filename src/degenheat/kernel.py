@@ -181,7 +181,7 @@ def weighted_normal_limit_vec(params: KernelParams, x, dt) -> np.ndarray:
     return out
 
 
-def mass_integral(params: KernelParams, x_point, t: float, tol: float = 1e-8) -> float:
+def mass_integral(params: KernelParams, x_point, t: float) -> float:
     """int Gamma(X,t;Y,0) |y|^a dY, which the kernel normalizes to 1.
 
     The integrand factorizes exactly into (n-1) classical Gaussian
@@ -204,7 +204,7 @@ def mass_integral(params: KernelParams, x_point, t: float, tol: float = 1e-8) ->
             xi - radius,
             xi + radius,
             0.0,
-            tol=tol / (2 * params.n),
+            tol=1e-8 / (2 * params.n),
         )
     lo = min(x, 0.0) - radius
     hi = max(x, 0.0) + radius
@@ -213,7 +213,7 @@ def mass_integral(params: KernelParams, x_point, t: float, tol: float = 1e-8) ->
         lo,
         hi,
         params.a,
-        tol=tol / (2 * params.n),
+        tol=1e-8 / (2 * params.n),
     )
     return result
 
@@ -224,7 +224,6 @@ def semigroup_residual(
     eta: float,
     t: float,
     s: float,
-    tol: float = 1e-8,
 ) -> float:
     """Relative defect of the Chapman-Kolmogorov identity for u_tilde.
 
@@ -241,7 +240,7 @@ def semigroup_residual(
         lo,
         hi,
         params.a,
-        tol=tol * ref / 4.0,
+        tol=1e-8 * ref / 4.0,
     )
     return abs(composed - ref) / ref
 

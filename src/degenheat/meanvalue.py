@@ -350,10 +350,9 @@ def mean_derivative_sign(
     xi0: SpaceTimePoint,
     radii,
     density: int = 12,
-    tol: float = 1e-4,
     mass_in_ball: float | None = None,
 ) -> MonotonicityReport:
-    """Check that r -> solid_mean(u, r) is nonincreasing.
+    """Check that r -> solid_mean(u, r) is nonincreasing, to 1e-4 of the largest mean.
 
     Valid for u with nonpositive 𝓛-image (potentials of nonnegative
     measures).  When the measure mass inside the largest ball is given,
@@ -378,7 +377,7 @@ def mean_derivative_sign(
     return MonotonicityReport(
         radii=radii,
         means=[float(m) for m in means],
-        nonincreasing=max_violation <= tol,
+        nonincreasing=max_violation <= 1e-4,
         max_violation=max_violation,
         gap_constant=gap_constant,
     )

@@ -192,15 +192,16 @@ class WienerReport:
 def classify_terms(terms) -> str:
     """Heuristic series verdict from finitely many weighted terms."""
     terms = np.asarray([t for t in terms], dtype=float)
-    if len(terms) == 0 or np.all(terms < TERM_FLOOR):
+    pos = terms > TERM_FLOOR
+    ks = np.flatnonzero(pos)
+    if len(ks) == 0:
         return "likely-irregular"
-    theta_div = DIV_FRACTION * terms[0]
+    # the scale is the first term above the floor: empty first shells carry none
+    theta_div = DIV_FRACTION * terms[ks[0]]
     tail = terms[-TAIL_LEN:]
     if np.mean(tail) >= theta_div:
         return "likely-regular"
-    pos = terms > TERM_FLOOR
-    ks = np.flatnonzero(pos)
-    if np.sum(pos) >= 3:
+    if len(ks) >= 3:
         logs = np.log(terms[pos])
         slope, intercept = np.polyfit(ks, logs, 1)
         fit = slope * ks + intercept

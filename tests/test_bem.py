@@ -359,17 +359,47 @@ def test_zero_data_yields_zero_density():
     assert info["residual"] == 0.0
 
 
-def test_picard_contracts_and_matches_marching():
-    zeta = P(x_prime=(0.4,), x=0.6, t=-0.3)
-    mesh = BoundaryMesh(BOX, PARAMS, d_space=6, n_steps=8)
+def _dense_density(mesh, g):
+    """phi from one dense solve of (I - 2 W) phi = -2 g over all (step, cell) unknowns."""
+    s, m = mesh.n_steps, mesh.n_cells
+    W = np.zeros((s * m, s * m))
+    for i in range(s):
+        for k in range(i + 1):
+            W[i * m : (i + 1) * m, k * m : (k + 1) * m] = mesh.block(i - k)
+    return np.linalg.solve(np.eye(s * m) - 2.0 * W, -2.0 * g.ravel()).reshape(s, m)
+
+
+@pytest.mark.parametrize(
+    "params,box,d_space,n_steps,zeta",
+    [
+        (PARAMS, BOX, 6, 8, P(x_prime=(0.4,), x=0.6, t=-0.3)),
+        (
+            KernelParams(n=3, a=-0.4),
+            BoxDomain(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0), t0=0.0, t1=1.0),
+            3,
+            4,
+            P(x_prime=(0.4, 0.5), x=0.6, t=-0.3),
+        ),
+        # a step long against a cell: the spectral radius of 2 B0 exceeds 1
+        (
+            KernelParams(n=2, a=-0.5),
+            BoxDomain(lo=(0.0, -0.005), hi=(0.01, 0.005), t0=0.0, t1=1.0),
+            2,
+            1,
+            P(x_prime=(0.005,), x=0.002, t=-0.1),
+        ),
+    ],
+    ids=["n2-d6-s8", "n3-plane-d3-s4", "n2-coarse-step"],
+)
+def test_density_matches_dense_solve(params, box, d_space, n_steps, zeta):
+    mesh = BoundaryMesh(box, params, d_space=d_space, n_steps=n_steps)
     g = np.array(
-        [_gamma_data(zeta)(mesh.centers, t) for t in mesh.step_times]
+        [gamma_fs_vec(params, mesh.centers, t, zeta.spatial, zeta.t) for t in mesh.step_times]
     )
-    phi_m, _ = solve_density(mesh, g, method="march")
-    phi_p, info = solve_density(mesh, g, method="picard")
-    assert np.max(np.abs(phi_m.values - phi_p.values)) < 1e-6
-    assert max(info["ratios"]) <= 0.80
-    assert info["residual"] < 1e-6
+    phi, info = solve_density(mesh, g)
+    want = _dense_density(mesh, g)
+    assert np.max(np.abs(phi.values - want)) <= 1e-13 * np.max(np.abs(want))
+    assert set(info) == {"residual"} and info["residual"] <= 1e-12
 
 
 def test_density_validation():
@@ -378,8 +408,6 @@ def test_density_validation():
         solve_density(mesh, np.zeros((3, mesh.n_cells)))
     with pytest.raises(RuntimeError):
         BoundaryDensity(mesh, np.full((4, mesh.n_cells), np.nan))
-    with pytest.raises(ValueError):
-        solve_density(mesh, np.zeros((4, mesh.n_cells)), method="direct")
 
 
 # ---------------------------------------------------------------- jump relation

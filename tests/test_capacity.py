@@ -37,11 +37,8 @@ def test_flat_set_capacity_closed_forms():
     assert flat_set_capacity(KernelParams(n=2, a=0.0), [-1, -1], [1, 1]) == pytest.approx(4.0)
     assert flat_set_capacity(KernelParams(n=3, a=0.0), [-1] * 3, [1] * 3) == pytest.approx(8.0)
     assert flat_set_capacity(KernelParams(n=2, a=0.5), [-1, -1], [1, 1]) == pytest.approx(8.0 / 3.0)
-    # invariant in tau; odd-extension primitive handles one-sided intervals
+    # odd-extension primitive handles one-sided intervals
     p = KernelParams(n=2, a=-0.4)
-    assert flat_set_capacity(p, [0, 1], [1, 2], tau=0.0) == pytest.approx(
-        flat_set_capacity(p, [0, 1], [1, 2], tau=5.0)
-    )
     assert flat_set_capacity(p, [0, 1], [1, 2]) == pytest.approx(
         (2.0 ** 0.6 - 1.0) / 0.6
     )

@@ -5,7 +5,10 @@ referenced from the library outside its own definition (an import in
 `__init__` counts, as the package's public API), or from bench/ (where
 the tracer names its targets as strings), or be listed below with the
 reason it stays.  A name that only its own test calls is a second copy
-of a path the library already has.
+of a path the library already has.  Likewise every defaulted parameter
+of a public function or method must be passed, by keyword or position,
+by some call in src/ or bench/, or be listed with its reason: a knob
+that only tests set is a second configuration of the same path.
 """
 from __future__ import annotations
 
@@ -74,3 +77,64 @@ def _unreferenced() -> set[str]:
 
 def test_every_public_name_has_a_library_or_bench_caller():
     assert _unreferenced() == set(KEPT)
+
+
+# qualified parameter -> why it keeps a default although no call in src/ or bench/ sets it
+KEPT_KNOBS = {
+    "bem.u0_identity.eps": "criterion 05 checks eps -> 0 at a corner",
+    "bem.LiftGrid.build.m": "test_bem builds the lift reference on the same rule",
+    "meanvalue.mean_derivative_sign.density": "public API, used by criteria 10 and 11",
+    "meanvalue.mean_derivative_sign.mass_in_ball": "public API, used by criteria 10 and 11",
+}
+
+
+def _knobs(tree: ast.Module, module: str):
+    """(qualified parameter, function name, position or None) of each defaulted parameter.
+
+    The position counts the arguments a caller writes: self and cls are skipped,
+    and keyword-only parameters have none.
+    """
+    funcs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs.append((f"{module}.{node.name}", node, 0))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    funcs.append((f"{module}.{node.name}.{item.name}", item, 1 - static))
+    for qualname, node, skip in funcs:
+        if node.name.startswith("_"):
+            continue
+        args = node.args.posonlyargs + node.args.args
+        first = len(args) - len(node.args.defaults)
+        for pos in range(first, len(args)):
+            yield f"{qualname}.{args[pos].arg}", node.name, pos - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{qualname}.{arg.arg}", node.name, None
+
+
+def _unset_knobs() -> set[str]:
+    sources = sorted((ROOT / "src" / "degenheat").glob("*.py"))
+    passed = set()  # (function name, keyword) and (function name, position)
+    for path in sources + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed |= {(name, kw.arg) for kw in node.keywords}
+                passed |= {(name, pos) for pos in range(len(node.args))}
+    flagged = set()
+    for path in sources:
+        for qualname, name, pos in _knobs(ast.parse(path.read_text()), path.stem):
+            if (name, qualname.rsplit(".", 1)[-1]) not in passed and (name, pos) not in passed:
+                flagged.add(qualname)
+    return flagged
+
+
+def test_every_default_has_a_caller():
+    assert _unset_knobs() == set(KEPT_KNOBS)

@@ -172,6 +172,10 @@ def test_classifier_direct():
     assert classify_terms([1.0, 0.9, 1.1, 1.0, 0.95, 1.05, 1.0, 1.0]) == "likely-regular"
     geometric = [0.5**k for k in range(1, 10)]
     assert classify_terms(geometric) == "likely-irregular"
+    # empty first shells: the scale comes from the first term above the floor
+    assert classify_terms([0.0] + [0.5**k for k in range(9)]) == "likely-irregular"
+    assert classify_terms([0.0] * 3 + [5.0] + [0.0] * 6) == "inconclusive"
+    assert classify_terms([1e-12, 0.0]) == "likely-irregular"
 
 
 def test_flat_bottom_regular_with_sweep():
