@@ -40,7 +40,17 @@ The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
 method on the normal equations: Mehrotra's predictor-corrector (SIAM
 J. Optim. 2, 1992), as in Wright, *Primal-Dual Interior-Point Methods*
-(SIAM, 1997).
+(SIAM, 1997).  It sees only the rows that can bind.  A row of zeros
+cannot.  Set row i and collar row m + i observe the same spatial point;
+where the collar row is >= the set row in every entry, A_i x <=
+A_{m+i} x <= 1 for every x >= 0, so the set row is redundant and
+dropping it leaves the feasible set and the optimum exactly as they
+were (the dominated-constraint rule of Andersen & Andersen, *Presolving
+in linear programming*, Math. Programming 71, 1995).  On a flat n = 2
+level every set row is dominated, so the LP has half the rows; at
+n = 3 Gamma's lag-0 own-cell entry outweighs the collar's, and most
+set rows stay.  The reported constraint violation is taken over every
+row, the dropped ones included.
 """
 from __future__ import annotations
 
@@ -60,8 +70,9 @@ from .quadrature import integrate_weighted_interval, legendre_rule
 NEAR_CELLS = 2.5
 AVG_NODES = 3
 # peak bytes of capacity_lp over the size of its dense matrix, bounded from
-# above: measured with tracemalloc (build and LP), 3.5 on a flat 32 x 32
-# level and on a 10 x 10 x 10 box level, both set by the LP; the build
+# above: measured with tracemalloc (build and LP), 2.5 on a flat 32 x 32
+# level (half its rows leave the LP) and 3.4 on a 10 x 10 x 10 box level,
+# both set by the LP, which reaches 3.5 when no row leaves it; the build
 # alone peaks at 2.2 and 2.6
 MATRIX_COPIES = 8
 # linprog gives up after this many iterations; the LPs of the bench jobs
@@ -85,8 +96,10 @@ class CapacityResult:
     cap_estimate: float
     equilibrium: DiscreteMeasure
     max_constraint_violation: float
-    # active constraint rows handed to the LP, near (cell-averaged) entries, linprog iterations
+    # constraint rows handed to the LP and rows left out (all zero, or a set
+    # row bounded by its collar row), near (cell-averaged) entries, linprog iterations
     lp_rows: int
+    dropped_rows: int
     near_pairs: int
     lp_iterations: int
 
@@ -298,8 +311,12 @@ def capacity_lp(
     atom is the centre of a cell of spatial side h_space and time extent
     h_time, both positive: capacity_lp(params, *lattice) takes a
     quadrature.Lattice as it stands.  The constraint set is the atoms
-    themselves plus a collar copy shifted one cell up in time.  A side
-    that is not positive (0, negative or NaN) raises ValueError.
+    themselves plus a collar copy shifted one cell up in time.  The LP
+    gets the rows of that set that can bind: rows of zeros and set rows
+    that their collar row bounds entrywise are left out (module doc), and
+    lp_rows and dropped_rows count the two parts.  max_constraint_violation
+    is the largest potential minus 1 over every row, dropped or not.  A
+    side that is not positive (0, negative or NaN) raises ValueError.
     """
     atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
     atom_t = np.asarray(set_times, dtype=float)
@@ -312,20 +329,41 @@ def capacity_lp(
     m = len(atom_t)
     check_matrix_fits(m)
     A, near_pairs = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
-    # the LP sees only the active rows; the others are 0, so they add
-    # nothing to the potential and A need not outlive this copy
-    A = A[np.any(A > 0.0, axis=1)]
-    masses, nit = linprog(A_ub=A, tol=tol)
-    # entries are >= 0, so an inactive row's -1 never exceeds an active row's value
-    violation = float(np.max(A @ masses - 1.0))
+    # a row of zeros adds nothing to the potential, and a set row that its
+    # collar row bounds entrywise holds whenever the collar row does (x >= 0)
+    keep = np.any(A > 0.0, axis=1)
+    keep[:m] &= ~np.all(A[m:] >= A[:m], axis=1)
+    # the two parts hold every row between them, so A need not outlive them
+    lp_A, dropped = A[keep], A[~keep]
+    del A
+    masses, nit = linprog(A_ub=lp_A, tol=tol)
+    # over every row, the dropped ones too; the transpose of a C-ordered part
+    # is Fortran-ordered, so scipy's dgemv (the BLAS linprog used) reads it
+    # without a copy
+    violation = max(
+        float(np.max(dgemv(1.0, part.T, masses, trans=1))) for part in (lp_A, dropped) if len(part)
+    ) - 1.0
     return CapacityResult(
         cap_estimate=float(np.sum(masses)),
         equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
         max_constraint_violation=violation,
-        lp_rows=len(A),
+        lp_rows=len(lp_A),
+        dropped_rows=len(dropped),
         near_pairs=near_pairs,
         lp_iterations=nit,
     )
+
+
+def lp_report(res: CapacityResult | None) -> dict:
+    """Atoms, LP sizes and check of one capacity_lp result, as plain numbers.
+
+    None stands for a set without atoms, on which no LP ran: atoms is 0
+    and the LP fields are None, not a measured 0.
+    """
+    fields = ("lp_rows", "dropped_rows", "near_pairs", "lp_iterations", "max_constraint_violation")
+    if res is None:
+        return {"atoms": 0, **dict.fromkeys(fields)}
+    return {"atoms": len(res.equilibrium.masses), **{f: getattr(res, f) for f in fields}}
 
 
 def flat_set_capacity(params: KernelParams, lo, hi) -> float:

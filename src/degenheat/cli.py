@@ -34,6 +34,7 @@ from .capacity import (
     check_fits,
     check_matrix_fits,
     flat_set_capacity,
+    lp_report,
 )
 from .geometry import BoxDomain
 from .kernel import (
@@ -291,17 +292,7 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     rows = [[density, coarse, fine, extrapolated, oracle]]
     diags = {
         "density_pair": pair,
-        "levels": [
-            {
-                "density": dens,
-                "atoms": len(res.equilibrium.masses),
-                "lp_rows": res.lp_rows,
-                "near_pairs": res.near_pairs,
-                "lp_iterations": res.lp_iterations,
-                "max_constraint_violation": res.max_constraint_violation,
-            }
-            for dens, res in zip(pair, levels)
-        ],
+        "levels": [{"density": dens, **lp_report(res)} for dens, res in zip(pair, levels)],
     }
     return (
         {"cap_extrapolated": extrapolated},
@@ -333,7 +324,10 @@ def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
     ]
     return (
         {"verdict": report.verdict, "lambda_sweep": report.lambda_sweep},
-        {"thresholds": report.thresholds},
+        {
+            "thresholds": report.thresholds,
+            "shells": [{"k": row["k"], **row["lp"]} for row in report.terms],
+        },
         ["lambda", "k", "cap", "weight", "term", "partial_sum"],
         rows,
     )

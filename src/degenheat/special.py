@@ -168,6 +168,17 @@ def _asymptotic(params: KernelParams, s: np.ndarray, prime: bool) -> np.ndarray:
 def _profile(params: KernelParams, s, prime: bool) -> np.ndarray:
     """F, or F' when prime, elementwise over the branches of the module doc."""
     s = np.asarray(s, dtype=float)
+    if s.size:
+        # one branch covers every entry: call it on s itself, with no masks
+        # to build and nothing to gather or scatter
+        lo, hi = float(s.min()), float(s.max())
+        for whole, branch in (
+            (lo > _PROFILE_EPS and hi <= 2.0 * _CROSSOVER, _power_series),
+            (hi < -_PROFILE_EPS and lo >= -2.0 * _CROSSOVER, _macdonald),
+            (lo > 2.0 * _CROSSOVER or hi < -2.0 * _CROSSOVER, _asymptotic),
+        ):
+            if whole:
+                return branch(params, s.ravel(), prime).reshape(s.shape)
     out = np.empty_like(s)
     small = np.abs(s) <= 2.0 * _CROSSOVER
     pos = s > _PROFILE_EPS

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import capacity_lp
+from .capacity import CapacityResult, capacity_lp, lp_report
 from .geometry import Shell, heat_ball_sample, heat_ball_threshold
 from .params import KernelParams, SpaceTimePoint
 
@@ -154,8 +154,11 @@ def shell_term(
     k: int,
     domain: DomainDescriptor,
     density: int = 10,
-) -> tuple[float, float]:
-    """(capacity of the domain complement in shell k, weighted term)."""
+) -> tuple[float, float, CapacityResult | None]:
+    """(capacity of the domain complement in shell k, weighted term, its LP).
+
+    The LP result is None when the shell holds no atom of the complement.
+    """
     shell = Shell(xi0, lam, k, params)
     # the certified bounding box is loose for deep shells; densify the
     # lattice until the ball is actually hit
@@ -171,12 +174,12 @@ def shell_term(
     keep = shell.contains_vec(sample.spatial, sample.times)
     keep &= ~domain.contains_vec(sample.spatial, sample.times)
     if not np.any(keep):
-        return 0.0, 0.0
+        return 0.0, 0.0, None
     res = capacity_lp(
         params, sample.spatial[keep], sample.times[keep], sample.h_space, sample.h_time
     )
     weight = shell_weight(params, xi0.x, lam, k)
-    return res.cap_estimate, res.cap_estimate * weight
+    return res.cap_estimate, res.cap_estimate * weight, res
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,8 @@ def wiener_series(
 ) -> WienerReport:
     """Weighted shell capacities k = 1..k_max with a heuristic verdict.
 
-    The sweep argument lists extra lambda values; their verdicts are
+    Each row of terms holds k, cap, weight, term and lp, the lp_report
+    of the shell's capacity LP.  The sweep argument lists extra lambda values; their verdicts are
     reported alongside (the true series diverges for one lambda exactly
     when it diverges for all).
     """
@@ -252,9 +256,9 @@ def wiener_series(
         acc = 0.0
         sums = []
         for k in range(1, k_max + 1):
-            cap, term = shell_term(params, xi0, lam_val, k, domain, density)
+            cap, term, res = shell_term(params, xi0, lam_val, k, domain, density)
             weight = shell_weight(params, xi0.x, lam_val, k)
-            rows.append({"k": k, "cap": cap, "weight": weight, "term": term})
+            rows.append({"k": k, "cap": cap, "weight": weight, "term": term, "lp": lp_report(res)})
             acc += term
             sums.append(acc)
         return rows, sums

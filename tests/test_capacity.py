@@ -308,6 +308,55 @@ def test_bench_capacities_match_highs(a, lo, caps):
         assert abs(got - want) <= 10 * tol * want
 
 
+def _full_row_reference(params, lattice):
+    """The constraint matrix, its set rows that the collar bounds, and the LP over every row."""
+    sp, ts, hs, ht = lattice
+    m = len(ts)
+    A, _ = capacity._constraint_matrix(
+        params, np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht
+    )
+    assert np.all(np.any(A > 0.0, axis=1))
+    dominated = np.all(A[m:] >= A[:m], axis=1)
+    return A, dominated, linprog(A_ub=A, tol=1e-8)
+
+
+# flat 2 x 2 squares: off the plane, straddling it, and with an edge 0.05 below it
+SQUARES = {
+    "off": ([0.0, 0.5], [2.0, 2.5]),
+    "straddle": ([0.0, -1.0], [2.0, 1.0]),
+    "edge": ([0.0, -0.05], [2.0, 1.95]),
+}
+
+
+@pytest.mark.parametrize("a", [-0.9, -0.5, 0.3, 0.9])
+def test_dominated_set_rows_leave_the_lp(a):
+    tol = 1e-8
+    params = KernelParams(n=2, a=a)
+    cases = [(params, name, flat_lattice(*box, 0.0, 16)) for name, box in SQUARES.items()]
+    # an n = 3 cube straddling the plane: Gamma's lag-0 own-cell entry outweighs the
+    # collar's, so only some set rows are bounded by their collar rows
+    cube = flat_lattice([-0.5] * 3, [0.5] * 3, 0.0, 6)
+    cases.append((KernelParams(n=3, a=a), "cube", cube))
+    for params, name, lattice in cases:
+        res = capacity_lp(params, *lattice, tol=tol)
+        A, dominated, full = _full_row_reference(params, lattice)
+        m = len(lattice[1])
+        # the LP keeps every collar row and exactly the set rows no collar row bounds
+        assert res.lp_rows == 2 * m - int(dominated.sum()), (a, name)
+        assert res.lp_rows + res.dropped_rows == 2 * m
+        if params.n == 2 and not (name == "edge" and abs(a) == 0.9):
+            assert res.lp_rows == m, (a, name)
+        if params.n == 3:
+            assert res.lp_rows > m, a
+        cap = float(np.sum(full.x))
+        assert abs(res.cap_estimate - cap) <= 10 * tol * cap, (a, name)
+        # the violation covers the dropped rows too (up to summation-order rounding)
+        x = res.equilibrium.masses
+        if dominated.any():
+            assert res.max_constraint_violation >= np.max(A[:m][dominated] @ x - 1.0) - 1e-12
+        assert res.max_constraint_violation >= np.max(A @ x - 1.0) - 1e-12
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # importing scipy.optimize costs about a quarter of a CLI start
     src = str(Path(capacity.__file__).resolve().parents[1])

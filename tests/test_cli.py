@@ -583,9 +583,12 @@ def test_capacity_with_oracle(tmp_path):
     levels = json.loads((out / "capacity.json").read_text())["diagnostics"]["levels"]
     assert [lev["density"] for lev in levels] == [8, 16]
     for lev in levels:
-        # every row is active: a set row sees the earlier time nodes of nearby cells
+        # every row is active: a set row sees the earlier time nodes of nearby cells;
+        # on a flat n = 2 level every set row is bounded by its collar row, so the
+        # LP sees the collar rows only
         assert lev["atoms"] == lev["density"] ** 2
-        assert lev["lp_rows"] == 2 * lev["atoms"]
+        assert lev["lp_rows"] + lev["dropped_rows"] == 2 * lev["atoms"]
+        assert lev["lp_rows"] == lev["atoms"]
         assert lev["atoms"] < lev["near_pairs"] <= 50 * lev["atoms"]
         assert lev["lp_iterations"] > 0
         assert abs(lev["max_constraint_violation"]) <= 1e-6
@@ -695,6 +698,32 @@ def test_wiener_report(tmp_path):
     lines = (out / "wiener.csv").read_text().splitlines()
     assert lines[0] == "lambda,k,cap,weight,term,partial_sum"
     assert len(lines) == 7
+    # one LP per shell, and its sizes and check as capacity_lp reported them
+    shells = env["diagnostics"]["shells"]
+    assert [shell["k"] for shell in shells] == list(range(1, 7))
+    for shell in shells:
+        assert shell["atoms"] > 0
+        assert shell["lp_rows"] + shell["dropped_rows"] == 2 * shell["atoms"]
+        assert shell["lp_rows"] >= shell["atoms"]
+        assert shell["lp_iterations"] > 0
+        assert abs(shell["max_constraint_violation"]) <= 1e-6
+    # a deleted past leaves every shell without atoms: no LP ran, so nothing is measured
+    past = {**cfg, "domain": {"primitives": [{"type": "time-slab", "t": [-10, 0]}]}, "k_max": 2}
+    code, out = run(tmp_path, "wiener", past)
+    assert code == 0
+    shells = json.loads((out / "wiener.json").read_text())["diagnostics"]["shells"]
+    assert shells == [
+        {
+            "k": k,
+            "atoms": 0,
+            "lp_rows": None,
+            "dropped_rows": None,
+            "near_pairs": None,
+            "lp_iterations": None,
+            "max_constraint_violation": None,
+        }
+        for k in (1, 2)
+    ]
     # interior point: boundary precondition fails as a config error
     bad = {**cfg, "xi0": [0.5, 0.7, 0.5]}
     assert run(tmp_path, "wiener", bad)[0] == 2

@@ -306,3 +306,29 @@ def test_far_tail_profile_envelopes():
         assert np.all(np.abs(f_profile_vec(params, s)) <= 2.0 * env)
         chain = np.abs(f_profile_prime_vec(params, s)) * np.abs(s) ** max(a, 0.0)
         assert np.all(chain <= env)
+
+
+def test_one_branch_calls_match_mixed_calls_bitwise():
+    # a call whose entries all take one branch evaluates it on the whole
+    # array; a mixed call gathers each branch's entries and evaluates them
+    # together, so each branch's entries must come out bit for bit the same
+    # either way.  The two asymptotic pieces share their smallest |s|, so
+    # they sum as many terms alone as together.
+    rng = np.random.default_rng(3)
+    pieces = [
+        rng.uniform(1e-6, 60.0, 40),  # power series
+        -rng.uniform(1e-6, 60.0, 40),  # kve
+        np.append(61.0, rng.uniform(61.0, 1e6, 19)),  # asymptotic, s > 0
+        np.append(-61.0, -rng.uniform(61.0, 1e6, 19)),  # asymptotic, s < 0
+        np.array([0.0, 1e-200, -1e-200, 0.0]),  # the s = 0 limit
+    ]
+    mixed = np.concatenate(pieces)
+    for a in (-0.6, 0.0, 0.4):
+        params = KernelParams(2, a)
+        for fn in (f_profile_vec, f_profile_prime_vec):
+            together = np.split(fn(params, mixed), np.cumsum([len(p) for p in pieces])[:-1])
+            for piece, got in zip(pieces, together):
+                alone = fn(params, piece)
+                assert np.array_equal(got, alone), (a, fn.__name__, piece[0])
+                # a 2-D call keeps its shape and gives the same entries
+                assert np.array_equal(fn(params, piece.reshape(2, -1)), alone.reshape(2, -1))

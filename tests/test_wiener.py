@@ -107,8 +107,8 @@ def test_full_shell_terms_constant():
     xi = P(x_prime=(0.0,), x=0.0, t=0.0)
     terms = []
     for k in range(1, 5):
-        cap, term = shell_term(PARAMS, xi, 0.5, k, EMPTY, density=10)
-        assert cap > 0
+        cap, term, lp = shell_term(PARAMS, xi, 0.5, k, EMPTY, density=10)
+        assert cap > 0 and cap == lp.cap_estimate
         terms.append(term)
     ratios = np.array(terms[1:]) / np.array(terms[:-1])
     assert np.all(np.abs(ratios - 1.0) < 0.3)
@@ -126,8 +126,8 @@ def test_half_space_complement_terms_constant():
 
 
 def test_shell_term_empty_intersection_and_validation():
-    cap, term = shell_term(PARAMS, XI0, 0.5, 3, PAST_SLAB, density=8)
-    assert cap == 0.0 and term == 0.0
+    cap, term, lp = shell_term(PARAMS, XI0, 0.5, 3, PAST_SLAB, density=8)
+    assert cap == 0.0 and term == 0.0 and lp is None
     with pytest.raises(ValueError):
         shell_term(PARAMS, XI0, 0.5, 0, EMPTY)
     with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ def test_term_locality_and_monotonicity():
     # adding domain material outside the shells leaves terms unchanged;
     # enlarging the complement cannot decrease them
     k = 2
-    base_cap, _ = shell_term(PARAMS, XI0, 0.5, k, BOX, density=8)
+    base_cap, _, _ = shell_term(PARAMS, XI0, 0.5, k, BOX, density=8)
     far = DomainDescriptor(
         (
             {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [0.0, 1.0]},
@@ -146,10 +146,10 @@ def test_term_locality_and_monotonicity():
         ),
         ("union",),
     )
-    far_cap, _ = shell_term(PARAMS, XI0, 0.5, k, far, density=8)
+    far_cap, _, _ = shell_term(PARAMS, XI0, 0.5, k, far, density=8)
     assert far_cap == pytest.approx(base_cap, rel=1e-9)
     smaller = DomainDescriptor.box([0.4, 0.6], [0.6, 0.8], 0.0, 1.0)
-    small_cap, _ = shell_term(PARAMS, XI0, 0.5, k, smaller, density=8)
+    small_cap, _, _ = shell_term(PARAMS, XI0, 0.5, k, smaller, density=8)
     assert small_cap >= base_cap * (1 - 1e-6)
 
 
