@@ -40,17 +40,38 @@ The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
 method on the normal equations: Mehrotra's predictor-corrector (SIAM
 J. Optim. 2, 1992), as in Wright, *Primal-Dual Interior-Point Methods*
-(SIAM, 1997).  It sees only the rows that can bind.  A row of zeros
-cannot.  Set row i and collar row m + i observe the same spatial point;
-where the collar row is >= the set row in every entry, A_i x <=
-A_{m+i} x <= 1 for every x >= 0, so the set row is redundant and
-dropping it leaves the feasible set and the optimum exactly as they
-were (the dominated-constraint rule of Andersen & Andersen, *Presolving
-in linear programming*, Math. Programming 71, 1995).  On a flat n = 2
-level every set row is dominated, so the LP has half the rows; at
-n = 3 Gamma's lag-0 own-cell entry outweighs the collar's, and most
-set rows stay.  The reported constraint violation is taken over every
-row, the dropped ones included.
+(SIAM, 1997).  Two presolve steps shrink it, and both leave its optimum
+as it was.
+
+Gamma sees a free coordinate only through (x'_k - y'_k)^2, and the cell
+means take symmetric nodes, so reflecting a free axis k < n - 1 about
+the midpoint of the atoms' range permutes the rows and columns of A
+alike whenever it maps the atoms onto themselves, times included (a
+box lattice, a heat-ball sample about its centre).  An LP with such a
+symmetry group has an optimum that is constant on the orbits, found on
+the orbits alone (Bödi, Herr & Joswig, *Algorithms for highly
+symmetric linear and integer programs*, Math. Programming 137, 2013):
+A is built in full and folded to the set and collar rows of one atom
+per orbit, over the orbits' mean columns, and the orbit's mass x~_o is
+spread as x_i = x~_o / |o|.  A flat n = 2 level folds to half its
+atoms and an n = 3 cube to a quarter.  Atoms are matched by the ranks
+of their sorted coordinates within 1e-9 of a cell, not on a grid of
+h_space, since box cells need not be square.
+
+Then the LP sees only the rows that can bind.  A row of zeros cannot.
+Set row i and collar row m + i observe the same spatial point; where
+the collar row is >= the set row in every entry, A_i x <= A_{m+i} x <=
+1 for every x >= 0, so the set row is redundant and dropping it leaves
+the feasible set and the optimum exactly as they were (the
+dominated-constraint rule of Andersen & Andersen, *Presolving in linear
+programming*, Math. Programming 71, 1995).  On a box lattice the collar
+row of one slice and the set row of the next observe one point at one
+time, most of them bitwise equal; the set row is tested against that
+collar row too.  Only set rows leave, so equal rows cannot remove each
+other.  On a flat n = 2 level every set row is dominated, so the LP has
+one row per orbit; at n = 3 Gamma's lag-0 own-cell entry outweighs the
+collar's, and most set rows stay.  The reported constraint violation is
+taken over every row of the unfolded A, the dropped ones included.
 """
 from __future__ import annotations
 
@@ -70,10 +91,11 @@ from .quadrature import integrate_weighted_interval, legendre_rule
 NEAR_CELLS = 2.5
 AVG_NODES = 3
 # peak bytes of capacity_lp over the size of its dense matrix, bounded from
-# above: measured with tracemalloc (build and LP), 2.5 on a flat 32 x 32
-# level (half its rows leave the LP) and 3.4 on a 10 x 10 x 10 box level,
-# both set by the LP, which reaches 3.5 when no row leaves it; the build
-# alone peaks at 2.2 and 2.6
+# above: measured with tracemalloc (build and LP), 2.2 on a flat 32 x 32
+# level, 2.6 on a 10 x 10 x 10 box level and 2.9 on an 8^3 cube, all three
+# folded and set by the build; a lattice that does not fold reaches 2.5,
+# 2.7 and 3.3 with one atom taken out of them, set by the LP, and 3.5 when
+# no row leaves the LP
 MATRIX_COPIES = 8
 # linprog gives up after this many iterations; the LPs of the bench jobs
 # and of the test suite converge in 22 or fewer
@@ -96,10 +118,13 @@ class CapacityResult:
     cap_estimate: float
     equilibrium: DiscreteMeasure
     max_constraint_violation: float
-    # constraint rows handed to the LP and rows left out (all zero, or a set
-    # row bounded by its collar row), near (cell-averaged) entries, linprog iterations
+    # constraint rows and columns (atom orbits) handed to the LP, rows of the
+    # folded LP left out (all zero, or a set row bounded by a collar row), the
+    # free axes folded, near (cell-averaged) entries, linprog iterations
     lp_rows: int
+    lp_cols: int
     dropped_rows: int
+    mirror_axes: tuple[int, ...]
     near_pairs: int
     lp_iterations: int
 
@@ -184,6 +209,76 @@ def _constraint_matrix(
         cells *= _node_means(params, weighted, rx[p], rt[p], ax[q], at[q], off, off_t, snap)[pair]
     A[js, is_] = np.mean(cells, axis=-1)
     return A, len(js)
+
+
+def _ranks(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's rank among the distinct values, and those values in order.
+
+    Values within tol of their sorted neighbour count as one.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.r_[True, np.diff(ordered) > tol]
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return rank, ordered[new]
+
+
+def _lookup(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each row of queries among the rows of points (nonnegative ints), -1 where none."""
+    rows = np.vstack([points, queries])
+    # one column at a time, renumbering the keys so they stay below the row count
+    key = np.zeros(len(rows), dtype=np.intp)
+    for col in rows.T:
+        _, key = np.unique(key * (int(col.max()) + 1) + col, return_inverse=True)
+    slot = np.full(len(rows), -1)
+    slot[key[: len(points)]] = np.arange(len(points))
+    return slot[key[len(points) :]]
+
+
+def _lattice_symmetry(
+    n: int, atom_sp: np.ndarray, cons_t: np.ndarray, h_space: float, h_time: float
+):
+    """The atoms' orbits under the mirror symmetries of their free axes, and each set row's twin.
+
+    Each row (the atoms, then their collar copies, with times cons_t) is
+    the tuple of its ranks on the n axes and in time, values within 1e-9
+    of a cell counting as one.  A free axis k < n - 1 folds when its
+    distinct values are symmetric about their midpoint and reversing its
+    ranks maps the atoms onto themselves.  Returns each atom's orbit
+    under the reflections of the folded axes, one atom per orbit (its
+    first), the folded axes, and for each atom the atom whose collar row
+    observes its point at its time, or -1.
+    """
+    m = len(atom_sp)
+    ranks = [_ranks(atom_sp[:, k], 1e-9 * h_space) for k in range(n)]
+    t_rank, _ = _ranks(cons_t, 1e-9 * h_time)
+    rows = np.column_stack([np.tile(rank, 2) for rank, _ in ranks] + [t_rank])
+    atoms = rows[:m]
+    twin = _lookup(rows[m:], atoms)
+    first, axes = np.arange(m), []
+    for k in range(n - 1):
+        rank, values = ranks[k]
+        mirror = values[0] + values[-1] - values[::-1]
+        if len(values) < 2 or np.max(np.abs(values - mirror)) > 1e-9 * h_space:
+            continue
+        mirrored = atoms.copy()
+        mirrored[:, k] = len(values) - 1 - rank
+        image = _lookup(atoms, mirrored)
+        if np.all(image >= 0) and np.array_equal(image[image], np.arange(m)):
+            # the reflections commute, so this takes the least atom of each orbit
+            first = np.minimum(first, first[image])
+            axes.append(k)
+    reps, orbit = np.unique(first, return_inverse=True)
+    return orbit, reps, tuple(axes), twin
+
+
+def _fold(A: np.ndarray, orbit: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The set and collar rows of each orbit's first atom, over the mean columns of the orbits."""
+    sizes = np.bincount(orbit)
+    rows = np.concatenate([reps, A.shape[1] + reps])
+    by_orbit = A[np.ix_(rows, np.argsort(orbit, kind="stable"))]
+    return np.add.reduceat(by_orbit, np.cumsum(sizes) - sizes, axis=1) / sizes
 
 
 def check_fits(need: float, what: str) -> None:
@@ -311,12 +406,15 @@ def capacity_lp(
     atom is the centre of a cell of spatial side h_space and time extent
     h_time, both positive: capacity_lp(params, *lattice) takes a
     quadrature.Lattice as it stands.  The constraint set is the atoms
-    themselves plus a collar copy shifted one cell up in time.  The LP
-    gets the rows of that set that can bind: rows of zeros and set rows
-    that their collar row bounds entrywise are left out (module doc), and
-    lp_rows and dropped_rows count the two parts.  max_constraint_violation
-    is the largest potential minus 1 over every row, dropped or not.  A
-    side that is not positive (0, negative or NaN) raises ValueError.
+    themselves plus a collar copy shifted one cell up in time.  Free axes
+    whose reflection maps the atoms onto themselves fold the LP to one
+    column per orbit of atoms (mirror_axes, lp_cols), and the LP gets the
+    rows of the folded set that can bind: rows of zeros and set rows that
+    a collar row bounds entrywise are left out (module doc), and lp_rows
+    and dropped_rows count the two parts.  The orbit's mass is spread
+    evenly over its atoms.  max_constraint_violation is the largest
+    potential minus 1 over every row of the unfolded set, dropped or not.
+    A side that is not positive (0, negative or NaN) raises ValueError.
     """
     atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
     atom_t = np.asarray(set_times, dtype=float)
@@ -329,26 +427,40 @@ def capacity_lp(
     m = len(atom_t)
     check_matrix_fits(m)
     A, near_pairs = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
-    # a row of zeros adds nothing to the potential, and a set row that its
-    # collar row bounds entrywise holds whenever the collar row does (x >= 0)
-    keep = np.any(A > 0.0, axis=1)
-    keep[:m] &= ~np.all(A[m:] >= A[:m], axis=1)
-    # the two parts hold every row between them, so A need not outlive them
-    lp_A, dropped = A[keep], A[~keep]
-    del A
-    masses, nit = linprog(A_ub=lp_A, tol=tol)
-    # over every row, the dropped ones too; the transpose of a C-ordered part
-    # is Fortran-ordered, so scipy's dgemv (the BLAS linprog used) reads it
-    # without a copy
+    orbit, reps, axes, twin = _lattice_symmetry(params.n, atom_sp, cons_t, h_space, h_time)
+    cols = len(reps)
+    F = A if cols == m else _fold(A, orbit, reps)
+    # a row of zeros adds nothing to the potential, and a set row that a collar
+    # row bounds entrywise holds whenever that collar row does (x >= 0): its own
+    # collar row, or its twin's, which observes the same point at the same time
+    keep = np.any(F > 0.0, axis=1)
+    keep[:cols] &= ~np.all(F[cols:] >= F[:cols], axis=1)
+    paired = np.flatnonzero(twin[reps] >= 0)
+    keep[paired] &= ~np.all(F[cols + orbit[twin[reps[paired]]]] >= F[paired], axis=1)
+    lp_A = F[keep]
+    if F is A:
+        # the two parts hold every row between them, so A need not outlive them
+        parts = (lp_A, A[~keep])
+    else:
+        # folded rows act on orbit masses, so the check needs A itself
+        parts = (A,)
+    del A, F
+    x, nit = linprog(A_ub=lp_A, tol=tol)
+    masses = x[orbit] / np.bincount(orbit)[orbit]
+    # over every row of the unfolded matrix, the dropped ones too; the transpose
+    # of a C-ordered part is Fortran-ordered, so scipy's dgemv (the BLAS linprog
+    # used) reads it without a copy
     violation = max(
-        float(np.max(dgemv(1.0, part.T, masses, trans=1))) for part in (lp_A, dropped) if len(part)
+        float(np.max(dgemv(1.0, part.T, masses, trans=1))) for part in parts if len(part)
     ) - 1.0
     return CapacityResult(
         cap_estimate=float(np.sum(masses)),
         equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
         max_constraint_violation=violation,
         lp_rows=len(lp_A),
-        dropped_rows=len(dropped),
+        lp_cols=cols,
+        dropped_rows=len(keep) - len(lp_A),
+        mirror_axes=axes,
         near_pairs=near_pairs,
         lp_iterations=nit,
     )
@@ -360,7 +472,15 @@ def lp_report(res: CapacityResult | None) -> dict:
     None stands for a set without atoms, on which no LP ran: atoms is 0
     and the LP fields are None, not a measured 0.
     """
-    fields = ("lp_rows", "dropped_rows", "near_pairs", "lp_iterations", "max_constraint_violation")
+    fields = (
+        "lp_rows",
+        "lp_cols",
+        "dropped_rows",
+        "mirror_axes",
+        "near_pairs",
+        "lp_iterations",
+        "max_constraint_violation",
+    )
     if res is None:
         return {"atoms": 0, **dict.fromkeys(fields)}
     return {"atoms": len(res.equilibrium.masses), **{f: getattr(res, f) for f in fields}}

@@ -309,15 +309,31 @@ def test_bench_capacities_match_highs(a, lo, caps):
 
 
 def _full_row_reference(params, lattice):
-    """The constraint matrix, its set rows that the collar bounds, and the LP over every row."""
+    """The constraint matrix, its set rows that a collar row bounds, and the LP over every row.
+
+    A set row is bounded by its own collar row, or by the collar row that
+    observes the same point at the same time (a box lattice's previous slice).
+    """
     sp, ts, hs, ht = lattice
     m = len(ts)
     A, _ = capacity._constraint_matrix(
         params, np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht
     )
     assert np.all(np.any(A > 0.0, axis=1))
-    dominated = np.all(A[m:] >= A[:m], axis=1)
+    # same[i, j]: atom j's collar row observes atom i's point at atom i's time
+    same = np.all(sp[:, None] == sp[None], axis=-1)
+    same &= np.abs(ts[None] + ht - ts[:, None]) <= 1e-9 * ht
+    twin = np.where(same.any(axis=1), same.argmax(axis=1), np.arange(m))
+    dominated = np.all(A[m:] >= A[:m], axis=1) | np.all(A[m + twin] >= A[:m], axis=1)
     return A, dominated, linprog(A_ub=A, tol=1e-8)
+
+
+def _check_against_full_rows(res, A, full, tol):
+    """Cap within 10 tol of the full-row LP, and the violation taken over every row."""
+    cap = float(np.sum(full.x))
+    assert abs(res.cap_estimate - cap) <= 10 * tol * cap
+    # up to summation-order rounding
+    assert res.max_constraint_violation >= np.max(A @ res.equilibrium.masses - 1.0) - 1e-12
 
 
 # flat 2 x 2 squares: off the plane, straddling it, and with an edge 0.05 below it
@@ -341,20 +357,94 @@ def test_dominated_set_rows_leave_the_lp(a):
         res = capacity_lp(params, *lattice, tol=tol)
         A, dominated, full = _full_row_reference(params, lattice)
         m = len(lattice[1])
-        # the LP keeps every collar row and exactly the set rows no collar row bounds
-        assert res.lp_rows == 2 * m - int(dominated.sum()), (a, name)
-        assert res.lp_rows + res.dropped_rows == 2 * m
+        # every free axis folds in half; the LP keeps each orbit's collar row and
+        # at most the set rows of the atoms that no collar row bounds
+        assert res.lp_cols == m // 2 ** (params.n - 1), (a, name)
+        assert res.lp_rows + res.dropped_rows == 2 * res.lp_cols
+        assert res.lp_cols <= res.lp_rows <= res.lp_cols + int(np.sum(~dominated)), (a, name)
         if params.n == 2 and not (name == "edge" and abs(a) == 0.9):
-            assert res.lp_rows == m, (a, name)
+            assert res.lp_rows == res.lp_cols == m // 2, (a, name)
         if params.n == 3:
-            assert res.lp_rows > m, a
-        cap = float(np.sum(full.x))
-        assert abs(res.cap_estimate - cap) <= 10 * tol * cap, (a, name)
-        # the violation covers the dropped rows too (up to summation-order rounding)
-        x = res.equilibrium.masses
-        if dominated.any():
-            assert res.max_constraint_violation >= np.max(A[:m][dominated] @ x - 1.0) - 1e-12
-        assert res.max_constraint_violation >= np.max(A @ x - 1.0) - 1e-12
+            assert res.lp_rows > res.lp_cols, a
+        _check_against_full_rows(res, A, full, tol)
+
+
+# lattices whose free axes are mirror-symmetric: params, lattice, folded axes, orbits
+FOLDED = {
+    "square-16": (
+        KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 16), (0,), 8 * 16
+    ),
+    # odd densities leave the middle column its own orbit
+    "square-15": (
+        KernelParams(n=2, a=-0.5), flat_lattice([0.0, -1.0], [2.0, 1.0], 0.0, 15), (0,), 8 * 15
+    ),
+    # orbits of 1, 2 and 4 atoms
+    "cube-7": (
+        KernelParams(n=3, a=0.3), flat_lattice([-0.5] * 3, [0.5] * 3, 0.0, 7), (0, 1), 4 * 4 * 7
+    ),
+    # cells of 0.25 x 0.175: both free axes fold although the cells are not square
+    "box-1x0.7": (
+        KernelParams(n=3, a=-0.5),
+        box_lattice([0.0, 0.0, 0.2], [1.0, 0.7, 1.2], 0.0, 0.5, 4),
+        (0, 1),
+        2 * 2 * 4 * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FOLDED)
+def test_mirror_fold_matches_full_rows(name):
+    tol = 1e-8
+    params, lattice, axes, orbits = FOLDED[name]
+    res = capacity_lp(params, *lattice, tol=tol)
+    assert res.mirror_axes == axes
+    assert res.lp_cols == orbits
+    assert res.lp_rows + res.dropped_rows == 2 * orbits
+    A, _, full = _full_row_reference(params, lattice)
+    _check_against_full_rows(res, A, full, tol)
+    # the lattices are tensor products with the first axis slowest, so each folded
+    # axis is an array axis of the masses; an orbit's atoms share one mass bitwise
+    sp, ts = lattice[:2]
+    masses = res.equilibrium.masses.reshape([len(np.unique(c)) for c in (*sp.T, ts)])
+    for k in axes:
+        assert np.array_equal(masses, np.flip(masses, axis=k)), k
+
+
+def _without_first_atom(lattice):
+    sp, ts, hs, ht = lattice
+    return sp[1:], ts[1:], hs, ht
+
+
+def _squared_first_axis(lattice):
+    sp, ts, hs, ht = lattice
+    return np.column_stack([sp[:, 0] ** 2, sp[:, 1:]]), ts, hs, ht
+
+
+# lattices that no free axis's reflection maps onto themselves: without their
+# first atom (a corner), or with the free coordinates unevenly spaced (their
+# ranks are symmetric, their values are not)
+ASYMMETRIC = {
+    "flat-less-one": _without_first_atom(flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 12)),
+    # the collar row of one slice and the set row of the next observe one point
+    "box-less-one": _without_first_atom(box_lattice([0.0, 0.5], [1.0, 1.5], 0.0, 0.5, 6)),
+    "flat-uneven": _squared_first_axis(flat_lattice([0.5, 0.5], [1.5, 1.5], 0.0, 10)),
+}
+
+
+@pytest.mark.parametrize("name", ASYMMETRIC)
+def test_asymmetric_lattice_does_not_fold(name):
+    tol = 1e-8
+    params = KernelParams(n=2, a=0.3)
+    lattice = ASYMMETRIC[name]
+    m = len(lattice[1])
+    res = capacity_lp(params, *lattice, tol=tol)
+    A, dominated, full = _full_row_reference(params, lattice)
+    assert res.mirror_axes == ()
+    assert res.lp_cols == m
+    # exactly the set rows that a collar row bounds leave the LP
+    assert res.lp_rows == 2 * m - int(dominated.sum())
+    assert res.lp_rows + res.dropped_rows == 2 * m
+    _check_against_full_rows(res, A, full, tol)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

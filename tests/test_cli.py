@@ -583,12 +583,12 @@ def test_capacity_with_oracle(tmp_path):
     levels = json.loads((out / "capacity.json").read_text())["diagnostics"]["levels"]
     assert [lev["density"] for lev in levels] == [8, 16]
     for lev in levels:
-        # every row is active: a set row sees the earlier time nodes of nearby cells;
-        # on a flat n = 2 level every set row is bounded by its collar row, so the
-        # LP sees the collar rows only
+        # the free axis folds the level in half; on a flat n = 2 level every set row
+        # is bounded by its collar row, so the LP sees one collar row per orbit
         assert lev["atoms"] == lev["density"] ** 2
-        assert lev["lp_rows"] + lev["dropped_rows"] == 2 * lev["atoms"]
-        assert lev["lp_rows"] == lev["atoms"]
+        assert lev["mirror_axes"] == [0]
+        assert lev["lp_rows"] + lev["dropped_rows"] == 2 * lev["lp_cols"]
+        assert lev["lp_rows"] == lev["lp_cols"] == lev["atoms"] // 2
         assert lev["atoms"] < lev["near_pairs"] <= 50 * lev["atoms"]
         assert lev["lp_iterations"] > 0
         assert abs(lev["max_constraint_violation"]) <= 1e-6
@@ -703,8 +703,11 @@ def test_wiener_report(tmp_path):
     assert [shell["k"] for shell in shells] == list(range(1, 7))
     for shell in shells:
         assert shell["atoms"] > 0
-        assert shell["lp_rows"] + shell["dropped_rows"] == 2 * shell["atoms"]
-        assert shell["lp_rows"] >= shell["atoms"]
+        # shell and complement are symmetric about xi0's free coordinate
+        assert shell["mirror_axes"] == [0]
+        assert shell["lp_cols"] < shell["atoms"]
+        assert shell["lp_rows"] + shell["dropped_rows"] == 2 * shell["lp_cols"]
+        assert shell["lp_rows"] >= shell["lp_cols"]
         assert shell["lp_iterations"] > 0
         assert abs(shell["max_constraint_violation"]) <= 1e-6
     # a deleted past leaves every shell without atoms: no LP ran, so nothing is measured
@@ -717,7 +720,9 @@ def test_wiener_report(tmp_path):
             "k": k,
             "atoms": 0,
             "lp_rows": None,
+            "lp_cols": None,
             "dropped_rows": None,
+            "mirror_axes": None,
             "near_pairs": None,
             "lp_iterations": None,
             "max_constraint_violation": None,
