@@ -50,9 +50,10 @@ alike whenever it maps the atoms onto themselves, times included (a
 box lattice, a heat-ball sample about its centre).  An LP with such a
 symmetry group has an optimum that is constant on the orbits, found on
 the orbits alone (Bödi, Herr & Joswig, *Algorithms for highly
-symmetric linear and integer programs*, Math. Programming 137, 2013):
-A is built in full and folded to the set and collar rows of one atom
-per orbit, over the orbits' mean columns, and the orbit's mass x~_o is
+symmetric linear and integer programs*, Math. Programming 137, 2013).
+So only the representatives' rows are built, the set and collar rows
+of one atom per orbit, over the atoms sorted by orbit; each orbit's
+columns are then averaged into one, and the orbit's mass x~_o is
 spread as x_i = x~_o / |o|.  A flat n = 2 level folds to half its
 atoms and an n = 3 cube to a quarter.  Atoms are matched by the ranks
 of their sorted coordinates within 1e-9 of a cell, not on a grid of
@@ -71,7 +72,8 @@ collar row too.  Only set rows leave, so equal rows cannot remove each
 other.  On a flat n = 2 level every set row is dominated, so the LP has
 one row per orbit; at n = 3 Gamma's lag-0 own-cell entry outweighs the
 collar's, and most set rows stay.  The reported constraint violation is
-taken over every row of the unfolded A, the dropped ones included.
+taken over every built row, the dropped ones included: a row's mirror
+image has its potential under masses constant on the orbits.
 """
 from __future__ import annotations
 
@@ -90,12 +92,12 @@ from .quadrature import integrate_weighted_interval, legendre_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
-# peak bytes of capacity_lp over the size of its dense matrix, bounded from
-# above: measured with tracemalloc (build and LP), 2.2 on a flat 32 x 32
-# level, 2.6 on a 10 x 10 x 10 box level and 2.9 on an 8^3 cube, all three
-# folded and set by the build; a lattice that does not fold reaches 2.5,
-# 2.7 and 3.3 with one atom taken out of them, set by the LP, and 3.5 when
-# no row leaves the LP
+# peak bytes of capacity_lp over the size of the full 2 atoms x atoms
+# matrix, bounded from above: measured with tracemalloc (build and LP), 1.1
+# on a flat 32 x 32 level, 1.3 on a 10 x 10 x 10 box level and 0.8 on an 8^3
+# cube, all three folded and set by the build; a lattice that does not fold
+# builds the full matrix and reaches 2.5, 2.7 and 3.3 with one atom taken
+# out of them, set by the LP, and 3.5 when no row leaves the LP
 MATRIX_COPIES = 8
 # linprog gives up after this many iterations; the LPs of the bench jobs
 # and of the test suite converge in 22 or fewer
@@ -118,9 +120,9 @@ class CapacityResult:
     cap_estimate: float
     equilibrium: DiscreteMeasure
     max_constraint_violation: float
-    # constraint rows and columns (atom orbits) handed to the LP, rows of the
-    # folded LP left out (all zero, or a set row bounded by a collar row), the
-    # free axes folded, near (cell-averaged) entries, linprog iterations
+    # rows and columns (atom orbits) handed to the LP, folded rows left out (all
+    # zero, or a set row bounded by a collar row), the free axes folded, near
+    # (cell-averaged) entries of the rows actually built, linprog iterations
     lp_rows: int
     lp_cols: int
     dropped_rows: int
@@ -237,25 +239,24 @@ def _lookup(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _lattice_symmetry(
-    n: int, atom_sp: np.ndarray, cons_t: np.ndarray, h_space: float, h_time: float
+    n: int, atom_sp: np.ndarray, atom_t: np.ndarray, h_space: float, h_time: float
 ):
     """The atoms' orbits under the mirror symmetries of their free axes, and each set row's twin.
 
-    Each row (the atoms, then their collar copies, with times cons_t) is
-    the tuple of its ranks on the n axes and in time, values within 1e-9
-    of a cell counting as one.  A free axis k < n - 1 folds when its
+    Each row (the atoms, then their collar copies one cell h_time later)
+    is the tuple of its ranks on the n axes and in time, values within
+    1e-9 of a cell counting as one.  A free axis k < n - 1 folds when its
     distinct values are symmetric about their midpoint and reversing its
     ranks maps the atoms onto themselves.  Returns each atom's orbit
     under the reflections of the folded axes, one atom per orbit (its
-    first), the folded axes, and for each atom the atom whose collar row
-    observes its point at its time, or -1.
+    first), the folded axes, and for each of those atoms the orbit of
+    the atom whose collar row observes its point at its time, or -1.
     """
     m = len(atom_sp)
     ranks = [_ranks(atom_sp[:, k], 1e-9 * h_space) for k in range(n)]
-    t_rank, _ = _ranks(cons_t, 1e-9 * h_time)
+    t_rank, _ = _ranks(np.concatenate([atom_t, atom_t + h_time]), 1e-9 * h_time)
     rows = np.column_stack([np.tile(rank, 2) for rank, _ in ranks] + [t_rank])
     atoms = rows[:m]
-    twin = _lookup(rows[m:], atoms)
     first, axes = np.arange(m), []
     for k in range(n - 1):
         rank, values = ranks[k]
@@ -270,15 +271,8 @@ def _lattice_symmetry(
             first = np.minimum(first, first[image])
             axes.append(k)
     reps, orbit = np.unique(first, return_inverse=True)
-    return orbit, reps, tuple(axes), twin
-
-
-def _fold(A: np.ndarray, orbit: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """The set and collar rows of each orbit's first atom, over the mean columns of the orbits."""
-    sizes = np.bincount(orbit)
-    rows = np.concatenate([reps, A.shape[1] + reps])
-    by_orbit = A[np.ix_(rows, np.argsort(orbit, kind="stable"))]
-    return np.add.reduceat(by_orbit, np.cumsum(sizes) - sizes, axis=1) / sizes
+    twin = _lookup(rows[m:], atoms[reps])
+    return orbit, reps, tuple(axes), np.where(twin >= 0, orbit[twin], -1)
 
 
 def check_fits(need: float, what: str) -> None:
@@ -294,8 +288,8 @@ def check_fits(need: float, what: str) -> None:
 def check_matrix_fits(atoms: float) -> None:
     """Raise ValueError if capacity_lp's dense work for this many atoms exceeds physical memory.
 
-    The matrix is 2 atoms rows (the set and its collar) by atoms columns
-    of float64, and capacity_lp's peak is about MATRIX_COPIES times that.
+    The full matrix is 2 atoms rows (set and collar) by atoms columns of
+    float64, and capacity_lp's peak is at most about MATRIX_COPIES times that.
     """
     check_fits(MATRIX_COPIES * 16.0 * atoms * atoms, f"capacity matrix for {atoms:.4g} atoms")
 
@@ -413,7 +407,8 @@ def capacity_lp(
     a collar row bounds entrywise are left out (module doc), and lp_rows
     and dropped_rows count the two parts.  The orbit's mass is spread
     evenly over its atoms.  max_constraint_violation is the largest
-    potential minus 1 over every row of the unfolded set, dropped or not.
+    potential minus 1 over the built rows, dropped or not, which by the
+    symmetry carry every row's potential.
     A side that is not positive (0, negative or NaN) raises ValueError.
     """
     atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
@@ -422,36 +417,37 @@ def capacity_lp(
         raise ValueError("set_points must be nonempty")
     if not (h_space > 0.0 and h_time > 0.0):
         raise ValueError(f"cell sides must be positive, got {h_space!r} and {h_time!r}")
-    cons_sp = np.vstack([atom_sp, atom_sp])
-    cons_t = np.concatenate([atom_t, atom_t + h_time])
     m = len(atom_t)
     check_matrix_fits(m)
-    A, near_pairs = _constraint_matrix(params, cons_sp, cons_t, atom_sp, atom_t, h_space, h_time)
-    orbit, reps, axes, twin = _lattice_symmetry(params.n, atom_sp, cons_t, h_space, h_time)
+    orbit, reps, axes, twin = _lattice_symmetry(params.n, atom_sp, atom_t, h_space, h_time)
     cols = len(reps)
-    F = A if cols == m else _fold(A, orbit, reps)
+    sizes = np.bincount(orbit)
+    # the set and collar rows of each orbit's first atom, over the atoms sorted
+    # by orbit, so that each orbit's columns sit next to each other
+    order, rep_t = np.argsort(orbit, kind="stable"), atom_t[reps]
+    F, near_pairs = _constraint_matrix(
+        params, np.tile(atom_sp[reps], (2, 1)), np.concatenate([rep_t, rep_t + h_time]),
+        atom_sp[order], atom_t[order], h_space, h_time,
+    )
+    if cols < m:
+        F = np.add.reduceat(F, np.cumsum(sizes) - sizes, axis=1) / sizes
     # a row of zeros adds nothing to the potential, and a set row that a collar
     # row bounds entrywise holds whenever that collar row does (x >= 0): its own
     # collar row, or its twin's, which observes the same point at the same time
     keep = np.any(F > 0.0, axis=1)
     keep[:cols] &= ~np.all(F[cols:] >= F[:cols], axis=1)
-    paired = np.flatnonzero(twin[reps] >= 0)
-    keep[paired] &= ~np.all(F[cols + orbit[twin[reps[paired]]]] >= F[paired], axis=1)
-    lp_A = F[keep]
-    if F is A:
-        # the two parts hold every row between them, so A need not outlive them
-        parts = (lp_A, A[~keep])
-    else:
-        # folded rows act on orbit masses, so the check needs A itself
-        parts = (A,)
-    del A, F
+    paired = np.flatnonzero(twin >= 0)
+    keep[paired] &= ~np.all(F[cols + twin[paired]] >= F[paired], axis=1)
+    lp_A, rest = F[keep], F[~keep]
+    del F
     x, nit = linprog(A_ub=lp_A, tol=tol)
-    masses = x[orbit] / np.bincount(orbit)[orbit]
-    # over every row of the unfolded matrix, the dropped ones too; the transpose
-    # of a C-ordered part is Fortran-ordered, so scipy's dgemv (the BLAS linprog
+    masses = x[orbit] / sizes[orbit]
+    # a mirror image of a built row has its potential under orbit-constant masses,
+    # and a folded row times x is its unfolded row times masses; the transpose of
+    # a C-ordered part is Fortran-ordered, so scipy's dgemv (the BLAS linprog
     # used) reads it without a copy
     violation = max(
-        float(np.max(dgemv(1.0, part.T, masses, trans=1))) for part in parts if len(part)
+        float(np.max(dgemv(1.0, part.T, x, trans=1))) for part in (lp_A, rest) if len(part)
     ) - 1.0
     return CapacityResult(
         cap_estimate=float(np.sum(masses)),

@@ -60,6 +60,8 @@ def _check_primitive(prim: dict) -> None:
         if prim["profile"]["kind"] not in ("power", "exp"):
             raise ValueError(f"unknown cusp profile {prim['profile']['kind']!r}")
         _numbers(prim["profile"], "params", 2)
+    if not isinstance(prim.get("complement", False), bool):
+        raise ValueError(f"primitive 'complement' must be a boolean, got {prim['complement']!r}")
 
 
 def _primitive_mask(prim: dict, spatial: np.ndarray, times: np.ndarray) -> np.ndarray:

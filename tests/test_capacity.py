@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,21 @@ def _full_row_reference(params, lattice):
     return A, dominated, linprog(A_ub=A, tol=1e-8)
 
 
+def _lp_with_build_spy(monkeypatch, params, lattice, tol):
+    """capacity_lp's result and the row counts of its _constraint_matrix calls."""
+    build = capacity._constraint_matrix
+    rows = []
+
+    def spy(params, cons_sp, *args):
+        rows.append(len(cons_sp))
+        return build(params, cons_sp, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(capacity, "_constraint_matrix", spy)
+        res = capacity_lp(params, *lattice, tol=tol)
+    return res, rows
+
+
 def _check_against_full_rows(res, A, full, tol):
     """Cap within 10 tol of the full-row LP, and the violation taken over every row."""
     cap = float(np.sum(full.x))
@@ -393,15 +409,21 @@ FOLDED = {
 
 
 @pytest.mark.parametrize("name", FOLDED)
-def test_mirror_fold_matches_full_rows(name):
+def test_mirror_fold_matches_full_rows(name, monkeypatch):
     tol = 1e-8
     params, lattice, axes, orbits = FOLDED[name]
-    res = capacity_lp(params, *lattice, tol=tol)
+    res, built = _lp_with_build_spy(monkeypatch, params, lattice, tol)
+    # only the set and collar rows of one atom per orbit are built
+    assert built == [2 * res.lp_cols]
     assert res.mirror_axes == axes
     assert res.lp_cols == orbits
     assert res.lp_rows + res.dropped_rows == 2 * orbits
     A, _, full = _full_row_reference(params, lattice)
     _check_against_full_rows(res, A, full, tol)
+    # the built rows carry every row's potential, so the violation is the
+    # full-row maximum up to summation-order rounding, on both sides
+    full_max = np.max(A @ res.equilibrium.masses - 1.0)
+    assert abs(res.max_constraint_violation - full_max) <= 1e-12
     # the lattices are tensor products with the first axis slowest, so each folded
     # axis is an array axis of the masses; an orbit's atoms share one mass bitwise
     sp, ts = lattice[:2]
@@ -432,12 +454,13 @@ ASYMMETRIC = {
 
 
 @pytest.mark.parametrize("name", ASYMMETRIC)
-def test_asymmetric_lattice_does_not_fold(name):
+def test_asymmetric_lattice_does_not_fold(name, monkeypatch):
     tol = 1e-8
     params = KernelParams(n=2, a=0.3)
     lattice = ASYMMETRIC[name]
     m = len(lattice[1])
-    res = capacity_lp(params, *lattice, tol=tol)
+    res, built = _lp_with_build_spy(monkeypatch, params, lattice, tol)
+    assert built == [2 * res.lp_cols]
     A, dominated, full = _full_row_reference(params, lattice)
     assert res.mirror_axes == ()
     assert res.lp_cols == m
@@ -445,6 +468,21 @@ def test_asymmetric_lattice_does_not_fold(name):
     assert res.lp_rows == 2 * m - int(dominated.sum())
     assert res.lp_rows + res.dropped_rows == 2 * m
     _check_against_full_rows(res, A, full, tol)
+
+
+def test_folded_level_peak_memory():
+    # a flat 32 x 32 level folds to 512 orbits; building only their rows keeps
+    # the peak near the bytes of the full 2048 x 1024 matrix, which building
+    # every row and folding it afterwards about doubles
+    lattice = flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32)
+    tracemalloc.start()
+    try:
+        res = capacity_lp(PARAMS, *lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.lp_cols == 512
+    assert peak < 1.5 * 2048 * 1024 * 8
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -380,6 +380,18 @@ SMALL_CONFIGS = {
                 },
             },
         ),
+        *(
+            (
+                "wiener",
+                {
+                    **SMALL_CONFIGS["wiener"],
+                    "domain": {
+                        "primitives": [{**BOX_DOMAIN["primitives"][0], "complement": flag}]
+                    },
+                },
+            )
+            for flag in ("no", 0, 1.0, None)
+        ),
     ],
     ids=[
         "check-short-mass-point",
@@ -444,6 +456,10 @@ SMALL_CONFIGS = {
         "wiener-cusp-infinite-radius",
         "harnack-density-million",
         "wiener-box-string-and-bool-corner",
+        "wiener-complement-no",
+        "wiener-complement-0",
+        "wiener-complement-1.0",
+        "wiener-complement-null",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):

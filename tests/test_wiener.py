@@ -99,6 +99,17 @@ def test_descriptor_json_roundtrip_and_validation():
         )
 
 
+@pytest.mark.parametrize("flag", ["no", 0, 1.0, None], ids=["no", "0", "1.0", "null"])
+def test_complement_flag_must_be_boolean(flag):
+    # a truth test would complement the box for "no" and not for 0.0
+    box = {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [0.0, 1.0]}
+    with pytest.raises(ValueError, match="complement"):
+        DomainDescriptor(({**box, "complement": flag},))
+    inside = P(x_prime=(0.5,), x=0.7, t=0.5)
+    assert DomainDescriptor(({**box, "complement": False},)).contains(inside)
+    assert not DomainDescriptor(({**box, "complement": True},)).contains(inside)
+
+
 # ---------------------------------------------------------------- shell terms
 
 
