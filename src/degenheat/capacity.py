@@ -5,7 +5,7 @@ Discretization: atoms on a lattice covering K, constraints that the
 potential stays <= 1 on the lattice points plus a collar layer one cell
 above the set in time (parabolic potentials peak there).  Lattices come
 from quadrature (flat_lattice, box_lattice, and geometry's
-heat_ball_sample, which filters a box_lattice) as one Lattice type, and
+heat_ball_samples, which filters box_lattices) as one Lattice type, and
 there is one cell model: every atom is the centre of a cell of side
 h_space and time extent h_time > 0.  A flat set's cells take the
 parabolic extent h_space^2, which the `capacity` command runs and
@@ -35,6 +35,11 @@ node the mean over the spatial nodes is the product of the per-axis
 means, and each axis' means are computed once per distinct class pair
 among the near pairs: 3 profile values per time node and class pair,
 instead of 3^n per time node and entry.
+
+capacity_lp takes a sequence of lattices (the shells of a Wiener series)
+and builds their tables with one kernel call per axis, and their near
+means with one more, over all sets' class pairs; symmetry, presolve and
+LP stay per set, and each matrix is built only when its LP is next.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -92,13 +97,13 @@ from .quadrature import integrate_weighted_interval, legendre_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
-# peak bytes of capacity_lp over the size of the full 2 atoms x atoms
-# matrix, bounded from above: measured with tracemalloc (build and LP), 1.1
-# on a flat 32 x 32 level, 1.3 on a 10 x 10 x 10 box level and 0.8 on an 8^3
-# cube, all three folded and set by the build; a lattice that does not fold
-# builds the full matrix and reaches 2.5, 2.7 and 3.3 with one atom taken
-# out of them, set by the LP, and 3.5 when no row leaves the LP
-MATRIX_COPIES = 8
+# peak bytes of capacity_lp over the bytes of the rows it builds (2 orbits x
+# atoms), bounded from above: measured with tracemalloc (build and LP) on one
+# set, 2.2 on a flat 32 x 32 level, 2.8 on a 10 x 10 x 10 box level and 3.3 on
+# an 8^3 cube, all three folded and set by the build; with one atom taken out
+# of them nothing folds, and they reach 2.5, 2.7 and 3.3, set by the LP, and
+# 3.6 when no row leaves the LP (the 8^3 cube less one atom at a = -0.9)
+MATRIX_COPIES = 4
 # linprog gives up after this many iterations; the LPs of the bench jobs
 # and of the test suite converge in 22 or fewer
 LP_MAX_ITERATIONS = 100
@@ -143,72 +148,86 @@ def _axis_classes(coord: np.ndarray, t_index: np.ndarray, times: np.ndarray):
     return cls, values[keys // len(times)], times[keys % len(times)]
 
 
-def _node_means(
-    params: KernelParams, weighted: bool, x, t, y, s, off: np.ndarray, off_t: np.ndarray,
-    snap: float,
-) -> np.ndarray:
-    """Gamma's factor on one axis between (x, t) and the nodes (y + off, s + off_t).
+def _node_means(params: KernelParams, weighted: bool, groups, nodes: np.ndarray) -> list:
+    """Gamma's factor on one axis between (x, t) and the nodes (y + off, s + off_t) of each pair.
 
-    x, t, y and s are broadcastable arrays; the result has their shape
-    plus a last axis over off_t that holds the mean over off at each
-    time node.  The weighted axis gives u_tilde, a free axis the 1-D
-    heat kernel; nodes whose lag is below snap give 0.
+    Each group is (x, t, y, s, h_space, h_time, snap) of one set's pairs,
+    whose off and off_t are nodes scaled to half its cell sides.  One
+    kernel call covers all pairs; each group gets a (pairs, len(nodes))
+    array holding at each time node the mean over off.  The weighted axis
+    gives u_tilde, a free axis the 1-D heat kernel; nodes whose lag is
+    below the pair's snap give 0.
     """
-    x, t, y, s = (v[..., None, None] for v in (x, t, y, s))
-    dt = t - (s + off_t[:, None])
-    dt = np.where(dt >= snap, dt, 0.0)
-    factor = u_tilde(params, x, y + off, dt) if weighted else heat_kernel_1d(x, y + off, dt)
-    return np.mean(factor, axis=-1)
+    sizes = [len(g[0]) for g in groups]
+    x, t, y, s = (np.concatenate(c)[:, None, None] for c in zip(*(g[:4] for g in groups)))
+    h_space, h_time, snap = (np.repeat([g[i] for g in groups], sizes)[:, None] for i in (4, 5, 6))
+    dt = t - (s + (0.5 * h_time * nodes)[:, :, None])
+    dt = np.where(dt >= snap[:, :, None], dt, 0.0)
+    y = y + (0.5 * h_space * nodes)[:, None, :]
+    factor = u_tilde(params, x, y, dt) if weighted else heat_kernel_1d(x, y, dt)
+    return np.split(np.mean(factor, axis=-1), np.cumsum(sizes)[:-1])
 
 
-def _constraint_matrix(
-    params: KernelParams,
-    cons_sp: np.ndarray,
-    cons_t: np.ndarray,
-    atom_sp: np.ndarray,
-    atom_t: np.ndarray,
-    h_space: float,
-    h_time: float,
-) -> tuple[np.ndarray, int]:
-    """Constraint matrix rows x atoms and its number of near pairs, from per-axis tables.
+def _constraint_matrices(params: KernelParams, sets):
+    """Each set's constraint matrix rows x atoms and its number of near pairs, from per-axis tables.
 
+    sets holds (cons_sp, cons_t, atom_sp, atom_t, h_space, h_time) tuples.
     A far entry gathers each axis' table over (row class, atom class); a
     near entry gathers each axis' node means over the distinct class
-    pairs among the near pairs (module doc).
+    pairs among the near pairs (module doc).  Per axis, one _node_means
+    call gives the tables of all sets and one more their node means.
     """
+    n = params.n
+    plans, far, near = zip(*(_plan(params, *s) for s in sets))
+    x, _ = legendre_rule(AVG_NODES)
+    tables = [_node_means(params, k == n - 1, [f[k] for f in far], np.zeros(1)) for k in range(n)]
+    means = [_node_means(params, k == n - 1, [f[k] for f in near], x) for k in range(n)]
+    # yielded in order and popped, so no set's pairs or matrix stay referenced here
+    # while its LP runs
+    work = [(*plan, [t[i] for t in tables], [m[i] for m in means]) for i, plan in enumerate(plans)]
+    del plans, far, near, tables, means
+    while work:
+        yield _assemble(*work.pop(0))
+
+
+def _plan(params: KernelParams, cons_sp, cons_t, atom_sp, atom_t, h_space: float, h_time: float):
+    """One set's near pairs and classes, and the pairs of its far tables and node means per axis."""
     # collar times may collide with a lattice slice up to rounding; a
     # dt of a few ulps would otherwise produce a spurious huge entry
     snap = 1e-9 * h_time
-    near = np.abs(cons_t[:, None] - atom_t[None, :]) <= NEAR_CELLS * h_time
+    close = np.abs(cons_t[:, None] - atom_t[None, :]) <= NEAR_CELLS * h_time
     # one axis at a time, so no (rows, atoms, n) temporary is built
     for k in range(params.n):
-        near &= np.abs(cons_sp[:, None, k] - atom_sp[None, :, k]) <= NEAR_CELLS * h_space
-    js, is_ = np.nonzero(near)
-    del near
-    x, _ = legendre_rule(AVG_NODES)
-    off = 0.5 * h_space * x
-    off_t = 0.5 * h_time * x
+        close &= np.abs(cons_sp[:, None, k] - atom_sp[None, :, k]) <= NEAR_CELLS * h_space
+    js, is_ = np.nonzero(close)
+    del close
     row_times, row_ti = np.unique(cons_t, return_inverse=True)
     atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
-    centre = np.zeros(1)
-    cells = np.ones((len(js), len(off_t)))
+    axes, far, near = [], [], []
     for k in range(params.n):
-        weighted = k == params.n - 1
         rc, rx, rt = _axis_classes(cons_sp[:, k], row_ti, row_times)
         ac, ax, at = _axis_classes(atom_sp[:, k], atom_ti, atom_times)
-        table = _node_means(
-            params, weighted, rx[:, None], rt[:, None], ax, at, centre, centre, snap
-        )
+        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
+        p, q = np.divmod(pairs, len(ax))
+        i, j = np.divmod(np.arange(len(rx) * len(ax)), len(ax))
+        far.append((rx[i], rt[i], ax[j], at[j], h_space, h_time, snap))
+        near.append((rx[p], rt[p], ax[q], at[q], h_space, h_time, snap))
+        axes.append((rc, ac, len(ax), pair))
+    return (js, is_, axes), far, near
+
+
+def _assemble(js, is_, axes, tables, means) -> tuple[np.ndarray, int]:
+    """One set's matrix from its per-axis far tables and near node means."""
+    cells = np.ones((len(js), AVG_NODES))
+    for k, ((rc, ac, width, pair), table, mean) in enumerate(zip(axes, tables, means)):
         # gather the columns of the small table, then copy whole rows
-        factor = table[:, ac, 0][rc]
+        factor = table.reshape(-1, width)[:, ac][rc]
         if k == 0:
             A = factor
         else:
             A *= factor
         del factor
-        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
-        p, q = np.divmod(pairs, len(ax))
-        cells *= _node_means(params, weighted, rx[p], rt[p], ax[q], at[q], off, off_t, snap)[pair]
+        cells *= mean[pair]
     A[js, is_] = np.mean(cells, axis=-1)
     return A, len(js)
 
@@ -285,13 +304,14 @@ def check_fits(need: float, what: str) -> None:
         )
 
 
-def check_matrix_fits(atoms: float) -> None:
-    """Raise ValueError if capacity_lp's dense work for this many atoms exceeds physical memory.
+def check_matrix_fits(orbits: float, atoms: float) -> None:
+    """Raise ValueError if capacity_lp's dense work on atoms in orbits exceeds physical memory.
 
-    The full matrix is 2 atoms rows (set and collar) by atoms columns of
-    float64, and capacity_lp's peak is at most about MATRIX_COPIES times that.
+    capacity_lp builds the set and collar rows of one atom per orbit over
+    all atoms, 2 orbits x atoms float64 entries, and its peak is at most
+    about MATRIX_COPIES times that.
     """
-    check_fits(MATRIX_COPIES * 16.0 * atoms * atoms, f"capacity matrix for {atoms:.4g} atoms")
+    check_fits(MATRIX_COPIES * 16.0 * orbits * atoms, f"capacity matrix for {atoms:.4g} atoms")
 
 
 class LPResult(NamedTuple):
@@ -386,80 +406,83 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
     raise RuntimeError(f"capacity LP did not converge in {LP_MAX_ITERATIONS} iterations")
 
 
-def capacity_lp(
-    params: KernelParams,
-    set_spatial,
-    set_times,
-    h_space: float,
-    h_time: float,
-    tol: float = 1e-8,
-) -> CapacityResult:
-    """Equilibrium-measure LP: max total mass s.t. potential <= 1.
+def capacity_lp(params: KernelParams, lattices, tol: float = 1e-8) -> list[CapacityResult]:
+    """Equilibrium-measure LP of each lattice: max total mass s.t. potential <= 1.
 
-    set_spatial (m, n) and set_times (m,) are the atom locations; each
-    atom is the centre of a cell of spatial side h_space and time extent
-    h_time, both positive: capacity_lp(params, *lattice) takes a
-    quadrature.Lattice as it stands.  The constraint set is the atoms
-    themselves plus a collar copy shifted one cell up in time.  Free axes
-    whose reflection maps the atoms onto themselves fold the LP to one
-    column per orbit of atoms (mirror_axes, lp_cols), and the LP gets the
-    rows of the folded set that can bind: rows of zeros and set rows that
-    a collar row bounds entrywise are left out (module doc), and lp_rows
-    and dropped_rows count the two parts.  The orbit's mass is spread
-    evenly over its atoms.  max_constraint_violation is the largest
-    potential minus 1 over the built rows, dropped or not, which by the
-    symmetry carry every row's potential.
-    A side that is not positive (0, negative or NaN) raises ValueError.
+    lattices is a sequence of quadrature.Lattice (spatial (m, n), times
+    (m,), h_space, h_time), one CapacityResult each; each atom is the
+    centre of a cell of spatial side h_space and time extent h_time, both
+    positive.  The constraint set is the atoms themselves plus a collar
+    copy shifted one cell up in time.  Free axes whose reflection maps
+    the atoms onto themselves fold the LP to one column per orbit of
+    atoms (mirror_axes, lp_cols), and the LP gets the rows of the folded
+    set that can bind: rows of zeros and set rows that a collar row
+    bounds entrywise are left out (module doc), and lp_rows and
+    dropped_rows count the two parts.  The orbit's mass is spread evenly
+    over its atoms.  max_constraint_violation is the largest potential
+    minus 1 over the built rows, dropped or not, which by the symmetry
+    carry every row's potential.  An empty set or a side that is not
+    positive (0, negative or NaN) raises ValueError.
     """
-    atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
-    atom_t = np.asarray(set_times, dtype=float)
-    if len(atom_t) == 0:
-        raise ValueError("set_points must be nonempty")
-    if not (h_space > 0.0 and h_time > 0.0):
-        raise ValueError(f"cell sides must be positive, got {h_space!r} and {h_time!r}")
-    m = len(atom_t)
-    check_matrix_fits(m)
-    orbit, reps, axes, twin = _lattice_symmetry(params.n, atom_sp, atom_t, h_space, h_time)
-    cols = len(reps)
-    sizes = np.bincount(orbit)
-    # the set and collar rows of each orbit's first atom, over the atoms sorted
-    # by orbit, so that each orbit's columns sit next to each other
-    order, rep_t = np.argsort(orbit, kind="stable"), atom_t[reps]
-    F, near_pairs = _constraint_matrix(
-        params, np.tile(atom_sp[reps], (2, 1)), np.concatenate([rep_t, rep_t + h_time]),
-        atom_sp[order], atom_t[order], h_space, h_time,
-    )
-    if cols < m:
-        F = np.add.reduceat(F, np.cumsum(sizes) - sizes, axis=1) / sizes
-    # a row of zeros adds nothing to the potential, and a set row that a collar
-    # row bounds entrywise holds whenever that collar row does (x >= 0): its own
-    # collar row, or its twin's, which observes the same point at the same time
-    keep = np.any(F > 0.0, axis=1)
-    keep[:cols] &= ~np.all(F[cols:] >= F[:cols], axis=1)
-    paired = np.flatnonzero(twin >= 0)
-    keep[paired] &= ~np.all(F[cols + twin[paired]] >= F[paired], axis=1)
-    lp_A, rest = F[keep], F[~keep]
-    del F
-    x, nit = linprog(A_ub=lp_A, tol=tol)
-    masses = x[orbit] / sizes[orbit]
-    # a mirror image of a built row has its potential under orbit-constant masses,
-    # and a folded row times x is its unfolded row times masses; the transpose of
-    # a C-ordered part is Fortran-ordered, so scipy's dgemv (the BLAS linprog
-    # used) reads it without a copy
-    violation = max(
-        float(np.max(dgemv(1.0, part.T, x, trans=1))) for part in (lp_A, rest) if len(part)
-    ) - 1.0
-    return CapacityResult(
-        cap_estimate=float(np.sum(masses)),
-        equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
-        max_constraint_violation=violation,
-        lp_rows=len(lp_A),
-        lp_cols=cols,
-        dropped_rows=len(keep) - len(lp_A),
-        mirror_axes=axes,
-        near_pairs=near_pairs,
-        lp_iterations=nit,
-    )
+    sets, builds = [], []
+    for set_spatial, set_times, h_space, h_time in lattices:
+        atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
+        atom_t = np.asarray(set_times, dtype=float)
+        if len(atom_t) == 0:
+            raise ValueError("set_points must be nonempty")
+        if not (h_space > 0.0 and h_time > 0.0):
+            raise ValueError(f"cell sides must be positive, got {h_space!r} and {h_time!r}")
+        orbit, reps, axes, twin = _lattice_symmetry(params.n, atom_sp, atom_t, h_space, h_time)
+        check_matrix_fits(len(reps), len(atom_t))
+        # the set and collar rows of each orbit's first atom, over the atoms sorted
+        # by orbit, so that each orbit's columns sit next to each other
+        order, rep_t = np.argsort(orbit, kind="stable"), atom_t[reps]
+        builds.append(
+            (np.tile(atom_sp[reps], (2, 1)), np.concatenate([rep_t, rep_t + h_time]),
+             atom_sp[order], atom_t[order], h_space, h_time)
+        )
+        sets.append((atom_sp, atom_t, orbit, axes, twin))
+    matrices = _constraint_matrices(params, builds)
+    results = []
+    for atom_sp, atom_t, orbit, axes, twin in sets:
+        F, near_pairs = next(matrices)
+        sizes = np.bincount(orbit)
+        cols = len(sizes)
+        if cols < len(atom_t):
+            F = np.add.reduceat(F, np.cumsum(sizes) - sizes, axis=1) / sizes
+        # a row of zeros adds nothing to the potential, and a set row that a collar
+        # row bounds entrywise holds whenever that collar row does (x >= 0): its own
+        # collar row, or its twin's, which observes the same point at the same time
+        keep = np.any(F > 0.0, axis=1)
+        keep[:cols] &= ~np.all(F[cols:] >= F[:cols], axis=1)
+        paired = np.flatnonzero(twin >= 0)
+        keep[paired] &= ~np.all(F[cols + twin[paired]] >= F[paired], axis=1)
+        lp_A, rest = F[keep], F[~keep]
+        del F
+        x, nit = linprog(A_ub=lp_A, tol=tol)
+        masses = x[orbit] / sizes[orbit]
+        # a mirror image of a built row has its potential under orbit-constant masses,
+        # and a folded row times x is its unfolded row times masses; the transpose of
+        # a C-ordered part is Fortran-ordered, so scipy's dgemv (the BLAS linprog
+        # used) reads it without a copy
+        violation = max(
+            float(np.max(dgemv(1.0, part.T, x, trans=1))) for part in (lp_A, rest) if len(part)
+        ) - 1.0
+        results.append(
+            CapacityResult(
+                cap_estimate=float(np.sum(masses)),
+                equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
+                max_constraint_violation=violation,
+                lp_rows=len(lp_A),
+                lp_cols=cols,
+                dropped_rows=len(keep) - len(lp_A),
+                mirror_axes=axes,
+                near_pairs=near_pairs,
+                lp_iterations=nit,
+            )
+        )
+        del lp_A, rest
+    return results
 
 
 def lp_report(res: CapacityResult | None) -> dict:

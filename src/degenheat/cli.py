@@ -273,16 +273,18 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     density = _count(config.raw.get("density", 16), "capacity density")
     # the LP stops at this relative duality gap, so it must be below 1
     tol = _number(config.raw.get("tol", 1e-8), "tol", 0.0, 1.0)
-    # the fine level has the most atoms: density^n per slice, density slices for a box;
-    # a float product overflows to inf instead of raising, so a huge density exits 2
-    check_matrix_fits(math.prod([2.0 * density] * (params.n + (kind == "box"))))
+    # the fine level has the most atoms: density^n per slice, density slices for a box,
+    # and at best its free axes fold them to atoms / 2^(n-1) orbits; a float product
+    # overflows to inf instead of raising, so a huge density exits 2
+    atoms = math.prod([2.0 * density] * (params.n + (kind == "box")))
+    check_matrix_fits(atoms / 2 ** (params.n - 1), atoms)
 
     def run(dens: int) -> CapacityResult:
         if kind == "flat":
             lattice = flat_lattice(box.lo, box.hi, tau, dens)
         else:
             lattice = box_lattice(box.lo, box.hi, box.t0, box.t1, dens)
-        return capacity_lp(params, *lattice, tol=tol)
+        return capacity_lp(params, [lattice], tol=tol)[0]
 
     pair = [density, 2 * density]
     levels = [run(dens) for dens in pair]

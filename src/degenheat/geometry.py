@@ -9,7 +9,10 @@ which is strictly decreasing in r, so balls nest.  Shells are the
 closed regions between consecutive level surfaces theta(lambda^k) and
 theta(lambda^{k+1}).  Sampling is by a deterministic lattice inside a
 bounding box derived from the a = 0 ball and grown until its boundary
-is clean.
+is clean.  heat_ball_samples samples concentric balls (the outer balls
+of a Wiener series' shells) in one pass, one kernel call per round for
+all of them; HeatBall.bounding_box and heat_ball_sample are that pass on
+one ball.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import Lattice, box_lattice, tensor_rule
+from .quadrature import BATCH_POINTS, Lattice, box_lattice, chunks, tensor_rule
 
 
 def heat_ball_threshold(params: KernelParams, x0: float, r: float) -> float:
@@ -49,64 +52,99 @@ class HeatBall:
     def threshold(self) -> float:
         return heat_ball_threshold(self.params, self.center.x, self.r)
 
-    def contains_vec(self, spatial, t) -> np.ndarray:
+    def contains_vec(self, spatial, t, threshold=None) -> np.ndarray:
+        """Points where Gamma(centre; point) exceeds the threshold, by default the ball's.
+
+        A threshold per point tests each against its own concentric ball.
+        """
         gam = gamma_fs_vec(
             self.params, self.center.spatial, self.center.t, spatial, t
         )
-        return gam > self.threshold
+        return gam > (self.threshold if threshold is None else threshold)
 
     def bounding_box(self) -> tuple[float, float]:
-        """(time depth below t0, spatial radius) certified to contain the ball.
-
-        Starts from the exact a = 0 box (depth r, radius^2 = 2 n r / e)
-        inflated by the (1 + x0^2/r)^{|a|/2} weight correction and a
-        safety factor, then grows until a boundary sweep finds no
-        members.
-        """
-        n, a = self.params.n, self.params.a
-        inflate = (1.0 + self.center.x ** 2 / self.r) ** (abs(a) / 2.0)
-        # the profile factor F contributes at most a power |s|^{|a|/2}
-        # relative to the Gaussian; 2.0 covers it at these scales
-        safety = 2.0
-        depth = self.r * inflate * safety
-        radius = math.sqrt(2.0 * n * self.r / math.e) * inflate * safety
-        for _ in range(60):
-            if not self._boundary_hit(depth, radius):
-                return depth, radius
-            depth *= 1.3
-            radius *= 1.3
-        raise RuntimeError("heat ball bounding box failed to stabilize")
-
-    def _boundary_hit(self, depth: float, radius: float, m: int = 9) -> bool:
-        c_sp = self.center.spatial
-        t0 = self.center.t
-        n = self.params.n
-        offs = np.linspace(-radius, radius, m)
-        pts = tensor_rule([offs] * n + [np.linspace(t0 - depth, t0 - depth * 1e-12, m)])
-        on_face = np.zeros(len(pts), dtype=bool)
-        for i in range(n):
-            on_face |= np.abs(np.abs(pts[:, i]) - radius) < 1e-12
-        on_face |= np.abs(pts[:, -1] - (t0 - depth)) < 1e-12
-        pts = pts[on_face]
-        spatial = pts[:, :n] + c_sp
-        return bool(np.any(self.contains_vec(spatial, pts[:, -1])))
+        """(time depth below t0, spatial radius) certified to contain the ball."""
+        depth, radius = _bounding_boxes([self])
+        return float(depth[0]), float(radius[0])
 
 
-def heat_ball_sample(ball: HeatBall, density: int) -> Lattice:
-    """The atoms of the ball's box lattice that lie inside the ball.
+def _bounding_boxes(balls: list[HeatBall]) -> tuple[np.ndarray, np.ndarray]:
+    """(time depth below t0, spatial radius) of boxes certified to contain the balls.
 
-    The box is the bounding box below the centre, with density cells
-    per axis; the returned Lattice keeps its cell sides.
+    The balls share the first one's centre and params.  Each box starts
+    from the exact a = 0 box (depth r, radius^2 = 2 n r / e) inflated by
+    the (1 + x0^2/r)^{|a|/2} weight correction and a safety factor, then
+    grows by 1.3 while a face probe (9 per axis) lies in its ball; one
+    kernel call per round tests the boxes still growing.
+    """
+    ball = balls[0]
+    n, a = ball.params.n, ball.params.a
+    c_sp, t0 = ball.center.spatial, ball.center.t
+    # the profile factor F contributes at most a power |s|^{|a|/2}
+    # relative to the Gaussian; a safety factor of 2.0 covers it at these scales
+    inflate = [(1.0 + ball.center.x ** 2 / b.r) ** (abs(a) / 2.0) * 2.0 for b in balls]
+    depth = np.array([b.r * f for b, f in zip(balls, inflate)])
+    radius = np.array([math.sqrt(2.0 * n * b.r / math.e) * f for b, f in zip(balls, inflate)])
+    threshold = np.array([b.threshold for b in balls])
+    # the grid points with a spatial index at either end or the time index at the bottom
+    grid = tensor_rule([np.arange(9)] * (n + 1))
+    face = grid[np.any(grid[:, :n] % 8 == 0, axis=1) | (grid[:, n] == 0)]
+    growing = np.arange(len(balls))
+    for _ in range(60):
+        offs = np.linspace(-radius[growing], radius[growing], 9, axis=-1)
+        times = np.linspace(t0 - depth[growing], t0 - depth[growing] * 1e-12, 9, axis=-1)
+        hit = ball.contains_vec(
+            offs[:, face[:, :n]] + c_sp, times[:, face[:, n]], threshold[growing, None]
+        )
+        growing = growing[np.any(hit, axis=1)]
+        if not len(growing):
+            return depth, radius
+        depth[growing] *= 1.3
+        radius[growing] *= 1.3
+    raise RuntimeError("heat ball bounding box failed to stabilize")
+
+
+def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[Lattice]:
+    """The atoms of each ball's box lattice that lie inside the ball.
+
+    The balls share the first one's centre and params.  Each box is the
+    ball's bounding box below the centre, with density cells per axis; a
+    lattice without a member is tried again at twice the density, up to
+    tries densities.  Each round tests the lattices of all balls still
+    empty in kernel calls of about BATCH_POINTS points.  The returned
+    Lattices keep their cell sides.
     """
     if density <= 0:
         raise ValueError("density must be positive")
-    depth, radius = ball.bounding_box()
+    depth, radius = _bounding_boxes(balls)
+    ball = balls[0]
     c_sp, t0 = ball.center.spatial, ball.center.t
-    box = box_lattice(c_sp - radius, c_sp + radius, t0 - depth, t0, density)
-    mask = ball.contains_vec(box.spatial, box.times)
-    if not np.any(mask):
-        raise RuntimeError("no heat-ball samples found; density too low")
-    return box._replace(spatial=box.spatial[mask], times=box.times[mask])
+    samples: list = [None] * len(balls)
+    for attempt in range(tries):
+        empty = [i for i, s in enumerate(samples) if s is None]
+        dens = density * 2**attempt
+        # built one chunk at a time: a lattice has dens^(n+1) atoms
+        for c0, c1 in chunks([dens ** (ball.params.n + 1)] * len(empty), BATCH_POINTS):
+            part = [
+                box_lattice(c_sp - radius[i], c_sp + radius[i], t0 - depth[i], t0, dens)
+                for i in empty[c0:c1]
+            ]
+            inside = ball.contains_vec(
+                np.concatenate([box.spatial for box in part]),
+                np.concatenate([box.times for box in part]),
+                np.repeat([balls[i].threshold for i in empty[c0:c1]], len(part[0].times)),
+            )
+            for i, box, mask in zip(empty[c0:c1], part, np.split(inside, len(part))):
+                if np.any(mask):
+                    samples[i] = box._replace(spatial=box.spatial[mask], times=box.times[mask])
+    if any(s is None for s in samples):
+        raise RuntimeError(f"no heat-ball samples found at density {density * 2 ** (tries - 1)}")
+    return samples
+
+
+def heat_ball_sample(ball: HeatBall, density: int) -> Lattice:
+    """The atoms of the ball's box lattice at this density that lie inside the ball."""
+    return heat_ball_samples([ball], density, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -144,9 +182,6 @@ class Shell:
         )
         lo, hi = self.thresholds()
         return (gam >= lo) & (gam <= hi)
-
-    def outer_ball(self) -> HeatBall:
-        return HeatBall(self.center, self.outer_radius, self.params)
 
 
 @dataclass(frozen=True)

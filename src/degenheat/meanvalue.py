@@ -16,14 +16,12 @@ import numpy as np
 from .geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from .kernel import gamma_fs_vec, gamma_grad_y_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import gauss_legendre, graded_breakpoints, legendre_rule, weighted_rule
+from .quadrature import BATCH_POINTS, chunks, gauss_legendre, graded_breakpoints
+from .quadrature import legendre_rule, weighted_rule
 
 TOP_BUFFER = 1e-4
 # y-points per depth in the slice scan of _y_intervals
 SCAN_POINTS = 801
-# points per batched kernel call in _slab_integral; bounds its memory,
-# since the points of a whole slab grow like density^(n+2)
-BATCH_POINTS = 2**17
 
 
 def _section_radius2(
@@ -157,21 +155,6 @@ def _runs(labels: np.ndarray):
     return zip(edges[:-1], edges[1:])
 
 
-def _chunks(sizes, budget: int):
-    """(start, stop) of consecutive items whose sizes sum to at most budget.
-
-    An item larger than the budget forms a chunk of its own.
-    """
-    start, total = 0, 0
-    for i, size in enumerate(sizes):
-        if total + size > budget and i > start:
-            yield start, i
-            start, total = i, 0
-        total += size
-    if len(sizes) > start:
-        yield start, len(sizes)
-
-
 def _slab_integral(
     params: KernelParams,
     u,
@@ -203,7 +186,7 @@ def _slab_integral(
     deltas = np.concatenate([d for d, _ in rules])
     wds = np.concatenate([w for _, w in rules])
     intervals = []
-    for g0, g1 in _chunks([SCAN_POINTS] * len(deltas), BATCH_POINTS):
+    for g0, g1 in chunks([SCAN_POINTS] * len(deltas), BATCH_POINTS):
         intervals += _y_intervals(params, xi0, log_theta, deltas[g0:g1], y_lo, y_hi)
     # one y-rule per (depth node, interval), in node order
     slices = [
@@ -223,7 +206,7 @@ def _slab_integral(
     acc = np.zeros(len(deltas))
     runs = list(_runs(node))
     row_points = m if n == 2 else 2 * m * m
-    for c0, c1 in _chunks([(s1 - s0) * row_points for s0, s1 in runs], BATCH_POINTS):
+    for c0, c1 in chunks([(s1 - s0) * row_points for s0, s1 in runs], BATCH_POINTS):
         at = slice(runs[c0][0], runs[c1 - 1][1])
         _add_slices(params, u, xi0, deltas, m, sid[at], node[at], yn[at], yw[at], rad[at], acc)
     total = 0.0

@@ -56,11 +56,30 @@ def tensor_rule(nodes, weights=None):
     return points, prod
 
 
+# points per batched kernel call of meanvalue's slab quadrature and geometry's
+# sampling; bounds their memory, as the points grow like density^(n+2), ^(n+1)
+BATCH_POINTS = 2**17
+
+
+def chunks(sizes, budget: int):
+    """(start, stop) of consecutive items whose sizes sum to at most budget.
+
+    An item larger than the budget forms a chunk of its own.
+    """
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > budget and i > start:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if len(sizes) > start:
+        yield start, len(sizes)
+
+
 class Lattice(NamedTuple):
     """Atoms of a space-time set: the centres of cells of side h_space and time extent h_time.
 
-    spatial is (m, n) and times (m,).  Unpacks as the positional
-    arguments of capacity_lp after params.
+    spatial is (m, n) and times (m,).  capacity_lp takes a sequence of them.
     """
 
     spatial: np.ndarray

@@ -5,7 +5,9 @@ of the domain inside the Gamma-level shell A(xi0, lambda^k), scaled by
 lambda^{-k(n+a)/2} (1 + x0^2/lambda^k)^{-a/2}, which is (4 pi)^{(n+a)/2}
 times the heat-ball threshold theta(lambda^k).  Divergence of the
 series marks the boundary point as regular; any finite-k verdict is
-heuristic and the thresholds are surfaced in the report.
+heuristic and the thresholds are surfaced in the report.  The shells of
+one lambda are sampled in one pass (geometry.heat_ball_samples) and
+their LPs built from one capacity_lp call.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import CapacityResult, capacity_lp, lp_report
-from .geometry import Shell, heat_ball_sample, heat_ball_threshold
+from .geometry import HeatBall, Shell, heat_ball_samples, heat_ball_threshold
 from .params import KernelParams, SpaceTimePoint
 
 TERM_FLOOR = 1e-12
@@ -150,38 +152,43 @@ def shell_weight(params: KernelParams, x0: float, lam: float, k: int) -> float:
 
 
 def shell_term(
+    params: KernelParams, x0: float, lam: float, k: int, res: CapacityResult | None
+) -> tuple[float, float, CapacityResult | None]:
+    """(capacity of the domain complement in shell k, weighted term, its LP) from the shell's LP.
+
+    res is None when the shell holds no atom of the complement.
+    """
+    if res is None:
+        return 0.0, 0.0, None
+    return res.cap_estimate, res.cap_estimate * shell_weight(params, x0, lam, k), res
+
+
+def shell_terms(
     params: KernelParams,
     xi0: SpaceTimePoint,
     lam: float,
-    k: int,
+    ks,
     domain: DomainDescriptor,
     density: int = 10,
-) -> tuple[float, float, CapacityResult | None]:
-    """(capacity of the domain complement in shell k, weighted term, its LP).
+) -> list[tuple[float, float, CapacityResult | None]]:
+    """shell_term of each shell k in ks, from one sampling pass and one capacity_lp call.
 
-    The LP result is None when the shell holds no atom of the complement.
+    A shell keeps the atoms of its outer ball's lattice in the shell and
+    outside the domain; the lattice doubles its density up to three times
+    while it is empty (the certified bounding box is loose for deep shells).
     """
-    shell = Shell(xi0, lam, k, params)
-    # the certified bounding box is loose for deep shells; densify the
-    # lattice until the ball is actually hit
-    dens = density
-    for _ in range(4):
-        try:
-            sample = heat_ball_sample(shell.outer_ball(), dens)
-            break
-        except RuntimeError:
-            dens *= 2
-    else:
-        raise RuntimeError("shell lattice stayed empty after densification")
-    keep = shell.contains_vec(sample.spatial, sample.times)
-    keep &= ~domain.contains_vec(sample.spatial, sample.times)
-    if not np.any(keep):
-        return 0.0, 0.0, None
-    res = capacity_lp(
-        params, sample.spatial[keep], sample.times[keep], sample.h_space, sample.h_time
-    )
-    weight = shell_weight(params, xi0.x, lam, k)
-    return res.cap_estimate, res.cap_estimate * weight, res
+    shells = [Shell(xi0, lam, k, params) for k in ks]
+    balls = [HeatBall(xi0, shell.outer_radius, params) for shell in shells]
+    sets = []
+    for shell, sample in zip(shells, heat_ball_samples(balls, density, 4)):
+        keep = shell.contains_vec(sample.spatial, sample.times)
+        keep &= ~domain.contains_vec(sample.spatial, sample.times)
+        sets.append(sample._replace(spatial=sample.spatial[keep], times=sample.times[keep]))
+    results = iter(capacity_lp(params, [s for s in sets if len(s.times)]))
+    return [
+        shell_term(params, xi0.x, lam, k, next(results) if len(s.times) else None)
+        for k, s in zip(ks, sets)
+    ]
 
 
 @dataclass(frozen=True)
@@ -257,8 +264,8 @@ def wiener_series(
         rows = []
         acc = 0.0
         sums = []
-        for k in range(1, k_max + 1):
-            cap, term, res = shell_term(params, xi0, lam_val, k, domain, density)
+        ks = range(1, k_max + 1)
+        for k, (cap, term, res) in zip(ks, shell_terms(params, xi0, lam_val, ks, domain, density)):
             weight = shell_weight(params, xi0.x, lam_val, k)
             rows.append({"k": k, "cap": cap, "weight": weight, "term": term, "lp": lp_report(res)})
             acc += term
@@ -267,13 +274,13 @@ def wiener_series(
 
     rows, sums = run(lam)
     verdict = classify_terms([row["term"] for row in rows])
-    sweep_verdicts = {}
+    # a sweep value equal to lambda, or repeated, is sampled and solved once
+    sweep_verdicts = {lam: verdict}
     for lam_val in sweep:
-        if lam_val == lam:
-            sweep_verdicts[lam_val] = verdict
-            continue
-        srows, _ = run(lam_val)
-        sweep_verdicts[lam_val] = classify_terms([row["term"] for row in srows])
+        if lam_val not in sweep_verdicts:
+            srows, _ = run(lam_val)
+            sweep_verdicts[lam_val] = classify_terms([row["term"] for row in srows])
+    sweep_verdicts = {lam_val: sweep_verdicts[lam_val] for lam_val in sweep}
     return WienerReport(
         lam=lam,
         terms=rows,

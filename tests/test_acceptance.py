@@ -190,7 +190,7 @@ def test_criterion_08_capacity_oracle():
         caps = []
         for d in (16, 32):
             lattice = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, d)
-            caps.append(capacity_lp(params, *lattice).cap_estimate)
+            caps.append(capacity_lp(params, [lattice])[0].cap_estimate)
         rich = 2.0 * caps[1] - caps[0]
         worst = max(worst, abs(rich - exact) / exact)
     report(8, "flat-set capacity vs weighted-volume oracle", worst <= 0.02, f"worst={worst:.2%}")
@@ -210,24 +210,24 @@ def test_criterion_09_capacity_axioms():
         in2 = np.all((pts >= lo2) & (pts <= hi2), axis=1)
         if not (np.any(in1) and np.any(in2)):
             continue
-        cap1 = capacity_lp(PARAMS, pts[in1], times[in1], h, ht).cap_estimate
-        cap2 = capacity_lp(PARAMS, pts[in2], times[in2], h, ht).cap_estimate
+        cap1 = capacity_lp(PARAMS, [(pts[in1], times[in1], h, ht)])[0].cap_estimate
+        cap2 = capacity_lp(PARAMS, [(pts[in2], times[in2], h, ht)])[0].cap_estimate
         both = in1 | in2
-        cap_u = capacity_lp(PARAMS, pts[both], times[both], h, ht).cap_estimate
+        cap_u = capacity_lp(PARAMS, [(pts[both], times[both], h, ht)])[0].cap_estimate
         if cap_u > cap1 + cap2 + tol * (1 + cap_u) or cap_u < cap1 * (1 - 1e-4):
             ok = False
             detail = f"subadd/mono broke: {cap_u:.4f} vs {cap1:.4f}+{cap2:.4f}"
             break
     # time reflection
     sp, tm, hs, ht = box_lattice([0.2, 0.3], [0.6, 0.7], -0.4, -0.1, 6)
-    cap_f = capacity_lp(PARAMS, sp, tm, hs, ht).cap_estimate
-    cap_r = capacity_lp(PARAMS, sp, -tm, hs, ht).cap_estimate
+    cap_f = capacity_lp(PARAMS, [(sp, tm, hs, ht)])[0].cap_estimate
+    cap_r = capacity_lp(PARAMS, [(sp, -tm, hs, ht)])[0].cap_estimate
     refl = abs(cap_f - cap_r) / cap_f
     # single-point decay under diagonal refinement
     caps = [
         capacity_lp(
-            PARAMS, np.array([[0.5, 0.7]]), np.array([-0.2]), h0, h0 * h0
-        ).cap_estimate
+            PARAMS, [(np.array([[0.5, 0.7]]), np.array([-0.2]), h0, h0 * h0)]
+        )[0].cap_estimate
         for h0 in (0.2, 0.1, 0.05, 0.025)
     ]
     decay = all(b < a for a, b in zip(caps, caps[1:])) and caps[-1] <= 0.1 * caps[0]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenheat import capacity
+from degenheat import capacity, cli
 from degenheat.capacity import (
     AVG_NODES,
     NEAR_CELLS,
@@ -22,7 +22,7 @@ from degenheat.capacity import (
     linprog,
     weighted_ball_volume,
 )
-from degenheat.kernel import gamma_fs_vec
+from degenheat.kernel import gamma_fs_vec, heat_kernel_1d, u_tilde
 from degenheat.params import KernelParams
 from degenheat.quadrature import box_lattice, flat_lattice, legendre_rule, tensor_rule
 
@@ -54,7 +54,7 @@ def test_flat_set_lp_refines_toward_oracle():
     exact = flat_set_capacity(params, [-1, -1], [1, 1])
     caps = []
     for d in (8, 16):
-        res = capacity_lp(params, *flat_lattice([-1, -1], [1, 1], 0.0, d))
+        res = capacity_lp(params, [flat_lattice([-1, -1], [1, 1], 0.0, d)])[0]
         assert res.max_constraint_violation <= 1e-6
         caps.append(res.cap_estimate)
     # discrete capacity overestimates and decreases under refinement
@@ -65,7 +65,7 @@ def test_flat_set_lp_refines_toward_oracle():
 
 def test_box_lp_equilibrium_properties():
     sp, ts, hs, ht = box_lattice([-0.5, -0.5], [0.5, 0.5], 0.0, 0.5, 8)
-    res = capacity_lp(PARAMS, sp, ts, hs, ht)
+    res = capacity_lp(PARAMS, [(sp, ts, hs, ht)])[0]
     assert isinstance(res, CapacityResult)
     assert res.cap_estimate > 0.0
     assert res.max_constraint_violation <= 1e-6
@@ -81,18 +81,18 @@ def test_box_lp_equilibrium_properties():
 
 def test_time_reflection_invariance():
     sp, ts, hs, ht = box_lattice([-0.5, -0.5], [0.5, 0.5], 0.0, 0.5, 6)
-    cap = capacity_lp(PARAMS, sp, ts, hs, ht).cap_estimate
-    cap_ref = capacity_lp(PARAMS, sp, -ts, hs, ht).cap_estimate
+    cap = capacity_lp(PARAMS, [(sp, ts, hs, ht)])[0].cap_estimate
+    cap_ref = capacity_lp(PARAMS, [(sp, -ts, hs, ht)])[0].cap_estimate
     assert abs(cap - cap_ref) / cap < 1e-2
 
 
 def test_monotonicity_and_subadditivity():
     sp, ts, hs, ht = box_lattice([-0.5, -0.5], [0.5, 0.5], 0.0, 0.5, 8)
-    whole = capacity_lp(PARAMS, sp, ts, hs, ht).cap_estimate
+    whole = capacity_lp(PARAMS, [(sp, ts, hs, ht)])[0].cap_estimate
     m1 = sp[:, 0] < 0.1
     m2 = sp[:, 0] > -0.1
-    c1 = capacity_lp(PARAMS, sp[m1], ts[m1], hs, ht).cap_estimate
-    c2 = capacity_lp(PARAMS, sp[m2], ts[m2], hs, ht).cap_estimate
+    c1 = capacity_lp(PARAMS, [(sp[m1], ts[m1], hs, ht)])[0].cap_estimate
+    c2 = capacity_lp(PARAMS, [(sp[m2], ts[m2], hs, ht)])[0].cap_estimate
     assert c1 <= whole + 1e-8
     assert c2 <= whole + 1e-8
     assert whole <= c1 + c2 + 1e-8
@@ -101,7 +101,8 @@ def test_monotonicity_and_subadditivity():
 def test_single_point_capacity_vanishes_under_refinement():
     caps = []
     for h in (0.2, 0.1, 0.05, 0.025):
-        res = capacity_lp(PARAMS, np.array([[0.2, 0.4]]), np.array([0.0]), h, h * h)
+        point = (np.array([[0.2, 0.4]]), np.array([0.0]), h, h * h)
+        res = capacity_lp(PARAMS, [point])[0]
         caps.append(res.cap_estimate)
     assert all(c1 > c2 for c1, c2 in zip(caps, caps[1:]))
     assert caps[-1] <= 0.1 * caps[0]
@@ -127,14 +128,14 @@ def test_cylinder_capacity_ratio_stable():
             [-rho, x0 - rho], [rho, x0 + rho], -rho * rho, 0.0, 8
         )
         inside = np.sum((sp - [0.0, x0]) ** 2, axis=1) <= rho * rho
-        cap = capacity_lp(PARAMS, sp[inside], ts[inside], hs, ht).cap_estimate
+        cap = capacity_lp(PARAMS, [(sp[inside], ts[inside], hs, ht)])[0].cap_estimate
         ratios.append(cap / weighted_ball_volume(PARAMS, rho, x0))
     assert max(ratios) / min(ratios) < 3.0
 
 
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
-        capacity_lp(PARAMS, np.zeros((0, 2)), np.zeros(0), 0.1, 0.1)
+        capacity_lp(PARAMS, [(np.zeros((0, 2)), np.zeros(0), 0.1, 0.1)])
 
 
 def test_cell_without_time_extent_rejected():
@@ -142,13 +143,13 @@ def test_cell_without_time_extent_rejected():
     sp, ts, h, _ = flat_lattice([0.0, 0.0], [1.0, 1.0], 0.0, 10)
     for h_time in (0.0, -h * h, math.nan):
         with pytest.raises(ValueError, match="positive"):
-            capacity_lp(PARAMS, sp, ts, h, h_time)
+            capacity_lp(PARAMS, [(sp, ts, h, h_time)])
 
 
 def test_oversized_matrix_rejected_before_allocation():
     # 2 x 300,000^2 float64 entries are 1.4 TB: refused before any is built
     with pytest.raises(ValueError, match="physical memory"):
-        capacity_lp(PARAMS, np.zeros((300_000, 2)), np.zeros(300_000), 0.1, 0.1)
+        capacity_lp(PARAMS, [(np.zeros((300_000, 2)), np.zeros(300_000), 0.1, 0.1)])
 
 
 # ------------------------------------------------------- constraint matrix
@@ -212,12 +213,80 @@ def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
 def test_constraint_matrix_matches_tensor_rule(n, a, kind):
     params = KernelParams(n=n, a=a)
     args = _constraint_set(n, kind)
-    A, near_pairs = capacity._constraint_matrix(params, *args)
+    A, near_pairs = next(capacity._constraint_matrices(params, [args]))
+    _check_against_tensor_rule(params, args, A, near_pairs)
+
+
+def _check_against_tensor_rule(params, args, A, near_pairs):
     ref, ref_near = _tensor_reference(params, *args)
     assert near_pairs == ref_near > 0
     assert np.array_equal(A != 0.0, ref != 0.0)
     live = ref != 0.0
     assert np.max(np.abs(A[live] - ref[live]) / ref[live]) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_constraint_matrices_match_tensor_rule(n, a):
+    # one call builds the four sets, whose cell sides differ, from shared tables:
+    # each pair takes its own set's snap and node offsets
+    params = KernelParams(n=n, a=a)
+    sets = [_constraint_set(n, kind) for kind in ("flat-h2", "box", "straddle", "scattered")]
+    built = list(capacity._constraint_matrices(params, sets))
+    assert len(built) == len(sets)
+    for args, (A, near_pairs) in zip(sets, built):
+        _check_against_tensor_rule(params, args, A, near_pairs)
+
+
+def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
+    """One set's matrix as a per-set build makes it: broadcast class tables, then node means."""
+    snap = 1e-9 * ht
+    js, is_ = np.nonzero(
+        (np.abs(cons_t[:, None] - atom_t) <= NEAR_CELLS * ht)
+        & np.all(np.abs(cons_sp[:, None] - atom_sp) <= NEAR_CELLS * hs, axis=-1)
+    )
+    x, _ = legendre_rule(AVG_NODES)
+    row_times, row_ti = np.unique(cons_t, return_inverse=True)
+    atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
+
+    def means(weighted, x, t, y, s, off, off_t):
+        x, t, y, s = (v[..., None, None] for v in (x, t, y, s))
+        dt = t - (s + off_t[:, None])
+        dt = np.where(dt >= snap, dt, 0.0)
+        kernel = u_tilde(params, x, y + off, dt) if weighted else heat_kernel_1d(x, y + off, dt)
+        return np.mean(kernel, axis=-1)
+
+    cells = np.ones((len(js), AVG_NODES))
+    A = 1.0
+    for k in range(params.n):
+        weighted = k == params.n - 1
+        rc, rx, rt = capacity._axis_classes(cons_sp[:, k], row_ti, row_times)
+        ac, ax, at = capacity._axis_classes(atom_sp[:, k], atom_ti, atom_times)
+        zero = np.zeros(1)
+        A = A * means(weighted, rx[:, None], rt[:, None], ax, at, zero, zero)[:, ac, 0][rc]
+        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
+        p, q = np.divmod(pairs, len(ax))
+        cells *= means(weighted, rx[p], rt[p], ax[q], at[q], 0.5 * hs * x, 0.5 * ht * x)[pair]
+    A[js, is_] = np.mean(cells, axis=-1)
+    return A
+
+
+def test_one_set_build_matches_per_set_reference():
+    # the folded rows of the bench's fine level (the first BENCH_CAPS config at
+    # density 32): a call on one set computes each table entry and node mean from
+    # the same values in the same order as a per-set build, so the matrix is
+    # equal to the bit, and so is everything the LP computes from it
+    params = KernelParams(n=2, a=0.20519930049117807)
+    lo = [0.3576474270731438, -0.7622185810352857]
+    sp, ts, hs, ht = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, 32)
+    orbit, reps, axes, _ = capacity._lattice_symmetry(2, sp, ts, hs, ht)
+    assert axes == (0,) and len(reps) == 512
+    order = np.argsort(orbit, kind="stable")
+    args = (np.tile(sp[reps], (2, 1)), np.concatenate([ts[reps], ts[reps] + ht]),
+            sp[order], ts[order], hs, ht)
+    A, _ = next(capacity._constraint_matrices(params, [args]))
+    assert A.shape == (1024, 1024)
+    assert np.array_equal(A, _per_set_reference(params, *args))
 
 
 def test_near_entry_profile_points(monkeypatch):
@@ -234,8 +303,7 @@ def test_near_entry_profile_points(monkeypatch):
 
     monkeypatch.setattr(capacity, "u_tilde", counted)
     params = KernelParams(n=3, a=0.3)
-    cons_sp, cons_t, sp, ts, hs, ht = _constraint_set(3, "box")
-    A, near_pairs = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, ht)
+    A, near_pairs = next(capacity._constraint_matrices(params, [_constraint_set(3, "box")]))
     assert near_pairs > 0
     assert points[0] <= A.size + 9 * near_pairs
     # a flat 32 x 32 level: the weighted axis has 32 coordinates and 2 row
@@ -244,7 +312,7 @@ def test_near_entry_profile_points(monkeypatch):
     sp, ts, hs, ht = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
     cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + ht])
     params = KernelParams(n=2, a=0.3)
-    A, _ = capacity._constraint_matrix(params, cons_sp, cons_t, sp, ts, hs, ht)
+    A, _ = next(capacity._constraint_matrices(params, [(cons_sp, cons_t, sp, ts, hs, ht)]))
     assert A.shape == (2048, 1024)
     assert points[0] <= 10_000
 
@@ -305,7 +373,7 @@ def test_bench_capacities_match_highs(a, lo, caps):
     tol = 1e-8
     for density, want in zip((16, 32), caps):
         lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, density)
-        got = capacity_lp(KernelParams(n=2, a=a), *lattice, tol=tol).cap_estimate
+        got = capacity_lp(KernelParams(n=2, a=a), [lattice], tol=tol)[0].cap_estimate
         assert abs(got - want) <= 10 * tol * want
 
 
@@ -317,9 +385,9 @@ def _full_row_reference(params, lattice):
     """
     sp, ts, hs, ht = lattice
     m = len(ts)
-    A, _ = capacity._constraint_matrix(
-        params, np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht
-    )
+    A, _ = next(capacity._constraint_matrices(
+        params, [(np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht)]
+    ))
     assert np.all(np.any(A > 0.0, axis=1))
     # same[i, j]: atom j's collar row observes atom i's point at atom i's time
     same = np.all(sp[:, None] == sp[None], axis=-1)
@@ -330,17 +398,17 @@ def _full_row_reference(params, lattice):
 
 
 def _lp_with_build_spy(monkeypatch, params, lattice, tol):
-    """capacity_lp's result and the row counts of its _constraint_matrix calls."""
-    build = capacity._constraint_matrix
+    """capacity_lp's result and the rows its _constraint_matrices calls build, one count per set."""
+    build = capacity._constraint_matrices
     rows = []
 
-    def spy(params, cons_sp, *args):
-        rows.append(len(cons_sp))
-        return build(params, cons_sp, *args)
+    def spy(params, sets):
+        rows.extend(len(cons_sp) for cons_sp, *_ in sets)
+        return build(params, sets)
 
     with monkeypatch.context() as patched:
-        patched.setattr(capacity, "_constraint_matrix", spy)
-        res = capacity_lp(params, *lattice, tol=tol)
+        patched.setattr(capacity, "_constraint_matrices", spy)
+        res = capacity_lp(params, [lattice], tol=tol)[0]
     return res, rows
 
 
@@ -370,7 +438,7 @@ def test_dominated_set_rows_leave_the_lp(a):
     cube = flat_lattice([-0.5] * 3, [0.5] * 3, 0.0, 6)
     cases.append((KernelParams(n=3, a=a), "cube", cube))
     for params, name, lattice in cases:
-        res = capacity_lp(params, *lattice, tol=tol)
+        res = capacity_lp(params, [lattice], tol=tol)[0]
         A, dominated, full = _full_row_reference(params, lattice)
         m = len(lattice[1])
         # every free axis folds in half; the LP keeps each orbit's collar row and
@@ -470,6 +538,42 @@ def test_asymmetric_lattice_does_not_fold(name, monkeypatch):
     _check_against_full_rows(res, A, full, tol)
 
 
+def test_batched_lp_matches_one_set_calls():
+    # one call on several sets moves each cap in its last bits only (the shared
+    # tables sum the profile's series to the length the whole call needs), and
+    # leaves every LP figure as a call on that set alone gives it
+    cube = FOLDED["cube-7"][1]
+    cases = [
+        (KernelParams(n=2, a=0.3), [FOLDED["square-16"][1], *ASYMMETRIC.values()]),
+        (KernelParams(n=3, a=-0.5), [cube, FOLDED["box-1x0.7"][1], _without_first_atom(cube)]),
+    ]
+    for params, lattices in cases:
+        batched = capacity_lp(params, lattices)
+        assert len(batched) == len(lattices)
+        for lattice, res in zip(lattices, batched):
+            alone = capacity_lp(params, [lattice])[0]
+            assert abs(res.cap_estimate - alone.cap_estimate) <= 1e-13 * alone.cap_estimate
+            for field in ("lp_rows", "lp_cols", "dropped_rows", "lp_iterations", "near_pairs"):
+                assert getattr(res, field) == getattr(alone, field), field
+
+
+def test_matrix_estimate_charges_built_rows(monkeypatch):
+    # a flat 16 x 16 level folds to 128 orbits: the estimate charges the 256 x 256
+    # entries built, not the full 512 x 256 matrix; the capacity command charges
+    # its fine level's best fold (atoms / 2^(n-1) orbits) before it builds a lattice
+    charged = []
+    monkeypatch.setattr(capacity, "check_fits", lambda need, what: charged.append(need))
+    res = capacity_lp(PARAMS, [flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 16)])[0]
+    assert res.lp_cols == 128
+    assert charged == [capacity.MATRIX_COPIES * 8.0 * 256 * 256]
+    charged.clear()
+    square = {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0}
+    cli.cmd_capacity(cli.RunConfig(PARAMS, {"set": square, "density": 2}))
+    # the early check on the 4 x 4 fine level, then each level's built rows
+    fold = capacity.MATRIX_COPIES * 16.0
+    assert charged == [fold * 8 * 16, fold * 2 * 4, fold * 8 * 16]
+
+
 def test_folded_level_peak_memory():
     # a flat 32 x 32 level folds to 512 orbits; building only their rows keeps
     # the peak near the bytes of the full 2048 x 1024 matrix, which building
@@ -477,7 +581,7 @@ def test_folded_level_peak_memory():
     lattice = flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32)
     tracemalloc.start()
     try:
-        res = capacity_lp(PARAMS, *lattice)
+        res = capacity_lp(PARAMS, [lattice])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from degenheat import geometry
 from degenheat.geometry import (
     BoxDomain,
     HeatBall,
     Shell,
     heat_ball_sample,
+    heat_ball_samples,
     heat_ball_threshold,
 )
 from degenheat.params import KernelParams, SpaceTimePoint
@@ -102,13 +104,39 @@ def test_sample_volume_self_convergence():
     assert err1 / vols[2] < 0.02
 
 
+@pytest.mark.parametrize("budget", [geometry.BATCH_POINTS, 200])
+def test_concentric_pass_matches_one_ball_passes(budget, monkeypatch):
+    # one pass over the outer balls of a series gives each ball the lattice its
+    # own pass gives, the deepest ones after doubling their density, whether
+    # a round tests all lattices in one kernel call or three at a time
+    monkeypatch.setattr(geometry, "BATCH_POINTS", budget)
+    params = KernelParams(n=2, a=0.3)
+    center = SpaceTimePoint(x_prime=(0.5,), x=0.7, t=0.0)
+    balls = [HeatBall(center, 0.5**k, params) for k in range(1, 9)]
+    samples = heat_ball_samples(balls, 4, 4)
+    densified = 0
+    for ball, sample in zip(balls, samples):
+        for density in (4, 8, 16, 32):
+            try:
+                alone = heat_ball_sample(ball, density)
+                break
+            except RuntimeError:
+                densified += 1
+        assert np.array_equal(sample.spatial, alone.spatial)
+        assert np.array_equal(sample.times, alone.times)
+        assert (sample.h_space, sample.h_time) == (alone.h_space, alone.h_time)
+    assert densified > 0
+    with pytest.raises(RuntimeError, match="no heat-ball samples found at density 4"):
+        heat_ball_samples(balls, 4, 1)
+
+
 def test_shell_two_sided_membership():
     params = KernelParams(n=2, a=0.3)
     center = SpaceTimePoint(x_prime=(0.0,), x=0.5, t=0.0)
     shell = Shell(center, lam=0.5, k=2, params=params)
     lo, hi = shell.thresholds()
     assert lo < hi
-    outer = shell.outer_ball()
+    outer = HeatBall(center, shell.outer_radius, params)
     inner = HeatBall(center, shell.inner_radius, params)
     sample = heat_ball_sample(outer, density=20)
     in_shell = shell.contains_vec(sample.spatial, sample.times)

@@ -64,3 +64,12 @@ def test_traced_names_are_on_the_cli_path(tmp_path):
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     traced = [".".join(entry) for entry in (*tracing.FUNCTIONS, *tracing.METHODS)]
     assert [name for name in traced if name not in recorded] == []
+    # per-layer accounting: the wiener job records one shell_term span per shell
+    # of each distinct lambda (a sweep value equal to lambda is not run again),
+    # and no job's capacity_lp time outside linprog is negative
+    job = next(i for i, (cmd, _) in enumerate(jobs) if cmd == "wiener")
+    cfg = SMALL_CONFIGS["wiener"]
+    shell_id = tracer.names.index("wiener.shell_term")
+    shells = sum(1 for span in tracer.spans if span[0] == shell_id and span[4] == job)
+    assert shells == len({cfg["lambda"], *cfg["sweep"]}) * cfg["k_max"]
+    assert all(m["capacity.matrix_s"] >= 0.0 for m in tracer._per_job().values())

@@ -7,11 +7,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from degenheat import geometry, wiener
+from degenheat.capacity import lp_report
 from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.wiener import (
     DomainDescriptor,
     classify_terms,
-    shell_term,
+    shell_terms,
     shell_weight,
     wiener_series,
 )
@@ -118,7 +120,7 @@ def test_full_shell_terms_constant():
     xi = P(x_prime=(0.0,), x=0.0, t=0.0)
     terms = []
     for k in range(1, 5):
-        cap, term, lp = shell_term(PARAMS, xi, 0.5, k, EMPTY, density=10)
+        cap, term, lp = shell_terms(PARAMS, xi, 0.5, [k], EMPTY, density=10)[0]
         assert cap > 0 and cap == lp.cap_estimate
         terms.append(term)
     ratios = np.array(terms[1:]) / np.array(terms[:-1])
@@ -131,25 +133,25 @@ def test_half_space_complement_terms_constant():
         ({"type": "half-space", "normal": [0.0, 0.0, -1.0], "offset": 0.0},)
     )
     xi = P(x_prime=(0.0,), x=0.0, t=0.0)
-    terms = [shell_term(PARAMS, xi, 0.5, k, dom, density=10)[1] for k in range(1, 5)]
+    terms = [shell_terms(PARAMS, xi, 0.5, [k], dom, density=10)[0][1] for k in range(1, 5)]
     ratios = np.array(terms[1:]) / np.array(terms[:-1])
     assert np.all(np.abs(ratios - 1.0) < 0.3)
 
 
 def test_shell_term_empty_intersection_and_validation():
-    cap, term, lp = shell_term(PARAMS, XI0, 0.5, 3, PAST_SLAB, density=8)
+    cap, term, lp = shell_terms(PARAMS, XI0, 0.5, [3], PAST_SLAB, density=8)[0]
     assert cap == 0.0 and term == 0.0 and lp is None
     with pytest.raises(ValueError):
-        shell_term(PARAMS, XI0, 0.5, 0, EMPTY)
+        shell_terms(PARAMS, XI0, 0.5, [0], EMPTY)
     with pytest.raises(ValueError):
-        shell_term(PARAMS, XI0, 1.5, 1, EMPTY)
+        shell_terms(PARAMS, XI0, 1.5, [1], EMPTY)
 
 
 def test_term_locality_and_monotonicity():
     # adding domain material outside the shells leaves terms unchanged;
     # enlarging the complement cannot decrease them
     k = 2
-    base_cap, _, _ = shell_term(PARAMS, XI0, 0.5, k, BOX, density=8)
+    base_cap, _, _ = shell_terms(PARAMS, XI0, 0.5, [k], BOX, density=8)[0]
     far = DomainDescriptor(
         (
             {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [0.0, 1.0]},
@@ -157,11 +159,44 @@ def test_term_locality_and_monotonicity():
         ),
         ("union",),
     )
-    far_cap, _, _ = shell_term(PARAMS, XI0, 0.5, k, far, density=8)
+    far_cap, _, _ = shell_terms(PARAMS, XI0, 0.5, [k], far, density=8)[0]
     assert far_cap == pytest.approx(base_cap, rel=1e-9)
     smaller = DomainDescriptor.box([0.4, 0.6], [0.6, 0.8], 0.0, 1.0)
-    small_cap, _, _ = shell_term(PARAMS, XI0, 0.5, k, smaller, density=8)
+    small_cap, _, _ = shell_terms(PARAMS, XI0, 0.5, [k], smaller, density=8)[0]
     assert small_cap >= base_cap * (1 - 1e-6)
+
+
+def test_series_matches_one_shell_path(monkeypatch):
+    # density 4 leaves the first lattices of the deepest shells empty, so they
+    # densify; a sweep value equal to lambda, and a repeated one, are sampled
+    # and solved once.  Batching the series moves caps in their last bits only
+    densities, passes = [], []
+    box_lattice, samples = geometry.box_lattice, wiener.heat_ball_samples
+
+    def counted_box(lo, hi, t0, t1, density):
+        densities.append(density)
+        return box_lattice(lo, hi, t0, t1, density)
+
+    def counted_pass(balls, density, tries):
+        passes.append(len(balls))
+        return samples(balls, density, tries)
+
+    monkeypatch.setattr(geometry, "box_lattice", counted_box)
+    monkeypatch.setattr(wiener, "heat_ball_samples", counted_pass)
+    rep = wiener_series(PARAMS, XI0, BOX, lam=0.5, k_max=8, density=4, sweep=(0.5, 0.3, 0.3))
+    assert passes == [8, 8]
+    assert 8 in densities
+    assert list(rep.lambda_sweep) == [0.5, 0.3]
+    assert rep.lambda_sweep[0.5] == rep.verdict
+    monkeypatch.undo()
+    for row in rep.terms:
+        cap, term, lp = shell_terms(PARAMS, XI0, 0.5, [row["k"]], BOX, density=4)[0]
+        assert row["cap"] == pytest.approx(cap, rel=1e-13)
+        assert row["term"] == pytest.approx(term, rel=1e-13)
+        want = lp_report(lp)
+        violation = want.pop("max_constraint_violation")
+        assert row["lp"].pop("max_constraint_violation") == pytest.approx(violation, abs=1e-12)
+        assert row["lp"] == want
 
 
 def test_classical_shell_pipeline():
@@ -169,7 +204,7 @@ def test_classical_shell_pipeline():
     params0 = KernelParams(n=2, a=0.0)
     xi = P(x_prime=(0.0,), x=0.0, t=0.0)
     terms = [
-        shell_term(params0, xi, 0.5, k, EMPTY, density=10)[1] for k in range(1, 5)
+        shell_terms(params0, xi, 0.5, [k], EMPTY, density=10)[0][1] for k in range(1, 5)
     ]
     ratios = np.array(terms[1:]) / np.array(terms[:-1])
     assert np.all(np.abs(ratios - 1.0) < 0.3)
