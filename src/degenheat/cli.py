@@ -143,39 +143,19 @@ def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
     points = config.raw.get("points")
     if not isinstance(points, list) or not points:
         raise ConfigError("kernel command needs a nonempty points list")
-    pairs = [(_point(p["xi"], n, "xi"), _point(p["zeta"], n, "zeta")) for p in points]
-
-    def row(pair):
-        xi, zeta = pair
-        if xi.t <= zeta.t:
-            return list(xi.spatial) + [xi.t] + list(zeta.spatial) + [zeta.t] + [0.0] * (n + 3)
-        gam = gamma_fs(config.params, xi, zeta)
-        grad = gamma_grad_y_vec(config.params, xi.spatial, xi.t, zeta.spatial, zeta.t)
-        lower, _, upper = bounds_sandwich(config.params, xi, zeta)
-        return (
-            list(xi.spatial)
-            + [xi.t]
-            + list(zeta.spatial)
-            + [zeta.t]
-            + [gam]
-            + [float(g) for g in np.ravel(grad)]
-            + [lower, upper]
-        )
-
-    rows = [row(pair) for pair in pairs]
-    bad = [i for i, r in enumerate(rows) if not all(math.isfinite(v) for v in r)]
-    if bad:
-        raise RuntimeError(f"non-finite kernel output at point {bad[0]}")
-    header = (
-        [f"xi_{i}" for i in range(n)]
-        + ["xi_t"]
-        + [f"zeta_{i}" for i in range(n)]
-        + ["zeta_t"]
-        + ["gamma"]
-        + [f"grad_{i}" for i in range(n)]
-        + ["env_lower", "env_upper"]
+    # one (pairs, n + 1) array per side, one call per quantity over all pairs
+    xi, zeta = (
+        np.array([_numbers(p[side], n + 1, side) for p in points]) for side in ("xi", "zeta")
     )
-    return {"rows": len(rows)}, {}, header, rows
+    args = (config.params, xi[:, :n], xi[:, n], zeta[:, :n], zeta[:, n])
+    lower, gam, upper = bounds_sandwich(*args)
+    rows = np.column_stack([xi, zeta, gam, gamma_grad_y_vec(*args), lower, upper])
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise RuntimeError(f"non-finite kernel output at point {bad[0]}")
+    header = [f"{side}_{i}" for side in ("xi", "zeta") for i in [*range(n), "t"]]
+    header += ["gamma", *(f"grad_{i}" for i in range(n)), "env_lower", "env_upper"]
+    return {"rows": len(rows)}, {}, header, rows.tolist()
 
 
 def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
@@ -355,6 +335,10 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
 
     rows = []
     for name, u, want in cases:
+        # a pole far from xi0 leaves the gamma case no reference; the one case
+        # runs first, so an xi0 that breaks the numerics exits 3, not 2
+        if not want > 0.0:
+            raise ConfigError("Gamma(xi0; pole) is 0: the pole gives no reference mean")
         for r in radii:
             mean = solid_mean(params, u, xi0, r, density=density)
             rows.append([name, r, mean, want, abs(mean - want) / abs(want)])
@@ -433,10 +417,6 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    for w in held:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     envelope = {
         "command": args.command,
         "config_digest": config.digest,
@@ -445,7 +425,16 @@ def main(argv=None) -> int:
         "payload": payload,
         "diagnostics": diags,
     }
-    (out / f"{args.command}.json").write_text(json.dumps(envelope, indent=2) + "\n")
+    try:  # the envelope is strict JSON: a non-finite payload or diagnostic is a failure
+        text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        print("numerical failure: non-finite value in the payload or diagnostics", file=sys.stderr)
+        return 3
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{args.command}.json").write_text(text)
     _write_csv(out / f"{args.command}.csv", header, rows)
     if args.command == "check" and payload.get("failures", 0) > 0:
         return 1

@@ -5,12 +5,16 @@ With nu = (a-1)/2 and c_na = 2^{-1-a}(4 pi)^{-(n-1)/2}, the kernel is
     Gamma(X,t;Y,tau) = c_na d^{-(n+a)/2} e^{-|X-Y|^2/(4d)} F(x y / d),
 
 for d = t - tau > 0 and zero otherwise; x, y are the weighted-axis
-coordinates of X, Y and F is the Bessel profile from special.  The
+coordinates of X, Y and F is the Bessel profile from special.  Every
+Gamma quantity comes from one log-space core: log_gamma_vec (log Gamma,
+-inf where d <= 0) and grad_log_gamma_vec (grad_Y log Gamma).  Gamma is
+the exp of the first, and derivatives are Gamma grad log Gamma.  The
 kernel factorizes over axes: the free axes carry classical 1-D heat
 kernels (heat_kernel_1d) and the weighted axis carries the 1-D kernel
 u_tilde, which is what the normalization and semigroup identities
-integrate.  The double layer differentiates one factor: u_tilde_dy, or
-on y = 0 its weighted limit weighted_normal_limit_vec.
+integrate.  The double layer differentiates one factor: u_tilde_dy =
+u_tilde D_y log u_tilde, or on y = 0 its weighted limit
+weighted_normal_limit_vec.
 """
 from __future__ import annotations
 
@@ -46,30 +50,69 @@ def _head(log_c: float, k: float, dist2, dt, *coords):
     return (dt.shape, sel, d, head, *(c[sel] for c in coords))
 
 
-def _profile_kernel(params: KernelParams, shape, sel, d, head, x, y) -> np.ndarray:
-    """exp(head) F(x y / d) on the live entries of _head, zero elsewhere."""
-    out = np.zeros(shape)
-    if d.size:
-        with np.errstate(over="ignore"):
-            out[sel] = np.exp(head + np.log(f_profile_vec(params, x * y / d)))
+def _gamma_head(params: KernelParams, obs_sp, obs_t, src_sp, src_t):
+    """_head of Gamma over broadcastable arrays of spatial points (last axis = coords)."""
+    obs_sp = np.asarray(obs_sp, dtype=float)
+    src_sp = np.asarray(src_sp, dtype=float)
+    return _head(
+        math.log(params.c_na),
+        params.n + params.a,
+        np.sum((obs_sp - src_sp) ** 2, axis=-1),
+        np.asarray(obs_t, dtype=float) - np.asarray(src_t, dtype=float),
+        obs_sp[..., -1],
+        src_sp[..., -1],
+    )
+
+
+def _u_tilde_head(params: KernelParams, x, y, dt):
+    """_head of u_tilde, whose prefactor is 2^{-1-a} d^{-(1+a)/2}."""
+    x, y, k = np.asarray(x, dtype=float), np.asarray(y, dtype=float), 1.0 + params.a
+    return _head(-k * math.log(2.0), k, (x - y) ** 2, dt, x, y)
+
+
+def _log_kernel(params: KernelParams, shape, sel, d, head, x, y) -> np.ndarray:
+    """head + log F(x y / d) on the live entries of _head, -inf elsewhere."""
+    out = np.full(shape, -np.inf)
+    with np.errstate(over="ignore"):
+        out[sel] = head + np.log(f_profile_vec(params, x * y / d))
+    return out
+
+
+def _chain(params: KernelParams, x, d, s, prof) -> np.ndarray:
+    """F'(s) x / (d F(s)), the profile's term of D_y log Gamma at s = x y / d.
+
+    prof is F(s).  The term vanishes identically when x = 0 (s is frozen
+    at 0), even where F' has no finite limit.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0.0, 0.0, f_profile_prime_vec(params, s) * x / (d * prof))
+
+
+def log_gamma_vec(params: KernelParams, obs_sp, obs_t, src_sp, src_t) -> np.ndarray:
+    """log Gamma over broadcastable arrays of spatial points; -inf where t <= tau."""
+    return _log_kernel(params, *_gamma_head(params, obs_sp, obs_t, src_sp, src_t))
+
+
+def grad_log_gamma_vec(params: KernelParams, obs_sp, obs_t, src_sp, src_t) -> np.ndarray:
+    """grad_Y log Gamma, vectorized; coordinate axis last, zero where t <= tau.
+
+    Every axis carries (x_i - y_i)/(2 d); the weighted axis adds the
+    profile's chain term F'(s) x/(d F(s)), s = x y / d.
+    """
+    diff = np.asarray(obs_sp, dtype=float) - np.asarray(src_sp, dtype=float)
+    shape, sel, d, _, x, y = _gamma_head(params, obs_sp, obs_t, src_sp, src_t)
+    live = np.broadcast_to(diff, shape + diff.shape[-1:])[sel] / (2.0 * d[..., None])
+    s = x * y / d
+    live[..., -1] += _chain(params, x, d, s, f_profile_vec(params, s))
+    out = np.zeros(shape + (params.n,))
+    out[sel] = live
     return out
 
 
 def gamma_fs_vec(params: KernelParams, obs_sp, obs_t, src_sp, src_t) -> np.ndarray:
     """Gamma over broadcastable arrays of spatial points (last axis = coords)."""
-    obs_sp = np.asarray(obs_sp, dtype=float)
-    src_sp = np.asarray(src_sp, dtype=float)
-    return _profile_kernel(
-        params,
-        *_head(
-            math.log(params.c_na),
-            params.n + params.a,
-            np.sum((obs_sp - src_sp) ** 2, axis=-1),
-            np.asarray(obs_t) - np.asarray(src_t),
-            obs_sp[..., -1],
-            src_sp[..., -1],
-        ),
-    )
+    with np.errstate(over="ignore"):
+        return np.exp(log_gamma_vec(params, obs_sp, obs_t, src_sp, src_t))
 
 
 def gamma_fs(params: KernelParams, xi: SpaceTimePoint, zeta: SpaceTimePoint) -> float:
@@ -79,44 +122,14 @@ def gamma_fs(params: KernelParams, xi: SpaceTimePoint, zeta: SpaceTimePoint) -> 
     )
 
 
-def gamma_grad_y_vec(
-    params: KernelParams, obs_sp, obs_t, src_sp, src_t
-) -> np.ndarray:
-    """grad_Y Gamma, vectorized; output has the coordinate axis last.
+def gamma_grad_y_vec(params: KernelParams, obs_sp, obs_t, src_sp, src_t) -> np.ndarray:
+    """grad_Y Gamma = Gamma grad_Y log Gamma, vectorized; coordinate axis last.
 
-    All axes carry Gamma (x_i - y_i)/(2 d); the weighted axis adds the
-    profile chain term F'(xy/d) x/d.  At a source on y = 0 with a != 0
-    the double layer takes the weighted normal limit instead.
+    At a source on y = 0 with a != 0 the double layer takes the weighted
+    normal limit instead.
     """
-    obs_sp = np.asarray(obs_sp, dtype=float)
-    src_sp = np.asarray(src_sp, dtype=float)
-    diff = obs_sp - src_sp
-    shape, sel, d, head, x, y = _head(
-        math.log(params.c_na),
-        params.n + params.a,
-        np.sum(diff * diff, axis=-1),
-        np.asarray(obs_t, dtype=float) - np.asarray(src_t, dtype=float),
-        obs_sp[..., -1],
-        src_sp[..., -1],
-    )
-    out = np.zeros(shape + (params.n,))
-    if not d.size:
-        return out
-    s = x * y / d
-    prof = f_profile_vec(params, s)
-    prof_prime = f_profile_prime_vec(params, s)
-    with np.errstate(over="ignore"):
-        base = np.exp(head)
-    twice_d = 2.0 * d
-    for k in range(params.n):
-        comp = prof * np.broadcast_to(diff[..., k], shape)[sel] / twice_d
-        if k == params.n - 1:
-            # the chain term vanishes identically when x = 0 (s is frozen
-            # at 0), even where F' has no finite limit
-            with np.errstate(invalid="ignore"):
-                comp += np.where(x == 0.0, 0.0, prof_prime * x / d)
-        out[..., k][sel] = base * comp
-    return out
+    gam = gamma_fs_vec(params, obs_sp, obs_t, src_sp, src_t)
+    return gam[..., None] * grad_log_gamma_vec(params, obs_sp, obs_t, src_sp, src_t)
 
 
 def heat_kernel_1d(x, y, dt) -> np.ndarray:
@@ -137,27 +150,23 @@ def u_tilde(params: KernelParams, x, y, dt) -> np.ndarray:
     Gamma is the product of u_tilde with classical 1-D heat kernels on
     the free axes.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    a = params.a
-    return _profile_kernel(
-        params, *_head(-(1.0 + a) * math.log(2.0), 1.0 + a, (x - y) ** 2, dt, x, y)
-    )
+    with np.errstate(over="ignore"):
+        return np.exp(_log_kernel(params, *_u_tilde_head(params, x, y, dt)))
 
 
 def u_tilde_dy(params: KernelParams, x, y, dt) -> np.ndarray:
-    """D_y u_tilde: u_tilde (x - y)/(2d) plus the profile's chain term F'(xy/d) x/d.
+    """D_y u_tilde = u_tilde D_y log u_tilde: (x - y)/(2d) plus the chain term.
 
     The chain term is zero at x = 0.  At y = 0 with a != 0 the derivative
     has no finite limit; weighted_normal_limit_vec takes its place there.
     """
-    x, y, k = np.asarray(x, dtype=float), np.asarray(y, dtype=float), 1.0 + params.a
-    shape, sel, d, head, x, y = _head(-k * math.log(2.0), k, (x - y) ** 2, dt, x, y)
+    shape, sel, d, head, x, y = _u_tilde_head(params, x, y, dt)
     out = np.zeros(shape)
-    if d.size:
-        s = x * y / d
-        with np.errstate(over="ignore", invalid="ignore"):
-            chain = np.where(x == 0.0, 0.0, f_profile_prime_vec(params, s) * x / d)
-            out[sel] = np.exp(head) * (f_profile_vec(params, s) * (x - y) / (2.0 * d) + chain)
+    s = x * y / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        prof = f_profile_vec(params, s)
+        dlog = (x - y) / (2.0 * d) + _chain(params, x, d, s, prof)
+        out[sel] = np.exp(head + np.log(prof)) * dlog
     return out
 
 
@@ -246,31 +255,26 @@ def semigroup_residual(
 
 
 def bounds_sandwich(
-    params: KernelParams, xi: SpaceTimePoint, zeta: SpaceTimePoint
-) -> tuple[float, float, float]:
-    """Gamma together with its structural two-sided envelopes.
+    params: KernelParams, obs_sp, obs_t, src_sp, src_t
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma together with its structural two-sided envelopes, over arrays of pairs.
 
-    The envelopes use the Gaussian rates 1/(2d) (lower) and 1/(6d)
-    (upper) on the weighted axis with the max/min of the two
-    (1 + x^2/d)^{-a/2}, (1 + y^2/d)^{-a/2} factors, and unit constants;
-    the contract is ratio-boundedness, not pointwise ordering.
+    Returns (lower, Gamma, upper), each zero where t <= tau.  The
+    envelopes use the Gaussian rates 1/(2d) (lower) and 1/(6d) (upper)
+    on the weighted axis with the max/min of the two (1 + x^2/d)^{-a/2},
+    (1 + y^2/d)^{-a/2} factors, and unit constants; the contract is
+    ratio-boundedness, not pointwise ordering.  They are formed in log
+    space, and an overflow on the weighted axis raises FloatingPointError.
     """
-    d = xi.t - zeta.t
-    value = gamma_fs(params, xi, zeta)
-    if d <= 0.0:
-        return (0.0, 0.0, 0.0)
-    a = params.a
-    xp = np.asarray(xi.x_prime, dtype=float)
-    yp = np.asarray(zeta.x_prime, dtype=float)
-    dist2_rest = float(np.sum((xp - yp) ** 2))
-    gauss_rest = (4.0 * math.pi * d) ** (-(params.n - 1) / 2.0) * math.exp(
-        -dist2_rest / (4.0 * d)
-    )
-    x, y = xi.x, zeta.x
-    fx = (1.0 + x * x / d) ** (-a / 2.0)
-    fy = (1.0 + y * y / d) ** (-a / 2.0)
-    dy2 = (x - y) ** 2
-    base = d ** (-(1.0 + a) / 2.0)
-    lower = gauss_rest * base * math.exp(-dy2 / (2.0 * d)) * max(fx, fy)
-    upper = gauss_rest * base * math.exp(-dy2 / (6.0 * d)) * min(fx, fy)
-    return (lower, value, upper)
+    shape, sel, d, head, x, y = _gamma_head(params, obs_sp, obs_t, src_sp, src_t)
+    lower, upper = np.zeros(shape), np.zeros(shape)
+    with np.errstate(over="raise"):
+        # head is log Gamma's prefactor, c_na and the rate 1/(4d) on every axis;
+        # the envelopes drop c_na's 2^{-1-a} and put the weighted axis at rate
+        # 1/(2d) (lower) or 1/(6d) (upper)
+        head = head + (1.0 + params.a) * np.log(2.0)
+        dy2 = (x - y) ** 2 / d
+        log_weight = -0.5 * params.a * np.log1p(np.stack([x * x, y * y]) / d)
+        lower[sel] = np.exp(head - dy2 / 4.0 + log_weight.max(axis=0))
+        upper[sel] = np.exp(head + dy2 / 12.0 + log_weight.min(axis=0))
+    return lower, gamma_fs_vec(params, obs_sp, obs_t, src_sp, src_t), upper

@@ -3,6 +3,9 @@
 The solid mean of u at xi0 with radius parameter r averages u over the
 heat ball against the kernel E = |y|^a |grad_Y Gamma|^2 / Gamma^2,
 normalized by phi(r) = 1 / theta(r), theta the heat-ball threshold.
+The heat ball and E are read in log space: a section of the ball is
+|X0' - Y'|^2 < 4 delta (log Gamma - log theta), and E is computed as
+|y|^a |grad_Y log Gamma|^2.
 Constants, functions affine in the free coordinates, and time-shifted
 fundamental solutions are reproduced exactly up to quadrature error.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HeatBall, heat_ball_sample, heat_ball_threshold
-from .kernel import gamma_fs_vec, gamma_grad_y_vec
+from .kernel import grad_log_gamma_vec, log_gamma_vec
 from .params import KernelParams, SpaceTimePoint
 from .quadrature import BATCH_POINTS, chunks, gauss_legendre, graded_breakpoints
 from .quadrature import legendre_rule, weighted_rule
@@ -37,9 +40,7 @@ def _section_radius2(
     sp = np.empty(ys.shape + (params.n,))
     sp[..., :-1] = np.asarray(xi0.x_prime, dtype=float)
     sp[..., -1] = ys
-    gam = gamma_fs_vec(params, xi0.spatial, xi0.t, sp, xi0.t - np.asarray(delta))
-    with np.errstate(divide="ignore"):
-        log_gam = np.where(gam > 0.0, np.log(np.maximum(gam, 1e-300)), -np.inf)
+    log_gam = log_gamma_vec(params, xi0.spatial, xi0.t, sp, xi0.t - np.asarray(delta))
     return 4.0 * delta * (log_gam - log_theta)
 
 
@@ -113,14 +114,14 @@ def _y_intervals(
 def _y_rule(lo: float, hi: float, a: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights absorbing the |y|^{-a} cusp of the y-marginal.
 
-    The integrand passed to the rule is |y|^{2a}|grad Gamma|^2/Gamma^2
+    The integrand passed to the rule is |y|^{2a}|grad log Gamma|^2
     times the slice integral, which is smooth across y = 0.
     """
     if lo < 0.0 < hi:
         n1, w1 = _y_rule(lo, 0.0, a, m)
         n2, w2 = _y_rule(0.0, hi, a, m)
         return np.concatenate([n1, n2]), np.concatenate([w1, w2])
-    if abs(lo) < 1e-300 or abs(hi) < 1e-300:
+    if 0.0 in (lo, hi):
         # Jacobi rule for the cusp at 0, clustered rule for the
         # square-root edge at the far endpoint
         mid = 0.5 * (lo + hi)
@@ -171,8 +172,8 @@ def _slab_integral(
     nodes are evaluated together: one scan call and one call per
     bisection step find the slice intervals of every node
     (_y_intervals), one section-radius call covers the y-nodes of every
-    interval, and one Gamma and one grad Gamma call cover every
-    quadrature point (_add_slices).  u is called once per depth node, at
+    interval, and one grad log Gamma call covers every quadrature
+    point (_add_slices).  u is called once per depth node, at
     that node's time.  Past BATCH_POINTS points per call, the nodes are
     split into consecutive groups.  Each (node, interval) slice is
     reduced with the same array shapes, and the node sums accumulated in
@@ -194,8 +195,8 @@ def _slab_integral(
         for node, ivs in enumerate(intervals)
         for lo, hi in ivs
     ]
-    if not slices:
-        return 0.0
+    if not slices:  # a heat ball has volume: no section is a numerical failure
+        raise RuntimeError("the heat ball has no sections")
     sid = np.repeat(np.arange(len(slices)), [len(yn) for _, yn, _ in slices])
     node = np.array([k for k, _, _ in slices])[sid]
     yn = np.concatenate([yn for _, yn, _ in slices])
@@ -260,15 +261,14 @@ def _add_slices(
             * (2.0 * math.pi / (2 * m))
         )
         tau = tau[:, None, None]
-    gam = gamma_fs_vec(params, xi0.spatial, xi0.t, pts, tau)
-    grad = gamma_grad_y_vec(params, xi0.spatial, xi0.t, pts, tau)
+    grad = grad_log_gamma_vec(params, xi0.spatial, xi0.t, pts, tau)
     wg2 = np.sum(grad * grad, axis=-1) * np.abs(pts[..., -1]) ** (2.0 * params.a)
     uv = np.empty(pts.shape[:-1])
     for s0, s1 in _runs(node):
         uv[s0:s1] = u(pts[s0:s1].reshape(-1, n), xi0.t - deltas[node[s0]]).reshape(
             uv[s0:s1].shape
         )
-    vals = uv * wg2 / gam**2
+    vals = uv * wg2
     axes = tuple(range(1, vals.ndim))
     for s0, s1 in _runs(sid):
         inner = np.sum(vals[s0:s1] * sw[s0:s1], axis=axes)
@@ -412,11 +412,8 @@ def harnack_quotient(
     sample = heat_ball_sample(HeatBall(origin, 0.75 * r, params), density)
     vals = _u_by_time(u, sample.spatial, sample.times)
     inf_val = float(np.min(vals))
-    if inf_val <= 0.0 and avg > 0.0:
-        raise RuntimeError("interior infimum vanished with positive average")
+    if inf_val <= 0.0:
+        raise RuntimeError("interior infimum of u is not positive")
     return HarnackReport(
-        r=r,
-        bottom_average=float(avg),
-        interior_inf=inf_val,
-        quotient=float(avg / inf_val) if inf_val != 0.0 else math.inf,
+        r=r, bottom_average=float(avg), interior_inf=inf_val, quotient=float(avg / inf_val)
     )

@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +227,17 @@ SMALL_CONFIGS = {
             "meanvalue",
             {"params": PARAMS, "xi0": [0.5, 0.7, 0.0], "radii": [0.02], "pole": [0.3, 0.4, 0.0]},
         ),
+        # Gamma(xi0; pole) underflows to 0, so the gamma case has no reference
+        (
+            "meanvalue",
+            {
+                "params": PARAMS,
+                "xi0": [0.5, 0.5, 0.0],
+                "radii": [0.02],
+                "density": 4,
+                "pole": [50.0, 0.5, -0.001],
+            },
+        ),
         ("meanvalue", {"params": PARAMS, "xi0": [0.5, 0.7, 0.0], "radii": [0.02], "density": 0}),
         ("meanvalue", {"params": PARAMS, "xi0": [0.5, 0.7, 0.0], "radii": [0.0]}),
         ("harnack", {"params": PARAMS, "pole": [0.0, 0.0, -0.1], "density": 0}),
@@ -398,6 +410,7 @@ SMALL_CONFIGS = {
         "dirichlet-gamma-no-pole",
         "capacity-density-0",
         "meanvalue-late-pole",
+        "meanvalue-pole-gamma-0",
         "meanvalue-density-0",
         "meanvalue-radius-0",
         "harnack-density-0",
@@ -538,7 +551,60 @@ def test_unmet_allocation_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", sorted(SMALL_CONFIGS))
 def test_small_configs_run(tmp_path, cmd):
-    assert run(tmp_path, cmd, SMALL_CONFIGS[cmd])[0] == 0
+    code, out = run(tmp_path, cmd, SMALL_CONFIGS[cmd])
+    assert code == 0
+    # the envelope is strict JSON: no NaN or Infinity
+    json.loads((out / f"{cmd}.json").read_text(), parse_constant=_no_constant)
+
+
+def test_vanished_harnack_infimum_exits_3(tmp_path, capsys):
+    # u underflows to 0 on the whole interior sample, and on the bottom slice:
+    # the quotient has no finite value, which is a numerical failure
+    cfg = {"params": PARAMS, "r": 0.02, "pole": [30.0, 0.0, -0.04], "density": 4}
+    code, out = run(tmp_path, "harnack", cfg)
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+def test_non_finite_envelope_exits_3(tmp_path, capsys, monkeypatch):
+    # a command that reports NaN writes no files and exits 3 with one line
+    def nan_payload(config):
+        return {"value": math.nan}, {"inf": math.inf}, ["value"], [[1.0]]
+
+    monkeypatch.setitem(cli._COMMANDS, "kernel", nan_payload)
+    code, out = run(tmp_path, "kernel", KERNEL_CFG)
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+def test_kernel_one_call_over_all_pairs(tmp_path, monkeypatch):
+    # 2,000 pairs, causal and acausal, some observations on y = 0:
+    # gamma_grad_y_vec runs once, and each row matches the one-pair calls
+    from degenheat.kernel import bounds_sandwich, gamma_grad_y_vec
+    from degenheat.params import KernelParams
+
+    rng = np.random.default_rng(23)
+    obs, src = rng.normal(size=(2, 2000, 3))
+    obs[::7, 1] = 0.0
+    points = [{"xi": o, "zeta": s} for o, s in zip(obs.tolist(), src.tolist())]
+    cfg = {"params": PARAMS, "points": points}
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gamma_grad_y_vec(*args)
+
+    monkeypatch.setattr(cli, "gamma_grad_y_vec", counted)
+    code, out = run(tmp_path, "kernel", cfg)
+    assert code == 0 and len(calls) == 1
+    rows = np.loadtxt(out / "kernel.csv", delimiter=",", skiprows=1)
+    params = KernelParams(**PARAMS)
+    for row, o, s in zip(rows, obs, src):
+        lower, gam, upper = bounds_sandwich(params, o[:2], o[2], s[:2], s[2])
+        want = [*o, *s, gam, *gamma_grad_y_vec(params, o[:2], o[2], s[:2], s[2]), lower, upper]
+        np.testing.assert_allclose(row, want, rtol=1e-13, atol=0.0)
 
 
 def _no_constant(name):

@@ -10,9 +10,12 @@ from degenheat.kernel import (
     gamma_fs,
     gamma_fs_vec,
     gamma_grad_y_vec,
+    grad_log_gamma_vec,
+    log_gamma_vec,
     mass_integral,
     semigroup_residual,
     u_tilde,
+    u_tilde_dy,
     weighted_normal_limit_vec,
 )
 
@@ -255,36 +258,91 @@ class TestBoundsSandwich:
         rng = np.random.default_rng(9)
         for a in (-0.5, 0.5):
             params = KernelParams(2, a)
-            lower_ratios = []
-            upper_ratios = []
-            for _ in range(2000):
-                X = rng.normal(size=2) * 1.5
-                Y = rng.normal(size=2) * 1.5
-                d = rng.uniform(0.02, 2.0)
-                lo, val, up = bounds_sandwich(
-                    params, pt(X[:1], X[1], d), pt(Y[:1], Y[1], 0.0)
-                )
-                if val > 1e-280 and up > 1e-280 and lo > 1e-280:
-                    lower_ratios.append(lo / val)
-                    upper_ratios.append(val / up)
-            assert max(lower_ratios) < 50.0
-            assert max(upper_ratios) < 50.0
+            X = rng.normal(size=(2000, 2)) * 1.5
+            Y = rng.normal(size=(2000, 2)) * 1.5
+            d = rng.uniform(0.02, 2.0, size=2000)
+            lo, val, up = bounds_sandwich(params, X, d, Y, 0.0)
+            keep = (val > 1e-280) & (up > 1e-280) & (lo > 1e-280)
+            assert max(lo[keep] / val[keep]) < 50.0
+            assert max(val[keep] / up[keep]) < 50.0
 
     def test_a_zero_structure(self):
         # at a=0 the weight factors drop out and value/upper depends only
         # on the distances, with ratio e^{-d^2/4t}/e^{-d^2/6t} on the y-axis
         params = KernelParams(2, 0.0)
-        lo, val, up = bounds_sandwich(params, pt([0.0], 1.0, 1.0), pt([0.0], 0.0, 0.0))
+        lo, val, up = bounds_sandwich(params, [0.0, 1.0], 1.0, [0.0, 0.0], 0.0)
         ref = (4.0 * math.pi) ** -0.5 * math.exp(-0.25 + 1.0 / 6.0)
         assert val / up == pytest.approx(ref, rel=1e-12)
 
     def test_causality(self):
         params = KernelParams(2, 0.3)
-        assert bounds_sandwich(params, pt([0.0], 1.0, 0.0), pt([0.0], 0.0, 1.0)) == (
-            0.0,
-            0.0,
-            0.0,
-        )
+        got = bounds_sandwich(params, [0.0, 1.0], 0.0, [0.0, 0.0], 1.0)
+        assert tuple(map(float, got)) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairs_match_one_pair_calls(self, n):
+        # one call over causal and acausal pairs, some on y = 0, gives each
+        # pair what a call on that pair alone gives
+        params = KernelParams(n, -0.4)
+        rng = np.random.default_rng(11)
+        obs, src = rng.normal(size=(2, 12, n))
+        obs[::4, -1] = 0.0
+        obs_t, src_t = rng.uniform(0.0, 1.0, size=(2, 12))
+        batch = np.array(bounds_sandwich(params, obs, obs_t, src, src_t))
+        assert np.all(batch[:, obs_t <= src_t] == 0.0)
+        assert np.all(batch[:, obs_t > src_t] > 0.0)
+        for i in range(12):
+            one = bounds_sandwich(params, obs[i], obs_t[i], src[i], src_t[i])
+            np.testing.assert_allclose(batch[:, i], np.array(one), rtol=1e-13, atol=0.0)
+
+
+class TestLogCore:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [-0.6, 0.0, 0.4])
+    def test_grad_log_matches_differences(self, n, a):
+        # central differences of log Gamma in each source coordinate; the
+        # last observation sits on y = 0, where the chain term is 0
+        params = KernelParams(n, a)
+        rng = np.random.default_rng(17)
+        obs = rng.normal(size=(6, n))
+        obs[-1, -1] = 0.0
+        src = rng.normal(size=(6, n))
+        src[:, -1] = np.abs(src[:, -1]) + 0.2
+        obs_t, src_t = 1.3, rng.uniform(0.0, 1.0, size=6)
+        grad = grad_log_gamma_vec(params, obs, obs_t, src, src_t)
+        h = 1e-5
+        for i in range(n):
+            step = h * np.eye(n)[i]
+            up = log_gamma_vec(params, obs, obs_t, src + step, src_t)
+            dn = log_gamma_vec(params, obs, obs_t, src - step, src_t)
+            np.testing.assert_allclose(grad[:, i], (up - dn) / (2 * h), rtol=1e-6, atol=1e-8)
+        d = obs_t - src_t[-1]
+        assert grad[-1, -1] == (obs[-1, -1] - src[-1, -1]) / (2.0 * d)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exp_of_log_is_gamma(self, n):
+        params = KernelParams(n, 0.3)
+        rng = np.random.default_rng(19)
+        obs, src = rng.normal(size=(2, 40, n))
+        src[::5, -1] = 0.0
+        obs_t, src_t = rng.uniform(-1.0, 1.0, size=(2, 40))
+        log_gam = log_gamma_vec(params, obs, obs_t, src, src_t)
+        dead = obs_t <= src_t
+        assert dead.any() and np.all(log_gam[dead] == -np.inf)
+        assert np.all(np.isfinite(log_gam[~dead]))
+        gam = gamma_fs_vec(params, obs, obs_t, src, src_t)
+        assert np.array_equal(np.exp(log_gam), gam)
+        assert np.all(grad_log_gamma_vec(params, obs, obs_t, src, src_t)[dead] == 0.0)
+
+    @pytest.mark.parametrize("a", [-0.6, 0.0, 0.4])
+    def test_u_tilde_dy_matches_differences(self, a):
+        params = KernelParams(2, a)
+        x = np.array([0.7, -0.4, 0.0, 1.2])
+        y = np.array([0.5, -0.9, 0.6, -0.3])
+        dt = np.array([0.4, 1.1, 0.8, 0.3])
+        h = 1e-6
+        fd = (u_tilde(params, x, y + h, dt) - u_tilde(params, x, y - h, dt)) / (2 * h)
+        np.testing.assert_allclose(u_tilde_dy(params, x, y, dt), fd, rtol=1e-6, atol=1e-10)
 
 
 class TestEquationResidual:

@@ -143,7 +143,7 @@ def test_solid_mean_kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("gamma_fs_vec", "gamma_grad_y_vec"):
+    for name in ("log_gamma_vec", "grad_log_gamma_vec"):
         monkeypatch.setattr(meanvalue, name, counted(getattr(meanvalue, name)))
     solid_mean(PARAMS, one, XI0, 0.02, density=6)
     # one batched pass over all depth nodes makes a few dozen kernel
