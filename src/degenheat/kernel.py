@@ -166,7 +166,7 @@ def u_tilde_dy(params: KernelParams, x, y, dt) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         prof = f_profile_vec(params, s)
         dlog = (x - y) / (2.0 * d) + _chain(params, x, d, s, prof)
-        out[sel] = np.exp(head + np.log(prof)) * dlog
+        out[sel] = np.exp(head) * prof * dlog
     return out
 
 
