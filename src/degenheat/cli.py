@@ -336,7 +336,7 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
     rows = []
     for name, u, want in cases:
         # a pole far from xi0 leaves the gamma case no reference; the one case
-        # runs first, so an xi0 that breaks the numerics exits 3, not 2
+        # runs first, so a y or radius that breaks the numerics exits 3, not 2
         if not want > 0.0:
             raise ConfigError("Gamma(xi0; pole) is 0: the pole gives no reference mean")
         for r in radii:

@@ -206,10 +206,9 @@ def mass_integral(params: KernelParams, x_point, t: float) -> float:
     sigma = math.sqrt(2.0 * t)
     radius = TRUNCATION_STD * sigma
     result = 1.0
-    norm = 1.0 / math.sqrt(4.0 * math.pi * t)
     for xi in x_prime:
         result *= integrate_weighted_interval(
-            lambda yv: norm * np.exp(-((xi - yv) ** 2) / (4.0 * t)),
+            lambda yv: heat_kernel_1d(xi, yv, t),
             xi - radius,
             xi + radius,
             0.0,

@@ -5,7 +5,10 @@ heat ball against the kernel E = |y|^a |grad_Y Gamma|^2 / Gamma^2,
 normalized by phi(r) = 1 / theta(r), theta the heat-ball threshold.
 The heat ball and E are read in log space: a section of the ball is
 |X0' - Y'|^2 < 4 delta (log Gamma - log theta), and E is computed as
-|y|^a |grad_Y log Gamma|^2.
+|y|^a |grad_Y log Gamma|^2.  L_a does not change under a shift in time,
+so the kernel sees only the lag delta below t0; u alone sees the
+absolute time t0 - delta.  The mean is one weighted sum over rows, a
+row being one (depth node, y-node) pair and its free-coordinate slice.
 Constants, functions affine in the free coordinates, and time-shifted
 fundamental solutions are reproduced exactly up to quadrature error.
 """
@@ -40,7 +43,7 @@ def _section_radius2(
     sp = np.empty(ys.shape + (params.n,))
     sp[..., :-1] = np.asarray(xi0.x_prime, dtype=float)
     sp[..., -1] = ys
-    log_gam = log_gamma_vec(params, xi0.spatial, xi0.t, sp, xi0.t - np.asarray(delta))
+    log_gam = log_gamma_vec(params, xi0.spatial, delta, sp, 0.0)
     return 4.0 * delta * (log_gam - log_theta)
 
 
@@ -172,16 +175,13 @@ def _slab_integral(
     nodes are evaluated together: one scan call and one call per
     bisection step find the slice intervals of every node
     (_y_intervals), one section-radius call covers the y-nodes of every
-    interval, and one grad log Gamma call covers every quadrature
-    point (_add_slices).  u is called once per depth node, at
-    that node's time.  Past BATCH_POINTS points per call, the nodes are
-    split into consecutive groups.  Each (node, interval) slice is
-    reduced with the same array shapes, and the node sums accumulated in
-    the same order, as integrating node by node would, so the result is
-    the same to the bit.
+    interval, and one grad log Gamma call covers every quadrature point
+    (_slice_sums).  u is called once per depth node.  Past BATCH_POINTS
+    points per call, the nodes are split into consecutive groups.  The
+    integral is one weighted sum over rows, (depth node, y-node) pairs,
+    of their slice integrals, so it does not depend on the grouping.
     """
-    n = params.n
-    if n not in (2, 3):
+    if params.n not in (2, 3):
         raise NotImplementedError("section quadrature supports n = 2 and n = 3")
     rules = [gauss_legendre(p0, p1, m) for p0, p1 in panels]
     deltas = np.concatenate([d for d, _ in rules])
@@ -197,82 +197,64 @@ def _slab_integral(
     ]
     if not slices:  # a heat ball has volume: no section is a numerical failure
         raise RuntimeError("the heat ball has no sections")
-    sid = np.repeat(np.arange(len(slices)), [len(yn) for _, yn, _ in slices])
-    node = np.array([k for k, _, _ in slices])[sid]
+    node = np.repeat([k for k, _, _ in slices], [len(yn) for _, yn, _ in slices])
     yn = np.concatenate([yn for _, yn, _ in slices])
     yw = np.concatenate([yw for _, _, yw in slices])
     rr = _section_radius2(params, xi0, log_theta, deltas[node], yn)
     keep = rr > 0.0
-    sid, node, yn, yw, rad = sid[keep], node[keep], yn[keep], yw[keep], np.sqrt(rr[keep])
-    acc = np.zeros(len(deltas))
+    node, yn, yw, rad = node[keep], yn[keep], yw[keep], np.sqrt(rr[keep])
+    sums = np.empty(len(node))
     runs = list(_runs(node))
-    row_points = m if n == 2 else 2 * m * m
+    row_points = m if params.n == 2 else 2 * m * m
     for c0, c1 in chunks([(s1 - s0) * row_points for s0, s1 in runs], BATCH_POINTS):
         at = slice(runs[c0][0], runs[c1 - 1][1])
-        _add_slices(params, u, xi0, deltas, m, sid[at], node[at], yn[at], yw[at], rad[at], acc)
-    total = 0.0
-    for wd, node_acc in zip(wds, acc):
-        total += wd * node_acc
-    return total
+        sums[at] = _slice_sums(params, u, xi0, deltas[node[at]], yn[at], rad[at], m)
+    return float(np.sum(wds[node] * yw * sums))
 
 
-def _add_slices(
-    params: KernelParams,
-    u,
-    xi0: SpaceTimePoint,
-    deltas: np.ndarray,
-    m: int,
-    sid: np.ndarray,
-    node: np.ndarray,
-    yn: np.ndarray,
-    yw: np.ndarray,
-    rad: np.ndarray,
-    acc: np.ndarray,
-) -> None:
-    """Add the integral over each (depth node, interval) slice to acc[node].
+def _slice_rule(x_prime, yn: np.ndarray, rad: np.ndarray, m: int):
+    """Points and weights of the free-coordinate slices centred on x_prime.
 
-    Each row is a y-node yn with weight yw and slice radius rad; rows
-    come grouped by slice sid, and slices by depth node.
+    Row k is the slice at weighted coordinate yn[k] with radius rad[k]:
+    an interval for one free coordinate (m Gauss points), a disk for two
+    (m radii by 2m angles).  Returns points with the coordinate axis
+    last and weights that broadcast against them without it.
     """
-    n = params.n
     gx, gw = legendre_rule(m)
-    xp0 = np.asarray(xi0.x_prime, dtype=float)
-    tau = xi0.t - deltas[node]
-    if n == 2:
-        # slice is an interval in the single free coordinate
-        off = np.outer(rad, gx)
+    xp = np.asarray(x_prime, dtype=float)
+    if len(xp) == 1:
         pts = np.empty((len(yn), m, 2))
-        pts[..., 0] = xp0[0] + off
-        pts[..., 1] = yn[:, None]
+        pts[..., 0] = xp[0] + np.outer(rad, gx)
         sw = rad[:, None] * gw[None, :]
-        tau = tau[:, None]
     else:
-        # slice is a disk; tensor radius-angle rule
         ang = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
         rho = rad[:, None, None] * (gx[None, :, None] + 1.0) / 2.0
         pts = np.empty((len(yn), m, 2 * m, 3))
-        pts[..., 0] = xp0[0] + rho * np.cos(ang)
-        pts[..., 1] = xp0[1] + rho * np.sin(ang)
-        pts[..., 2] = yn[:, None, None]
-        sw = (
-            rho
-            * (rad[:, None, None] / 2.0)
-            * gw[None, :, None]
-            * (2.0 * math.pi / (2 * m))
-        )
-        tau = tau[:, None, None]
-    grad = grad_log_gamma_vec(params, xi0.spatial, xi0.t, pts, tau)
+        pts[..., 0] = xp[0] + rho * np.cos(ang)
+        pts[..., 1] = xp[1] + rho * np.sin(ang)
+        sw = rho * (rad[:, None, None] / 2.0) * gw[None, :, None] * (2.0 * math.pi / (2 * m))
+    pts[..., -1] = yn.reshape((-1,) + (1,) * (pts.ndim - 2))
+    return pts, sw
+
+
+def _slice_sums(params: KernelParams, u, xi0: SpaceTimePoint, lag, yn, rad, m: int) -> np.ndarray:
+    """Integral of u |y|^{2a} |grad_Y log Gamma|^2 over each row's slice.
+
+    Row k is the slice at depth lag[k] below t0, weighted coordinate
+    yn[k] and radius rad[k]; rows come grouped by depth, and the
+    y-rule's weights carry the remaining |y|^{-a} of E.  The kernel sees
+    the lags, u the absolute times.
+    """
+    pts, sw = _slice_rule(xi0.x_prime, yn, rad, m)
+    grad = grad_log_gamma_vec(
+        params, xi0.spatial, lag.reshape((-1,) + (1,) * (pts.ndim - 2)), pts, 0.0
+    )
     wg2 = np.sum(grad * grad, axis=-1) * np.abs(pts[..., -1]) ** (2.0 * params.a)
     uv = np.empty(pts.shape[:-1])
-    for s0, s1 in _runs(node):
-        uv[s0:s1] = u(pts[s0:s1].reshape(-1, n), xi0.t - deltas[node[s0]]).reshape(
-            uv[s0:s1].shape
-        )
-    vals = uv * wg2
-    axes = tuple(range(1, vals.ndim))
-    for s0, s1 in _runs(sid):
-        inner = np.sum(vals[s0:s1] * sw[s0:s1], axis=axes)
-        acc[node[s0]] += float(np.sum(yw[s0:s1] * inner))
+    for s0, s1 in _runs(lag):
+        at = slice(s0, s1)
+        uv[at] = u(pts[at].reshape(-1, params.n), xi0.t - lag[s0]).reshape(uv[at].shape)
+    return np.sum(uv * wg2 * sw, axis=tuple(range(1, uv.ndim)))
 
 
 def _u_by_time(u, spatial: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -306,7 +288,8 @@ def solid_mean(
     if density <= 0:
         raise ValueError("density must be positive")
     theta = heat_ball_threshold(params, xi0.x, r)
-    depth_ub, radius = HeatBall(xi0, r, params).bounding_box()
+    # the ball's shape depends only on the lag below t0: box it at t0 = 0
+    depth_ub, radius = HeatBall(SpaceTimePoint(xi0.x_prime, xi0.x, 0.0), r, params).bounding_box()
     log_theta = math.log(theta)
     depth = _section_depth(params, xi0, log_theta, depth_ub)
     delta0 = r * TOP_BUFFER
@@ -390,21 +373,15 @@ def harnack_quotient(
         raise ValueError("radius parameter must be positive")
     rho0 = math.sqrt(3.0 * (params.n + params.a) * r / 4.0)
     t_bot = -1.5 * r
-    rule = weighted_rule(-rho0, rho0, params.a, max(8, density))
-    gx, gw = legendre_rule(max(8, density))
+    m = max(8, density)
+    rule = weighted_rule(-rho0, rho0, params.a, m)
     half = np.sqrt(np.maximum(rho0 * rho0 - rule.nodes * rule.nodes, 0.0))
     live = half > 0.0
-    ys, ws, half = rule.nodes[live], rule.weights[live], half[live]
-    pts = np.empty((len(ys), len(gx), 2))
-    pts[..., 0] = half[:, None] * gx
-    pts[..., 1] = ys[:, None]
+    pts, sw = _slice_rule((0.0,), rule.nodes[live], half[live], m)
     # one call of u for the whole bottom slice
-    uv = u(pts.reshape(-1, 2), t_bot).reshape(len(ys), len(gx))
-    num = 0.0
-    den = 0.0
-    for wk, sk, uk in zip(ws, half, uv):
-        num += wk * float(np.sum(gw * sk * uk))
-        den += wk * 2.0 * sk
+    uv = u(pts.reshape(-1, 2), t_bot).reshape(pts.shape[:-1])
+    num = np.sum(rule.weights[live] * np.sum(uv * sw, axis=1))
+    den = np.sum(rule.weights[live] * np.sum(sw, axis=1))
     if den <= 0.0:
         raise RuntimeError("empty bottom slice")
     avg = num / den

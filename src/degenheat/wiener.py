@@ -7,7 +7,9 @@ times the heat-ball threshold theta(lambda^k).  Divergence of the
 series marks the boundary point as regular; any finite-k verdict is
 heuristic and the thresholds are surfaced in the report.  The shells of
 one lambda are sampled in one pass (geometry.heat_ball_samples) and
-their LPs built from one capacity_lp call.
+their LPs built from one capacity_lp call, in the pole's time frame
+(xi0 at t = 0; L_a is invariant under time shifts): only the domain
+test sees absolute times.
 """
 from __future__ import annotations
 
@@ -177,12 +179,13 @@ def shell_terms(
     outside the domain; the lattice doubles its density up to three times
     while it is empty (the certified bounding box is loose for deep shells).
     """
-    shells = [Shell(xi0, lam, k, params) for k in ks]
-    balls = [HeatBall(xi0, shell.outer_radius, params) for shell in shells]
+    pole = SpaceTimePoint(xi0.x_prime, xi0.x, 0.0)  # the pole's time frame
+    shells = [Shell(pole, lam, k, params) for k in ks]
+    balls = [HeatBall(pole, shell.outer_radius, params) for shell in shells]
     sets = []
     for shell, sample in zip(shells, heat_ball_samples(balls, density, 4)):
         keep = shell.contains_vec(sample.spatial, sample.times)
-        keep &= ~domain.contains_vec(sample.spatial, sample.times)
+        keep &= ~domain.contains_vec(sample.spatial, sample.times + xi0.t)
         sets.append(sample._replace(spatial=sample.spatial[keep], times=sample.times[keep]))
     results = iter(capacity_lp(params, [s for s in sets if len(s.times)]))
     return [

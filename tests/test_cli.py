@@ -521,7 +521,9 @@ EXTREMES = [
     *[("kernel", ("points", 0, side, 1), v, 3) for side in ("xi", "zeta") for v in (1e300, -1e300)],
     ("meanvalue", ("xi0", 1), 1e300, 3),
     ("meanvalue", ("xi0", 1), -1e300, 3),
-    ("meanvalue", ("xi0", 2), 1e300, 3),
+    # the heat-ball mean sees only lags, so the `one` case computes at
+    # t0 = 1e300; the `gamma` case then finds Gamma(xi0; pole) = 0, a config error
+    ("meanvalue", ("xi0", 2), 1e300, 2),
     ("meanvalue", ("radii", 0), 1e300, 3),
 ]
 

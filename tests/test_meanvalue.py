@@ -115,8 +115,10 @@ def test_normalization_near_plane(a, y0):
 )
 def test_solid_mean_pinned(n, a, x_prime, x, case, want):
     # values of the node-by-node section quadrature; the batched one
-    # reproduced them bit for bit, and the kernel profile may move their
-    # last bits (the Horner profile moved them by at most 6.7e-16)
+    # reproduced them bit for bit, and the kernel profile and the order of
+    # the final sum may move their last bits (the Horner profile moved
+    # them by at most 6.7e-16; after the one sum over rows they are
+    # within 8.3e-16)
     params = KernelParams(n=n, a=a)
     u = one if case == "one" else _pole_at_zb(params)
     xi = P(x_prime=x_prime, x=x, t=0.0)
@@ -131,6 +133,31 @@ def test_solid_mean_split_batches(monkeypatch):
     whole = solid_mean(params, one, xi, 0.02, density=6)
     monkeypatch.setattr(meanvalue, "BATCH_POINTS", 20000)
     assert solid_mean(params, one, xi, 0.02, density=6) == whole
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a", [-0.5, 0.3])
+def test_solid_mean_time_shift(n, a):
+    # L_a does not change under a shift in time and the kernel sees only the
+    # lags, so the mean of u = 1 does not move with t0.  A Gamma pole moved
+    # with xi0 moves only through the time t0 - delta given to u, which is
+    # rounded to the spacing of the doubles near t0.
+    params = KernelParams(n=n, a=a)
+    xp, zp = ((0.5,), (0.3,)) if n == 2 else ((0.5, 0.4), (0.3, 0.2))
+    zb = np.array([*zp, 0.4])
+
+    def means(t0):
+        def pole(pts, t):
+            return gamma_fs_vec(params, np.atleast_2d(pts), t, zb, t0 - 0.5)
+
+        xi = P(x_prime=xp, x=0.7, t=t0)
+        return [solid_mean(params, u, xi, 0.02, density=6) for u in (one, pole)]
+
+    base_one, base_pole = means(0.0)
+    for t0 in (1e8, 1e12, 1e14):
+        got_one, got_pole = means(t0)
+        assert abs(got_one - base_one) <= 1e-13
+        assert abs(got_pole - base_pole) <= 1e-13 + np.spacing(t0) * base_pole
 
 
 def test_solid_mean_kernel_calls(monkeypatch):

@@ -253,6 +253,20 @@ def test_verdict_stable_under_density_doubling():
     assert coarse.verdict == fine.verdict == "likely-regular"
 
 
+@pytest.mark.parametrize("T", [1e6, 1e8])
+def test_series_unchanged_by_time_shift(T):
+    # L_a does not change under a shift in time, and the shells are built in
+    # the pole's time frame: shifting the domain and xi0 by T moves no term
+    def series(shift):
+        xi0 = P(x_prime=(0.5,), x=0.7, t=shift)
+        box = DomainDescriptor.box([0.0, 0.2], [1.0, 1.2], shift, shift + 1.0)
+        return wiener_series(PARAMS, xi0, box, lam=0.5, k_max=12, density=10)
+
+    base, shifted = series(0.0), series(T)
+    assert [row["term"] for row in shifted.terms] == [row["term"] for row in base.terms]
+    assert shifted.verdict == base.verdict == "likely-regular"
+
+
 def test_boundary_precondition():
     inside = P(x_prime=(0.5,), x=0.7, t=0.5)
     with pytest.raises(ValueError):
