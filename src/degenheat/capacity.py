@@ -57,12 +57,19 @@ symmetry group has an optimum that is constant on the orbits, found on
 the orbits alone (Bödi, Herr & Joswig, *Algorithms for highly
 symmetric linear and integer programs*, Math. Programming 137, 2013).
 So only the representatives' rows are built, the set and collar rows
-of one atom per orbit, over the atoms sorted by orbit; each orbit's
-columns are then averaged into one, and the orbit's mass x~_o is
-spread as x_i = x~_o / |o|.  A flat n = 2 level folds to half its
-atoms and an n = 3 cube to a quarter.  Atoms are matched by the ranks
-of their sorted coordinates within 1e-9 of a cell, not on a grid of
-h_space, since box cells need not be square.
+of one atom per orbit, over the atoms sorted by orbit, and each orbit's
+columns are averaged into one as they are built: a chunk of rows of at
+most BATCH_POINTS entries is gathered over all atoms, its near means
+written and its orbits' columns summed into the folded matrix, which
+is divided by the orbit sizes at the end.  Each row's arithmetic is
+that of a build over all atoms folded afterwards, so the result is the
+same to the bit, but the build holds only the 2 orbits x orbits folded
+rows and one chunk; the near pairs come from boolean tables over each
+axis' (row class, atom class) pairs, gathered per chunk too.  The
+orbit's mass x~_o is spread as x_i = x~_o / |o|.  A flat n = 2 level
+folds to half its atoms and an n = 3 cube to a quarter.  Atoms are
+matched by the ranks of their sorted coordinates within 1e-9 of a
+cell, not on a grid of h_space, since box cells need not be square.
 
 Then the LP sees only the rows that can bind.  A row of zeros cannot.
 Set row i and collar row m + i observe the same spatial point; where
@@ -93,16 +100,18 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernel import heat_kernel_1d, u_tilde
 from .params import KernelParams
-from .quadrature import integrate_weighted_interval, legendre_rule
+from .quadrature import BATCH_POINTS, chunks, integrate_weighted_interval, legendre_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
-# peak bytes of capacity_lp over the bytes of the rows it builds (2 orbits x
-# atoms), bounded from above: measured with tracemalloc (build and LP) on one
-# set, 2.2 on a flat 32 x 32 level, 2.8 on a 10 x 10 x 10 box level and 3.3 on
-# an 8^3 cube, all three folded and set by the build; with one atom taken out
-# of them nothing folds, and they reach 2.5, 2.7 and 3.3, set by the LP, and
-# 3.6 when no row leaves the LP (the 8^3 cube less one atom at a = -0.9)
+# peak bytes of capacity_lp over the bytes of what it builds (2 orbits x orbits
+# folded rows, plus one chunk of at most max(BATCH_POINTS, atoms) unfolded
+# entries), bounded from above: measured with tracemalloc (build and LP) on one
+# set at a = 0.3, 2.0 on a flat 32 x 32 level, 2.2 on a 10 x 10 x 10 box level,
+# 2.6 on an 8^3 cube and 2.9 on a 16^3 cube, all folded; with one atom taken out
+# of the first three nothing folds, and they reach 2.4, 2.6 and 2.9, the cube's
+# at a = -0.9 too (no row leaves its LP).  The LP and its copies of the rows set
+# the peak of the large ones, which tends to 3.5 when every row stays
 MATRIX_COPIES = 4
 # linprog gives up after this many iterations; the LPs of the bench jobs
 # and of the test suite converge in 22 or fewer
@@ -169,13 +178,15 @@ def _node_means(params: KernelParams, weighted: bool, groups, nodes: np.ndarray)
 
 
 def _constraint_matrices(params: KernelParams, sets):
-    """Each set's constraint matrix rows x atoms and its number of near pairs, from per-axis tables.
+    """Each set's constraint matrix rows x orbits and its near pair count, from per-axis tables.
 
-    sets holds (cons_sp, cons_t, atom_sp, atom_t, h_space, h_time) tuples.
+    sets holds (cons_sp, cons_t, atom_sp, atom_t, h_space, h_time, sizes)
+    tuples, the atoms sorted by orbit and sizes the orbits' atom counts.
     A far entry gathers each axis' table over (row class, atom class); a
     near entry gathers each axis' node means over the distinct class
-    pairs among the near pairs (module doc).  Per axis, one _node_means
-    call gives the tables of all sets and one more their node means.
+    pairs among the near pairs (module doc); each orbit's columns are
+    averaged into one.  Per axis, one _node_means call gives the tables
+    of all sets and one more their node means.
     """
     n = params.n
     plans, far, near = zip(*(_plan(params, *s) for s in sets))
@@ -190,46 +201,79 @@ def _constraint_matrices(params: KernelParams, sets):
         yield _assemble(*work.pop(0))
 
 
-def _plan(params: KernelParams, cons_sp, cons_t, atom_sp, atom_t, h_space: float, h_time: float):
-    """One set's near pairs and classes, and the pairs of its far tables and node means per axis."""
+def _plan(
+    params: KernelParams, cons_sp, cons_t, atom_sp, atom_t, h_space: float, h_time: float, sizes
+):
+    """One set's row chunks, near pairs and classes, and its far table and node mean pairs per axis.
+
+    A chunk is (first row, end row) of rows of at most BATCH_POINTS
+    entries in all, or of one row.
+    """
     # collar times may collide with a lattice slice up to rounding; a
     # dt of a few ulps would otherwise produce a spurious huge entry
     snap = 1e-9 * h_time
-    close = np.abs(cons_t[:, None] - atom_t[None, :]) <= NEAR_CELLS * h_time
-    # one axis at a time, so no (rows, atoms, n) temporary is built
-    for k in range(params.n):
-        close &= np.abs(cons_sp[:, None, k] - atom_sp[None, :, k]) <= NEAR_CELLS * h_space
-    js, is_ = np.nonzero(close)
-    del close
     row_times, row_ti = np.unique(cons_t, return_inverse=True)
     atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
-    axes, far, near = [], [], []
+    classes, far = [], []
     for k in range(params.n):
         rc, rx, rt = _axis_classes(cons_sp[:, k], row_ti, row_times)
         ac, ax, at = _axis_classes(atom_sp[:, k], atom_ti, atom_times)
-        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
-        p, q = np.divmod(pairs, len(ax))
         i, j = np.divmod(np.arange(len(rx) * len(ax)), len(ax))
         far.append((rx[i], rt[i], ax[j], at[j], h_space, h_time, snap))
+        # which class pairs are within NEAR_CELLS cells on this axis, and for the
+        # first axis in time too (every class carries its time)
+        close = np.abs(rx[:, None] - ax) <= NEAR_CELLS * h_space
+        if k == 0:
+            close &= np.abs(rt[:, None] - at) <= NEAR_CELLS * h_time
+        classes.append((rc, ac, rx, rt, ax, at, close))
+    spans, js, is_ = list(chunks([len(atom_t)] * len(cons_t), BATCH_POINTS)), [], []
+    for lo, hi in spans:
+        mask = True
+        for rc, ac, *_, close in classes:
+            mask = mask & close[rc[lo:hi]].take(ac, axis=1)
+        j, i = np.nonzero(mask)
+        js.append(j + lo)
+        is_.append(i)
+    # in row order, as one nonzero over all rows would give them
+    js, is_ = np.concatenate(js), np.concatenate(is_)
+    axes, near = [], []
+    for rc, ac, rx, rt, ax, at, _ in classes:
+        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
+        p, q = np.divmod(pairs, len(ax))
         near.append((rx[p], rt[p], ax[q], at[q], h_space, h_time, snap))
         axes.append((rc, ac, len(ax), pair))
-    return (js, is_, axes), far, near
+    return (js, is_, axes, spans, sizes), far, near
 
 
-def _assemble(js, is_, axes, tables, means) -> tuple[np.ndarray, int]:
-    """One set's matrix from its per-axis far tables and near node means."""
+def _assemble(js, is_, axes, spans, sizes, tables, means) -> tuple[np.ndarray, int]:
+    """One set's folded matrix from its per-axis far tables and near node means, chunk by chunk."""
     cells = np.ones((len(js), AVG_NODES))
-    for k, ((rc, ac, width, pair), table, mean) in enumerate(zip(axes, tables, means)):
-        # gather the columns of the small table, then copy whole rows
-        factor = table.reshape(-1, width)[:, ac][rc]
-        if k == 0:
-            A = factor
-        else:
-            A *= factor
-        del factor
+    for (*_, pair), mean in zip(axes, means):
         cells *= mean[pair]
-    A[js, is_] = np.mean(cells, axis=-1)
-    return A, len(js)
+    near = np.mean(cells, axis=-1)
+    del cells
+    rows, atoms, cols = len(axes[0][0]), len(axes[0][1]), len(sizes)
+    folded = cols < atoms
+    F = np.empty((rows, cols))
+    starts = np.cumsum(sizes) - sizes
+    for lo, hi in spans:
+        p, q = js.searchsorted((lo, hi))
+        # an unfolded chunk is built in place; a folded one sums each orbit's columns
+        A = np.empty((hi - lo, atoms)) if folded else F[lo:hi]
+        for k, ((rc, ac, width, _), table) in enumerate(zip(axes, tables)):
+            # gather the chunk's rows of the small table, then their columns
+            chunk = table.reshape(-1, width)[rc[lo:hi]]
+            if k == 0:
+                # the indices are in range; with mode "raise" take would buffer out
+                chunk.take(ac, axis=1, out=A, mode="clip")
+            else:
+                A *= chunk.take(ac, axis=1)
+        A[js[p:q] - lo, is_[p:q]] = near[p:q]
+        if folded:
+            np.add.reduceat(A, starts, axis=1, out=F[lo:hi])
+    if folded:
+        F /= sizes
+    return F, len(js)
 
 
 def _ranks(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -307,11 +351,13 @@ def check_fits(need: float, what: str) -> None:
 def check_matrix_fits(orbits: float, atoms: float) -> None:
     """Raise ValueError if capacity_lp's dense work on atoms in orbits exceeds physical memory.
 
-    capacity_lp builds the set and collar rows of one atom per orbit over
-    all atoms, 2 orbits x atoms float64 entries, and its peak is at most
-    about MATRIX_COPIES times that.
+    capacity_lp builds the set and collar rows of one atom per orbit,
+    folded to one column per orbit, 2 orbits x orbits float64 entries,
+    one chunk of at most max(BATCH_POINTS, atoms) unfolded entries at a
+    time, and its peak is at most about MATRIX_COPIES times the two.
     """
-    check_fits(MATRIX_COPIES * 16.0 * orbits * atoms, f"capacity matrix for {atoms:.4g} atoms")
+    entries = 2.0 * orbits * orbits + max(BATCH_POINTS, atoms)
+    check_fits(MATRIX_COPIES * 8.0 * entries, f"capacity matrix for {atoms:.4g} atoms")
 
 
 class LPResult(NamedTuple):
@@ -436,20 +482,17 @@ def capacity_lp(params: KernelParams, lattices, tol: float = 1e-8) -> list[Capac
         check_matrix_fits(len(reps), len(atom_t))
         # the set and collar rows of each orbit's first atom, over the atoms sorted
         # by orbit, so that each orbit's columns sit next to each other
-        order, rep_t = np.argsort(orbit, kind="stable"), atom_t[reps]
+        order, rep_t, sizes = np.argsort(orbit, kind="stable"), atom_t[reps], np.bincount(orbit)
         builds.append(
             (np.tile(atom_sp[reps], (2, 1)), np.concatenate([rep_t, rep_t + h_time]),
-             atom_sp[order], atom_t[order], h_space, h_time)
+             atom_sp[order], atom_t[order], h_space, h_time, sizes)
         )
-        sets.append((atom_sp, atom_t, orbit, axes, twin))
+        sets.append((atom_sp, atom_t, orbit, sizes, axes, twin))
     matrices = _constraint_matrices(params, builds)
     results = []
-    for atom_sp, atom_t, orbit, axes, twin in sets:
+    for atom_sp, atom_t, orbit, sizes, axes, twin in sets:
         F, near_pairs = next(matrices)
-        sizes = np.bincount(orbit)
         cols = len(sizes)
-        if cols < len(atom_t):
-            F = np.add.reduceat(F, np.cumsum(sizes) - sizes, axis=1) / sizes
         # a row of zeros adds nothing to the potential, and a set row that a collar
         # row bounds entrywise holds whenever that collar row does (x >= 0): its own
         # collar row, or its twin's, which observes the same point at the same time

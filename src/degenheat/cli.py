@@ -260,10 +260,12 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     check_matrix_fits(atoms / 2 ** (params.n - 1), atoms)
 
     def run(dens: int) -> CapacityResult:
+        # Gamma sees only lags, so the set starts at time 0: absolute times would
+        # round the lags, and the caps would drift with the set's time
         if kind == "flat":
-            lattice = flat_lattice(box.lo, box.hi, tau, dens)
+            lattice = flat_lattice(box.lo, box.hi, 0.0, dens)
         else:
-            lattice = box_lattice(box.lo, box.hi, box.t0, box.t1, dens)
+            lattice = box_lattice(box.lo, box.hi, 0.0, box.t1 - box.t0, dens)
         return capacity_lp(params, [lattice], tol=tol)[0]
 
     pair = [density, 2 * density]

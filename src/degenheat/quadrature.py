@@ -57,7 +57,9 @@ def tensor_rule(nodes, weights=None):
 
 
 # points per batched kernel call of meanvalue's slab quadrature and geometry's
-# sampling; bounds their memory, as the points grow like density^(n+2), ^(n+1)
+# sampling, and entries per chunk of capacity's unfolded rows; bounds their
+# memory, as the points grow like density^(n+2) and ^(n+1), and the entries
+# like the atoms squared
 BATCH_POINTS = 2**17
 
 

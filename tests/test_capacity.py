@@ -24,7 +24,14 @@ from degenheat.capacity import (
 )
 from degenheat.kernel import gamma_fs_vec, heat_kernel_1d, u_tilde
 from degenheat.params import KernelParams
-from degenheat.quadrature import box_lattice, flat_lattice, legendre_rule, tensor_rule
+from degenheat.quadrature import (
+    BATCH_POINTS,
+    box_lattice,
+    chunks,
+    flat_lattice,
+    legendre_rule,
+    tensor_rule,
+)
 
 PARAMS = KernelParams(n=2, a=0.3)
 
@@ -180,6 +187,11 @@ def _constraint_set(n, kind):
     return cons_sp, cons_t, sp, ts, hs, ht
 
 
+def _unfolded(args):
+    """A build over every atom's own column: each atom an orbit of its own."""
+    return (*args, np.ones(len(args[3]), dtype=int))
+
+
 def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     """The constraint matrix with every near entry averaged over all tensor nodes."""
     ref = gamma_fs_vec(params, cons_sp[:, None, :], cons_t[:, None], atom_sp[None], atom_t[None])
@@ -213,7 +225,7 @@ def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
 def test_constraint_matrix_matches_tensor_rule(n, a, kind):
     params = KernelParams(n=n, a=a)
     args = _constraint_set(n, kind)
-    A, near_pairs = next(capacity._constraint_matrices(params, [args]))
+    A, near_pairs = next(capacity._constraint_matrices(params, [_unfolded(args)]))
     _check_against_tensor_rule(params, args, A, near_pairs)
 
 
@@ -232,14 +244,15 @@ def test_batched_constraint_matrices_match_tensor_rule(n, a):
     # each pair takes its own set's snap and node offsets
     params = KernelParams(n=n, a=a)
     sets = [_constraint_set(n, kind) for kind in ("flat-h2", "box", "straddle", "scattered")]
-    built = list(capacity._constraint_matrices(params, sets))
+    built = list(capacity._constraint_matrices(params, [_unfolded(args) for args in sets]))
     assert len(built) == len(sets)
     for args, (A, near_pairs) in zip(sets, built):
         _check_against_tensor_rule(params, args, A, near_pairs)
 
 
 def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
-    """One set's matrix as a per-set build makes it: broadcast class tables, then node means."""
+    """One set's unfolded matrix as a per-set build makes it (broadcast class tables, then node
+    means), and the rows of its near pairs."""
     snap = 1e-9 * ht
     js, is_ = np.nonzero(
         (np.abs(cons_t[:, None] - atom_t) <= NEAR_CELLS * ht)
@@ -268,25 +281,64 @@ def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
         p, q = np.divmod(pairs, len(ax))
         cells *= means(weighted, rx[p], rt[p], ax[q], at[q], 0.5 * hs * x, 0.5 * ht * x)[pair]
     A[js, is_] = np.mean(cells, axis=-1)
-    return A
+    return A, js
+
+
+def _folded_build(n, lattice):
+    """capacity_lp's build of a lattice: one atom per orbit's rows over the atoms by orbit."""
+    sp, ts, hs, ht = lattice
+    orbit, reps, _, _ = capacity._lattice_symmetry(n, sp, ts, hs, ht)
+    order = np.argsort(orbit, kind="stable")
+    return (np.tile(sp[reps], (2, 1)), np.concatenate([ts[reps], ts[reps] + ht]),
+            sp[order], ts[order], hs, ht, np.bincount(orbit))
+
+
+def _check_folded_build(params, lattice):
+    """Assert that one set's folded build equals its per-set reference folded by reduceat / sizes.
+
+    A call on one set computes each table entry and node mean from the same
+    values in the same order as a per-set broadcast build, and folds each
+    row as reduceat over the whole matrix does, so the matrix is equal to
+    the bit, and so is everything the LP computes from it.  Returns the
+    build's arguments and the rows of its near pairs.
+    """
+    args = _folded_build(params.n, lattice)
+    sizes = args[-1]
+    A, near_pairs = next(capacity._constraint_matrices(params, [args]))
+    full, js = _per_set_reference(params, *args[:-1])
+    assert near_pairs == len(js)
+    assert A.shape == (2 * len(sizes), len(sizes))
+    assert np.array_equal(A, np.add.reduceat(full, np.cumsum(sizes) - sizes, axis=1) / sizes)
+    return args, js
+
+
+def _chunk_ends(args):
+    """The rows at which a build of these arguments starts a new chunk."""
+    return [hi for _, hi in chunks([len(args[2])] * len(args[0]), BATCH_POINTS)][:-1]
 
 
 def test_one_set_build_matches_per_set_reference():
     # the folded rows of the bench's fine level (the first BENCH_CAPS config at
-    # density 32): a call on one set computes each table entry and node mean from
-    # the same values in the same order as a per-set build, so the matrix is
-    # equal to the bit, and so is everything the LP computes from it
-    params = KernelParams(n=2, a=0.20519930049117807)
-    lo = [0.3576474270731438, -0.7622185810352857]
-    sp, ts, hs, ht = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, 32)
-    orbit, reps, axes, _ = capacity._lattice_symmetry(2, sp, ts, hs, ht)
-    assert axes == (0,) and len(reps) == 512
-    order = np.argsort(orbit, kind="stable")
-    args = (np.tile(sp[reps], (2, 1)), np.concatenate([ts[reps], ts[reps] + ht]),
-            sp[order], ts[order], hs, ht)
-    A, _ = next(capacity._constraint_matrices(params, [args]))
-    assert A.shape == (1024, 1024)
-    assert np.array_equal(A, _per_set_reference(params, *args))
+    # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 8
+    # chunks with near pairs on both sides of every chunk boundary
+    a, lo, _ = BENCH_CAPS[0]
+    lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, 32)
+    args, js = _check_folded_build(KernelParams(n=2, a=a), lattice)
+    assert set(args[-1]) == {2}
+    ends = _chunk_ends(args)
+    assert len(ends) == 7
+    assert all(np.isin([end - 1, end], js).all() for end in ends)
+
+
+@pytest.mark.parametrize(
+    "name,orbit_sizes", [("square-15", {1, 2}), ("cube-7", {1, 2, 4})], ids=["square-15", "cube-7"]
+)
+def test_folded_build_matches_per_set_reference(name, orbit_sizes):
+    # orbits of 1, 2 and 4 atoms, each build one chunk
+    params, lattice, *_ = FOLDED[name]
+    args, _ = _check_folded_build(params, lattice)
+    assert set(args[-1]) == orbit_sizes
+    assert _chunk_ends(args) == []
 
 
 def test_near_entry_profile_points(monkeypatch):
@@ -303,7 +355,8 @@ def test_near_entry_profile_points(monkeypatch):
 
     monkeypatch.setattr(capacity, "u_tilde", counted)
     params = KernelParams(n=3, a=0.3)
-    A, near_pairs = next(capacity._constraint_matrices(params, [_constraint_set(3, "box")]))
+    args = _unfolded(_constraint_set(3, "box"))
+    A, near_pairs = next(capacity._constraint_matrices(params, [args]))
     assert near_pairs > 0
     assert points[0] <= A.size + 9 * near_pairs
     # a flat 32 x 32 level: the weighted axis has 32 coordinates and 2 row
@@ -312,7 +365,8 @@ def test_near_entry_profile_points(monkeypatch):
     sp, ts, hs, ht = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
     cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + ht])
     params = KernelParams(n=2, a=0.3)
-    A, _ = next(capacity._constraint_matrices(params, [(cons_sp, cons_t, sp, ts, hs, ht)]))
+    args = _unfolded((cons_sp, cons_t, sp, ts, hs, ht))
+    A, _ = next(capacity._constraint_matrices(params, [args]))
     assert A.shape == (2048, 1024)
     assert points[0] <= 10_000
 
@@ -385,9 +439,8 @@ def _full_row_reference(params, lattice):
     """
     sp, ts, hs, ht = lattice
     m = len(ts)
-    A, _ = next(capacity._constraint_matrices(
-        params, [(np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht)]
-    ))
+    args = _unfolded((np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht))
+    A, _ = next(capacity._constraint_matrices(params, [args]))
     assert np.all(np.any(A > 0.0, axis=1))
     # same[i, j]: atom j's collar row observes atom i's point at atom i's time
     same = np.all(sp[:, None] == sp[None], axis=-1)
@@ -558,35 +611,43 @@ def test_batched_lp_matches_one_set_calls():
 
 
 def test_matrix_estimate_charges_built_rows(monkeypatch):
-    # a flat 16 x 16 level folds to 128 orbits: the estimate charges the 256 x 256
-    # entries built, not the full 512 x 256 matrix; the capacity command charges
-    # its fine level's best fold (atoms / 2^(n-1) orbits) before it builds a lattice
+    # a flat 16 x 16 level folds to 128 orbits: the estimate charges the 256 x 128
+    # folded rows and one chunk of unfolded entries, not the 256 x 256 rows over
+    # all atoms; the capacity command charges its fine level's best fold (atoms /
+    # 2^(n-1) orbits) before it builds a lattice
     charged = []
     monkeypatch.setattr(capacity, "check_fits", lambda need, what: charged.append(need))
     res = capacity_lp(PARAMS, [flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 16)])[0]
     assert res.lp_cols == 128
-    assert charged == [capacity.MATRIX_COPIES * 8.0 * 256 * 256]
+    assert charged == [capacity.MATRIX_COPIES * 8.0 * (256 * 128 + BATCH_POINTS)]
     charged.clear()
     square = {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0}
     cli.cmd_capacity(cli.RunConfig(PARAMS, {"set": square, "density": 2}))
     # the early check on the 4 x 4 fine level, then each level's built rows
-    fold = capacity.MATRIX_COPIES * 16.0
-    assert charged == [fold * 8 * 16, fold * 2 * 4, fold * 8 * 16]
+    fold = [capacity.MATRIX_COPIES * 8.0 * (2 * orbits**2 + BATCH_POINTS) for orbits in (8, 2)]
+    assert charged == [fold[0], fold[1], fold[0]]
 
 
 def test_folded_level_peak_memory():
-    # a flat 32 x 32 level folds to 512 orbits; building only their rows keeps
-    # the peak near the bytes of the full 2048 x 1024 matrix, which building
-    # every row and folding it afterwards about doubles
-    lattice = flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32)
-    tracemalloc.start()
-    try:
-        res = capacity_lp(PARAMS, [lattice])[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.lp_cols == 512
-    assert peak < 1.5 * 2048 * 1024 * 8
+    # a flat 32 x 32 level folds to 512 orbits and a 12^3 cube to 432; building
+    # their rows one chunk at a time and folding each chunk as it is built keeps
+    # the peak at a few times the bytes of the 2 orbits x orbits folded rows, set
+    # by the LP and its copies of them (2.6 and 3.0 times, measured), where
+    # building every row over all atoms first reached 4.5 and 9.9 times
+    cube = flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 12)
+    cases = [
+        (KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 3.0),
+        (KernelParams(n=3, a=0.3), cube, 432, 3.5),
+    ]
+    for params, lattice, orbits, bound in cases:
+        tracemalloc.start()
+        try:
+            res = capacity_lp(params, [lattice])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.lp_cols == orbits
+        assert peak <= bound * 2 * orbits * orbits * 8, params.n
 
 
 def test_cli_import_leaves_out_scipy_optimize():

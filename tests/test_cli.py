@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from degenheat import cli
 from degenheat.cli import main
+from degenheat.params import KernelParams
 
 PARAMS = {"n": 2, "a": 0.3}
 
@@ -585,7 +586,6 @@ def test_kernel_one_call_over_all_pairs(tmp_path, monkeypatch):
     # 2,000 pairs, causal and acausal, some observations on y = 0:
     # gamma_grad_y_vec runs once, and each row matches the one-pair calls
     from degenheat.kernel import bounds_sandwich, gamma_grad_y_vec
-    from degenheat.params import KernelParams
 
     rng = np.random.default_rng(23)
     obs, src = rng.normal(size=(2, 2000, 3))
@@ -676,6 +676,22 @@ def test_capacity_with_oracle(tmp_path):
         assert lev["atoms"] < lev["near_pairs"] <= 50 * lev["atoms"]
         assert lev["lp_iterations"] > 0
         assert abs(lev["max_constraint_violation"]) <= 1e-6
+
+
+def test_capacity_sees_only_lags():
+    # Gamma sees only lags, so a set moved in time keeps its caps to the bit: a flat
+    # square at tau = 1e8, and a box over [1e8, 1e8 + 1] against one over [0, 1]
+    params = KernelParams(n=2, a=0.3)
+    side = {"lo": [0, 0.5], "hi": [1, 1.5]}
+
+    def caps(spec, density):
+        *_, rows = cli.cmd_capacity(cli.RunConfig(params, {"set": spec, "density": density}))
+        return rows[0][1:4]
+
+    flat = {"kind": "flat", **side}
+    assert caps({**flat, "tau": 1e8}, 8) == caps({**flat, "tau": 0.0}, 8)
+    box = {"kind": "box", **side}
+    assert caps({**box, "t0": 1e8, "t1": 1e8 + 1}, 4) == caps({**box, "t0": 0.0, "t1": 1.0}, 4)
 
 
 def test_dirichlet_constant(tmp_path):
