@@ -252,14 +252,12 @@ def _assemble(js, is_, axes, spans, sizes, tables, means) -> tuple[np.ndarray, i
         cells *= mean[pair]
     near = np.mean(cells, axis=-1)
     del cells
-    rows, atoms, cols = len(axes[0][0]), len(axes[0][1]), len(sizes)
-    folded = cols < atoms
-    F = np.empty((rows, cols))
+    F = np.empty((len(axes[0][0]), len(sizes)))
     starts = np.cumsum(sizes) - sizes
     for lo, hi in spans:
         p, q = js.searchsorted((lo, hi))
-        # an unfolded chunk is built in place; a folded one sums each orbit's columns
-        A = np.empty((hi - lo, atoms)) if folded else F[lo:hi]
+        # the chunk is built over all atoms, then each orbit's columns are summed
+        A = np.empty((hi - lo, len(axes[0][1])))
         for k, ((rc, ac, width, _), table) in enumerate(zip(axes, tables)):
             # gather the chunk's rows of the small table, then their columns
             chunk = table.reshape(-1, width)[rc[lo:hi]]
@@ -269,10 +267,8 @@ def _assemble(js, is_, axes, spans, sizes, tables, means) -> tuple[np.ndarray, i
             else:
                 A *= chunk.take(ac, axis=1)
         A[js[p:q] - lo, is_[p:q]] = near[p:q]
-        if folded:
-            np.add.reduceat(A, starts, axis=1, out=F[lo:hi])
-    if folded:
-        F /= sizes
+        np.add.reduceat(A, starts, axis=1, out=F[lo:hi])
+    F /= sizes
     return F, len(js)
 
 

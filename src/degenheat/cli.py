@@ -1,16 +1,16 @@
 """Batch front-end: JSON config in, CSV/JSON envelopes out.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical
-failure.  Each command first reads its fields through _count, _number,
-_numbers, _point and _box; _number is the one number policy: an int or
-float, not a bool or string, strictly inside its range, so finite.  main
-maps KeyError, TypeError and ValueError (a bad config or library
-argument) to exit 2, and RuntimeError, ArithmeticError and MemoryError
-(non-convergence, a non-finite value, an overflow on finite but extreme
-input, an allocation that cannot be met) to exit 3, each with a single
-stderr line: the warnings of a failed run are not printed.  Commands run
-serially: --workers must be at least 1 but changes nothing, so identical
-configs produce identical CSV bytes.
+failure.  Each command first reads its fields through params.number and
+params.numbers, the one number policy, and _count, _point and _box,
+built on them; DomainDescriptor reads a domain primitive's fields the
+same way.  main maps KeyError, TypeError and ValueError (a bad config or
+library argument) to exit 2, and RuntimeError, ArithmeticError and
+MemoryError (non-convergence, a non-finite value, an overflow on finite
+but extreme input, an allocation that cannot be met) to exit 3, each
+with a single stderr line: the warnings of a failed run are not printed.
+Commands run serially: --workers must be at least 1 but changes
+nothing, so identical configs produce identical CSV bytes.
 """
 from __future__ import annotations
 
@@ -46,13 +46,9 @@ from .kernel import (
     semigroup_residual,
 )
 from .meanvalue import harnack_quotient, solid_mean
-from .params import KernelParams, SpaceTimePoint
+from .params import KernelParams, SpaceTimePoint, number, numbers
 from .quadrature import box_lattice, flat_lattice
 from .wiener import DomainDescriptor, wiener_series
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -61,23 +57,19 @@ class RunConfig:
     raw: dict
 
     @classmethod
-    def load(cls, path: str, tol: float | None) -> "RunConfig":
+    def load(cls, path: str) -> "RunConfig":
         # an integer literal beyond the range of a double reads as infinity, as 1e400 does
         parse_int = lambda s: int(s) if math.isfinite(float(s)) else float(s)
         try:
             raw = json.loads(Path(path).read_text(), parse_int=parse_int)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
+            raise ValueError(f"cannot read config: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ValueError("config must be a JSON object")
         block = raw.get("params")
         if not isinstance(block, dict) or "n" not in block or "a" not in block:
-            raise ConfigError("config needs params: {n, a}")
-        params = KernelParams(n=_count(block["n"], "params.n"), a=_number(block["a"], "params.a"))
-        if tol is not None:
-            raw = {**raw, "tol": tol}
-        if "tol" in raw:
-            _number(raw["tol"], "tol", 0.0)
+            raise ValueError("config needs params: {n, a}")
+        params = KernelParams(n=_count(block["n"], "params.n"), a=number(block["a"], "params.a"))
         return cls(params=params, raw=raw)
 
     @property
@@ -98,35 +90,20 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def _count(value, label: str) -> int:
-    """A count field: a positive integral number, not a boolean or infinity."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ConfigError(f"{label} must be a positive integer, got {value!r}")
+    """A count field: a positive number that is whole."""
+    if not number(value, label, 0.0).is_integer():
+        raise ValueError(f"{label} must be a positive integer, got {value!r}")
     return int(value)
 
 
-def _number(value, label: str, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """A number field: an int or float, not a boolean or string, strictly inside (lo, hi)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo < value < hi:
-        raise ConfigError(f"{label} must be a number in ({lo:g}, {hi:g}), got {value!r}")
-    return float(value)
-
-
-def _numbers(values, size: int, label: str) -> list[float]:
-    """A list of exactly `size` number fields."""
-    if not isinstance(values, list) or len(values) != size:
-        raise ConfigError(f"{label} must be a list of {size} numbers")
-    return [_number(v, label) for v in values]
-
-
 def _point(coords, n: int, label: str) -> SpaceTimePoint:
-    *spatial, t = _numbers(coords, n + 1, label)
+    *spatial, t = numbers(coords, label, n + 1)
     return SpaceTimePoint.from_spatial(spatial, t)
 
 
 def _box(cfg: dict, n: int) -> BoxDomain:
-    lo, hi = _numbers(cfg["lo"], n, "box lo"), _numbers(cfg["hi"], n, "box hi")
-    t0, t1 = _number(cfg["t0"], "box t0"), _number(cfg["t1"], "box t1")
+    lo, hi = numbers(cfg["lo"], "box lo", n), numbers(cfg["hi"], "box hi", n)
+    t0, t1 = number(cfg["t0"], "box t0"), number(cfg["t1"], "box t1")
     return BoxDomain(lo=tuple(lo), hi=tuple(hi), t0=t0, t1=t1)
 
 
@@ -142,10 +119,10 @@ def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
     n = config.params.n
     points = config.raw.get("points")
     if not isinstance(points, list) or not points:
-        raise ConfigError("kernel command needs a nonempty points list")
+        raise ValueError("kernel command needs a nonempty points list")
     # one (pairs, n + 1) array per side, one call per quantity over all pairs
     xi, zeta = (
-        np.array([_numbers(p[side], n + 1, side) for p in points]) for side in ("xi", "zeta")
+        np.array([numbers(p[side], side, n + 1) for p in points]) for side in ("xi", "zeta")
     )
     args = (config.params, xi[:, :n], xi[:, n], zeta[:, :n], zeta[:, n])
     lower, gam, upper = bounds_sandwich(*args)
@@ -159,23 +136,21 @@ def cmd_kernel(config: RunConfig) -> tuple[dict, dict, list, list]:
 
 
 def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
-    tol = _number(config.raw.get("tol", 1e-6), "tol", 0.0)
-    perturb = _number(config.raw.get("perturb", 1.0), "check perturb")
+    tol = number(config.raw.get("tol", 1e-6), "tol", 0.0)
     n = config.params.n
     mass_points = [_point(e, n, "mass_points entry") for e in config.raw.get("mass_points", [])]
-    semis = [_numbers(e, 4, "semigroup [x, eta, t, s]") for e in config.raw.get("semigroup", [])]
+    semis = [numbers(e, "semigroup [x, eta, t, s]", 4) for e in config.raw.get("semigroup", [])]
     if not mass_points and not semis:
-        raise ConfigError("check command needs mass_points or semigroup entries")
+        raise ValueError("check command needs mass_points or semigroup entries")
     rows = []
     failures = 0
     for p in mass_points:
-        val = mass_integral(config.params, (p.x_prime, p.x), p.t) * perturb
-        err = abs(val - 1.0)
+        err = abs(mass_integral(config.params, (p.x_prime, p.x), p.t) - 1.0)
         ok = err <= tol
         failures += not ok
         rows.append(["mass", err, int(ok)])
     for x, eta, t, s in semis:
-        res = semigroup_residual(config.params, x, eta, t, s) * perturb
+        res = semigroup_residual(config.params, x, eta, t, s)
         ok = res <= tol
         failures += not ok
         rows.append(["semigroup", res, int(ok)])
@@ -194,7 +169,7 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     n_steps = _count(config.raw.get("n_steps", 8), "dirichlet n_steps")
     data = config.raw.get("data", "constant")
     if data == "constant":
-        c = _number(config.raw.get("constant", 1.0), "dirichlet constant")
+        c = number(config.raw.get("constant", 1.0), "dirichlet constant")
 
         def f(pts, t):
             return np.full(len(np.atleast_2d(pts)), c)
@@ -205,22 +180,22 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     elif data == "gamma":
         pole = _point(config.raw.get("pole", ()), params.n, "pole")
         if pole.t >= box.t0:
-            raise ConfigError("pole must sit strictly before the box")
+            raise ValueError("pole must sit strictly before the box")
         f = _pole_field(params, pole)
 
         def ref(xi):
             return gamma_fs(params, xi, pole)
 
     else:
-        raise ConfigError(f"unknown data kind {data!r}")
+        raise ValueError(f"unknown data kind {data!r}")
     probes = [_point(p, params.n, "probe") for p in config.raw.get("probes", [])]
     u0_probes = [_point(p, params.n, "u0 probe") for p in config.raw.get("u0_probes", [])]
     if not probes:
-        raise ConfigError("dirichlet command needs probe points")
+        raise ValueError("dirichlet command needs probe points")
     # the solution is only defined inside the box; u0_probes sit on faces by design
     for xi in probes:
         if not box.contains(xi):
-            raise ConfigError(f"probe {[*xi.spatial, xi.t]} lies outside the open box or (t0, t1]")
+            raise ValueError(f"probe {[*xi.spatial, xi.t]} lies outside the open box or (t0, t1]")
     sol = solve_dirichlet(params, box, f, d_space=d_space, n_steps=n_steps)
     rows = []
     for xi, got in zip(probes, sol.evaluate(probes)):
@@ -243,16 +218,16 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     spec = config.raw.get("set")
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("capacity command needs a set block with a kind")
+        raise ValueError("capacity command needs a set block with a kind")
     kind = spec["kind"]
     if kind not in ("flat", "box"):
-        raise ConfigError(f"unknown set kind {kind!r}")
-    tau = _number(spec["tau"], "set tau") if kind == "flat" else 0.0
+        raise ValueError(f"unknown set kind {kind!r}")
+    tau = number(spec["tau"], "set tau") if kind == "flat" else 0.0
     # a flat set's corners are checked as those of a box over [tau, tau + 1]
     box = _box(spec if kind == "box" else {**spec, "t0": tau, "t1": tau + 1.0}, params.n)
     density = _count(config.raw.get("density", 16), "capacity density")
     # the LP stops at this relative duality gap, so it must be below 1
-    tol = _number(config.raw.get("tol", 1e-8), "tol", 0.0, 1.0)
+    tol = number(config.raw.get("tol", 1e-8), "tol", 0.0, 1.0)
     # the fine level has the most atoms: density^n per slice, density slices for a box,
     # and at best its free axes fold them to atoms / 2^(n-1) orbits; a float product
     # overflows to inf instead of raising, so a huge density exits 2
@@ -291,16 +266,12 @@ def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
     xi0 = _point(config.raw.get("xi0", ()), params.n, "xi0")
     dom_block = config.raw.get("domain")
     if not isinstance(dom_block, dict):
-        raise ConfigError("wiener command needs a domain descriptor")
-    try:  # the number policy reaches into the domain block: no Infinity or NaN
-        json.dumps(dom_block, allow_nan=False)
-    except ValueError:
-        raise ConfigError("domain numbers must be finite") from None
+        raise ValueError("wiener command needs a domain descriptor")
     domain = DomainDescriptor(tuple(dom_block["primitives"]), tuple(dom_block.get("ops", ())))
-    lam = _number(config.raw.get("lambda", 0.5), "wiener lambda", 0.0, 1.0)
+    lam = number(config.raw.get("lambda", 0.5), "wiener lambda", 0.0, 1.0)
     k_max = _count(config.raw.get("k_max", 12), "wiener k_max")
     density = _count(config.raw.get("density", 10), "wiener density")
-    sweep = tuple(_number(v, "wiener sweep", 0.0, 1.0) for v in config.raw.get("sweep", ()))
+    sweep = tuple(number(v, "wiener sweep", 0.0, 1.0) for v in config.raw.get("sweep", ()))
     report = wiener_series(params, xi0, domain, lam=lam, k_max=k_max, density=density, sweep=sweep)
     rows = [
         [lam, row["k"], row["cap"], row["weight"], row["term"], s]
@@ -320,9 +291,9 @@ def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
 def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     xi0 = _point(config.raw.get("xi0", ()), params.n, "xi0")
-    radii = [_number(r, "meanvalue radius", 0.0) for r in config.raw.get("radii", [])]
+    radii = [number(r, "meanvalue radius", 0.0) for r in config.raw.get("radii", [])]
     if not radii:
-        raise ConfigError("meanvalue command needs radii")
+        raise ValueError("meanvalue command needs radii")
     density = _count(config.raw.get("density", 8), "meanvalue density")
 
     def one(pts, t):
@@ -332,7 +303,7 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
     if "pole" in config.raw:
         pole = _point(config.raw["pole"], params.n, "pole")
         if pole.t >= xi0.t:
-            raise ConfigError("pole must sit strictly before xi0 in time")
+            raise ValueError("pole must sit strictly before xi0 in time")
         cases.append(("gamma", _pole_field(params, pole), gamma_fs(params, xi0, pole)))
 
     rows = []
@@ -340,7 +311,7 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
         # a pole far from xi0 leaves the gamma case no reference; the one case
         # runs first, so a y or radius that breaks the numerics exits 3, not 2
         if not want > 0.0:
-            raise ConfigError("Gamma(xi0; pole) is 0: the pole gives no reference mean")
+            raise ValueError("Gamma(xi0; pole) is 0: the pole gives no reference mean")
         for r in radii:
             mean = solid_mean(params, u, xi0, r, density=density)
             rows.append([name, r, mean, want, abs(mean - want) / abs(want)])
@@ -356,12 +327,12 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
 def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     if params.n != 2:
-        raise ConfigError("harnack command supports n = 2")
-    r = _number(config.raw.get("r", 0.02), "harnack r", 0.0)
+        raise ValueError("harnack command supports n = 2")
+    r = number(config.raw.get("r", 0.02), "harnack r", 0.0)
     pole = _point(config.raw.get("pole", ()), params.n, "pole")
     # u vanishes on the bottom slice unless the pole is earlier
     if not pole.t < -1.5 * r:
-        raise ConfigError("pole must sit strictly before the bottom slice t = -3r/2")
+        raise ValueError("pole must sit strictly before the bottom slice t = -3r/2")
     density = _count(config.raw.get("density", 24), "harnack density")
     # the fine heat-ball lattice: (2 density)^(n+1) points of n+1 floats
     check_fits(8.0 * 3 * math.prod([2.0 * density] * 3), "heat-ball lattice")
@@ -399,14 +370,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     try:
         # warnings are held until the command succeeds, so a failure prints one line
         with warnings.catch_warnings(record=True) as held:
-            config = RunConfig.load(args.config, args.tol)
+            config = RunConfig.load(args.config)
             if args.workers < 1:
-                raise ConfigError("workers must be at least 1")
+                raise ValueError("workers must be at least 1")
             start = time.monotonic()
             payload, diags, header, rows = _COMMANDS[args.command](config)
             elapsed = time.monotonic() - start

@@ -2,6 +2,8 @@
 
 The operator is L_a u = D_t(|y|^a u) - div(|y|^a grad u) on R^n x R,
 with the weight acting on the last spatial coordinate y and a in (-1, 1).
+number and numbers are the one policy for a number that a config or a
+domain primitive holds.
 """
 from __future__ import annotations
 
@@ -9,6 +11,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def number(value, label: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """value as a float if it is an int or float, not a bool, inside (lo, hi), so finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo < value < hi:
+        raise ValueError(f"{label} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+    return float(value)
+
+
+def numbers(values, label: str, size: int = 0) -> list[float]:
+    """A nonempty list or tuple of numbers, of exactly size entries if size is given."""
+    if not isinstance(values, (list, tuple)) or not values or len(values) != (size or len(values)):
+        raise ValueError(f"{label} must be a list of {size or 'some'} numbers")
+    return [number(v, label) for v in values]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ heuristic and the thresholds are surfaced in the report.  The shells of
 one lambda are sampled in one pass (geometry.heat_ball_samples) and
 their LPs built from one capacity_lp call, in the pole's time frame
 (xi0 at t = 0; L_a is invariant under time shifts): only the domain
-test sees absolute times.
+test sees absolute times.  DomainDescriptor reads each primitive's fields
+once, through params.number and numbers, into a membership test.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .capacity import CapacityResult, capacity_lp, lp_report
 from .geometry import HeatBall, Shell, heat_ball_samples, heat_ball_threshold
-from .params import KernelParams, SpaceTimePoint
+from .params import KernelParams, SpaceTimePoint, number, numbers
 
 TERM_FLOOR = 1e-12
 TAIL_LEN = 5
@@ -28,70 +29,72 @@ DIV_FRACTION = 0.1
 CONV_RATIO = 0.7
 CONV_R2 = 0.9
 
-_PRIMITIVE_TYPES = ("box", "half-space", "time-slab", "cusp")
-_OPS = ("union", "intersect", "subtract")
+_OPS = {
+    "union": np.logical_or,
+    "intersect": np.logical_and,
+    "subtract": lambda mask, other: mask & ~other,
+}
 
 
-def _number(value, key: str) -> float:
-    """value as a float if it is a finite int or float, not a bool or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"primitive field {key!r} must hold finite numbers, got {value!r}")
-    return float(value)
+def _membership(prim: dict):
+    """prim's membership test, a function of (spatial, times), its fields read once.
 
+    The test raises ValueError unless box corners hold n numbers and a
+    normal or center n + 1, n being the width of the points' last axis.
+    """
+    kind, flip = prim["type"], prim.get("complement", False)
+    if not isinstance(flip, bool):
+        raise ValueError(f"primitive 'complement' must be a boolean, got {flip!r}")
+    sized = []  # (vector, its length less n)
 
-def _numbers(block: dict, key: str, size: int = 0) -> np.ndarray:
-    """block[key] as a nonempty list of finite numbers, of length size if given."""
-    vals = block[key]
-    if not isinstance(vals, (list, tuple)) or not vals or len(vals) != (size or len(vals)):
-        raise ValueError(f"primitive field {key!r} must be a list of {size or 'some'} numbers")
-    return np.array([_number(v, key) for v in vals])
+    def vector(key: str, extra: int) -> np.ndarray:
+        sized.append((np.array(numbers(prim[key], f"{kind} {key}")), extra))
+        return sized[-1][0]
 
-
-def _check_primitive(prim: dict) -> None:
-    """Raise ValueError unless prim has the fields its type reads."""
-    kind = prim["type"]
-    if kind not in _PRIMITIVE_TYPES:
-        raise ValueError(f"unknown primitive type {kind!r}")
-    if kind == "box" and len(_numbers(prim, "lo")) != len(_numbers(prim, "hi")):
-        raise ValueError("box primitive corners differ in length")
     if kind in ("box", "time-slab"):
-        _numbers(prim, "t", 2)
-    if kind == "half-space":
-        _numbers(prim, "normal")
-        _number(prim["offset"], "offset")
-    if kind == "cusp":
-        _numbers(prim, "center")
-        if prim["profile"]["kind"] not in ("power", "exp"):
-            raise ValueError(f"unknown cusp profile {prim['profile']['kind']!r}")
-        _numbers(prim["profile"], "params", 2)
-    if not isinstance(prim.get("complement", False), bool):
-        raise ValueError(f"primitive 'complement' must be a boolean, got {prim['complement']!r}")
-
-
-def _primitive_mask(prim: dict, spatial: np.ndarray, times: np.ndarray) -> np.ndarray:
-    kind = prim["type"]
-    if kind in ("box", "time-slab"):
-        t0, t1 = _numbers(prim, "t", 2)
-        mask = (times > t0) & (times < t1)
+        t0, t1 = numbers(prim["t"], f"{kind} t", 2)
     if kind == "box":
-        lo, hi = _numbers(prim, "lo"), _numbers(prim, "hi")
-        mask &= np.all((spatial > lo) & (spatial < hi), axis=-1)
+        lo, hi = vector("lo", 0), vector("hi", 0)
+
+        def test(spatial, times):
+            return (times > t0) & (times < t1) & np.all((spatial > lo) & (spatial < hi), axis=-1)
+
+    elif kind == "time-slab":
+
+        def test(spatial, times):
+            return (times > t0) & (times < t1)
+
     elif kind == "half-space":
-        normal = _numbers(prim, "normal")
-        mask = spatial @ normal[:-1] + times * normal[-1] < _number(prim["offset"], "offset")
+        normal, offset = vector("normal", 1), number(prim["offset"], "half-space offset")
+
+        def test(spatial, times):
+            return spatial @ normal[:-1] + times * normal[-1] < offset
+
     elif kind == "cusp":
-        center = _numbers(prim, "center")
-        dt = center[-1] - times
-        dist = np.linalg.norm(spatial - center[:-1], axis=-1)
-        c, p = _numbers(prim["profile"], "params", 2)
-        with np.errstate(divide="ignore", over="ignore"):
-            if prim["profile"]["kind"] == "power":
-                rad = c * np.maximum(dt, 0.0) ** p
-            else:
-                rad = c * np.exp(-p / np.maximum(dt, 1e-300))
-        mask = (dt > 0.0) & (dist < rad)
-    if prim.get("complement", False):
-        mask = ~mask
+        center, shape = vector("center", 1), prim["profile"]["kind"]
+        if shape not in ("power", "exp"):
+            raise ValueError(f"unknown cusp profile {shape!r}")
+        c, p = numbers(prim["profile"]["params"], "cusp profile params", 2)
+
+        def test(spatial, times):
+            dt = center[-1] - times
+            dist = np.linalg.norm(spatial - center[:-1], axis=-1)
+            with np.errstate(divide="ignore", over="ignore"):
+                if shape == "power":
+                    rad = c * np.maximum(dt, 0.0) ** p
+                else:
+                    rad = c * np.exp(-p / np.maximum(dt, 1e-300))
+            return (dt > 0.0) & (dist < rad)
+
+    else:
+        raise ValueError(f"unknown primitive type {kind!r}")
+
+    def mask(spatial, times):
+        n = spatial.shape[-1]
+        if any(len(vec) != n + extra for vec, extra in sized):
+            raise ValueError(f"{kind} primitive: corners need n = {n} numbers, others n + 1")
+        return test(spatial, times) ^ flip
+
     return mask
 
 
@@ -101,7 +104,7 @@ class DomainDescriptor:
 
     ops[i] combines the running set with primitives[i + 1]; each
     primitive may carry a "complement" flag.  Membership uses strict
-    inequalities throughout.  Construction checks every primitive's fields.
+    inequalities throughout.  Construction reads each primitive once.
     """
 
     primitives: tuple
@@ -112,24 +115,17 @@ class DomainDescriptor:
             raise ValueError("need at least one primitive")
         if len(self.ops) != len(self.primitives) - 1:
             raise ValueError("need exactly one op per extra primitive")
-        for prim in self.primitives:
-            _check_primitive(prim)
         for op in self.ops:
             if op not in _OPS:
                 raise ValueError(f"unknown op {op!r}")
+        object.__setattr__(self, "_masks", [_membership(prim) for prim in self.primitives])
 
     def contains_vec(self, spatial, times) -> np.ndarray:
         spatial = np.atleast_2d(np.asarray(spatial, dtype=float))
         times = np.asarray(times, dtype=float)
-        mask = _primitive_mask(self.primitives[0], spatial, times)
-        for op, prim in zip(self.ops, self.primitives[1:]):
-            other = _primitive_mask(prim, spatial, times)
-            if op == "union":
-                mask = mask | other
-            elif op == "intersect":
-                mask = mask & other
-            else:
-                mask = mask & ~other
+        mask = self._masks[0](spatial, times)
+        for op, test in zip(self.ops, self._masks[1:]):
+            mask = _OPS[op](mask, test(spatial, times))
         return mask
 
     def contains(self, zeta: SpaceTimePoint) -> bool:

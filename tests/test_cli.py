@@ -1,12 +1,14 @@
 """CLI tests: exit codes, envelopes, deterministic CSV output."""
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -130,11 +132,11 @@ def test_check_pass_and_sensitivity(tmp_path):
     }
     code, _ = run(tmp_path, "check", cfg)
     assert code == 0
-    bad = {**cfg, "perturb": 1.001}
-    code, out = run(tmp_path, "check", bad)
+    # both residuals are a few ulps, not 0, so a tolerance of 1e-300 fails them
+    code, out = run(tmp_path, "check", {**cfg, "tol": 1e-300})
     assert code == 1
     env = json.loads((out / "check.json").read_text())
-    assert env["payload"]["failures"] >= 1
+    assert env["payload"]["failures"] == 2
 
 
 def test_config_errors(tmp_path):
@@ -151,8 +153,6 @@ def test_config_errors(tmp_path):
     )
     out = tmp_path / "missing_out"
     assert main(["kernel", "--config", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
-    cfgp = write_cfg(tmp_path, "negtol.json", KERNEL_CFG)
-    assert main(["kernel", "--config", cfgp, "--out", str(out), "--tol", "-1"]) == 2
 
 
 BOX = {"lo": [0, 0.2], "hi": [1, 1.2], "t0": 0, "t1": 1}
@@ -174,7 +174,6 @@ SMALL_CONFIGS = {
         "mass_points": [[0.5, 0.7, 0.3]],
         "semigroup": [[0.4, 0.6, 0.2, 0.3]],
         "tol": 1e-6,
-        "perturb": 1.0,
     },
     "dirichlet": {
         "params": PARAMS,
@@ -359,8 +358,6 @@ SMALL_CONFIGS = {
         ),
         ("dirichlet", {**SMALL_CONFIGS["dirichlet"], "constant": math.inf}),
         ("dirichlet", {**SMALL_CONFIGS["dirichlet"], "constant": math.nan}),
-        ("check", {**SMALL_CONFIGS["check"], "perturb": math.nan}),
-        ("check", {**SMALL_CONFIGS["check"], "perturb": math.inf}),
         ("harnack", {**SMALL_CONFIGS["harnack"], "r": math.inf}),
         ("harnack", {**SMALL_CONFIGS["harnack"], "pole": [0.0, 0.0, -0.025]}),
         ("wiener", {**SMALL_CONFIGS["wiener"], "lambda": "0.5"}),
@@ -404,6 +401,24 @@ SMALL_CONFIGS = {
                 },
             )
             for flag in ("no", 0, 1.0, None)
+        ),
+        # at n = 2, corners of 1 number and a center of 2 (n + 1 are needed)
+        (
+            "wiener",
+            {
+                **SMALL_CONFIGS["wiener"],
+                "domain": {"primitives": [{**BOX_DOMAIN["primitives"][0], "lo": [0], "hi": [1]}]},
+            },
+        ),
+        (
+            "wiener",
+            {
+                **SMALL_CONFIGS["wiener"],
+                "domain": {
+                    "primitives": [BOX_DOMAIN["primitives"][0], {**CUSP, "center": [0.5, 0.0]}],
+                    "ops": ["union"],
+                },
+            },
         ),
     ],
     ids=[
@@ -459,8 +474,6 @@ SMALL_CONFIGS = {
         "capacity-tol-nan",
         "dirichlet-constant-inf",
         "dirichlet-constant-nan",
-        "check-perturb-nan",
-        "check-perturb-inf",
         "harnack-r-infinity",
         "harnack-late-pole",
         "wiener-lambda-string",
@@ -474,6 +487,8 @@ SMALL_CONFIGS = {
         "wiener-complement-0",
         "wiener-complement-1.0",
         "wiener-complement-null",
+        "wiener-box-short-corners",
+        "wiener-cusp-short-center",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
@@ -859,3 +874,59 @@ def test_harnack_drift(tmp_path):
     assert code == 0
     env = json.loads((out / "harnack.json").read_text())
     assert env["payload"]["refinement_drift"] < 0.2
+
+
+def _config_keys(tree: ast.Module) -> set[str]:
+    """The string keys that cli.py reads, by subscript or .get, from the config or its blocks.
+
+    A block is config.raw, or a name bound to a read of a block: by assignment,
+    or as the parameter of a cli function that a call passes such a read.
+    """
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    blocks = {"raw"}
+
+    def key(node):
+        """(receiver, key) if node is receiver["key"] or receiver.get("key", ...)."""
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            return node.value, node.slice.value
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            return node.func.value, node.args[0].value
+        return None
+
+    def is_block(node) -> bool:
+        if isinstance(node, ast.Attribute) and node.attr == "raw":
+            return True
+        if isinstance(node, ast.Name):
+            return node.id in blocks
+        return is_read(node)
+
+    def is_read(node) -> bool:
+        found = key(node)
+        return found is not None and isinstance(found[1], str) and is_block(found[0])
+
+    while True:
+        before = len(blocks)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and is_read(node.value):
+                blocks |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in funcs:
+                params = funcs[node.func.id].args.args
+                blocks |= {p.arg for p, arg in zip(params, node.args) if is_read(arg)}
+        if len(blocks) == before:
+            return {key(node)[1] for node in ast.walk(tree) if is_read(node)}
+
+
+def test_every_config_key_is_in_the_readme():
+    # a field that the CLI reads and README does not name is a knob only its tests know
+    root = Path(__file__).resolve().parents[1]
+    keys = _config_keys(ast.parse((root / "src" / "degenheat" / "cli.py").read_text()))
+    assert {"params", "n", "tol", "set", "kind", "primitives", "radii"} <= keys, keys
+    spans = re.findall(r"`([^`\n]+)`", (root / "README.md").read_text())
+    words = {w for span in spans for w in re.findall(r"[A-Za-z_]\w*", span)}
+    assert sorted(keys - words) == []

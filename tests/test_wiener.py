@@ -101,6 +101,23 @@ def test_descriptor_json_roundtrip_and_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "prim",
+    [
+        {"type": "box", "lo": [0.0], "hi": [1.0], "t": [0.0, 1.0]},
+        {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2, 2.0], "t": [0.0, 1.0]},
+        {"type": "cusp", "center": [0.5, 0.0], "profile": {"kind": "power", "params": [1.0, 0.5]}},
+        {"type": "half-space", "normal": [1.0, 0.0], "offset": 1.0},
+    ],
+    ids=["box-short-corners", "box-long-hi", "cusp-short-center", "half-space-short-normal"],
+)
+def test_primitive_vectors_match_point_width(prim):
+    # at n = 2 corners hold 2 numbers and a normal or center 3: a short one is not broadcast
+    dom = DomainDescriptor((prim,))
+    with pytest.raises(ValueError, match="n = 2"):
+        dom.contains_vec([[0.5, 0.5], [0.5, 1.5]], [0.5, -0.5])
+
+
 @pytest.mark.parametrize("flag", ["no", 0, 1.0, None], ids=["no", "0", "1.0", "null"])
 def test_complement_flag_must_be_boolean(flag):
     # a truth test would complement the box for "no" and not for 0.0
