@@ -48,8 +48,9 @@ def _membership(prim: dict):
     sized = []  # (vector, its length less n)
 
     def vector(key: str, extra: int) -> np.ndarray:
-        sized.append((np.array(numbers(prim[key], f"{kind} {key}")), extra))
-        return sized[-1][0]
+        vec = np.array(numbers(prim[key], f"{kind} {key}"))
+        sized.append((vec, extra))
+        return vec
 
     if kind in ("box", "time-slab"):
         t0, t1 = numbers(prim["t"], f"{kind} t", 2)
