@@ -28,14 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bem import solve_dirichlet, u0_identity
-from .capacity import (
-    CapacityResult,
-    capacity_lp,
-    check_fits,
-    check_matrix_fits,
-    flat_set_capacity,
-    lp_report,
-)
+from .capacity import capacity_lp, check_matrix_fits, flat_set_capacity, lp_report
 from .geometry import BoxDomain
 from .kernel import (
     bounds_sandwich,
@@ -234,17 +227,14 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     atoms = math.prod([2.0 * density] * (params.n + (kind == "box")))
     check_matrix_fits(atoms / 2 ** (params.n - 1), atoms)
 
-    def run(dens: int) -> CapacityResult:
-        # Gamma sees only lags, so the set starts at time 0: absolute times would
-        # round the lags, and the caps would drift with the set's time
-        if kind == "flat":
-            lattice = flat_lattice(box.lo, box.hi, 0.0, dens)
-        else:
-            lattice = box_lattice(box.lo, box.hi, 0.0, box.t1 - box.t0, dens)
-        return capacity_lp(params, [lattice], tol=tol)[0]
-
     pair = [density, 2 * density]
-    levels = [run(dens) for dens in pair]
+    # Gamma sees only lags, so the set starts at time 0: absolute times would
+    # round the lags, and the caps would drift with the set's time
+    if kind == "flat":
+        lattices = [flat_lattice(box.lo, box.hi, 0.0, dens) for dens in pair]
+    else:
+        lattices = [box_lattice(box.lo, box.hi, 0.0, box.t1 - box.t0, dens) for dens in pair]
+    levels = capacity_lp(params, lattices, tol=tol)
     coarse, fine = (res.cap_estimate for res in levels)
     extrapolated = 2.0 * fine - coarse
     oracle = flat_set_capacity(params, box.lo, box.hi) if kind == "flat" else math.nan
@@ -334,8 +324,6 @@ def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     if not pole.t < -1.5 * r:
         raise ValueError("pole must sit strictly before the bottom slice t = -3r/2")
     density = _count(config.raw.get("density", 24), "harnack density")
-    # the fine heat-ball lattice: (2 density)^(n+1) points of n+1 floats
-    check_fits(8.0 * 3 * math.prod([2.0 * density] * 3), "heat-ball lattice")
     u = _pole_field(params, pole)
     reports = [harnack_quotient(params, r, u, density=dens) for dens in (density, 2 * density)]
     rows = [

@@ -10,9 +10,10 @@ closed regions between consecutive level surfaces theta(lambda^k) and
 theta(lambda^{k+1}).  Sampling is by a deterministic lattice inside a
 bounding box derived from the a = 0 ball and grown until its boundary
 is clean.  heat_ball_samples samples concentric balls (the outer balls
-of a Wiener series' shells) in one pass, one kernel call per round for
-all of them; HeatBall.bounding_box and heat_ball_sample are that pass on
-one ball.
+of the shells of a Wiener series and of its lambda sweep) in one pass,
+one kernel call per round for all of them, and refuses a round whose
+lattice would not fit in memory; HeatBall.bounding_box and
+heat_ball_sample are that pass on one ball.
 """
 from __future__ import annotations
 
@@ -21,9 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import check_fits
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
 from .quadrature import BATCH_POINTS, Lattice, box_lattice, chunks, tensor_rule
+
+# peak bytes of heat_ball_samples per point of its largest kernel call (a
+# lattice over BATCH_POINTS is one call), with room for a lattice kept whole:
+# tracemalloc on one ball read 154-167 at n = 2 and 175-177 at n = 3
+SAMPLE_BYTES = 200
 
 
 def heat_ball_threshold(params: KernelParams, x0: float, r: float) -> float:
@@ -111,8 +118,10 @@ def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[L
     ball's bounding box below the centre, with density cells per axis; a
     lattice without a member is tried again at twice the density, up to
     tries densities.  Each round tests the lattices of all balls still
-    empty in kernel calls of about BATCH_POINTS points.  The returned
-    Lattices keep their cell sides.
+    empty in kernel calls of about BATCH_POINTS points; a round whose
+    largest call would not fit in physical memory (SAMPLE_BYTES a point)
+    raises ValueError before it is built.  The returned Lattices keep
+    their cell sides.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -123,8 +132,11 @@ def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[L
     for attempt in range(tries):
         empty = [i for i, s in enumerate(samples) if s is None]
         dens = density * 2**attempt
-        # built one chunk at a time: a lattice has dens^(n+1) atoms
-        for c0, c1 in chunks([dens ** (ball.params.n + 1)] * len(empty), BATCH_POINTS):
+        # a lattice has dens^(n+1) atoms, built one chunk at a time; a float
+        # product overflows to inf instead of raising, so a huge density exits 2
+        points = math.prod([float(dens)] * (ball.params.n + 1))
+        check_fits(SAMPLE_BYTES * max(BATCH_POINTS, points), f"heat-ball lattice at density {dens:.4g}")
+        for c0, c1 in chunks([points] * len(empty), BATCH_POINTS):
             part = [
                 box_lattice(c_sp - radius[i], c_sp + radius[i], t0 - depth[i], t0, dens)
                 for i in empty[c0:c1]

@@ -371,6 +371,9 @@ def harnack_quotient(
         raise NotImplementedError("harnack experiment supports n = 2")
     if not r > 0.0:
         raise ValueError("radius parameter must be positive")
+    # sampled first: an oversized density is refused before any other work
+    origin = SpaceTimePoint(x_prime=(0.0,) * (params.n - 1), x=0.0, t=0.0)
+    sample = heat_ball_sample(HeatBall(origin, 0.75 * r, params), density)
     rho0 = math.sqrt(3.0 * (params.n + params.a) * r / 4.0)
     t_bot = -1.5 * r
     m = max(8, density)
@@ -385,8 +388,6 @@ def harnack_quotient(
     if den <= 0.0:
         raise RuntimeError("empty bottom slice")
     avg = num / den
-    origin = SpaceTimePoint(x_prime=(0.0,) * (params.n - 1), x=0.0, t=0.0)
-    sample = heat_ball_sample(HeatBall(origin, 0.75 * r, params), density)
     vals = _u_by_time(u, sample.spatial, sample.times)
     inf_val = float(np.min(vals))
     if inf_val <= 0.0:

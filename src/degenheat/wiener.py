@@ -6,7 +6,8 @@ lambda^{-k(n+a)/2} (1 + x0^2/lambda^k)^{-a/2}, which is (4 pi)^{(n+a)/2}
 times the heat-ball threshold theta(lambda^k).  Divergence of the
 series marks the boundary point as regular; any finite-k verdict is
 heuristic and the thresholds are surfaced in the report.  The shells of
-one lambda are sampled in one pass (geometry.heat_ball_samples) and
+lambda and of its sweep values are concentric about xi0, so a series
+and its sweep are sampled in one pass (geometry.heat_ball_samples) and
 their LPs built from one capacity_lp call, in the pole's time frame
 (xi0 at t = 0; L_a is invariant under time shifts): only the domain
 test sees absolute times.  DomainDescriptor reads each primitive's fields
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -152,32 +154,35 @@ def shell_weight(params: KernelParams, x0: float, lam: float, k: int) -> float:
 
 def shell_term(
     params: KernelParams, x0: float, lam: float, k: int, res: CapacityResult | None
-) -> tuple[float, float, CapacityResult | None]:
-    """(capacity of the domain complement in shell k, weighted term, its LP) from the shell's LP.
+) -> tuple[float, float, float, CapacityResult | None]:
+    """(cap, weight, term, lp) of shell k from its LP: the capacity of the domain
+    complement in the shell, shell_weight, their product and the LP.
 
-    res is None when the shell holds no atom of the complement.
+    res is None when the shell holds no atom of the complement; cap and term are then 0.
     """
+    weight = shell_weight(params, x0, lam, k)
     if res is None:
-        return 0.0, 0.0, None
-    return res.cap_estimate, res.cap_estimate * shell_weight(params, x0, lam, k), res
+        return 0.0, weight, 0.0, None
+    return res.cap_estimate, weight, res.cap_estimate * weight, res
 
 
 def shell_terms(
     params: KernelParams,
     xi0: SpaceTimePoint,
-    lam: float,
-    ks,
+    pairs,
     domain: DomainDescriptor,
     density: int = 10,
-) -> list[tuple[float, float, CapacityResult | None]]:
-    """shell_term of each shell k in ks, from one sampling pass and one capacity_lp call.
+) -> list[tuple[float, float, float, CapacityResult | None]]:
+    """shell_term of each shell (lambda, k) in pairs, from one sampling pass and one LP call.
 
-    A shell keeps the atoms of its outer ball's lattice in the shell and
-    outside the domain; the lattice doubles its density up to three times
-    while it is empty (the certified bounding box is loose for deep shells).
+    The shells of every lambda are concentric about xi0, so their outer
+    balls share one heat_ball_samples pass.  A shell keeps the atoms of
+    its outer ball's lattice in the shell and outside the domain; the
+    lattice doubles its density up to three times while it is empty (the
+    certified bounding box is loose for deep shells).
     """
     pole = SpaceTimePoint(xi0.x_prime, xi0.x, 0.0)  # the pole's time frame
-    shells = [Shell(pole, lam, k, params) for k in ks]
+    shells = [Shell(pole, lam, k, params) for lam, k in pairs]
     balls = [HeatBall(pole, shell.outer_radius, params) for shell in shells]
     sets = []
     for shell, sample in zip(shells, heat_ball_samples(balls, density, 4)):
@@ -186,8 +191,8 @@ def shell_terms(
         sets.append(sample._replace(spatial=sample.spatial[keep], times=sample.times[keep]))
     results = iter(capacity_lp(params, [s for s in sets if len(s.times)]))
     return [
-        shell_term(params, xi0.x, lam, k, next(results) if len(s.times) else None)
-        for k, s in zip(ks, sets)
+        shell_term(params, xi0.x, shell.lam, shell.k, next(results) if len(s.times) else None)
+        for shell, s in zip(shells, sets)
     ]
 
 
@@ -252,40 +257,30 @@ def wiener_series(
     """Weighted shell capacities k = 1..k_max with a heuristic verdict.
 
     Each row of terms holds k, cap, weight, term and lp, the lp_report
-    of the shell's capacity LP.  The sweep argument lists extra lambda values; their verdicts are
-    reported alongside (the true series diverges for one lambda exactly
-    when it diverges for all).
+    of the shell's capacity LP.  The sweep argument lists extra lambda
+    values; their verdicts are reported alongside (the true series
+    diverges for one lambda exactly when it diverges for all).  The
+    shells of lambda and of each distinct sweep value go to one
+    shell_terms call.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     _check_boundary_point(domain, xi0, params.n)
-
-    def run(lam_val: float):
-        rows = []
-        acc = 0.0
-        sums = []
-        ks = range(1, k_max + 1)
-        for k, (cap, term, res) in zip(ks, shell_terms(params, xi0, lam_val, ks, domain, density)):
-            weight = shell_weight(params, xi0.x, lam_val, k)
-            rows.append({"k": k, "cap": cap, "weight": weight, "term": term, "lp": lp_report(res)})
-            acc += term
-            sums.append(acc)
-        return rows, sums
-
-    rows, sums = run(lam)
-    verdict = classify_terms([row["term"] for row in rows])
-    # a sweep value equal to lambda, or repeated, is sampled and solved once
-    sweep_verdicts = {lam: verdict}
-    for lam_val in sweep:
-        if lam_val not in sweep_verdicts:
-            srows, _ = run(lam_val)
-            sweep_verdicts[lam_val] = classify_terms([row["term"] for row in srows])
-    sweep_verdicts = {lam_val: sweep_verdicts[lam_val] for lam_val in sweep}
+    # lambda first, then each sweep value not yet seen: every series in one pass
+    lams = list(dict.fromkeys((lam, *sweep)))
+    ks = range(1, k_max + 1)
+    results = shell_terms(params, xi0, [(lv, k) for lv in lams for k in ks], domain, density)
+    terms = [term for _, _, term, _ in results]
+    verdicts = {lv: classify_terms(terms[i * k_max : (i + 1) * k_max]) for i, lv in enumerate(lams)}
+    rows = [
+        {"k": k, "cap": cap, "weight": weight, "term": term, "lp": lp_report(res)}
+        for k, (cap, weight, term, res) in zip(ks, results)
+    ]
     return WienerReport(
         lam=lam,
         terms=rows,
-        partial_sums=sums,
-        verdict=verdict,
+        partial_sums=list(accumulate(row["term"] for row in rows)),
+        verdict=verdicts[lam],
         thresholds={
             "div_fraction": DIV_FRACTION,
             "tail_len": TAIL_LEN,
@@ -293,6 +288,6 @@ def wiener_series(
             "conv_r2": CONV_R2,
             "term_floor": TERM_FLOOR,
         },
-        lambda_sweep=sweep_verdicts,
+        lambda_sweep={lv: verdicts[lv] for lv in sweep},
     )
 

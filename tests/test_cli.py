@@ -560,9 +560,9 @@ def test_extreme_finite_value_exits_cleanly(tmp_path, capsys, cmd, path, value, 
 
 
 def test_unmet_allocation_exits_3(tmp_path, capsys):
-    # the first shell lattice asks numpy for exbibytes, beyond any 47-bit address space
-    cfg = {**SMALL_CONFIGS["wiener"], "density": 10**6}
-    assert run(tmp_path, "wiener", cfg)[0] == 3
+    # the section rule's leggauss asks numpy for tebibytes, which no allocation meets
+    cfg = {**SMALL_CONFIGS["meanvalue"], "density": 10**6}
+    assert run(tmp_path, "meanvalue", cfg)[0] == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
@@ -668,6 +668,21 @@ def test_oversized_capacity_exits_2_before_allocating(tmp_path, capsys):
     assert "GiB" in capsys.readouterr().err
 
 
+def test_oversized_wiener_density_exits_2_before_sampling(tmp_path, capsys):
+    # the first lattice of a shell would need terabytes: refused before it is built
+    cfg = {**SMALL_CONFIGS["wiener"], "density": 4000}
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "wiener", cfg)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "GiB" in err[0]
+
+
 def test_capacity_with_oracle(tmp_path):
     cfg = {
         "params": PARAMS,
@@ -707,6 +722,33 @@ def test_capacity_sees_only_lags():
     assert caps({**flat, "tau": 1e8}, 8) == caps({**flat, "tau": 0.0}, 8)
     box = {"kind": "box", **side}
     assert caps({**box, "t0": 1e8, "t1": 1e8 + 1}, 4) == caps({**box, "t0": 0.0, "t1": 1.0}, 4)
+
+
+@pytest.mark.parametrize(
+    "spec,density",
+    [
+        ({"kind": "flat", "lo": [0, 0.5], "hi": [1, 1.5], "tau": 0.0}, 4),
+        ({"kind": "box", "lo": [0, 0.5], "hi": [1, 1.5], "t0": 0.0, "t1": 1.0}, 2),
+    ],
+    ids=["flat", "box"],
+)
+def test_capacity_solves_both_levels_in_one_call(tmp_path, monkeypatch, spec, density):
+    # the coarse and fine lattices go to one capacity_lp call, and each level's
+    # cap is the one a call on its lattice alone gives
+    calls, lp = [], cli.capacity_lp
+
+    def counted(params, lattices, tol):
+        calls.append(list(lattices))
+        return lp(params, lattices, tol=tol)
+
+    monkeypatch.setattr(cli, "capacity_lp", counted)
+    code, out = run(tmp_path, "capacity", {"params": PARAMS, "set": spec, "density": density})
+    assert code == 0 and len(calls) == 1 and len(calls[0]) == 2
+    row = (out / "capacity.csv").read_text().splitlines()[1].split(",")
+    params = KernelParams(**PARAMS)
+    for got, lattice in zip(row[1:3], calls[0]):
+        alone = lp(params, [lattice], tol=1e-8)[0].cap_estimate
+        assert float(got) == pytest.approx(alone, rel=1e-13)
 
 
 def test_dirichlet_constant(tmp_path):

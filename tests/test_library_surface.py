@@ -9,10 +9,13 @@ of a path the library already has.  Likewise every defaulted parameter
 of a public function or method must be passed, by keyword or position,
 by some call in src/ or bench/, or be listed with its reason: a knob
 that only tests set is a second configuration of the same path.
+README's Python example runs as written.
 """
 from __future__ import annotations
 
 import ast
+import math
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,3 +141,15 @@ def _unset_knobs() -> set[str]:
 
 def test_every_default_has_a_caller():
     assert _unset_knobs() == set(KEPT_KNOBS)
+
+
+def test_readme_python_example_runs(capsys):
+    # cut out of README as the CI step cuts its wiener.json example, so the
+    # documented calls cannot drift from the library: Gamma, then a mean of u = 1
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"```python\n(.*?)```", readme, re.S)
+    assert example, "README.md has no Python example"
+    exec(compile(example.group(1), "README.md", "exec"), {})
+    gamma, mean = (float(line) for line in capsys.readouterr().out.splitlines())
+    assert math.isfinite(gamma) and gamma > 0.0
+    assert abs(mean - 1.0) < 1e-3

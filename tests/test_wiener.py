@@ -137,7 +137,7 @@ def test_full_shell_terms_constant():
     xi = P(x_prime=(0.0,), x=0.0, t=0.0)
     terms = []
     for k in range(1, 5):
-        cap, term, lp = shell_terms(PARAMS, xi, 0.5, [k], EMPTY, density=10)[0]
+        cap, _, term, lp = shell_terms(PARAMS, xi, [(0.5, k)], EMPTY, density=10)[0]
         assert cap > 0 and cap == lp.cap_estimate
         terms.append(term)
     ratios = np.array(terms[1:]) / np.array(terms[:-1])
@@ -150,25 +150,25 @@ def test_half_space_complement_terms_constant():
         ({"type": "half-space", "normal": [0.0, 0.0, -1.0], "offset": 0.0},)
     )
     xi = P(x_prime=(0.0,), x=0.0, t=0.0)
-    terms = [shell_terms(PARAMS, xi, 0.5, [k], dom, density=10)[0][1] for k in range(1, 5)]
+    terms = [shell_terms(PARAMS, xi, [(0.5, k)], dom, density=10)[0][2] for k in range(1, 5)]
     ratios = np.array(terms[1:]) / np.array(terms[:-1])
     assert np.all(np.abs(ratios - 1.0) < 0.3)
 
 
 def test_shell_term_empty_intersection_and_validation():
-    cap, term, lp = shell_terms(PARAMS, XI0, 0.5, [3], PAST_SLAB, density=8)[0]
+    cap, _, term, lp = shell_terms(PARAMS, XI0, [(0.5, 3)], PAST_SLAB, density=8)[0]
     assert cap == 0.0 and term == 0.0 and lp is None
     with pytest.raises(ValueError):
-        shell_terms(PARAMS, XI0, 0.5, [0], EMPTY)
+        shell_terms(PARAMS, XI0, [(0.5, 0)], EMPTY)
     with pytest.raises(ValueError):
-        shell_terms(PARAMS, XI0, 1.5, [1], EMPTY)
+        shell_terms(PARAMS, XI0, [(1.5, 1)], EMPTY)
 
 
 def test_term_locality_and_monotonicity():
     # adding domain material outside the shells leaves terms unchanged;
     # enlarging the complement cannot decrease them
     k = 2
-    base_cap, _, _ = shell_terms(PARAMS, XI0, 0.5, [k], BOX, density=8)[0]
+    base_cap, _, _, _ = shell_terms(PARAMS, XI0, [(0.5, k)], BOX, density=8)[0]
     far = DomainDescriptor(
         (
             {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [0.0, 1.0]},
@@ -176,19 +176,21 @@ def test_term_locality_and_monotonicity():
         ),
         ("union",),
     )
-    far_cap, _, _ = shell_terms(PARAMS, XI0, 0.5, [k], far, density=8)[0]
+    far_cap, _, _, _ = shell_terms(PARAMS, XI0, [(0.5, k)], far, density=8)[0]
     assert far_cap == pytest.approx(base_cap, rel=1e-9)
     smaller = DomainDescriptor.box([0.4, 0.6], [0.6, 0.8], 0.0, 1.0)
-    small_cap, _, _ = shell_terms(PARAMS, XI0, 0.5, [k], smaller, density=8)[0]
+    small_cap, _, _, _ = shell_terms(PARAMS, XI0, [(0.5, k)], smaller, density=8)[0]
     assert small_cap >= base_cap * (1 - 1e-6)
 
 
 def test_series_matches_one_shell_path(monkeypatch):
     # density 4 leaves the first lattices of the deepest shells empty, so they
-    # densify; a sweep value equal to lambda, and a repeated one, are sampled
-    # and solved once.  Batching the series moves caps in their last bits only
-    densities, passes = [], []
-    box_lattice, samples = geometry.box_lattice, wiener.heat_ball_samples
+    # densify; the shells of lambda and of the sweep share one sampling pass and
+    # one capacity_lp call, and a sweep value equal to lambda, or repeated, is
+    # sampled and solved once.  Batching the series moves caps in their last bits only
+    densities, passes, lp_calls, classified = [], [], [], []
+    box_lattice, samples, lp = geometry.box_lattice, wiener.heat_ball_samples, wiener.capacity_lp
+    classify = wiener.classify_terms
 
     def counted_box(lo, hi, t0, t1, density):
         densities.append(density)
@@ -198,17 +200,29 @@ def test_series_matches_one_shell_path(monkeypatch):
         passes.append(len(balls))
         return samples(balls, density, tries)
 
+    def counted_lp(params, lattices):
+        lp_calls.append(len(lattices))
+        return lp(params, lattices)
+
     monkeypatch.setattr(geometry, "box_lattice", counted_box)
     monkeypatch.setattr(wiener, "heat_ball_samples", counted_pass)
+    monkeypatch.setattr(wiener, "capacity_lp", counted_lp)
+    monkeypatch.setattr(wiener, "classify_terms", lambda t: classified.append(t) or classify(t))
     rep = wiener_series(PARAMS, XI0, BOX, lam=0.5, k_max=8, density=4, sweep=(0.5, 0.3, 0.3))
-    assert passes == [8, 8]
+    assert passes == [16]
+    assert len(lp_calls) == 1
     assert 8 in densities
     assert list(rep.lambda_sweep) == [0.5, 0.3]
     assert rep.lambda_sweep[0.5] == rep.verdict
     monkeypatch.undo()
+    # each verdict is taken over its own lambda's terms
+    for got, lam in zip(classified, (0.5, 0.3), strict=True):
+        want = [r[2] for r in shell_terms(PARAMS, XI0, [(lam, k) for k in range(1, 9)], BOX, 4)]
+        assert got == pytest.approx(want, rel=1e-13)
     for row in rep.terms:
-        cap, term, lp = shell_terms(PARAMS, XI0, 0.5, [row["k"]], BOX, density=4)[0]
+        cap, weight, term, lp = shell_terms(PARAMS, XI0, [(0.5, row["k"])], BOX, density=4)[0]
         assert row["cap"] == pytest.approx(cap, rel=1e-13)
+        assert row["weight"] == weight == shell_weight(PARAMS, XI0.x, 0.5, row["k"])
         assert row["term"] == pytest.approx(term, rel=1e-13)
         want = lp_report(lp)
         violation = want.pop("max_constraint_violation")
@@ -221,7 +235,7 @@ def test_classical_shell_pipeline():
     params0 = KernelParams(n=2, a=0.0)
     xi = P(x_prime=(0.0,), x=0.0, t=0.0)
     terms = [
-        shell_terms(params0, xi, 0.5, [k], EMPTY, density=10)[0][1] for k in range(1, 5)
+        shell_terms(params0, xi, [(0.5, k)], EMPTY, density=10)[0][2] for k in range(1, 5)
     ]
     ratios = np.array(terms[1:]) / np.array(terms[:-1])
     assert np.all(np.abs(ratios - 1.0) < 0.3)
