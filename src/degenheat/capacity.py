@@ -90,7 +90,6 @@ image has its potential under masses constant on the orbits.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,7 +99,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernel import heat_kernel_1d, u_tilde
 from .params import KernelParams
-from .quadrature import BATCH_POINTS, chunks, integrate_weighted_interval, legendre_rule
+from .quadrature import BATCH_POINTS, check_fits, chunks, integrate_weighted_interval, legendre_rule
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
@@ -332,16 +331,6 @@ def _lattice_symmetry(
     reps, orbit = np.unique(first, return_inverse=True)
     twin = _lookup(rows[m:], atoms[reps])
     return orbit, reps, tuple(axes), np.where(twin >= 0, orbit[twin], -1)
-
-
-def check_fits(need: float, what: str) -> None:
-    """Raise ValueError if need bytes (a float, so an absurd size is inf) exceed physical memory."""
-    have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    if need > have:
-        raise ValueError(
-            f"{what} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
 
 
 def check_matrix_fits(orbits: float, atoms: float) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .bem import solve_dirichlet, u0_identity
 from .capacity import capacity_lp, check_matrix_fits, flat_set_capacity, lp_report
-from .geometry import BoxDomain
+from .geometry import SAMPLE_BYTES, BoxDomain
 from .kernel import (
     bounds_sandwich,
     gamma_fs,
@@ -40,7 +40,7 @@ from .kernel import (
 )
 from .meanvalue import harnack_quotient, solid_mean
 from .params import KernelParams, SpaceTimePoint, number, numbers
-from .quadrature import box_lattice, flat_lattice
+from .quadrature import BATCH_POINTS, box_lattice, check_fits, flat_lattice
 from .wiener import DomainDescriptor, wiener_series
 
 
@@ -324,6 +324,9 @@ def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     if not pole.t < -1.5 * r:
         raise ValueError("pole must sit strictly before the bottom slice t = -3r/2")
     density = _count(config.raw.get("density", 24), "harnack density")
+    # the fine level's heat-ball lattice, refused before the coarse level runs
+    points = math.prod([2.0 * density] * (params.n + 1))
+    check_fits(SAMPLE_BYTES * max(BATCH_POINTS, points), f"heat-ball lattice at density {2 * density:.4g}")
     u = _pole_field(params, pole)
     reports = [harnack_quotient(params, r, u, density=dens) for dens in (density, 2 * density)]
     rows = [

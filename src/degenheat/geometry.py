@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import check_fits
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import BATCH_POINTS, Lattice, box_lattice, chunks, tensor_rule
+from .quadrature import BATCH_POINTS, Lattice, box_lattice, check_fits, chunks, tensor_rule
 
 # peak bytes of heat_ball_samples per point of its largest kernel call (a
 # lattice over BATCH_POINTS is one call), with room for a lattice kept whole:
@@ -131,9 +130,10 @@ def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[L
     samples: list = [None] * len(balls)
     for attempt in range(tries):
         empty = [i for i, s in enumerate(samples) if s is None]
+        if not empty:
+            break
         dens = density * 2**attempt
-        # a lattice has dens^(n+1) atoms, built one chunk at a time; a float
-        # product overflows to inf instead of raising, so a huge density exits 2
+        # dens^(n+1) atoms a lattice, as a float: a huge density overflows to inf and is refused
         points = math.prod([float(dens)] * (ball.params.n + 1))
         check_fits(SAMPLE_BYTES * max(BATCH_POINTS, points), f"heat-ball lattice at density {dens:.4g}")
         for c0, c1 in chunks([points] * len(empty), BATCH_POINTS):

@@ -12,6 +12,7 @@ axes; the cell-centred space-time lattices on which sets become atoms
 """
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -76,6 +77,16 @@ def chunks(sizes, budget: int):
         total += size
     if len(sizes) > start:
         yield start, len(sizes)
+
+
+def check_fits(need: float, what: str) -> None:
+    """Raise ValueError if need bytes (a float, so an absurd size is inf) exceed physical memory."""
+    have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    if need > have:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 class Lattice(NamedTuple):

@@ -683,6 +683,34 @@ def test_oversized_wiener_density_exits_2_before_sampling(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: ") and "GiB" in err[0]
 
 
+def _physical_memory(monkeypatch, mib):
+    # the memory checks read physical memory through os.sysconf; report mib MiB
+    sysconf = os.sysconf
+    pages = (mib << 20) // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+
+
+def test_sampling_check_charges_only_attempts_that_run(tmp_path, capsys, monkeypatch):
+    # 40 MiB holds a first attempt at density 8 (BATCH_POINTS points, 25 MiB) but
+    # not the fourth at 64 (64^3 points, 50 MiB); every shell fills at density 8,
+    # so no doubling is built or checked.  At density 64 the first attempt is refused.
+    _physical_memory(monkeypatch, 40)
+    assert run(tmp_path, "wiener", {**SMALL_CONFIGS["wiener"], "density": 8})[0] == 0
+    assert run(tmp_path, "wiener", {**SMALL_CONFIGS["wiener"], "density": 64})[0] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "heat-ball lattice at density 64" in err[0]
+
+
+def test_harnack_refuses_fine_lattice_before_coarse_level(tmp_path, capsys, monkeypatch):
+    # at density 32 the coarse lattice (25 MiB) fits in 40 MiB and the fine one
+    # (64^3 points, 50 MiB) does not: refused before the coarse level is computed
+    _physical_memory(monkeypatch, 40)
+    monkeypatch.setattr(cli, "harnack_quotient", lambda *args, **kw: pytest.fail("coarse level ran"))
+    assert run(tmp_path, "harnack", {**SMALL_CONFIGS["harnack"], "density": 32})[0] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "heat-ball lattice at density 64" in err[0]
+
+
 def test_capacity_with_oracle(tmp_path):
     cfg = {
         "params": PARAMS,
