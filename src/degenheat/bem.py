@@ -271,18 +271,6 @@ class BoundaryMesh:
         return blockmat
 
 
-@dataclass(frozen=True)
-class BoundaryDensity:
-    """Piecewise-constant density: values[k, c] on step k+1, cell c."""
-
-    mesh: BoundaryMesh
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise RuntimeError("density values must be finite")
-
-
 def double_layer_eval(
     mesh: BoundaryMesh, values: np.ndarray, spatial: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
@@ -321,21 +309,21 @@ def double_layer_eval(
     return out
 
 
-def solve_density(mesh: BoundaryMesh, g: np.ndarray) -> tuple[BoundaryDensity, dict]:
+def solve_density(mesh: BoundaryMesh, g: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve phi = 2 W[phi] - 2 g at the collocation points.
 
     g has shape (n_steps, n_cells) and must vanish at the initial time
     by construction of the boundary split.  W is block lower triangular
     and Toeplitz in the step lag, so step i solves (I - 2 B0) phi_i =
     2 sum_{k<i} B_{i-k} phi_k - 2 g_i with one LU factorization of
-    I - 2 B0 for all steps.  Reports the max residual of the discrete
-    equation.
+    I - 2 B0 for all steps.  Returns the piecewise-constant density,
+    phi[k, c] on step k + 1 and cell c, and the max residual of the
+    discrete equation; a non-finite density raises RuntimeError.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (mesh.n_steps, mesh.n_cells):
         raise ValueError("boundary data shape must be (n_steps, n_cells)")
     B0 = mesh.block(0)
-    # unchecked: a non-finite solve reaches BoundaryDensity, which raises RuntimeError
     lu = lu_factor(np.eye(mesh.n_cells) - 2.0 * B0, check_finite=False)
     phi = np.zeros_like(g)
     residual = 0.0
@@ -346,7 +334,9 @@ def solve_density(mesh: BoundaryMesh, g: np.ndarray) -> tuple[BoundaryDensity, d
         rhs = 2.0 * acc - 2.0 * g[i]
         phi[i] = lu_solve(lu, rhs, check_finite=False)
         residual = max(residual, np.max(np.abs(rhs + 2.0 * (B0 @ phi[i]) - phi[i])))
-    return BoundaryDensity(mesh, phi), {"residual": float(residual)}
+    if not np.all(np.isfinite(phi)):
+        raise RuntimeError("density values must be finite")
+    return phi, {"residual": float(residual)}
 
 
 @dataclass(frozen=True)
@@ -409,7 +399,7 @@ class DirichletSolution:
     """
 
     mesh: BoundaryMesh
-    density: BoundaryDensity
+    density: np.ndarray
     offset: float
     info: dict
     lift: LiftGrid
@@ -420,7 +410,7 @@ class DirichletSolution:
         spatial = np.array([xi.spatial for xi in points]).reshape(len(points), self.mesh.box.n)
         times = np.array([xi.t for xi in points], dtype=float)
         v = initial_lift(self.mesh.params, self.lift, spatial, times)
-        w = double_layer_eval(self.mesh, self.density.values, spatial, times)
+        w = double_layer_eval(self.mesh, self.density, spatial, times)
         return self.offset + v + w
 
     def __call__(self, xi: SpaceTimePoint) -> float:

@@ -112,8 +112,9 @@ AVG_NODES = 3
 # at a = -0.9 too (no row leaves its LP).  The LP and its copies of the rows set
 # the peak of the large ones, which tends to 3.5 when every row stays
 MATRIX_COPIES = 4
-# linprog gives up after this many iterations; the LPs of the bench jobs
-# and of the test suite converge in 22 or fewer
+# linprog stops at a relative duality gap and residuals of LP_TOL, or gives up
+# after LP_MAX_ITERATIONS; the bench's and the suite's LPs converge in 22 or fewer
+LP_TOL = 1e-8
 LP_MAX_ITERATIONS = 100
 
 
@@ -355,7 +356,7 @@ def _step(v: np.ndarray, dv: np.ndarray) -> float:
     return 1.0 / max(1.0, float(np.max(-dv / v)))
 
 
-def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
+def linprog(*, A_ub: np.ndarray) -> LPResult:
     """Maximise sum(x) subject to A_ub x <= 1 and x >= 0, for a dense A_ub >= 0.
 
     The primal x with slack s (A x + s = 1) and the dual y with slack z
@@ -372,7 +373,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
     suite also converge without the shift, while a shift of 1e-12
     relative stops some of them converging).  The method stops when the
     duality gap relative to the dual objective and the largest primal
-    and dual residuals are all <= tol.  A column with no positive entry
+    and dual residuals are all <= LP_TOL.  A column with no positive entry
     (an unbounded LP), a failed factorization and no convergence in
     LP_MAX_ITERATIONS iterations raise RuntimeError.
     """
@@ -404,7 +405,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
         atdrp = dgemv(1.0, A, d * rp, trans=1)
         rd = 1.0 - dgemv(1.0, A, y, trans=1) + z
         gap = abs(y.sum() - x.sum())
-        if gap <= tol * y.sum() and np.max(np.abs(rp)) <= tol and np.max(np.abs(rd)) <= tol:
+        if gap <= LP_TOL * y.sum() and np.max(np.abs(np.r_[rp, rd])) <= LP_TOL:
             return LPResult(x / scale, it)
         if it == LP_MAX_ITERATIONS:
             break
@@ -437,7 +438,7 @@ def linprog(*, A_ub: np.ndarray, tol: float = 1e-8) -> LPResult:
     raise RuntimeError(f"capacity LP did not converge in {LP_MAX_ITERATIONS} iterations")
 
 
-def capacity_lp(params: KernelParams, lattices, tol: float = 1e-8) -> list[CapacityResult]:
+def capacity_lp(params: KernelParams, lattices) -> list[CapacityResult]:
     """Equilibrium-measure LP of each lattice: max total mass s.t. potential <= 1.
 
     lattices is a sequence of quadrature.Lattice (spatial (m, n), times
@@ -487,7 +488,7 @@ def capacity_lp(params: KernelParams, lattices, tol: float = 1e-8) -> list[Capac
         keep[paired] &= ~np.all(F[cols + twin[paired]] >= F[paired], axis=1)
         lp_A, rest = F[keep], F[~keep]
         del F
-        x, nit = linprog(A_ub=lp_A, tol=tol)
+        x, nit = linprog(A_ub=lp_A)
         masses = x[orbit] / sizes[orbit]
         # a mirror image of a built row has its potential under orbit-constant masses,
         # and a folded row times x is its unfolded row times masses; the transpose of

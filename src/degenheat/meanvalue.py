@@ -6,8 +6,8 @@ normalized by phi(r) = 1 / theta(r), theta the heat-ball threshold.
 The heat ball and E are read in log space: a section of the ball is
 |X0' - Y'|^2 < 4 delta (log Gamma - log theta), and E is computed as
 |y|^a |grad_Y log Gamma|^2.  L_a does not change under a shift in time,
-so the kernel sees only the lag delta below t0; u alone sees the
-absolute time t0 - delta.  The mean is one weighted sum over rows, a
+so the mean keeps one clock, t0 at 0: the kernel sees the lag delta
+below t0, u the time -delta.  The mean is one weighted sum over rows, a
 row being one (depth node, y-node) pair and its free-coordinate slice.
 Constants, functions affine in the free coordinates, and time-shifted
 fundamental solutions are reproduced exactly up to quadrature error.
@@ -243,7 +243,7 @@ def _slice_sums(params: KernelParams, u, xi0: SpaceTimePoint, lag, yn, rad, m: i
     Row k is the slice at depth lag[k] below t0, weighted coordinate
     yn[k] and radius rad[k]; rows come grouped by depth, and the
     y-rule's weights carry the remaining |y|^{-a} of E.  The kernel sees
-    the lags, u the absolute times.
+    the lags, u the times -lag.
     """
     pts, sw = _slice_rule(xi0.x_prime, yn, rad, m)
     grad = grad_log_gamma_vec(
@@ -253,7 +253,7 @@ def _slice_sums(params: KernelParams, u, xi0: SpaceTimePoint, lag, yn, rad, m: i
     uv = np.empty(pts.shape[:-1])
     for s0, s1 in _runs(lag):
         at = slice(s0, s1)
-        uv[at] = u(pts[at].reshape(-1, params.n), xi0.t - lag[s0]).reshape(uv[at].shape)
+        uv[at] = u(pts[at].reshape(-1, params.n), -lag[s0]).reshape(uv[at].shape)
     return np.sum(uv * wg2 * sw, axis=tuple(range(1, uv.ndim)))
 
 
@@ -275,11 +275,11 @@ def solid_mean(
 ) -> float:
     """Mean of u over the heat ball of radius parameter r at xi0.
 
-    u is a callable u(spatial_points, t) vectorized over rows.  The
-    kernel pole sits at the top of the ball; the slab above depth
-    r * 1e-4 carries mass of order delta log^2 delta, so it is
-    integrated directly on geometrically graded panels down to a
-    machine-negligible sliver rather than truncated.
+    u is a callable u(spatial_points, t) vectorized over rows, t taken
+    from xi0.t (t = -delta).  The kernel pole sits at the top of the
+    ball; the slab above depth r * 1e-4 carries mass of order
+    delta log^2 delta, so it is integrated directly on geometrically
+    graded panels down to a machine-negligible sliver, not truncated.
 
     The bulk panels and the pole panels are integrated in one batched
     pass over all their depth nodes (_slab_integral), so the kernel is
@@ -321,9 +321,9 @@ def mean_derivative_sign(
     """Check that r -> solid_mean(u, r) is nonincreasing, to 1e-4 of the largest mean.
 
     Valid for u with nonpositive 𝓛-image (potentials of nonnegative
-    measures).  When the measure mass inside the largest ball is given,
-    the empirical constant of the quantitative mean-value gap between
-    consecutive radii is reported.
+    measures), with times taken from xi0.t as in solid_mean.  When the
+    measure mass inside the largest ball is given, the empirical constant
+    of the mean-value gap between consecutive radii is reported.
     """
     radii = sorted(float(r) for r in radii)
     if len(radii) < 2:

@@ -238,6 +238,8 @@ def _check_boundary_point(
     rng = np.random.default_rng(0)
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         offs = rng.uniform(-eps, eps, (512, n + 1))
+        # a time offset below the spacing of the doubles near xi0.t would round away
+        offs[:, n] *= max(1.0, 4.0 * np.spacing(abs(xi0.t)) / eps)
         hit = domain.contains_vec(
             np.asarray(xi0.spatial) + offs[:, :n], xi0.t + offs[:, n]
         )

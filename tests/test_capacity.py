@@ -14,6 +14,7 @@ import pytest
 from degenheat import capacity, cli
 from degenheat.capacity import (
     AVG_NODES,
+    LP_TOL,
     NEAR_CELLS,
     CapacityResult,
     DiscreteMeasure,
@@ -424,11 +425,10 @@ BENCH_CAPS = [
 
 @pytest.mark.parametrize("a,lo,caps", BENCH_CAPS, ids=["a0.21", "a-0.42", "a0.40-straddle"])
 def test_bench_capacities_match_highs(a, lo, caps):
-    tol = 1e-8
     for density, want in zip((16, 32), caps):
         lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, density)
-        got = capacity_lp(KernelParams(n=2, a=a), [lattice], tol=tol)[0].cap_estimate
-        assert abs(got - want) <= 10 * tol * want
+        got = capacity_lp(KernelParams(n=2, a=a), [lattice])[0].cap_estimate
+        assert abs(got - want) <= 10 * LP_TOL * want
 
 
 def _full_row_reference(params, lattice):
@@ -447,10 +447,10 @@ def _full_row_reference(params, lattice):
     same &= np.abs(ts[None] + ht - ts[:, None]) <= 1e-9 * ht
     twin = np.where(same.any(axis=1), same.argmax(axis=1), np.arange(m))
     dominated = np.all(A[m:] >= A[:m], axis=1) | np.all(A[m + twin] >= A[:m], axis=1)
-    return A, dominated, linprog(A_ub=A, tol=1e-8)
+    return A, dominated, linprog(A_ub=A)
 
 
-def _lp_with_build_spy(monkeypatch, params, lattice, tol):
+def _lp_with_build_spy(monkeypatch, params, lattice):
     """capacity_lp's result and the rows its _constraint_matrices calls build, one count per set."""
     build = capacity._constraint_matrices
     rows = []
@@ -461,14 +461,14 @@ def _lp_with_build_spy(monkeypatch, params, lattice, tol):
 
     with monkeypatch.context() as patched:
         patched.setattr(capacity, "_constraint_matrices", spy)
-        res = capacity_lp(params, [lattice], tol=tol)[0]
+        res = capacity_lp(params, [lattice])[0]
     return res, rows
 
 
-def _check_against_full_rows(res, A, full, tol):
-    """Cap within 10 tol of the full-row LP, and the violation taken over every row."""
+def _check_against_full_rows(res, A, full):
+    """Cap within 10 LP_TOL of the full-row LP, and the violation taken over every row."""
     cap = float(np.sum(full.x))
-    assert abs(res.cap_estimate - cap) <= 10 * tol * cap
+    assert abs(res.cap_estimate - cap) <= 10 * LP_TOL * cap
     # up to summation-order rounding
     assert res.max_constraint_violation >= np.max(A @ res.equilibrium.masses - 1.0) - 1e-12
 
@@ -483,7 +483,6 @@ SQUARES = {
 
 @pytest.mark.parametrize("a", [-0.9, -0.5, 0.3, 0.9])
 def test_dominated_set_rows_leave_the_lp(a):
-    tol = 1e-8
     params = KernelParams(n=2, a=a)
     cases = [(params, name, flat_lattice(*box, 0.0, 16)) for name, box in SQUARES.items()]
     # an n = 3 cube straddling the plane: Gamma's lag-0 own-cell entry outweighs the
@@ -491,7 +490,7 @@ def test_dominated_set_rows_leave_the_lp(a):
     cube = flat_lattice([-0.5] * 3, [0.5] * 3, 0.0, 6)
     cases.append((KernelParams(n=3, a=a), "cube", cube))
     for params, name, lattice in cases:
-        res = capacity_lp(params, [lattice], tol=tol)[0]
+        res = capacity_lp(params, [lattice])[0]
         A, dominated, full = _full_row_reference(params, lattice)
         m = len(lattice[1])
         # every free axis folds in half; the LP keeps each orbit's collar row and
@@ -503,7 +502,7 @@ def test_dominated_set_rows_leave_the_lp(a):
             assert res.lp_rows == res.lp_cols == m // 2, (a, name)
         if params.n == 3:
             assert res.lp_rows > res.lp_cols, a
-        _check_against_full_rows(res, A, full, tol)
+        _check_against_full_rows(res, A, full)
 
 
 # lattices whose free axes are mirror-symmetric: params, lattice, folded axes, orbits
@@ -531,16 +530,15 @@ FOLDED = {
 
 @pytest.mark.parametrize("name", FOLDED)
 def test_mirror_fold_matches_full_rows(name, monkeypatch):
-    tol = 1e-8
     params, lattice, axes, orbits = FOLDED[name]
-    res, built = _lp_with_build_spy(monkeypatch, params, lattice, tol)
+    res, built = _lp_with_build_spy(monkeypatch, params, lattice)
     # only the set and collar rows of one atom per orbit are built
     assert built == [2 * res.lp_cols]
     assert res.mirror_axes == axes
     assert res.lp_cols == orbits
     assert res.lp_rows + res.dropped_rows == 2 * orbits
     A, _, full = _full_row_reference(params, lattice)
-    _check_against_full_rows(res, A, full, tol)
+    _check_against_full_rows(res, A, full)
     # the built rows carry every row's potential, so the violation is the
     # full-row maximum up to summation-order rounding, on both sides
     full_max = np.max(A @ res.equilibrium.masses - 1.0)
@@ -576,11 +574,10 @@ ASYMMETRIC = {
 
 @pytest.mark.parametrize("name", ASYMMETRIC)
 def test_asymmetric_lattice_does_not_fold(name, monkeypatch):
-    tol = 1e-8
     params = KernelParams(n=2, a=0.3)
     lattice = ASYMMETRIC[name]
     m = len(lattice[1])
-    res, built = _lp_with_build_spy(monkeypatch, params, lattice, tol)
+    res, built = _lp_with_build_spy(monkeypatch, params, lattice)
     assert built == [2 * res.lp_cols]
     A, dominated, full = _full_row_reference(params, lattice)
     assert res.mirror_axes == ()
@@ -588,7 +585,7 @@ def test_asymmetric_lattice_does_not_fold(name, monkeypatch):
     # exactly the set rows that a collar row bounds leave the LP
     assert res.lp_rows == 2 * m - int(dominated.sum())
     assert res.lp_rows + res.dropped_rows == 2 * m
-    _check_against_full_rows(res, A, full, tol)
+    _check_against_full_rows(res, A, full)
 
 
 def test_batched_lp_matches_one_set_calls():
