@@ -4,7 +4,7 @@ from .bem import solve_dirichlet, u0_identity
 from .capacity import DiscreteMeasure, capacity_lp, flat_set_capacity
 from .geometry import BoxDomain, HeatBall, Shell
 from .kernel import gamma_fs, gamma_fs_vec, mass_integral, semigroup_residual
-from .meanvalue import harnack_quotient, mean_derivative_sign, solid_mean
+from .meanvalue import harnack_quotient, solid_mean
 from .params import KernelParams, SpaceTimePoint
 from .wiener import DomainDescriptor, wiener_series
 
@@ -24,7 +24,6 @@ __all__ = [
     "gamma_fs_vec",
     "harnack_quotient",
     "mass_integral",
-    "mean_derivative_sign",
     "semigroup_residual",
     "solid_mean",
     "solve_dirichlet",

@@ -100,8 +100,8 @@ class BoundaryMesh:
 
     box: BoxDomain
     params: KernelParams
-    d_space: int = 8
-    n_steps: int = 12
+    d_space: int
+    n_steps: int
     _blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -421,8 +421,8 @@ def solve_dirichlet(
     params: KernelParams,
     box: BoxDomain,
     f,
-    d_space: int = 8,
-    n_steps: int = 12,
+    d_space: int,
+    n_steps: int,
 ) -> DirichletSolution:
     """Dirichlet problem with data f on the parabolic boundary.
 

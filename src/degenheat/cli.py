@@ -98,8 +98,10 @@ def _point(coords, n: int, label: str) -> SpaceTimePoint:
     return SpaceTimePoint.from_spatial(spatial, t)
 
 
-def _frame(xi: SpaceTimePoint, origin: float) -> SpaceTimePoint:
-    """xi with its time measured from origin."""
+def _frame(xi: SpaceTimePoint, label: str, origin: float, origin_label: str) -> SpaceTimePoint:
+    """xi with its time measured from origin; ValueError where that time overflows."""
+    if not math.isfinite(xi.t - origin):
+        raise ValueError(f"{label} time {xi.t:g} lies too far from {origin_label} {origin:g}")
     return replace(xi, t=xi.t - origin)
 
 
@@ -175,7 +177,8 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
             return c
 
     elif data == "gamma":
-        pole = _frame(_point(config.raw.get("pole", ()), params.n, "pole"), box.t0)
+        pole = _point(config.raw.get("pole", ()), params.n, "pole")
+        pole = _frame(pole, "pole", box.t0, "box t0")
         if pole.t >= 0.0:
             raise ValueError("pole must sit strictly before the box")
         f = _pole_field(params, pole)
@@ -195,13 +198,13 @@ def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
             raise ValueError(f"probe {[*xi.spatial, xi.t]} lies outside the open box or (t0, t1]")
     sol = solve_dirichlet(params, frame, f, d_space=d_space, n_steps=n_steps)
     # the solution and the reference see frame times, the rows the config's own
-    framed = [_frame(xi, box.t0) for xi in probes]
+    framed = [_frame(xi, "probe", box.t0, "box t0") for xi in probes]
     rows = [
         [*xi.spatial, xi.t, got, want, abs(got - want)]
         for xi, got, want in zip(probes, sol.evaluate(framed), map(ref, framed))
     ]
     for xi in u0_probes:
-        u0 = u0_identity(params, frame, _frame(xi, box.t0))
+        u0 = u0_identity(params, frame, _frame(xi, "u0 probe", box.t0, "box t0"))
         rows.append([*xi.spatial, xi.t, u0, math.nan, math.nan])
     diags = {
         "residual": sol.info["residual"],
@@ -222,9 +225,8 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     kind = spec["kind"]
     if kind not in ("flat", "box"):
         raise ValueError(f"unknown set kind {kind!r}")
-    tau = number(spec["tau"], "set tau") if kind == "flat" else 0.0
-    # a flat set's corners are checked as those of a box over [tau, tau + 1]
-    box = _box(spec if kind == "box" else {**spec, "t0": tau, "t1": tau + 1.0}, params.n)
+    # a flat set's corners are checked as those of a box over [0, 1], the lattice's frame
+    box = _box(spec if kind == "box" else {**spec, "t0": 0.0, "t1": 1.0}, params.n)
     density = _count(config.raw.get("density", 16), "capacity density")
     # the fine level has the most atoms: density^n per slice, density slices for a box,
     # and at best its free axes fold them to atoms / 2^(n-1) orbits; a float product
@@ -286,7 +288,7 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     centre = _point(config.raw.get("xi0", ()), params.n, "xi0")
     # the frame of solid_mean, which gives u times measured from xi0.t
-    xi0 = _frame(centre, centre.t)
+    xi0 = replace(centre, t=0.0)
     radii = [number(r, "meanvalue radius", 0.0) for r in config.raw.get("radii", [])]
     if not radii:
         raise ValueError("meanvalue command needs radii")
@@ -297,7 +299,7 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
 
     cases = [("one", one, 1.0)]
     if "pole" in config.raw:
-        pole = _frame(_point(config.raw["pole"], params.n, "pole"), centre.t)
+        pole = _frame(_point(config.raw["pole"], params.n, "pole"), "pole", centre.t, "xi0 time")
         if pole.t >= 0.0:
             raise ValueError("pole must sit strictly before xi0 in time")
         cases.append(("gamma", _pole_field(params, pole), gamma_fs(params, xi0, pole)))
@@ -322,8 +324,6 @@ def cmd_meanvalue(config: RunConfig) -> tuple[dict, dict, list, list]:
 
 def cmd_harnack(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
-    if params.n != 2:
-        raise ValueError("harnack command supports n = 2")
     r = number(config.raw.get("r", 0.02), "harnack r", 0.0)
     pole = _point(config.raw.get("pole", ()), params.n, "pole")
     # u vanishes on the bottom slice unless the pole is earlier

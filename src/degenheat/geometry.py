@@ -58,15 +58,16 @@ class HeatBall:
     def threshold(self) -> float:
         return heat_ball_threshold(self.params, self.center.x, self.r)
 
-    def contains_vec(self, spatial, t, threshold=None) -> np.ndarray:
-        """Points where Gamma(centre; point) exceeds the threshold, by default the ball's.
+    def contains_vec(self, spatial, t, threshold) -> np.ndarray:
+        """Points where Gamma(centre; point) exceeds threshold.
 
-        A threshold per point tests each against its own concentric ball.
+        threshold is the ball's own (self.threshold), or one per point to
+        test each point against its own concentric ball.
         """
         gam = gamma_fs_vec(
             self.params, self.center.spatial, self.center.t, spatial, t
         )
-        return gam > (self.threshold if threshold is None else threshold)
+        return gam > threshold
 
     def bounding_box(self) -> tuple[float, float]:
         """(time depth below t0, spatial radius) certified to contain the ball."""

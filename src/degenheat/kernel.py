@@ -266,6 +266,8 @@ def bounds_sandwich(
     space, and an overflow on the weighted axis raises FloatingPointError.
     """
     shape, sel, d, head, x, y = _gamma_head(params, obs_sp, obs_t, src_sp, src_t)
+    with np.errstate(over="ignore"):  # Gamma as gamma_fs_vec forms it, from this head
+        gam = np.exp(_log_kernel(params, shape, sel, d, head, x, y))
     lower, upper = np.zeros(shape), np.zeros(shape)
     with np.errstate(over="raise"):
         # head is log Gamma's prefactor, c_na and the rate 1/(4d) on every axis;
@@ -276,4 +278,4 @@ def bounds_sandwich(
         log_weight = -0.5 * params.a * np.log1p(np.stack([x * x, y * y]) / d)
         lower[sel] = np.exp(head - dy2 / 4.0 + log_weight.max(axis=0))
         upper[sel] = np.exp(head + dy2 / 12.0 + log_weight.min(axis=0))
-    return lower, gamma_fs_vec(params, obs_sp, obs_t, src_sp, src_t), upper
+    return lower, gam, upper

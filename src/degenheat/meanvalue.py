@@ -181,8 +181,6 @@ def _slab_integral(
     integral is one weighted sum over rows, (depth node, y-node) pairs,
     of their slice integrals, so it does not depend on the grouping.
     """
-    if params.n not in (2, 3):
-        raise NotImplementedError("section quadrature supports n = 2 and n = 3")
     rules = [gauss_legendre(p0, p1, m) for p0, p1 in panels]
     deltas = np.concatenate([d for d, _ in rules])
     wds = np.concatenate([w for _, w in rules])
@@ -271,7 +269,7 @@ def solid_mean(
     u,
     xi0: SpaceTimePoint,
     r: float,
-    density: int = 12,
+    density: int,
 ) -> float:
     """Mean of u over the heat ball of radius parameter r at xi0.
 
@@ -285,6 +283,8 @@ def solid_mean(
     pass over all their depth nodes (_slab_integral), so the kernel is
     called a few dozen times per mean and u once per depth node.
     """
+    if params.n not in (2, 3):
+        raise ValueError("section quadrature supports n = 2 and n = 3")
     if density <= 0:
         raise ValueError("density must be positive")
     theta = heat_ball_threshold(params, xi0.x, r)
@@ -302,54 +302,6 @@ def solid_mean(
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
-    radii: list[float]
-    means: list[float]
-    nonincreasing: bool
-    max_violation: float
-    gap_constant: float | None
-
-
-def mean_derivative_sign(
-    params: KernelParams,
-    u,
-    xi0: SpaceTimePoint,
-    radii,
-    density: int = 12,
-    mass_in_ball: float | None = None,
-) -> MonotonicityReport:
-    """Check that r -> solid_mean(u, r) is nonincreasing, to 1e-4 of the largest mean.
-
-    Valid for u with nonpositive 𝓛-image (potentials of nonnegative
-    measures), with times taken from xi0.t as in solid_mean.  When the
-    measure mass inside the largest ball is given, the empirical constant
-    of the mean-value gap between consecutive radii is reported.
-    """
-    radii = sorted(float(r) for r in radii)
-    if len(radii) < 2:
-        raise ValueError("need at least two radii")
-    means = [solid_mean(params, u, xi0, r, density) for r in radii]
-    diffs = np.diff(means)
-    scale = max(abs(m) for m in means) or 1.0
-    max_violation = float(max(0.0, np.max(diffs) / scale))
-    gap_constant = None
-    if mass_in_ball is not None and mass_in_ball > 0.0:
-        r_lo, r_hi = radii[0], radii[-1]
-        denom = (
-            heat_ball_threshold(params, xi0.x, r_lo) - heat_ball_threshold(params, xi0.x, r_hi)
-        ) * mass_in_ball
-        if denom > 0.0:
-            gap_constant = float((means[0] - means[-1]) / denom)
-    return MonotonicityReport(
-        radii=radii,
-        means=[float(m) for m in means],
-        nonincreasing=max_violation <= 1e-4,
-        max_violation=max_violation,
-        gap_constant=gap_constant,
-    )
-
-
-@dataclass(frozen=True)
 class HarnackReport:
     r: float
     bottom_average: float
@@ -357,9 +309,7 @@ class HarnackReport:
     quotient: float
 
 
-def harnack_quotient(
-    params: KernelParams, r: float, u, density: int = 24
-) -> HarnackReport:
+def harnack_quotient(params: KernelParams, r: float, u, density: int) -> HarnackReport:
     """Bottom-slice weighted average of u over the interior infimum.
 
     u must be nonnegative and parabolic on the lens region of size 2r
@@ -368,7 +318,7 @@ def harnack_quotient(
     infimum is sampled over the heat ball of radius 3r/4 at the origin.
     """
     if params.n != 2:
-        raise NotImplementedError("harnack experiment supports n = 2")
+        raise ValueError("harnack experiment supports n = 2")
     if not r > 0.0:
         raise ValueError("radius parameter must be positive")
     # sampled first: an oversized density is refused before any other work

@@ -19,8 +19,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sps
 
-DEFAULT_TOL = 1e-8
-
 
 @lru_cache(maxsize=256)
 def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +140,7 @@ class WeightedRule1D(NamedTuple):
         return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
 
 
-def weighted_rule(lo: float, hi: float, a: float, m: int = 16) -> WeightedRule1D:
+def weighted_rule(lo: float, hi: float, a: float, m: int) -> WeightedRule1D:
     """Build a rule for int_lo^hi |y|^a f(y) dy; splits at 0 if needed."""
     if not a > -1.0:
         raise ValueError("weight exponent must satisfy a > -1")
@@ -166,9 +164,7 @@ def weighted_rule(lo: float, hi: float, a: float, m: int = 16) -> WeightedRule1D
     return WeightedRule1D(nodes, weights * np.abs(nodes) ** a)
 
 
-def integrate_weighted_interval(
-    f, lo: float, hi: float, a: float, tol: float = DEFAULT_TOL
-) -> float:
+def integrate_weighted_interval(f, lo: float, hi: float, a: float, tol: float) -> float:
     """Adaptive evaluation of int_lo^hi |y|^a f(y) dy with error <= tol.
 
     Panels are refined where a coarse/fine rule pair disagrees; panels

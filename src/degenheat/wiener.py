@@ -137,10 +137,6 @@ class DomainDescriptor:
         )
 
     @classmethod
-    def box(cls, lo, hi, t0: float, t1: float) -> "DomainDescriptor":
-        return cls(({"type": "box", "lo": list(lo), "hi": list(hi), "t": [t0, t1]},))
-
-    @classmethod
     def time_slab(cls, t0: float, t1: float) -> "DomainDescriptor":
         return cls(({"type": "time-slab", "t": [t0, t1]},))
 
@@ -171,7 +167,7 @@ def shell_terms(
     xi0: SpaceTimePoint,
     pairs,
     domain: DomainDescriptor,
-    density: int = 10,
+    density: int,
 ) -> list[tuple[float, float, float, CapacityResult | None]]:
     """shell_term of each shell (lambda, k) in pairs, from one sampling pass and one LP call.
 
@@ -251,10 +247,10 @@ def wiener_series(
     params: KernelParams,
     xi0: SpaceTimePoint,
     domain: DomainDescriptor,
-    lam: float = 0.5,
-    k_max: int = 12,
-    density: int = 10,
-    sweep: tuple = (),
+    lam: float,
+    k_max: int,
+    density: int,
+    sweep: tuple,
 ) -> WienerReport:
     """Weighted shell capacities k = 1..k_max with a heuristic verdict.
 

@@ -618,7 +618,7 @@ def test_matrix_estimate_charges_built_rows(monkeypatch):
     assert res.lp_cols == 128
     assert charged == [capacity.MATRIX_COPIES * 8.0 * (256 * 128 + BATCH_POINTS)]
     charged.clear()
-    square = {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0}
+    square = {"kind": "flat", "lo": [0, 0], "hi": [1, 1]}
     cli.cmd_capacity(cli.RunConfig(PARAMS, {"set": square, "density": 2}))
     # the early check on the 4 x 4 fine level, then each level's built rows
     fold = [capacity.MATRIX_COPIES * 8.0 * (2 * orbits**2 + BATCH_POINTS) for orbits in (8, 2)]

@@ -187,7 +187,7 @@ SMALL_CONFIGS = {
     },
     "capacity": {
         "params": PARAMS,
-        "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+        "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1]},
         "density": 2,
         "tol": 1e-8,
     },
@@ -219,7 +219,7 @@ SMALL_CONFIGS = {
             "capacity",
             {
                 "params": PARAMS,
-                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1]},
                 "density": 0,
             },
         ),
@@ -243,6 +243,10 @@ SMALL_CONFIGS = {
         ("harnack", {"params": PARAMS, "pole": [0.0, 0.0, -0.1], "density": 0}),
         ("harnack", {"params": PARAMS, "pole": [0.0, 0.0, -0.1], "r": 0.0}),
         ("harnack", {"params": {"n": 3, "a": 0.3}, "pole": [0.0, 0.0, 0.0, -0.1]}),
+        (
+            "meanvalue",
+            {"params": {"n": 4, "a": 0.3}, "xi0": [0.5, 0.5, 0.5, 0.7, 0.0], "radii": [0.02]},
+        ),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "d_space": 0}),
         ("dirichlet", {"params": PARAMS, "box": BOX, "probes": [[0.5, 0.7, 0.5]], "n_steps": 0}),
         (
@@ -268,13 +272,12 @@ SMALL_CONFIGS = {
         ),
         (
             "capacity",
-            {"params": PARAMS, "set": {"kind": "flat", "lo": [0], "hi": [1], "tau": 0.0}},
+            {"params": PARAMS, "set": {"kind": "flat", "lo": [0], "hi": [1]}},
         ),
         (
             "capacity",
-            {"params": PARAMS, "set": {"kind": "flat", "lo": [1, 1], "hi": [0, 0], "tau": 0.0}},
+            {"params": PARAMS, "set": {"kind": "flat", "lo": [1, 1], "hi": [0, 0]}},
         ),
-        ("capacity", {"params": PARAMS, "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1]}}),
         ("capacity", {"params": PARAMS, "set": {"kind": "box", **BOX, "t1": 0}}),
         ("kernel", {"params": PARAMS, "points": [{"xi": [0.5, 0.7, 0.5]}]}),
         ("kernel", {"params": PARAMS, "points": [{"xi": [0.5, "x", 0.5], "zeta": [0, 0, 0]}]}),
@@ -300,7 +303,7 @@ SMALL_CONFIGS = {
             "capacity",
             {
                 "params": PARAMS,
-                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+                "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1]},
                 "density": math.inf,
             },
         ),
@@ -416,6 +419,7 @@ SMALL_CONFIGS = {
         "harnack-density-0",
         "harnack-r-0",
         "harnack-n-3",
+        "meanvalue-n-4",
         "dirichlet-d-space-0",
         "dirichlet-n-steps-0",
         "dirichlet-empty-box",
@@ -428,7 +432,6 @@ SMALL_CONFIGS = {
         "capacity-box-density-64",
         "capacity-short-corner",
         "capacity-empty-set",
-        "capacity-flat-no-tau",
         "capacity-box-no-time-span",
         "kernel-no-zeta",
         "kernel-non-numeric-coordinate",
@@ -704,7 +707,7 @@ def test_harnack_refuses_fine_lattice_before_coarse_level(tmp_path, capsys, monk
 def test_capacity_with_oracle(tmp_path):
     cfg = {
         "params": PARAMS,
-        "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1], "tau": 0.0},
+        "set": {"kind": "flat", "lo": [0, 0], "hi": [1, 1]},
         "density": 8,
     }
     code, out = run(tmp_path, "capacity", cfg)
@@ -727,8 +730,8 @@ def test_capacity_with_oracle(tmp_path):
 
 
 def test_capacity_sees_only_lags():
-    # Gamma sees only lags, so a set moved in time keeps its caps to the bit: a flat
-    # square at tau = 1e8, and a box over [1e8, 1e8 + 1] against one over [0, 1]
+    # Gamma sees only lags, so a set moved in time keeps its caps to the bit:
+    # a box over [1e8, 1e8 + 1] against one over [0, 1]
     params = KernelParams(n=2, a=0.3)
     side = {"lo": [0, 0.5], "hi": [1, 1.5]}
 
@@ -736,16 +739,50 @@ def test_capacity_sees_only_lags():
         *_, rows = cli.cmd_capacity(cli.RunConfig(params, {"set": spec, "density": density}))
         return rows[0][1:4]
 
-    flat = {"kind": "flat", **side}
-    assert caps({**flat, "tau": 1e8}, 8) == caps({**flat, "tau": 0.0}, 8)
     box = {"kind": "box", **side}
     assert caps({**box, "t0": 1e8, "t1": 1e8 + 1}, 4) == caps({**box, "t0": 0.0, "t1": 1.0}, 4)
+
+
+def test_flat_set_has_no_time(tmp_path):
+    # a flat set sits at time 0, its lattice's frame: a tau in the set block is not read
+    spec = {"kind": "flat", "lo": [0, 0.5], "hi": [1, 1.5]}
+    written = []
+    for extra in ({}, {"tau": 0.0}, {"tau": 1e8}):
+        cfg = {"params": PARAMS, "set": {**spec, **extra}, "density": 4}
+        code, out = run(tmp_path, "capacity", cfg)
+        assert code == 0
+        written.append((out / "capacity.csv").read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
+# a time that overflows when measured from the command's origin: 1e308 - (-1e308)
+FRAME_OVERFLOWS = {
+    "meanvalue": {
+        **SMALL_CONFIGS["meanvalue"],
+        "xi0": [0.5, 0.7, 1e308],
+        "pole": [0.3, 0.4, -1e308],
+    },
+    "dirichlet": {
+        **SMALL_CONFIGS["dirichlet"],
+        "box": {**BOX, "t0": 1e308, "t1": 1.5e308},
+        "data": "gamma",
+        "pole": [0.3, 0.4, -1e308],
+        "probes": [[0.5, 0.7, 1.2e308]],
+    },
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(FRAME_OVERFLOWS))
+def test_frame_overflow_names_the_point(tmp_path, capsys, cmd):
+    assert run(tmp_path, cmd, FRAME_OVERFLOWS[cmd])[0] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: pole time "), err
 
 
 @pytest.mark.parametrize(
     "spec,density",
     [
-        ({"kind": "flat", "lo": [0, 0.5], "hi": [1, 1.5], "tau": 0.0}, 4),
+        ({"kind": "flat", "lo": [0, 0.5], "hi": [1, 1.5]}, 4),
         ({"kind": "box", "lo": [0, 0.5], "hi": [1, 1.5], "t0": 0.0, "t1": 1.0}, 2),
     ],
     ids=["flat", "box"],

@@ -39,7 +39,7 @@ def test_classical_membership_agrees_with_closed_form():
         t = center.t - RNG.uniform(0.0, 0.8)
         zeta = SpaceTimePoint.from_spatial(sp, t)
         ref = classical_ball_member(2, center, 0.5, zeta)
-        assert ball.contains_vec(zeta.spatial, zeta.t) == ref
+        assert ball.contains_vec(zeta.spatial, zeta.t, ball.threshold) == ref
         hits += ref
     assert hits > 10
 
@@ -59,7 +59,7 @@ def test_balls_nest(a):
     small = HeatBall(center, r=0.2, params=params)
     big = HeatBall(center, r=0.6, params=params)
     sample = heat_ball_sample(small, density=12)
-    assert np.all(big.contains_vec(sample.spatial, sample.times))
+    assert np.all(big.contains_vec(sample.spatial, sample.times, big.threshold))
 
 
 def test_future_points_excluded():
@@ -67,8 +67,8 @@ def test_future_points_excluded():
     center = SpaceTimePoint(x_prime=(0.0,), x=0.5, t=0.0)
     ball = HeatBall(center, r=0.4, params=params)
     # Gamma vanishes at t >= t0, so no such point clears the threshold
-    assert not ball.contains_vec([0.0, 0.5], 0.1)
-    assert not ball.contains_vec(center.spatial, center.t)
+    assert not ball.contains_vec([0.0, 0.5], 0.1, ball.threshold)
+    assert not ball.contains_vec(center.spatial, center.t, ball.threshold)
 
 
 def test_sample_points_inside_and_in_past():
@@ -77,7 +77,7 @@ def test_sample_points_inside_and_in_past():
     ball = HeatBall(center, r=0.3, params=params)
     sample = heat_ball_sample(ball, density=16)
     assert np.all(sample.times < center.t)
-    assert np.all(ball.contains_vec(sample.spatial, sample.times))
+    assert np.all(ball.contains_vec(sample.spatial, sample.times, ball.threshold))
     assert sample.h_space > 0.0 and sample.h_time > 0.0
 
 
@@ -140,7 +140,7 @@ def test_shell_two_sided_membership():
     inner = HeatBall(center, shell.inner_radius, params)
     sample = heat_ball_sample(outer, density=20)
     in_shell = shell.contains_vec(sample.spatial, sample.times)
-    in_inner = inner.contains_vec(sample.spatial, sample.times)
+    in_inner = inner.contains_vec(sample.spatial, sample.times, inner.threshold)
     # shell members are exactly the outer-ball points not interior to the
     # inner ball (up to the shared level surface, measure zero on a lattice)
     assert np.array_equal(in_shell, ~in_inner)
@@ -159,7 +159,7 @@ def test_point_on_outer_level_surface_is_member():
     zeta = SpaceTimePoint(x_prime=(rho,), x=0.0, t=-dt)
     assert shell.contains_vec(zeta.spatial, zeta.t)
     inner = HeatBall(center, shell.inner_radius, params)
-    assert not inner.contains_vec(zeta.spatial, zeta.t)
+    assert not inner.contains_vec(zeta.spatial, zeta.t, inner.threshold)
 
 
 def test_consecutive_shells_tile_annulus():
@@ -170,7 +170,7 @@ def test_consecutive_shells_tile_annulus():
     outer = HeatBall(center, lam, params)
     innermost = HeatBall(center, lam ** (kmax + 1), params)
     sample = heat_ball_sample(outer, density=18)
-    in_hole = innermost.contains_vec(sample.spatial, sample.times)
+    in_hole = innermost.contains_vec(sample.spatial, sample.times, innermost.threshold)
     counts = np.zeros(len(sample.times), dtype=int)
     for sh in shells:
         counts += sh.contains_vec(sample.spatial, sample.times).astype(int)

@@ -404,12 +404,14 @@ class TestEquationResidual:
                 X[0] - r,
                 X[0] + r,
                 0.0,
+                tol=1e-8,
             )
             outer = integrate_weighted_interval(
                 lambda y1: u_tilde(params, X[1], y1, t) * np.exp(-0.5 * y1 ** 2),
                 min(X[1], 0.0) - r,
                 max(X[1], 0.0) + r,
                 params.a,
+                tol=1e-8,
             )
             return inner * outer
 

@@ -1,14 +1,18 @@
 """No test-only library surface.
 
 Every public function, class and method under src/degenheat must be
-referenced from the library outside its own definition (an import in
-`__init__` counts, as the package's public API), or from bench/ (where
-the tracer names its targets as strings), or be listed below with the
-reason it stays.  A name that only its own test calls is a second copy
-of a path the library already has.  Likewise every defaulted parameter
-of a public function or method must be passed, by keyword or position,
-by some call in src/ or bench/, or be listed with its reason: a knob
-that only tests set is a second configuration of the same path.
+referenced from the library outside its own definition, or from bench/
+(where the tracer names its targets as strings), or be listed below
+with the reason it stays.  An import in `__init__` is an export, not a
+caller, and a classmethod counts only where it is written
+`<Class>.<name>`: a bare name would match a field or method of the same
+name on another class.  A name that only its own test calls is a second
+copy of a path the library already has.  Likewise every defaulted
+parameter of a public function or method must be passed, by keyword or
+position, by some call in src/ or bench/, and left out by another, or
+be listed with its reason: a knob that only tests set is a second
+configuration of the same path, and a default that every caller
+overrides is a second value of a setting the CLI already owns.
 README's Python example runs as written.
 """
 from __future__ import annotations
@@ -19,6 +23,10 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "degenheat").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+# the modules whose references and calls count; __init__ only re-exports
+CALLERS = [path for path in SRC if path.name != "__init__.py"] + BENCH
 
 # qualified name -> why it stays although nothing in src/ or bench/ reaches it
 KEPT = {
@@ -31,48 +39,54 @@ KEPT = {
 }
 
 
+def _decorated(node: ast.FunctionDef, name: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == name for d in node.decorator_list)
+
+
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, first line, last line) of each public function, class and method."""
+    """(qualified name, class or None, first line, last line) of each public
+    function, class and method; the class is given for classmethods only."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.lineno, node.end_lineno
+            yield f"{module}.{node.name}", None, node.lineno, node.end_lineno
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.lineno, item.end_lineno
+                        owner = node.name if _decorated(item, "classmethod") else None
+                        qualname = f"{module}.{node.name}.{item.name}"
+                        yield qualname, owner, item.lineno, item.end_lineno
 
 
 def _references(tree: ast.Module, strings: bool):
-    """(name, line) of every identifier use and imported name; string constants too if asked."""
+    """(owner, name, line) of every identifier use and imported name, string
+    constants too if asked; owner is the class name of `<Class>.<name>`, else None."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield None, node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            yield owner, node.attr, node.lineno
         elif isinstance(node, ast.ImportFrom):
-            yield from ((alias.name, node.lineno) for alias in node.names)
+            yield from ((None, alias.name, node.lineno) for alias in node.names)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield None, node.value, node.lineno
 
 
 def _unreferenced() -> set[str]:
-    files = sorted((ROOT / "src" / "degenheat").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in files}
     refs = [
-        (name, path, line)
-        for path, tree in trees.items()
-        for name, line in _references(tree, strings=False)
+        (owner, name, path, line)
+        for path in CALLERS
+        for owner, name, line in _references(ast.parse(path.read_text()), path in BENCH)
     ]
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        refs += [(name, path, line) for name, line in _references(tree, strings=True)]
     flagged = set()
-    for path, tree in trees.items():
-        for qualname, first, last in _definitions(tree, path.stem):
+    for path in SRC:
+        for qualname, cls, first, last in _definitions(ast.parse(path.read_text()), path.stem):
             name = qualname.rsplit(".", 1)[-1]
             if not any(
-                ref == name and not (where == path and first <= line <= last)
-                for ref, where, line in refs
+                ref == name
+                and (cls is None or owner == cls)
+                and not (where == path and first <= line <= last)
+                for owner, ref, where, line in refs
             ):
                 flagged.add(qualname)
     return flagged
@@ -86,8 +100,6 @@ def test_every_public_name_has_a_library_or_bench_caller():
 KEPT_KNOBS = {
     "bem.u0_identity.eps": "criterion 05 checks eps -> 0 at a corner",
     "bem.LiftGrid.build.m": "test_bem builds the lift reference on the same rule",
-    "meanvalue.mean_derivative_sign.density": "public API, used by criteria 10 and 11",
-    "meanvalue.mean_derivative_sign.mass_in_ball": "public API, used by criteria 10 and 11",
 }
 
 
@@ -104,11 +116,8 @@ def _knobs(tree: ast.Module, module: str):
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    static = any(
-                        isinstance(d, ast.Name) and d.id == "staticmethod"
-                        for d in item.decorator_list
-                    )
-                    funcs.append((f"{module}.{node.name}.{item.name}", item, 1 - static))
+                    skip = 1 - _decorated(item, "staticmethod")
+                    funcs.append((f"{module}.{node.name}.{item.name}", item, skip))
     for qualname, node, skip in funcs:
         if node.name.startswith("_"):
             continue
@@ -121,26 +130,42 @@ def _knobs(tree: ast.Module, module: str):
                 yield f"{qualname}.{arg.arg}", node.name, None
 
 
-def _unset_knobs() -> set[str]:
-    sources = sorted((ROOT / "src" / "degenheat").glob("*.py"))
-    passed = set()  # (function name, keyword) and (function name, position)
-    for path in sources + sorted((ROOT / "bench").glob("*.py")):
+def _calls():
+    """(function name, keywords, positional count) of every call in src/ and bench/."""
+    for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                passed |= {(name, kw.arg) for kw in node.keywords}
-                passed |= {(name, pos) for pos in range(len(node.args))}
-    flagged = set()
-    for path in sources:
+                yield name, {kw.arg for kw in node.keywords}, len(node.args)
+
+
+def _knob_faults() -> tuple[set[str], set[str]]:
+    """The defaults that no call in src/ or bench/ passes, and those that none leaves out."""
+    calls = list(_calls())
+    unset, overridden = set(), set()
+    for path in SRC:
         for qualname, name, pos in _knobs(ast.parse(path.read_text()), path.stem):
-            if (name, qualname.rsplit(".", 1)[-1]) not in passed and (name, pos) not in passed:
-                flagged.add(qualname)
-    return flagged
+            param = qualname.rsplit(".", 1)[-1]
+            given = [
+                param in keys or (pos is not None and pos < count)
+                for fname, keys, count in calls
+                if fname == name
+            ]
+            if not any(given):
+                unset.add(qualname)
+            if all(given):
+                overridden.add(qualname)
+    return unset, overridden
 
 
 def test_every_default_has_a_caller():
-    assert _unset_knobs() == set(KEPT_KNOBS)
+    assert _knob_faults()[0] == set(KEPT_KNOBS)
+
+
+def test_every_default_is_relied_on():
+    # no exemptions: a default that every caller overrides is a value only tests see
+    assert _knob_faults()[1] == set()
 
 
 def test_readme_python_example_runs(capsys):

@@ -11,12 +11,7 @@ import degenheat.meanvalue as meanvalue
 from degenheat.capacity import DiscreteMeasure
 from degenheat.geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from degenheat.kernel import gamma_fs, gamma_fs_vec
-from degenheat.meanvalue import (
-    HarnackReport,
-    harnack_quotient,
-    mean_derivative_sign,
-    solid_mean,
-)
+from degenheat.meanvalue import HarnackReport, harnack_quotient, solid_mean
 from degenheat.params import KernelParams, SpaceTimePoint
 
 P = SpaceTimePoint
@@ -196,9 +191,16 @@ def test_u_called_once_per_sample_time():
     assert len(times) <= len(np.unique(sample.times)) + 1
 
 
-def test_solid_mean_validation():
+def test_solid_mean_validation(monkeypatch):
     with pytest.raises(ValueError):
         solid_mean(PARAMS, one, XI0, 0.02, density=0)
+    # an unsupported dimension is refused before the ball is boxed
+    monkeypatch.setattr(meanvalue, "HeatBall", None)
+    xi = P(x_prime=(0.5, 0.5, 0.5), x=0.7, t=0.0)
+    with pytest.raises(ValueError, match="n = 2 and n = 3"):
+        solid_mean(KernelParams(n=4, a=0.3), one, xi, 0.02, density=8)
+    with pytest.raises(ValueError, match="supports n = 2"):
+        harnack_quotient(KernelParams(n=3, a=0.3), 0.02, one, density=8)
 
 
 # ---------------------------------------------------------------- monotonicity
@@ -213,10 +215,11 @@ def test_potential_constant_when_atom_outside():
         obs = np.atleast_2d(pts)[:, None]
         return gamma_fs_vec(PARAMS, obs, t, mu.spatial, mu.times) @ mu.masses
 
-    rep = mean_derivative_sign(PARAMS, u, XI0, [0.005, 0.01, 0.02], density=8)
+    means = [solid_mean(PARAMS, u, XI0, r, density=8) for r in (0.005, 0.01, 0.02)]
     u_center = float(u(XI0.spatial[None, :], XI0.t)[0])
-    assert rep.nonincreasing
-    for m in rep.means:
+    # nonincreasing in r, to 1e-4 of the largest mean
+    assert max(np.diff(means)) <= 1e-4 * max(np.abs(means))
+    for m in means:
         assert m == pytest.approx(u_center, rel=1e-3)
         assert m <= u_center * (1 + 1e-3)
 
@@ -231,31 +234,10 @@ def test_potential_decreasing_when_atom_inside():
         obs = np.atleast_2d(pts)[:, None]
         return gamma_fs_vec(PARAMS, obs, t, mu.spatial, mu.times) @ mu.masses
 
-    rep = mean_derivative_sign(
-        PARAMS, u, XI0, [0.02, 0.06, 0.18], density=8, mass_in_ball=1.0
-    )
-    assert rep.nonincreasing
-    assert rep.means[0] > rep.means[1] > rep.means[2]
-    assert rep.gap_constant is not None and rep.gap_constant > 0
+    means = [solid_mean(PARAMS, u, XI0, r, density=8) for r in (0.02, 0.06, 0.18)]
+    assert means[0] > means[1] > means[2]
     u_center = float(u(XI0.spatial[None, :], XI0.t)[0])
-    assert all(m <= u_center for m in rep.means)
-
-
-def test_monotonicity_report_serializes():
-    mu = DiscreteMeasure(
-        spatial=np.array([[0.3, 0.4]]), times=np.array([-0.8]), masses=np.array([0.7])
-    )
-
-    def u(pts, t):
-        obs = np.atleast_2d(pts)[:, None]
-        return gamma_fs_vec(PARAMS, obs, t, mu.spatial, mu.times) @ mu.masses
-
-    rep = mean_derivative_sign(PARAMS, u, XI0, [0.005, 0.02], density=6)
-    data = json.loads(json.dumps(asdict(rep)))
-    assert data["radii"] == [0.005, 0.02]
-    assert data["nonincreasing"] is True
-    with pytest.raises(ValueError):
-        mean_derivative_sign(PARAMS, u, XI0, [0.01], density=6)
+    assert all(m <= u_center for m in means)
 
 
 # ---------------------------------------------------------------- harnack
@@ -289,4 +271,4 @@ def test_harnack_scale_invariance():
     data = json.loads(json.dumps(asdict(rep)))
     assert isinstance(HarnackReport(**data), HarnackReport)
     with pytest.raises(ValueError):
-        harnack_quotient(PARAMS, 0.0, u)
+        harnack_quotient(PARAMS, 0.0, u, density=24)

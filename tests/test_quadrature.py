@@ -42,7 +42,7 @@ class TestWeightedRule:
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
-            weighted_rule(0.0, 1.0, -1.0)
+            weighted_rule(0.0, 1.0, -1.0, 16)
 
 
 def test_gauss_legendre_exact_to_degree_2m_minus_1():
@@ -56,30 +56,30 @@ def test_gauss_legendre_exact_to_degree_2m_minus_1():
 
 class TestIntegrateWeightedInterval:
     def test_constant(self):
-        got = integrate_weighted_interval(lambda y: np.ones_like(y), -1, 1, 0.5)
+        got = integrate_weighted_interval(lambda y: np.ones_like(y), -1, 1, 0.5, tol=1e-8)
         assert got == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_square_with_singular_weight(self):
-        got = integrate_weighted_interval(lambda y: y * y, 0, 1, -0.5)
+        got = integrate_weighted_interval(lambda y: y * y, 0, 1, -0.5, tol=1e-8)
         assert got == pytest.approx(0.4, rel=1e-10)
 
     def test_non_finite_integrand_raises(self):
         # a NaN panel estimate never meets the tolerance; it must not be
         # refined to the depth limit
         with pytest.raises(RuntimeError):
-            integrate_weighted_interval(lambda y: np.full_like(y, np.nan), 0, 1, 0.3)
+            integrate_weighted_interval(lambda y: np.full_like(y, np.nan), 0, 1, 0.3, tol=1e-8)
 
     def test_gaussian(self):
-        got = integrate_weighted_interval(lambda y: np.exp(-y * y), -9, 9, 0.0)
+        got = integrate_weighted_interval(lambda y: np.exp(-y * y), -9, 9, 0.0, tol=1e-8)
         assert got == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
     def test_gaussian_tail_truncation(self):
         # truncation at R standard deviations loses less than the e^{-R^2/8}
         # scale factor relative to a much larger domain
-        full = integrate_weighted_interval(lambda y: np.exp(-y * y / 2), -30, 30, 0.3)
+        full = integrate_weighted_interval(lambda y: np.exp(-y * y / 2), -30, 30, 0.3, tol=1e-8)
         for r_std in (6.0, 9.0):
             trunc = integrate_weighted_interval(
-                lambda y: np.exp(-y * y / 2), -r_std, r_std, 0.3
+                lambda y: np.exp(-y * y / 2), -r_std, r_std, 0.3, tol=1e-8
             )
             assert abs(full - trunc) <= math.exp(-r_std * r_std / 8.0) * full
 
@@ -87,7 +87,7 @@ class TestIntegrateWeightedInterval:
     def test_monotone_family(self, k):
         a = -0.4
         got = integrate_weighted_interval(
-            lambda y, k=k: np.abs(y) ** k, 0.0, 1.0, a
+            lambda y, k=k: np.abs(y) ** k, 0.0, 1.0, a, tol=1e-8
         )
         assert got == pytest.approx(1.0 / (1.0 + a + k), rel=1e-10)
 
@@ -101,7 +101,7 @@ class TestIntegrateWeightedInterval:
             2.0
             * math.pi
             * r ** (2.0 + a)
-            * integrate_weighted_interval(lambda u: np.ones_like(u), -1, 1, a)
+            * integrate_weighted_interval(lambda u: np.ones_like(u), -1, 1, a, tol=1e-8)
         )
         ref = (
             2.0

@@ -26,7 +26,7 @@ EMPTY = DomainDescriptor(
     ("intersect",),
 )
 PAST_SLAB = DomainDescriptor.time_slab(-10.0, 0.0)
-BOX = DomainDescriptor.box([0.0, 0.2], [1.0, 1.2], 0.0, 1.0)
+BOX = DomainDescriptor(({"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [0.0, 1.0]},))
 
 
 # ---------------------------------------------------------------- descriptor
@@ -159,9 +159,9 @@ def test_shell_term_empty_intersection_and_validation():
     cap, _, term, lp = shell_terms(PARAMS, XI0, [(0.5, 3)], PAST_SLAB, density=8)[0]
     assert cap == 0.0 and term == 0.0 and lp is None
     with pytest.raises(ValueError):
-        shell_terms(PARAMS, XI0, [(0.5, 0)], EMPTY)
+        shell_terms(PARAMS, XI0, [(0.5, 0)], EMPTY, density=8)
     with pytest.raises(ValueError):
-        shell_terms(PARAMS, XI0, [(1.5, 1)], EMPTY)
+        shell_terms(PARAMS, XI0, [(1.5, 1)], EMPTY, density=8)
 
 
 def test_term_locality_and_monotonicity():
@@ -178,7 +178,9 @@ def test_term_locality_and_monotonicity():
     )
     far_cap, _, _, _ = shell_terms(PARAMS, XI0, [(0.5, k)], far, density=8)[0]
     assert far_cap == pytest.approx(base_cap, rel=1e-9)
-    smaller = DomainDescriptor.box([0.4, 0.6], [0.6, 0.8], 0.0, 1.0)
+    smaller = DomainDescriptor(
+        ({"type": "box", "lo": [0.4, 0.6], "hi": [0.6, 0.8], "t": [0.0, 1.0]},)
+    )
     small_cap, _, _, _ = shell_terms(PARAMS, XI0, [(0.5, k)], smaller, density=8)[0]
     assert small_cap >= base_cap * (1 - 1e-6)
 
@@ -279,8 +281,8 @@ def test_deleted_past_irregular_with_sweep():
 
 
 def test_verdict_stable_under_density_doubling():
-    coarse = wiener_series(PARAMS, XI0, BOX, lam=0.5, k_max=8, density=6)
-    fine = wiener_series(PARAMS, XI0, BOX, lam=0.5, k_max=8, density=12)
+    coarse = wiener_series(PARAMS, XI0, BOX, lam=0.5, k_max=8, density=6, sweep=())
+    fine = wiener_series(PARAMS, XI0, BOX, lam=0.5, k_max=8, density=12, sweep=())
     assert coarse.verdict == fine.verdict == "likely-regular"
 
 
@@ -290,8 +292,10 @@ def test_series_unchanged_by_time_shift(T):
     # the pole's time frame: shifting the domain and xi0 by T moves no term
     def series(shift):
         xi0 = P(x_prime=(0.5,), x=0.7, t=shift)
-        box = DomainDescriptor.box([0.0, 0.2], [1.0, 1.2], shift, shift + 1.0)
-        return wiener_series(PARAMS, xi0, box, lam=0.5, k_max=12, density=10)
+        box = {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [shift, shift + 1.0]}
+        return wiener_series(
+            PARAMS, xi0, DomainDescriptor((box,)), lam=0.5, k_max=12, density=10, sweep=()
+        )
 
     base, shifted = series(0.0), series(T)
     assert [row["term"] for row in shifted.terms] == [row["term"] for row in base.terms]
@@ -301,10 +305,10 @@ def test_series_unchanged_by_time_shift(T):
 def test_boundary_precondition():
     inside = P(x_prime=(0.5,), x=0.7, t=0.5)
     with pytest.raises(ValueError):
-        wiener_series(PARAMS, inside, BOX, k_max=2, density=6)
+        wiener_series(PARAMS, inside, BOX, lam=0.5, k_max=2, density=6, sweep=())
     far = P(x_prime=(30.0,), x=30.0, t=-30.0)
     with pytest.raises(ValueError):
-        wiener_series(PARAMS, far, BOX, k_max=2, density=6)
+        wiener_series(PARAMS, far, BOX, lam=0.5, k_max=2, density=6, sweep=())
 
 
 def test_shell_weight_uses_point_height():
