@@ -19,6 +19,7 @@ read: only domain tests and the CSV's time columns see absolute times.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -162,6 +163,8 @@ def cmd_check(config: RunConfig) -> tuple[dict, dict, list, list]:
 def cmd_dirichlet(config: RunConfig) -> tuple[dict, dict, list, list]:
     params = config.params
     box = _box(config.raw.get("box", {}), params.n)
+    if not math.isfinite(box.t1 - box.t0):
+        raise ValueError(f"box t1 {box.t1:g} lies too far from box t0 {box.t0:g}")
     # the frame, t0 at 0: absolute times would round the lags, and values drift with t0
     frame = replace(box, t0=0.0, t1=box.t1 - box.t0)
     d_space = _count(config.raw.get("d_space", 6), "dirichlet d_space")
@@ -358,7 +361,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="degenheat")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -366,7 +371,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         # warnings are held until the command succeeds, so a failure prints one line
         with warnings.catch_warnings(record=True) as held:

@@ -29,6 +29,13 @@ from .special import f_profile_prime_vec, f_profile_vec
 # spatial truncation for Gaussian integrals, in standard deviations
 TRUNCATION_STD = 9.0
 
+# exp(v) rounds to 0.0 for every v < -745.2, below log 2^-1075 = -745.13 (half
+# the smallest subnormal).  F(s) grows at most like (|s|/4)^{-a/2}/sqrt(pi)
+# (special's asymptotic series), and -a/2 < 1/2 for |a| < 1, so for every
+# finite double s, |s| <= 1.8e308, log F <= (1/2) log(4.5e307) = 354.2 < 355.
+# So head + log F < -745.2 wherever head < -745.2 - 355 = -1100.2.
+UNDERFLOW_HEAD = -1101.0
+
 
 def _head(log_c: float, k: float, dist2, dt, *coords):
     """Causal selection and log-prefactor shared by every kernel entry point.
@@ -148,10 +155,20 @@ def u_tilde(params: KernelParams, x, y, dt) -> np.ndarray:
     """1-D weighted-axis kernel: 2^{-1-a} d^{-(1+a)/2} e^{-(x-y)^2/4d} F(xy/d).
 
     Gamma is the product of u_tilde with classical 1-D heat kernels on
-    the free axes.
+    the free axes.  An entry whose log-prefactor head lies below
+    UNDERFLOW_HEAD is exactly 0.0 whatever F is, so it skips F, the log
+    and the exp; the bound on log F holds for finite s only, so an
+    entry with s = xy/d infinite or NaN is computed as written.
     """
+    shape, sel, d, head, x, y = _u_tilde_head(params, x, y, dt)
+    out, live = np.zeros(shape), np.zeros(head.shape)
     with np.errstate(over="ignore"):
-        return np.exp(_log_kernel(params, *_u_tilde_head(params, x, y, dt)))
+        s = x * y / d
+        skip = (head < UNDERFLOW_HEAD) & np.isfinite(s)
+        keep = ~skip if skip.any() else ...
+        live[keep] = np.exp(head[keep] + np.log(f_profile_vec(params, s[keep])))
+    out[sel] = live
+    return out
 
 
 def u_tilde_dy(params: KernelParams, x, y, dt) -> np.ndarray:

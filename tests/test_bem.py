@@ -7,6 +7,7 @@ package internals.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,12 +175,70 @@ def test_block_matches_node_reference(n, a, y0, d_space):
         assert np.max(np.abs(mesh.block(lag) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize(
+    "n,a,y0", [(n, a, y0) for n in (2, 3) for a in (-0.4, 0.3) for y0 in (0.2, 0.0, -0.4)]
+)
+def test_one_pass_blocks_match_per_lag_passes(n, a, y0):
+    # each lag's block from a pass of its own on that lag's time rule; the
+    # one pass differs in summation order and in the profile's term counts
+    mesh = BoundaryMesh(
+        _unit_box(n, y0), KernelParams(n=n, a=a), d_space=8 if n == 2 else 3, n_steps=12
+    )
+    m = mesh.n_cells
+    point, cell = np.divmod(np.arange(m * m), m)
+    for lag in range(mesh.n_steps):
+        rule = mesh._delta_rule(max(lag - 0.5, 0.0) * mesh.ht, (lag + 0.5) * mesh.ht)
+        args = (mesh.centers, mesh.axis_rules, point, mesh.cell_rule[cell], cell, *rule)
+        want = mesh._integrals(*args).reshape(m, m)
+        got = mesh.block(lag)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_first_block_call_builds_every_lag(monkeypatch):
+    mesh = BoundaryMesh(BOX, PARAMS, d_space=4, n_steps=5)
+    calls, integrals = [], BoundaryMesh._integrals
+
+    def counted(self, *args):
+        calls.append(len(args[-2]))
+        return integrals(self, *args)
+
+    monkeypatch.setattr(BoundaryMesh, "_integrals", counted)
+    first = mesh.block(2)
+    # one pass on lag 0's 192 graded time nodes and 8 for each later lag
+    assert calls == [192 + 4 * 8] and sorted(mesh._blocks) == list(range(5))
+    assert all(mesh.block(lag) is mesh._blocks[lag] for lag in range(5))
+    assert mesh.block(2) is first and len(calls) == 1
+    for lag in (-1, 5):
+        with pytest.raises(ValueError):
+            mesh.block(lag)
+
+
+@pytest.mark.parametrize(
+    "n,d_space,y0", [(2, 8, 0.2), (2, 32, -0.4), (3, 4, 0.0), (3, 6, -0.4)]
+)
+def test_block_pass_charge_bounds_traced_peak(monkeypatch, n, d_space, y0):
+    # the mesh charges its block pass before any array is built; the charge
+    # must cover what the pass holds at its peak
+    charged = []
+    monkeypatch.setattr(bem, "check_fits", lambda need, what: charged.append(need))
+    mesh = BoundaryMesh(_unit_box(n, y0), KernelParams(n=n, a=0.3), d_space=d_space, n_steps=12)
+    tracemalloc.start()
+    try:
+        mesh.block(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak <= charged[0] <= 4 * peak
+
+
 def test_lag0_factor_points(monkeypatch):
-    # the criterion-12 mesh, d_space 8 and 12 steps: every pair takes all
-    # 192 graded time nodes, and each axis' table holds one 1-D sum per
-    # distinct (coordinate, rule), 10 cell-centre coordinates per axis:
-    # heat kernels 10 x 50 nodes, u_tilde 10 x 48, u_tilde_dy 10 x 2,
-    # at 192 nodes each, 192,000 points
+    # the criterion-12 mesh, d_space 8 and 12 steps: block(0) builds every
+    # lag in one pass, on lag 0's 192 graded time nodes and 8 per later lag,
+    # 280 in all, and each axis' table holds one 1-D sum per distinct
+    # (coordinate, rule), 10 cell-centre coordinates per axis: heat kernels
+    # 10 x 50 nodes, u_tilde 10 x 48, u_tilde_dy 10 x 2, at 280 time nodes
+    # each, 280,000 points (as many as one pass per lag took together)
     names = ("heat_kernel_1d", "u_tilde", "u_tilde_dy", "weighted_normal_limit_vec")
     points = dict.fromkeys(names, 0)
 
@@ -194,9 +253,10 @@ def test_lag0_factor_points(monkeypatch):
     for name in names:
         monkeypatch.setattr(bem, name, counting(name, getattr(bem, name)))
     mesh = BoundaryMesh(BOX, PARAMS, d_space=8, n_steps=12)
-    mesh.block(0)
+    for lag in range(12):
+        mesh.block(lag)
     assert min(points[name] for name in names[:3]) > 0
-    assert sum(points.values()) <= 200_000
+    assert sum(points.values()) <= 290_000
 
 
 # ---------------------------------------------------------------- batched lift and evaluation

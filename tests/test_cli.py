@@ -407,6 +407,15 @@ SMALL_CONFIGS = {
                 },
             },
         ),
+        # t1 - t0 overflows: the frame box would span [0, inf]
+        (
+            "dirichlet",
+            {
+                **SMALL_CONFIGS["dirichlet"],
+                "box": {**BOX, "t0": -1e308, "t1": 1e308},
+                "probes": [[0.5, 0.7, 0.0]],
+            },
+        ),
     ],
     ids=[
         "check-short-mass-point",
@@ -474,6 +483,7 @@ SMALL_CONFIGS = {
         "wiener-complement-null",
         "wiener-box-short-corners",
         "wiener-cusp-short-center",
+        "dirichlet-infinite-time-span",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, cmd, cfg):
@@ -684,6 +694,32 @@ def test_sampling_check_charges_only_attempts_that_run(tmp_path, capsys, monkeyp
     assert run(tmp_path, "wiener", {**SMALL_CONFIGS["wiener"], "density": 64})[0] == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "heat-ball lattice at density 64" in err[0]
+
+
+def test_dirichlet_refuses_block_pass_before_allocating(tmp_path, capsys, monkeypatch):
+    # 40 MiB holds the criterion-12 mesh's block pass (32 cells, about 2 MiB
+    # charged) but not that of the n = 3 cube at d_space 8 (384 cells, 147,456
+    # entries, about 47 MiB), which is refused before any array is built
+    _physical_memory(monkeypatch, 40)
+    cfg = {**SMALL_CONFIGS["dirichlet"], "d_space": 8, "n_steps": 12}
+    assert run(tmp_path, "dirichlet", cfg)[0] == 0
+    cube = {
+        **cfg,
+        "params": {"n": 3, "a": 0.3},
+        "box": {"lo": [0, 0, 0.2], "hi": [1, 1, 1.2], "t0": 0, "t1": 1},
+        "probes": [[0.5, 0.5, 0.7, 0.5]],
+        "u0_probes": [],
+    }
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "dirichlet", cube)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: BEM mesh of 384 cells")
+    assert "GiB" in err[0]
 
 
 def test_harnack_refuses_fine_lattice_before_coarse_level(tmp_path, capsys, monkeypatch):
@@ -946,17 +982,26 @@ def test_wiener_report(tmp_path):
     assert run(tmp_path, "wiener", bad)[0] == 2
 
 
-def _readme_wiener_example() -> dict:
+def _readme_example(cmd: str) -> dict:
+    # cut out of README as the CI steps cut them
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    example = re.search(r"Example config \(`wiener\.json`\):\s*```json\n(.*?)```", readme, re.S)
-    return json.loads(example.group(1))
+    pattern = rf"Example config \(`{cmd}\.json`\):\s*```json\n(.*?)```"
+    return json.loads(re.search(pattern, readme, re.S).group(1))
+
+
+def test_readme_dirichlet_example_reproduces_gamma(tmp_path):
+    code, out = run(tmp_path, "dirichlet", _readme_example("dirichlet"))
+    assert code == 0
+    rows = [line.split(",") for line in (out / "dirichlet.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 and all(float(r[-1]) < 2e-4 for r in rows[:2])
+    assert float(rows[2][3]) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_readme_wiener_example_unchanged_by_time_shift(tmp_path):
     # xi0 and the domain moved together in time: the boundary check probes no
     # time offset that rounds away near xi0.t, and the series sees only lags
     def outputs(T):
-        cfg = _readme_wiener_example()
+        cfg = _readme_example("wiener")
         cfg["xi0"][-1] += T
         for prim in cfg["domain"]["primitives"]:
             prim["t"] = [T + t for t in prim["t"]]

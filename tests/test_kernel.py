@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from degenheat import KernelParams, SpaceTimePoint
+from degenheat import KernelParams, SpaceTimePoint, kernel
 from degenheat.kernel import (
     bounds_sandwich,
     gamma_fs,
@@ -18,6 +18,7 @@ from degenheat.kernel import (
     u_tilde_dy,
     weighted_normal_limit_vec,
 )
+from degenheat.special import f_profile_vec
 
 
 def pt(x_prime, x, t):
@@ -294,6 +295,37 @@ class TestBoundsSandwich:
         for i in range(12):
             one = bounds_sandwich(params, obs[i], obs_t[i], src[i], src_t[i])
             np.testing.assert_allclose(batch[:, i], np.array(one), rtol=1e-13, atol=0.0)
+
+
+class TestUTildeSkip:
+    @pytest.mark.parametrize("a", [-0.99, -0.5, 0.0, 0.5, 0.99])
+    def test_skipped_entries_underflow_in_the_full_formula(self, a):
+        # log-uniform magnitudes of both signs, and the largest |s| a double
+        # holds: every entry that u_tilde skips is exactly 0.0 in exp(head +
+        # log F), and log F stays below the 355 that UNDERFLOW_HEAD assumes
+        params = KernelParams(2, a)
+        rng = np.random.default_rng(23)
+        m = 20000
+        x, y = rng.choice([-1.0, 1.0], (2, m)) * 10.0 ** rng.uniform(-300.0, 154.0, (2, m))
+        dt = 10.0 ** rng.uniform(-300.0, 300.0, m)
+        x[:4], y[:4] = [1.34e154, -1.34e154, 1.0, 0.1], [1.34e154, 1.34e154, 3.0, 1e-4]
+        dt[:4] = 1.0
+        # entries with s infinite are computed as written and may be NaN
+        with np.errstate(all="ignore"):
+            _, _, d, head, xs, ys = kernel._u_tilde_head(params, x, y, dt)
+            s = xs * ys / d
+            finite = np.isfinite(s)
+            log_f = np.log(f_profile_vec(params, s[finite]))
+            full = np.exp(head[finite] + log_f)
+            got = u_tilde(params, x, y, dt)[finite]
+        assert np.max(np.abs(s[finite])) >= 1.79e308
+        assert np.max(log_f) < 355.0
+        skip = head[finite] < kernel.UNDERFLOW_HEAD
+        assert 0.2 < skip.mean() < 0.8
+        assert np.all(full[skip] == 0.0)
+        assert np.all(got[skip] == 0.0)
+        # the kept entries, up to the profile's call-dependent term count
+        np.testing.assert_allclose(got[~skip], full[~skip], rtol=1e-14, atol=0.0)
 
 
 class TestLogCore:
