@@ -16,24 +16,19 @@ gets y = 0 as an extra cell edge, so no cell straddles the plane.  The
 system is block lower triangular in time, so the density is solved step
 by step with one LU factorization of I - 2 B0 (solve_density).
 
-On faces lying on the degenerate plane y = 0 the raw normal derivative
-of Gamma does not exist for a != 0; there the kernel is the limit of
-|y|^a D_y Gamma as y -> 0 (weighted_normal_limit_vec).  Every other
-face takes the normal component of grad Gamma, with |y|^a in the
-quadrature weights: Gamma (x_i - y_i)/(2d) on a face normal to a free
-axis, and on one normal to the weighted axis also the profile's chain
-term, the only place F' is needed.
+A face on the degenerate plane y = 0, where the raw normal derivative
+of Gamma does not exist for a != 0, takes the limit of |y|^a D_y Gamma
+as y -> 0; every other face the normal component of grad Gamma, with
+|y|^a in the quadrature weights.
 
-Factorization.  Gamma is a product of 1-D heat kernels on the free axes
-and u_tilde on the weighted axis, and the normal derivative (or the
-limit) acts on one factor only.  Every cell rule is a tensor product of
-1-D rules, so a cell integral at one time node is a product of 1-D sums
-(_axis_sums), one per axis, for blocks and point evaluation alike.
-
-Initial lift.  The lift of f0 at many points is a contraction of the
-weighted f0 grid with 1-D kernel matrices: Gaussians on the free axes,
-u_tilde on the weighted axis (LiftGrid, initial_lift).  The double
-layer at many points is one pass per distinct probe time
+Every cell rule is a tensor product of 1-D rules, so blocks, point
+evaluation and the initial lift are separable integrals (separable):
+this module keeps their geometry, the cells, their rules, the near mask
+and the refined rules of near cells.  A block pass indexes its tables by
+(observation coordinate, cell rule) on each axis.  The lift of f0 at
+many points contracts the weighted f0 grid (LiftGrid) with 1-D kernel
+matrices gathered from tables over (coordinate, time) classes.  The
+double layer at many points is one pass per distinct probe time
 (double_layer_eval), with refined rules for the near cells.
 """
 from __future__ import annotations
@@ -46,52 +41,16 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import erf
 
 from .geometry import BoxDomain
-from .kernel import heat_kernel_1d, u_tilde, u_tilde_dy, weighted_normal_limit_vec
+from .kernel import u_tilde
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import check_fits, chunks, gauss_legendre, graded_breakpoints
-from .quadrature import tensor_rule, weighted_rule
+from .quadrature import check_fits, gauss_legendre, graded_breakpoints, tensor_rule, weighted_rule
+from .separable import CHUNK_POINTS, axis_classes, chunk_bytes, dense, table
 
 # Gauss points per panel and free axis in every cell rule
 CELL_NODES = 6
 # Gauss points per time panel, and panels of the graded rule toward d = 0
 TIME_NODES = 8
 GRADED_LEVELS = 24
-# points per kernel call of an axis table, and entries times time nodes per
-# chunk of the product over axes: a call's KERNEL_WORDS temporaries of 2^14
-# doubles (1.5 MiB) stay within a 2 MiB L2 cache; on a 2-core Xeon VM the
-# bench's dirichlet jobs ran about 20% faster than with chunks of 2^17
-CHUNK_POINTS = 2**14
-KERNEL_WORDS = 12
-# words the block pass holds per (obs cell, src cell) entry besides the
-# blocks: index arrays and their sorts
-ENTRY_WORDS = 16
-
-
-def _axis_sums(params: KernelParams, axis, normal, x, nodes, weights, counts, d) -> np.ndarray:
-    """Sum of w factor(x, node, d) over each 1-D rule of one axis, at every d.
-
-    x holds one observation coordinate per rule; nodes and weights are
-    the rules' back to back, counts[r] nodes for rule r.  Along a face
-    the factor is the heat kernel on a free axis and u_tilde on the
-    weighted one.  On the face's normal axis (normal) it is the normal
-    derivative: the heat kernel times (x - y)/(2d), u_tilde_dy, or the
-    weighted normal limit at a node on y = 0.  Returns (rules, len(d)).
-    """
-    xs, y = np.repeat(x, counts)[:, None], nodes[:, None]
-    if axis < params.n - 1:
-        vals = heat_kernel_1d(xs, y, d)
-        if normal:
-            vals *= (xs - y) * np.divide(0.5, d, out=np.zeros_like(d), where=d > 0.0)
-    elif not normal:
-        vals = u_tilde(params, xs, y, d)
-    else:
-        plane = nodes == 0.0
-        vals = np.empty((len(nodes), len(d)))
-        vals[~plane] = u_tilde_dy(params, xs[~plane], y[~plane], d)
-        if plane.any():
-            vals[plane] = weighted_normal_limit_vec(params, xs[plane], d)
-    vals *= weights[:, None]
-    return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=0)
 
 
 @dataclass
@@ -122,17 +81,18 @@ class BoundaryMesh:
         if self.d_space < 1 or self.n_steps < 1:
             raise ValueError("mesh must have at least one cell and step")
         # refuse a mesh whose block pass would not fit before any array is
-        # built: m^2 entries for m cells (ENTRY_WORDS each, and two copies of
-        # every lag's block), a table row per (coordinate, rule) of each axis
-        # at every time node, and one chunk.  Floats, so an absurd size is inf;
-        # a box across y = 0 may get one weighted-axis cell fewer than counted
+        # built: two copies of every lag's m x m block for m cells, a table row
+        # per (coordinate, rule) of each axis at every time node, and one chunk
+        # of rows m cells times the time nodes wide (the lift at the collocation
+        # points holds less: class tables and a chunk).  Floats, so an absurd
+        # size is inf; a box across y = 0 may get one weighted-axis cell fewer
+        # than counted
         cells = [float(self.d_space)] * self.box.n
         cells[-1] += self.box.lo[-1] < 0.0 < self.box.hi[-1]
         m = 2.0 * sum(math.prod(cells) / c for c in cells)
         t_nodes = TIME_NODES * (GRADED_LEVELS + self.n_steps - 1.0)
-        entries = m * m * (ENTRY_WORDS + 2.0 * self.n_steps)
         tables = t_nodes * sum((c + 2.0) ** 2 for c in cells)
-        need = 8.0 * (entries + tables + KERNEL_WORDS * CHUNK_POINTS)
+        need = 8.0 * (2.0 * self.n_steps * m * m + tables) + chunk_bytes(m * t_nodes)
         check_fits(need, f"BEM mesh of {m:.4g} cells and {self.n_steps} steps")
         self._build_cells()
 
@@ -231,44 +191,32 @@ class BoundaryMesh:
         diam2 = np.sum((self.cell_hi - self.cell_lo) ** 2, axis=1)
         return np.sum(gap * gap, axis=2) < diam2
 
-    def _integrals(self, points, rules, point, rule, cell, d_nodes, d_wts) -> np.ndarray:
-        """Time-integrated double-layer integrals, one per entry.
+    def _tables(self, points, d_nodes, near) -> tuple:
+        """Per axis: the points' coordinate classes, a dense table and a near table.
 
-        Entry e sees points[point[e]] and integrates over rules[i][rule[e, i]]
-        on each axis i, on the face of cell[e], then over the time rule:
-        d_wts is (k,) or (k, s), and the result (entries,) or (entries, s).
-        Each axis' table holds _axis_sums once per distinct (coordinate,
-        rule, normal or not).  The tables' kernel calls and the product
-        over axes go in chunks of at most CHUNK_POINTS nodes or entries
-        times time nodes.
+        The dense table holds the sums (separable.table) of every distinct
+        coordinate of points over every rule of the axis, (coordinates,
+        rules, time nodes), the two face rules last.  Near key j sums the
+        point of near[j] = (point, cell, rules) over its rule on the axis,
+        a (keys, time nodes) table.  A rule on the normal axis of its
+        cell's face takes the normal factor.
         """
-        normal_axis = self.normal_axis[cell]
-        tables, rows = [], np.empty(rule.shape, dtype=int)
-        for i, axis_rules in enumerate(rules):
+        obs, tables, near_tables = [], [], []
+        for i, rules in enumerate(self.axis_rules):
             coords, at = np.unique(points[:, i], return_inverse=True)
-            key = (at[point] * len(axis_rules) + rule[:, i]) * 2 + (normal_axis == i)
-            keys, rows[:, i] = np.unique(key, return_inverse=True)
-            table = np.empty((len(keys), len(d_nodes)))
-            for normal in (False, True):
-                sel = np.flatnonzero(keys % 2 == normal)
-                c, r = np.divmod(keys[sel] // 2, len(axis_rules))
-                counts = [len(axis_rules[k][0]) for k in r]
-                for k0, k1 in chunks([k * len(d_nodes) for k in counts], CHUNK_POINTS):
-                    part = slice(k0, k1)
-                    chosen = [axis_rules[k] for k in r[part]]
-                    nodes, weights = (np.concatenate(v) for v in zip(*chosen))
-                    args = (coords[c[part]], nodes, weights, counts[part], d_nodes)
-                    table[sel[part]] = _axis_sums(self.params, i, normal, *args)
-            tables.append(table)
-        out = np.empty((len(cell),) + d_wts.shape[1:])
-        step = max(1, CHUNK_POINTS // len(d_nodes))
-        for e0 in range(0, len(cell), step):
-            e = slice(e0, e0 + step)
-            prod = tables[0][rows[e, 0]]
-            for i in range(1, len(rules)):
-                prod *= tables[i][rows[e, i]]
-            out[e] = prod @ d_wts
-        return out
+            keys = [(x, r, j >= len(rules) - 2) for x in coords for j, r in enumerate(rules)]
+            keys += [(p[i], r[i], self.normal_axis[c] == i) for p, c, r in near]
+            sums = np.empty((len(keys), len(d_nodes)))
+            for kind in (False, True):
+                sel = [j for j, key in enumerate(keys) if key[2] == kind]
+                x, chosen, _ = zip(*(keys[j] for j in sel))
+                nodes, weights = (np.concatenate(v) for v in zip(*chosen))
+                counts = [len(r[0]) for r in chosen]
+                sums[sel] = table(self.params, i, kind, x, nodes, weights, counts, d_nodes)
+            obs.append(at)
+            tables.append(sums[: len(coords) * len(rules)].reshape(len(coords), len(rules), -1))
+            near_tables.append(sums[len(coords) * len(rules) :])
+        return obs, tables, near_tables
 
     def _delta_rule(self, d_lo: float, d_hi: float) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature in the time offset; graded when the interval touches 0."""
@@ -293,13 +241,12 @@ class BoundaryMesh:
             return self._blocks[lag]
         if not 0 <= lag < self.n_steps:
             raise ValueError(f"lag must lie in 0..{self.n_steps - 1}, got {lag}")
-        m, lags = self.n_cells, range(self.n_steps)
+        lags = range(self.n_steps)
         parts = [self._delta_rule(max(k - 0.5, 0.0) * self.ht, (k + 0.5) * self.ht) for k in lags]
-        point, cell = np.divmod(np.arange(m * m), m)
-        vals = self._integrals(
-            self.centers, self.axis_rules, point, self.cell_rule[cell], cell, *_time_rule(parts)
-        )
-        self._blocks.update(zip(lags, np.ascontiguousarray(vals.T).reshape(-1, m, m)))
+        d_nodes, d_wts = _time_rule(parts)
+        obs, tables, _ = self._tables(self.centers, d_nodes, [])
+        vals = dense(tables, obs, self.cell_rule.T, d_wts)
+        self._blocks.update(zip(lags, np.ascontiguousarray(np.moveaxis(vals, -1, 0))))
         return self._blocks[lag]
 
 
@@ -328,12 +275,8 @@ def double_layer_eval(
     per step) and one pass over their standard and refined cell rules.
     """
     out = np.zeros(len(times))
-    m = mesh.n_cells
     obs, cells = np.nonzero(mesh._near_mask(spatial))
-    refined = [mesh._refined_rule(c, spatial[i]) for i, c in zip(obs, cells)]
-    rules = [axis_rules + [r[i] for r in refined] for i, axis_rules in enumerate(mesh.axis_rules)]
-    # near pair j integrates with the j-th refined rule appended to each axis
-    near_rule = np.arange(len(cells))[:, None] + [len(r) for r in mesh.axis_rules]
+    near = [(spatial[i], c, mesh._refined_rule(c, spatial[i])) for i, c in zip(obs, cells)]
     for t in np.unique(times):
         taus = [tau for tau in mesh.box.t0 + mesh.ht * np.arange(mesh.n_steps) if tau < t]
         if not taus:
@@ -342,14 +285,13 @@ def double_layer_eval(
         d_nodes, d_wts = _time_rule(parts)
         at_t = np.flatnonzero(times == t)
         # passes of at most n_cells points, as many as a block has rows, bound the tables
-        for group in np.array_split(at_t, -(-len(at_t) // m)):
-            p, pairs = len(group), np.flatnonzero(np.isin(obs, group))
-            cell = np.concatenate([np.tile(np.arange(m), p), cells[pairs]])
-            point = np.concatenate([np.repeat(np.arange(p), m), group.searchsorted(obs[pairs])])
-            rule = np.concatenate([mesh.cell_rule[cell[: p * m]], near_rule[pairs]])
-            vals = mesh._integrals(spatial[group], rules, point, rule, cell, d_nodes, d_wts)
-            grid = vals[: p * m].reshape(p, m, len(taus))
-            grid[point[p * m :], cell[p * m :]] = vals[p * m :]
+        for group in np.array_split(at_t, -(-len(at_t) // mesh.n_cells)):
+            pairs = np.flatnonzero(np.isin(obs, group))
+            classes, tables, near_tables = mesh._tables(
+                spatial[group], d_nodes, [near[j] for j in pairs]
+            )
+            grid = dense(tables, classes, mesh.cell_rule.T, d_wts)
+            grid[group.searchsorted(obs[pairs]), cells[pairs]] = math.prod(near_tables) @ d_wts
             out[group] = np.einsum("pcs,sc->p", grid, values[: len(taus)])
     return out
 
@@ -416,20 +358,35 @@ def initial_lift(
 
     Gamma is the product of u_tilde on the weighted axis and 1-D heat
     kernels on the free axes, so the grid is contracted one axis at a
-    time, the weighted axis first; zero at t <= t0.
+    time, the weighted axis first; zero at t <= t0.  Each axis' kernel
+    rows come from one table over the points' (coordinate, lag) classes,
+    and the points are contracted in chunks.
     """
     out = np.zeros(len(times))
     live = np.flatnonzero(times > grid.t0)
     if not len(live):
         return out
-    x, dt = spatial[live], times[live] - grid.t0
-    kern = u_tilde(params, x[:, -1:], grid.nodes[-1][None, :], dt[:, None])
-    free_shape = grid.values.shape[:-1]
-    acc = (kern @ grid.values.reshape(-1, kern.shape[1]).T).reshape(len(live), *free_shape)
-    for i in reversed(range(len(grid.nodes) - 1)):
-        gauss = heat_kernel_1d(x[:, i : i + 1], grid.nodes[i][None, :], dt[:, None])
-        acc = np.einsum("p...i,pi->p...", acc, gauss)
-    out[live] = acc
+    lags, t_index = np.unique(times[live] - grid.t0, return_inverse=True)
+    kernels = []
+    for i, nodes in enumerate(grid.nodes):
+        # the classes' kernel rows: a one-node rule of unit weight per grid node
+        cls, x, lag = axis_classes(spatial[live, i], t_index, lags)
+        ones = np.ones(len(x) * len(nodes))
+        rows = table(
+            params, i, False, np.repeat(x, len(nodes)), np.tile(nodes, len(x)), ones, 1,
+            np.repeat(lag, len(nodes))[:, None],
+        )
+        kernels.append((cls, rows.reshape(len(x), len(nodes))))
+    flat = grid.values.reshape(-1, len(grid.nodes[-1]))
+    # chunks of points whose partial contractions hold at most CHUNK_POINTS values
+    step = max(1, CHUNK_POINTS // len(flat))
+    for p0 in range(0, len(live), step):
+        p = slice(p0, p0 + step)
+        cls, kern = kernels[-1]
+        acc = (kern[cls[p]] @ flat.T).reshape(-1, *grid.values.shape[:-1])
+        for cls, gauss in reversed(kernels[:-1]):
+            acc = np.einsum("p...i,pi->p...", acc, gauss[cls[p]])
+        out[live[p]] = acc
     return out
 
 

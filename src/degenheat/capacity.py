@@ -17,29 +17,18 @@ scheme converges under refinement (discrete capacity overestimates,
 so results are reported with a refinement pair and a Richardson
 estimate).
 
-Gamma factorizes into 1-D heat kernels (4 pi d)^{-1/2} e^{-D^2/4d} on
-the free axes and u_tilde on the weighted axis.  The factor of an axis
-depends on the observation's coordinate on that axis and time and the
-atom's coordinate and time only, so the matrix is built from one table
-per axis over the distinct (coordinate, time) classes of the rows and
-of the atoms.  On a lattice the classes are few (a flat 32 x 32 level
-has 64 row and 32 atom classes per axis for 2M entries); a set that is
-no lattice has about as many classes as points, and shares less.
-
-A far entry is the product of the axes' table values of its class
-pairs, and 0 where its lag is below 1e-9 of the cell's time scale
-(`snap`).  A near entry is the equal-weight mean of Gamma over the
-AVG_NODES Gauss-Legendre nodes per axis of the atom's cell, time
-included (their positions only, not the Gauss weights).  At each time
-node the mean over the spatial nodes is the product of the per-axis
-means, and each axis' means are computed once per distinct class pair
-among the near pairs: 3 profile values per time node and class pair,
-instead of 3^n per time node and entry.
-
-capacity_lp takes a sequence of lattices (the shells of a Wiener series)
-and builds their tables with one kernel call per axis, and their near
-means with one more, over all sets' class pairs; symmetry, presolve and
-LP stay per set, and each matrix is built only when its LP is next.
+The constraint matrix is a separable integral (separable).  A far
+entry is Gamma at the atom: a dense product of per-axis tables over the
+(coordinate, time) classes of the rows and of the atoms, 0 where its
+lag is below 1e-9 of the cell's time scale (snap).  A near entry, within
+NEAR_CELLS cells, is the equal-weight mean of Gamma over the AVG_NODES
+Gauss-Legendre nodes per axis of the atom's cell, time included: a
+sparse product of per-axis node means, each computed once per distinct
+class pair among the near pairs.  capacity_lp takes a sequence of
+lattices (the shells of a Wiener series) and builds all their tables
+with one table call per axis, and their node means with one more;
+symmetry, presolve and LP stay per set, and each matrix is built only
+when its LP is next.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -57,16 +46,15 @@ symmetry group has an optimum that is constant on the orbits, found on
 the orbits alone (Bödi, Herr & Joswig, *Algorithms for highly
 symmetric linear and integer programs*, Math. Programming 137, 2013).
 So only the representatives' rows are built, the set and collar rows
-of one atom per orbit, over the atoms sorted by orbit, and each orbit's
-columns are averaged into one as they are built: a chunk of rows of at
-most BATCH_POINTS entries is gathered over all atoms, its near means
-written and its orbits' columns summed into the folded matrix, which
-is divided by the orbit sizes at the end.  Each row's arithmetic is
-that of a build over all atoms folded afterwards, so the result is the
-same to the bit, but the build holds only the 2 orbits x orbits folded
-rows and one chunk; the near pairs come from boolean tables over each
-axis' (row class, atom class) pairs, gathered per chunk too.  The
-orbit's mass x~_o is spread as x_i = x~_o / |o|.  A flat n = 2 level
+of one atom per orbit, over the atoms sorted by orbit, and each chunk
+of rows over all atoms gets its near means and has its orbits' columns
+summed into the folded matrix, which is divided by the orbit sizes at
+the end.  Each row's arithmetic is that of a build over all atoms
+folded afterwards, so the result is the same to the bit, but the build
+holds only the 2 orbits x orbits folded rows and one chunk; the near
+pairs come from boolean tables over each axis' (row class, atom class)
+pairs, gathered per chunk too.  The orbit's mass x~_o is spread as
+x_i = x~_o / |o|.  A flat n = 2 level
 folds to half its atoms and an n = 3 cube to a quarter.  Atoms are
 matched by the ranks of their sorted coordinates within 1e-9 of a
 cell, not on a grid of h_space, since box cells need not be square.
@@ -97,21 +85,20 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kernel import heat_kernel_1d, u_tilde
 from .params import KernelParams
-from .quadrature import BATCH_POINTS, check_fits, chunks, integrate_weighted_interval, legendre_rule
+from .quadrature import check_fits, chunks, integrate_weighted_interval, legendre_rule
+from .separable import CHUNK_POINTS, axis_classes, axis_sums, chunk_bytes, dense_chunks, sparse
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
-# peak bytes of capacity_lp over the bytes of what it builds (2 orbits x orbits
-# folded rows, plus one chunk of at most max(BATCH_POINTS, atoms) unfolded
-# entries), bounded from above: measured with tracemalloc (build and LP) on one
-# set at a = 0.3, 2.0 on a flat 32 x 32 level, 2.2 on a 10 x 10 x 10 box level,
-# 2.6 on an 8^3 cube and 2.9 on a 16^3 cube, all folded; with one atom taken out
-# of the first three nothing folds, and they reach 2.4, 2.6 and 2.9, the cube's
-# at a = -0.9 too (no row leaves its LP).  The LP and its copies of the rows set
-# the peak of the large ones, which tends to 3.5 when every row stays
-MATRIX_COPIES = 4
+# peak bytes of capacity_lp over the 2 orbits x orbits folded rows it builds,
+# bounded from above, besides one chunk of rows over all atoms (chunk_bytes):
+# measured with tracemalloc (build and LP) on one set at a = 0.3, 2.3 on a flat
+# 32 x 32 level, 2.5 on a 10 x 10 x 10 box level and 2.3 on a 16^3 cube, all
+# folded; with one atom taken out nothing folds, and the flat level reaches 2.1,
+# the box level 2.1 and an 8^3 cube 2.6, at a = -0.9 too (no row leaves its LP).
+# linprog scales the kept rows in place and holds one more copy of them
+MATRIX_COPIES = 3
 # linprog stops at a relative duality gap and residuals of LP_TOL, or gives up
 # after LP_MAX_ITERATIONS; the bench's and the suite's LPs converge in 22 or fewer
 LP_TOL = 1e-8
@@ -145,54 +132,45 @@ class CapacityResult:
     lp_iterations: int
 
 
-def _axis_classes(coord: np.ndarray, t_index: np.ndarray, times: np.ndarray):
-    """Distinct (coordinate, time) pairs of points on one axis.
-
-    times holds the distinct times and t_index each point's index into
-    them.  Returns each point's class and the classes' coordinates and
-    times.
-    """
-    values, index = np.unique(coord, return_inverse=True)
-    keys, cls = np.unique(index * len(times) + t_index, return_inverse=True)
-    return cls, values[keys // len(times)], times[keys % len(times)]
-
-
-def _node_means(params: KernelParams, weighted: bool, groups, nodes: np.ndarray) -> list:
+def _class_tables(params: KernelParams, axis: int, groups, nodes: np.ndarray) -> list:
     """Gamma's factor on one axis between (x, t) and the nodes (y + off, s + off_t) of each pair.
 
     Each group is (x, t, y, s, h_space, h_time, snap) of one set's pairs,
     whose off and off_t are nodes scaled to half its cell sides.  One
-    kernel call covers all pairs; each group gets a (pairs, len(nodes))
-    array holding at each time node the mean over off.  The weighted axis
-    gives u_tilde, a free axis the 1-D heat kernel; nodes whose lag is
+    kernel call (axis_sums) over one-node keys, a pair's spatial nodes,
+    covers all pairs; each group gets a (pairs, len(nodes)) array
+    holding at each time node the mean over off.  Nodes whose lag is
     below the pair's snap give 0.
     """
-    sizes = [len(g[0]) for g in groups]
-    x, t, y, s = (np.concatenate(c)[:, None, None] for c in zip(*(g[:4] for g in groups)))
+    sizes, k = [len(g[0]) for g in groups], len(nodes)
+    x, t, y, s = (np.concatenate(c) for c in zip(*(g[:4] for g in groups)))
     h_space, h_time, snap = (np.repeat([g[i] for g in groups], sizes)[:, None] for i in (4, 5, 6))
-    dt = t - (s + (0.5 * h_time * nodes)[:, :, None])
-    dt = np.where(dt >= snap[:, :, None], dt, 0.0)
-    y = y + (0.5 * h_space * nodes)[:, None, :]
-    factor = u_tilde(params, x, y, dt) if weighted else heat_kernel_1d(x, y, dt)
-    return np.split(np.mean(factor, axis=-1), np.cumsum(sizes)[:-1])
+    lags = t[:, None] - (s[:, None] + 0.5 * h_time * nodes)
+    lags = np.where(lags >= snap, lags, 0.0)
+    ys = (y[:, None] + 0.5 * h_space * nodes).ravel()
+    x, lags = np.repeat(x, k), np.repeat(lags, k, axis=0)
+    vals = axis_sums(params, axis, False, x, ys, np.ones(len(ys)), 1, lags)
+    return np.split(np.mean(vals.reshape(-1, k, k), axis=1), np.cumsum(sizes)[:-1])
 
 
 def _constraint_matrices(params: KernelParams, sets):
-    """Each set's constraint matrix rows x orbits and its near pair count, from per-axis tables.
+    """Each set's folded constraint matrix rows x orbits and its near pair count.
 
     sets holds (cons_sp, cons_t, atom_sp, atom_t, h_space, h_time, sizes)
     tuples, the atoms sorted by orbit and sizes the orbits' atom counts.
-    A far entry gathers each axis' table over (row class, atom class); a
-    near entry gathers each axis' node means over the distinct class
-    pairs among the near pairs (module doc); each orbit's columns are
-    averaged into one.  Per axis, one _node_means call gives the tables
-    of all sets and one more their node means.
+    The far entries are a dense product over (row class, atom class)
+    tables (separable.dense_chunks); a near entry is a sparse product of
+    node means over the distinct class pairs among the near pairs,
+    averaged over its time nodes (module doc).  Each orbit's columns are
+    averaged into one as each chunk of rows is built.  Per axis, one
+    table call gives the far tables of all sets and one more their node
+    means.
     """
     n = params.n
     plans, far, near = zip(*(_plan(params, *s) for s in sets))
     x, _ = legendre_rule(AVG_NODES)
-    tables = [_node_means(params, k == n - 1, [f[k] for f in far], np.zeros(1)) for k in range(n)]
-    means = [_node_means(params, k == n - 1, [f[k] for f in near], x) for k in range(n)]
+    tables = [_class_tables(params, k, [f[k] for f in far], np.zeros(1)) for k in range(n)]
+    means = [_class_tables(params, k, [f[k] for f in near], x) for k in range(n)]
     # yielded in order and popped, so no set's pairs or matrix stay referenced here
     # while its LP runs
     work = [(*plan, [t[i] for t in tables], [m[i] for m in means]) for i, plan in enumerate(plans)]
@@ -204,11 +182,7 @@ def _constraint_matrices(params: KernelParams, sets):
 def _plan(
     params: KernelParams, cons_sp, cons_t, atom_sp, atom_t, h_space: float, h_time: float, sizes
 ):
-    """One set's row chunks, near pairs and classes, and its far table and node mean pairs per axis.
-
-    A chunk is (first row, end row) of rows of at most BATCH_POINTS
-    entries in all, or of one row.
-    """
+    """One set's near pairs and classes, and its far table and node mean pairs per axis."""
     # collar times may collide with a lattice slice up to rounding; a
     # dt of a few ulps would otherwise produce a spurious huge entry
     snap = 1e-9 * h_time
@@ -216,8 +190,8 @@ def _plan(
     atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
     classes, far = [], []
     for k in range(params.n):
-        rc, rx, rt = _axis_classes(cons_sp[:, k], row_ti, row_times)
-        ac, ax, at = _axis_classes(atom_sp[:, k], atom_ti, atom_times)
+        rc, rx, rt = axis_classes(cons_sp[:, k], row_ti, row_times)
+        ac, ax, at = axis_classes(atom_sp[:, k], atom_ti, atom_times)
         i, j = np.divmod(np.arange(len(rx) * len(ax)), len(ax))
         far.append((rx[i], rt[i], ax[j], at[j], h_space, h_time, snap))
         # which class pairs are within NEAR_CELLS cells on this axis, and for the
@@ -226,8 +200,8 @@ def _plan(
         if k == 0:
             close &= np.abs(rt[:, None] - at) <= NEAR_CELLS * h_time
         classes.append((rc, ac, rx, rt, ax, at, close))
-    spans, js, is_ = list(chunks([len(atom_t)] * len(cons_t), BATCH_POINTS)), [], []
-    for lo, hi in spans:
+    js, is_ = [], []
+    for lo, hi in chunks(np.full(len(cons_t), len(atom_t)), CHUNK_POINTS):
         mask = True
         for rc, ac, *_, close in classes:
             mask = mask & close[rc[lo:hi]].take(ac, axis=1)
@@ -236,36 +210,29 @@ def _plan(
         is_.append(i)
     # in row order, as one nonzero over all rows would give them
     js, is_ = np.concatenate(js), np.concatenate(is_)
-    axes, near = [], []
+    obs, src, widths, pair, near = [], [], [], [], []
     for rc, ac, rx, rt, ax, at, _ in classes:
-        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
+        pairs, rows = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
         p, q = np.divmod(pairs, len(ax))
         near.append((rx[p], rt[p], ax[q], at[q], h_space, h_time, snap))
-        axes.append((rc, ac, len(ax), pair))
-    return (js, is_, axes, spans, sizes), far, near
+        obs.append(rc)
+        src.append(ac)
+        widths.append(len(ax))
+        pair.append(rows)
+    return (js, is_, obs, src, widths, pair, sizes), far, near
 
 
-def _assemble(js, is_, axes, spans, sizes, tables, means) -> tuple[np.ndarray, int]:
+def _assemble(js, is_, obs, src, widths, pairs, sizes, tables, means) -> tuple[np.ndarray, int]:
     """One set's folded matrix from its per-axis far tables and near node means, chunk by chunk."""
-    cells = np.ones((len(js), AVG_NODES))
-    for (*_, pair), mean in zip(axes, means):
-        cells *= mean[pair]
-    near = np.mean(cells, axis=-1)
-    del cells
-    F = np.empty((len(axes[0][0]), len(sizes)))
+    # the mean over the time nodes: their sum, then divided
+    near = sparse(means, pairs, np.ones((AVG_NODES, 1)))[:, 0] / AVG_NODES
+    tables = [t.reshape(-1, width, 1) for t, width in zip(tables, widths)]
+    F = np.empty((len(obs[0]), len(sizes)))
     starts = np.cumsum(sizes) - sizes
-    for lo, hi in spans:
-        p, q = js.searchsorted((lo, hi))
+    for lo, hi, prod in dense_chunks(tables, obs, src):
         # the chunk is built over all atoms, then each orbit's columns are summed
-        A = np.empty((hi - lo, len(axes[0][1])))
-        for k, ((rc, ac, width, _), table) in enumerate(zip(axes, tables)):
-            # gather the chunk's rows of the small table, then their columns
-            chunk = table.reshape(-1, width)[rc[lo:hi]]
-            if k == 0:
-                # the indices are in range; with mode "raise" take would buffer out
-                chunk.take(ac, axis=1, out=A, mode="clip")
-            else:
-                A *= chunk.take(ac, axis=1)
+        A = prod[..., 0]
+        p, q = js.searchsorted((lo, hi))
         A[js[p:q] - lo, is_[p:q]] = near[p:q]
         np.add.reduceat(A, starts, axis=1, out=F[lo:hi])
     F /= sizes
@@ -339,16 +306,17 @@ def check_matrix_fits(orbits: float, atoms: float) -> None:
 
     capacity_lp builds the set and collar rows of one atom per orbit,
     folded to one column per orbit, 2 orbits x orbits float64 entries,
-    one chunk of at most max(BATCH_POINTS, atoms) unfolded entries at a
-    time, and its peak is at most about MATRIX_COPIES times the two.
+    and its peak is at most about MATRIX_COPIES times them, plus one
+    chunk of rows over all atoms (separable.chunk_bytes).
     """
-    entries = 2.0 * orbits * orbits + max(BATCH_POINTS, atoms)
-    check_fits(MATRIX_COPIES * 8.0 * entries, f"capacity matrix for {atoms:.4g} atoms")
+    need = MATRIX_COPIES * 8.0 * 2.0 * orbits * orbits + chunk_bytes(atoms)
+    check_fits(need, f"capacity matrix for {atoms:.4g} atoms")
 
 
 class LPResult(NamedTuple):
     x: np.ndarray
     nit: int
+    scale: float
 
 
 def _step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -376,11 +344,16 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
     and dual residuals are all <= LP_TOL.  A column with no positive entry
     (an unbounded LP), a failed factorization and no convergence in
     LP_MAX_ITERATIONS iterations raise RuntimeError.
+
+    A_ub is divided by scale, its largest entry, in place when it is a
+    Fortran-ordered float64 array, as capacity_lp hands it, so that the
+    LP holds no copy of it; any other array is scaled in a copy.  The
+    result reports scale.
     """
     # every product below goes through scipy's BLAS: numpy loads its own
     # OpenBLAS with its own thread pool, and interleaving calls into the two
     # pools made the fine LP of a bench job about 3x slower on 2 cores
-    A = np.array(A_ub, dtype=float, order="F")
+    A = np.asarray(A_ub, dtype=float, order="F")
     col = A.sum(axis=0)
     if not np.all(col > 0.0):
         raise RuntimeError("capacity LP unbounded: an atom has no positive constraint entry")
@@ -406,7 +379,7 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
         rd = 1.0 - dgemv(1.0, A, y, trans=1) + z
         gap = abs(y.sum() - x.sum())
         if gap <= LP_TOL * y.sum() and np.max(np.abs(np.r_[rp, rd])) <= LP_TOL:
-            return LPResult(x / scale, it)
+            return LPResult(x / scale, it, scale)
         if it == LP_MAX_ITERATIONS:
             break
         mu = u @ w / size
@@ -486,16 +459,23 @@ def capacity_lp(params: KernelParams, lattices) -> list[CapacityResult]:
         keep[:cols] &= ~np.all(F[cols:] >= F[:cols], axis=1)
         paired = np.flatnonzero(twin >= 0)
         keep[paired] &= ~np.all(F[cols + twin[paired]] >= F[paired], axis=1)
-        lp_A, rest = F[keep], F[~keep]
+        # the kept rows in Fortran order, which linprog scales in place, copied a
+        # chunk at a time so that no third copy of them is held
+        rows, rest = np.flatnonzero(keep), F[~keep]
+        lp_A = np.empty((len(rows), cols), order="F")
+        for lo, hi in chunks(np.full(len(rows), cols), CHUNK_POINTS):
+            lp_A[lo:hi] = F[rows[lo:hi]]
         del F
-        x, nit = linprog(A_ub=lp_A)
+        x, nit, scale = linprog(A_ub=lp_A)
         masses = x[orbit] / sizes[orbit]
         # a mirror image of a built row has its potential under orbit-constant masses,
-        # and a folded row times x is its unfolded row times masses; the transpose of
-        # a C-ordered part is Fortran-ordered, so scipy's dgemv (the BLAS linprog
-        # used) reads it without a copy
+        # and a folded row times x is its unfolded row times masses.  scipy's dgemv
+        # (the BLAS linprog used) reads the scaled Fortran rows and the transpose of
+        # the C-ordered rest without a copy
+        parts = ((scale, lp_A, 0), (1.0, rest.T, 1))
         violation = max(
-            float(np.max(dgemv(1.0, part.T, x, trans=1))) for part in (lp_A, rest) if len(part)
+            float(np.max(dgemv(alpha, part, x, trans=trans)))
+            for alpha, part, trans in parts if part.size
         ) - 1.0
         results.append(
             CapacityResult(

@@ -56,25 +56,22 @@ def tensor_rule(nodes, weights=None):
 
 
 # points per batched kernel call of meanvalue's slab quadrature and geometry's
-# sampling, and entries per chunk of capacity's unfolded rows; bounds their
-# memory, as the points grow like density^(n+2) and ^(n+1), and the entries
-# like the atoms squared
+# sampling; bounds their memory, as the points grow like density^(n+2) and ^(n+1)
 BATCH_POINTS = 2**17
 
 
 def chunks(sizes, budget: int):
     """(start, stop) of consecutive items whose sizes sum to at most budget.
 
-    An item larger than the budget forms a chunk of its own.
+    An item larger than the budget forms a chunk of its own.  One search
+    per chunk, not a step per item.
     """
-    start, total = 0, 0
-    for i, size in enumerate(sizes):
-        if total + size > budget and i > start:
-            yield start, i
-            start, total = i, 0
-        total += size
-    if len(sizes) > start:
-        yield start, len(sizes)
+    ends, start = np.cumsum(sizes), 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield start, stop
+        start = stop
 
 
 def check_fits(need: float, what: str) -> None:

@@ -10,12 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from degenheat.bem import (
-    BoundaryMesh,
-    _axis_sums,
-    solve_dirichlet,
-    u0_identity,
-)
+from degenheat.bem import BoundaryMesh, solve_dirichlet, u0_identity
 from degenheat.capacity import DiscreteMeasure, capacity_lp, flat_set_capacity
 from degenheat.geometry import BoxDomain, HeatBall
 from degenheat.kernel import (
@@ -28,6 +23,7 @@ from degenheat.kernel import (
 from degenheat.meanvalue import harnack_quotient, solid_mean
 from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.quadrature import box_lattice, flat_lattice, weighted_rule
+from degenheat.separable import axis_sums
 from degenheat.wiener import DomainDescriptor, wiener_series
 
 P = SpaceTimePoint
@@ -95,7 +91,7 @@ def test_criterion_03_classical_degeneration():
             got_dl = sign
             for k in range(2):
                 one = [np.array([v]) for v in (obs[i, k], src[i, k], 1.0)]
-                got_dl *= _axis_sums(params0, k, k == axis, *one, [1], dt)[0, 0]
+                got_dl *= axis_sums(params0, k, k == axis, *one, [1], dt)[0, 0]
             if want != 0.0:
                 worst_dl = max(worst_dl, abs(got_dl / want - 1.0))
     ok = worst <= 1e-10 and match and worst_dl <= 1e-10

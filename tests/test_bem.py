@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degenheat import bem
+from degenheat import bem, separable
 from degenheat.bem import (
     BoundaryMesh,
     double_layer_eval,
@@ -45,7 +45,7 @@ def _dl_kernel(params, obs, src, dts, normal_axis, weight=1.0):
     out = np.full(len(dts), weight)
     for i in range(params.n):
         one = [np.array([v]) for v in (obs[i], src[i], 1.0)]
-        out = out * bem._axis_sums(params, i, i == normal_axis, *one, [1], dts)[0]
+        out = out * separable.axis_sums(params, i, i == normal_axis, *one, [1], dts)[0]
     return out
 
 
@@ -115,11 +115,12 @@ def test_dl_kernel_entry_matches_rows():
                 x = np.full(len(part), 0.3 if axis == 0 else 0.2)
                 nodes, weights = (np.concatenate(v) for v in zip(*part))
                 counts = [len(r[0]) for r in part]
-                sums = bem._axis_sums(params, axis, normal, x, nodes, weights, counts, dts)
+                sums = separable.axis_sums(params, axis, normal, x, nodes, weights, counts, dts)
                 for r, (nd, wt) in enumerate(part):
                     for k in range(len(dts)):
                         lag = dts[k : k + 1]
-                        one = bem._axis_sums(params, axis, normal, x[:1], nd, wt, [len(nd)], lag)
+                        args = (x[:1], nd, wt, [len(nd)], lag)
+                        one = separable.axis_sums(params, axis, normal, *args)
                         assert sums[r, k] == pytest.approx(one[0, 0], rel=1e-14, abs=0.0)
 
 
@@ -184,12 +185,10 @@ def test_one_pass_blocks_match_per_lag_passes(n, a, y0):
     mesh = BoundaryMesh(
         _unit_box(n, y0), KernelParams(n=n, a=a), d_space=8 if n == 2 else 3, n_steps=12
     )
-    m = mesh.n_cells
-    point, cell = np.divmod(np.arange(m * m), m)
     for lag in range(mesh.n_steps):
-        rule = mesh._delta_rule(max(lag - 0.5, 0.0) * mesh.ht, (lag + 0.5) * mesh.ht)
-        args = (mesh.centers, mesh.axis_rules, point, mesh.cell_rule[cell], cell, *rule)
-        want = mesh._integrals(*args).reshape(m, m)
+        d_nodes, d_wts = mesh._delta_rule(max(lag - 0.5, 0.0) * mesh.ht, (lag + 0.5) * mesh.ht)
+        obs, tables, _ = mesh._tables(mesh.centers, d_nodes, [])
+        want = separable.dense(tables, obs, mesh.cell_rule.T, d_wts[:, None])[..., 0]
         got = mesh.block(lag)
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -197,13 +196,13 @@ def test_one_pass_blocks_match_per_lag_passes(n, a, y0):
 
 def test_first_block_call_builds_every_lag(monkeypatch):
     mesh = BoundaryMesh(BOX, PARAMS, d_space=4, n_steps=5)
-    calls, integrals = [], BoundaryMesh._integrals
+    calls, tables = [], BoundaryMesh._tables
 
-    def counted(self, *args):
-        calls.append(len(args[-2]))
-        return integrals(self, *args)
+    def counted(self, points, d_nodes, *args):
+        calls.append(len(d_nodes))
+        return tables(self, points, d_nodes, *args)
 
-    monkeypatch.setattr(BoundaryMesh, "_integrals", counted)
+    monkeypatch.setattr(BoundaryMesh, "_tables", counted)
     first = mesh.block(2)
     # one pass on lag 0's 192 graded time nodes and 8 for each later lag
     assert calls == [192 + 4 * 8] and sorted(mesh._blocks) == list(range(5))
@@ -251,7 +250,7 @@ def test_lag0_factor_points(monkeypatch):
         return counted
 
     for name in names:
-        monkeypatch.setattr(bem, name, counting(name, getattr(bem, name)))
+        monkeypatch.setattr(separable, name, counting(name, getattr(separable, name)))
     mesh = BoundaryMesh(BOX, PARAMS, d_space=8, n_steps=12)
     for lag in range(12):
         mesh.block(lag)
@@ -290,6 +289,27 @@ def test_lift_matches_tensor_quadrature(n, y0):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     one = initial_lift(params, grid, spatial[:1], times[:1])
     assert got[0] == pytest.approx(one[0], rel=1e-14)
+
+
+def test_lift_peak_within_mesh_charge(monkeypatch):
+    # n = 3, d_space 4, 100 steps: solve_dirichlet lifts f0 at 9,600 collocation
+    # points against a 32^3 grid.  The points are contracted in chunks, so the
+    # lift holds less than the mesh charges for its block pass; holding every
+    # point's partial contraction at once took 82.8 MiB against a 17.5 MiB charge
+    charged = []
+    monkeypatch.setattr(bem, "check_fits", lambda need, what: charged.append(need))
+    params, box = KernelParams(n=3, a=0.3), _unit_box(3, 0.2)
+    mesh = BoundaryMesh(box, params, d_space=4, n_steps=100)
+    grid = bem.LiftGrid.build(params, box, lambda pts: 1.0 + pts[:, 0] * pts[:, -1])
+    spatial = np.tile(mesh.centers, (mesh.n_steps, 1))
+    times = np.repeat(mesh.step_times, mesh.n_cells)
+    tracemalloc.start()
+    try:
+        initial_lift(params, grid, spatial, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak <= charged[0]
 
 
 def test_evaluate_matches_pointwise():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenheat import capacity, cli
+from degenheat import capacity, cli, separable
 from degenheat.capacity import (
     AVG_NODES,
     LP_TOL,
@@ -25,14 +25,8 @@ from degenheat.capacity import (
 )
 from degenheat.kernel import gamma_fs_vec, heat_kernel_1d, u_tilde
 from degenheat.params import KernelParams
-from degenheat.quadrature import (
-    BATCH_POINTS,
-    box_lattice,
-    chunks,
-    flat_lattice,
-    legendre_rule,
-    tensor_rule,
-)
+from degenheat.quadrature import box_lattice, chunks, flat_lattice, legendre_rule, tensor_rule
+from degenheat.separable import CHUNK_POINTS, axis_classes, chunk_bytes
 
 PARAMS = KernelParams(n=2, a=0.3)
 
@@ -274,8 +268,8 @@ def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     A = 1.0
     for k in range(params.n):
         weighted = k == params.n - 1
-        rc, rx, rt = capacity._axis_classes(cons_sp[:, k], row_ti, row_times)
-        ac, ax, at = capacity._axis_classes(atom_sp[:, k], atom_ti, atom_times)
+        rc, rx, rt = axis_classes(cons_sp[:, k], row_ti, row_times)
+        ac, ax, at = axis_classes(atom_sp[:, k], atom_ti, atom_times)
         zero = np.zeros(1)
         A = A * means(weighted, rx[:, None], rt[:, None], ax, at, zero, zero)[:, ac, 0][rc]
         pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
@@ -315,31 +309,32 @@ def _check_folded_build(params, lattice):
 
 def _chunk_ends(args):
     """The rows at which a build of these arguments starts a new chunk."""
-    return [hi for _, hi in chunks([len(args[2])] * len(args[0]), BATCH_POINTS)][:-1]
+    return [hi for _, hi in chunks([len(args[2])] * len(args[0]), CHUNK_POINTS)][:-1]
 
 
 def test_one_set_build_matches_per_set_reference():
     # the folded rows of the bench's fine level (the first BENCH_CAPS config at
-    # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 8
+    # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 16
     # chunks with near pairs on both sides of every chunk boundary
     a, lo, _ = BENCH_CAPS[0]
     lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, 32)
     args, js = _check_folded_build(KernelParams(n=2, a=a), lattice)
     assert set(args[-1]) == {2}
     ends = _chunk_ends(args)
-    assert len(ends) == 7
+    assert len(ends) == 15
     assert all(np.isin([end - 1, end], js).all() for end in ends)
 
 
 @pytest.mark.parametrize(
-    "name,orbit_sizes", [("square-15", {1, 2}), ("cube-7", {1, 2, 4})], ids=["square-15", "cube-7"]
+    "name,orbit_sizes,n_chunks", [("square-15", {1, 2}, 1), ("cube-7", {1, 2, 4}, 2)],
+    ids=["square-15", "cube-7"],
 )
-def test_folded_build_matches_per_set_reference(name, orbit_sizes):
-    # orbits of 1, 2 and 4 atoms, each build one chunk
+def test_folded_build_matches_per_set_reference(name, orbit_sizes, n_chunks):
+    # orbits of 1, 2 and 4 atoms, built in one chunk and in two
     params, lattice, *_ = FOLDED[name]
     args, _ = _check_folded_build(params, lattice)
     assert set(args[-1]) == orbit_sizes
-    assert _chunk_ends(args) == []
+    assert len(_chunk_ends(args)) == n_chunks - 1
 
 
 def test_near_entry_profile_points(monkeypatch):
@@ -347,14 +342,14 @@ def test_near_entry_profile_points(monkeypatch):
     # tensor rule would take 3^(n+1) = 81 kernel points for n = 3.  The
     # weighted axis is the only one that calls the kernel (u_tilde).
     points = [0]
-    real = capacity.u_tilde
+    real = separable.u_tilde
 
     def counted(*args):
         out = real(*args)
         points[0] += int(np.size(out))
         return out
 
-    monkeypatch.setattr(capacity, "u_tilde", counted)
+    monkeypatch.setattr(separable, "u_tilde", counted)
     params = KernelParams(n=3, a=0.3)
     args = _unfolded(_constraint_set(3, "box"))
     A, near_pairs = next(capacity._constraint_matrices(params, [args]))
@@ -616,25 +611,29 @@ def test_matrix_estimate_charges_built_rows(monkeypatch):
     monkeypatch.setattr(capacity, "check_fits", lambda need, what: charged.append(need))
     res = capacity_lp(PARAMS, [flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 16)])[0]
     assert res.lp_cols == 128
-    assert charged == [capacity.MATRIX_COPIES * 8.0 * (256 * 128 + BATCH_POINTS)]
+    assert charged == [capacity.MATRIX_COPIES * 8.0 * 256 * 128 + chunk_bytes(256)]
     charged.clear()
     square = {"kind": "flat", "lo": [0, 0], "hi": [1, 1]}
     cli.cmd_capacity(cli.RunConfig(PARAMS, {"set": square, "density": 2}))
     # the early check on the 4 x 4 fine level, then each level's built rows
-    fold = [capacity.MATRIX_COPIES * 8.0 * (2 * orbits**2 + BATCH_POINTS) for orbits in (8, 2)]
+    fold = [
+        capacity.MATRIX_COPIES * 8.0 * 2 * orbits**2 + chunk_bytes(2 * orbits) for orbits in (8, 2)
+    ]
     assert charged == [fold[0], fold[1], fold[0]]
 
 
 def test_folded_level_peak_memory():
     # a flat 32 x 32 level folds to 512 orbits and a 12^3 cube to 432; building
     # their rows one chunk at a time and folding each chunk as it is built keeps
-    # the peak at a few times the bytes of the 2 orbits x orbits folded rows, set
-    # by the LP and its copies of them (2.6 and 3.0 times, measured), where
-    # building every row over all atoms first reached 4.5 and 9.9 times
+    # the peak at a few times the bytes of the 2 orbits x orbits folded rows
+    # (2.3 and 3.0 times, measured), where building every row over all atoms
+    # first reached 4.5 and 9.9 times.  An LP that held its own scaled copy of
+    # the kept rows set the flat level's peak at 2.6 times; linprog scales them
+    # in place
     cube = flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 12)
     cases = [
-        (KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 3.0),
-        (KernelParams(n=3, a=0.3), cube, 432, 3.5),
+        (KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 2.4),
+        (KernelParams(n=3, a=0.3), cube, 432, 3.2),
     ]
     for params, lattice, orbits, bound in cases:
         tracemalloc.start()

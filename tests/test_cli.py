@@ -697,10 +697,10 @@ def test_sampling_check_charges_only_attempts_that_run(tmp_path, capsys, monkeyp
 
 
 def test_dirichlet_refuses_block_pass_before_allocating(tmp_path, capsys, monkeypatch):
-    # 40 MiB holds the criterion-12 mesh's block pass (32 cells, about 2 MiB
+    # 32 MiB holds the criterion-12 mesh's block pass (32 cells, about 7 MiB
     # charged) but not that of the n = 3 cube at d_space 8 (384 cells, 147,456
-    # entries, about 47 MiB), which is refused before any array is built
-    _physical_memory(monkeypatch, 40)
+    # entries, about 37 MiB), which is refused before any array is built
+    _physical_memory(monkeypatch, 32)
     cfg = {**SMALL_CONFIGS["dirichlet"], "d_space": 8, "n_steps": 12}
     assert run(tmp_path, "dirichlet", cfg)[0] == 0
     cube = {
@@ -995,6 +995,15 @@ def test_readme_dirichlet_example_reproduces_gamma(tmp_path):
     rows = [line.split(",") for line in (out / "dirichlet.csv").read_text().splitlines()[1:]]
     assert len(rows) == 3 and all(float(r[-1]) < 2e-4 for r in rows[:2])
     assert float(rows[2][3]) == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_readme_capacity_example_extrapolates_to_the_oracle(tmp_path):
+    code, out = run(tmp_path, "capacity", _readme_example("capacity"))
+    assert code == 0
+    (row,) = [line.split(",") for line in (out / "capacity.csv").read_text().splitlines()[1:]]
+    assert row[0] == "16"
+    cap, oracle = float(row[3]), float(row[4])
+    assert abs(cap - oracle) <= 0.01 * oracle
 
 
 def test_readme_wiener_example_unchanged_by_time_shift(tmp_path):
