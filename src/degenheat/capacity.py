@@ -86,7 +86,7 @@ from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .params import KernelParams
-from .quadrature import check_fits, chunks, integrate_weighted_interval, legendre_rule
+from .quadrature import check_fits, integrate_weighted_interval, legendre_rule
 from .separable import CHUNK_POINTS, axis_classes, axis_sums, chunk_bytes, dense_chunks, sparse
 
 NEAR_CELLS = 2.5
@@ -200,11 +200,11 @@ def _plan(
         if k == 0:
             close &= np.abs(rt[:, None] - at) <= NEAR_CELLS * h_time
         classes.append((rc, ac, rx, rt, ax, at, close))
-    js, is_ = [], []
-    for lo, hi in chunks(np.full(len(cons_t), len(atom_t)), CHUNK_POINTS):
+    js, is_, step = [], [], max(1, CHUNK_POINTS // len(atom_t))
+    for lo in range(0, len(cons_t), step):
         mask = True
         for rc, ac, *_, close in classes:
-            mask = mask & close[rc[lo:hi]].take(ac, axis=1)
+            mask = mask & close[rc[lo : lo + step]].take(ac, axis=1)
         j, i = np.nonzero(mask)
         js.append(j + lo)
         is_.append(i)
@@ -461,10 +461,10 @@ def capacity_lp(params: KernelParams, lattices) -> list[CapacityResult]:
         keep[paired] &= ~np.all(F[cols + twin[paired]] >= F[paired], axis=1)
         # the kept rows in Fortran order, which linprog scales in place, copied a
         # chunk at a time so that no third copy of them is held
-        rows, rest = np.flatnonzero(keep), F[~keep]
+        rows, rest, step = np.flatnonzero(keep), F[~keep], max(1, CHUNK_POINTS // cols)
         lp_A = np.empty((len(rows), cols), order="F")
-        for lo, hi in chunks(np.full(len(rows), cols), CHUNK_POINTS):
-            lp_A[lo:hi] = F[rows[lo:hi]]
+        for lo in range(0, len(rows), step):
+            lp_A[lo : lo + step] = F[rows[lo : lo + step]]
         del F
         x, nit, scale = linprog(A_ub=lp_A)
         masses = x[orbit] / sizes[orbit]

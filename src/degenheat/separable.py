@@ -36,11 +36,12 @@ from .kernel import heat_kernel_1d, u_tilde, u_tilde_dy, weighted_normal_limit_v
 from .params import KernelParams
 from .quadrature import chunks
 
-# points (nodes or entries, times lags) per kernel call and per product chunk:
-# a call's CHUNK_WORDS temporaries of 2^14 doubles (1.5 MiB) stay within a 2 MiB
-# L2 cache; on a 2-core Xeon VM the bench's dirichlet jobs ran about 20% faster
-# than with chunks of 2^17, and capacity's builds as fast
-CHUNK_POINTS = 2**16
+# points (nodes or entries, times lags) per kernel call of a table and per product
+# chunk: a call's CHUNK_WORDS temporaries of 2^14 doubles (1.5 MiB) stay within a
+# 2 MiB L2 cache.  On a 2-core Xeon VM the block passes of the bench's dirichlet
+# meshes ran about 40% slower at 2^17, and capacity_lp's builds, whose tables are
+# one kernel call per axis whatever the chunk, ran as fast at 2^14 as at 2^17
+CHUNK_POINTS = 2**14
 CHUNK_WORDS = 12
 
 
@@ -117,10 +118,11 @@ def dense_chunks(tables, obs, src):
     k; product[r, c] = prod_k tables[k][obs[k][lo + r], src[k][c]].  All
     chunks share one buffer, so a chunk is overwritten by the next.
     """
-    cols, width = len(src[0]), tables[0].shape[-1]
-    spans = list(chunks(np.full(len(obs[0]), cols * width), CHUNK_POINTS))
-    buf = np.empty((max(hi - lo for lo, hi in spans), cols, width)) if spans else None
-    for lo, hi in spans:
+    rows, cols, width = len(obs[0]), len(src[0]), tables[0].shape[-1]
+    step = max(1, CHUNK_POINTS // (cols * width))
+    buf = np.empty((min(step, rows), cols, width))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
         prod = buf[: hi - lo]
         for k, tab in enumerate(tables):
             # gather the chunk's rows of the small table, then their columns; the

@@ -314,23 +314,23 @@ def _chunk_ends(args):
 
 def test_one_set_build_matches_per_set_reference():
     # the folded rows of the bench's fine level (the first BENCH_CAPS config at
-    # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 16
+    # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 64
     # chunks with near pairs on both sides of every chunk boundary
     a, lo, _ = BENCH_CAPS[0]
     lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, 32)
     args, js = _check_folded_build(KernelParams(n=2, a=a), lattice)
     assert set(args[-1]) == {2}
     ends = _chunk_ends(args)
-    assert len(ends) == 15
+    assert len(ends) == 63
     assert all(np.isin([end - 1, end], js).all() for end in ends)
 
 
 @pytest.mark.parametrize(
-    "name,orbit_sizes,n_chunks", [("square-15", {1, 2}, 1), ("cube-7", {1, 2, 4}, 2)],
+    "name,orbit_sizes,n_chunks", [("square-15", {1, 2}, 4), ("cube-7", {1, 2, 4}, 5)],
     ids=["square-15", "cube-7"],
 )
 def test_folded_build_matches_per_set_reference(name, orbit_sizes, n_chunks):
-    # orbits of 1, 2 and 4 atoms, built in one chunk and in two
+    # orbits of 1, 2 and 4 atoms, built in four chunks and in five
     params, lattice, *_ = FOLDED[name]
     args, _ = _check_folded_build(params, lattice)
     assert set(args[-1]) == orbit_sizes

@@ -697,7 +697,7 @@ def test_sampling_check_charges_only_attempts_that_run(tmp_path, capsys, monkeyp
 
 
 def test_dirichlet_refuses_block_pass_before_allocating(tmp_path, capsys, monkeypatch):
-    # 32 MiB holds the criterion-12 mesh's block pass (32 cells, about 7 MiB
+    # 32 MiB holds the criterion-12 mesh's block pass (32 cells, about 2 MiB
     # charged) but not that of the n = 3 cube at d_space 8 (384 cells, 147,456
     # entries, about 37 MiB), which is refused before any array is built
     _physical_memory(monkeypatch, 32)
