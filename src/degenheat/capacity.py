@@ -26,7 +26,7 @@ Gauss-Legendre nodes per axis of the atom's cell, time included: a
 sparse product of per-axis node means, each computed once per distinct
 class pair among the near pairs.  capacity_lp takes a sequence of
 lattices (the shells of a Wiener series) and builds all their tables
-with one table call per axis, and their node means with one more;
+with one kernel call per axis, and their node means with one more;
 symmetry, presolve and LP stay per set, and each matrix is built only
 when its LP is next.
 
@@ -93,9 +93,9 @@ NEAR_CELLS = 2.5
 AVG_NODES = 3
 # peak bytes of capacity_lp over the 2 orbits x orbits folded rows it builds,
 # bounded from above, besides one chunk of rows over all atoms (chunk_bytes):
-# measured with tracemalloc (build and LP) on one set at a = 0.3, 2.3 on a flat
-# 32 x 32 level, 2.5 on a 10 x 10 x 10 box level and 2.3 on a 16^3 cube, all
-# folded; with one atom taken out nothing folds, and the flat level reaches 2.1,
+# measured with tracemalloc (build and LP) on one set at a = 0.3, 2.1 on a flat
+# 32 x 32 level, 2.2 on a 10 x 10 x 10 box level and 2.3 on a 16^3 cube, all
+# folded; with one atom taken out nothing folds, and the flat level reaches 2.0,
 # the box level 2.1 and an 8^3 cube 2.6, at a = -0.9 too (no row leaves its LP).
 # linprog scales the kept rows in place and holds one more copy of them
 MATRIX_COPIES = 3
@@ -163,7 +163,7 @@ def _constraint_matrices(params: KernelParams, sets):
     node means over the distinct class pairs among the near pairs,
     averaged over its time nodes (module doc).  Each orbit's columns are
     averaged into one as each chunk of rows is built.  Per axis, one
-    table call gives the far tables of all sets and one more their node
+    kernel call gives the far tables of all sets and one more their node
     means.
     """
     n = params.n
@@ -210,20 +210,18 @@ def _plan(
         is_.append(i)
     # in row order, as one nonzero over all rows would give them
     js, is_ = np.concatenate(js), np.concatenate(is_)
-    obs, src, widths, pair, near = [], [], [], [], []
+    axes, near = [], []
     for rc, ac, rx, rt, ax, at, _ in classes:
-        pairs, rows = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
+        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
         p, q = np.divmod(pairs, len(ax))
         near.append((rx[p], rt[p], ax[q], at[q], h_space, h_time, snap))
-        obs.append(rc)
-        src.append(ac)
-        widths.append(len(ax))
-        pair.append(rows)
-    return (js, is_, obs, src, widths, pair, sizes), far, near
+        axes.append((rc, ac, len(ax), pair))
+    return (js, is_, axes, sizes), far, near
 
 
-def _assemble(js, is_, obs, src, widths, pairs, sizes, tables, means) -> tuple[np.ndarray, int]:
+def _assemble(js, is_, axes, sizes, tables, means) -> tuple[np.ndarray, int]:
     """One set's folded matrix from its per-axis far tables and near node means, chunk by chunk."""
+    obs, src, widths, pairs = zip(*axes)
     # the mean over the time nodes: their sum, then divided
     near = sparse(means, pairs, np.ones((AVG_NODES, 1)))[:, 0] / AVG_NODES
     tables = [t.reshape(-1, width, 1) for t, width in zip(tables, widths)]

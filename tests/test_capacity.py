@@ -626,14 +626,14 @@ def test_folded_level_peak_memory():
     # a flat 32 x 32 level folds to 512 orbits and a 12^3 cube to 432; building
     # their rows one chunk at a time and folding each chunk as it is built keeps
     # the peak at a few times the bytes of the 2 orbits x orbits folded rows
-    # (2.3 and 3.0 times, measured), where building every row over all atoms
+    # (2.1 and 2.4 times, measured), where building every row over all atoms
     # first reached 4.5 and 9.9 times.  An LP that held its own scaled copy of
-    # the kept rows set the flat level's peak at 2.6 times; linprog scales them
-    # in place
+    # the kept rows, with row chunks of 2^17 entries, reached 2.6 and 3.0 times;
+    # linprog scales them in place
     cube = flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 12)
     cases = [
-        (KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 2.4),
-        (KernelParams(n=3, a=0.3), cube, 432, 3.2),
+        (KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 2.2),
+        (KernelParams(n=3, a=0.3), cube, 432, 2.6),
     ]
     for params, lattice, orbits, bound in cases:
         tracemalloc.start()
