@@ -379,11 +379,10 @@ def initial_lift(
         kernels.append((cls, rows.reshape(len(x), len(nodes))))
     flat = grid.values.reshape(-1, len(grid.nodes[-1]))
     # chunks of points whose partial contractions hold at most CHUNK_POINTS values
-    step = max(1, CHUNK_POINTS // len(flat))
+    step, (weighted, kern) = max(1, CHUNK_POINTS // len(flat)), kernels[-1]
     for p0 in range(0, len(live), step):
         p = slice(p0, p0 + step)
-        cls, kern = kernels[-1]
-        acc = (kern[cls[p]] @ flat.T).reshape(-1, *grid.values.shape[:-1])
+        acc = (kern[weighted[p]] @ flat.T).reshape(-1, *grid.values.shape[:-1])
         for cls, gauss in reversed(kernels[:-1]):
             acc = np.einsum("p...i,pi->p...", acc, gauss[cls[p]])
         out[live[p]] = acc

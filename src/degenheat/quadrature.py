@@ -64,7 +64,7 @@ def chunks(sizes, budget: int):
     """(start, stop) of consecutive items whose sizes sum to at most budget.
 
     An item larger than the budget forms a chunk of its own.  One search
-    per chunk, not a step per item.
+    per chunk, so that many small items cost little.
     """
     ends, start = np.cumsum(sizes), 0
     while start < len(ends):

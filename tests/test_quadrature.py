@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from degenheat.quadrature import (
+    chunks,
     gauss_legendre,
     graded_breakpoints,
     integrate_weighted_interval,
@@ -180,3 +181,24 @@ class TestTensorRule:
         pts, wts = tensor_rule([rx.nodes, ry.nodes], [rx.weights, ry.weights])
         got = float(np.sum(wts * pts[:, 0] * pts[:, 1] ** 2))
         assert got == pytest.approx(0.5 * 2.0 / (3.0 + a), rel=1e-12)
+
+
+def _greedy_chunks(sizes, budget):
+    """Chunks by one step per item: close a chunk when the next item would pass the budget."""
+    out, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > budget and i > start:
+            out.append((start, i))
+            start, total = i, 0
+        total += size
+    return out + ([(start, len(sizes))] if len(sizes) > start else [])
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[], [5], [3, 3, 3, 3], [10, 1, 1, 12, 2, 9], [4, 6, 10, 0, 3], list(range(1, 40))],
+)
+def test_chunks_match_greedy_steps(sizes):
+    # an item over the budget forms a chunk of its own; a chunk never exceeds it otherwise
+    for budget in (1, 7, 10, 25):
+        assert list(chunks(sizes, budget)) == _greedy_chunks(sizes, budget), budget
