@@ -118,7 +118,7 @@ class BoundaryMesh:
             for sign, coord in ((-1.0, self.box.lo[i]), (1.0, self.box.hi[i])):
                 weight = sign * abs(coord) ** a if i == n - 1 and coord != 0.0 else sign
                 rules.append((np.array([float(coord)]), np.array([weight])))
-        corners, axes, signs, rules = [], [], [], []
+        corners, axes, rules = [], [], []
         for axis, side, coord in self.box.faces():
             free = [i for i in range(n) if i != axis]
             # cell indices along the free axes of a face, the first varying slowest
@@ -131,11 +131,9 @@ class BoundaryMesh:
             corners.append(face)
             rules.append(rule)
             axes += [axis] * idx.shape[1]
-            signs += [-1.0 if side == 0 else 1.0] * idx.shape[1]
         self.cell_lo, self.cell_hi = np.concatenate(corners, axis=1)
         self.centers = 0.5 * (self.cell_lo + self.cell_hi)
         self.normal_axis = np.array(axes)
-        self.normal_sign = np.array(signs)
         self.cell_rule = np.concatenate(rules)
         self.ht = (self.box.t1 - self.box.t0) / self.n_steps
         # midpoint collocation: first-order densities see a second-order
@@ -341,14 +339,13 @@ class LiftGrid:
     @classmethod
     def build(cls, params: KernelParams, box: BoxDomain, f0, m: int = 32) -> "LiftGrid":
         """f0 maps an (p, n) array of spatial points to p values."""
-        rules = [
+        nodes, weights = zip(*(
             weighted_rule(box.lo[i], box.hi[i], params.a if i == box.n - 1 else 0.0, m)
             for i in range(box.n)
-        ]
-        pts, wts = tensor_rule([r.nodes for r in rules], [r.weights for r in rules])
+        ))
+        pts, wts = tensor_rule(nodes, weights)
         values = wts * np.asarray(f0(pts), dtype=float)
-        shape = [len(r.nodes) for r in rules]
-        return cls(box.t0, tuple(r.nodes for r in rules), values.reshape(shape))
+        return cls(box.t0, nodes, values.reshape([len(x) for x in nodes]))
 
 
 def initial_lift(
@@ -485,8 +482,7 @@ def u0_identity(
     hi = min(box.hi[-1], xi.x + w)
     if lo >= hi:
         return 0.0
-    rule = weighted_rule(lo, hi, params.a, 48)
-    vals = u_tilde(params, xi.x, rule.nodes, eps)
-    prod *= float(np.sum(rule.weights * vals))
+    nodes, weights = weighted_rule(lo, hi, params.a, 48)
+    prod *= float(np.sum(weights * u_tilde(params, xi.x, nodes, eps)))
     return -prod
 

@@ -23,12 +23,14 @@ entry is Gamma at the atom: a dense product of per-axis tables over the
 lag is below 1e-9 of the cell's time scale (snap).  A near entry, within
 NEAR_CELLS cells, is the equal-weight mean of Gamma over the AVG_NODES
 Gauss-Legendre nodes per axis of the atom's cell, time included: a
-sparse product of per-axis node means, each computed once per distinct
-class pair among the near pairs.  capacity_lp takes a sequence of
-lattices (the shells of a Wiener series) and builds all their tables
-with one kernel call per axis, and their node means with one more;
-symmetry, presolve and LP stay per set, and each matrix is built only
-when its LP is next.
+product of per-axis node means, which each axis computes once for every
+(row class, atom class) pair within NEAR_CELLS cells in space and in
+time, its close pairs.  The near pairs are found where the far entries
+are built: each chunk of rows ANDs the axes' close pairs.  capacity_lp
+takes a sequence of lattices (the shells of a Wiener series) and builds
+all their tables with one kernel call per axis, and their node means
+with one more; symmetry, presolve and LP stay per set, and each matrix
+is built only when its LP is next.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -51,10 +53,8 @@ of rows over all atoms gets its near means and has its orbits' columns
 summed into the folded matrix, which is divided by the orbit sizes at
 the end.  Each row's arithmetic is that of a build over all atoms
 folded afterwards, so the result is the same to the bit, but the build
-holds only the 2 orbits x orbits folded rows and one chunk; the near
-pairs come from boolean tables over each axis' (row class, atom class)
-pairs, gathered per chunk too.  The orbit's mass x~_o is spread as
-x_i = x~_o / |o|.  A flat n = 2 level
+holds only the 2 orbits x orbits folded rows and one chunk.  The
+orbit's mass x~_o is spread as x_i = x~_o / |o|.  A flat n = 2 level
 folds to half its atoms and an n = 3 cube to a quarter.  Atoms are
 matched by the ranks of their sorted coordinates within 1e-9 of a
 cell, not on a grid of h_space, since box cells need not be square.
@@ -87,7 +87,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .params import KernelParams
 from .quadrature import check_fits, integrate_weighted_interval, legendre_rule
-from .separable import CHUNK_POINTS, axis_classes, axis_sums, chunk_bytes, dense_chunks, sparse
+from .separable import CHUNK_POINTS, axis_classes, axis_sums, chunk_bytes, dense_chunks
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
@@ -159,18 +159,16 @@ def _constraint_matrices(params: KernelParams, sets):
     sets holds (cons_sp, cons_t, atom_sp, atom_t, h_space, h_time, sizes)
     tuples, the atoms sorted by orbit and sizes the orbits' atom counts.
     The far entries are a dense product over (row class, atom class)
-    tables (separable.dense_chunks); a near entry is a sparse product of
-    node means over the distinct class pairs among the near pairs,
-    averaged over its time nodes (module doc).  Each orbit's columns are
-    averaged into one as each chunk of rows is built.  Per axis, one
-    kernel call gives the far tables of all sets and one more their node
-    means.
+    tables (separable.dense_chunks); a near entry is the product of its
+    class pairs' node means, averaged over its time nodes (module doc).
+    Each chunk of rows gets its near entries, then has each orbit's
+    columns averaged into one.  Per axis, one kernel call gives the far
+    tables of all sets and one more the node means of their close pairs.
     """
-    n = params.n
     plans, far, near = zip(*(_plan(params, *s) for s in sets))
     x, _ = legendre_rule(AVG_NODES)
-    tables = [_class_tables(params, k, [f[k] for f in far], np.zeros(1)) for k in range(n)]
-    means = [_class_tables(params, k, [f[k] for f in near], x) for k in range(n)]
+    tables = [_class_tables(params, k, [f[k] for f in far], np.zeros(1)) for k in range(params.n)]
+    means = [_class_tables(params, k, [f[k] for f in near], x) for k in range(params.n)]
     # yielded in order and popped, so no set's pairs or matrix stay referenced here
     # while its LP runs
     work = [(*plan, [t[i] for t in tables], [m[i] for m in means]) for i, plan in enumerate(plans)]
@@ -182,59 +180,51 @@ def _constraint_matrices(params: KernelParams, sets):
 def _plan(
     params: KernelParams, cons_sp, cons_t, atom_sp, atom_t, h_space: float, h_time: float, sizes
 ):
-    """One set's near pairs and classes, and its far table and node mean pairs per axis."""
+    """One set's classes and close class pairs, and its far table and node mean pairs per axis."""
     # collar times may collide with a lattice slice up to rounding; a
     # dt of a few ulps would otherwise produce a spurious huge entry
     snap = 1e-9 * h_time
     row_times, row_ti = np.unique(cons_t, return_inverse=True)
     atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
-    classes, far = [], []
+    axes, far, near = [], [], []
     for k in range(params.n):
         rc, rx, rt = axis_classes(cons_sp[:, k], row_ti, row_times)
         ac, ax, at = axis_classes(atom_sp[:, k], atom_ti, atom_times)
         i, j = np.divmod(np.arange(len(rx) * len(ax)), len(ax))
         far.append((rx[i], rt[i], ax[j], at[j], h_space, h_time, snap))
-        # which class pairs are within NEAR_CELLS cells on this axis, and for the
-        # first axis in time too (every class carries its time)
+        # the class pairs within NEAR_CELLS cells on this axis and in time (every class
+        # carries its time): a near entry's pair is close on every axis, and each close
+        # pair gets its node means, in row-major order
         close = np.abs(rx[:, None] - ax) <= NEAR_CELLS * h_space
-        if k == 0:
-            close &= np.abs(rt[:, None] - at) <= NEAR_CELLS * h_time
-        classes.append((rc, ac, rx, rt, ax, at, close))
-    js, is_, step = [], [], max(1, CHUNK_POINTS // len(atom_t))
-    for lo in range(0, len(cons_t), step):
-        mask = True
-        for rc, ac, *_, close in classes:
-            mask = mask & close[rc[lo : lo + step]].take(ac, axis=1)
-        j, i = np.nonzero(mask)
-        js.append(j + lo)
-        is_.append(i)
-    # in row order, as one nonzero over all rows would give them
-    js, is_ = np.concatenate(js), np.concatenate(is_)
-    axes, near = [], []
-    for rc, ac, rx, rt, ax, at, _ in classes:
-        pairs, pair = np.unique(rc[js] * len(ax) + ac[is_], return_inverse=True)
-        p, q = np.divmod(pairs, len(ax))
+        close &= np.abs(rt[:, None] - at) <= NEAR_CELLS * h_time
+        p, q = np.nonzero(close)
         near.append((rx[p], rt[p], ax[q], at[q], h_space, h_time, snap))
-        axes.append((rc, ac, len(ax), pair))
-    return (js, is_, axes, sizes), far, near
+        axes.append((rc, ac, close))
+    return (axes, sizes), far, near
 
 
-def _assemble(js, is_, axes, sizes, tables, means) -> tuple[np.ndarray, int]:
+def _assemble(axes, sizes, tables, means) -> tuple[np.ndarray, int]:
     """One set's folded matrix from its per-axis far tables and near node means, chunk by chunk."""
-    obs, src, widths, pairs = zip(*axes)
-    # the mean over the time nodes: their sum, then divided
-    near = sparse(means, pairs, np.ones((AVG_NODES, 1)))[:, 0] / AVG_NODES
-    tables = [t.reshape(-1, width, 1) for t, width in zip(tables, widths)]
+    obs, src, close = zip(*axes)
+    keys = [np.flatnonzero(c) for c in close]
+    tables = [t.reshape(c.shape + (1,)) for t, c in zip(tables, close)]
     F = np.empty((len(obs[0]), len(sizes)))
-    starts = np.cumsum(sizes) - sizes
+    starts, near_pairs = np.cumsum(sizes) - sizes, 0
     for lo, hi, prod in dense_chunks(tables, obs, src):
-        # the chunk is built over all atoms, then each orbit's columns are summed
+        # the chunk is built over all atoms, its near entries filled from the node means
+        # of their class pairs, then each orbit's columns are summed
         A = prod[..., 0]
-        p, q = js.searchsorted((lo, hi))
-        A[js[p:q] - lo, is_[p:q]] = near[p:q]
+        near = [c[rc[lo:hi]].take(ac, axis=1) for rc, ac, c in axes]
+        j, i = np.nonzero(np.logical_and.reduce(near))
+        cell = 1.0
+        for (rc, ac, c), key, mean in zip(axes, keys, means):
+            cell = cell * mean[key.searchsorted(rc[lo + j] * c.shape[1] + ac[i])]
+        # the mean over the time nodes: their sum, then divided
+        A[j, i] = cell.sum(axis=1) / AVG_NODES
+        near_pairs += len(j)
         np.add.reduceat(A, starts, axis=1, out=F[lo:hi])
     F /= sizes
-    return F, len(js)
+    return F, near_pairs
 
 
 def _ranks(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -22,12 +22,17 @@ import numpy as np
 from .geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from .kernel import grad_log_gamma_vec, log_gamma_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import BATCH_POINTS, chunks, gauss_legendre, graded_breakpoints
+from .quadrature import BATCH_POINTS, check_fits, chunks, gauss_legendre, graded_breakpoints
 from .quadrature import legendre_rule, weighted_rule
 
 TOP_BUFFER = 1e-4
 # y-points per depth in the slice scan of _y_intervals
 SCAN_POINTS = 801
+# peak bytes of solid_mean per y-node of its slab quadrature and per point of a batched
+# kernel call: tracemalloc read up to 117 a y-node on y = 0 (n = 2, densities 32-96),
+# where a slice takes 4 density y-nodes, and 22 MiB at n = 3, density 8
+Y_NODE_BYTES = 120
+BATCH_BYTES = 200
 
 
 def _section_radius2(
@@ -130,9 +135,9 @@ def _y_rule(lo: float, hi: float, a: float, m: int) -> tuple[np.ndarray, np.ndar
         mid = 0.5 * (lo + hi)
         inner = (lo, mid) if abs(lo) < abs(hi) else (mid, hi)
         outer = (mid, hi) if abs(lo) < abs(hi) else (lo, mid)
-        rule = weighted_rule(inner[0], inner[1], -a, m)
+        n1, w1 = weighted_rule(inner[0], inner[1], -a, m)
         n2, w2 = _y_rule(outer[0], outer[1], a, m)
-        return np.concatenate([rule.nodes, n2]), np.concatenate([rule.weights, w2])
+        return np.concatenate([n1, n2]), np.concatenate([w1, w2])
     x, w = legendre_rule(m)
     # clustered map with vanishing Jacobian at the edges; the slice
     # radius vanishes like a square root there
@@ -281,12 +286,18 @@ def solid_mean(
 
     The bulk panels and the pole panels are integrated in one batched
     pass over all their depth nodes (_slab_integral), so the kernel is
-    called a few dozen times per mean and u once per depth node.
+    called a few dozen times per mean and u once per depth node.  A
+    density whose pass would not fit in physical memory raises
+    ValueError before any kernel call.
     """
     if params.n not in (2, 3):
         raise ValueError("section quadrature supports n = 2 and n = 3")
     if density <= 0:
         raise ValueError("density must be positive")
+    # 4 density y-nodes per depth node at most; as a float, a huge density is inf
+    d = float(density)
+    need = Y_NODE_BYTES * 4.0 * (2.0 * max(8.0, d) + 64.0) * d * d + BATCH_BYTES * BATCH_POINTS
+    check_fits(need, f"heat-ball mean at density {density}")
     theta = heat_ball_threshold(params, xi0.x, r)
     # the ball's shape depends only on the lag below t0: box it at t0 = 0
     depth_ub, radius = HeatBall(SpaceTimePoint(xi0.x_prime, xi0.x, 0.0), r, params).bounding_box()
@@ -327,14 +338,14 @@ def harnack_quotient(params: KernelParams, r: float, u, density: int) -> Harnack
     rho0 = math.sqrt(3.0 * (params.n + params.a) * r / 4.0)
     t_bot = -1.5 * r
     m = max(8, density)
-    rule = weighted_rule(-rho0, rho0, params.a, m)
-    half = np.sqrt(np.maximum(rho0 * rho0 - rule.nodes * rule.nodes, 0.0))
+    yn, yw = weighted_rule(-rho0, rho0, params.a, m)
+    half = np.sqrt(np.maximum(rho0 * rho0 - yn * yn, 0.0))
     live = half > 0.0
-    pts, sw = _slice_rule((0.0,), rule.nodes[live], half[live], m)
+    pts, sw = _slice_rule((0.0,), yn[live], half[live], m)
     # one call of u for the whole bottom slice
     uv = u(pts.reshape(-1, 2), t_bot).reshape(pts.shape[:-1])
-    num = np.sum(rule.weights[live] * np.sum(uv * sw, axis=1))
-    den = np.sum(rule.weights[live] * np.sum(sw, axis=1))
+    num = np.sum(yw[live] * np.sum(uv * sw, axis=1))
+    den = np.sum(yw[live] * np.sum(sw, axis=1))
     if den <= 0.0:
         raise RuntimeError("empty bottom slice")
     avg = num / den

@@ -29,8 +29,7 @@ def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=256)
 def _jacobi_rule(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     # weight (1+x)^a on (-1, 1)
-    x, w = sps.roots_jacobi(m, 0.0, a)
-    return x, w
+    return sps.roots_jacobi(m, 0.0, a)
 
 
 def gauss_legendre(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,43 +121,28 @@ def box_lattice(lo, hi, t0: float, t1: float, density: int) -> Lattice:
     return Lattice(pts[:, :-1], pts[:, -1], float(max(sides)), float(h_time))
 
 
-class WeightedRule1D(NamedTuple):
-    """Nodes and weights integrating f against |y|^a over an interval.
+def weighted_rule(lo: float, hi: float, a: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for int_lo^hi |y|^a f(y) dy; splits at 0 if needed.
 
     The weight is folded into the rule: sum(weights * f(nodes)) approximates
     the weighted integral, exactly for polynomials up to the rule degree.
-    Unpacks as (nodes, weights), like gauss_legendre.
     """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def apply(self, f) -> float:
-        return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
-
-
-def weighted_rule(lo: float, hi: float, a: float, m: int) -> WeightedRule1D:
-    """Build a rule for int_lo^hi |y|^a f(y) dy; splits at 0 if needed."""
     if not a > -1.0:
         raise ValueError("weight exponent must satisfy a > -1")
     if not lo < hi:
         raise ValueError("empty interval")
     if lo < 0.0 < hi:
-        left = weighted_rule(lo, 0.0, a, m)
-        right = weighted_rule(0.0, hi, a, m)
-        return WeightedRule1D(
-            np.concatenate([left.nodes, right.nodes]),
-            np.concatenate([left.weights, right.weights]),
-        )
+        (x1, w1), (x2, w2) = weighted_rule(lo, 0.0, a, m), weighted_rule(0.0, hi, a, m)
+        return np.concatenate([x1, x2]), np.concatenate([w1, w2])
     if hi <= 0.0:
-        mirrored = weighted_rule(-hi, -lo, a, m)
-        return WeightedRule1D(-mirrored.nodes[::-1], mirrored.weights[::-1])
+        x, w = weighted_rule(-hi, -lo, a, m)
+        return -x[::-1], w[::-1]
     # now 0 <= lo < hi
     if lo == 0.0 and a != 0.0:
         x, w = _jacobi_rule(m, a)
-        return WeightedRule1D(hi * (x + 1.0) / 2.0, w * (hi / 2.0) ** (1.0 + a))
+        return hi * (x + 1.0) / 2.0, w * (hi / 2.0) ** (1.0 + a)
     nodes, weights = gauss_legendre(lo, hi, m)
-    return WeightedRule1D(nodes, weights * np.abs(nodes) ** a)
+    return nodes, weights * np.abs(nodes) ** a
 
 
 def integrate_weighted_interval(f, lo: float, hi: float, a: float, tol: float) -> float:
@@ -177,8 +161,8 @@ def integrate_weighted_interval(f, lo: float, hi: float, a: float, tol: float) -
     max_depth = 48
     while stack:
         p0, p1, depth = stack.pop()
-        coarse = weighted_rule(p0, p1, a, 12).apply(f)
-        fine = weighted_rule(p0, p1, a, 24).apply(f)
+        rules = weighted_rule(p0, p1, a, 12), weighted_rule(p0, p1, a, 24)
+        coarse, fine = (float(np.sum(w * f(x))) for x, w in rules)
         local_err = abs(fine - coarse)
         if not np.isfinite(local_err):
             raise RuntimeError(f"weighted quadrature is not finite on [{p0}, {p1}]")

@@ -24,13 +24,12 @@ source class: axis k's table holds every pair of its observation
 classes (a coordinate, or a coordinate and a time) and source classes
 (a 1-D rule, or a point and a time), and an entry gathers the row of
 its pair on each axis (dense_chunks), so no key is formed per entry.
-Sparse entries (BEM's refined near cells, capacity's near pairs) take
-a table row per key (sparse).  Products go in chunks of at most
-CHUNK_POINTS points, and so do the kernel calls of a table.  axis_sums
-is one kernel call: capacity evaluates all its sets' keys of an axis
-in one, so that no entry depends on where a table would split them
-(the profile sets its series length per call, and capacity's presolve
-compares entries exactly).
+Sparse entries (BEM's refined near cells) take a table row per key.
+Products go in chunks of at most CHUNK_POINTS points, and so do the
+kernel calls of a table.  axis_sums is one kernel call: capacity
+evaluates all its sets' keys of an axis in one, so that no entry
+depends on where a table would split them (the profile sets its series
+length per call, and capacity's presolve compares entries exactly).
 """
 from __future__ import annotations
 
@@ -144,17 +143,4 @@ def dense(tables, obs, src, weights: np.ndarray) -> np.ndarray:
     out = np.empty((len(obs[0]), len(src[0]), weights.shape[1]))
     for lo, hi, prod in dense_chunks(tables, obs, src):
         out[lo:hi] = prod @ weights
-    return out
-
-
-def sparse(tables, rows, weights: np.ndarray) -> np.ndarray:
-    """(entries, outputs): prod_k tables[k][rows[k][e]], each (keys, L), contracted with weights."""
-    out = np.empty((len(rows[0]), weights.shape[1]))
-    step = max(1, CHUNK_POINTS // tables[0].shape[-1])
-    for e0 in range(0, len(out), step):
-        e = slice(e0, e0 + step)
-        prod = tables[0][rows[0][e]]
-        for tab, row in zip(tables[1:], rows[1:]):
-            prod *= tab[row[e]]
-        out[e] = prod @ weights
     return out

@@ -340,9 +340,9 @@ def test_criterion_12_green_sign_and_reproduction():
     gl_x, gl_w = np.polynomial.legendre.leggauss(20)
     xs = 0.5 * (gl_x + 1.0)
     wx = 0.5 * gl_w
-    wr = weighted_rule(0.2, 1.2, PARAMS.a, 20)
+    wy_nodes, wy = weighted_rule(0.2, 1.2, PARAMS.a, 20)
     # the slice points, one row of xs per weighted-axis node
-    pts = np.stack(np.meshgrid(wr.nodes, xs, indexing="ij")[::-1], axis=-1).reshape(-1, 2)
+    pts = np.stack(np.meshgrid(wy_nodes, xs, indexing="ij")[::-1], axis=-1).reshape(-1, 2)
     g1 = gamma_fs_vec(PARAMS, pts, -tau, pole_rev.spatial, pole_rev.t) - sol_r.evaluate(
         [P.from_spatial(p, -tau) for p in pts]
     )
@@ -350,7 +350,7 @@ def test_criterion_12_green_sign_and_reproduction():
         [P.from_spatial(p, tau) for p in pts]
     )
     total = 0.0
-    for wyv, r1, r2 in zip(wr.weights, g1.reshape(20, 20), g2.reshape(20, 20)):
+    for wyv, r1, r2 in zip(wy, g1.reshape(20, 20), g2.reshape(20, 20)):
         total += wyv * float(np.sum(wx * r1 * r2))
     direct = green_fwd(xi)
     rel = abs(total - direct) / abs(direct)

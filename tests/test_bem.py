@@ -273,7 +273,7 @@ def test_lift_matches_tensor_quadrature(n, y0):
     rules = [
         weighted_rule(box.lo[i], box.hi[i], params.a if i == n - 1 else 0.0, m) for i in range(n)
     ]
-    grid_pts, grid_w = tensor_rule([r.nodes for r in rules], [r.weights for r in rules])
+    grid_pts, grid_w = tensor_rule(*zip(*rules))
     rng = np.random.default_rng(5)
     spatial = rng.uniform(box.lo, box.hi, (7, n))
     times = np.array([0.05, 0.3, 0.3, 0.9, 0.0, -0.2, 1.0])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenheat import capacity, cli, separable
+from degenheat import capacity, cli, separable, wiener
 from degenheat.capacity import (
     AVG_NODES,
     LP_TOL,
@@ -24,7 +24,7 @@ from degenheat.capacity import (
     weighted_ball_volume,
 )
 from degenheat.kernel import gamma_fs_vec, heat_kernel_1d, u_tilde
-from degenheat.params import KernelParams
+from degenheat.params import KernelParams, SpaceTimePoint
 from degenheat.quadrature import box_lattice, chunks, flat_lattice, legendre_rule, tensor_rule
 from degenheat.separable import CHUNK_POINTS, axis_classes, chunk_bytes
 
@@ -247,7 +247,7 @@ def test_batched_constraint_matrices_match_tensor_rule(n, a):
 
 def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     """One set's unfolded matrix as a per-set build makes it (broadcast class tables, then node
-    means), and the rows of its near pairs."""
+    means), and the rows and atoms of its near pairs."""
     snap = 1e-9 * ht
     js, is_ = np.nonzero(
         (np.abs(cons_t[:, None] - atom_t) <= NEAR_CELLS * ht)
@@ -276,7 +276,7 @@ def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
         p, q = np.divmod(pairs, len(ax))
         cells *= means(weighted, rx[p], rt[p], ax[q], at[q], 0.5 * hs * x, 0.5 * ht * x)[pair]
     A[js, is_] = np.mean(cells, axis=-1)
-    return A, js
+    return A, js, is_
 
 
 def _folded_build(n, lattice):
@@ -295,16 +295,16 @@ def _check_folded_build(params, lattice):
     values in the same order as a per-set broadcast build, and folds each
     row as reduceat over the whole matrix does, so the matrix is equal to
     the bit, and so is everything the LP computes from it.  Returns the
-    build's arguments and the rows of its near pairs.
+    build's arguments and the rows and atoms of its near pairs.
     """
     args = _folded_build(params.n, lattice)
     sizes = args[-1]
     A, near_pairs = next(capacity._constraint_matrices(params, [args]))
-    full, js = _per_set_reference(params, *args[:-1])
+    full, js, is_ = _per_set_reference(params, *args[:-1])
     assert near_pairs == len(js)
     assert A.shape == (2 * len(sizes), len(sizes))
     assert np.array_equal(A, np.add.reduceat(full, np.cumsum(sizes) - sizes, axis=1) / sizes)
-    return args, js
+    return args, js, is_
 
 
 def _chunk_ends(args):
@@ -318,7 +318,7 @@ def test_one_set_build_matches_per_set_reference():
     # chunks with near pairs on both sides of every chunk boundary
     a, lo, _ = BENCH_CAPS[0]
     lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, 32)
-    args, js = _check_folded_build(KernelParams(n=2, a=a), lattice)
+    args, js, _ = _check_folded_build(KernelParams(n=2, a=a), lattice)
     assert set(args[-1]) == {2}
     ends = _chunk_ends(args)
     assert len(ends) == 63
@@ -332,9 +332,37 @@ def test_one_set_build_matches_per_set_reference():
 def test_folded_build_matches_per_set_reference(name, orbit_sizes, n_chunks):
     # orbits of 1, 2 and 4 atoms, built in four chunks and in five
     params, lattice, *_ = FOLDED[name]
-    args, _ = _check_folded_build(params, lattice)
+    args, _, _ = _check_folded_build(params, lattice)
     assert set(args[-1]) == orbit_sizes
     assert len(_chunk_ends(args)) == n_chunks - 1
+
+
+def test_wiener_shells_match_per_set_reference(monkeypatch):
+    # the 36 shells of a bench wiener job (seed 1, job 0: lambda 0.5 and its sweep
+    # 0.3 and 0.7, k = 1..12, density 10) as shell_terms hands them to capacity_lp.
+    # Each axis takes node means for all its close class pairs; in 10 irregular
+    # shells some close pair of the free axis is in no near entry, a key that no
+    # entry reads
+    params = KernelParams(n=2, a=0.3)
+    xi0 = SpaceTimePoint((0.15827597617166111,), 0.4658548196974417, 0.0)
+    box = {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [0.0, 1.0]}
+    shells = []
+
+    def collect(params, lattices):
+        shells.extend(lattices)
+        return [None] * len(lattices)
+
+    monkeypatch.setattr(wiener, "capacity_lp", collect)
+    pairs = [(lam, k) for lam in (0.5, 0.3, 0.7) for k in range(1, 13)]
+    wiener.shell_terms(params, xi0, pairs, wiener.DomainDescriptor((box,)), 10)
+    assert len(shells) == 36
+    unread = 0
+    for lattice in shells:
+        args, js, is_ = _check_folded_build(params, lattice)
+        (axes, _), _, _ = capacity._plan(params, *args)
+        read = [len(np.unique(rc[js] * c.shape[1] + ac[is_])) for rc, ac, c in axes]
+        unread += any(n < c.sum() for n, (_, _, c) in zip(read, axes))
+    assert unread == 10
 
 
 def test_near_entry_profile_points(monkeypatch):

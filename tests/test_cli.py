@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenheat import cli
+from degenheat import cli, meanvalue
 from degenheat.cli import main
 from degenheat.params import KernelParams
 
@@ -554,8 +555,10 @@ def test_extreme_finite_value_exits_cleanly(tmp_path, capsys, cmd, path, value, 
     assert len(err) == 1 and err[0].startswith(prefix)
 
 
-def test_unmet_allocation_exits_3(tmp_path, capsys):
-    # the section rule's leggauss asks numpy for tebibytes, which no allocation meets
+def test_unmet_allocation_exits_3(tmp_path, capsys, monkeypatch):
+    # past its memory check, the section rule's leggauss asks numpy for tebibytes,
+    # which no allocation meets
+    monkeypatch.setattr(meanvalue, "check_fits", lambda need, what: None)
     cfg = {**SMALL_CONFIGS["meanvalue"], "density": 10**6}
     assert run(tmp_path, "meanvalue", cfg)[0] == 3
     err = capsys.readouterr().err.splitlines()
@@ -720,6 +723,59 @@ def test_dirichlet_refuses_block_pass_before_allocating(tmp_path, capsys, monkey
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: BEM mesh of 384 cells")
     assert "GiB" in err[0]
+
+
+def test_meanvalue_refuses_density_before_any_kernel_call(tmp_path, capsys, monkeypatch):
+    # the slab quadrature at density 2 is charged about 25 MiB, almost all of it
+    # for its batched kernel calls: it runs in 40 MiB and is refused in 16 MiB
+    # before anything is built; a density of 10^6 is refused on any machine
+    _physical_memory(monkeypatch, 40)
+    assert run(tmp_path, "meanvalue", SMALL_CONFIGS["meanvalue"])[0] == 0
+    _physical_memory(monkeypatch, 16)
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "meanvalue", SMALL_CONFIGS["meanvalue"])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    monkeypatch.undo()
+    assert run(tmp_path, "meanvalue", {**SMALL_CONFIGS["meanvalue"], "density": 10**6})[0] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, density in zip(err, (2, 10**6)):
+        assert line.startswith(f"config error: heat-ball mean at density {density} needs")
+
+
+def test_wiener_refuses_k_max_whose_levels_underflow(tmp_path, capsys):
+    # 0.3^2001 underflows to 0: the last shell of the sweep value 0.3 has no inner level
+    cfg = {**SMALL_CONFIGS["wiener"], "sweep": [0.3, 0.7], "k_max": 2000}
+    assert run(tmp_path, "wiener", cfg)[0] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: k_max 2000 ")
+
+
+def test_wiener_refuses_huge_k_max_at_once(tmp_path):
+    # refused before the (lambda, k) list is built; a build of 2 x 10^7 shells would
+    # take gigabytes, so the run gets a 1 GiB address space of its own
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = write_cfg(tmp_path, "wiener.json", {**SMALL_CONFIGS["wiener"], "k_max": 10**7})
+    argv = ["wiener", "--config", cfg, "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, time; from degenheat.cli import main; start = time.perf_counter(); "
+        f"code = main({argv!r}); print(code, time.perf_counter() - start)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, preexec_fn=limit, capture_output=True, text=True,
+        timeout=120,
+    )
+    exit_code, seconds = out.stdout.split()
+    assert exit_code == "2" and float(seconds) < 1.0
+    assert out.stderr.startswith("config error: k_max 10000000 ")
 
 
 def test_harnack_refuses_fine_lattice_before_coarse_level(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,8 @@ position, by some call in src/ or bench/, and left out by another, or
 be listed with its reason: a knob that only tests set is a second
 configuration of the same path, and a default that every caller
 overrides is a second value of a setting the CLI already owns.
-README's Python example runs as written.
+Every attribute that src/ sets on self is read somewhere in src/ or
+named in bench/.  README's Python example runs as written.
 """
 from __future__ import annotations
 
@@ -166,6 +167,32 @@ def test_every_default_has_a_caller():
 def test_every_default_is_relied_on():
     # no exemptions: a default that every caller overrides is a value only tests see
     assert _knob_faults()[1] == set()
+
+
+def _write_only_attributes(src, bench) -> list[str]:
+    """`<module>:<line> <name>` of each `self.<name> = ...` in src that no `.<name>` in
+    src reads and that bench does not name."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in src]
+    read = {
+        node.attr
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    read |= {name for path in bench for _, name, _ in _references(ast.parse(path.read_text()), True)}
+    return [
+        f"{module}:{node.lineno} {node.attr}"
+        for module, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read
+    ]
+
+
+def test_every_attribute_is_read():
+    # an attribute that only its own assignment names is state nothing uses
+    assert _write_only_attributes(SRC, BENCH) == []
 
 
 def test_readme_python_example_runs(capsys):

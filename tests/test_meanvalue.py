@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -174,6 +175,25 @@ def test_solid_mean_kernel_calls(monkeypatch):
     meanvalue._section_depth(PARAMS, XI0, log_theta, depth_ub)
     # each call tests 32 trial depths of the bracket
     assert 0 < len(calls) <= 12
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.3])
+@pytest.mark.parametrize("n,y0,density", [(2, 0.0, 24), (2, 0.7, 8), (3, 0.0, 6), (3, 0.7, 8)])
+def test_slab_charge_bounds_traced_peak(monkeypatch, n, a, y0, density):
+    # solid_mean charges its slab quadrature before any kernel call; the charge
+    # must cover what the pass holds at its peak: on y = 0, where each slice
+    # straddles the plane and takes 4 density y-nodes, and off it, where the
+    # batched kernel calls hold most of it
+    charged = []
+    monkeypatch.setattr(meanvalue, "check_fits", lambda need, what: charged.append(need))
+    xi = P(x_prime=(0.5,) * (n - 1), x=y0, t=0.0)
+    tracemalloc.start()
+    try:
+        solid_mean(KernelParams(n=n, a=a), one, xi, 0.03, density=density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak <= charged[0] <= 4 * peak, charged[0] / peak
 
 
 def test_u_called_once_per_sample_time():

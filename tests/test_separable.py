@@ -17,7 +17,7 @@ from degenheat.geometry import BoxDomain
 from degenheat.kernel import heat_kernel_1d, u_tilde, u_tilde_dy, weighted_normal_limit_vec
 from degenheat.params import KernelParams
 from degenheat.quadrature import flat_lattice, legendre_rule
-from degenheat.separable import axis_classes, dense, dense_chunks, sparse, table
+from degenheat.separable import axis_classes, dense, dense_chunks, table
 
 PARAMS = KernelParams(n=2, a=0.3)
 
@@ -147,16 +147,6 @@ def test_dense_gather_equals_per_entry_build_on_a_lattice():
             for k in range(2):
                 want *= _factor(PARAMS, k, False, rows_sp[r, k], sp[c, k], rows_t[r] - ts[c])
             assert got[r, c] == pytest.approx(want, rel=1e-13)
-
-
-def test_sparse_product_contracts_each_entry():
-    rng = np.random.default_rng(3)
-    tables = [rng.uniform(0.5, 2.0, (5, 3)), rng.uniform(0.5, 2.0, (4, 3))]
-    rows = [rng.integers(0, 5, 40), rng.integers(0, 4, 40)]
-    weights = rng.uniform(0.0, 1.0, (3, 2))
-    got = sparse(tables, rows, weights)
-    want = [(tables[0][i] * tables[1][j]) @ weights for i, j in zip(*rows)]
-    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_batch_of_sets_equals_per_set_calls():
