@@ -71,9 +71,13 @@ time, most of them bitwise equal; the set row is tested against that
 collar row too.  Only set rows leave, so equal rows cannot remove each
 other.  On a flat n = 2 level every set row is dominated, so the LP has
 one row per orbit; at n = 3 Gamma's lag-0 own-cell entry outweighs the
-collar's, and most set rows stay.  The reported constraint violation is
-taken over every built row, the dropped ones included: a row's mirror
-image has its potential under masses constant on the orbits.
+collar's, and most set rows stay.  The kept rows are held once: the
+presolve moves them to the front of the built array and gives its tail
+back, and linprog scales them in place.  A dropped row is all zero or
+bounded entrywise by a kept one, so under x >= 0 the reported constraint
+violation, taken over the kept rows, is that of every built row, and so
+of every row: a row's mirror image has its potential under masses
+constant on the orbits.
 """
 from __future__ import annotations
 
@@ -92,13 +96,13 @@ from .separable import CHUNK_POINTS, axis_classes, axis_sums, chunk_bytes, dense
 NEAR_CELLS = 2.5
 AVG_NODES = 3
 # peak bytes of capacity_lp over the 2 orbits x orbits folded rows it builds,
-# bounded from above, besides one chunk of rows over all atoms (chunk_bytes):
-# measured with tracemalloc (build and LP) on one set at a = 0.3, 2.1 on a flat
-# 32 x 32 level, 2.2 on a 10 x 10 x 10 box level and 2.3 on a 16^3 cube, all
-# folded; with one atom taken out nothing folds, and the flat level reaches 2.0,
-# the box level 2.1 and an 8^3 cube 2.6, at a = -0.9 too (no row leaves its LP).
-# linprog scales the kept rows in place and holds one more copy of them
-MATRIX_COPIES = 3
+# besides one chunk of rows over all atoms (chunk_bytes): the build holds the
+# rows once, and the LP the kept rows (all of them at most) and the orbits x
+# orbits normal matrix.  Measured with tracemalloc on one set: 1.12 on a flat
+# 32 x 32 level (a = 0.3, half the rows kept), 1.31 on a 12^3 cube, 1.20 on a
+# 10 x 10 x 10 box level, all folded; 1.12 on that box level less one atom, and
+# 1.53 on a 10^3 cube less one atom at a = -0.9, where no row leaves its LP
+MATRIX_COPIES = 1.5
 # linprog stops at a relative duality gap and residuals of LP_TOL, or gives up
 # after LP_MAX_ITERATIONS; the bench's and the suite's LPs converge in 22 or fewer
 LP_TOL = 1e-8
@@ -289,13 +293,40 @@ def _lattice_symmetry(
     return orbit, reps, tuple(axes), np.where(twin >= 0, orbit[twin], -1)
 
 
+def _keep_binding_rows(F: np.ndarray, twin: np.ndarray) -> None:
+    """Move the rows of F that can bind (module doc) to its front in order, and give the rest back.
+
+    F holds the set rows, then the collar rows, of one atom per orbit.
+    Rows are compared and moved a chunk at a time; F owns its data and no
+    view of it is alive, so it is resized in place.
+    """
+    cols = F.shape[1]
+    step = max(1, CHUNK_POINTS // cols)
+    keep = np.empty(len(F), dtype=bool)
+    for lo in range(0, cols, step):
+        hi = min(lo + step, cols)
+        own, collar, t = F[lo:hi], F[cols + lo : cols + hi], twin[lo:hi]
+        keep[cols + lo : cols + hi] = np.any(collar > 0.0, axis=1)
+        bounded = np.all(collar >= own, axis=1)
+        bounded |= (t >= 0) & np.all(F[cols + np.maximum(t, 0)] >= own, axis=1)
+        keep[lo:hi] = np.any(own > 0.0, axis=1) & ~bounded
+    # each kept row moves to an index at or below its own, so a chunk reads no row
+    # that an earlier chunk overwrote
+    rows = np.flatnonzero(keep)
+    for lo in range(0, len(rows), step):
+        part = rows[lo : lo + step]
+        F[lo : lo + len(part)] = F[part]
+    F.resize((len(rows), cols), refcheck=False)
+
+
 def check_matrix_fits(orbits: float, atoms: float) -> None:
     """Raise ValueError if capacity_lp's dense work on atoms in orbits exceeds physical memory.
 
     capacity_lp builds the set and collar rows of one atom per orbit,
-    folded to one column per orbit, 2 orbits x orbits float64 entries,
-    and its peak is at most about MATRIX_COPIES times them, plus one
-    chunk of rows over all atoms (separable.chunk_bytes).
+    folded to one column per orbit, 2 orbits x orbits float64 entries;
+    its LP holds the kept ones and the orbits x orbits normal matrix, at
+    most MATRIX_COPIES times the built rows, and the build one chunk of
+    rows over all atoms besides (separable.chunk_bytes).
     """
     need = MATRIX_COPIES * 8.0 * 2.0 * orbits * orbits + chunk_bytes(atoms)
     check_fits(need, f"capacity matrix for {atoms:.4g} atoms")
@@ -333,46 +364,61 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
     (an unbounded LP), a failed factorization and no convergence in
     LP_MAX_ITERATIONS iterations raise RuntimeError.
 
-    A_ub is divided by scale, its largest entry, in place when it is a
-    Fortran-ordered float64 array, as capacity_lp hands it, so that the
-    LP holds no copy of it; any other array is scaled in a copy.  The
-    result reports scale.
+    The rows are held once.  A C-ordered float64 A_ub, as capacity_lp
+    hands it, is worked on in place, and any other array in a C-ordered
+    copy: it is divided by scale, its largest entry, and from the first
+    factorization on its rows are B's, rescaled in place at each
+    iteration, so a product with A is one with B and the row scales.  On
+    return the rows are divided back, to A_ub / scale up to rounding;
+    the result reports scale.
     """
     # every product below goes through scipy's BLAS: numpy loads its own
     # OpenBLAS with its own thread pool, and interleaving calls into the two
     # pools made the fine LP of a bench job about 3x slower on 2 cores
-    A = np.asarray(A_ub, dtype=float, order="F")
-    col = A.sum(axis=0)
+    B = np.asarray(A_ub, dtype=float, order="C")
+    col = B.sum(axis=0)
     if not np.all(col > 0.0):
         raise RuntimeError("capacity LP unbounded: an atom has no positive constraint entry")
-    scale = float(np.max(A))
-    A /= scale
-    rows, m = A.shape
+    scale = float(np.max(B))
+    B /= scale
+    rows, m = B.shape
     size = m + rows
+    # B = diag(g) A, and scipy's BLAS reads the C-ordered rows through their
+    # Fortran-ordered transpose Bt without a copy: A v and A' v
+    g, Bt = np.ones(rows), B.T
+
+    def a_dot(v: np.ndarray) -> np.ndarray:
+        return dgemv(1.0, Bt, v, trans=1) / g
+
+    def at_dot(v: np.ndarray) -> np.ndarray:
+        return dgemv(1.0, Bt, v / g)
+
     # u = (x, s) and w = (z, y): u * w holds the complementarity products
     u = np.ones(size)
     w = np.empty(size)
     x, s = u[:m], u[m:]
     z, y = w[:m], w[m:]
     y[:] = 2.0 * scale / float(np.min(col))
-    z[:] = dgemv(1.0, A, y, trans=1) - 1.0
-    # B and the normal matrix M (upper triangle, then its Cholesky factor)
-    # are overwritten in place at every iteration
-    B = np.empty_like(A)
+    z[:] = at_dot(y) - 1.0
+    # the normal matrix M (upper triangle, then its Cholesky factor) is
+    # overwritten in place at every iteration
     M = np.zeros((m, m), order="F")
     for it in range(LP_MAX_ITERATIONS + 1):
-        rp = 1.0 - dgemv(1.0, A, x) - s
+        rp = 1.0 - a_dot(x) - s
         d = y / s
-        atdrp = dgemv(1.0, A, d * rp, trans=1)
-        rd = 1.0 - dgemv(1.0, A, y, trans=1) + z
+        atdrp = at_dot(d * rp)
+        rd = 1.0 - at_dot(y) + z
         gap = abs(y.sum() - x.sum())
         if gap <= LP_TOL * y.sum() and np.max(np.abs(np.r_[rp, rd])) <= LP_TOL:
+            B /= g[:, None]
             return LPResult(x / scale, it, scale)
         if it == LP_MAX_ITERATIONS:
             break
         mu = u @ w / size
-        np.multiply(np.sqrt(d)[:, None], A, out=B)
-        M = dsyrk(1.0, B, beta=0.0, c=M, trans=1, overwrite_c=1)
+        root = np.sqrt(d)
+        B *= (root / g)[:, None]
+        g = root
+        M = dsyrk(1.0, Bt, beta=0.0, c=M, overwrite_c=1)
         M.flat[:: m + 1] += z / x + np.finfo(float).eps * M.diagonal().max()
         L, info = dpotrf(M, lower=0, overwrite_a=1, clean=0)
         if info != 0:
@@ -383,7 +429,7 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
             du, dw = np.empty(size), np.empty(size)
             dx, _ = dpotrs(L, rhs, lower=0)
             du[:m] = dx
-            dw[m:] = d * (dgemv(1.0, A, dx) - rp) + r[m:] / s
+            dw[m:] = d * (a_dot(dx) - rp) + r[m:] / s
             dw[:m] = (r[:m] - z * dx) / x
             du[m:] = (r[m:] - s * dw[m:]) / y
             return du, dw
@@ -393,7 +439,7 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
         step_p, step_d = _step(u, du), _step(w, dw)
         sigma = ((u + step_p * du) @ (w + step_d * dw) / size / mu) ** 3
         r = sigma * mu - u * w - du * dw
-        du, dw = direction(rd + r[:m] / x + atdrp - dgemv(1.0, A, r[m:] / s, trans=1), r)
+        du, dw = direction(rd + r[:m] / x + atdrp - at_dot(r[m:] / s), r)
         u += 0.99 * _step(u, du) * du
         w += 0.99 * _step(w, dw) * dw
     raise RuntimeError(f"capacity LP did not converge in {LP_MAX_ITERATIONS} iterations")
@@ -413,9 +459,9 @@ def capacity_lp(params: KernelParams, lattices) -> list[CapacityResult]:
     bounds entrywise are left out (module doc), and lp_rows and
     dropped_rows count the two parts.  The orbit's mass is spread evenly
     over its atoms.  max_constraint_violation is the largest potential
-    minus 1 over the built rows, dropped or not, which by the symmetry
-    carry every row's potential.  An empty set or a side that is not
-    positive (0, negative or NaN) raises ValueError.
+    minus 1 over the kept rows, which bound the dropped ones and by the
+    symmetry carry every row's potential.  An empty set or a side that is
+    not positive (0, negative or NaN) raises ValueError.
     """
     sets, builds = [], []
     for set_spatial, set_times, h_space, h_time in lattices:
@@ -439,46 +485,28 @@ def capacity_lp(params: KernelParams, lattices) -> list[CapacityResult]:
     results = []
     for atom_sp, atom_t, orbit, sizes, axes, twin in sets:
         F, near_pairs = next(matrices)
-        cols = len(sizes)
-        # a row of zeros adds nothing to the potential, and a set row that a collar
-        # row bounds entrywise holds whenever that collar row does (x >= 0): its own
-        # collar row, or its twin's, which observes the same point at the same time
-        keep = np.any(F > 0.0, axis=1)
-        keep[:cols] &= ~np.all(F[cols:] >= F[:cols], axis=1)
-        paired = np.flatnonzero(twin >= 0)
-        keep[paired] &= ~np.all(F[cols + twin[paired]] >= F[paired], axis=1)
-        # the kept rows in Fortran order, which linprog scales in place, copied a
-        # chunk at a time so that no third copy of them is held
-        rows, rest, step = np.flatnonzero(keep), F[~keep], max(1, CHUNK_POINTS // cols)
-        lp_A = np.empty((len(rows), cols), order="F")
-        for lo in range(0, len(rows), step):
-            lp_A[lo : lo + step] = F[rows[lo : lo + step]]
-        del F
-        x, nit, scale = linprog(A_ub=lp_A)
+        _keep_binding_rows(F, twin)
+        x, nit, scale = linprog(A_ub=F)
         masses = x[orbit] / sizes[orbit]
         # a mirror image of a built row has its potential under orbit-constant masses,
-        # and a folded row times x is its unfolded row times masses.  scipy's dgemv
-        # (the BLAS linprog used) reads the scaled Fortran rows and the transpose of
-        # the C-ordered rest without a copy
-        parts = ((scale, lp_A, 0), (1.0, rest.T, 1))
-        violation = max(
-            float(np.max(dgemv(alpha, part, x, trans=trans)))
-            for alpha, part, trans in parts if part.size
-        ) - 1.0
+        # a folded row times x is its unfolded row times masses, and a dropped row's
+        # potential is 0 or at most that of the kept row that bounds it.  scipy's dgemv
+        # (the BLAS linprog used) reads the transpose of the C-ordered rows as they lie
+        violation = float(np.max(dgemv(scale, F.T, x, trans=1))) - 1.0
         results.append(
             CapacityResult(
                 cap_estimate=float(np.sum(masses)),
                 equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
                 max_constraint_violation=violation,
-                lp_rows=len(lp_A),
-                lp_cols=cols,
-                dropped_rows=len(keep) - len(lp_A),
+                lp_rows=len(F),
+                lp_cols=len(sizes),
+                dropped_rows=2 * len(sizes) - len(F),
                 mirror_axes=axes,
                 near_pairs=near_pairs,
                 lp_iterations=nit,
             )
         )
-        del lp_A, rest
+        del F
     return results
 
 

@@ -260,15 +260,25 @@ def wiener_series(
     diverges for one lambda exactly when it diverges for all).  The
     shells of lambda and of each distinct sweep value go to one
     shell_terms call.  A k_max at which the inner level of a last shell
-    underflows to 0 raises ValueError before any shell is built.
+    underflows to 0, or its heat-ball threshold overflows, raises
+    ValueError before any shell is built.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     # lambda first, then each sweep value not yet seen: every series in one pass
     lams = list(dict.fromkeys((lam, *sweep)))
-    # shell k lies between the levels lambda^k and lambda^(k+1), both positive
-    if min(lams) ** (k_max + 1) == 0.0:
-        raise ValueError(f"k_max {k_max} is too large: {min(lams):g}^{k_max + 1} underflows to 0")
+    # shell k lies between the levels lambda^k and lambda^(k+1), both positive, and
+    # theta grows as the level falls, so the deepest inner threshold is the largest
+    deepest = min(lams) ** (k_max + 1)
+    try:
+        fits = deepest > 0.0 and math.isfinite(heat_ball_threshold(params, xi0.x, deepest))
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"k_max {k_max} is too large: the heat-ball threshold at level "
+            f"{min(lams):g}^{k_max + 1} = {deepest:g} is out of range"
+        )
     _check_boundary_point(domain, xi0, params.n)
     ks = range(1, k_max + 1)
     results = shell_terms(params, xi0, [(lv, k) for lv in lams for k in ks], domain, density)

@@ -411,7 +411,9 @@ def test_near_entry_profile_points(monkeypatch):
     ids=["diagonal", "triangular", "duplicate-columns", "duplicate-rows"],
 )
 def test_linprog_closed_forms(A, cap):
-    res = linprog(A_ub=A)
+    # linprog works on a C-ordered float64 array in place, so it gets a copy and
+    # the check reads the matrix as built
+    res = linprog(A_ub=A.copy())
     assert res.nit > 0
     assert np.all(res.x > 0.0)
     assert np.max(A @ res.x) <= 1.0 + 1e-7
@@ -470,7 +472,8 @@ def _full_row_reference(params, lattice):
     same &= np.abs(ts[None] + ht - ts[:, None]) <= 1e-9 * ht
     twin = np.where(same.any(axis=1), same.argmax(axis=1), np.arange(m))
     dominated = np.all(A[m:] >= A[:m], axis=1) | np.all(A[m + twin] >= A[:m], axis=1)
-    return A, dominated, linprog(A_ub=A)
+    # a copy, since linprog works on C-ordered rows in place and A is read after it
+    return A, dominated, linprog(A_ub=A.copy())
 
 
 def _lp_with_build_spy(monkeypatch, params, lattice):
@@ -650,28 +653,69 @@ def test_matrix_estimate_charges_built_rows(monkeypatch):
     assert charged == [fold[0], fold[1], fold[0]]
 
 
-def test_folded_level_peak_memory():
-    # a flat 32 x 32 level folds to 512 orbits and a 12^3 cube to 432; building
-    # their rows one chunk at a time and folding each chunk as it is built keeps
-    # the peak at a few times the bytes of the 2 orbits x orbits folded rows
-    # (2.1 and 2.4 times, measured), where building every row over all atoms
-    # first reached 4.5 and 9.9 times.  An LP that held its own scaled copy of
-    # the kept rows, with row chunks of 2^17 entries, reached 2.6 and 3.0 times;
-    # linprog scales them in place
-    cube = flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 12)
-    cases = [
-        (KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 2.2),
-        (KernelParams(n=3, a=0.3), cube, 432, 2.6),
-    ]
-    for params, lattice, orbits, bound in cases:
-        tracemalloc.start()
-        try:
-            res = capacity_lp(params, [lattice])[0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.lp_cols == orbits
-        assert peak <= bound * 2 * orbits * orbits * 8, params.n
+def _traced_peak(monkeypatch, params, lattice):
+    """capacity_lp's result on one lattice, its traced peak bytes and check_matrix_fits' charge."""
+    charged = []
+    monkeypatch.setattr(capacity, "check_fits", lambda need, what: charged.append(need))
+    tracemalloc.start()
+    try:
+        res = capacity_lp(params, [lattice])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    return res, peak, charged[0]
+
+
+BOX_LEVEL = box_lattice([0.0, 0.5], [1.0, 1.5], 0.0, 0.5, 10)
+# params, lattice, orbits, bound on the traced peak over the folded rows' bytes
+PEAK_SETS = {
+    "flat-32": (PARAMS, flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 1.2),
+    "cube-12": (
+        KernelParams(n=3, a=0.3), flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 12), 432, 1.4
+    ),
+    # a box level's set rows are also compared with their twins' collar rows
+    "box-10": (PARAMS, BOX_LEVEL, 500, 1.3),
+    # nothing folds, and the twin test runs on every row but the first slice's
+    "box-10-less-one": (PARAMS, _without_first_atom(BOX_LEVEL), 999, 1.2),
+}
+
+
+def test_folded_level_peak_memory(monkeypatch):
+    # the rows are held once: built a chunk at a time with each chunk folded as it
+    # is built, compared and moved to the front a chunk at a time, given back past
+    # the kept ones, and scaled in place by linprog, beside its normal matrix.
+    # Measured over the bytes of the 2 orbits x orbits folded rows: 1.12, 1.31, 1.20
+    # and 1.12; a second copy of the rows anywhere would reach 2 or more
+    for name, (params, lattice, orbits, bound) in PEAK_SETS.items():
+        res, peak, _ = _traced_peak(monkeypatch, params, lattice)
+        assert res.lp_cols == orbits, name
+        assert peak <= bound * 2 * orbits * orbits * 8, (name, peak / (16 * orbits * orbits))
+
+
+# the peak sets, and one from which no row leaves the LP: its 2 orbits x orbits kept
+# rows and orbits x orbits normal matrix are MATRIX_COPIES = 1.5 times the folded rows
+CHARGE_SETS = {
+    **{name: case[:2] for name, case in PEAK_SETS.items()},
+    "cube-10-less-one-a-0.9": (
+        KernelParams(n=3, a=-0.9),
+        _without_first_atom(flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 10)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHARGE_SETS)
+def test_matrix_charge_bounds_traced_peak(name, monkeypatch):
+    # check_matrix_fits charges MATRIX_COPIES times the folded rows and one chunk
+    # (separable.chunk_bytes) before they are built; the charge must cover the
+    # traced peak, and stay near it.  Measured charge over peak: 1.68, 1.54, 1.58,
+    # 1.42 and 1.05.  A flat level keeps half its rows, so its LP holds one copy
+    # where the charge covers the 1.5 of a set from which no row leaves
+    params, lattice = CHARGE_SETS[name]
+    res, peak, charge = _traced_peak(monkeypatch, params, lattice)
+    if name.startswith("cube-10"):
+        assert res.dropped_rows == 0
+    assert peak <= charge <= 1.75 * peak, charge / peak
 
 
 def test_cli_import_leaves_out_scipy_optimize():

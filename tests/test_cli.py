@@ -755,6 +755,16 @@ def test_wiener_refuses_k_max_whose_levels_underflow(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: k_max 2000 ")
 
 
+def test_wiener_refuses_k_max_whose_threshold_overflows(tmp_path, capsys):
+    # 0.3^561 and 0.3^601 are positive, but the heat-ball threshold there, about
+    # (4 pi r)^(-(n+a)/2), overflows a float: refused before any shell is sampled
+    for k_max in (560, 600):
+        cfg = {**SMALL_CONFIGS["wiener"], "domain": BOX_DOMAIN, "sweep": [0.3, 0.7], "k_max": k_max}
+        assert run(tmp_path, "wiener", cfg)[0] == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: k_max {k_max} "), err
+
+
 def test_wiener_refuses_huge_k_max_at_once(tmp_path):
     # refused before the (lambda, k) list is built; a build of 2 x 10^7 shells would
     # take gigabytes, so the run gets a 1 GiB address space of its own
