@@ -43,8 +43,9 @@ from scipy.special import erf
 from .geometry import BoxDomain
 from .kernel import u_tilde
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import check_fits, gauss_legendre, graded_breakpoints, tensor_rule, weighted_rule
-from .separable import CHUNK_POINTS, axis_classes, chunk_bytes, dense, table
+from .quadrature import CHUNK_POINTS, check_fits, chunk_bytes, gauss_legendre, graded_breakpoints
+from .quadrature import tensor_rule, weighted_rule
+from .separable import axis_classes, dense, table
 
 # Gauss points per panel and free axis in every cell rule
 CELL_NODES = 6

@@ -90,8 +90,9 @@ from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .params import KernelParams
-from .quadrature import check_fits, integrate_weighted_interval, legendre_rule
-from .separable import CHUNK_POINTS, axis_classes, axis_sums, chunk_bytes, dense_chunks
+from .quadrature import CHUNK_POINTS, check_fits, chunk_bytes, chunks, integrate_weighted_interval
+from .quadrature import legendre_rule
+from .separable import axis_classes, axis_sums, dense_chunks
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
@@ -157,6 +158,13 @@ def _class_tables(params: KernelParams, axis: int, groups, nodes: np.ndarray) ->
     return np.split(np.mean(vals.reshape(-1, k, k), axis=1), np.cumsum(sizes)[:-1])
 
 
+def _pairs(classes, pairs, cell) -> tuple:
+    """One set's group of _class_tables on one axis: its classes at the masked class pairs."""
+    rx, rt, ax, at = classes
+    p, q = np.nonzero(pairs)
+    return (rx[p], rt[p], ax[q], at[q], *cell)
+
+
 def _constraint_matrices(params: KernelParams, sets):
     """Each set's folded constraint matrix rows x orbits and its near pair count.
 
@@ -166,17 +174,32 @@ def _constraint_matrices(params: KernelParams, sets):
     tables (separable.dense_chunks); a near entry is the product of its
     class pairs' node means, averaged over its time nodes (module doc).
     Each chunk of rows gets its near entries, then has each orbit's
-    columns averaged into one.  Per axis, one kernel call gives the far
-    tables of all sets and one more the node means of their close pairs.
+    columns averaged into one.  Per axis, the far tables and the node
+    means of the close pairs of all sets are computed before the first
+    set is assembled, in kernel calls over groups of whole sets.
     """
-    plans, far, near = zip(*(_plan(params, *s) for s in sets))
+    plans = [_plan(params, *s) for s in sets]
     x, _ = legendre_rule(AVG_NODES)
-    tables = [_class_tables(params, k, [f[k] for f in far], np.zeros(1)) for k in range(params.n)]
-    means = [_class_tables(params, k, [f[k] for f in near], x) for k in range(params.n)]
-    # yielded in order and popped, so no set's pairs or matrix stay referenced here
+    tables, means = [], []
+    for k in range(params.n):
+        close = [axes[k][2] for (axes, _), _, _ in plans]
+        # the far tables over every class pair, the node means over the close ones, in
+        # kernel calls over whole sets of at most CHUNK_POINTS points, or one set alone
+        every = [np.broadcast_to(True, c.shape) for c in close]
+        for out, masks, nodes in ((tables, every, np.zeros(1)), (means, close, x)):
+            out.append([])
+            sizes = [np.count_nonzero(mask) * len(nodes) ** 2 for mask in masks]
+            for g0, g1 in chunks(sizes, CHUNK_POINTS):
+                part = zip(plans[g0:g1], masks[g0:g1])
+                group = [_pairs(c[k], mask, cell) for (_, c, cell), mask in part]
+                out[-1] += _class_tables(params, k, group, nodes)
+    # yielded in order and popped, so no set's classes or matrix stay referenced here
     # while its LP runs
-    work = [(*plan, [t[i] for t in tables], [m[i] for m in means]) for i, plan in enumerate(plans)]
-    del plans, far, near, tables, means
+    work = [
+        (*plan, [t[i] for t in tables], [m[i] for m in means])
+        for i, (plan, _, _) in enumerate(plans)
+    ]
+    del plans, tables, means
     while work:
         yield _assemble(*work.pop(0))
 
@@ -184,27 +207,24 @@ def _constraint_matrices(params: KernelParams, sets):
 def _plan(
     params: KernelParams, cons_sp, cons_t, atom_sp, atom_t, h_space: float, h_time: float, sizes
 ):
-    """One set's classes and close class pairs, and its far table and node mean pairs per axis."""
+    """One set's classes and close class pairs per axis, its orbit sizes and its cell."""
     # collar times may collide with a lattice slice up to rounding; a
     # dt of a few ulps would otherwise produce a spurious huge entry
     snap = 1e-9 * h_time
     row_times, row_ti = np.unique(cons_t, return_inverse=True)
     atom_times, atom_ti = np.unique(atom_t, return_inverse=True)
-    axes, far, near = [], [], []
+    axes, classes = [], []
     for k in range(params.n):
         rc, rx, rt = axis_classes(cons_sp[:, k], row_ti, row_times)
         ac, ax, at = axis_classes(atom_sp[:, k], atom_ti, atom_times)
-        i, j = np.divmod(np.arange(len(rx) * len(ax)), len(ax))
-        far.append((rx[i], rt[i], ax[j], at[j], h_space, h_time, snap))
         # the class pairs within NEAR_CELLS cells on this axis and in time (every class
         # carries its time): a near entry's pair is close on every axis, and each close
         # pair gets its node means, in row-major order
         close = np.abs(rx[:, None] - ax) <= NEAR_CELLS * h_space
         close &= np.abs(rt[:, None] - at) <= NEAR_CELLS * h_time
-        p, q = np.nonzero(close)
-        near.append((rx[p], rt[p], ax[q], at[q], h_space, h_time, snap))
         axes.append((rc, ac, close))
-    return (axes, sizes), far, near
+        classes.append((rx, rt, ax, at))
+    return (axes, sizes), classes, (h_space, h_time, snap)
 
 
 def _assemble(axes, sizes, tables, means) -> tuple[np.ndarray, int]:
@@ -326,7 +346,7 @@ def check_matrix_fits(orbits: float, atoms: float) -> None:
     folded to one column per orbit, 2 orbits x orbits float64 entries;
     its LP holds the kept ones and the orbits x orbits normal matrix, at
     most MATRIX_COPIES times the built rows, and the build one chunk of
-    rows over all atoms besides (separable.chunk_bytes).
+    rows over all atoms besides (quadrature.chunk_bytes).
     """
     need = MATRIX_COPIES * 8.0 * 2.0 * orbits * orbits + chunk_bytes(atoms)
     check_fits(need, f"capacity matrix for {atoms:.4g} atoms")

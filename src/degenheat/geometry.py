@@ -11,9 +11,10 @@ theta(lambda^{k+1}).  Sampling is by a deterministic lattice inside a
 bounding box derived from the a = 0 ball and grown until its boundary
 is clean.  heat_ball_samples samples concentric balls (the outer balls
 of the shells of a Wiener series and of its lambda sweep) in one pass,
-one kernel call per round for all of them, and refuses a round whose
-lattice would not fit in memory; HeatBall.bounding_box and
-heat_ball_sample are that pass on one ball.
+whose kernel calls hold at most CHUNK_POINTS points whatever the
+lattices' sizes, and refuses a round whose lattice would not fit in
+memory; HeatBall.bounding_box and heat_ball_sample are that pass on one
+ball.
 """
 from __future__ import annotations
 
@@ -24,12 +25,8 @@ import numpy as np
 
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import BATCH_POINTS, Lattice, box_lattice, check_fits, chunks, tensor_rule
-
-# peak bytes of heat_ball_samples per point of its largest kernel call (a
-# lattice over BATCH_POINTS is one call), with room for a lattice kept whole:
-# tracemalloc on one ball read 154-167 at n = 2 and 175-177 at n = 3
-SAMPLE_BYTES = 200
+from .quadrature import CALL_WORDS, CHUNK_POINTS, Lattice, box_lattice, check_fits, chunk_bytes
+from .quadrature import chunks, tensor_rule
 
 
 def heat_ball_threshold(params: KernelParams, x0: float, r: float) -> float:
@@ -117,17 +114,20 @@ def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[L
     The balls share the first one's centre and params.  Each box is the
     ball's bounding box below the centre, with density cells per axis; a
     lattice without a member is tried again at twice the density, up to
-    tries densities.  Each round tests the lattices of all balls still
-    empty in kernel calls of about BATCH_POINTS points; a round whose
-    largest call would not fit in physical memory (SAMPLE_BYTES a point)
-    raises ValueError before it is built.  The returned Lattices keep
-    their cell sides.
+    tries densities.  Each round builds the lattices of the balls still
+    empty, as many at a time as fit in CHUNK_POINTS points, or one alone,
+    and tests them in kernel calls of at most CHUNK_POINTS points.  A
+    round is charged one call (quadrature.chunk_bytes at CALL_WORDS) and
+    what it keeps of a lattice: its points and, at most as many, its
+    members.  A round that would not fit in physical memory raises
+    ValueError before it is built.  The returned Lattices keep their cell
+    sides.
     """
     if density <= 0:
         raise ValueError("density must be positive")
     depth, radius = _bounding_boxes(balls)
     ball = balls[0]
-    c_sp, t0 = ball.center.spatial, ball.center.t
+    n, c_sp, t0 = ball.params.n, ball.center.spatial, ball.center.t
     samples: list = [None] * len(balls)
     for attempt in range(tries):
         empty = [i for i, s in enumerate(samples) if s is None]
@@ -135,19 +135,24 @@ def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[L
             break
         dens = density * 2**attempt
         # dens^(n+1) atoms a lattice, as a float: a huge density overflows to inf and is refused
-        points = math.prod([float(dens)] * (ball.params.n + 1))
-        check_fits(SAMPLE_BYTES * max(BATCH_POINTS, points), f"heat-ball lattice at density {dens:.4g}")
-        for c0, c1 in chunks([points] * len(empty), BATCH_POINTS):
+        points = math.prod([float(dens)] * (n + 1))
+        kept = 2.0 * 8.0 * (n + 1) * max(float(CHUNK_POINTS), points)
+        check_fits(chunk_bytes(1.0, CALL_WORDS) + kept, f"heat-ball lattice at density {dens:.4g}")
+        for c0, c1 in chunks([points] * len(empty), CHUNK_POINTS):
+            group = empty[c0:c1]
             part = [
                 box_lattice(c_sp - radius[i], c_sp + radius[i], t0 - depth[i], t0, dens)
-                for i in empty[c0:c1]
+                for i in group
             ]
-            inside = ball.contains_vec(
-                np.concatenate([box.spatial for box in part]),
-                np.concatenate([box.times for box in part]),
-                np.repeat([balls[i].threshold for i in empty[c0:c1]], len(part[0].times)),
-            )
-            for i, box, mask in zip(empty[c0:c1], part, np.split(inside, len(part))):
+            spatial, times = (np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*(box[:2] for box in part)))
+            threshold = np.array([balls[i].threshold for i in group])
+            inside = np.empty(len(times), dtype=bool)
+            for s0 in range(0, len(times), CHUNK_POINTS):
+                at = slice(s0, s0 + CHUNK_POINTS)
+                owner = np.arange(s0, min(s0 + CHUNK_POINTS, len(times))) // len(part[0].times)
+                inside[at] = ball.contains_vec(spatial[at], times[at], threshold[owner])
+            del spatial, times
+            for i, box, mask in zip(group, part, np.split(inside, len(part))):
                 if np.any(mask):
                     samples[i] = box._replace(spatial=box.spatial[mask], times=box.times[mask])
     if any(s is None for s in samples):

@@ -22,17 +22,16 @@ import numpy as np
 from .geometry import HeatBall, heat_ball_sample, heat_ball_threshold
 from .kernel import grad_log_gamma_vec, log_gamma_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import BATCH_POINTS, check_fits, chunks, gauss_legendre, graded_breakpoints
-from .quadrature import legendre_rule, weighted_rule
+from .quadrature import CALL_WORDS, CHUNK_POINTS, check_fits, chunk_bytes, chunks, gauss_legendre
+from .quadrature import graded_breakpoints, legendre_rule, weighted_rule
 
 TOP_BUFFER = 1e-4
 # y-points per depth in the slice scan of _y_intervals
 SCAN_POINTS = 801
-# peak bytes of solid_mean per y-node of its slab quadrature and per point of a batched
-# kernel call: tracemalloc read up to 117 a y-node on y = 0 (n = 2, densities 32-96),
-# where a slice takes 4 density y-nodes, and 22 MiB at n = 3, density 8
+# peak bytes of solid_mean per y-node of its slab quadrature, besides one kernel call:
+# tracemalloc read up to 117 a y-node on y = 0 (n = 2, densities 32-96), where a
+# slice takes 4 density y-nodes
 Y_NODE_BYTES = 120
-BATCH_BYTES = 200
 
 
 def _section_radius2(
@@ -91,26 +90,33 @@ def _y_intervals(
 ) -> list[list[tuple[float, float]]]:
     """The y-intervals of the nonempty slice at each depth in deltas.
 
-    One scan call locates the runs of occupied scan points at every
-    depth; each run end is then bisected between its last occupied scan
-    point and the empty neighbour, all ends of all depths together.
+    A scan locates the runs of occupied scan points at every depth, in
+    calls over as many depths as fit in CHUNK_POINTS points; each run end
+    is then bisected between its last occupied scan point and the empty
+    neighbour, all ends of all depths together, in calls of at most
+    CHUNK_POINTS ends.
     """
     ys = np.linspace(y_lo, y_hi, SCAN_POINTS)
-    inside = _section_radius2(params, xi0, log_theta, deltas[:, None], ys) > 0.0
-    edge = np.diff(inside.astype(np.int8), axis=1, prepend=0, append=0)
-    # run k of depth row[k] covers the scan points first[k]..last[k]
-    row, first = np.nonzero(edge == 1)
-    last = np.nonzero(edge == -1)[1] - 1
+    runs = []
+    for g0, g1 in chunks([SCAN_POINTS] * len(deltas), CHUNK_POINTS):
+        inside = _section_radius2(params, xi0, log_theta, deltas[g0:g1, None], ys) > 0.0
+        edge = np.diff(inside.astype(np.int8), axis=1, prepend=0, append=0)
+        # run k of depth row[k] covers the scan points first[k]..last[k]
+        row, first = np.nonzero(edge == 1)
+        runs.append((row + g0, first, np.nonzero(edge == -1)[1] - 1))
+    row, first, last = (np.concatenate(c) for c in zip(*runs))
     # (inside endpoint, outside endpoint) brackets; a run touching the
     # end of the scan keeps that end
     a = ys[np.concatenate([first, last])]
     b = ys[np.concatenate([np.maximum(first - 1, 0), np.minimum(last + 1, SCAN_POINTS - 1)])]
     depth = deltas[np.concatenate([row, row])]
-    for _ in range(45):
-        mid = 0.5 * (a + b)
-        good = _section_radius2(params, xi0, log_theta, depth, mid) > 0.0
-        a = np.where(good, mid, a)
-        b = np.where(good, b, mid)
+    for c0 in range(0, len(a), CHUNK_POINTS):
+        at = slice(c0, c0 + CHUNK_POINTS)
+        for _ in range(45):
+            mid = 0.5 * (a[at] + b[at])
+            good = _section_radius2(params, xi0, log_theta, depth[at], mid) > 0.0
+            a[at] = np.where(good, mid, a[at])
+            b[at] = np.where(good, b[at], mid)
     roots = 0.5 * (a + b)
     lo, hi = roots[: len(row)], roots[len(row) :]
     out: list[list[tuple[float, float]]] = [[] for _ in deltas]
@@ -177,21 +183,20 @@ def _slab_integral(
     """Integral of u * E over the heat ball between the depths of panels.
 
     Each depth panel gets an m-point Gauss-Legendre rule, and all depth
-    nodes are evaluated together: one scan call and one call per
-    bisection step find the slice intervals of every node
-    (_y_intervals), one section-radius call covers the y-nodes of every
-    interval, and one grad log Gamma call covers every quadrature point
-    (_slice_sums).  u is called once per depth node.  Past BATCH_POINTS
-    points per call, the nodes are split into consecutive groups.  The
-    integral is one weighted sum over rows, (depth node, y-node) pairs,
-    of their slice integrals, so it does not depend on the grouping.
+    nodes are evaluated together: a scan and one bisection pass find the
+    slice intervals of every node (_y_intervals), section-radius calls
+    cover the y-nodes of every interval, and grad log Gamma calls every
+    quadrature point (_slice_sums).  Every kernel call holds at most
+    CHUNK_POINTS points, but a slice-sum call takes the rows of whole
+    depth nodes, so that u is called once per depth node: a node whose
+    rows exceed CHUNK_POINTS points is a call of its own.  The integral
+    is one weighted sum over rows, (depth node, y-node) pairs, of their
+    slice integrals, so it does not depend on the grouping.
     """
     rules = [gauss_legendre(p0, p1, m) for p0, p1 in panels]
     deltas = np.concatenate([d for d, _ in rules])
     wds = np.concatenate([w for _, w in rules])
-    intervals = []
-    for g0, g1 in chunks([SCAN_POINTS] * len(deltas), BATCH_POINTS):
-        intervals += _y_intervals(params, xi0, log_theta, deltas[g0:g1], y_lo, y_hi)
+    intervals = _y_intervals(params, xi0, log_theta, deltas, y_lo, y_hi)
     # one y-rule per (depth node, interval), in node order
     slices = [
         (node, *_y_rule(lo, hi, params.a, m))
@@ -203,13 +208,16 @@ def _slab_integral(
     node = np.repeat([k for k, _, _ in slices], [len(yn) for _, yn, _ in slices])
     yn = np.concatenate([yn for _, yn, _ in slices])
     yw = np.concatenate([yw for _, _, yw in slices])
-    rr = _section_radius2(params, xi0, log_theta, deltas[node], yn)
+    rr = np.empty(len(yn))
+    for c0 in range(0, len(yn), CHUNK_POINTS):
+        at = slice(c0, c0 + CHUNK_POINTS)
+        rr[at] = _section_radius2(params, xi0, log_theta, deltas[node[at]], yn[at])
     keep = rr > 0.0
     node, yn, yw, rad = node[keep], yn[keep], yw[keep], np.sqrt(rr[keep])
     sums = np.empty(len(node))
     runs = list(_runs(node))
     row_points = m if params.n == 2 else 2 * m * m
-    for c0, c1 in chunks([(s1 - s0) * row_points for s0, s1 in runs], BATCH_POINTS):
+    for c0, c1 in chunks([(s1 - s0) * row_points for s0, s1 in runs], CHUNK_POINTS):
         at = slice(runs[c0][0], runs[c1 - 1][1])
         sums[at] = _slice_sums(params, u, xi0, deltas[node[at]], yn[at], rad[at], m)
     return float(np.sum(wds[node] * yw * sums))
@@ -294,9 +302,12 @@ def solid_mean(
         raise ValueError("section quadrature supports n = 2 and n = 3")
     if density <= 0:
         raise ValueError("density must be positive")
-    # 4 density y-nodes per depth node at most; as a float, a huge density is inf
+    # 4 density y-nodes per depth node at most, and a slice-sum call over the rows of
+    # one depth node at least; as a float, a huge density is inf
     d = float(density)
-    need = Y_NODE_BYTES * 4.0 * (2.0 * max(8.0, d) + 64.0) * d * d + BATCH_BYTES * BATCH_POINTS
+    row_points = d if params.n == 2 else 2.0 * d * d
+    need = Y_NODE_BYTES * 4.0 * (2.0 * max(8.0, d) + 64.0) * d * d
+    need += chunk_bytes(4.0 * d * row_points, CALL_WORDS)
     check_fits(need, f"heat-ball mean at density {density}")
     theta = heat_ball_threshold(params, xi0.x, r)
     # the ball's shape depends only on the lag below t0: box it at t0 = 0

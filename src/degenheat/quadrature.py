@@ -44,8 +44,12 @@ def tensor_rule(nodes, weights=None):
     Returns the (N, k) points for k node arrays; given the k weight
     arrays too, returns (points, weights) with the product weights.
     """
-    grids = np.meshgrid(*nodes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
+    # each axis written straight into the points, so they are held once
+    k = len(nodes)
+    points = np.empty([len(x) for x in nodes] + [k], dtype=np.result_type(*nodes))
+    for i, x in enumerate(nodes):
+        points[..., i] = np.reshape(x, [-1 if j == i else 1 for j in range(k)])
+    points = points.reshape(-1, k)
     if weights is None:
         return points
     prod = np.ones(len(points))
@@ -54,9 +58,21 @@ def tensor_rule(nodes, weights=None):
     return points, prod
 
 
-# points per batched kernel call of meanvalue's slab quadrature and geometry's
-# sampling; bounds their memory, as the points grow like density^(n+2) and ^(n+1)
-BATCH_POINTS = 2**17
+# points per batched kernel call and per chunk of a product, everywhere: a chunk's
+# CHUNK_WORDS temporaries of 2^14 doubles (1.5 MiB) stay within a 2 MiB L2 cache.
+# On a 2-core Xeon VM the block passes of the bench's dirichlet meshes ran about 40%
+# slower at 2^17, and capacity_lp's builds ran as fast at 2^14 as at 2^17
+CHUNK_POINTS = 2**14
+CHUNK_WORDS = 12
+# words a point of a kernel call on sampled or slab points, its inputs included:
+# tracemalloc read 16 for gamma_fs_vec, 17 for log_gamma_vec and 25-27 for
+# grad_log_gamma_vec (n = 2, 3), which the slab's slice sums call on their points
+CALL_WORDS = 32
+
+
+def chunk_bytes(width: float, words: float = CHUNK_WORDS) -> float:
+    """Bytes of one chunk pass over rows of width points (at least one row per chunk), words a point."""
+    return 8.0 * words * max(float(CHUNK_POINTS), width)
 
 
 def chunks(sizes, budget: int):

@@ -37,20 +37,7 @@ import numpy as np
 
 from .kernel import heat_kernel_1d, u_tilde, u_tilde_dy, weighted_normal_limit_vec
 from .params import KernelParams
-from .quadrature import chunks
-
-# points (nodes or entries, times lags) per kernel call of a table and per product
-# chunk: a call's CHUNK_WORDS temporaries of 2^14 doubles (1.5 MiB) stay within a
-# 2 MiB L2 cache.  On a 2-core Xeon VM the block passes of the bench's dirichlet
-# meshes ran about 40% slower at 2^17, and capacity_lp's builds, whose tables are
-# one kernel call per axis whatever the chunk, ran as fast at 2^14 as at 2^17
-CHUNK_POINTS = 2**14
-CHUNK_WORDS = 12
-
-
-def chunk_bytes(width: float) -> float:
-    """Bytes of one chunk pass over rows of width points (at least one row per chunk)."""
-    return 8.0 * CHUNK_WORDS * max(float(CHUNK_POINTS), width)
+from .quadrature import CHUNK_POINTS, chunks
 
 
 def axis_classes(coord: np.ndarray, t_index: np.ndarray, times: np.ndarray):

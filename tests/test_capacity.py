@@ -25,8 +25,9 @@ from degenheat.capacity import (
 )
 from degenheat.kernel import gamma_fs_vec, heat_kernel_1d, u_tilde
 from degenheat.params import KernelParams, SpaceTimePoint
-from degenheat.quadrature import box_lattice, chunks, flat_lattice, legendre_rule, tensor_rule
-from degenheat.separable import CHUNK_POINTS, axis_classes, chunk_bytes
+from degenheat.quadrature import CHUNK_POINTS, box_lattice, chunk_bytes, chunks, flat_lattice
+from degenheat.quadrature import legendre_rule, tensor_rule
+from degenheat.separable import axis_classes
 
 PARAMS = KernelParams(n=2, a=0.3)
 
@@ -707,7 +708,7 @@ CHARGE_SETS = {
 @pytest.mark.parametrize("name", CHARGE_SETS)
 def test_matrix_charge_bounds_traced_peak(name, monkeypatch):
     # check_matrix_fits charges MATRIX_COPIES times the folded rows and one chunk
-    # (separable.chunk_bytes) before they are built; the charge must cover the
+    # (quadrature.chunk_bytes) before they are built; the charge must cover the
     # traced peak, and stay near it.  Measured charge over peak: 1.68, 1.54, 1.58,
     # 1.42 and 1.05.  A flat level keeps half its rows, so its LP holds one copy
     # where the charge covers the 1.5 of a set from which no row leaves

@@ -689,10 +689,11 @@ def _physical_memory(monkeypatch, mib):
 
 
 def test_sampling_check_charges_only_attempts_that_run(tmp_path, capsys, monkeypatch):
-    # 40 MiB holds a first attempt at density 8 (BATCH_POINTS points, 25 MiB) but
-    # not the fourth at 64 (64^3 points, 50 MiB); every shell fills at density 8,
-    # so no doubling is built or checked.  At density 64 the first attempt is refused.
-    _physical_memory(monkeypatch, 40)
+    # 12 MiB holds a first attempt at density 8 (one kernel call and a lattice of
+    # CHUNK_POINTS points, 4.8 MiB) but not the fourth at 64 (64^3 points, 16 MiB);
+    # every shell fills at density 8, so no doubling is built or checked.  At
+    # density 64 the first attempt is refused.
+    _physical_memory(monkeypatch, 12)
     assert run(tmp_path, "wiener", {**SMALL_CONFIGS["wiener"], "density": 8})[0] == 0
     assert run(tmp_path, "wiener", {**SMALL_CONFIGS["wiener"], "density": 64})[0] == 2
     err = capsys.readouterr().err.splitlines()
@@ -726,12 +727,12 @@ def test_dirichlet_refuses_block_pass_before_allocating(tmp_path, capsys, monkey
 
 
 def test_meanvalue_refuses_density_before_any_kernel_call(tmp_path, capsys, monkeypatch):
-    # the slab quadrature at density 2 is charged about 25 MiB, almost all of it
-    # for its batched kernel calls: it runs in 40 MiB and is refused in 16 MiB
-    # before anything is built; a density of 10^6 is refused on any machine
-    _physical_memory(monkeypatch, 40)
+    # the slab quadrature at density 2 is charged about 4.2 MiB, almost all of it
+    # for one kernel call: it runs in 8 MiB and is refused in 4 MiB before
+    # anything is built; a density of 10^6 is refused on any machine
+    _physical_memory(monkeypatch, 8)
     assert run(tmp_path, "meanvalue", SMALL_CONFIGS["meanvalue"])[0] == 0
-    _physical_memory(monkeypatch, 16)
+    _physical_memory(monkeypatch, 4)
     tracemalloc.start()
     try:
         code = run(tmp_path, "meanvalue", SMALL_CONFIGS["meanvalue"])[0]
@@ -789,10 +790,10 @@ def test_wiener_refuses_huge_k_max_at_once(tmp_path):
 
 
 def test_harnack_refuses_fine_lattice_before_coarse_level(tmp_path, capsys, monkeypatch):
-    # at density 32 the coarse lattice (25 MiB) fits in 40 MiB and the fine one
-    # (64^3 points, 50 MiB) does not: the fine level runs first and is refused,
+    # at density 32 the coarse lattice (5.5 MiB) fits in 12 MiB and the fine one
+    # (64^3 points, 16 MiB) does not: the fine level runs first and is refused,
     # so the coarse level is never computed
-    _physical_memory(monkeypatch, 40)
+    _physical_memory(monkeypatch, 12)
     densities, quotient = [], cli.harnack_quotient
 
     def recorded(*args, density):

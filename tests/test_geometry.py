@@ -104,12 +104,13 @@ def test_sample_volume_self_convergence():
     assert err1 / vols[2] < 0.02
 
 
-@pytest.mark.parametrize("budget", [geometry.BATCH_POINTS, 200])
+@pytest.mark.parametrize("budget", [geometry.CHUNK_POINTS, 200])
 def test_concentric_pass_matches_one_ball_passes(budget, monkeypatch):
     # one pass over the outer balls of a series gives each ball the lattice its
     # own pass gives, the deepest ones after doubling their density, whether
-    # a round tests all lattices in one kernel call or three at a time
-    monkeypatch.setattr(geometry, "BATCH_POINTS", budget)
+    # a round tests all lattices in one kernel call, or three at a time and
+    # each lattice of 512 points or more in calls of 200
+    monkeypatch.setattr(geometry, "CHUNK_POINTS", budget)
     params = KernelParams(n=2, a=0.3)
     center = SpaceTimePoint(x_prime=(0.5,), x=0.7, t=0.0)
     balls = [HeatBall(center, 0.5**k, params) for k in range(1, 9)]

@@ -122,12 +122,12 @@ def test_solid_mean_pinned(n, a, x_prime, x, case, want):
 
 
 def test_solid_mean_split_batches(monkeypatch):
-    # a smaller batch splits the scan and the quadrature points of a slab
-    # into several groups of depth nodes; the mean stays the same to the bit
+    # a smaller chunk splits the scan, the bisection, the y-nodes and the
+    # quadrature points of a slab into more calls; the mean stays the same to the bit
     params = KernelParams(n=3, a=0.3)
     xi = P(x_prime=(0.5, 0.4), x=0.7, t=0.0)
     whole = solid_mean(params, one, xi, 0.02, density=6)
-    monkeypatch.setattr(meanvalue, "BATCH_POINTS", 20000)
+    monkeypatch.setattr(meanvalue, "CHUNK_POINTS", 500)
     assert solid_mean(params, one, xi, 0.02, density=6) == whole
 
 
