@@ -105,7 +105,7 @@ AVG_NODES = 3
 # 1.53 on a 10^3 cube less one atom at a = -0.9, where no row leaves its LP
 MATRIX_COPIES = 1.5
 # linprog stops at a relative duality gap and residuals of LP_TOL, or gives up
-# after LP_MAX_ITERATIONS; the bench's and the suite's LPs converge in 22 or fewer
+# after LP_MAX_ITERATIONS; the bench's and the suite's LPs converge in 16 or fewer
 LP_TOL = 1e-8
 LP_MAX_ITERATIONS = 100
 
@@ -373,12 +373,18 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
     symmetric rank-k update), factors it once by Cholesky and solves with
     the factor twice, for Mehrotra's predictor and corrector; each step
     goes 0.99 of the way to the boundary.  A is first scaled by its
-    largest entry.  The start x = s = 1, y = 2 / min(column sum) is dual
-    feasible (z >= 1).  The normal matrix becomes nearly singular as the
-    iterates converge; its diagonal is shifted by eps times its largest
-    entry to guard the factorization (the LPs of the bench and the test
-    suite also converge without the shift, while a shift of 1e-12
-    relative stops some of them converging).  The method stops when the
+    largest entry.  The start is Mehrotra's: the least-norm solutions of
+    A x + s = 1 and of A'y - z = 1 with z, y the duals of x, s, from one
+    factorization of the atoms x atoms matrix A'A + I (x = (A'A + I)^-1
+    A'1, s = 1 - A x, y = A (A'A + I)^-1 1, z = A'y - 1), shifted to be
+    nonnegative and then by equal complementarity terms.  From x = s = 1
+    and the least y >= 0 with z >= 1, two bench LPs stalled with the dual
+    residual just above LP_TOL.  The normal matrix becomes nearly
+    singular as the iterates converge; its diagonal is shifted by eps
+    times its largest entry to guard the factorization (from the earlier
+    start the LPs of the bench and the test suite also converged without
+    the shift, while a shift of 1e-12 relative stopped some of them
+    converging).  The method stops when the
     duality gap relative to the dual objective and the largest primal
     and dual residuals are all <= LP_TOL.  A column with no positive entry
     (an unbounded LP), a failed factorization and no convergence in
@@ -414,15 +420,25 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
         return dgemv(1.0, Bt, v / g)
 
     # u = (x, s) and w = (z, y): u * w holds the complementarity products
-    u = np.ones(size)
-    w = np.empty(size)
+    u, w = np.empty(size), np.empty(size)
     x, s = u[:m], u[m:]
     z, y = w[:m], w[m:]
-    y[:] = 2.0 * scale / float(np.min(col))
-    z[:] = at_dot(y) - 1.0
     # the normal matrix M (upper triangle, then its Cholesky factor) is
-    # overwritten in place at every iteration
-    M = np.zeros((m, m), order="F")
+    # overwritten in place at every iteration, and first gives the start
+    M = dsyrk(1.0, Bt, beta=0.0, c=np.zeros((m, m), order="F"), overwrite_c=1)
+    M.flat[:: m + 1] += 1.0
+    L, info = dpotrf(M, lower=0, overwrite_a=1, clean=0)
+    if info != 0:
+        raise RuntimeError("capacity LP: Cholesky factorization failed at the start")
+    start, _ = dpotrs(L, np.column_stack([at_dot(np.ones(rows)), np.ones(m)]), lower=0)
+    x[:], y[:] = start[:, 0], a_dot(start[:, 1])
+    s[:], z[:] = 1.0 - a_dot(x), at_dot(y) - 1.0
+    # shifted to be nonnegative, then by equal complementarity terms
+    u += max(0.0, -1.5 * float(u.min()))
+    w += max(0.0, -1.5 * float(w.min()))
+    half, u_sum, w_sum = 0.5 * float(u @ w), float(u.sum()), float(w.sum())
+    u += half / w_sum
+    w += half / u_sum
     for it in range(LP_MAX_ITERATIONS + 1):
         rp = 1.0 - a_dot(x) - s
         d = y / s
