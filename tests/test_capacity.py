@@ -25,8 +25,8 @@ from degenheat.capacity import (
 )
 from degenheat.kernel import gamma_fs_vec, heat_kernel_1d, u_tilde
 from degenheat.params import KernelParams, SpaceTimePoint
-from degenheat.quadrature import CHUNK_POINTS, box_lattice, chunk_bytes, chunks, flat_lattice
-from degenheat.quadrature import legendre_rule, tensor_rule
+from degenheat.quadrature import CALL_WORDS, CHUNK_POINTS, box_lattice, chunk_bytes, chunks
+from degenheat.quadrature import flat_lattice, legendre_rule, tensor_rule
 from degenheat.separable import axis_classes
 
 PARAMS = KernelParams(n=2, a=0.3)
@@ -338,13 +338,9 @@ def test_folded_build_matches_per_set_reference(name, orbit_sizes, n_chunks):
     assert len(_chunk_ends(args)) == n_chunks - 1
 
 
-def test_wiener_shells_match_per_set_reference(monkeypatch):
-    # the 36 shells of a bench wiener job (seed 1, job 0: lambda 0.5 and its sweep
-    # 0.3 and 0.7, k = 1..12, density 10) as shell_terms hands them to capacity_lp.
-    # Each axis takes node means for all its close class pairs; in 10 irregular
-    # shells some close pair of the free axis is in no near entry, a key that no
-    # entry reads
-    params = KernelParams(n=2, a=0.3)
+def _bench_wiener_shells(monkeypatch, params):
+    """The 36 shells of a bench wiener job (seed 1, job 0: lambda 0.5 and its sweep
+    0.3 and 0.7, k = 1..12, density 10) as shell_terms hands them to capacity_lp."""
     xi0 = SpaceTimePoint((0.15827597617166111,), 0.4658548196974417, 0.0)
     box = {"type": "box", "lo": [0.0, 0.2], "hi": [1.0, 1.2], "t": [0.0, 1.0]}
     shells = []
@@ -357,6 +353,15 @@ def test_wiener_shells_match_per_set_reference(monkeypatch):
     pairs = [(lam, k) for lam in (0.5, 0.3, 0.7) for k in range(1, 13)]
     wiener.shell_terms(params, xi0, pairs, wiener.DomainDescriptor((box,)), 10)
     assert len(shells) == 36
+    return shells
+
+
+def test_wiener_shells_match_per_set_reference(monkeypatch):
+    # each axis takes node means for all its close class pairs; in 10 irregular
+    # shells some close pair of the free axis is in no near entry, a key that no
+    # entry reads
+    params = KernelParams(n=2, a=0.3)
+    shells = _bench_wiener_shells(monkeypatch, params)
     unread = 0
     for lattice in shells:
         args, js, is_ = _check_folded_build(params, lattice)
@@ -364,6 +369,23 @@ def test_wiener_shells_match_per_set_reference(monkeypatch):
         read = [len(np.unique(rc[js] * c.shape[1] + ac[is_])) for rc, ac, c in axes]
         unread += any(n < c.sum() for n, (_, _, c) in zip(read, axes))
     assert unread == 10
+
+
+def test_wiener_shell_builds_peak_within_one_kernel_call(monkeypatch):
+    # the tables of the 36 shells are built in kernel calls over groups of whole sets
+    # of at most CHUNK_POINTS points, each group's pairs formed for its call alone;
+    # so the whole build, every set's tables included, holds less than one kernel
+    # call's charge (4 MiB).  One call over all 36 shells' pairs held 11.9 MiB
+    params = KernelParams(n=2, a=0.3)
+    builds = [_folded_build(2, shell) for shell in _bench_wiener_shells(monkeypatch, params)]
+    tracemalloc.start()
+    try:
+        for matrix, _ in capacity._constraint_matrices(params, builds):
+            del matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chunk_bytes(1.0, CALL_WORDS), peak
 
 
 def test_near_entry_profile_points(monkeypatch):

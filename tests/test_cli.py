@@ -21,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenheat import cli, meanvalue
+from degenheat import cli, kernel, meanvalue
 from degenheat.cli import main
 from degenheat.params import KernelParams
+from degenheat.quadrature import CHUNK_POINTS
 
 PARAMS = {"n": 2, "a": 0.3}
 
@@ -748,6 +749,92 @@ def test_meanvalue_refuses_density_before_any_kernel_call(tmp_path, capsys, monk
         assert line.startswith(f"config error: heat-ball mean at density {density} needs")
 
 
+# one bench config per command (seed 1, job 0 of bench/workloads.py)
+BENCH_CONFIGS = {
+    "dirichlet": {
+        "params": {"n": 2, "a": -0.1293879007470634},
+        "box": {"lo": [0.005721177615564899, 0.0], "hi": [1.0057211776155648, 1.0], "t0": 0, "t1": 1},
+        "d_space": 8,
+        "n_steps": 12,
+        "data": "gamma",
+        "pole": [0.79725843608561, 0.4960023197807736, -0.33524055243564854],
+        "probes": [
+            [0.29149440278814587, 0.4139708950842217, 0.8847239459199272],
+            [0.6195848017248476, 0.3178164669235092, 0.807266088965956],
+            [0.8916914996292514, 0.5173696240804265, 0.5825734088045038],
+        ],
+    },
+    "capacity": {
+        "params": {"n": 2, "a": 0.20519930049117807},
+        "set": {
+            "kind": "flat",
+            "lo": [0.3576474270731438, -0.7622185810352857],
+            "hi": [2.357647427073144, 1.2377814189647143],
+        },
+        "density": 16,
+    },
+    "wiener": {
+        "params": {"n": 2, "a": 0.3},
+        "xi0": [0.15827597617166111, 0.4658548196974417, 0.0],
+        "lambda": 0.5,
+        "k_max": 12,
+        "density": 10,
+        "sweep": [0.3, 0.7],
+        "domain": {"primitives": [{"type": "box", "lo": [0, 0.2], "hi": [1, 1.2], "t": [0, 1]}]},
+    },
+    "meanvalue": {
+        "params": {"n": 2, "a": 0.3},
+        "xi0": [0.40239687898576737, 0.07527457890714882, 0.0],
+        "radii": [0.04065032630326956],
+        "density": 6,
+        "pole": [0.5336952177246608, 0.733015997415813, -0.5],
+    },
+}
+KERNEL_ENTRIES = ("u_tilde", "u_tilde_dy", "heat_kernel_1d", "log_gamma_vec", "grad_log_gamma_vec", "gamma_fs_vec")
+# library functions whose kernel calls exceed CHUNK_POINTS by design, and why.  (A
+# capacity set whose class pairs alone exceed it is a _class_tables call of its own,
+# so that no entry of a set depends on a split; no set of these configs does.)
+OVER_CHUNK = {
+    "_section_depth": "32 trial depths times 513 scan points, 16,416: 32 is the root of "
+    "the scan rounded up to a power of two, and the bisection needs 11-12 such calls",
+}
+
+
+@pytest.mark.parametrize(
+    "cmd,cfg",
+    [pytest.param(c, cfg, id=f"small-{c}") for c, cfg in SMALL_CONFIGS.items()]
+    + [pytest.param(c, cfg, id=f"bench-{c}") for c, cfg in BENCH_CONFIGS.items()],
+)
+def test_no_kernel_call_exceeds_the_chunk(tmp_path, monkeypatch, cmd, cfg):
+    # every kernel entry point, wrapped in each module that holds it, records the
+    # points of each call and the library functions on the stack above it
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("degenheat.")]
+    for name in KERNEL_ENTRIES:
+        real = getattr(kernel, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            out = _real(*args, **kwargs)
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                if frame.f_globals.get("__name__", "").startswith("degenheat."):
+                    callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            width = out.shape[-1] if _name == "grad_log_gamma_vec" else 1
+            calls.append((out.size // width, callers))
+            return out
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert run(tmp_path, cmd, cfg)[0] == 0
+    assert calls
+    over = [(points, callers) for points, callers in calls if points > CHUNK_POINTS]
+    assert all(callers & set(OVER_CHUNK) for _, callers in over), over
+    if cmd == "meanvalue":
+        assert {points for points, _ in over} == {32 * 513}
+
+
 def test_wiener_refuses_k_max_whose_levels_underflow(tmp_path, capsys):
     # 0.3^2001 underflows to 0: the last shell of the sweep value 0.3 has no inner level
     cfg = {**SMALL_CONFIGS["wiener"], "sweep": [0.3, 0.7], "k_max": 2000}
@@ -992,6 +1079,33 @@ def test_dirichlet_straddling_box(tmp_path, n):
     rows = [line.split(",") for line in (out / "dirichlet.csv").read_text().splitlines()[1:]]
     assert len(rows) == 3
     assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize(
+    "xi0",
+    [
+        [0.3665049361700835, 0.7100074836267756, 0.0],
+        [0.45462389219406607, 0.5940345500541954, 0.0],
+    ],
+)
+def test_wiener_lps_that_stalled_from_the_old_start_converge(tmp_path, xi0):
+    # two bench wiener jobs (seed 203 job 1, seed 205 job 13) each have one LP, 31 x 22
+    # and 28 x 22, on which linprog started from x = s = 1 stalled with the dual
+    # residual above LP_TOL and exited 3; from Mehrotra's start both converge
+    cfg = {
+        "params": {"n": 2, "a": 0.3},
+        "xi0": xi0,
+        "lambda": 0.5,
+        "k_max": 12,
+        "density": 10,
+        "sweep": [0.3, 0.7],
+        "domain": {"primitives": [{"type": "box", "lo": [0, 0.2], "hi": [1, 1.2], "t": [0, 1]}]},
+    }
+    code, out = run(tmp_path, "wiener", cfg)
+    assert code == 0
+    payload = json.loads((out / "wiener.json").read_text())["payload"]
+    assert payload["verdict"] == "likely-regular"
+    assert set(payload["lambda_sweep"].values()) == {"likely-regular"}
 
 
 def test_wiener_report(tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from degenheat.geometry import (
     heat_ball_threshold,
 )
 from degenheat.params import KernelParams, SpaceTimePoint
+from degenheat.quadrature import box_lattice
 
 RNG = np.random.default_rng(20240817)
 
@@ -129,6 +131,41 @@ def test_concentric_pass_matches_one_ball_passes(budget, monkeypatch):
     assert densified > 0
     with pytest.raises(RuntimeError, match="no heat-ball samples found at density 4"):
         heat_ball_samples(balls, 4, 1)
+
+
+@pytest.mark.parametrize("n,a,y0,density", [(2, 0.3, 0.7, 48), (3, -0.5, 0.0, 16)])
+def test_sample_charge_bounds_traced_peak(monkeypatch, n, a, y0, density):
+    # one lattice of several chunks (110,592 and 65,536 points) is charged one kernel
+    # call and twice its points, for the lattice and at most as many members, before
+    # it is built; the charge must cover the traced peak and stay near it
+    ball = HeatBall(SpaceTimePoint((0.5,) * (n - 1), y0, 0.0), 0.05, KernelParams(n=n, a=a))
+    ball.bounding_box()
+    assert density ** (n + 1) > geometry.CHUNK_POINTS
+    charged = []
+    monkeypatch.setattr(geometry, "check_fits", lambda need, what: charged.append(need))
+    tracemalloc.start()
+    try:
+        heat_ball_sample(ball, density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak <= charged[0] <= 4 * peak, charged[0] / peak
+
+
+def test_chunked_members_equal_one_call_reference():
+    # concentric balls whose lattices at density 32 hold two chunks each: the members
+    # are those of one kernel call over each ball's whole box lattice
+    params = KernelParams(n=2, a=0.3)
+    center = SpaceTimePoint(x_prime=(0.5,), x=0.7, t=0.0)
+    balls = [HeatBall(center, 0.5**k, params) for k in range(1, 4)]
+    for ball, sample in zip(balls, heat_ball_samples(balls, 32, 1)):
+        depth, radius = ball.bounding_box()
+        box = box_lattice(center.spatial - radius, center.spatial + radius, -depth, 0.0, 32)
+        mask = ball.contains_vec(box.spatial, box.times, ball.threshold)
+        assert len(box.times) == 2 * geometry.CHUNK_POINTS
+        assert np.array_equal(sample.spatial, box.spatial[mask])
+        assert np.array_equal(sample.times, box.times[mask])
+        assert (sample.h_space, sample.h_time) == (box.h_space, box.h_time)
 
 
 def test_shell_two_sided_membership():
