@@ -28,9 +28,10 @@ product of per-axis node means, which each axis computes once for every
 time, its close pairs.  The near pairs are found where the far entries
 are built: each chunk of rows ANDs the axes' close pairs.  capacity_lp
 takes a sequence of lattices (the shells of a Wiener series) and builds
-all their tables with one kernel call per axis, and their node means
-with one more; symmetry, presolve and LP stay per set, and each matrix
-is built only when its LP is next.
+all their tables and node means first, per axis in kernel calls over
+groups of whole sets of at most CHUNK_POINTS points, or one set alone;
+symmetry, presolve and LP stay per set, and each matrix is built only
+when its LP is next.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -105,7 +106,7 @@ AVG_NODES = 3
 # 1.53 on a 10^3 cube less one atom at a = -0.9, where no row leaves its LP
 MATRIX_COPIES = 1.5
 # linprog stops at a relative duality gap and residuals of LP_TOL, or gives up
-# after LP_MAX_ITERATIONS; the bench's and the suite's LPs converge in 16 or fewer
+# after LP_MAX_ITERATIONS; the bench's and the suite's LPs converge in 20 or fewer
 LP_TOL = 1e-8
 LP_MAX_ITERATIONS = 100
 
@@ -143,9 +144,9 @@ def _class_tables(params: KernelParams, axis: int, groups, nodes: np.ndarray) ->
     Each group is (x, t, y, s, h_space, h_time, snap) of one set's pairs,
     whose off and off_t are nodes scaled to half its cell sides.  One
     kernel call (axis_sums) over one-node keys, a pair's spatial nodes,
-    covers all pairs; each group gets a (pairs, len(nodes)) array
-    holding at each time node the mean over off.  Nodes whose lag is
-    below the pair's snap give 0.
+    covers all pairs, len(nodes)^2 points a pair; each group gets a
+    (pairs, len(nodes)) array holding at each time node the mean over
+    off.  Nodes whose lag is below the pair's snap give 0.
     """
     sizes, k = [len(g[0]) for g in groups], len(nodes)
     x, t, y, s = (np.concatenate(c) for c in zip(*(g[:4] for g in groups)))
@@ -156,13 +157,6 @@ def _class_tables(params: KernelParams, axis: int, groups, nodes: np.ndarray) ->
     x, lags = np.repeat(x, k), np.repeat(lags, k, axis=0)
     vals = axis_sums(params, axis, False, x, ys, np.ones(len(ys)), 1, lags)
     return np.split(np.mean(vals.reshape(-1, k, k), axis=1), np.cumsum(sizes)[:-1])
-
-
-def _pairs(classes, pairs, cell) -> tuple:
-    """One set's group of _class_tables on one axis: its classes at the masked class pairs."""
-    rx, rt, ax, at = classes
-    p, q = np.nonzero(pairs)
-    return (rx[p], rt[p], ax[q], at[q], *cell)
 
 
 def _constraint_matrices(params: KernelParams, sets):
@@ -190,8 +184,10 @@ def _constraint_matrices(params: KernelParams, sets):
             out.append([])
             sizes = [np.count_nonzero(mask) * len(nodes) ** 2 for mask in masks]
             for g0, g1 in chunks(sizes, CHUNK_POINTS):
-                part = zip(plans[g0:g1], masks[g0:g1])
-                group = [_pairs(c[k], mask, cell) for (_, c, cell), mask in part]
+                group = []
+                for (_, cls, cell), mask in zip(plans[g0:g1], masks[g0:g1]):
+                    (rx, rt, ax, at), (p, q) = cls[k], np.nonzero(mask)
+                    group.append((rx[p], rt[p], ax[q], at[q], *cell))
                 out[-1] += _class_tables(params, k, group, nodes)
     # yielded in order and popped, so no set's classes or matrix stay referenced here
     # while its LP runs
@@ -374,21 +370,18 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
     the factor twice, for Mehrotra's predictor and corrector; each step
     goes 0.99 of the way to the boundary.  A is first scaled by its
     largest entry.  The start is Mehrotra's: the least-norm solutions of
-    A x + s = 1 and of A'y - z = 1 with z, y the duals of x, s, from one
-    factorization of the atoms x atoms matrix A'A + I (x = (A'A + I)^-1
-    A'1, s = 1 - A x, y = A (A'A + I)^-1 1, z = A'y - 1), shifted to be
-    nonnegative and then by equal complementarity terms.  From x = s = 1
-    and the least y >= 0 with z >= 1, two bench LPs stalled with the dual
-    residual just above LP_TOL.  The normal matrix becomes nearly
-    singular as the iterates converge; its diagonal is shifted by eps
-    times its largest entry to guard the factorization (from the earlier
-    start the LPs of the bench and the test suite also converged without
-    the shift, while a shift of 1e-12 relative stopped some of them
-    converging).  The method stops when the
-    duality gap relative to the dual objective and the largest primal
-    and dual residuals are all <= LP_TOL.  A column with no positive entry
-    (an unbounded LP), a failed factorization and no convergence in
-    LP_MAX_ITERATIONS iterations raise RuntimeError.
+    the primal and dual equations, x = (A'A + I)^-1 A'1, s = 1 - A x,
+    y = A (A'A + I)^-1 1 and z = A'y - 1, from one factorization of the
+    atoms x atoms A'A + I, shifted to be positive (from x = s = 1 two
+    bench LPs stalled with the dual residual above LP_TOL).  The normal
+    matrix becomes nearly singular as the iterates converge; its diagonal
+    is shifted by eps times its largest entry to guard the factorization
+    (from the earlier start the LPs of the bench and the suite converged
+    without it too, and a shift of 1e-12 relative stopped some).  The
+    method stops when the duality gap relative to the dual objective and
+    the largest primal and dual residuals are all <= LP_TOL.  A column
+    with no positive entry (an unbounded LP), a failed factorization and
+    no convergence in LP_MAX_ITERATIONS iterations raise RuntimeError.
 
     The rows are held once.  A C-ordered float64 A_ub, as capacity_lp
     hands it, is worked on in place, and any other array in a C-ordered

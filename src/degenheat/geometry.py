@@ -144,14 +144,16 @@ def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[L
                 box_lattice(c_sp - radius[i], c_sp + radius[i], t0 - depth[i], t0, dens)
                 for i in group
             ]
-            spatial, times = (np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*(box[:2] for box in part)))
+            # a lattice alone is tested as it lies, a group as one concatenated copy
+            spatial, times = (
+                np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*(box[:2] for box in part))
+            )
             threshold = np.array([balls[i].threshold for i in group])
             inside = np.empty(len(times), dtype=bool)
             for s0 in range(0, len(times), CHUNK_POINTS):
                 at = slice(s0, s0 + CHUNK_POINTS)
                 owner = np.arange(s0, min(s0 + CHUNK_POINTS, len(times))) // len(part[0].times)
                 inside[at] = ball.contains_vec(spatial[at], times[at], threshold[owner])
-            del spatial, times
             for i, box, mask in zip(group, part, np.split(inside, len(part))):
                 if np.any(mask):
                     samples[i] = box._replace(spatial=box.spatial[mask], times=box.times[mask])

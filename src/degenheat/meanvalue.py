@@ -294,9 +294,10 @@ def solid_mean(
 
     The bulk panels and the pole panels are integrated in one batched
     pass over all their depth nodes (_slab_integral), so the kernel is
-    called a few dozen times per mean and u once per depth node.  A
-    density whose pass would not fit in physical memory raises
-    ValueError before any kernel call.
+    called about a hundred times per mean (67 at density 2, 84 at 6, 125
+    at 12) and u once per depth node.  A density whose pass would not fit
+    in physical memory raises ValueError before any kernel call: the
+    pass is charged its y-nodes and one kernel call.
     """
     if params.n not in (2, 3):
         raise ValueError("section quadrature supports n = 2 and n = 3")

@@ -71,7 +71,10 @@ CALL_WORDS = 32
 
 
 def chunk_bytes(width: float, words: float = CHUNK_WORDS) -> float:
-    """Bytes of one chunk pass over rows of width points (at least one row per chunk), words a point."""
+    """Bytes of one chunk pass over rows of width points (at least one row per chunk).
+
+    words is what a point holds: CHUNK_WORDS in a product, CALL_WORDS in a kernel call.
+    """
     return 8.0 * words * max(float(CHUNK_POINTS), width)
 
 

@@ -25,11 +25,12 @@ classes (a coordinate, or a coordinate and a time) and source classes
 (a 1-D rule, or a point and a time), and an entry gathers the row of
 its pair on each axis (dense_chunks), so no key is formed per entry.
 Sparse entries (BEM's refined near cells) take a table row per key.
-Products go in chunks of at most CHUNK_POINTS points, and so do the
-kernel calls of a table.  axis_sums is one kernel call: capacity
-evaluates all its sets' keys of an axis in one, so that no entry
-depends on where a table would split them (the profile sets its series
-length per call, and capacity's presolve compares entries exactly).
+Products go in chunks of at most quadrature.CHUNK_POINTS points, and so
+do the kernel calls of a table.  axis_sums is one kernel call: capacity
+hands it the keys of an axis of whole sets, as many as fit in
+CHUNK_POINTS points or one set alone, so that no entry depends on where
+a set would be split (the profile sets its series length per call, and
+capacity's presolve compares entries exactly).
 """
 from __future__ import annotations
 

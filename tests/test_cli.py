@@ -753,7 +753,9 @@ def test_meanvalue_refuses_density_before_any_kernel_call(tmp_path, capsys, monk
 BENCH_CONFIGS = {
     "dirichlet": {
         "params": {"n": 2, "a": -0.1293879007470634},
-        "box": {"lo": [0.005721177615564899, 0.0], "hi": [1.0057211776155648, 1.0], "t0": 0, "t1": 1},
+        "box": {
+            "lo": [0.005721177615564899, 0.0], "hi": [1.0057211776155648, 1.0], "t0": 0, "t1": 1
+        },
         "d_space": 8,
         "n_steps": 12,
         "data": "gamma",
@@ -790,7 +792,9 @@ BENCH_CONFIGS = {
         "pole": [0.5336952177246608, 0.733015997415813, -0.5],
     },
 }
-KERNEL_ENTRIES = ("u_tilde", "u_tilde_dy", "heat_kernel_1d", "log_gamma_vec", "grad_log_gamma_vec", "gamma_fs_vec")
+KERNEL_ENTRIES = (
+    "u_tilde", "u_tilde_dy", "heat_kernel_1d", "log_gamma_vec", "grad_log_gamma_vec", "gamma_fs_vec"
+)
 # library functions whose kernel calls exceed CHUNK_POINTS by design, and why.  (A
 # capacity set whose class pairs alone exceed it is a _class_tables call of its own,
 # so that no entry of a set depends on a split; no set of these configs does.)
