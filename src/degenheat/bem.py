@@ -412,9 +412,6 @@ class DirichletSolution:
         w = double_layer_eval(self.mesh, self.density, spatial, times)
         return self.offset + v + w
 
-    def __call__(self, xi: SpaceTimePoint) -> float:
-        return float(self.evaluate([xi])[0])
-
 
 def solve_dirichlet(
     params: KernelParams,

@@ -5,7 +5,8 @@ failure.  Each command first reads its fields through params.number and
 params.numbers, the one number policy, and _count, _point and _box,
 built on them; DomainDescriptor reads a domain primitive's fields the
 same way.  main maps KeyError, TypeError and ValueError (a bad config or
-library argument) to exit 2, and RuntimeError, ArithmeticError and
+library argument, an --out that is a file) and OSError (outputs that
+cannot be written) to exit 2, and RuntimeError, ArithmeticError and
 MemoryError (non-convergence, a non-finite value, an overflow on finite
 but extreme input, an allocation that cannot be met) to exit 3, each
 with a single stderr line: the warnings of a failed run are not printed.
@@ -76,14 +77,12 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: Path, header: list, rows: list) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float)) else str(v) for v in row))
+        # 17 significant digits, so that every double round-trips
+        cells = (f"{float(v):.17g}" if isinstance(v, (int, float)) else str(v) for v in row)
+        lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -240,7 +239,7 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     pair = [density, 2 * density]
     # the frame: each lattice starts at time 0
     if kind == "flat":
-        lattices = [flat_lattice(box.lo, box.hi, 0.0, dens) for dens in pair]
+        lattices = [flat_lattice(box.lo, box.hi, dens) for dens in pair]
     else:
         lattices = [box_lattice(box.lo, box.hi, 0.0, box.t1 - box.t0, dens) for dens in pair]
     levels = capacity_lp(params, lattices)
@@ -382,6 +381,9 @@ def main(argv=None) -> int:
             config = RunConfig.load(args.config)
             if args.workers < 1:
                 raise ValueError("workers must be at least 1")
+            out = Path(args.out)
+            if out.exists() and not out.is_dir():
+                raise ValueError(f"--out {args.out} exists and is not a directory")
             start = time.monotonic()
             payload, diags, header, rows = _COMMANDS[args.command](config)
             elapsed = time.monotonic() - start
@@ -407,12 +409,15 @@ def main(argv=None) -> int:
     except ValueError:
         print("numerical failure: non-finite value in the payload or diagnostics", file=sys.stderr)
         return 3
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{args.command}.json").write_text(text)
+        _write_csv(out / f"{args.command}.csv", header, rows)
+    except OSError as exc:
+        print(f"config error: cannot write the outputs: {exc}", file=sys.stderr)
+        return 2
     for w in held:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{args.command}.json").write_text(text)
-    _write_csv(out / f"{args.command}.csv", header, rows)
     if args.command == "check" and payload.get("failures", 0) > 0:
         return 1
     return 0

@@ -10,23 +10,23 @@ closed regions between consecutive level surfaces theta(lambda^k) and
 theta(lambda^{k+1}).  Sampling is by a deterministic lattice inside a
 bounding box derived from the a = 0 ball and grown until its boundary
 is clean.  heat_ball_samples samples concentric balls (the outer balls
-of the shells of a Wiener series and of its lambda sweep) in one pass,
-whose kernel calls hold at most CHUNK_POINTS points whatever the
-lattices' sizes, and refuses a round whose lattice would not fit in
-memory; HeatBall.bounding_box and heat_ball_sample are that pass on one
-ball.
+of the shells of a Wiener series and of its lambda sweep) in one pass
+that takes Gamma on each lattice as a product of separable.table rows,
+one per axis; HeatBall.bounding_box and heat_ball_sample are one ball.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .kernel import gamma_fs_vec
 from .params import KernelParams, SpaceTimePoint
-from .quadrature import CALL_WORDS, CHUNK_POINTS, Lattice, box_lattice, check_fits, chunk_bytes
+from .quadrature import CALL_WORDS, CHUNK_POINTS, Lattice, box_lattice, cell_centres, check_fits
 from .quadrature import chunks, tensor_rule
+from .separable import table
 
 
 def heat_ball_threshold(params: KernelParams, x0: float, r: float) -> float:
@@ -58,8 +58,8 @@ class HeatBall:
     def contains_vec(self, spatial, t, threshold) -> np.ndarray:
         """Points where Gamma(centre; point) exceeds threshold.
 
-        threshold is the ball's own (self.threshold), or one per point to
-        test each point against its own concentric ball.
+        threshold is the ball's own (self.threshold), or an array that
+        broadcasts against the points, to test them against concentric balls.
         """
         gam = gamma_fs_vec(
             self.params, self.center.spatial, self.center.t, spatial, t
@@ -114,49 +114,47 @@ def heat_ball_samples(balls: list[HeatBall], density: int, tries: int) -> list[L
     The balls share the first one's centre and params.  Each box is the
     ball's bounding box below the centre, with density cells per axis; a
     lattice without a member is tried again at twice the density, up to
-    tries densities.  Each round builds the lattices of the balls still
-    empty, as many at a time as fit in CHUNK_POINTS points, or one alone,
-    and tests them in kernel calls of at most CHUNK_POINTS points.  A
-    round is charged one call (quadrature.chunk_bytes at CALL_WORDS) and
-    what it keeps of a lattice: its points and, at most as many, its
-    members.  A round that would not fit in physical memory raises
-    ValueError before it is built.  The returned Lattices keep their cell
-    sides.
+    tries densities.  Gamma(centre; .) on a box lattice is at each lag a
+    product of one row per axis: a round makes one separable.table call
+    per axis over the (cell centre, lag) pairs of as many of the balls
+    still empty as fit in CHUNK_POINTS pairs, or one alone, and builds a
+    ball's box_lattice only where the product of its rows has a member.
+    It is charged those calls (CALL_WORDS a pair) and 8 (2n + 3) bytes a
+    lattice point, for the product, the lattice and its members, and
+    raises ValueError first if that exceeds physical memory.
     """
     if density <= 0:
         raise ValueError("density must be positive")
     depth, radius = _bounding_boxes(balls)
     ball = balls[0]
-    n, c_sp, t0 = ball.params.n, ball.center.spatial, ball.center.t
+    params, n, c_sp, t0 = ball.params, ball.params.n, ball.center.spatial, ball.center.t
     samples: list = [None] * len(balls)
     for attempt in range(tries):
         empty = [i for i, s in enumerate(samples) if s is None]
         if not empty:
             break
         dens = density * 2**attempt
-        # dens^(n+1) atoms a lattice, as a float: a huge density overflows to inf and is refused
-        points = math.prod([float(dens)] * (n + 1))
-        kept = 2.0 * 8.0 * (n + 1) * max(float(CHUNK_POINTS), points)
-        check_fits(chunk_bytes(1.0, CALL_WORDS) + kept, f"heat-ball lattice at density {dens:.4g}")
-        for c0, c1 in chunks([points] * len(empty), CHUNK_POINTS):
+        # floats, so that a huge density overflows to inf and is refused
+        pairs, points = float(dens) ** 2, math.prod([float(dens)] * (n + 1))
+        calls = CALL_WORDS * min(len(empty) * pairs, max(float(CHUNK_POINTS), pairs))
+        check_fits(8.0 * (calls + (2 * n + 3) * points), f"heat-ball lattice at density {dens:.4g}")
+        for c0, c1 in chunks([dens * dens] * len(empty), CHUNK_POINTS):
             group = empty[c0:c1]
-            part = [
-                box_lattice(c_sp - radius[i], c_sp + radius[i], t0 - depth[i], t0, dens)
-                for i in group
-            ]
-            # a lattice alone is tested as it lies, a group as one concatenated copy
-            spatial, times = (
-                np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*(box[:2] for box in part))
-            )
-            threshold = np.array([balls[i].threshold for i in group])
-            inside = np.empty(len(times), dtype=bool)
-            for s0 in range(0, len(times), CHUNK_POINTS):
-                at = slice(s0, s0 + CHUNK_POINTS)
-                owner = np.arange(s0, min(s0 + CHUNK_POINTS, len(times))) // len(part[0].times)
-                inside[at] = ball.contains_vec(spatial[at], times[at], threshold[owner])
-            for i, box, mask in zip(group, part, np.split(inside, len(part))):
-                if np.any(mask):
-                    samples[i] = box._replace(spatial=box.spatial[mask], times=box.times[mask])
+            # a key per (ball, cell centre): a one-node rule of unit weight at the ball's lags
+            lags = [t0 - cell_centres(t0 - depth[i], t0, dens)[0] for i in group]
+            rows = []
+            for k, c in enumerate(c_sp):
+                nodes = np.concatenate([cell_centres(c - r, c + r, dens)[0] for r in radius[group]])
+                x, ones = np.full(len(nodes), c), np.ones(len(nodes))
+                sums = table(params, k, False, x, nodes, ones, 1, np.repeat(lags, dens, axis=0))
+                rows.append(sums.reshape(len(group), dens, dens))
+            for i, *axes in zip(group, *rows):
+                # Gamma on the ball's lattice, time varying fastest as in box_lattice, a
+                # temporary gone before the lattice is built
+                inside = reduce(lambda p, q: p[..., None, :] * q, axes).ravel() > balls[i].threshold
+                if np.any(inside):
+                    box = box_lattice(c_sp - radius[i], c_sp + radius[i], t0 - depth[i], t0, dens)
+                    samples[i] = box._replace(spatial=box.spatial[inside], times=box.times[inside])
     if any(s is None for s in samples):
         raise RuntimeError(f"no heat-ball samples found at density {density * 2 ** (tries - 1)}")
     return samples

@@ -64,9 +64,9 @@ def tensor_rule(nodes, weights=None):
 # slower at 2^17, and capacity_lp's builds ran as fast at 2^14 as at 2^17
 CHUNK_POINTS = 2**14
 CHUNK_WORDS = 12
-# words a point of a kernel call on sampled or slab points, its inputs included:
-# tracemalloc read 16 for gamma_fs_vec, 17 for log_gamma_vec and 25-27 for
-# grad_log_gamma_vec (n = 2, 3), which the slab's slice sums call on their points
+# words a point of a kernel call on slab points or heat-ball tables, inputs included:
+# tracemalloc read 16 for gamma_fs_vec, 17 for log_gamma_vec, 25-27 for grad_log_gamma_vec
+# (n = 2, 3), which the slab's slice sums call, and 18 for a table call on u_tilde
 CALL_WORDS = 32
 
 
@@ -114,28 +114,28 @@ class Lattice(NamedTuple):
     h_time: float
 
 
-def _cell_centres(lo: float, hi: float, density: int) -> tuple[np.ndarray, float]:
+def cell_centres(lo: float, hi: float, density: int) -> tuple[np.ndarray, float]:
     """The centres of density equal cells on [lo, hi], and the cell side."""
     h = (hi - lo) / density
     return np.linspace(lo + h / 2.0, hi - h / 2.0, density), h
 
 
-def flat_lattice(lo, hi, tau: float, density: int) -> Lattice:
-    """Cell-centred lattice on a spatial box at time tau.
+def flat_lattice(lo, hi, density: int) -> Lattice:
+    """Cell-centred lattice on a spatial box at time 0.
 
     A flat set has no time extent; its cells take the parabolic time
     extent h_space^2, with h_space the largest side.
     """
-    axes, sides = zip(*(_cell_centres(a, b, density) for a, b in zip(lo, hi)))
+    axes, sides = zip(*(cell_centres(a, b, density) for a, b in zip(lo, hi)))
     pts = tensor_rule(axes)
     h_space = float(max(sides))
-    return Lattice(pts, np.full(len(pts), float(tau)), h_space, h_space * h_space)
+    return Lattice(pts, np.zeros(len(pts)), h_space, h_space * h_space)
 
 
 def box_lattice(lo, hi, t0: float, t1: float, density: int) -> Lattice:
     """Cell-centred lattice on a spatial box times [t0, t1], time varying fastest."""
-    axes, sides = zip(*(_cell_centres(a, b, density) for a, b in zip(lo, hi)))
-    t_axis, h_time = _cell_centres(t0, t1, density)
+    axes, sides = zip(*(cell_centres(a, b, density) for a, b in zip(lo, hi)))
+    t_axis, h_time = cell_centres(t0, t1, density)
     pts = tensor_rule([*axes, t_axis])
     return Lattice(pts[:, :-1], pts[:, -1], float(max(sides)), float(h_time))
 

@@ -9,12 +9,12 @@ integral of Gamma, or of its normal derivative, over a tensor product
 of 1-D rules is at each time node a product of 1-D sums sum_i w_i
 f(x, y_i, d), one per axis (sum factorization; Orszag, J. Comput.
 Phys. 37, 1980).  BEM blocks, point evaluation, the initial lift and
-the capacity entries take the same three steps:
+the capacity entries take three steps, the heat-ball sampler two:
 
 - table: per axis, the 1-D sums over keys, a key being an observation
   coordinate and a 1-D rule, at lags shared by all keys (BEM's time
   nodes) or set per key (capacity's snapped class lags, the lift's
-  t - t0);
+  t - t0, the sampler's lags below its pole);
 - the product over axes of each entry's table rows;
 - its contraction with a (lags x outputs) weight matrix.
 

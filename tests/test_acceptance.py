@@ -169,7 +169,10 @@ def test_criterion_07_bem_consistency():
 
     def max_rel(d, m):
         sol = solve_dirichlet(PARAMS, BOX, _gamma_data(zeta), d_space=d, n_steps=m)
-        return max(abs(sol(xi) - gamma_fs(PARAMS, xi, zeta)) / gamma_fs(PARAMS, xi, zeta) for xi in probes)
+        return max(
+            abs(sol.evaluate([xi])[0] - gamma_fs(PARAMS, xi, zeta)) / gamma_fs(PARAMS, xi, zeta)
+            for xi in probes
+        )
 
     e_coarse = max_rel(6, 8)
     e_fine = max_rel(12, 16)
@@ -185,7 +188,7 @@ def test_criterion_08_capacity_oracle():
         exact = flat_set_capacity(params, [-1.0, -1.0], [1.0, 1.0])
         caps = []
         for d in (16, 32):
-            lattice = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, d)
+            lattice = flat_lattice([-1.0, -1.0], [1.0, 1.0], d)
             caps.append(capacity_lp(params, [lattice])[0].cap_estimate)
         rich = 2.0 * caps[1] - caps[0]
         worst = max(worst, abs(rich - exact) / exact)
@@ -198,7 +201,7 @@ def test_criterion_09_capacity_axioms():
     ok = True
     detail = ""
     # ten random pairs of flat sub-rectangles on a shared lattice
-    pts, times, h, ht = flat_lattice([0.0, 0.0], [1.0, 1.0], 0.0, 12)
+    pts, times, h, ht = flat_lattice([0.0, 0.0], [1.0, 1.0], 12)
     for _ in range(10):
         lo1, lo2 = rng.uniform(0.0, 0.5, 2), rng.uniform(0.0, 0.5, 2)
         hi1, hi2 = lo1 + rng.uniform(0.2, 0.5, 2), lo2 + rng.uniform(0.2, 0.5, 2)
@@ -312,7 +315,7 @@ def test_criterion_12_green_sign_and_reproduction():
     sol_f = solve_dirichlet(PARAMS, box, _gamma_data(zeta), d_space=8, n_steps=12)
 
     def green_fwd(xi):
-        return gamma_fs(PARAMS, xi, zeta) - sol_f(xi)
+        return gamma_fs(PARAMS, xi, zeta) - sol_f.evaluate([xi])[0]
 
     probes = [
         P(x_prime=(0.5,), x=0.7, t=0.3),

@@ -325,7 +325,7 @@ def test_evaluate_matches_pointwise():
         P(x_prime=(0.5,), x=0.7, t=-0.1),  # before t0
     ]
     got = sol.evaluate(points)
-    want = np.array([sol(xi) for xi in points])
+    want = np.array([sol.evaluate([xi])[0] for xi in points])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
     assert got[-1] == got[-2] == sol.offset
 
@@ -539,7 +539,7 @@ def test_constant_data_exact():
 
     sol = solve_dirichlet(PARAMS, BOX, f, d_space=4, n_steps=6)
     for xi in (P(x_prime=(0.5,), x=0.7, t=0.5), P(x_prime=(0.9,), x=1.1, t=0.95)):
-        assert abs(sol(xi) - 2.5) < 1e-12
+        assert abs(sol.evaluate([xi])[0] - 2.5) < 1e-12
 
 
 def test_gamma_data_interior_accuracy():
@@ -552,7 +552,7 @@ def test_gamma_data_interior_accuracy():
     ]
     for xi in probes:
         want = gamma_fs(PARAMS, xi, zeta)
-        assert abs(sol(xi) - want) / want < 1e-2
+        assert abs(sol.evaluate([xi])[0] - want) / want < 1e-2
 
 
 def test_gamma_data_on_plane_box():
@@ -575,7 +575,7 @@ def test_gamma_data_on_plane_box():
         assert np.any(_on_plane(sol.mesh))
         for xi in probes:
             want = gamma_fs(params, xi, zeta)
-            assert abs(sol(xi) - want) / want < 1e-2
+            assert abs(sol.evaluate([xi])[0] - want) / want < 1e-2
 
 
 def test_maximum_principle():
@@ -588,7 +588,7 @@ def test_maximum_principle():
     lo = min(lo, np.min([np.min(s) for s in samples]))
     sol = solve_dirichlet(PARAMS, BOX, f, d_space=6, n_steps=8)
     for xi in (P(x_prime=(0.5,), x=0.7, t=0.5), P(x_prime=(0.2,), x=0.9, t=0.7)):
-        u = sol(xi)
+        u = sol.evaluate([xi])[0]
         assert lo - 1e-3 <= u <= hi + 1e-3
 
 
@@ -725,7 +725,7 @@ def test_classical_reduction_matches_oracle():
     ]
     oracle = _classical_bem_solution(BOX, 6, 8, f, probes)
     sol = solve_dirichlet(params0, BOX, f, d_space=6, n_steps=8)
-    ours = np.array([sol(xi) for xi in probes])
+    ours = np.array([sol.evaluate([xi])[0] for xi in probes])
     assert np.max(np.abs(ours - oracle) / np.abs(oracle)) < 1e-3
 
 
@@ -749,9 +749,9 @@ def test_green_function_sign_and_domination():
     near_lateral = [P(x_prime=(0.04,), x=0.7, t=0.3), P(x_prime=(0.5,), x=1.16, t=0.3)]
     interior_max = 0.0
     for xi in probes:
-        G = gamma_fs(PARAMS, xi, zeta) - sol(xi)
+        G = gamma_fs(PARAMS, xi, zeta) - sol.evaluate([xi])[0]
         interior_max = max(interior_max, G)
         assert -5e-3 <= G <= gamma_fs(PARAMS, xi, zeta) + 5e-3
     for xi in near_lateral:
-        G = gamma_fs(PARAMS, xi, zeta) - sol(xi)
+        G = gamma_fs(PARAMS, xi, zeta) - sol.evaluate([xi])[0]
         assert abs(G) < 0.1 * interior_max

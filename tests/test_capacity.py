@@ -57,7 +57,7 @@ def test_flat_set_lp_refines_toward_oracle():
     exact = flat_set_capacity(params, [-1, -1], [1, 1])
     caps = []
     for d in (8, 16):
-        res = capacity_lp(params, [flat_lattice([-1, -1], [1, 1], 0.0, d)])[0]
+        res = capacity_lp(params, [flat_lattice([-1, -1], [1, 1], d)])[0]
         assert res.max_constraint_violation <= 1e-6
         caps.append(res.cap_estimate)
     # discrete capacity overestimates and decreases under refinement
@@ -143,7 +143,7 @@ def test_empty_set_rejected():
 
 def test_cell_without_time_extent_rejected():
     # every atom is a cell with a time extent; a flat set's lattice carries h^2
-    sp, ts, h, _ = flat_lattice([0.0, 0.0], [1.0, 1.0], 0.0, 10)
+    sp, ts, h, _ = flat_lattice([0.0, 0.0], [1.0, 1.0], 10)
     for h_time in (0.0, -h * h, math.nan):
         with pytest.raises(ValueError, match="positive"):
             capacity_lp(PARAMS, [(sp, ts, h, h_time)])
@@ -164,7 +164,7 @@ def _constraint_set(n, kind):
     if kind == "straddle":
         lo[-1], hi[-1] = -0.4, 0.6
     if kind == "flat-h2":
-        sp, ts, hs, ht = flat_lattice(lo, hi, 0.0, 6 if n == 2 else 4)
+        sp, ts, hs, ht = flat_lattice(lo, hi, 6 if n == 2 else 4)
     elif kind == "scattered":
         # as many points as the box lattice, no two sharing a coordinate or a
         # time.  exp(-r) has condition number r, so a lag far below the cell's
@@ -318,7 +318,7 @@ def test_one_set_build_matches_per_set_reference():
     # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 64
     # chunks with near pairs on both sides of every chunk boundary
     a, lo, _ = BENCH_CAPS[0]
-    lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, 32)
+    lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 32)
     args, js, _ = _check_folded_build(KernelParams(n=2, a=a), lattice)
     assert set(args[-1]) == {2}
     ends = _chunk_ends(args)
@@ -409,7 +409,7 @@ def test_near_entry_profile_points(monkeypatch):
     # a flat 32 x 32 level: the weighted axis has 32 coordinates and 2 row
     # times, so its tables take a few thousand points, not one per entry
     points[0] = 0
-    sp, ts, hs, ht = flat_lattice([-1.0, -1.0], [1.0, 1.0], 0.0, 32)
+    sp, ts, hs, ht = flat_lattice([-1.0, -1.0], [1.0, 1.0], 32)
     cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + ht])
     params = KernelParams(n=2, a=0.3)
     args = _unfolded((cons_sp, cons_t, sp, ts, hs, ht))
@@ -474,7 +474,7 @@ BENCH_CAPS = [
 @pytest.mark.parametrize("a,lo,caps", BENCH_CAPS, ids=["a0.21", "a-0.42", "a0.40-straddle"])
 def test_bench_capacities_match_highs(a, lo, caps):
     for density, want in zip((16, 32), caps):
-        lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 0.0, density)
+        lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], density)
         got = capacity_lp(KernelParams(n=2, a=a), [lattice])[0].cap_estimate
         assert abs(got - want) <= 10 * LP_TOL * want
 
@@ -533,10 +533,10 @@ SQUARES = {
 @pytest.mark.parametrize("a", [-0.9, -0.5, 0.3, 0.9])
 def test_dominated_set_rows_leave_the_lp(a):
     params = KernelParams(n=2, a=a)
-    cases = [(params, name, flat_lattice(*box, 0.0, 16)) for name, box in SQUARES.items()]
+    cases = [(params, name, flat_lattice(*box, 16)) for name, box in SQUARES.items()]
     # an n = 3 cube straddling the plane: Gamma's lag-0 own-cell entry outweighs the
     # collar's, so only some set rows are bounded by their collar rows
-    cube = flat_lattice([-0.5] * 3, [0.5] * 3, 0.0, 6)
+    cube = flat_lattice([-0.5] * 3, [0.5] * 3, 6)
     cases.append((KernelParams(n=3, a=a), "cube", cube))
     for params, name, lattice in cases:
         res = capacity_lp(params, [lattice])[0]
@@ -557,15 +557,15 @@ def test_dominated_set_rows_leave_the_lp(a):
 # lattices whose free axes are mirror-symmetric: params, lattice, folded axes, orbits
 FOLDED = {
     "square-16": (
-        KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 16), (0,), 8 * 16
+        KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 16), (0,), 8 * 16
     ),
     # odd densities leave the middle column its own orbit
     "square-15": (
-        KernelParams(n=2, a=-0.5), flat_lattice([0.0, -1.0], [2.0, 1.0], 0.0, 15), (0,), 8 * 15
+        KernelParams(n=2, a=-0.5), flat_lattice([0.0, -1.0], [2.0, 1.0], 15), (0,), 8 * 15
     ),
     # orbits of 1, 2 and 4 atoms
     "cube-7": (
-        KernelParams(n=3, a=0.3), flat_lattice([-0.5] * 3, [0.5] * 3, 0.0, 7), (0, 1), 4 * 4 * 7
+        KernelParams(n=3, a=0.3), flat_lattice([-0.5] * 3, [0.5] * 3, 7), (0, 1), 4 * 4 * 7
     ),
     # cells of 0.25 x 0.175: both free axes fold although the cells are not square
     "box-1x0.7": (
@@ -614,10 +614,10 @@ def _squared_first_axis(lattice):
 # first atom (a corner), or with the free coordinates unevenly spaced (their
 # ranks are symmetric, their values are not)
 ASYMMETRIC = {
-    "flat-less-one": _without_first_atom(flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 12)),
+    "flat-less-one": _without_first_atom(flat_lattice([0.0, 0.5], [2.0, 2.5], 12)),
     # the collar row of one slice and the set row of the next observe one point
     "box-less-one": _without_first_atom(box_lattice([0.0, 0.5], [1.0, 1.5], 0.0, 0.5, 6)),
-    "flat-uneven": _squared_first_axis(flat_lattice([0.5, 0.5], [1.5, 1.5], 0.0, 10)),
+    "flat-uneven": _squared_first_axis(flat_lattice([0.5, 0.5], [1.5, 1.5], 10)),
 }
 
 
@@ -663,7 +663,7 @@ def test_matrix_estimate_charges_built_rows(monkeypatch):
     # 2^(n-1) orbits) before it builds a lattice
     charged = []
     monkeypatch.setattr(capacity, "check_fits", lambda need, what: charged.append(need))
-    res = capacity_lp(PARAMS, [flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 16)])[0]
+    res = capacity_lp(PARAMS, [flat_lattice([0.0, 0.5], [2.0, 2.5], 16)])[0]
     assert res.lp_cols == 128
     assert charged == [capacity.MATRIX_COPIES * 8.0 * 256 * 128 + chunk_bytes(256)]
     charged.clear()
@@ -693,9 +693,9 @@ def _traced_peak(monkeypatch, params, lattice):
 BOX_LEVEL = box_lattice([0.0, 0.5], [1.0, 1.5], 0.0, 0.5, 10)
 # params, lattice, orbits, bound on the traced peak over the folded rows' bytes
 PEAK_SETS = {
-    "flat-32": (PARAMS, flat_lattice([0.0, 0.5], [2.0, 2.5], 0.0, 32), 512, 1.2),
+    "flat-32": (PARAMS, flat_lattice([0.0, 0.5], [2.0, 2.5], 32), 512, 1.2),
     "cube-12": (
-        KernelParams(n=3, a=0.3), flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 12), 432, 1.4
+        KernelParams(n=3, a=0.3), flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 12), 432, 1.4
     ),
     # a box level's set rows are also compared with their twins' collar rows
     "box-10": (PARAMS, BOX_LEVEL, 500, 1.3),
@@ -722,7 +722,7 @@ CHARGE_SETS = {
     **{name: case[:2] for name, case in PEAK_SETS.items()},
     "cube-10-less-one-a-0.9": (
         KernelParams(n=3, a=-0.9),
-        _without_first_atom(flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 0.0, 10)),
+        _without_first_atom(flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 10)),
     ),
 }
 

@@ -596,6 +596,23 @@ def test_non_finite_envelope_exits_3(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
 
+def test_unusable_out_exits_2(tmp_path, capsys, monkeypatch):
+    # an --out that names a file is refused before the command runs; one whose
+    # parent is a file fails while the outputs are written.  Both exit 2 with one line
+    ran = []
+    command = lambda config: ran.append(config) or ({}, {}, ["k"], [])
+    monkeypatch.setitem(cli._COMMANDS, "kernel", command)
+    notadir = tmp_path / "notadir"
+    notadir.write_text("keep")
+    cfgp = write_cfg(tmp_path, "kernel.json", KERNEL_CFG)
+    for out, runs in ((notadir, 0), (notadir / "sub", 1)):
+        assert main(["kernel", "--config", cfgp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert len(ran) == runs
+    assert notadir.read_text() == "keep"
+
+
 def test_kernel_one_call_over_all_pairs(tmp_path, monkeypatch):
     # 2,000 pairs, causal and acausal, some observations on y = 0:
     # gamma_grad_y_vec runs once, and each row matches the one-pair calls

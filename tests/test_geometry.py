@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degenheat import geometry
+from degenheat import geometry, separable
 from degenheat.geometry import (
     BoxDomain,
     HeatBall,
@@ -109,13 +109,15 @@ def test_sample_volume_self_convergence():
 @pytest.mark.parametrize("budget", [geometry.CHUNK_POINTS, 200])
 def test_concentric_pass_matches_one_ball_passes(budget, monkeypatch):
     # one pass over the outer balls of a series gives each ball the lattice its
-    # own pass gives, the deepest ones after doubling their density, whether
-    # a round tests all lattices in one kernel call, or three at a time and
-    # each lattice of 512 points or more in calls of 200
+    # own pass gives, the deepest ones after doubling their density, whether a
+    # round tabulates all balls in one call per axis, or in calls of at most 200
+    # (cell centre, lag) pairs: at most 12 balls a call at density 4 and 3 at
+    # density 8, and at density 16 one ball split into calls of 12 and 4 centres
     monkeypatch.setattr(geometry, "CHUNK_POINTS", budget)
+    monkeypatch.setattr(separable, "CHUNK_POINTS", budget)
     params = KernelParams(n=2, a=0.3)
     center = SpaceTimePoint(x_prime=(0.5,), x=0.7, t=0.0)
-    balls = [HeatBall(center, 0.5**k, params) for k in range(1, 9)]
+    balls = [HeatBall(center, 0.5**k, params) for k in range(1, 14)]
     samples = heat_ball_samples(balls, 4, 4)
     densified = 0
     for ball, sample in zip(balls, samples):
@@ -135,9 +137,10 @@ def test_concentric_pass_matches_one_ball_passes(budget, monkeypatch):
 
 @pytest.mark.parametrize("n,a,y0,density", [(2, 0.3, 0.7, 48), (3, -0.5, 0.0, 16)])
 def test_sample_charge_bounds_traced_peak(monkeypatch, n, a, y0, density):
-    # one lattice of several chunks (110,592 and 65,536 points) is charged one kernel
-    # call and twice its points, for the lattice and at most as many members, before
-    # it is built; the charge must cover the traced peak and stay near it
+    # one lattice of several chunks (110,592 and 65,536 points) is charged its tables'
+    # kernel call and 8 (2n + 3) bytes a point, for the product, the lattice and at
+    # most as many members, before anything is built; the charge must cover the
+    # traced peak and stay near it
     ball = HeatBall(SpaceTimePoint((0.5,) * (n - 1), y0, 0.0), 0.05, KernelParams(n=n, a=a))
     ball.bounding_box()
     assert density ** (n + 1) > geometry.CHUNK_POINTS
@@ -153,8 +156,8 @@ def test_sample_charge_bounds_traced_peak(monkeypatch, n, a, y0, density):
 
 
 def test_chunked_members_equal_one_call_reference():
-    # concentric balls whose lattices at density 32 hold two chunks each: the members
-    # are those of one kernel call over each ball's whole box lattice
+    # concentric balls whose lattices at density 32 hold two chunks each, a product
+    # formed whole: the members are those of one kernel call over each ball's box lattice
     params = KernelParams(n=2, a=0.3)
     center = SpaceTimePoint(x_prime=(0.5,), x=0.7, t=0.0)
     balls = [HeatBall(center, 0.5**k, params) for k in range(1, 4)]
@@ -166,6 +169,57 @@ def test_chunked_members_equal_one_call_reference():
         assert np.array_equal(sample.spatial, box.spatial[mask])
         assert np.array_equal(sample.times, box.times[mask])
         assert (sample.h_space, sample.h_time) == (box.h_space, box.h_time)
+
+
+def _filtered_box_lattice(ball, density, tries):
+    """The reference pass: Gamma on every point of the ball's box lattice, densified
+    while empty; None if every density is empty."""
+    depth, radius = ball.bounding_box()
+    sp, t0 = ball.center.spatial, ball.center.t
+    for attempt in range(tries):
+        box = box_lattice(sp - radius, sp + radius, t0 - depth, t0, density * 2**attempt)
+        mask = ball.contains_vec(box.spatial, box.times, ball.threshold)
+        if mask.any():
+            return box._replace(spatial=box.spatial[mask], times=box.times[mask])
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 0.3, 0.9])
+def test_members_equal_contains_vec_on_box_lattice(n, a):
+    # the tables' products select bit for bit the points where Gamma, evaluated on the
+    # whole box lattice, exceeds the threshold, on and near y = 0 and off it, after
+    # the same doublings; a series with a ball that stays empty raises
+    params = KernelParams(n=n, a=a)
+    for y0 in (0.0, 0.02, 0.05, 0.7):
+        center = SpaceTimePoint((0.5,) * (n - 1), y0, 0.3)
+        balls = [HeatBall(center, 0.5**k, params) for k in range(1, 7)]
+        want = [_filtered_box_lattice(ball, 4, 3) for ball in balls]
+        found = [ball for ball, ref in zip(balls, want) if ref is not None]
+        samples = heat_ball_samples(found, 4, 3) if found else []
+        for ref, sample in zip([ref for ref in want if ref is not None], samples, strict=True):
+            assert np.array_equal(sample.spatial, ref.spatial)
+            assert np.array_equal(sample.times, ref.times)
+            assert (sample.h_space, sample.h_time) == (ref.h_space, ref.h_time)
+        if len(found) < len(balls):
+            with pytest.raises(RuntimeError, match="no heat-ball samples found at density 16"):
+                heat_ball_samples(balls, 4, 3)
+
+
+def test_empty_lattice_builds_no_box_lattice(monkeypatch):
+    # at density 4 the deepest balls of the series are empty and densify: a ball
+    # builds the box lattice of the one density at which it has members, and none
+    # while it stays empty
+    built, box = [], geometry.box_lattice
+    monkeypatch.setattr(geometry, "box_lattice", lambda *args: built.append(args[-1]) or box(*args))
+    center = SpaceTimePoint(x_prime=(0.5,), x=0.7, t=0.0)
+    balls = [HeatBall(center, 0.5**k, KernelParams(n=2, a=0.3)) for k in range(1, 9)]
+    heat_ball_samples(balls, 4, 4)
+    assert len(built) == len(balls) and max(built) > 4
+    built.clear()
+    with pytest.raises(RuntimeError):
+        heat_ball_samples(balls, 4, 1)
+    assert 0 < len(built) < len(balls)
 
 
 def test_shell_two_sided_membership():

@@ -12,9 +12,11 @@ parameter of a public function or method must be passed, by keyword or
 position, by some call in src/ or bench/, and left out by another, or
 be listed with its reason: a knob that only tests set is a second
 configuration of the same path, and a default that every caller
-overrides is a second value of a setting the CLI already owns.
-Every attribute that src/ sets on self is read somewhere in src/ or
-named in bench/.  README's Python example runs as written.
+overrides is a second value of a setting the CLI already owns.  A
+positional parameter that every call in src/ and bench/ passes as the
+same literal is a constant, and is flagged too.  Every attribute that
+src/ sets on self is read somewhere in src/ or named in bench/.
+README's Python example runs as written.
 """
 from __future__ import annotations
 
@@ -104,24 +106,26 @@ KEPT_KNOBS = {
 }
 
 
+def _functions(tree: ast.Module, module: str):
+    """(qualified name, node, skip) of each public function and method of a public class;
+    skip is 1 where the first parameter is self or cls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    skip = 1 - _decorated(item, "staticmethod")
+                    yield f"{module}.{node.name}.{item.name}", item, skip
+
+
 def _knobs(tree: ast.Module, module: str):
     """(qualified parameter, function name, position or None) of each defaulted parameter.
 
     The position counts the arguments a caller writes: self and cls are skipped,
     and keyword-only parameters have none.
     """
-    funcs = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            funcs.append((f"{module}.{node.name}", node, 0))
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    skip = 1 - _decorated(item, "staticmethod")
-                    funcs.append((f"{module}.{node.name}.{item.name}", item, skip))
-    for qualname, node, skip in funcs:
-        if node.name.startswith("_"):
-            continue
+    for qualname, node, skip in _functions(tree, module):
         args = node.args.posonlyargs + node.args.args
         first = len(args) - len(node.args.defaults)
         for pos in range(first, len(args)):
@@ -132,13 +136,13 @@ def _knobs(tree: ast.Module, module: str):
 
 
 def _calls():
-    """(function name, keywords, positional count) of every call in src/ and bench/."""
+    """(function name, keyword nodes by name, positional nodes) of every call in src/ and bench/."""
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                yield name, {kw.arg for kw in node.keywords}, len(node.args)
+                yield name, {kw.arg: kw.value for kw in node.keywords}, node.args
 
 
 def _knob_faults() -> tuple[set[str], set[str]]:
@@ -149,8 +153,8 @@ def _knob_faults() -> tuple[set[str], set[str]]:
         for qualname, name, pos in _knobs(ast.parse(path.read_text()), path.stem):
             param = qualname.rsplit(".", 1)[-1]
             given = [
-                param in keys or (pos is not None and pos < count)
-                for fname, keys, count in calls
+                param in keys or (pos is not None and pos < len(args))
+                for fname, keys, args in calls
                 if fname == name
             ]
             if not any(given):
@@ -167,6 +171,42 @@ def test_every_default_has_a_caller():
 def test_every_default_is_relied_on():
     # no exemptions: a default that every caller overrides is a value only tests see
     assert _knob_faults()[1] == set()
+
+
+def _literal(node) -> str | None:
+    """repr of the value a literal argument node writes, None for any other node."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (TypeError, ValueError):
+        return None
+
+
+def _one_value_parameters() -> set[str]:
+    """The positional parameters that every call in src/ and bench/ passes as one literal."""
+    calls = list(_calls())
+    flagged = set()
+    for path in SRC:
+        for qualname, node, skip in _functions(ast.parse(path.read_text()), path.stem):
+            params = node.args.posonlyargs + node.args.args
+            for pos, param in enumerate(params[skip:]):
+                # a call passes the parameter at its position, unless a star comes first
+                # and hides it, or by name; any other call passes no literal
+                passed = [
+                    None if any(isinstance(arg, ast.Starred) for arg in args[: pos + 1])
+                    else _literal(args[pos]) if pos < len(args)
+                    else _literal(keys[param.arg]) if param.arg in keys
+                    else None
+                    for fname, keys, args in calls
+                    if fname == node.name
+                ]
+                if passed and None not in passed and len(set(passed)) == 1:
+                    flagged.add(f"{qualname}.{param.arg}")
+    return flagged
+
+
+def test_no_parameter_takes_one_value():
+    # a parameter that every caller sets to the same literal is a constant in disguise
+    assert _one_value_parameters() == set()
 
 
 def _write_only_attributes(src, bench) -> list[str]:

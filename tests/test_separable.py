@@ -124,7 +124,7 @@ def test_dense_gather_equals_per_entry_build_on_a_mesh():
 def test_dense_gather_equals_per_entry_build_on_a_lattice():
     # point sources: a small flat lattice's atoms seen from their collar rows, one
     # cell above in time; each entry is Gamma at the atom, the product of its factors
-    sp, ts, h_space, h_time = flat_lattice([0.0, 0.5], [0.5, 1.0], 0.0, 4)
+    sp, ts, h_space, h_time = flat_lattice([0.0, 0.5], [0.5, 1.0], 4)
     rows_sp, rows_t = sp, ts + h_time
     row_times, row_ti = np.unique(rows_t, return_inverse=True)
     atom_times, atom_ti = np.unique(ts, return_inverse=True)
