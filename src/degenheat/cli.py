@@ -231,10 +231,11 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     box = _box(spec if kind == "box" else {**spec, "t0": 0.0, "t1": 1.0}, params.n)
     density = _count(config.raw.get("density", 16), "capacity density")
     # the fine level has the most atoms: density^n per slice, density slices for a box,
-    # and at best its free axes fold them to atoms / 2^(n-1) orbits; a float product
+    # at best folded to atoms / 2^(n-1) orbits of at most 2 rows each; a float product
     # overflows to inf instead of raising, so a huge density exits 2
     atoms = math.prod([2.0 * density] * (params.n + (kind == "box")))
-    check_matrix_fits(atoms / 2 ** (params.n - 1), atoms)
+    orbits = atoms / 2 ** (params.n - 1)
+    check_matrix_fits(2.0 * orbits, orbits, atoms)
 
     pair = [density, 2 * density]
     # the frame: each lattice starts at time 0

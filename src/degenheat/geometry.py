@@ -78,8 +78,9 @@ def _bounding_boxes(balls: list[HeatBall]) -> tuple[np.ndarray, np.ndarray]:
     The balls share the first one's centre and params.  Each box starts
     from the exact a = 0 box (depth r, radius^2 = 2 n r / e) inflated by
     the (1 + x0^2/r)^{|a|/2} weight correction and a safety factor, then
-    grows by 1.3 while a face probe (9 per axis) lies in its ball; one
-    kernel call per round tests the boxes still growing.
+    grows by 1.3 while a face probe (9 per axis) lies in its ball; each
+    round tests the boxes still growing in kernel calls over as many
+    whole balls' probes as fit in CHUNK_POINTS, or one ball alone.
     """
     ball = balls[0]
     n, a = ball.params.n, ball.params.a
@@ -97,10 +98,12 @@ def _bounding_boxes(balls: list[HeatBall]) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(60):
         offs = np.linspace(-radius[growing], radius[growing], 9, axis=-1)
         times = np.linspace(t0 - depth[growing], t0 - depth[growing] * 1e-12, 9, axis=-1)
-        hit = ball.contains_vec(
-            offs[:, face[:, :n]] + c_sp, times[:, face[:, n]], threshold[growing, None]
-        )
-        growing = growing[np.any(hit, axis=1)]
+        probes = offs[:, face[:, :n]] + c_sp, times[:, face[:, n]], threshold[growing, None]
+        hit = [
+            ball.contains_vec(*(p[g0:g1] for p in probes)).any(axis=1)
+            for g0, g1 in chunks([len(face)] * len(growing), CHUNK_POINTS)
+        ]
+        growing = growing[np.concatenate(hit)]
         if not len(growing):
             return depth, radius
         depth[growing] *= 1.3

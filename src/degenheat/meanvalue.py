@@ -60,15 +60,14 @@ def _section_depth(
     from [depth_ub * 1e-6, depth_ub].  Each kernel call tests evenly
     spaced trial depths over the y-scan and keeps the deepest occupied
     trial and the next one, until the ends are adjacent doubles; the
-    empty end is returned.  The trial count is the square root of the
-    scan's point count, rounded up to a power of two: 32 for 513 points.
-    A call then evaluates about len(ys)^1.5 points (16k, not a full
-    batch) and still narrows the bracket 31-fold, so the ~55 bits down
-    to one ulp take 11-12 calls.
+    empty end is returned.  A call tests as many trials as fit in
+    CHUNK_POINTS points, 31 for 513, and narrows the bracket 30-fold, so
+    the ~55 bits down to one ulp take 11-12 calls; it tests at least 3,
+    the fewest that narrow it.
     """
     w = math.sqrt(2.0 * params.n * depth_ub) + abs(xi0.x)
     ys = xi0.x + np.linspace(-w, w, 513)
-    trials = 1 << math.isqrt(len(ys)).bit_length()
+    trials = max(3, CHUNK_POINTS // len(ys))
     lo, hi = depth_ub * 1e-6, depth_ub
     while np.nextafter(lo, hi) < hi:
         trial = np.linspace(lo, hi, trials)

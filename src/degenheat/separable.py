@@ -13,7 +13,7 @@ the capacity entries take three steps, the heat-ball sampler two:
 
 - table: per axis, the 1-D sums over keys, a key being an observation
   coordinate and a 1-D rule, at lags shared by all keys (BEM's time
-  nodes) or set per key (capacity's snapped class lags, the lift's
+  nodes) or set per key (capacity's class lags, the lift's
   t - t0, the sampler's lags below its pole);
 - the product over axes of each entry's table rows;
 - its contraction with a (lags x outputs) weight matrix.

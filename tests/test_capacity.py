@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenheat import capacity, cli, separable, wiener
+from degenheat import capacity, cli, geometry, separable, wiener
 from degenheat.capacity import (
     AVG_NODES,
     LP_TOL,
@@ -183,17 +183,30 @@ def _constraint_set(n, kind):
     return cons_sp, cons_t, sp, ts, hs, ht
 
 
-def _unfolded(args):
-    """A build over every atom's own column: each atom an orbit of its own."""
-    return (*args, np.ones(len(args[3]), dtype=int))
+def _points(build):
+    """The rows' and the atoms' points of a build, at the values their ranks stand for."""
+    rows, atoms, values, hs, ht, _ = build
+    at = [(np.column_stack([v[r[:, k]] for k, v in enumerate(values[:-1])]), values[-1][r[:, -1]])
+          for r in (rows, atoms)]
+    return (*at[0], *at[1], hs, ht)
+
+
+def _unfolded(cons_sp, cons_t, atom_sp, atom_t, hs, ht):
+    """A build of these rows over every atom's own column, each atom an orbit of its own.
+
+    Rows and atoms are ranked together as capacity_lp ranks a set's points.
+    """
+    sp, t = np.vstack([cons_sp, atom_sp]), np.concatenate([cons_t, atom_t])
+    ranked = [capacity._ranks(c, 1e-9 * hs) for c in sp.T] + [capacity._ranks(t, 1e-9 * ht)]
+    ranks, values = np.column_stack([r for r, _ in ranked]), [v for _, v in ranked]
+    m = len(cons_t)
+    return ranks[:m], ranks[m:], values, hs, ht, np.ones(len(atom_t), dtype=int)
 
 
 def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     """The constraint matrix with every near entry averaged over all tensor nodes."""
     ref = gamma_fs_vec(params, cons_sp[:, None, :], cons_t[:, None], atom_sp[None], atom_t[None])
-    snap = 1e-9 * ht
     dt = cons_t[:, None] - atom_t[None, :]
-    ref[(dt > 0.0) & (dt < snap)] = 0.0
     near = (np.abs(dt) <= NEAR_CELLS * ht) & (
         np.max(np.abs(cons_sp[:, None, :] - atom_sp[None, :, :]), axis=-1) <= NEAR_CELLS * hs
     )
@@ -209,8 +222,6 @@ def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
         atom_sp[is_, None, :] + offsets[None, :, :n],
         src_t,
     )
-    dtq = cons_t[js, None] - src_t
-    gam[(dtq > 0.0) & (dtq < snap)] = 0.0
     ref[js, is_] = np.mean(gam, axis=1)
     return ref, len(js)
 
@@ -220,13 +231,13 @@ def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
 @pytest.mark.parametrize("n", [2, 3])
 def test_constraint_matrix_matches_tensor_rule(n, a, kind):
     params = KernelParams(n=n, a=a)
-    args = _constraint_set(n, kind)
-    A, near_pairs = next(capacity._constraint_matrices(params, [_unfolded(args)]))
-    _check_against_tensor_rule(params, args, A, near_pairs)
+    build = _unfolded(*_constraint_set(n, kind))
+    A, near_pairs = next(capacity._constraint_matrices(params, [build]))
+    _check_against_tensor_rule(params, build, A, near_pairs)
 
 
-def _check_against_tensor_rule(params, args, A, near_pairs):
-    ref, ref_near = _tensor_reference(params, *args)
+def _check_against_tensor_rule(params, build, A, near_pairs):
+    ref, ref_near = _tensor_reference(params, *_points(build))
     assert near_pairs == ref_near > 0
     assert np.array_equal(A != 0.0, ref != 0.0)
     live = ref != 0.0
@@ -237,19 +248,19 @@ def _check_against_tensor_rule(params, args, A, near_pairs):
 @pytest.mark.parametrize("n", [2, 3])
 def test_batched_constraint_matrices_match_tensor_rule(n, a):
     # one call builds the four sets, whose cell sides differ, from shared tables:
-    # each pair takes its own set's snap and node offsets
+    # each pair takes its own set's node offsets
     params = KernelParams(n=n, a=a)
-    sets = [_constraint_set(n, kind) for kind in ("flat-h2", "box", "straddle", "scattered")]
-    built = list(capacity._constraint_matrices(params, [_unfolded(args) for args in sets]))
+    kinds = ("flat-h2", "box", "straddle", "scattered")
+    sets = [_unfolded(*_constraint_set(n, kind)) for kind in kinds]
+    built = list(capacity._constraint_matrices(params, sets))
     assert len(built) == len(sets)
-    for args, (A, near_pairs) in zip(sets, built):
-        _check_against_tensor_rule(params, args, A, near_pairs)
+    for build, (A, near_pairs) in zip(sets, built):
+        _check_against_tensor_rule(params, build, A, near_pairs)
 
 
 def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     """One set's unfolded matrix as a per-set build makes it (broadcast class tables, then node
     means), and the rows and atoms of its near pairs."""
-    snap = 1e-9 * ht
     js, is_ = np.nonzero(
         (np.abs(cons_t[:, None] - atom_t) <= NEAR_CELLS * ht)
         & np.all(np.abs(cons_sp[:, None] - atom_sp) <= NEAR_CELLS * hs, axis=-1)
@@ -261,7 +272,6 @@ def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     def means(weighted, x, t, y, s, off, off_t):
         x, t, y, s = (v[..., None, None] for v in (x, t, y, s))
         dt = t - (s + off_t[:, None])
-        dt = np.where(dt >= snap, dt, 0.0)
         kernel = u_tilde(params, x, y + off, dt) if weighted else heat_kernel_1d(x, y + off, dt)
         return np.mean(kernel, axis=-1)
 
@@ -281,12 +291,11 @@ def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
 
 
 def _folded_build(n, lattice):
-    """capacity_lp's build of a lattice: one atom per orbit's rows over the atoms by orbit."""
+    """capacity_lp's build of a lattice: the distinct set and collar points of one atom per
+    orbit, over the atoms by orbit."""
     sp, ts, hs, ht = lattice
-    orbit, reps, _, _ = capacity._lattice_symmetry(n, sp, ts, hs, ht)
-    order = np.argsort(orbit, kind="stable")
-    return (np.tile(sp[reps], (2, 1)), np.concatenate([ts[reps], ts[reps] + ht]),
-            sp[order], ts[order], hs, ht, np.bincount(orbit))
+    orbit, _, values, rows, atoms, _ = capacity._lattice_symmetry(n, sp, ts, hs, ht)
+    return rows, atoms, values, hs, ht, np.bincount(orbit)
 
 
 def _check_folded_build(params, lattice):
@@ -301,16 +310,16 @@ def _check_folded_build(params, lattice):
     args = _folded_build(params.n, lattice)
     sizes = args[-1]
     A, near_pairs = next(capacity._constraint_matrices(params, [args]))
-    full, js, is_ = _per_set_reference(params, *args[:-1])
+    full, js, is_ = _per_set_reference(params, *_points(args))
     assert near_pairs == len(js)
-    assert A.shape == (2 * len(sizes), len(sizes))
+    assert A.shape == (len(args[0]), len(sizes))
     assert np.array_equal(A, np.add.reduceat(full, np.cumsum(sizes) - sizes, axis=1) / sizes)
     return args, js, is_
 
 
 def _chunk_ends(args):
     """The rows at which a build of these arguments starts a new chunk."""
-    return [hi for _, hi in chunks([len(args[2])] * len(args[0]), CHUNK_POINTS)][:-1]
+    return [hi for _, hi in chunks([len(args[1])] * len(args[0]), CHUNK_POINTS)][:-1]
 
 
 def test_one_set_build_matches_per_set_reference():
@@ -402,7 +411,7 @@ def test_near_entry_profile_points(monkeypatch):
 
     monkeypatch.setattr(separable, "u_tilde", counted)
     params = KernelParams(n=3, a=0.3)
-    args = _unfolded(_constraint_set(3, "box"))
+    args = _unfolded(*_constraint_set(3, "box"))
     A, near_pairs = next(capacity._constraint_matrices(params, [args]))
     assert near_pairs > 0
     assert points[0] <= A.size + 9 * near_pairs
@@ -412,7 +421,7 @@ def test_near_entry_profile_points(monkeypatch):
     sp, ts, hs, ht = flat_lattice([-1.0, -1.0], [1.0, 1.0], 32)
     cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + ht])
     params = KernelParams(n=2, a=0.3)
-    args = _unfolded((cons_sp, cons_t, sp, ts, hs, ht))
+    args = _unfolded(cons_sp, cons_t, sp, ts, hs, ht)
     A, _ = next(capacity._constraint_matrices(params, [args]))
     assert A.shape == (2048, 1024)
     assert points[0] <= 10_000
@@ -480,38 +489,39 @@ def test_bench_capacities_match_highs(a, lo, caps):
 
 
 def _full_row_reference(params, lattice):
-    """The constraint matrix, its set rows that a collar row bounds, and the LP over every row.
+    """The constraint matrix over every point, the atoms whose set row their own collar row
+    bounds, and the LP over every row.
 
-    A set row is bounded by its own collar row, or by the collar row that
-    observes the same point at the same time (a box lattice's previous slice).
+    The atoms and their collar copies are ranked together, and each distinct
+    point is one row: on a box lattice one slice's collar points are the next
+    slice's set points.
     """
     sp, ts, hs, ht = lattice
-    m = len(ts)
-    args = _unfolded((np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht))
-    A, _ = next(capacity._constraint_matrices(params, [args]))
+    rows, *build = _unfolded(np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht)
+    rows, point = np.unique(rows, axis=0, return_inverse=True)
+    A, _ = next(capacity._constraint_matrices(params, [(rows, *build)]))
     assert np.all(np.any(A > 0.0, axis=1))
-    # same[i, j]: atom j's collar row observes atom i's point at atom i's time
-    same = np.all(sp[:, None] == sp[None], axis=-1)
-    same &= np.abs(ts[None] + ht - ts[:, None]) <= 1e-9 * ht
-    twin = np.where(same.any(axis=1), same.argmax(axis=1), np.arange(m))
-    dominated = np.all(A[m:] >= A[:m], axis=1) | np.all(A[m + twin] >= A[:m], axis=1)
+    own, collar = np.split(point.ravel(), 2)
+    dominated = np.all(A[collar] >= A[own], axis=1)
     # a copy, since linprog works on C-ordered rows in place and A is read after it
     return A, dominated, linprog(A_ub=A.copy())
 
 
 def _lp_with_build_spy(monkeypatch, params, lattice):
-    """capacity_lp's result and the rows its _constraint_matrices calls build, one count per set."""
+    """capacity_lp's result, its build's arguments and its matrix before the presolve."""
     build = capacity._constraint_matrices
-    rows = []
+    seen = []
 
     def spy(params, sets):
-        rows.extend(len(cons_sp) for cons_sp, *_ in sets)
-        return build(params, sets)
+        for args, (F, near_pairs) in zip(sets, build(params, sets)):
+            seen.append((args, F.copy()))
+            yield F, near_pairs
 
     with monkeypatch.context() as patched:
         patched.setattr(capacity, "_constraint_matrices", spy)
         res = capacity_lp(params, [lattice])[0]
-    return res, rows
+    (args, F), = seen
+    return res, args, F
 
 
 def _check_against_full_rows(res, A, full):
@@ -554,18 +564,20 @@ def test_dominated_set_rows_leave_the_lp(a):
         _check_against_full_rows(res, A, full)
 
 
-# lattices whose free axes are mirror-symmetric: params, lattice, folded axes, orbits
+# lattices whose free axes are mirror-symmetric: params, lattice, folded axes, orbits,
+# built rows (a flat level's set and collar points are distinct; a box level's
+# collar points are the next slice's set points, but for the last slice's)
 FOLDED = {
     "square-16": (
-        KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 16), (0,), 8 * 16
+        KernelParams(n=2, a=0.3), flat_lattice([0.0, 0.5], [2.0, 2.5], 16), (0,), 8 * 16, 256
     ),
     # odd densities leave the middle column its own orbit
     "square-15": (
-        KernelParams(n=2, a=-0.5), flat_lattice([0.0, -1.0], [2.0, 1.0], 15), (0,), 8 * 15
+        KernelParams(n=2, a=-0.5), flat_lattice([0.0, -1.0], [2.0, 1.0], 15), (0,), 8 * 15, 240
     ),
     # orbits of 1, 2 and 4 atoms
     "cube-7": (
-        KernelParams(n=3, a=0.3), flat_lattice([-0.5] * 3, [0.5] * 3, 7), (0, 1), 4 * 4 * 7
+        KernelParams(n=3, a=0.3), flat_lattice([-0.5] * 3, [0.5] * 3, 7), (0, 1), 4 * 4 * 7, 224
     ),
     # cells of 0.25 x 0.175: both free axes fold although the cells are not square
     "box-1x0.7": (
@@ -573,19 +585,20 @@ FOLDED = {
         box_lattice([0.0, 0.0, 0.2], [1.0, 0.7, 1.2], 0.0, 0.5, 4),
         (0, 1),
         2 * 2 * 4 * 4,
+        64 + 16,
     ),
 }
 
 
 @pytest.mark.parametrize("name", FOLDED)
 def test_mirror_fold_matches_full_rows(name, monkeypatch):
-    params, lattice, axes, orbits = FOLDED[name]
-    res, built = _lp_with_build_spy(monkeypatch, params, lattice)
-    # only the set and collar rows of one atom per orbit are built
-    assert built == [2 * res.lp_cols]
+    params, lattice, axes, orbits, rows = FOLDED[name]
+    res, _, F = _lp_with_build_spy(monkeypatch, params, lattice)
+    # only the distinct set and collar points of one atom per orbit are built
+    assert len(F) == rows
     assert res.mirror_axes == axes
     assert res.lp_cols == orbits
-    assert res.lp_rows + res.dropped_rows == 2 * orbits
+    assert res.lp_rows + res.dropped_rows == rows
     A, _, full = _full_row_reference(params, lattice)
     _check_against_full_rows(res, A, full)
     # the built rows carry every row's potential, so the violation is the
@@ -626,15 +639,76 @@ def test_asymmetric_lattice_does_not_fold(name, monkeypatch):
     params = KernelParams(n=2, a=0.3)
     lattice = ASYMMETRIC[name]
     m = len(lattice[1])
-    res, built = _lp_with_build_spy(monkeypatch, params, lattice)
-    assert built == [2 * res.lp_cols]
+    res, _, F = _lp_with_build_spy(monkeypatch, params, lattice)
     A, dominated, full = _full_row_reference(params, lattice)
+    # a row per distinct point: on the box level 2m less the m - 36 collar points that
+    # are the next slice's set points
+    assert len(F) == len(A) == (m + 36 if name.startswith("box") else 2 * m)
     assert res.mirror_axes == ()
     assert res.lp_cols == m
-    # exactly the set rows that a collar row bounds leave the LP
-    assert res.lp_rows == 2 * m - int(dominated.sum())
-    assert res.lp_rows + res.dropped_rows == 2 * m
+    # exactly the set rows that their own collar row bounds leave the LP
+    assert res.lp_rows == len(A) - int(dominated.sum())
+    assert res.lp_rows + res.dropped_rows == len(A)
     _check_against_full_rows(res, A, full)
+
+
+def _same(p, q, hs, ht):
+    """same[i, j]: the points p[i] and q[j] (coordinates, then time) within 1e-9 of a cell."""
+    cell = np.r_[[hs] * (p.shape[1] - 1), ht]
+    return np.all(np.abs(p[:, None] - q[None]) <= 1e-9 * cell, axis=-1)
+
+
+# a box lattice over t in [0.1, 0.7], whose collar times miss the next slice's in
+# their last bits
+SLICED = box_lattice([0.0, 0.5], [1.0, 1.5], 0.1, 0.7, 6)
+
+
+@pytest.mark.parametrize("kind", ["box", "heat-ball", "wiener-shell"])
+def test_built_rows_are_the_distinct_points(kind, monkeypatch):
+    # one row per distinct point among the set points of each orbit's first atom, then
+    # their collar points: rows within 1e-9 of a cell observe one point, and no two
+    # built rows do
+    params = KernelParams(n=2, a=0.3)
+    if kind == "box":
+        lattice = SLICED
+    elif kind == "heat-ball":
+        ball = geometry.HeatBall(SpaceTimePoint((0.5,), 0.7, 0.0), 0.3, params)
+        lattice = geometry.heat_ball_samples([ball], 10, 1)[0]
+    else:
+        lattice = _bench_wiener_shells(monkeypatch, params)[12]
+    res, args, F = _lp_with_build_spy(monkeypatch, params, lattice)
+    cons_sp, cons_t, atom_sp, atom_t, hs, ht = _points(args)
+    # the atoms sorted by orbit, the first of each orbit, and their collar copies
+    sizes = args[-1]
+    reps = np.column_stack([atom_sp, atom_t])[np.cumsum(sizes) - sizes]
+    points = np.vstack([reps, reps + np.r_[np.zeros(params.n), ht]])
+    first = ~np.any(np.tril(_same(points, points, hs, ht), -1), axis=1)
+    built = np.column_stack([cons_sp, cons_t])
+    assert np.array_equal(_same(built, points[first], hs, ht), np.eye(len(built), dtype=bool))
+    # some collar point is another atom's set point
+    assert len(F) == len(built) == res.lp_rows + res.dropped_rows < 2 * res.lp_cols
+
+
+def test_collided_collar_row_is_the_slice_row(monkeypatch):
+    # nothing folds; every atom above the first slice is the collar point of the atom
+    # below it, whose collar time misses the atom's in its last bits.  Their one row
+    # is at the atom's time, so its lag to that atom is exactly 0: the own-cell entry
+    # is Gamma's mean over the cell's time nodes below the row only
+    params = KernelParams(n=2, a=0.3)
+    lattice = _without_first_atom(SLICED)
+    sp, ts, hs, ht = lattice
+    below = np.flatnonzero(ts < ts.max())
+    assert np.any(ts[below] + ht != ts[below + 1])
+    res, args, F = _lp_with_build_spy(monkeypatch, params, lattice)
+    assert res.mirror_axes == ()
+    (axes, _), classes, _ = capacity._plan(params, *args)
+    merged = below + 1
+    for (rc, ac, _), (_, rt, _, at) in zip(axes, classes):
+        assert np.all(rt[rc[merged]] - at[ac[merged]] == 0.0)
+    ref, _ = _tensor_reference(params, *_points(args))
+    own = F[merged, merged]
+    assert np.max(np.abs(own - ref[merged, merged]) / ref[merged, merged]) <= 1e-13
+    assert len(F) == len(ts) + 36
 
 
 def test_batched_lp_matches_one_set_calls():
@@ -656,23 +730,28 @@ def test_batched_lp_matches_one_set_calls():
                 assert getattr(res, field) == getattr(alone, field), field
 
 
+BOX_LEVEL = box_lattice([0.0, 0.5], [1.0, 1.5], 0.0, 0.5, 10)
+
+
 def test_matrix_estimate_charges_built_rows(monkeypatch):
     # a flat 16 x 16 level folds to 128 orbits: the estimate charges the 256 x 128
-    # folded rows and one chunk of unfolded entries, not the 256 x 256 rows over
-    # all atoms; the capacity command charges its fine level's best fold (atoms /
-    # 2^(n-1) orbits) before it builds a lattice
+    # folded rows, the 128 x 128 normal matrix and one chunk of unfolded entries, not
+    # the 256 x 256 rows over all atoms; a 10 x 10 box level of 10 slices builds 550
+    # rows for its 500 orbits, and the estimate charges those.  The capacity command
+    # charges its fine level's best fold (atoms / 2^(n-1) orbits, twice as many rows)
+    # before it builds a lattice
     charged = []
     monkeypatch.setattr(capacity, "check_fits", lambda need, what: charged.append(need))
-    res = capacity_lp(PARAMS, [flat_lattice([0.0, 0.5], [2.0, 2.5], 16)])[0]
-    assert res.lp_cols == 128
-    assert charged == [capacity.MATRIX_COPIES * 8.0 * 256 * 128 + chunk_bytes(256)]
+    res = capacity_lp(PARAMS, [flat_lattice([0.0, 0.5], [2.0, 2.5], 16), BOX_LEVEL])
+    assert [r.lp_cols for r in res] == [128, 500]
+    assert res[1].lp_rows + res[1].dropped_rows == 550
+    assert charged == [8.0 * (256 + 128) * 128 + chunk_bytes(256),
+                       8.0 * (550 + 500) * 500 + chunk_bytes(1000)]
     charged.clear()
     square = {"kind": "flat", "lo": [0, 0], "hi": [1, 1]}
     cli.cmd_capacity(cli.RunConfig(PARAMS, {"set": square, "density": 2}))
     # the early check on the 4 x 4 fine level, then each level's built rows
-    fold = [
-        capacity.MATRIX_COPIES * 8.0 * 2 * orbits**2 + chunk_bytes(2 * orbits) for orbits in (8, 2)
-    ]
+    fold = [8.0 * (2 * orbits + orbits) * orbits + chunk_bytes(2 * orbits) for orbits in (8, 2)]
     assert charged == [fold[0], fold[1], fold[0]]
 
 
@@ -690,16 +769,17 @@ def _traced_peak(monkeypatch, params, lattice):
     return res, peak, charged[0]
 
 
-BOX_LEVEL = box_lattice([0.0, 0.5], [1.0, 1.5], 0.0, 0.5, 10)
-# params, lattice, orbits, bound on the traced peak over the folded rows' bytes
+# params, lattice, orbits, bound on the traced peak over the bytes of 2 orbits x orbits
+# folded rows
 PEAK_SETS = {
     "flat-32": (PARAMS, flat_lattice([0.0, 0.5], [2.0, 2.5], 32), 512, 1.2),
     "cube-12": (
         KernelParams(n=3, a=0.3), flat_lattice([0.0, 0.0, 0.5], [1.0, 1.0, 1.5], 12), 432, 1.4
     ),
-    # a box level's set rows are also compared with their twins' collar rows
+    # a box level's collar points are the next slice's set points, but for the last
+    # slice's: 550 rows are built
     "box-10": (PARAMS, BOX_LEVEL, 500, 1.3),
-    # nothing folds, and the twin test runs on every row but the first slice's
+    # nothing folds, and 1,099 rows are built
     "box-10-less-one": (PARAMS, _without_first_atom(BOX_LEVEL), 999, 1.2),
 }
 
@@ -708,16 +788,16 @@ def test_folded_level_peak_memory(monkeypatch):
     # the rows are held once: built a chunk at a time with each chunk folded as it
     # is built, compared and moved to the front a chunk at a time, given back past
     # the kept ones, and scaled in place by linprog, beside its normal matrix.
-    # Measured over the bytes of the 2 orbits x orbits folded rows: 1.12, 1.31, 1.20
-    # and 1.12; a second copy of the rows anywhere would reach 2 or more
+    # Measured over the bytes of 2 orbits x orbits folded rows: 1.12, 1.34, 1.11
+    # and 1.04; a second copy of the rows anywhere would reach 2 or more
     for name, (params, lattice, orbits, bound) in PEAK_SETS.items():
         res, peak, _ = _traced_peak(monkeypatch, params, lattice)
         assert res.lp_cols == orbits, name
         assert peak <= bound * 2 * orbits * orbits * 8, (name, peak / (16 * orbits * orbits))
 
 
-# the peak sets, and one from which no row leaves the LP: its 2 orbits x orbits kept
-# rows and orbits x orbits normal matrix are MATRIX_COPIES = 1.5 times the folded rows
+# the peak sets, and one from which no row leaves the LP: it holds all its 2 orbits x
+# orbits built rows beside the orbits x orbits normal matrix
 CHARGE_SETS = {
     **{name: case[:2] for name, case in PEAK_SETS.items()},
     "cube-10-less-one-a-0.9": (
@@ -729,10 +809,10 @@ CHARGE_SETS = {
 
 @pytest.mark.parametrize("name", CHARGE_SETS)
 def test_matrix_charge_bounds_traced_peak(name, monkeypatch):
-    # check_matrix_fits charges MATRIX_COPIES times the folded rows and one chunk
-    # (quadrature.chunk_bytes) before they are built; the charge must cover the
-    # traced peak, and stay near it.  Measured charge over peak: 1.68, 1.54, 1.58,
-    # 1.42 and 1.05.  A flat level keeps half its rows, so its LP holds one copy
+    # check_matrix_fits charges the built rows, the normal matrix and one chunk
+    # (quadrature.chunk_bytes) before the rows are built; the charge must cover the
+    # traced peak, and stay near it.  Measured charge over peak: 1.67, 1.52, 1.30,
+    # 1.11 and 1.04.  A flat level keeps half its rows, so its LP holds one copy
     # where the charge covers the 1.5 of a set from which no row leaves
     params, lattice = CHARGE_SETS[name]
     res, peak, charge = _traced_peak(monkeypatch, params, lattice)

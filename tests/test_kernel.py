@@ -253,6 +253,15 @@ class TestSemigroup:
         params = KernelParams(2, 0.7)
         assert semigroup_residual(params, 0.0, 0.0, 0.5, 0.5) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "a,t,s",
+        [(0.3, 1.0, 1e-4), (0.3, 1e-6, 1.0), (-0.5, 1e-6, 1.0), (0.3, 1e4, 0.2), (0.3, 0.2, 1e4)],
+    )
+    def test_times_far_apart(self, a, t, s):
+        # one factor far narrower than the other: a window sized by the wider one alone
+        # let the narrow peak fall between the nodes of both rules of its first panel
+        assert semigroup_residual(KernelParams(2, a), 0.4, 0.6, t, s) <= 1e-8
+
 
 class TestBoundsSandwich:
     def test_ratios_bounded_over_sample(self):

@@ -173,7 +173,7 @@ def test_solid_mean_kernel_calls(monkeypatch):
     depth_ub, _ = HeatBall(XI0, 0.02, PARAMS).bounding_box()
     log_theta = np.log(heat_ball_threshold(PARAMS, XI0.x, 0.02))
     meanvalue._section_depth(PARAMS, XI0, log_theta, depth_ub)
-    # each call tests 32 trial depths of the bracket
+    # each call tests 31 trial depths of the bracket
     assert 0 < len(calls) <= 12
 
 

@@ -59,7 +59,7 @@ KINDS = {
 @pytest.mark.parametrize("a", [-0.5, 0.3])
 def test_table_equals_direct_node_sums(kind, a):
     # keys of one to three nodes, lags shared by all keys, then lags set per key:
-    # a zero or negative lag (snapped, or acausal) gives 0
+    # a zero or negative lag (a collided collar time, or acausal) gives 0
     params = KernelParams(n=2, a=a)
     axis, normal, nodes = KINDS[kind]
     rng = np.random.default_rng(11)
@@ -79,19 +79,29 @@ def test_table_equals_direct_node_sums(kind, a):
     assert np.all(table(params, axis, normal, *args, per_key)[per_key <= 0.0] == 0.0)
 
 
-def test_snapped_lags_give_zero():
-    # a collar row a few ulps above an atom's slice: capacity snaps the lag to 0,
-    # where the raw kernel at that lag would be huge
-    h = 0.1
-    pair = [np.array([v]) for v in (0.5, h * h * 1e-12, 0.5, 0.0)]
-    far = (*pair, h, h * h, 1e-9 * h * h)
+def test_collided_collar_time_gives_zero():
+    # atoms at one point on the slices 0.1 and 0.3, cells of time extent 0.2: the
+    # first atom's collar time 0.1 + 0.2 misses 0.3 in its last bit.  capacity ranks
+    # it as that slice's time, so the row is the second atom's set row and its lag
+    # to that atom is exactly 0, where the kernel at the raw lag would be huge
+    h, ht = 0.1, 0.2
+    sp, ts = np.full((2, 2), 0.5), np.array([0.1, 0.3])
+    assert 0 < ts[0] + ht - ts[1] < 1e-15
+    _, _, values, rows, atoms, (own, collar) = capacity._lattice_symmetry(2, sp, ts, h, ht)
+    assert len(rows) == 3 and collar[0] == own[1]
+    t, s = values[-1][rows[collar[0], -1]], values[-1][atoms[1, -1]]
+    assert t == s
     zero, nodes = np.zeros(1), legendre_rule(3)[0]
+    x = np.array([0.5])
     for axis in (0, 1):
-        (t,) = capacity._class_tables(PARAMS, axis, [far], zero)
-        assert t.shape == (1, 1) and t[0, 0] == 0.0
-        # the cell's time nodes: the lowest lies well before the row's time, the
-        # middle one at the atom's time is snapped, and the top one is acausal
-        (means,) = capacity._class_tables(PARAMS, axis, [far], nodes)
+        (raw,) = capacity._class_tables(PARAMS, axis, [(x, ts[:1] + ht, x, ts[1:], h, ht)], zero)
+        assert raw[0, 0] > 1e6
+        pair = (x, np.array([t]), x, np.array([s]), h, ht)
+        (far,) = capacity._class_tables(PARAMS, axis, [pair], zero)
+        assert far.shape == (1, 1) and far[0, 0] == 0.0
+        # the cell's time nodes: the lowest lies before the row's time, the middle
+        # one at it, and the top one after it
+        (means,) = capacity._class_tables(PARAMS, axis, [pair], nodes)
         assert means[0, 0] > 0.0 and np.all(means[0, 1:] == 0.0)
 
 
@@ -150,8 +160,8 @@ def test_dense_gather_equals_per_entry_build_on_a_lattice():
 
 
 def test_batch_of_sets_equals_per_set_calls():
-    # the key groups of three sets (different cell sides, so different snaps and
-    # node offsets) from one table call per axis, against a call per set; the
+    # the key groups of three sets (different cell sides, so different node
+    # offsets) from one table call per axis, against a call per set; the
     # profile's term count is set per call, which moves last bits only
     nodes = legendre_rule(3)[0]
     rng = np.random.default_rng(5)
@@ -160,7 +170,7 @@ def test_batch_of_sets_equals_per_set_calls():
         m = 30
         x, y = rng.uniform(0.2, 1.2, m), rng.uniform(0.2, 1.2, m)
         t, s = rng.uniform(0.0, 0.5, m), rng.uniform(0.0, 0.5, m)
-        groups.append((x, t, y, s, h, h * h, 1e-9 * h * h))
+        groups.append((x, t, y, s, h, h * h))
     for axis in (0, 1):
         for offsets in (np.zeros(1), nodes):
             batch = capacity._class_tables(PARAMS, axis, groups, offsets)
