@@ -17,26 +17,31 @@ scheme converges under refinement (discrete capacity overestimates,
 so results are reported with a refinement pair and a Richardson
 estimate).
 
-Points are ranked once per set, on each axis and in time (atom and
-collar times together): values within 1e-9 of a cell count as one and
-take the least, not a grid of h_space, since box cells need not be
-square.  One row is built per distinct point, so a collar time that
+The points of every set of a call are ranked in one pass, on each axis
+and in time (atom and collar times together), the set the leading key:
+values of a set within 1e-9 of its cell count as one and take the
+least, not a grid of h_space, since box cells need not be square.  One row is built per distinct point, so a collar time that
 collides with a slice up to rounding is the slice's time, at a lag of
 exactly 0 from its atoms.  The constraint matrix is a separable integral
-(separable).  A far entry is Gamma at the atom: a dense product of
-per-axis tables over the (coordinate, time) classes of the rows and of
-the atoms, 0 where its lag is not positive.  A near entry, within
+(separable).  A far entry is Gamma at the atom: a product of per-axis
+tables over the pairs of a set's (coordinate, time) classes of the rows
+and of the atoms, 0 where its lag is not positive.  A near entry, within
 NEAR_CELLS cells, is the equal-weight mean of Gamma over the AVG_NODES
 Gauss-Legendre nodes per axis of the atom's cell, time included: a
 product of per-axis node means, which each axis computes once for every
 (row class, atom class) pair within NEAR_CELLS cells in space and in
 time, its close pairs.  The near pairs are found where the far entries
 are built: each chunk of rows ANDs the axes' close pairs.  capacity_lp
-takes a sequence of lattices (the shells of a Wiener series) and builds
-all their tables and node means first, per axis in kernel calls over
-groups of whole sets of at most CHUNK_POINTS points, or one set alone;
-symmetry, presolve and LP stay per set, and each matrix is built only
-when its LP is next.
+takes a sequence of lattices (the shells of a Wiener series): it ranks,
+folds and plans all of them in one pass, builds all their tables and
+node means first, per axis in kernel calls over groups of whole sets of
+at most CHUNK_POINTS points, or one set alone, then builds and presolves
+its matrices once per group of whole sets of at most CHUNK_POINTS
+folded entries (built rows x orbits), or one set alone, each group
+when the previous group's LPs are done.  Each set's rows lie back to
+back in its group's array, and the LPs run one at a time, each on its
+own C-ordered rows; each entry takes the same operations in the same
+order as in a build of its set alone.
 
 The LP (maximise the total mass subject to A x <= 1, x >= 0, with a
 dense A >= 0) is solved by `linprog`, a primal-dual interior-point
@@ -58,8 +63,8 @@ orbit: one row per distinct point among the set points of one atom per
 orbit, then among their collar points (a box lattice's collar points
 are mostly the next slice's set points), and each chunk
 of rows over all atoms gets its near means and has its orbits' columns
-summed into the folded matrix, which is divided by the orbit sizes at
-the end.  Each row's arithmetic is that of a build over all atoms
+summed left to right into the folded matrix and divided by the orbit
+sizes.  Each row's arithmetic is that of a build over all atoms
 folded afterwards, so the result is the same to the bit, but the build
 holds only the folded rows, at most 2 orbits x orbits, and one chunk.  The
 orbit's mass x~_o is spread as x_i = x~_o / |o|.  A flat n = 2 level
@@ -77,7 +82,8 @@ kept row or a row of zeros.  On a flat n = 2 level every set row is
 dominated, so the LP has one row per orbit; at n = 3 Gamma's lag-0
 own-cell entry outweighs the collar's, and most set rows stay.  The
 kept rows are held once: the presolve moves them to the front of the
-built array and gives its tail back, and linprog scales them in place.
+group's built array and gives its tail back, and linprog scales each
+set's in place.
 A dropped row is all zero or bounded entrywise by a kept one, so under
 x >= 0 the reported constraint violation, taken over the kept rows, is
 that of every built row, and so of every row: a row's mirror image has
@@ -96,7 +102,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .params import KernelParams
 from .quadrature import CHUNK_POINTS, check_fits, chunk_bytes, chunks, integrate_weighted_interval
 from .quadrature import legendre_rule
-from .separable import axis_classes, axis_sums, dense_chunks
+from .separable import axis_sums
 
 NEAR_CELLS = 2.5
 AVG_NODES = 3
@@ -133,211 +139,323 @@ class CapacityResult:
     lp_iterations: int
 
 
-def _class_tables(params: KernelParams, axis: int, groups, nodes: np.ndarray) -> list:
+def _class_tables(params: KernelParams, axis: int, x, t, y, s, h_space, h_time, nodes) -> np.ndarray:
     """Gamma's factor on one axis between (x, t) and the nodes (y + off, s + off_t) of each pair.
 
-    Each group is (x, t, y, s, h_space, h_time) of one set's pairs, whose
-    off and off_t are nodes scaled to half its cell sides.  One kernel
-    call (axis_sums) over one-node keys, a pair's spatial nodes, covers
-    all pairs, len(nodes)^2 points a pair; each group gets a (pairs,
-    len(nodes)) array holding at each time node the mean over off.  Nodes
-    whose lag is not positive give 0.
+    A pair's off and off_t are nodes scaled to half its cell sides h_space
+    and h_time (one per pair, or one for all).  One kernel call
+    (axis_sums) over one-node keys, a pair's spatial nodes, covers all
+    pairs, len(nodes)^2 points a pair; returns a (pairs, len(nodes))
+    array holding at each time node the mean over off.  Nodes whose lag
+    is not positive give 0.
     """
-    sizes, k = [len(g[0]) for g in groups], len(nodes)
-    x, t, y, s = (np.concatenate(c) for c in zip(*(g[:4] for g in groups)))
-    h_space, h_time = (np.repeat([g[i] for g in groups], sizes)[:, None] for i in (4, 5))
+    k = len(nodes)
+    h_space, h_time = (np.broadcast_to(h, np.shape(x))[:, None] for h in (h_space, h_time))
     lags = t[:, None] - (s[:, None] + 0.5 * h_time * nodes)
     ys = (y[:, None] + 0.5 * h_space * nodes).ravel()
     x, lags = np.repeat(x, k), np.repeat(lags, k, axis=0)
     vals = axis_sums(params, axis, False, x, ys, np.ones(len(ys)), 1, lags)
-    return np.split(np.mean(vals.reshape(-1, k, k), axis=1), np.cumsum(sizes)[:-1])
+    return np.mean(vals.reshape(-1, k, k), axis=1)
 
 
-def _constraint_matrices(params: KernelParams, sets):
-    """Each set's folded constraint matrix rows x orbits and its near pair count.
+class _Build(NamedTuple):
+    """capacity_lp's sets ranked in one pass (_lattice_symmetry): each axis's and time's
+    distinct values, and the ranks of the built rows and of the atoms by orbit, set by set."""
 
-    sets holds (rows, atoms, values, h_space, h_time, sizes) tuples: the
-    ranks (_rank_points) of the rows' points and of the atoms', sorted by
-    orbit, the values they rank, and the orbits' atom counts.
-    The far entries are a dense product over (row class, atom class)
-    tables (separable.dense_chunks); a near entry is the product of its
-    class pairs' node means, averaged over its time nodes (module doc).
-    Each chunk of rows gets its near entries, then has each orbit's
-    columns averaged into one.  Per axis, the far tables and the node
-    means of the close pairs of all sets are computed before the first
-    set is assembled, in kernel calls over groups of whole sets.
+    values: list
+    rows: np.ndarray
+    row_set: np.ndarray
+    atoms: np.ndarray
+    sizes: np.ndarray
+    orbit_set: np.ndarray
+    h_space: np.ndarray
+    h_time: np.ndarray
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each set's built rows, orbits and atoms."""
+        count = len(self.h_space)
+        orbits = np.bincount(self.orbit_set, minlength=count)
+        atoms = np.add.reduceat(self.sizes, np.cumsum(orbits) - orbits)
+        return np.bincount(self.row_set, minlength=count), orbits, atoms
+
+
+class _Axis(NamedTuple):
+    """One axis's row and atom classes (coordinates, times, each set's first) and each set's
+    pairs (start, count, na atom classes a row); rows and atoms index the pairs (_plan)."""
+
+    rx: np.ndarray
+    rt: np.ndarray
+    ax: np.ndarray
+    at: np.ndarray
+    r0: np.ndarray
+    a0: np.ndarray
+    na: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    close: np.ndarray
+    rows: np.ndarray
+    atoms: np.ndarray
+
+    def pairs(self, g0: int, g1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row class, atom class and set of each pair of the sets g0..g1 - 1."""
+        owner = np.repeat(np.arange(g0, g1), self.count[g0:g1])
+        local = np.arange(len(owner)) - (self.start[owner] - self.start[g0])
+        return self.r0[owner] + local // self.na[owner], self.a0[owner] + local % self.na[owner], owner
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]) back to back."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
+def _constraint_matrices(params: KernelParams, build: _Build, groups):
+    """Each group's folded constraint rows and its sets' near pair counts.
+
+    groups holds (first, stop) ranges of sets, whose rows x orbits lie
+    back to back in one flat array.  Per axis, the far tables over the
+    class pairs (_plan) and the node means of the close ones are computed
+    first, in kernel calls over whole sets of at most CHUNK_POINTS
+    points, or one set alone; each group is assembled (_assemble) when
+    the previous one's LPs are done.
     """
-    plans = [_plan(params, *s) for s in sets]
+    plan = _plan(params, build)
     x, _ = legendre_rule(AVG_NODES)
     tables, means = [], []
+    for k, axis in enumerate(plan):
+        close = np.add.reduceat(axis.close, axis.start, dtype=np.intp)
+        for out, per, nodes in ((tables, axis.count, np.zeros(1)), (means, close, x)):
+            parts = []
+            for g0, g1 in chunks(per * len(nodes) ** 2, CHUNK_POINTS):
+                # a group's pairs are formed for its kernel call only
+                p, q, owner = axis.pairs(g0, g1)
+                if out is means:
+                    pick = axis.close[axis.start[g0] : axis.start[g1 - 1] + axis.count[g1 - 1]]
+                    p, q, owner = p[pick], q[pick], owner[pick]
+                cell = build.h_space[owner], build.h_time[owner]
+                args = axis.rx[p], axis.rt[p], axis.ax[q], axis.at[q], *cell
+                parts.append(_class_tables(params, k, *args, nodes))
+            out.append(np.concatenate(parts))
+    # the close pairs in order, where each pair's node means are looked up
+    keys = [np.flatnonzero(axis.close) for axis in plan]
+    tables = [t.ravel() for t in tables]
+    for g0, g1 in groups:
+        yield _assemble(build, plan, tables, means, keys, g0, g1)
+
+
+def _plan(params: KernelParams, build: _Build) -> list[_Axis]:
+    """Each axis's classes (distinct (coordinate, time) of a set) of the rows and atoms, and pairs.
+
+    A set's pairs are its row classes x its atom classes, row-major; a
+    pair is close within NEAR_CELLS cells on the axis and in time, and a
+    near entry's pair is close on every axis.
+    """
+    count, times = len(build.h_space), len(build.values[-1])
+    atom_set = np.repeat(build.orbit_set, build.sizes)
+    plan = []
     for k in range(params.n):
-        close = [axes[k][2] for (axes, _), _, _ in plans]
-        # the far tables over every class pair, the node means over the close ones, in
-        # kernel calls over whole sets of at most CHUNK_POINTS points, or one set alone
-        every = [np.broadcast_to(True, c.shape) for c in close]
-        for out, masks, nodes in ((tables, every, np.zeros(1)), (means, close, x)):
-            out.append([])
-            sizes = [np.count_nonzero(mask) * len(nodes) ** 2 for mask in masks]
-            for g0, g1 in chunks(sizes, CHUNK_POINTS):
-                group = []
-                for (_, cls, cell), mask in zip(plans[g0:g1], masks[g0:g1]):
-                    (rx, rt, ax, at), (p, q) = cls[k], np.nonzero(mask)
-                    group.append((rx[p], rt[p], ax[q], at[q], *cell))
-                out[-1] += _class_tables(params, k, group, nodes)
-    # yielded in order and popped, so no set's classes or matrix stay referenced here
-    # while its LP runs
-    work = [
-        (*plan, [t[i] for t in tables], [m[i] for m in means])
-        for i, (plan, _, _) in enumerate(plans)
-    ]
-    del plans, tables, means
-    while work:
-        yield _assemble(*work.pop(0))
+        sides = []
+        for ranks, owner in ((build.rows, build.row_set), (build.atoms, atom_set)):
+            keys, cls = np.unique(ranks[:, k] * times + ranks[:, -1], return_inverse=True)
+            sets = np.empty(len(keys), dtype=np.intp)
+            sets[cls] = owner
+            per = np.bincount(sets, minlength=count)
+            first = np.cumsum(per) - per
+            coords = build.values[k][keys // times], build.values[-1][keys % times]
+            sides.append((cls - first[owner], per, first, coords))
+        (rc, nr, r0, (rx, rt)), (ac, na, a0, (ax, at)) = sides
+        start = np.cumsum(nr * na) - nr * na
+        rows = start[build.row_set] + rc * na[build.row_set]
+        axis = _Axis(rx, rt, ax, at, r0, a0, na, start, nr * na, None, rows, ac)
+        p, q, owner = axis.pairs(0, count)
+        close = np.abs(rx[p] - ax[q]) <= NEAR_CELLS * build.h_space[owner]
+        close &= np.abs(rt[p] - at[q]) <= NEAR_CELLS * build.h_time[owner]
+        plan.append(axis._replace(close=close))
+    return plan
 
 
-def _plan(params: KernelParams, rows, atoms, values, h_space: float, h_time: float, sizes):
-    """One set's classes and close class pairs per axis, its orbit sizes and its cell."""
-    axes, classes = [], []
-    for k in range(params.n):
-        rc, rx, rt = axis_classes(values[k][rows[:, k]], rows[:, -1], values[-1])
-        ac, ax, at = axis_classes(values[k][atoms[:, k]], atoms[:, -1], values[-1])
-        # the class pairs within NEAR_CELLS cells on this axis and in time (every class
-        # carries its time): a near entry's pair is close on every axis, and each close
-        # pair gets its node means, in row-major order
-        close = np.abs(rx[:, None] - ax) <= NEAR_CELLS * h_space
-        close &= np.abs(rt[:, None] - at) <= NEAR_CELLS * h_time
-        axes.append((rc, ac, close))
-        classes.append((rx, rt, ax, at))
-    return (axes, sizes), classes, (h_space, h_time)
+def _assemble(build: _Build, plan, tables, means, keys, g0: int, g1: int):
+    """The folded rows of sets g0..g1 - 1 back to back, and their near pair counts.
 
-
-def _assemble(axes, sizes, tables, means) -> tuple[np.ndarray, int]:
-    """One set's folded matrix from its per-axis far tables and near node means, chunk by chunk."""
-    obs, src, close = zip(*axes)
-    keys = [np.flatnonzero(c) for c in close]
-    tables = [t.reshape(c.shape + (1,)) for t, c in zip(tables, close)]
-    F = np.empty((len(obs[0]), len(sizes)))
-    starts, near_pairs = np.cumsum(sizes) - sizes, 0
-    for lo, hi, prod in dense_chunks(tables, obs, src):
-        # the chunk is built over all atoms, its near entries filled from the node means
-        # of their class pairs, then each orbit's columns are summed
-        A = prod[..., 0]
-        near = [c[rc[lo:hi]].take(ac, axis=1) for rc, ac, c in axes]
-        j, i = np.nonzero(np.logical_and.reduce(near))
+    A chunk of whole rows over their sets' atoms gets its far entries, its
+    near ones from their class pairs' node means, and then each orbit's
+    columns summed left to right and divided by its size.
+    """
+    rows, orbits, atoms = build.counts()
+    row_start, orbit_start, atom_start = (np.cumsum(c) - c for c in (rows, orbits, atoms))
+    orbit_atom, r0 = np.cumsum(build.sizes) - build.sizes, row_start[g0]
+    sets = build.row_set[r0 : r0 + np.sum(rows[g0:g1])]
+    width, folded = atoms[sets], orbits[sets]
+    F = np.empty(int(np.sum(folded)))
+    near_pairs = np.zeros(g1 - g0, dtype=np.intp)
+    done = 0
+    # an entry carries its atom and pair besides its value: half a product chunk
+    for lo, hi in chunks(width, CHUNK_POINTS // 2):
+        part, w = sets[lo:hi], width[lo:hi]
+        row, ends = np.arange(r0 + lo, r0 + hi), np.cumsum(w)
+        atom = _ragged(atom_start[part], w)
+        for k, (axis, table) in enumerate(zip(plan, tables)):
+            pair = axis.atoms.take(atom)
+            pair += np.repeat(axis.rows[row], w)
+            if k == 0:
+                A, near = table.take(pair), axis.close.take(pair)
+            else:
+                A *= table.take(pair)
+                near &= axis.close.take(pair)
+            del pair
+        e = np.flatnonzero(near)
+        del near
+        r, atom = np.searchsorted(ends, e, side="right"), atom[e]
         cell = 1.0
-        for (rc, ac, c), key, mean in zip(axes, keys, means):
-            cell = cell * mean[key.searchsorted(rc[lo + j] * c.shape[1] + ac[i])]
+        for axis, mean, key in zip(plan, means, keys):
+            cell = cell * mean[key.searchsorted(axis.rows[row[r]] + axis.atoms[atom])]
         # the mean over the time nodes: their sum, then divided
-        A[j, i] = cell.sum(axis=1) / AVG_NODES
-        near_pairs += len(j)
-        np.add.reduceat(A, starts, axis=1, out=F[lo:hi])
-    F /= sizes
+        A[e] = cell.sum(axis=1) / AVG_NODES
+        near_pairs += np.bincount(part[r] - g0, minlength=g1 - g0)
+        del e, r, atom, cell
+        orbit = _ragged(orbit_start[part], folded[lo:hi])
+        seg = np.repeat(ends - w - atom_start[part], folded[lo:hi])
+        seg += orbit_atom[orbit]
+        out = F[done : done + len(orbit)]
+        np.add.reduceat(A, seg, out=out)
+        del A, seg
+        out /= build.sizes[orbit]
+        done += len(orbit)
     return F, near_pairs
 
 
-def _ranks(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's rank among the distinct values, and those values in order.
-
-    Values within tol of their sorted neighbour count as one.
-    """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new = np.r_[True, np.diff(ordered) > tol]
+def _ranks(values: np.ndarray, sets: np.ndarray, tol: np.ndarray):
+    """Each value's rank among the distinct values of its set sets[i], those values, and where
+    each set's ranks start (and end).  Values of set j within tol[j] of their sorted
+    neighbour count as one; ranks run on from set to set, so a rank tells its set."""
+    order = np.lexsort((values, sets))
+    ordered, owner = values[order], sets[order]
+    new = np.r_[True, (np.diff(ordered) > tol[owner[1:]]) | (owner[1:] != owner[:-1])]
     rank = np.empty(len(values), dtype=np.intp)
     rank[order] = np.cumsum(new) - 1
-    return rank, ordered[new]
+    return rank, ordered[new], np.searchsorted(owner[new], np.arange(len(tol) + 1))
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each distinct row of an int array first occurs, in order, and each row's number."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(len(first), dtype=np.intp)
-    number[order] = np.arange(len(first))
-    return first[order], number[inverse.ravel()]
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Each row's number among the distinct rows of an int array, in lexicographic order."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
+    number = np.empty(len(rows), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return number
 
 
-def _lattice_symmetry(
-    n: int, atom_sp: np.ndarray, atom_t: np.ndarray, h_space: float, h_time: float
-):
-    """The atoms' orbits under the mirror symmetries of their free axes, and the rows to build.
+def _lattice_symmetry(n: int, spatial, times, sets, h_space, h_time):
+    """The atoms' orbits under the mirror symmetries of their sets' free axes, and the rows to build.
 
-    Each point, an atom or its collar copy one cell h_time later, is the
-    tuple of its ranks (_ranks) on the n axes and in time, values within
-    1e-9 of a cell counting as one.  A free axis k < n - 1 folds when its
+    The atoms lie set by set, sets[i] atom i's set.  A point, an atom or
+    its collar copy one cell later, is the tuple of its ranks (_ranks) on
+    the axes and in time.  A free axis k < n - 1 folds in a set when its
     distinct values are symmetric about their midpoint and reversing its
-    ranks maps the atoms onto themselves.  Returns each atom's orbit under
-    the reflections of the folded axes, the folded axes, the distinct
-    values of each axis and of time, the ranks of the rows (one per
-    distinct point among the set points of one atom per orbit, its first,
-    then among their collar points) and of the atoms sorted by orbit, and
-    the rows of those atoms' set points and of their collar points.
+    ranks maps the set's atoms onto themselves.  Returns the build (a row
+    per distinct point among the set points of each orbit's first atom,
+    then their collar points), each atom's orbit, the (n - 1, sets)
+    folded axes, and each orbit's set and collar rows.
     """
-    m = len(atom_sp)
-    ranked = [_ranks(c, 1e-9 * h_space) for c in atom_sp.T]
-    ranked.append(_ranks(np.concatenate([atom_t, atom_t + h_time]), 1e-9 * h_time))
-    ranks = np.column_stack([np.tile(r, 2) for r, _ in ranked[:n]] + [ranked[n][0]])
-    values = [v for _, v in ranked]
-    atoms = ranks[:m]
-    first, axes = np.arange(m), []
+    m, count = len(times), len(h_space)
+    ranked = [_ranks(c, sets, 1e-9 * h_space) for c in spatial.T]
+    ranked.append(_ranks(np.r_[times, times + h_time[sets]], np.r_[sets, sets], 1e-9 * h_time))
+    ranks = np.column_stack([np.tile(r, 2) for r, _, _ in ranked[:n]] + [ranked[n][0]])
+    atoms, images, symmetric = ranks[:m], [], []
+    for k, (_, values, starts) in enumerate(ranked[: n - 1]):
+        lo, hi = starts[:-1], starts[1:] - 1
+        owner = np.repeat(np.arange(count), np.diff(starts))
+        mirror = values[lo][owner] + values[hi][owner] - values[(lo + hi)[owner] - np.arange(len(values))]
+        off = np.maximum.reduceat(np.abs(values - mirror), lo)
+        symmetric.append((hi > lo) & ~(off > 1e-9 * h_space))
+        image = atoms.copy()
+        image[:, k] = (lo + hi)[sets] - atoms[:, k]
+        images.append(image)
+    ids = _distinct(np.vstack([ranks, *images]))
+    # each point's atom, -1 where none lies; a set two of whose atoms share a point does not fold
+    atom_at = np.full(ids.max() + 1, -1)
+    atom_at[ids[:m]] = np.arange(m)
+    shared = np.bincount(sets[np.bincount(ids[:m])[ids[:m]] > 1], minlength=count) > 0
+    first, folded = np.arange(m), np.zeros((n - 1, count), dtype=bool)
     for k in range(n - 1):
-        mirror = values[k][0] + values[k][-1] - values[k][::-1]
-        if len(values[k]) < 2 or np.max(np.abs(values[k] - mirror)) > 1e-9 * h_space:
-            continue
-        mirrored = atoms.copy()
-        mirrored[:, k] = len(values[k]) - 1 - atoms[:, k]
-        _, number = _distinct(np.vstack([atoms, mirrored]))
-        # the atoms are distinct and their images are among them; a reflection is its
-        # own inverse, so the images permute the atoms
-        if np.array_equal(number[:m], np.arange(m)) and np.all(number[m:] < m):
-            # the reflections commute, so this takes the least atom of each orbit
-            first = np.minimum(first, first[number[m:]])
-            axes.append(k)
+        image = atom_at[ids[(2 + k) * m : (3 + k) * m]]
+        folded[k] = symmetric[k] & ~shared & (np.bincount(sets[image < 0], minlength=count) == 0)
+        # the images permute the atoms, and the reflections commute, so this takes the
+        # least atom of each orbit
+        move = folded[k][sets]
+        first[move] = np.minimum(first[move], first[image[move]])
     reps, orbit = np.unique(first, return_inverse=True)
-    points = np.vstack([atoms[reps], ranks[m + reps]])
-    built, number = _distinct(points)
-    order = np.argsort(orbit, kind="stable")
-    return orbit, tuple(axes), values, points[built], atoms[order], np.split(number, 2)
+    orbit_set = sets[reps]
+    per = np.bincount(orbit_set, minlength=count)
+    # each set's reps' set points, then their collar points, set by set
+    own_at = np.arange(len(reps)) + (np.cumsum(per) - per)[orbit_set]
+    collar_at = own_at + per[orbit_set]
+    points = np.empty(2 * len(reps), dtype=np.intp)
+    points[own_at], points[collar_at] = reps, m + reps
+    _, where, number = np.unique(ids[points], return_index=True, return_inverse=True)
+    order = np.argsort(where)
+    row = np.empty(len(order), dtype=np.intp)
+    row[order] = np.arange(len(order))
+    built = points[where[order]]
+    build = _Build(
+        [v for _, v, _ in ranked],
+        ranks[built],
+        np.r_[sets, sets][built],
+        atoms[np.argsort(orbit, kind="stable")],
+        np.bincount(orbit),
+        orbit_set,
+        h_space,
+        h_time,
+    )
+    return build, orbit, folded, row[number[own_at]], row[number[collar_at]]
 
 
-def _keep_binding_rows(F: np.ndarray, own: np.ndarray, collar: np.ndarray) -> None:
-    """Move the rows of F that can bind (module doc) to its front in order, and give the rest back.
+def _keep_binding_rows(F: np.ndarray, cols: np.ndarray, own: np.ndarray, collar: np.ndarray):
+    """Move the rows that can bind (module doc) to the front of F in order, give the rest back.
 
-    own[i] and collar[i] are the rows of an atom's set and collar points.
-    Rows are compared and moved a chunk at a time; F owns its data and no
-    view of it is alive, so it is resized in place.
+    F holds rows back to back, row i's cols[i] entries; own[j] and
+    collar[j] are the rows of an orbit's set and collar points.  Rows are
+    compared and moved a chunk at a time; F owns its data and no view of
+    it is alive, so it is resized in place.  Returns which rows are kept.
     """
-    cols = F.shape[1]
-    step = max(1, CHUNK_POINTS // cols)
-    keep = np.empty(len(F), dtype=bool)
-    for lo in range(0, len(F), step):
-        keep[lo : lo + step] = np.any(F[lo : lo + step] > 0.0, axis=1)
-    for lo in range(0, len(own), step):
-        i, c = own[lo : lo + step], collar[lo : lo + step]
-        keep[i] &= ~np.all(F[c] >= F[i], axis=1)
-    # each kept row moves to an index at or below its own, so a chunk reads no row
+    ends, step = np.cumsum(cols), CHUNK_POINTS // 2
+    starts = ends - cols
+    keep = np.empty(len(cols), dtype=bool)
+    for lo, hi in chunks(cols, step):
+        live = F[starts[lo] : ends[hi - 1]] > 0.0
+        keep[lo:hi] = np.logical_or.reduceat(live, starts[lo:hi] - starts[lo])
+    # a compared entry's two indices take as much as its two values
+    for lo, hi in chunks(cols[own], step):
+        i, c = own[lo:hi], collar[lo:hi]
+        bound = F[_ragged(starts[c], cols[c])] >= F[_ragged(starts[i], cols[i])]
+        keep[i] &= ~np.logical_and.reduceat(bound, np.cumsum(cols[i]) - cols[i])
+    # each kept entry moves to an index at or below its own, so a chunk reads no entry
     # that an earlier chunk overwrote
-    rows = np.flatnonzero(keep)
-    for lo in range(0, len(rows), step):
-        part = rows[lo : lo + step]
-        F[lo : lo + len(part)] = F[part]
-    F.resize((len(rows), cols), refcheck=False)
+    rows, done = np.flatnonzero(keep), 0
+    for lo, hi in chunks(cols[rows], step):
+        part = _ragged(starts[rows[lo:hi]], cols[rows[lo:hi]])
+        F[done : done + len(part)] = F[part]
+        done += len(part)
+    F.resize(done, refcheck=False)
+    return keep
 
 
-def check_matrix_fits(rows: float, orbits: float, atoms: float) -> None:
-    """Raise ValueError if capacity_lp's dense work on atoms in orbits exceeds physical memory.
+def check_matrix_fits(entries: float, orbits: float, atoms: float) -> None:
+    """Raise ValueError if capacity_lp's dense work on a group of sets exceeds physical memory.
 
-    capacity_lp builds rows folded to one column per orbit, rows x orbits
-    float64 entries, and holds them once; its LP holds the kept ones and
-    the orbits x orbits normal matrix, and the build one chunk of rows
-    over all atoms besides (quadrature.chunk_bytes).  Measured with
-    tracemalloc on one set, the peak is 1.12 times the built rows on a
-    flat 32 x 32 level (a = 0.3, half the rows kept), 1.34 on a 12^3
-    cube, 2.02 on a 10 x 10 x 10 box level whose 550 rows are little more
-    than its 500 orbits, and 1.54 on a 10^3 cube less one atom at a =
-    -0.9, where no row leaves its LP.
+    capacity_lp builds a group's rows folded to one column per orbit,
+    entries float64 entries in all, and holds them once; its LPs run one
+    at a time, each on its kept rows and an orbits x orbits normal matrix
+    (orbits the group's largest LP's), and the build holds one chunk of
+    rows over their sets' atoms besides (quadrature.chunk_bytes, atoms
+    the widest set's).  Measured with tracemalloc on one set, the peak is
+    1.12 times the built rows on a flat 32 x 32 level (a = 0.3, half the
+    rows kept), 1.34 on a 12^3 cube, 2.02 on a 10 x 10 x 10 box level
+    whose 550 rows are little more than its 500 orbits, and 1.54 on a
+    10^3 cube less one atom at a = -0.9, where no row leaves its LP.
     """
-    need = 8.0 * (rows + orbits) * orbits + chunk_bytes(atoms)
+    need = 8.0 * (entries + orbits * orbits) + chunk_bytes(atoms)
     check_fits(need, f"capacity matrix for {atoms:.4g} atoms")
 
 
@@ -467,6 +585,14 @@ def linprog(*, A_ub: np.ndarray) -> LPResult:
     raise RuntimeError(f"capacity LP did not converge in {LP_MAX_ITERATIONS} iterations")
 
 
+class LPError(RuntimeError):
+    """linprog's failure on lattice `index` of a capacity_lp call, an LP of rows x cols."""
+
+    def __init__(self, message: str, index: int, rows: int, cols: int) -> None:
+        super().__init__(message)
+        self.index, self.rows, self.cols = index, rows, cols
+
+
 def capacity_lp(params: KernelParams, lattices) -> list[CapacityResult]:
     """Equilibrium-measure LP of each lattice: max total mass s.t. potential <= 1.
 
@@ -482,52 +608,69 @@ def capacity_lp(params: KernelParams, lattices) -> list[CapacityResult]:
     and dropped_rows count the built rows kept and left out.  The orbit's
     mass is spread evenly over its atoms.  max_constraint_violation is
     the largest potential minus 1 over the kept rows, which bound the
-    dropped ones and by the symmetry carry every row's potential.  An
-    empty set or a side that is not positive (0, negative or NaN) raises
-    ValueError.
+    dropped ones and by the symmetry carry every row's potential.  The
+    lattices are ranked and planned in one pass, and built and presolved
+    in groups of whole lattices of at most CHUNK_POINTS folded entries,
+    or one alone; the LPs run one at a time, each on its own C-ordered
+    rows.  An empty set or a side that is not positive (0, negative or
+    NaN) raises ValueError, and an LP that fails raises LPError, a
+    RuntimeError naming the lattice and its LP size.
     """
-    sets, builds = [], []
+    spatial, times, cells = [], [], []
     for set_spatial, set_times, h_space, h_time in lattices:
-        atom_sp = np.atleast_2d(np.asarray(set_spatial, dtype=float))
-        atom_t = np.asarray(set_times, dtype=float)
-        if len(atom_t) == 0:
+        spatial.append(np.atleast_2d(np.asarray(set_spatial, dtype=float)))
+        times.append(np.asarray(set_times, dtype=float))
+        if len(times[-1]) == 0:
             raise ValueError("set_points must be nonempty")
         if not (h_space > 0.0 and h_time > 0.0):
             raise ValueError(f"cell sides must be positive, got {h_space!r} and {h_time!r}")
-        orbit, axes, values, rows, atoms, own_collar = _lattice_symmetry(
-            params.n, atom_sp, atom_t, h_space, h_time
-        )
-        sizes = np.bincount(orbit)
-        check_matrix_fits(len(rows), len(sizes), len(atom_t))
-        # the atoms sorted by orbit, so that each orbit's columns sit next to each other
-        builds.append((rows, atoms, values, h_space, h_time, sizes))
-        sets.append((atom_sp, atom_t, orbit, sizes, axes, own_collar, len(rows)))
-    matrices = _constraint_matrices(params, builds)
+        cells.append((h_space, h_time))
+    if not cells:
+        return []
+    h_space, h_time = np.array(cells, dtype=float).T
+    sets = np.repeat(np.arange(len(times)), [len(t) for t in times])
+    build, orbit, folded, own, collar = _lattice_symmetry(
+        params.n, np.concatenate(spatial), np.concatenate(times), sets, h_space, h_time
+    )
+    rows, orbits, atoms = build.counts()
+    groups = list(chunks(rows * orbits, CHUNK_POINTS))
+    for g0, g1 in groups:
+        check_matrix_fits(np.sum(rows[g0:g1] * orbits[g0:g1]), max(orbits[g0:g1]), max(atoms[g0:g1]))
+    row_start, orbit_start, atom_start = (np.r_[0, np.cumsum(c)] for c in (rows, orbits, atoms))
     results = []
-    for atom_sp, atom_t, orbit, sizes, axes, (own, collar), built in sets:
-        F, near_pairs = next(matrices)
-        _keep_binding_rows(F, own, collar)
-        x, nit, scale = linprog(A_ub=F)
-        masses = x[orbit] / sizes[orbit]
-        # a mirror image of a built row has its potential under orbit-constant masses,
-        # a folded row times x is its unfolded row times masses, and a dropped row's
-        # potential is 0 or at most that of the kept row that bounds it.  scipy's dgemv
-        # (the BLAS linprog used) reads the transpose of the C-ordered rows as they lie
-        violation = float(np.max(dgemv(scale, F.T, x, trans=1))) - 1.0
-        results.append(
-            CapacityResult(
-                cap_estimate=float(np.sum(masses)),
-                equilibrium=DiscreteMeasure(atom_sp, atom_t, masses),
-                max_constraint_violation=violation,
-                lp_rows=len(F),
-                lp_cols=len(sizes),
-                dropped_rows=built - len(F),
-                mirror_axes=axes,
-                near_pairs=near_pairs,
-                lp_iterations=nit,
+    for (g0, g1), (F, near_pairs) in zip(groups, _constraint_matrices(params, build, groups)):
+        r0, o0, o1 = row_start[g0], orbit_start[g0], orbit_start[g1]
+        part = build.row_set[r0 : row_start[g1]]
+        keep = _keep_binding_rows(F, orbits[part], own[o0:o1] - r0, collar[o0:o1] - r0)
+        kept = np.bincount(part[keep] - g0, minlength=g1 - g0)
+        ends = np.cumsum(kept * orbits[g0:g1])
+        for i, s in enumerate(range(g0, g1)):
+            A = F[ends[i] - kept[i] * orbits[s] : ends[i]].reshape(kept[i], orbits[s])
+            try:
+                x, nit, scale = linprog(A_ub=A)
+            except RuntimeError as exc:
+                raise LPError(str(exc), s, *A.shape) from exc
+            local = orbit[atom_start[s] : atom_start[s + 1]] - orbit_start[s]
+            masses = x[local] / build.sizes[orbit_start[s] :][local]
+            # a mirror image of a built row has its potential under orbit-constant masses,
+            # a folded row times x is its unfolded row times masses, and a dropped row's
+            # potential is 0 or at most that of the kept row that bounds it.  scipy's dgemv
+            # (the BLAS linprog used) reads the transpose of the C-ordered rows as they lie
+            violation = float(np.max(dgemv(scale, A.T, x, trans=1))) - 1.0
+            results.append(
+                CapacityResult(
+                    cap_estimate=float(np.sum(masses)),
+                    equilibrium=DiscreteMeasure(spatial[s], times[s], masses),
+                    max_constraint_violation=violation,
+                    lp_rows=len(A),
+                    lp_cols=int(orbits[s]),
+                    dropped_rows=int(rows[s] - len(A)),
+                    mirror_axes=tuple(int(k) for k in np.flatnonzero(folded[:, s])),
+                    near_pairs=int(near_pairs[i]),
+                    lp_iterations=nit,
+                )
             )
-        )
-        del F
+        del F, A
     return results
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .bem import solve_dirichlet, u0_identity
-from .capacity import capacity_lp, check_matrix_fits, flat_set_capacity, lp_report
+from .capacity import LPError, capacity_lp, check_matrix_fits, flat_set_capacity, lp_report
 from .geometry import BoxDomain
 from .kernel import (
     bounds_sandwich,
@@ -235,7 +235,7 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
     # overflows to inf instead of raising, so a huge density exits 2
     atoms = math.prod([2.0 * density] * (params.n + (kind == "box")))
     orbits = atoms / 2 ** (params.n - 1)
-    check_matrix_fits(2.0 * orbits, orbits, atoms)
+    check_matrix_fits(2.0 * orbits * orbits, orbits, atoms)
 
     pair = [density, 2 * density]
     # the frame: each lattice starts at time 0
@@ -243,7 +243,12 @@ def cmd_capacity(config: RunConfig) -> tuple[dict, dict, list, list]:
         lattices = [flat_lattice(box.lo, box.hi, dens) for dens in pair]
     else:
         lattices = [box_lattice(box.lo, box.hi, 0.0, box.t1 - box.t0, dens) for dens in pair]
-    levels = capacity_lp(params, lattices)
+    try:
+        levels = capacity_lp(params, lattices)
+    except LPError as exc:
+        raise RuntimeError(
+            f"{exc} on the density {pair[exc.index]} level ({exc.rows} rows x {exc.cols} orbits)"
+        ) from exc
     coarse, fine = (res.cap_estimate for res in levels)
     extrapolated = 2.0 * fine - coarse
     oracle = flat_set_capacity(params, box.lo, box.hi) if kind == "flat" else math.nan
@@ -281,6 +286,10 @@ def cmd_wiener(config: RunConfig) -> tuple[dict, dict, list, list]:
         {
             "thresholds": report.thresholds,
             "shells": [{"k": row["k"], **row["lp"]} for row in report.terms],
+            "sweep": {
+                lv: [{k: v for k, v in row.items() if k != "lp"} | row["lp"] for row in rows]
+                for lv, rows in report.sweep_terms.items()
+            },
         },
         ["lambda", "k", "cap", "weight", "term", "partial_sum"],
         rows,

@@ -19,11 +19,12 @@ the capacity entries take three steps, the heat-ball sampler two:
 - its contraction with a (lags x outputs) weight matrix.
 
 A dense operator (BEM's blocks and the standard cells of a point
-evaluation, capacity's far entries) is indexed by observation class x
-source class: axis k's table holds every pair of its observation
+evaluation) is indexed by observation class x source class: axis k's table holds every pair of its observation
 classes (a coordinate, or a coordinate and a time) and source classes
 (a 1-D rule, or a point and a time), and an entry gathers the row of
-its pair on each axis (dense_chunks), so no key is formed per entry.
+its pair on each axis (dense_chunks), so no key is formed per entry;
+capacity's far entries gather their class pairs the same way, from
+the flat tables of a group of sets.
 Sparse entries (BEM's refined near cells) take a table row per key.
 Products go in chunks of at most quadrature.CHUNK_POINTS points, and so
 do the kernel calls of a table.  axis_sums is one kernel call: capacity

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .capacity import CapacityResult, capacity_lp, lp_report
+from .capacity import CapacityResult, LPError, capacity_lp, lp_report
 from .geometry import HeatBall, Shell, heat_ball_samples, heat_ball_threshold
 from .params import KernelParams, SpaceTimePoint, number, numbers
 
@@ -175,7 +175,8 @@ def shell_terms(
     balls share one heat_ball_samples pass.  A shell keeps the atoms of
     its outer ball's lattice in the shell and outside the domain; the
     lattice doubles its density up to three times while it is empty (the
-    certified bounding box is loose for deep shells).
+    certified bounding box is loose for deep shells).  An LP that fails
+    raises RuntimeError naming its shell (lambda, k) and LP size.
     """
     pole = SpaceTimePoint(xi0.x_prime, xi0.x, 0.0)  # the pole's time frame
     shells = [Shell(pole, lam, k, params) for lam, k in pairs]
@@ -185,7 +186,15 @@ def shell_terms(
         keep = shell.contains_vec(sample.spatial, sample.times)
         keep &= ~domain.contains_vec(sample.spatial, sample.times + xi0.t)
         sets.append(sample._replace(spatial=sample.spatial[keep], times=sample.times[keep]))
-    results = iter(capacity_lp(params, [s for s in sets if len(s.times)]))
+    solved = [shell for shell, s in zip(shells, sets) if len(s.times)]
+    try:
+        results = iter(capacity_lp(params, [s for s in sets if len(s.times)]))
+    except LPError as exc:
+        shell = solved[exc.index]
+        raise RuntimeError(
+            f"{exc} on shell lambda = {shell.lam:g}, k = {shell.k} "
+            f"({exc.rows} rows x {exc.cols} orbits)"
+        ) from exc
     return [
         shell_term(params, xi0.x, shell.lam, shell.k, next(results) if len(s.times) else None)
         for shell, s in zip(shells, sets)
@@ -199,6 +208,7 @@ class WienerReport:
     partial_sums: list
     verdict: str
     thresholds: dict
+    sweep_terms: dict
     lambda_sweep: dict = field(default_factory=dict)
 
 
@@ -256,7 +266,7 @@ def wiener_series(
 
     Each row of terms holds k, cap, weight, term and lp, the lp_report
     of the shell's capacity LP.  The sweep argument lists extra lambda
-    values; their verdicts are reported alongside (the true series
+    values; their rows (sweep_terms) and verdicts are reported alongside (the true series
     diverges for one lambda exactly when it diverges for all).  The
     shells of lambda and of each distinct sweep value go to one
     shell_terms call.  A k_max at which the inner level of a last shell
@@ -284,10 +294,14 @@ def wiener_series(
     results = shell_terms(params, xi0, [(lv, k) for lv in lams for k in ks], domain, density)
     terms = [term for _, _, term, _ in results]
     verdicts = {lv: classify_terms(terms[i * k_max : (i + 1) * k_max]) for i, lv in enumerate(lams)}
-    rows = [
-        {"k": k, "cap": cap, "weight": weight, "term": term, "lp": lp_report(res)}
-        for k, (cap, weight, term, res) in zip(ks, results)
-    ]
+    series = {
+        lv: [
+            {"k": k, "cap": cap, "weight": weight, "term": term, "lp": lp_report(res)}
+            for k, (cap, weight, term, res) in zip(ks, results[i * k_max : (i + 1) * k_max])
+        ]
+        for i, lv in enumerate(lams)
+    }
+    rows = series[lam]
     return WienerReport(
         lam=lam,
         terms=rows,
@@ -300,6 +314,7 @@ def wiener_series(
             "conv_r2": CONV_R2,
             "term_floor": TERM_FLOOR,
         },
+        sweep_terms={lv: series[lv] for lv in sweep},
         lambda_sweep={lv: verdicts[lv] for lv in sweep},
     )
 

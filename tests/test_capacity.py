@@ -20,6 +20,7 @@ from degenheat.capacity import (
     DiscreteMeasure,
     capacity_lp,
     flat_set_capacity,
+    lp_report,
     linprog,
     weighted_ball_volume,
 )
@@ -183,24 +184,43 @@ def _constraint_set(n, kind):
     return cons_sp, cons_t, sp, ts, hs, ht
 
 
-def _points(build):
-    """The rows' and the atoms' points of a build, at the values their ranks stand for."""
-    rows, atoms, values, hs, ht, _ = build
+def _points(build, s=0):
+    """Set s's rows' and atoms' points of a build, at the values their ranks stand for."""
+    values = build.values
+    atom_set = np.repeat(build.orbit_set, build.sizes)
     at = [(np.column_stack([v[r[:, k]] for k, v in enumerate(values[:-1])]), values[-1][r[:, -1]])
-          for r in (rows, atoms)]
-    return (*at[0], *at[1], hs, ht)
+          for r in (build.rows[build.row_set == s], build.atoms[atom_set == s])]
+    return (*at[0], *at[1], build.h_space[s], build.h_time[s])
 
 
-def _unfolded(cons_sp, cons_t, atom_sp, atom_t, hs, ht):
-    """A build of these rows over every atom's own column, each atom an orbit of its own.
+def _unfolded(*sets):
+    """A build of each set's rows over every atom's own column, each atom an orbit of its own.
 
-    Rows and atoms are ranked together as capacity_lp ranks a set's points.
+    Each set is (cons_sp, cons_t, atom_sp, atom_t, hs, ht); its rows and atoms are ranked
+    together as capacity_lp ranks a set's points.
     """
-    sp, t = np.vstack([cons_sp, atom_sp]), np.concatenate([cons_t, atom_t])
-    ranked = [capacity._ranks(c, 1e-9 * hs) for c in sp.T] + [capacity._ranks(t, 1e-9 * ht)]
-    ranks, values = np.column_stack([r for r, _ in ranked]), [v for _, v in ranked]
-    m = len(cons_t)
-    return ranks[:m], ranks[m:], values, hs, ht, np.ones(len(atom_t), dtype=int)
+    cons = [(s[0], s[1]) for s in sets] + [(s[2], s[3]) for s in sets]
+    owner = np.repeat(np.arange(2 * len(sets)) % len(sets), [len(t) for _, t in cons])
+    sp, t = np.vstack([c for c, _ in cons]), np.concatenate([t for _, t in cons])
+    hs, ht = (np.array([s[i] for s in sets], dtype=float) for i in (4, 5))
+    ranked = [capacity._ranks(c, owner, 1e-9 * hs) for c in sp.T]
+    ranked.append(capacity._ranks(t, owner, 1e-9 * ht))
+    ranks, values = np.column_stack([r for r, _, _ in ranked]), [v for _, v, _ in ranked]
+    m, atoms = sum(len(s[1]) for s in sets), owner[sum(len(s[1]) for s in sets):]
+    ones = np.ones(len(atoms), dtype=int)
+    return capacity._Build(values, ranks[:m], owner[:m], ranks[m:], ones, atoms, hs, ht)
+
+
+def _matrices(params, build):
+    """Each set's folded matrix rows x orbits and its near pair count, as capacity_lp groups them."""
+    rows, orbits, _ = build.counts()
+    groups = list(chunks(rows * orbits, CHUNK_POINTS))
+    out = []
+    for (g0, g1), (F, near) in zip(groups, capacity._constraint_matrices(params, build, groups)):
+        ends = np.cumsum(rows[g0:g1] * orbits[g0:g1])
+        for end, r, o, pairs in zip(ends, rows[g0:g1], orbits[g0:g1], near):
+            out.append((F[end - r * o : end].reshape(r, o), pairs))
+    return out
 
 
 def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
@@ -231,13 +251,13 @@ def _tensor_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
 @pytest.mark.parametrize("n", [2, 3])
 def test_constraint_matrix_matches_tensor_rule(n, a, kind):
     params = KernelParams(n=n, a=a)
-    build = _unfolded(*_constraint_set(n, kind))
-    A, near_pairs = next(capacity._constraint_matrices(params, [build]))
+    build = _unfolded(_constraint_set(n, kind))
+    (A, near_pairs), = _matrices(params, build)
     _check_against_tensor_rule(params, build, A, near_pairs)
 
 
-def _check_against_tensor_rule(params, build, A, near_pairs):
-    ref, ref_near = _tensor_reference(params, *_points(build))
+def _check_against_tensor_rule(params, build, A, near_pairs, s=0):
+    ref, ref_near = _tensor_reference(params, *_points(build, s))
     assert near_pairs == ref_near > 0
     assert np.array_equal(A != 0.0, ref != 0.0)
     live = ref != 0.0
@@ -251,11 +271,11 @@ def test_batched_constraint_matrices_match_tensor_rule(n, a):
     # each pair takes its own set's node offsets
     params = KernelParams(n=n, a=a)
     kinds = ("flat-h2", "box", "straddle", "scattered")
-    sets = [_unfolded(*_constraint_set(n, kind)) for kind in kinds]
-    built = list(capacity._constraint_matrices(params, sets))
-    assert len(built) == len(sets)
-    for build, (A, near_pairs) in zip(sets, built):
-        _check_against_tensor_rule(params, build, A, near_pairs)
+    build = _unfolded(*(_constraint_set(n, kind) for kind in kinds))
+    built = _matrices(params, build)
+    assert len(built) == len(kinds)
+    for s, (A, near_pairs) in enumerate(built):
+        _check_against_tensor_rule(params, build, A, near_pairs, s)
 
 
 def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
@@ -290,61 +310,64 @@ def _per_set_reference(params, cons_sp, cons_t, atom_sp, atom_t, hs, ht):
     return A, js, is_
 
 
-def _folded_build(n, lattice):
-    """capacity_lp's build of a lattice: the distinct set and collar points of one atom per
-    orbit, over the atoms by orbit."""
-    sp, ts, hs, ht = lattice
-    orbit, _, values, rows, atoms, _ = capacity._lattice_symmetry(n, sp, ts, hs, ht)
-    return rows, atoms, values, hs, ht, np.bincount(orbit)
+def _folded_build(n, lattices):
+    """capacity_lp's one-pass build of the lattices: the distinct set and collar points of one
+    atom per orbit, over the atoms by orbit, set by set."""
+    sets = np.repeat(np.arange(len(lattices)), [len(lat[1]) for lat in lattices])
+    sp, ts = (np.concatenate([lat[i] for lat in lattices]) for i in (0, 1))
+    hs, ht = (np.array([lat[i] for lat in lattices], dtype=float) for i in (2, 3))
+    return capacity._lattice_symmetry(n, sp, ts, sets, hs, ht)[0]
 
 
-def _check_folded_build(params, lattice):
-    """Assert that one set's folded build equals its per-set reference folded by reduceat / sizes.
+def _check_folded_build(params, lattices):
+    """Assert that each set's folded build equals its per-set reference folded by reduceat / sizes.
 
-    A call on one set computes each table entry and node mean from the same
-    values in the same order as a per-set broadcast build, and folds each
-    row as reduceat over the whole matrix does, so the matrix is equal to
-    the bit, and so is everything the LP computes from it.  Returns the
-    build's arguments and the rows and atoms of its near pairs.
+    One call on the sets computes each table entry and node mean from the
+    same values in the same order as a per-set broadcast build, and folds
+    each row as reduceat over the whole matrix does, so the matrix is equal
+    to the bit, and so is everything the LP computes from it.  Returns the
+    build and each set's rows and atoms of its near pairs.
     """
-    args = _folded_build(params.n, lattice)
-    sizes = args[-1]
-    A, near_pairs = next(capacity._constraint_matrices(params, [args]))
-    full, js, is_ = _per_set_reference(params, *_points(args))
-    assert near_pairs == len(js)
-    assert A.shape == (len(args[0]), len(sizes))
-    assert np.array_equal(A, np.add.reduceat(full, np.cumsum(sizes) - sizes, axis=1) / sizes)
-    return args, js, is_
+    build = _folded_build(params.n, lattices)
+    near = []
+    for s, (A, near_pairs) in enumerate(_matrices(params, build)):
+        full, js, is_ = _per_set_reference(params, *_points(build, s))
+        sizes = build.sizes[build.orbit_set == s]
+        assert near_pairs == len(js)
+        assert A.shape == (np.sum(build.row_set == s), len(sizes))
+        assert np.array_equal(A, np.add.reduceat(full, np.cumsum(sizes) - sizes, axis=1) / sizes)
+        near.append((js, is_))
+    return build, near
 
 
-def _chunk_ends(args):
-    """The rows at which a build of these arguments starts a new chunk."""
-    return [hi for _, hi in chunks([len(args[1])] * len(args[0]), CHUNK_POINTS)][:-1]
+def _chunk_ends(build):
+    """The rows at which the build of one set starts a new chunk."""
+    return [hi for _, hi in chunks([np.sum(build.sizes)] * len(build.rows), CHUNK_POINTS // 2)][:-1]
 
 
 def test_one_set_build_matches_per_set_reference():
     # the folded rows of the bench's fine level (the first BENCH_CAPS config at
-    # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 64
+    # density 32): orbits of 2 atoms, whose 1024 rows x 1024 atoms are built in 128
     # chunks with near pairs on both sides of every chunk boundary
     a, lo, _ = BENCH_CAPS[0]
     lattice = flat_lattice(lo, [lo[0] + 2.0, lo[1] + 2.0], 32)
-    args, js, _ = _check_folded_build(KernelParams(n=2, a=a), lattice)
-    assert set(args[-1]) == {2}
-    ends = _chunk_ends(args)
-    assert len(ends) == 63
+    build, ((js, _),) = _check_folded_build(KernelParams(n=2, a=a), [lattice])
+    assert set(build.sizes) == {2}
+    ends = _chunk_ends(build)
+    assert len(ends) == 127
     assert all(np.isin([end - 1, end], js).all() for end in ends)
 
 
 @pytest.mark.parametrize(
-    "name,orbit_sizes,n_chunks", [("square-15", {1, 2}, 4), ("cube-7", {1, 2, 4}, 5)],
+    "name,orbit_sizes,n_chunks", [("square-15", {1, 2}, 7), ("cube-7", {1, 2, 4}, 10)],
     ids=["square-15", "cube-7"],
 )
 def test_folded_build_matches_per_set_reference(name, orbit_sizes, n_chunks):
-    # orbits of 1, 2 and 4 atoms, built in four chunks and in five
+    # orbits of 1, 2 and 4 atoms, built in seven chunks and in ten
     params, lattice, *_ = FOLDED[name]
-    args, _, _ = _check_folded_build(params, lattice)
-    assert set(args[-1]) == orbit_sizes
-    assert len(_chunk_ends(args)) == n_chunks - 1
+    build, _ = _check_folded_build(params, [lattice])
+    assert set(build.sizes) == orbit_sizes
+    assert len(_chunk_ends(build)) == n_chunks - 1
 
 
 def _bench_wiener_shells(monkeypatch, params):
@@ -369,15 +392,48 @@ def test_wiener_shells_match_per_set_reference(monkeypatch):
     # each axis takes node means for all its close class pairs; in 10 irregular
     # shells some close pair of the free axis is in no near entry, a key that no
     # entry reads
+    # shells; one call builds all 36, each the same to the bit as its reference
+    params = KernelParams(n=2, a=0.3)
+    build, near = _check_folded_build(params, _bench_wiener_shells(monkeypatch, params))
+    plan = capacity._plan(params, build)
+    rows, _, atoms = build.counts()
+    unread = 0
+    for s, (js, is_) in enumerate(near):
+        r0, a0 = np.sum(rows[:s]), np.sum(atoms[:s])
+        pairs = slice(plan[0].start[s], plan[0].start[s] + plan[0].count[s])
+        read = [len(np.unique(ax.rows[r0 + js] + ax.atoms[a0 + is_])) for ax in plan]
+        close = [np.sum(ax.close[ax.start[s] : ax.start[s] + ax.count[s]]) for ax in plan]
+        unread += any(n < c for n, c in zip(read, close))
+    assert unread == 10
+
+
+def test_one_call_ranks_once_and_assembles_per_group(monkeypatch):
+    # the 36 bench shells are ranked and planned in one pass, and assembled and
+    # presolved once per group of whole shells of at most CHUNK_POINTS folded entries;
+    # smaller groups change how many assemblies run, and no result
     params = KernelParams(n=2, a=0.3)
     shells = _bench_wiener_shells(monkeypatch, params)
-    unread = 0
-    for lattice in shells:
-        args, js, is_ = _check_folded_build(params, lattice)
-        (axes, _), _, _ = capacity._plan(params, *args)
-        read = [len(np.unique(rc[js] * c.shape[1] + ac[is_])) for rc, ac, c in axes]
-        unread += any(n < c.sum() for n, (_, _, c) in zip(read, axes))
-    assert unread == 10
+    rows, orbits, _ = _folded_build(2, shells).counts()
+    counts = {"_lattice_symmetry": 0, "_plan": 0, "_assemble": 0, "_keep_binding_rows": 0}
+    for name in counts:
+        def spy(*args, _name=name, _real=getattr(capacity, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(capacity, name, spy)
+    runs = []
+    for budget in (CHUNK_POINTS, 500):
+        monkeypatch.setattr(capacity, "CHUNK_POINTS", budget)
+        counts.update(dict.fromkeys(counts, 0))
+        runs.append(capacity_lp(params, shells))
+        groups = len(list(chunks(rows * orbits, budget)))
+        assert counts == {"_lattice_symmetry": 1, "_plan": 1, "_assemble": groups,
+                          "_keep_binding_rows": groups}, budget
+        assert 1 < groups < 36
+    assert groups > len(list(chunks(rows * orbits, CHUNK_POINTS)))
+    for one, other in zip(*runs):
+        assert one.cap_estimate == other.cap_estimate
+        assert np.array_equal(one.equilibrium.masses, other.equilibrium.masses)
+        assert lp_report(one) == lp_report(other)
 
 
 def test_wiener_shell_builds_peak_within_one_kernel_call(monkeypatch):
@@ -386,10 +442,12 @@ def test_wiener_shell_builds_peak_within_one_kernel_call(monkeypatch):
     # so the whole build, every set's tables included, holds less than one kernel
     # call's charge (4 MiB).  One call over all 36 shells' pairs held 11.9 MiB
     params = KernelParams(n=2, a=0.3)
-    builds = [_folded_build(2, shell) for shell in _bench_wiener_shells(monkeypatch, params)]
+    build = _folded_build(2, _bench_wiener_shells(monkeypatch, params))
+    rows, orbits, _ = build.counts()
+    groups = list(chunks(rows * orbits, CHUNK_POINTS))
     tracemalloc.start()
     try:
-        for matrix, _ in capacity._constraint_matrices(params, builds):
+        for matrix, _ in capacity._constraint_matrices(params, build, groups):
             del matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -411,8 +469,8 @@ def test_near_entry_profile_points(monkeypatch):
 
     monkeypatch.setattr(separable, "u_tilde", counted)
     params = KernelParams(n=3, a=0.3)
-    args = _unfolded(*_constraint_set(3, "box"))
-    A, near_pairs = next(capacity._constraint_matrices(params, [args]))
+    args = _unfolded(_constraint_set(3, "box"))
+    (A, near_pairs), = _matrices(params, args)
     assert near_pairs > 0
     assert points[0] <= A.size + 9 * near_pairs
     # a flat 32 x 32 level: the weighted axis has 32 coordinates and 2 row
@@ -421,8 +479,8 @@ def test_near_entry_profile_points(monkeypatch):
     sp, ts, hs, ht = flat_lattice([-1.0, -1.0], [1.0, 1.0], 32)
     cons_sp, cons_t = np.vstack([sp, sp]), np.concatenate([ts, ts + ht])
     params = KernelParams(n=2, a=0.3)
-    args = _unfolded(cons_sp, cons_t, sp, ts, hs, ht)
-    A, _ = next(capacity._constraint_matrices(params, [args]))
+    args = _unfolded((cons_sp, cons_t, sp, ts, hs, ht))
+    (A, _), = _matrices(params, args)
     assert A.shape == (2048, 1024)
     assert points[0] <= 10_000
 
@@ -497,9 +555,10 @@ def _full_row_reference(params, lattice):
     slice's set points.
     """
     sp, ts, hs, ht = lattice
-    rows, *build = _unfolded(np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht)
-    rows, point = np.unique(rows, axis=0, return_inverse=True)
-    A, _ = next(capacity._constraint_matrices(params, [(rows, *build)]))
+    build = _unfolded((np.vstack([sp, sp]), np.concatenate([ts, ts + ht]), sp, ts, hs, ht))
+    rows, point = np.unique(build.rows, axis=0, return_inverse=True)
+    build = build._replace(rows=rows, row_set=np.zeros(len(rows), dtype=int))
+    (A, _), = _matrices(params, build)
     assert np.all(np.any(A > 0.0, axis=1))
     own, collar = np.split(point.ravel(), 2)
     dominated = np.all(A[collar] >= A[own], axis=1)
@@ -508,13 +567,13 @@ def _full_row_reference(params, lattice):
 
 
 def _lp_with_build_spy(monkeypatch, params, lattice):
-    """capacity_lp's result, its build's arguments and its matrix before the presolve."""
+    """capacity_lp's result, its build and its matrix before the presolve."""
     build = capacity._constraint_matrices
     seen = []
 
-    def spy(params, sets):
-        for args, (F, near_pairs) in zip(sets, build(params, sets)):
-            seen.append((args, F.copy()))
+    def spy(params, sets, groups):
+        for F, near_pairs in build(params, sets, groups):
+            seen.append((sets, F.reshape(len(sets.rows), -1).copy()))
             yield F, near_pairs
 
     with monkeypatch.context() as patched:
@@ -679,7 +738,7 @@ def test_built_rows_are_the_distinct_points(kind, monkeypatch):
     res, args, F = _lp_with_build_spy(monkeypatch, params, lattice)
     cons_sp, cons_t, atom_sp, atom_t, hs, ht = _points(args)
     # the atoms sorted by orbit, the first of each orbit, and their collar copies
-    sizes = args[-1]
+    sizes = args.sizes
     reps = np.column_stack([atom_sp, atom_t])[np.cumsum(sizes) - sizes]
     points = np.vstack([reps, reps + np.r_[np.zeros(params.n), ht]])
     first = ~np.any(np.tril(_same(points, points, hs, ht), -1), axis=1)
@@ -701,24 +760,25 @@ def test_collided_collar_row_is_the_slice_row(monkeypatch):
     assert np.any(ts[below] + ht != ts[below + 1])
     res, args, F = _lp_with_build_spy(monkeypatch, params, lattice)
     assert res.mirror_axes == ()
-    (axes, _), classes, _ = capacity._plan(params, *args)
     merged = below + 1
-    for (rc, ac, _), (_, rt, _, at) in zip(axes, classes):
-        assert np.all(rt[rc[merged]] - at[ac[merged]] == 0.0)
+    for axis in capacity._plan(params, args):
+        assert np.all(axis.rt[axis.rows[merged] // axis.na[0]] - axis.at[axis.atoms[merged]] == 0.0)
     ref, _ = _tensor_reference(params, *_points(args))
     own = F[merged, merged]
     assert np.max(np.abs(own - ref[merged, merged]) / ref[merged, merged]) <= 1e-13
     assert len(F) == len(ts) + 36
 
 
-def test_batched_lp_matches_one_set_calls():
+def test_batched_lp_matches_one_set_calls(monkeypatch):
     # one call on several sets moves each cap in its last bits only (the shared
     # tables sum the profile's series to the length the whole call needs), and
     # leaves every LP figure as a call on that set alone gives it
     cube = FOLDED["cube-7"][1]
+    params = KernelParams(n=2, a=0.3)
     cases = [
-        (KernelParams(n=2, a=0.3), [FOLDED["square-16"][1], *ASYMMETRIC.values()]),
+        (params, [FOLDED["square-16"][1], *ASYMMETRIC.values()]),
         (KernelParams(n=3, a=-0.5), [cube, FOLDED["box-1x0.7"][1], _without_first_atom(cube)]),
+        (params, _bench_wiener_shells(monkeypatch, params)),
     ]
     for params, lattices in cases:
         batched = capacity_lp(params, lattices)
@@ -750,9 +810,10 @@ def test_matrix_estimate_charges_built_rows(monkeypatch):
     charged.clear()
     square = {"kind": "flat", "lo": [0, 0], "hi": [1, 1]}
     cli.cmd_capacity(cli.RunConfig(PARAMS, {"set": square, "density": 2}))
-    # the early check on the 4 x 4 fine level, then each level's built rows
-    fold = [8.0 * (2 * orbits + orbits) * orbits + chunk_bytes(2 * orbits) for orbits in (8, 2)]
-    assert charged == [fold[0], fold[1], fold[0]]
+    # the early check on the 4 x 4 fine level, then the built rows of both levels, one
+    # group of 4 x 2 and 16 x 8 entries, the fine level's normal matrix and its chunk
+    early = 8.0 * (2 * 8 + 8) * 8 + chunk_bytes(16)
+    assert charged == [early, 8.0 * (4 * 2 + 16 * 8 + 8 * 8) + chunk_bytes(16)]
 
 
 def _traced_peak(monkeypatch, params, lattice):

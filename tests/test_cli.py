@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenheat import cli, kernel, meanvalue
+from degenheat import capacity, cli, kernel, meanvalue, wiener
 from degenheat.cli import main
 from degenheat.params import KernelParams
 from degenheat.quadrature import CHUNK_POINTS
@@ -1009,10 +1009,34 @@ def test_capacity_solves_both_levels_in_one_call(tmp_path, monkeypatch, spec, de
     code, out = run(tmp_path, "capacity", {"params": PARAMS, "set": spec, "density": density})
     assert code == 0 and len(calls) == 1 and len(calls[0]) == 2
     row = (out / "capacity.csv").read_text().splitlines()[1].split(",")
+    if spec["kind"] == "box":
+        # one row per distinct point: most of a box level's collar points are the next
+        # slice's set points, so it builds fewer rows than twice its orbits
+        levels = json.loads((out / "capacity.json").read_text())["diagnostics"]["levels"]
+        for level in levels:
+            built = level["lp_rows"] + level["dropped_rows"]
+            assert level["lp_cols"] < built < 2 * level["lp_cols"], level
     params = KernelParams(**PARAMS)
     for got, lattice in zip(row[1:3], calls[0]):
         alone = lp(params, [lattice])[0].cap_estimate
         assert float(got) == pytest.approx(alone, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "cmd,where",
+    [
+        ("wiener", r"on shell lambda = 0\.5, k = 1 \(4 rows x 4 orbits\)"),
+        ("capacity", r"on the density 2 level \(2 rows x 2 orbits\)"),
+    ],
+    ids=["wiener", "capacity"],
+)
+def test_failed_lp_is_named(tmp_path, monkeypatch, capsys, cmd, where):
+    # an LP that fails names its shell or level and its size, in one line, exit 3
+    monkeypatch.setattr(capacity, "LP_MAX_ITERATIONS", 2)
+    assert run(tmp_path, cmd, SMALL_CONFIGS[cmd])[0] == 3
+    err = capsys.readouterr().err.splitlines()
+    stem = "numerical failure: capacity LP did not converge in 2 iterations "
+    assert len(err) == 1 and re.fullmatch(re.escape(stem) + where, err[0]), err
 
 
 def test_dirichlet_constant(tmp_path):
@@ -1138,11 +1162,22 @@ def test_wiener_report(tmp_path):
         },
         "k_max": 6,
         "density": 8,
+        "sweep": [0.3, 0.7],
     }
     code, out = run(tmp_path, "wiener", cfg)
     assert code == 0
     env = json.loads((out / "wiener.json").read_text())
     assert env["payload"]["verdict"] == "likely-regular"
+    # the sweep's series, keyed as lambda_sweep is: k_max rows a value, whose terms give
+    # the reported verdict
+    sweep = env["diagnostics"]["sweep"]
+    assert list(sweep) == list(env["payload"]["lambda_sweep"]) == ["0.3", "0.7"]
+    for lv, rows in sweep.items():
+        assert [row["k"] for row in rows] == list(range(1, 7))
+        assert all(row["term"] == row["cap"] * row["weight"] for row in rows)
+        assert all(row["atoms"] > 0 and row["lp_iterations"] > 0 for row in rows)
+        verdict = wiener.classify_terms([row["term"] for row in rows])
+        assert verdict == env["payload"]["lambda_sweep"][lv]
     lines = (out / "wiener.csv").read_text().splitlines()
     assert lines[0] == "lambda,k,cap,weight,term,partial_sum"
     assert len(lines) == 7

@@ -87,21 +87,23 @@ def test_collided_collar_time_gives_zero():
     h, ht = 0.1, 0.2
     sp, ts = np.full((2, 2), 0.5), np.array([0.1, 0.3])
     assert 0 < ts[0] + ht - ts[1] < 1e-15
-    _, _, values, rows, atoms, (own, collar) = capacity._lattice_symmetry(2, sp, ts, h, ht)
+    one = np.zeros(2, dtype=int)
+    build, _, _, own, collar = capacity._lattice_symmetry(2, sp, ts, one, np.r_[h], np.r_[ht])
+    values, rows, atoms = build.values, build.rows, build.atoms
     assert len(rows) == 3 and collar[0] == own[1]
     t, s = values[-1][rows[collar[0], -1]], values[-1][atoms[1, -1]]
     assert t == s
     zero, nodes = np.zeros(1), legendre_rule(3)[0]
     x = np.array([0.5])
     for axis in (0, 1):
-        (raw,) = capacity._class_tables(PARAMS, axis, [(x, ts[:1] + ht, x, ts[1:], h, ht)], zero)
+        raw = capacity._class_tables(PARAMS, axis, x, ts[:1] + ht, x, ts[1:], h, ht, zero)
         assert raw[0, 0] > 1e6
         pair = (x, np.array([t]), x, np.array([s]), h, ht)
-        (far,) = capacity._class_tables(PARAMS, axis, [pair], zero)
+        far = capacity._class_tables(PARAMS, axis, *pair, zero)
         assert far.shape == (1, 1) and far[0, 0] == 0.0
         # the cell's time nodes: the lowest lies before the row's time, the middle
         # one at it, and the top one after it
-        (means,) = capacity._class_tables(PARAMS, axis, [pair], nodes)
+        means = capacity._class_tables(PARAMS, axis, *pair, nodes)
         assert means[0, 0] > 0.0 and np.all(means[0, 1:] == 0.0)
 
 
@@ -171,10 +173,13 @@ def test_batch_of_sets_equals_per_set_calls():
         x, y = rng.uniform(0.2, 1.2, m), rng.uniform(0.2, 1.2, m)
         t, s = rng.uniform(0.0, 0.5, m), rng.uniform(0.0, 0.5, m)
         groups.append((x, t, y, s, h, h * h))
+    # the groups back to back, each pair with its own group's cell sides
+    batched = [np.concatenate([g[i] for g in groups]) for i in range(4)]
+    batched += [np.repeat([g[i] for g in groups], 30) for i in (4, 5)]
     for axis in (0, 1):
         for offsets in (np.zeros(1), nodes):
-            batch = capacity._class_tables(PARAMS, axis, groups, offsets)
-            for group, got in zip(groups, batch):
-                (alone,) = capacity._class_tables(PARAMS, axis, [group], offsets)
+            batch = capacity._class_tables(PARAMS, axis, *batched, offsets)
+            for group, got in zip(groups, np.split(batch, 3)):
+                alone = capacity._class_tables(PARAMS, axis, *group, offsets)
                 assert got.shape == alone.shape == (30, len(offsets))
                 assert np.allclose(got, alone, rtol=1e-14, atol=0.0)
